@@ -33,9 +33,10 @@ chaos:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
+# bench runs the repo's one benchmark (BENCHMARK.json): four closed-loop
+# workloads, end-to-end and per-layer metrics.
 bench:
-	$(GO) test -bench=. -benchmem ./internal/tensor/
-	$(GO) test -run=XXX -bench='BenchmarkFedPKDRound' -benchtime=2x .
+	bash bench/run.sh
 
 # fuzz runs the decode fuzzers (transport round messages and comm packed
 # sections) for a short budget each; raise FUZZTIME for deeper exploration.

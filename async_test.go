@@ -175,7 +175,7 @@ func TestLedgerRawCoversWireForEveryCodec(t *testing.T) {
 			if err := SetWireCodec(algo, c.String()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := distrib.RunAlgorithm(algo, distrib.ModeBus, goldenRounds, nil); err != nil {
+			if _, err := distrib.Run(algo, goldenRounds, distrib.Options{}); err != nil {
 				t.Fatal(err)
 			}
 			r, err := engine.Of(algo)

@@ -194,19 +194,20 @@ func BenchmarkDistributedRoundTCP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DistributedConfig{
-		Core: Config{
-			Env:                 env,
-			ClientPrivateEpochs: 1,
-			ClientPublicEpochs:  1,
-			ServerEpochs:        1,
-			Seed:                42,
-		},
-		Mode: ModeTCP,
+	cfg := Config{
+		Env:                 env,
+		ClientPrivateEpochs: 1,
+		ClientPublicEpochs:  1,
+		ServerEpochs:        1,
+		Seed:                42,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunDistributed(cfg, 1); err != nil {
+		algo, err := NewFedPKD(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := RunDistributed(algo, 1, DistributedOptions{Mode: ModeTCP}); err != nil {
 			b.Fatal(err)
 		}
 	}

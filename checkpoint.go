@@ -1,7 +1,6 @@
 package fedpkd
 
 import (
-	"fedpkd/internal/distrib"
 	"fedpkd/internal/fl/engine"
 )
 
@@ -67,10 +66,4 @@ func RunAlgorithmUntil(algo Algorithm, total int) (*History, error) {
 		return nil, err
 	}
 	return r.RunUntil(total)
-}
-
-// RunAlgorithmDistributedUntil is RunAlgorithmUntil over the transport
-// layer: after ResumeAlgorithm it executes only the remaining rounds.
-func RunAlgorithmDistributedUntil(algo Algorithm, mode DistributedMode, total int, rec *Recorder) (*History, error) {
-	return distrib.RunAlgorithmUntil(algo, mode, total, rec)
 }

@@ -54,7 +54,6 @@ func run() error {
 		minQuorum = flag.Int("min-quorum", 0, "failures experiment: abort distributed rounds that aggregate fewer uploads; 0 disables")
 		availSpec = flag.String("availability", "", "run the generic matrix experiments under a seeded diurnal availability trace, e.g. period=24,min=0.5,max=0.9 (the churn experiment compares fixed vs diurnal regardless)")
 		shards    = flag.Int("shards", 0, "reduce distributed experiment runs through an aggregator tree with this many leaves; 0/1 keeps the flat server (the hierarchy experiment compares flat vs tree regardless)")
-		treeDepth = flag.Int("tree-depth", 0, "aggregator-tree depth; 0 defaults to 2 when -shards > 1 (only 2 is supported by the runtime)")
 		leafTmo   = flag.Duration("leaf-timeout", 0, "treefaults experiment: root-side deadline per shard digest (default 1m)")
 		shardQ    = flag.Int("shard-quorum", 0, "treefaults experiment: abort tree rounds that merge fewer shard digests; 0 disables")
 	)
@@ -77,7 +76,7 @@ func run() error {
 	if err := expt.SetAvailabilityModel(*availSpec); err != nil {
 		return err
 	}
-	expt.SetTreePolicy(*shards, *treeDepth)
+	expt.SetTreePolicy(*shards)
 	expt.SetTreeFaultModel(*leafTmo, *shardQ)
 
 	if *debugAddr != "" {

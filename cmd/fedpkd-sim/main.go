@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"fedpkd"
@@ -71,7 +70,6 @@ func run() error {
 		availSpec = flag.String("availability", "", "seeded diurnal availability trace, e.g. period=24,min=0.5,max=0.9,seed=7; cohorts sample from online clients")
 		popSpec   = flag.String("population", "", "comma-separated client ids registered at start, e.g. 0,1,2 (requires -distributed); others may join mid-run")
 		shards    = flag.Int("shards", 0, "aggregator-tree leaf count; >1 reduces uploads through a two-tier tree (requires -distributed), 0/1 keeps the flat server")
-		treeDepth = flag.Int("tree-depth", 0, "aggregator-tree depth; 0 defaults to 2 when -shards > 1 (only 2 is supported by the runtime)")
 	)
 	flag.Parse()
 
@@ -103,8 +101,8 @@ func run() error {
 	if *popSpec != "" && *distMode == "" {
 		return fmt.Errorf("-population requires -distributed")
 	}
-	if (*shards > 1 || *treeDepth != 0) && *distMode == "" {
-		return fmt.Errorf("-shards and -tree-depth require -distributed")
+	if *shards > 1 && *distMode == "" {
+		return fmt.Errorf("-shards requires -distributed")
 	}
 	if (*leafTmo != 0 || *shardQ != 0) && *shards <= 1 {
 		return fmt.Errorf("-leaf-timeout and -shard-quorum require -shards > 1")
@@ -254,7 +252,7 @@ func run() error {
 			ShardQuorum:   *shardQ,
 			Faults:        plan,
 			Population:    population,
-			Topology:      fedpkd.Topology{Shards: *shards, Depth: *treeDepth},
+			Topology:      fedpkd.Topology{Shards: *shards},
 		}
 		var gate *fedpkd.ControlGate
 		if *serveMode {
@@ -274,30 +272,33 @@ func run() error {
 				opts.WireRegistration = false
 				fmt.Fprintln(os.Stderr, "fedpkd-sim: tree-serve mode pre-registers the fleet (wire registration needs the flat fan-in)")
 			}
-			var svcMu sync.Mutex
-			var svc *fedpkd.Service
-			opts.OnService = func(s *fedpkd.Service) {
-				svcMu.Lock()
-				svc = s
-				svcMu.Unlock()
-			}
+		}
+		done, err := fedpkd.CompletedRounds(algo)
+		if err != nil {
+			return err
+		}
+		if *rounds < done {
+			return fmt.Errorf("-rounds %d but %d rounds already completed", *rounds, done)
+		}
+		svc, err := fedpkd.NewService(algo, opts)
+		if err != nil {
+			return err
+		}
+		defer svc.Close()
+		if gate != nil {
 			srv, err := fedpkd.ServeControl(*ctlAddr, gate, func() fedpkd.ControlStatus {
-				svcMu.Lock()
-				s := svc
-				svcMu.Unlock()
-				st := fedpkd.ControlStatus{Algo: *algoName, Rounds: *rounds}
-				if s != nil {
-					ss := s.Status()
-					st.Algo, st.Round = ss.Algo, ss.Round
-					st.Registered, st.Online, st.Cohort = ss.Registered, ss.Online, ss.Cohort
-					for _, sh := range ss.Shards {
-						st.Shards = append(st.Shards, fedpkd.ControlShardHealth{
-							Shard:           sh.Shard,
-							LastDigestRound: sh.LastDigestRound,
-							Retries:         sh.Retries,
-							Lost:            sh.Lost,
-						})
-					}
+				ss := svc.Status()
+				st := fedpkd.ControlStatus{
+					Algo: ss.Algo, Round: ss.Round, Rounds: *rounds,
+					Registered: ss.Registered, Online: ss.Online, Cohort: ss.Cohort,
+				}
+				for _, sh := range ss.Shards {
+					st.Shards = append(st.Shards, fedpkd.ControlShardHealth{
+						Shard:           sh.Shard,
+						LastDigestRound: sh.LastDigestRound,
+						Retries:         sh.Retries,
+						Lost:            sh.Lost,
+					})
 				}
 				return st
 			})
@@ -307,7 +308,7 @@ func run() error {
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "serving %s with control plane on %s\n", *algoName, srv.Addr())
 		}
-		history, err = fedpkd.RunAlgorithmDistributedUntilOpts(algo, *rounds, opts)
+		history, err = svc.Run(*rounds - done)
 		if gate != nil {
 			gate.Finish()
 		}

@@ -7,8 +7,6 @@ import (
 
 // Distributed-execution types, aliased for the public surface.
 type (
-	// DistributedConfig parameterizes a distributed FedPKD run.
-	DistributedConfig = distrib.Config
 	// DistributedMode selects the wire (bus or TCP).
 	DistributedMode = distrib.Mode
 	// DistributedOptions parameterizes the failure-tolerant distributed
@@ -54,34 +52,18 @@ const (
 	ModeTCP = distrib.ModeTCP
 )
 
-// RunDistributed executes FedPKD with the server and every client in their
-// own goroutine, exchanging knowledge exclusively through the transport
-// layer (real TCP with ModeTCP). The ledger in the returned history records
-// actual encoded wire bytes.
-func RunDistributed(cfg DistributedConfig, rounds int) (*History, error) {
-	return distrib.Run(cfg, rounds)
-}
-
-// RunAlgorithmDistributed executes any engine-backed algorithm (everything
-// BuildAlgorithm or the New* constructors return) over the transport layer,
-// with the server and every client in their own goroutine. Accuracy
-// trajectories are bit-identical to the in-process Run; the ledger records
-// actual encoded wire bytes instead of the analytic sizes.
-func RunAlgorithmDistributed(algo Algorithm, mode DistributedMode, rounds int, rec *Recorder) (*History, error) {
-	return distrib.RunAlgorithm(algo, mode, rounds, rec)
-}
-
-// RunAlgorithmDistributedOpts is RunAlgorithmDistributed with the full
-// failure-model option set: a finite ClientTimeout lets rounds complete with
-// partial cohorts instead of stalling on stragglers, a FaultPlan injects
+// RunDistributed executes rounds additional rounds (or async flushes) of any
+// engine-backed algorithm (everything BuildAlgorithm or the New* constructors
+// return) over the transport layer, with the server and every client in
+// their own goroutine (real TCP with ModeTCP). Accuracy trajectories are
+// bit-identical to the in-process Run; the ledger records actual encoded wire
+// bytes instead of the analytic sizes. The zero options (plus a Mode) are the
+// strict runtime; a finite ClientTimeout lets rounds complete with partial
+// cohorts instead of stalling on stragglers, a FaultPlan injects
 // deterministic chaos, and MinQuorum aborts rounds that heard from too few
-// clients. Partial rounds are recorded in History.Degraded.
-func RunAlgorithmDistributedOpts(algo Algorithm, rounds int, opts DistributedOptions) (*History, error) {
-	return distrib.RunAlgorithmOpts(algo, rounds, opts)
-}
-
-// RunAlgorithmDistributedUntilOpts is RunAlgorithmDistributedUntil with the
-// full failure-model option set.
-func RunAlgorithmDistributedUntilOpts(algo Algorithm, total int, opts DistributedOptions) (*History, error) {
-	return distrib.RunAlgorithmUntilOpts(algo, total, opts)
+// clients. Partial rounds are recorded in History.Degraded. To run a resumed
+// algorithm until a total, subtract CompletedRounds; to reach the running
+// service (status, Join/Leave), use NewService.
+func RunDistributed(algo Algorithm, rounds int, opts DistributedOptions) (*History, error) {
+	return distrib.Run(algo, rounds, opts)
 }

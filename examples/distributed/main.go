@@ -36,7 +36,11 @@ func main() {
 
 	const rounds = 3
 	fmt.Println("running FedPKD over loopback TCP...")
-	overTCP, err := fedpkd.RunDistributed(fedpkd.DistributedConfig{Core: cfg, Mode: fedpkd.ModeTCP}, rounds)
+	dist, err := fedpkd.NewFedPKD(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	overTCP, err := fedpkd.RunDistributed(dist, rounds, fedpkd.DistributedOptions{Mode: fedpkd.ModeTCP})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hist, err := fedpkd.RunAlgorithmDistributedOpts(algo, rounds, fedpkd.DistributedOptions{
+		hist, err := fedpkd.RunDistributed(algo, rounds, fedpkd.DistributedOptions{
 			Mode:          fedpkd.ModeBus,
 			ClientTimeout: time.Minute,
 			Faults:        plan,

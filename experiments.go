@@ -39,7 +39,7 @@ func Algorithms() []string { return expt.Algorithms() }
 // BuildAlgorithm constructs a named algorithm on an environment with the
 // scale's schedule. Every algorithm it returns runs on the shared round
 // engine, so the result works with Run, SetRecorder, and
-// RunAlgorithmDistributed alike.
+// RunDistributed alike.
 func BuildAlgorithm(name string, env *Env, sc ExperimentScale, seed uint64, hetero bool, opts AlgoOptions) (Algorithm, error) {
 	return expt.BuildAlgorithmOpts(name, env, sc, seed, hetero, opts)
 }

@@ -2,16 +2,12 @@ package distrib
 
 import (
 	"encoding/json"
-	"errors"
 	"testing"
-	"time"
 
-	"fedpkd/internal/comm"
 	"fedpkd/internal/core"
 	"fedpkd/internal/faults"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
-	"fedpkd/internal/transport"
 )
 
 // asyncTestOpts is the async configuration every transport-equivalence test
@@ -66,7 +62,7 @@ func TestAsyncRunMatchesInProcess(t *testing.T) {
 	for _, mode := range []Mode{ModeBus, ModeTCP} {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
-			d, err := RunAlgorithm(asyncFedPKD(t), mode, flushes, nil)
+			d, err := Run(asyncFedPKD(t), flushes, Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +75,7 @@ func TestAsyncRunMatchesInProcess(t *testing.T) {
 func TestAsyncDeterministicReplayOverBus(t *testing.T) {
 	run := func() (*fl.History, int64) {
 		algo := asyncFedPKD(t)
-		hist, err := RunAlgorithm(algo, ModeBus, 3, nil)
+		hist, err := Run(algo, 3, Options{Mode: ModeBus})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +117,7 @@ func TestAsyncChaosDeterministicPartialFlushes(t *testing.T) {
 		if err := r.SetAsync(asyncTestOpts()); err != nil {
 			t.Fatal(err)
 		}
-		hist, err := RunAlgorithmOpts(algo, flushes, Options{
+		hist, err := Run(algo, flushes, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
@@ -149,88 +145,4 @@ func TestAsyncChaosDeterministicPartialFlushes(t *testing.T) {
 	if string(j1) != string(j2) {
 		t.Fatalf("same-seed async chaos runs diverged:\n%s\nvs\n%s", j1, j2)
 	}
-}
-
-// TestAsyncServerCountsDupAndPeerMismatch drives asyncCollectUploads over a
-// real bus transport and asserts the robustness counters: a duplicate upload
-// bumps the duplicate-drop counter, a misattributed upload (payload labeled
-// with another client's id) bumps the corrupt-drop counter, and neither
-// reaches the aggregation set.
-func TestAsyncServerCountsDupAndPeerMismatch(t *testing.T) {
-	env := chaosEnv(t)
-	runner, err := engine.Of(chaosFedAvg(t, env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	round := runner.BeginRound()
-
-	send := func(conn transport.Conn, from, client int) {
-		t.Helper()
-		payload, err := transport.Encode(transport.RoundUpload{Round: round, Client: client})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.Send(&transport.Envelope{Kind: transport.KindUpload, From: from, To: -1, Round: round, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("tolerant", func(t *testing.T) {
-		bus := transport.NewBus(3, 8)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		send(bus.ClientConn(1), 1, 1) // valid
-		send(bus.ClientConn(1), 1, 1) // duplicate: dropped, counted
-		send(bus.ClientConn(0), 0, 1) // labeled 1, sent by 0: dropped, counted
-		send(bus.ClientConn(2), 2, 2) // client 2 is not in the buffer: dropped, counted
-		send(bus.ClientConn(0), 0, 0) // valid, completes the buffer
-		rs := &roundStats{}
-		opts := &Options{ClientTimeout: 2 * time.Second}
-		_, report, roundErr, err := asyncCollectUploads(round, runner, rx, []int{0, 1}, fullRegistry(3), opts, comm.CodecFloat64, nil, true, rs)
-		if err != nil || roundErr != nil {
-			t.Fatalf("errs = %v, %v", err, roundErr)
-		}
-		if report.cohort != 2 || len(report.missing) != 0 {
-			t.Fatalf("report = %+v, want full 2-client cohort", report)
-		}
-		if rs.dup.Load() != 1 {
-			t.Errorf("duplicate-drop counter = %d, want 1", rs.dup.Load())
-		}
-		if rs.corrupt.Load() != 2 {
-			t.Errorf("corrupt-drop counter = %d, want 2 (peer mismatch + out-of-buffer)", rs.corrupt.Load())
-		}
-	})
-
-	t.Run("strict-dup", func(t *testing.T) {
-		bus := transport.NewBus(3, 8)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		send(bus.ClientConn(1), 1, 1)
-		send(bus.ClientConn(1), 1, 1)
-		send(bus.ClientConn(0), 0, 0)
-		_, _, roundErr, err := asyncCollectUploads(round, runner, rx, []int{0, 1}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(roundErr, ErrDuplicateUpload) {
-			t.Fatalf("roundErr = %v, want ErrDuplicateUpload", roundErr)
-		}
-	})
-
-	t.Run("strict-peer-mismatch", func(t *testing.T) {
-		bus := transport.NewBus(3, 8)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		send(bus.ClientConn(0), 0, 1)
-		_, _, roundErr, err := asyncCollectUploads(round, runner, rx, []int{0, 1}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(roundErr, ErrPeerMismatch) {
-			t.Fatalf("roundErr = %v, want ErrPeerMismatch", roundErr)
-		}
-	})
 }

@@ -16,9 +16,6 @@ import (
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
-	"fedpkd/internal/proto"
-	"fedpkd/internal/stats"
-	"fedpkd/internal/tensor"
 	"fedpkd/internal/transport"
 )
 
@@ -84,7 +81,7 @@ func TestChaosFedPKDDeterministicPartialRounds(t *testing.T) {
 	const rounds = 3
 	run := func() *fl.History {
 		env := chaosEnv(t)
-		hist, err := RunAlgorithmOpts(chaosFedPKD(t, env), rounds, Options{
+		hist, err := Run(chaosFedPKD(t, env), rounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
@@ -120,7 +117,7 @@ func TestChaosFedPKDDeterministicPartialRounds(t *testing.T) {
 func TestChaosTCPCrashRestart(t *testing.T) {
 	var fs faults.Stats
 	env := chaosEnv(t)
-	hist, err := RunAlgorithmOpts(chaosFedAvg(t, env), 3, Options{
+	hist, err := Run(chaosFedAvg(t, env), 3, Options{
 		Mode:          ModeTCP,
 		ClientTimeout: chaosTimeout,
 		Faults:        &faults.Plan{Seed: 7, CrashProb: 0.3},
@@ -146,7 +143,7 @@ func TestChaosTCPCrashRestart(t *testing.T) {
 func TestChaosRetrySendFailures(t *testing.T) {
 	var fs faults.Stats
 	env := chaosEnv(t)
-	hist, err := RunAlgorithmOpts(chaosFedAvg(t, env), 3, Options{
+	hist, err := Run(chaosFedAvg(t, env), 3, Options{
 		Mode:          ModeBus,
 		ClientTimeout: chaosTimeout,
 		Faults:        &faults.Plan{Seed: 5, SendFailProb: 0.5},
@@ -167,14 +164,14 @@ func TestChaosRetrySendFailures(t *testing.T) {
 // on the tolerant machinery (a finite deadline) without any faults must not
 // change a single byte of the history relative to the strict runtime.
 func TestChaosZeroPlanMatchesStrict(t *testing.T) {
-	tolerant, err := RunAlgorithmOpts(chaosFedAvg(t, chaosEnv(t)), 2, Options{
+	tolerant, err := Run(chaosFedAvg(t, chaosEnv(t)), 2, Options{
 		Mode:          ModeBus,
 		ClientTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := RunAlgorithm(chaosFedAvg(t, chaosEnv(t)), ModeBus, 2, nil)
+	strict, err := Run(chaosFedAvg(t, chaosEnv(t)), 2, Options{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +188,7 @@ func TestChaosZeroPlanMatchesStrict(t *testing.T) {
 // aggregating a rump cohort.
 func TestChaosQuorumAbort(t *testing.T) {
 	env := chaosEnv(t)
-	_, err := RunAlgorithmOpts(chaosFedAvg(t, env), 6, Options{
+	_, err := Run(chaosFedAvg(t, env), 6, Options{
 		Mode:          ModeBus,
 		ClientTimeout: chaosTimeout,
 		MinQuorum:     3,
@@ -204,97 +201,21 @@ func TestChaosQuorumAbort(t *testing.T) {
 
 func TestChaosOptionsValidation(t *testing.T) {
 	env := chaosEnv(t)
-	if _, err := RunAlgorithmOpts(chaosFedAvg(t, env), 1, Options{
+	if _, err := Run(chaosFedAvg(t, env), 1, Options{
 		Faults: &faults.Plan{DropProb: 0.1},
 	}); err == nil {
 		t.Error("lossy plan without ClientTimeout should error")
 	}
-	if _, err := RunAlgorithmOpts(chaosFedAvg(t, env), 1, Options{
+	if _, err := Run(chaosFedAvg(t, env), 1, Options{
 		MinQuorum: 4,
 	}); err == nil {
 		t.Error("MinQuorum above the fleet size should error")
 	}
-	if _, err := RunAlgorithmOpts(chaosFedAvg(t, env), 1, Options{
+	if _, err := Run(chaosFedAvg(t, env), 1, Options{
 		Faults: &faults.Plan{DropProb: 1.5}, ClientTimeout: time.Second,
 	}); err == nil {
 		t.Error("out-of-range probability should error")
 	}
-}
-
-// TestChaosServerRejectsStaleAndDuplicate drives collectUploads directly:
-// strict mode rejects a stale-round upload with the named error; tolerant
-// mode counts and drops stale, duplicate, and mismatched envelopes while
-// accepting the one valid upload.
-func TestChaosServerRejectsStaleAndDuplicate(t *testing.T) {
-	env := chaosEnv(t)
-	runner, err := engine.Of(chaosFedAvg(t, env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	round := runner.BeginRound()
-
-	sendRaw := func(conn transport.Conn, from, envRound, ruRound, client int) {
-		t.Helper()
-		payload, err := transport.Encode(transport.RoundUpload{Round: ruRound, Client: client})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.Send(&transport.Envelope{Kind: transport.KindUpload, From: from, To: -1, Round: envRound, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("strict", func(t *testing.T) {
-		bus := transport.NewBus(3, 6)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		sendRaw(bus.ClientConn(0), 0, round+5, round+5, 0) // stale round stamp
-		_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(roundErr, ErrStaleEnvelope) {
-			t.Fatalf("roundErr = %v, want ErrStaleEnvelope", roundErr)
-		}
-	})
-
-	t.Run("strict-peer-mismatch", func(t *testing.T) {
-		bus := transport.NewBus(3, 6)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		sendRaw(bus.ClientConn(0), 0, round, round, 1) // payload claims client 1, conn is client 0
-		_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(roundErr, ErrPeerMismatch) {
-			t.Fatalf("roundErr = %v, want ErrPeerMismatch", roundErr)
-		}
-	})
-
-	t.Run("tolerant", func(t *testing.T) {
-		bus := transport.NewBus(3, 6)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		sendRaw(bus.ClientConn(0), 0, round+5, round+5, 0) // stale: dropped, client 0 still missing
-		sendRaw(bus.ClientConn(1), 1, round, round, 1)     // valid
-		sendRaw(bus.ClientConn(1), 1, round, round, 1)     // duplicate: dropped
-		rs := &roundStats{}
-		opts := &Options{ClientTimeout: 300 * time.Millisecond}
-		_, report, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), opts, comm.CodecFloat64, nil, true, rs, nil)
-		if err != nil || roundErr != nil {
-			t.Fatalf("errs = %v, %v", err, roundErr)
-		}
-		if report.cohort != 1 || !reflect.DeepEqual(report.missing, []int{0, 2}) {
-			t.Fatalf("report = %+v, want cohort 1 missing [0 2]", report)
-		}
-		if rs.stale.Load() != 1 || rs.dup.Load() != 1 {
-			t.Fatalf("stale=%d dup=%d, want 1 and 1", rs.stale.Load(), rs.dup.Load())
-		}
-	})
 }
 
 // TestChaosTCPGoroutineLeakFree pins the mux fix: a finished TCP run must
@@ -302,7 +223,7 @@ func TestChaosServerRejectsStaleAndDuplicate(t *testing.T) {
 func TestChaosTCPGoroutineLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := chaosEnv(t)
-	if _, err := RunAlgorithm(chaosFedAvg(t, env), ModeTCP, 2, nil); err != nil {
+	if _, err := Run(chaosFedAvg(t, env), 2, Options{Mode: ModeTCP}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -316,120 +237,6 @@ func TestChaosTCPGoroutineLeakFree(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// int8Upload builds one deterministic upload payload and returns its wire
-// encoding under the given codec/ref, after an optional corruption hook. The
-// payload is rebuilt from the same seed on every call, so a clean encode can
-// be compared against an independent ApplyCodec of the same values.
-func int8Upload(t *testing.T, round, client int, codec comm.Codec, ref []float64, corrupt func(*transport.WirePayload)) ([]byte, *engine.Payload) {
-	t.Helper()
-	rng := stats.NewRNG(77)
-	up := &engine.Payload{
-		Logits:     tensor.Randn(rng, 2, 5, 1),
-		Protos:     proto.NewSet(3, 4),
-		Params:     []float64{0.5, -1.25, 2},
-		NumSamples: 7,
-	}
-	up.Protos.Vectors[1] = []float64{1, -2, 3, -4}
-	up.Protos.Counts[1] = 5
-	w, err := transport.PayloadToWireIn(up, codec, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrupt != nil {
-		corrupt(&w)
-	}
-	payload, err := transport.Encode(transport.RoundUpload{Round: round, Client: client, HasPayload: true, Payload: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return payload, up
-}
-
-// TestChaosInt8UploadValidation drives collectUploads against int8-coded
-// uploads: a bit-flipped quantized section fails the per-section CRC below
-// the gob layer with the named comm error, a raw-float64 upload into an int8
-// round is a codec mismatch, and a delta-coded section arriving in a round
-// without a parameter reference is rejected rather than mis-decoded — in
-// every case an error, never a panic or silently-wrong values.
-func TestChaosInt8UploadValidation(t *testing.T) {
-	env := chaosEnv(t)
-	runner, err := engine.Of(chaosFedAvg(t, env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	round := runner.BeginRound()
-	ref := []float64{0.25, -0.5, 1.5}
-
-	send := func(conn transport.Conn, from int, payload []byte) {
-		t.Helper()
-		if err := conn.Send(&transport.Envelope{Kind: transport.KindUpload, From: from, To: -1, Round: round, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	strictCase := func(name string, wantErr error, ref []float64, payload []byte) {
-		t.Run(name, func(t *testing.T) {
-			bus := transport.NewBus(3, 6)
-			defer bus.Close()
-			rx := newReceiver(bus.ServerConn())
-			defer rx.stop()
-			send(bus.ClientConn(0), 0, payload)
-			_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), &Options{}, comm.CodecInt8, ref, false, &roundStats{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !errors.Is(roundErr, wantErr) {
-				t.Fatalf("roundErr = %v, want %v", roundErr, wantErr)
-			}
-		})
-	}
-
-	flipped, _ := int8Upload(t, round, 0, comm.CodecInt8, ref, func(w *transport.WirePayload) {
-		w.LogitsEnc[len(w.LogitsEnc)-1] ^= 0x01
-	})
-	strictCase("strict-bitflip", comm.ErrSectionChecksum, ref, flipped)
-
-	rawUpload, _ := int8Upload(t, round, 0, comm.CodecFloat64, nil, nil)
-	strictCase("strict-codec-mismatch", ErrCodecMismatch, ref, rawUpload)
-
-	deltaUpload, _ := int8Upload(t, round, 0, comm.CodecInt8, ref, nil)
-	strictCase("strict-delta-without-ref", comm.ErrSectionRef, nil, deltaUpload)
-
-	t.Run("tolerant", func(t *testing.T) {
-		bus := transport.NewBus(3, 6)
-		defer bus.Close()
-		rx := newReceiver(bus.ServerConn())
-		defer rx.stop()
-		send(bus.ClientConn(0), 0, flipped)   // CRC reject
-		send(bus.ClientConn(2), 2, rawUpload) // codec mismatch reject (checked before peer identity)
-		clean, orig := int8Upload(t, round, 1, comm.CodecInt8, ref, nil)
-		send(bus.ClientConn(1), 1, clean)
-		rs := &roundStats{}
-		opts := &Options{ClientTimeout: 300 * time.Millisecond}
-		uploads, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), opts, comm.CodecInt8, ref, true, rs, nil)
-		if err != nil || roundErr != nil {
-			t.Fatalf("errs = %v, %v", err, roundErr)
-		}
-		if got := rs.corrupt.Load(); got != 2 {
-			t.Fatalf("corrupt = %d, want 2", got)
-		}
-		if len(uploads) != 1 || uploads[0].Client != 1 {
-			t.Fatalf("uploads = %+v, want exactly client 1", uploads)
-		}
-		want := orig.ApplyCodec(comm.CodecInt8, ref)
-		got := uploads[0].Payload
-		if !reflect.DeepEqual(got.Params, want.Params) {
-			t.Errorf("decoded params %v, want quantized %v", got.Params, want.Params)
-		}
-		if !reflect.DeepEqual(got.Logits.Data, want.Logits.Data) {
-			t.Errorf("decoded logits diverge from ApplyCodec")
-		}
-		if !reflect.DeepEqual(got.Protos.Vectors, want.Protos.Vectors) {
-			t.Errorf("decoded protos diverge from ApplyCodec")
-		}
-	})
 }
 
 // TestChaosInt8CorruptionRun is the run-level half of the quantized-chaos
@@ -451,7 +258,7 @@ func TestChaosInt8CorruptionRun(t *testing.T) {
 		if err := r.SetCodec(comm.CodecInt8); err != nil {
 			t.Fatal(err)
 		}
-		hist, err := RunAlgorithmOpts(algo, rounds, Options{
+		hist, err := Run(algo, rounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
@@ -614,7 +421,7 @@ func runTreeChaos(t *testing.T, mode Mode, plan *faults.Plan, opts Options) (*fl
 	opts.Faults = plan
 	opts.FaultStats = &fs
 	opts.Topology = Topology{Shards: treeChaosShards}
-	hist, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, opts)
+	hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,7 +590,7 @@ func TestTreeChaosDigestDropTimesOutShard(t *testing.T) {
 		})
 	rec := obs.NewRecorder("FedAvg")
 	var fs faults.Stats
-	hist, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+	hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 		Mode:          ModeBus,
 		Recorder:      rec,
 		ClientTimeout: chaosTimeout,
@@ -819,7 +626,7 @@ func TestTreeChaosDigestDropTimesOutShard(t *testing.T) {
 func TestTreeChaosShardQuorumAbort(t *testing.T) {
 	t.Run("pre-round fail-fast", func(t *testing.T) {
 		plan, _ := findLeafCrashPlan(t, 42, true) // a leaf dies in round 0
-		hist, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			LeafTimeout:   chaosTimeout,
@@ -840,7 +647,7 @@ func TestTreeChaosShardQuorumAbort(t *testing.T) {
 		plan := findTierPlan(t, 1,
 			func(s uint64) *faults.Plan { return &faults.Plan{Seed: s, TierCorruptProb: 0.999} },
 			func(pr tierProbe) bool { return pr.survivors[0] == 0 })
-		_, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		_, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			LeafTimeout:   chaosTimeout,
@@ -858,7 +665,7 @@ func TestTreeChaosShardQuorumAbort(t *testing.T) {
 // contract: arming the tolerant tier machinery (a finite LeafTimeout) with no
 // fault plan must not change a byte of the tree history.
 func TestTreeChaosZeroPlanTolerantMatchesStrict(t *testing.T) {
-	tolerant, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+	tolerant, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 		Mode:        ModeBus,
 		LeafTimeout: 10 * time.Second,
 		Topology:    Topology{Shards: treeChaosShards},
@@ -866,7 +673,7 @@ func TestTreeChaosZeroPlanTolerantMatchesStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+	strict, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 		Mode:     ModeBus,
 		Topology: Topology{Shards: treeChaosShards},
 	})
@@ -889,7 +696,7 @@ func TestTreeChaosClientCrashUnderTreeTCPReplay(t *testing.T) {
 	plan := &faults.Plan{Seed: 7, CrashProb: 0.3}
 	run := func() *fl.History {
 		var fs faults.Stats
-		hist, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeTCP,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
@@ -937,7 +744,7 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 	}
 	t.Run("clean tree run", func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		_, err := RunAlgorithmOpts(chaosFedAvg(t, treeChaosEnv(t)), 2, Options{
+		_, err := Run(chaosFedAvg(t, treeChaosEnv(t)), 2, Options{
 			Mode:     ModeTCP,
 			Topology: Topology{Shards: treeChaosShards},
 		})
@@ -994,7 +801,7 @@ func TestTreeChaosOptionsValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Mode = ModeBus
-			if _, err := RunAlgorithmOpts(chaosFedAvg(t, env), 1, tc.opts); err == nil {
+			if _, err := Run(chaosFedAvg(t, env), 1, tc.opts); err == nil {
 				t.Errorf("%s should be rejected", tc.name)
 			}
 		})

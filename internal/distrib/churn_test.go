@@ -69,7 +69,7 @@ func TestChurnSameSeedReplayOverBus(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := obs.NewRecorder("fedavg")
-		hist, err := RunAlgorithmOpts(algo, rounds, Options{Mode: ModeBus, Recorder: rec})
+		hist, err := Run(algo, rounds, Options{Mode: ModeBus, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,9 +148,8 @@ func TestServiceLeaveMidRun(t *testing.T) {
 	env := chaosEnv(t)
 	algo := chaosFedAvg(t, env)
 	var svc *Service
-	hist, err := RunAlgorithmOpts(algo, 3, Options{
-		Mode:      ModeBus,
-		OnService: func(s *Service) { svc = s },
+	svc, err := NewService(algo, Options{
+		Mode: ModeBus,
 		Barrier: func(round int) error {
 			if round == 1 {
 				// The goodbye travels client 2's own connection and is queued
@@ -160,6 +159,11 @@ func TestServiceLeaveMidRun(t *testing.T) {
 			return nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	hist, err := svc.Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +195,10 @@ func TestServiceJoinDuringAsyncFlush(t *testing.T) {
 	}
 	rec := obs.NewRecorder("fedavg")
 	var svc *Service
-	hist, err := RunAlgorithmOpts(algo, 4, Options{
+	svc, err = NewService(algo, Options{
 		Mode:       ModeBus,
 		Recorder:   rec,
 		Population: []int{0, 1},
-		OnService:  func(s *Service) { svc = s },
 		Barrier: func(flush int) error {
 			if flush == 1 {
 				return svc.Join(2)
@@ -203,6 +206,11 @@ func TestServiceJoinDuringAsyncFlush(t *testing.T) {
 			return nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	hist, err := svc.Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +236,49 @@ func TestServiceJoinDuringAsyncFlush(t *testing.T) {
 func TestServicePopulationBelowQuorumFailsFast(t *testing.T) {
 	env := chaosEnv(t)
 	algo := chaosFedAvg(t, env)
-	_, err := RunAlgorithmOpts(algo, 2, Options{Mode: ModeBus, Population: []int{0}, MinQuorum: 2})
+	_, err := Run(algo, 2, Options{Mode: ModeBus, Population: []int{0}, MinQuorum: 2})
 	if !errors.Is(err, ErrQuorumNotMet) {
 		t.Fatalf("err = %v, want ErrQuorumNotMet", err)
+	}
+}
+
+// TestAsyncPreRoundQuorumAbortKeepsCountersInStep pins the ordering the one
+// round loop gives both modes: a flush is planned and quorum-checked before
+// the round begins, so a pre-round ErrQuorumNotMet leaves the round counter,
+// the history and the ledger agreeing on how many flushes ran.
+func TestAsyncPreRoundQuorumAbortKeepsCountersInStep(t *testing.T) {
+	algo := chaosFedAvg(t, chaosEnv(t))
+	runner, err := engine.Of(algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runner.SetAsync(engine.AsyncOptions{
+		BufferSize: 2, StalenessAlpha: 0.5, Schedule: engine.ArrivalSchedule{Seed: 7},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var svc *Service
+	svc, err = NewService(algo, Options{
+		Population: []int{0, 1},
+		MinQuorum:  2,
+		Barrier: func(flush int) error {
+			if flush == 1 {
+				// Queued during flush 1's collect, applied at flush 2's barrier:
+				// flush 2 then plans a single contributor.
+				return svc.Leave(1)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Run(4); !errors.Is(err, ErrQuorumNotMet) {
+		t.Fatalf("err = %v, want ErrQuorumNotMet", err)
+	}
+	done, inHistory, inLedger := runner.CurrentRound(), len(runner.History().Rounds), len(runner.Ledger().Rounds())
+	if done != 2 || inHistory != 2 || inLedger != 2 {
+		t.Fatalf("after the abort: CurrentRound=%d history rounds=%d ledger rounds=%d, want 2 each", done, inHistory, inLedger)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"fedpkd/internal/comm"
-	"fedpkd/internal/core"
 	"fedpkd/internal/faults"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
@@ -81,17 +80,6 @@ const (
 	// ModeTCP uses loopback TCP connections.
 	ModeTCP Mode = "tcp"
 )
-
-// Config parameterizes a distributed FedPKD run, kept for the original
-// FedPKD-only entry point. The algorithm knobs are core.Config's; Mode
-// selects the transport.
-type Config struct {
-	Core core.Config
-	Mode Mode
-	// Recorder, when non-nil, receives per-round spans and wire-byte
-	// counters; it is attached to the run's ledger as a comm.Observer.
-	Recorder *obs.Recorder
-}
 
 // Options parameterizes a distributed run of any engine-backed algorithm.
 // The zero value (plus a Mode) reproduces the strict runtime.
@@ -137,10 +125,6 @@ type Options struct {
 	// parked while it runs, so it may checkpoint safely; a returned error
 	// stops the run with that error.
 	Barrier func(round int) error
-	// OnService, when non-nil, receives the run's Service handle before the
-	// first round, giving the caller live status and the Join/Leave
-	// registration API.
-	OnService func(*Service)
 	// Topology, when enabled (Shards > 1), runs the round over a two-tier
 	// aggregator tree: leaf aggregators own contiguous client id shards and
 	// the root merges shard digests only. The client-plane protocol, history,
@@ -210,77 +194,39 @@ func (o *Options) validate(n int) error {
 	return nil
 }
 
-// Run executes rounds of FedPKD over the transport and returns the history.
-// It is a convenience wrapper over RunAlgorithm for the paper's main
-// algorithm.
-func Run(cfg Config, rounds int) (*fl.History, error) {
-	if cfg.Core.Env == nil {
-		return nil, fmt.Errorf("distrib: Core.Env is required")
-	}
-	f, err := core.New(cfg.Core)
-	if err != nil {
-		return nil, err
-	}
-	return RunAlgorithm(f, cfg.Mode, rounds, cfg.Recorder)
-}
-
-// RunAlgorithm executes rounds additional rounds of any engine-backed
-// algorithm over the transport with the strict failure model. It is
-// RunAlgorithmOpts with only Mode and Recorder set.
-func RunAlgorithm(algo fl.Algorithm, mode Mode, rounds int, rec *obs.Recorder) (*fl.History, error) {
-	return RunAlgorithmOpts(algo, rounds, Options{Mode: mode, Recorder: rec})
-}
-
-// RunAlgorithmUntil runs over the transport until the run has completed
-// total rounds — the resume-aware entry point mirroring
-// engine.Runner.RunUntil: after restoring a round-5 checkpoint,
-// RunAlgorithmUntil(algo, mode, 10, rec) runs exactly the 5 remaining
-// rounds.
-func RunAlgorithmUntil(algo fl.Algorithm, mode Mode, total int, rec *obs.Recorder) (*fl.History, error) {
-	return RunAlgorithmUntilOpts(algo, total, Options{Mode: mode, Recorder: rec})
-}
-
-// RunAlgorithmUntilOpts is RunAlgorithmUntil with the full option set.
-func RunAlgorithmUntilOpts(algo fl.Algorithm, total int, opts Options) (*fl.History, error) {
-	runner, err := engine.Of(algo)
-	if err != nil {
-		return nil, err
-	}
-	if total < runner.CurrentRound() {
-		return nil, fmt.Errorf("distrib: RunAlgorithmUntil(%d) but %d rounds already completed", total, runner.CurrentRound())
-	}
-	return RunAlgorithmOpts(algo, total-runner.CurrentRound(), opts)
-}
-
-// RunAlgorithmOpts executes rounds additional rounds of any engine-backed
-// algorithm over the transport and returns the cumulative history. All model
-// state lives in the worker goroutines during a round; evaluation (and, when
-// a checkpoint policy is set on the runner, the durable checkpoint write)
-// happens at round barriers when every worker is parked. The distributed
-// runner always uses full participation: ClientFraction and ClientDropProb
-// apply to the in-process engine only — here the cohort shrinks through the
-// failure model instead (timeouts, injected faults).
+// Run executes rounds additional rounds (or async flushes) of any
+// engine-backed algorithm over the transport and returns the cumulative
+// history: NewService, Run, Close. All model state lives in the worker
+// goroutines during a round; evaluation (and, when a checkpoint policy is set
+// on the runner, the durable checkpoint write) happens at round barriers when
+// every worker is parked. The distributed runner always uses full
+// participation: ClientFraction and ClientDropProb apply to the in-process
+// engine only — here the cohort shrinks through the failure model instead
+// (timeouts, injected faults).
 //
 // Resume: restore the algorithm first (engine.Runner.ResumeAny) and the run
 // continues from the checkpointed round — the server-side checkpoint holds
 // every client's model and optimizer state, which the restored hooks carry
 // back into the worker goroutines exactly as a real deployment would re-seed
-// clients from the next RoundStart.
-func RunAlgorithmOpts(algo fl.Algorithm, rounds int, opts Options) (*fl.History, error) {
+// clients from the next RoundStart. To run until a total, subtract the
+// runner's CurrentRound.
+func Run(algo fl.Algorithm, rounds int, opts Options) (*fl.History, error) {
 	s, err := NewService(algo, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	if opts.OnService != nil {
-		opts.OnService(s)
-	}
 	return s.Run(rounds)
 }
 
-// roundStats accumulates one round's protocol-hygiene counters across the
-// server and client goroutines.
+// roundStats is the client plane's failure model plus one round's
+// protocol-hygiene counters, shared by the server and client goroutines.
 type roundStats struct {
+	// strict makes every protocol violation fatal. It is false when a
+	// ClientTimeout or a fault plan is set: violations are then counted below
+	// and the offending envelope dropped.
+	strict bool
+
 	stale   atomic.Int64
 	dup     atomic.Int64
 	corrupt atomic.Int64
@@ -304,21 +250,146 @@ func (rs *roundStats) reset() {
 	rs.digestDups.Store(0)
 }
 
+// reject applies the failure model to one protocol violation: strict mode
+// returns err for the caller to abort with, tolerant mode counts the
+// violation in class and returns nil.
+func (rs *roundStats) reject(class *atomic.Int64, err error) error {
+	if rs.strict {
+		return err
+	}
+	class.Add(1)
+	return nil
+}
+
+// roundPlan is everything one round moves: who takes part and what each of
+// them is sent to train against. A synchronous round is a plan with no
+// overrides — the whole cohort shares one global; an async buffer flush is a
+// plan with one override per chosen client — each trains against the global
+// it retained at its last refresh. The wire speaks the same dialect
+// (transport.ShardAssign), so the plan maps onto it field for field.
+type roundPlan struct {
+	t int
+	// cohort lists the round's clients, ascending.
+	cohort []int
+	// shared is the start every member without an override receives; the zero
+	// value when every member has one.
+	shared planStart
+	// override replaces shared for the clients it names.
+	override map[int]planStart
+	// flush, when non-nil, makes the round an async flush: surviving uploads
+	// are staleness-weighted before aggregation and the flush is committed to
+	// the engine's async state afterwards.
+	flush *engine.AsyncFlushPlan
+}
+
+// planStart is one encoded round-opening message and the delta reference
+// uploads trained against its global decode with.
+type planStart struct {
+	wireStart
+	ref []float64
+}
+
+// start returns what client c is sent and decoded against.
+func (p *roundPlan) start(c int) planStart {
+	if o, ok := p.override[c]; ok {
+		return o
+	}
+	return p.shared
+}
+
+// ref returns the delta reference client c's upload decodes against.
+func (p *roundPlan) ref(c int) []float64 { return p.start(c).ref }
+
+// noun names the plan's unit of work in error text.
+func (p *roundPlan) noun() string { return roundNoun(p.flush != nil) }
+
+func roundNoun(flush bool) string {
+	if flush {
+		return "flush"
+	}
+	return "round"
+}
+
+// planRound plans round t: the synchronous cohort (registered ∩ online)
+// sharing round t's front-loaded global, or — with SetAsync — the engine's
+// flush plan, restricted to the registered clients under a dynamic population
+// (nil eligibility keeps fixed-fleet flushes byte-identical). Planning bills
+// nothing and leaves the round counter alone, so a pre-round quorum abort
+// leaves no half-open round behind.
+func (s *Service) planRound(t int) (*roundPlan, error) {
+	codec := s.runner.Codec()
+	if s.runner.Async() == nil {
+		// Clients see decode(encode(global)); the server must hold the same
+		// bits so both sides agree on the delta reference and the run stays
+		// bit-identical to the in-process engine.
+		global := s.runner.Hooks().GlobalState(t)
+		var ref []float64
+		if codec != comm.CodecFloat64 && global != nil {
+			global = global.ApplyCodec(codec, nil)
+			ref = global.Params
+		}
+		ws, err := encodeRoundStart(t, codec, global)
+		if err != nil {
+			return nil, err
+		}
+		return &roundPlan{t: t, cohort: s.cohortAt(t), shared: planStart{ws, ref}}, nil
+	}
+	var eligible []int
+	if s.dynamic {
+		eligible = s.reg.Active()
+	}
+	fp, err := s.runner.AsyncPlanFlushFrom(t, eligible)
+	if err != nil {
+		return nil, err
+	}
+	plan := &roundPlan{t: t, cohort: fp.Chosen, flush: fp, override: make(map[int]planStart, len(fp.Chosen))}
+	for i, c := range fp.Chosen {
+		// The dispatched payload was codec-applied at retention.
+		g := fp.Dispatched[i]
+		ws, err := encodeRoundStart(t, codec, g)
+		if err != nil {
+			return nil, err
+		}
+		start := planStart{wireStart: ws}
+		if g != nil {
+			start.ref = g.Params
+		}
+		plan.override[c] = start
+	}
+	return plan, nil
+}
+
+// roundReport summarizes who the server heard from in one round.
+type roundReport struct {
+	// cohort is the number of distinct clients whose uploads arrived in
+	// time; missing lists the rest, sorted ascending.
+	cohort  int
+	missing []int
+	// lostShards lists the shards whose digest never made it into the
+	// round's merge (crashed leaf, late/corrupt digest), sorted ascending.
+	// Tree rounds only.
+	lostShards []int
+	// contributors lists the clients whose uploads a flush aggregated,
+	// ascending. Flushes only.
+	contributors []int
+}
+
 // recordRobustness folds one tolerant round's failure profile into the
 // cumulative history (partial cohorts only) and the obs trace (always, so
-// healthy chaos rounds are visible too).
-func recordRobustness(t, expected int, runner *engine.Runner, rec *obs.Recorder, opts *Options, rp *roundReport, rs *roundStats, injected int64) {
+// healthy chaos rounds are visible too). Expected is the plan's cohort: the
+// scheduled fleet, or the flush's planned contributors.
+func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected int64) {
 	var crashed, timedOut []int
-	n := runner.Config().Env.Cfg.NumClients
+	t, expected, rs := plan.t, len(plan.cohort), s.rs
 	inLost := make(map[int]bool, len(rp.lostShards))
 	for _, sh := range rp.lostShards {
 		inLost[sh] = true
 	}
 	for _, c := range rp.missing {
 		switch {
-		case opts.Faults.CrashesAt(c, t):
+		case s.opts.Faults.CrashesAt(c, t):
 			crashed = append(crashed, c)
-		case opts.Topology.Enabled() && inLost[ShardOf(c, n, opts.Topology.Shards)]:
+		case s.tree != nil && inLost[ShardOf(c, s.n, s.opts.Topology.Shards)]:
 			// Lost with its whole shard: the per-shard detail in LostShards
 			// already accounts for it, so neither client list repeats it.
 		default:
@@ -326,9 +397,9 @@ func recordRobustness(t, expected int, runner *engine.Runner, rec *obs.Recorder,
 		}
 	}
 	if rp.cohort < expected || len(rp.lostShards) > 0 {
-		runner.RecordDegraded(fl.DegradedRound{Round: t, Cohort: rp.cohort, Expected: expected, Missing: rp.missing, LostShards: rp.lostShards})
+		s.runner.RecordDegraded(fl.DegradedRound{Round: t, Cohort: rp.cohort, Expected: expected, Missing: rp.missing, LostShards: rp.lostShards})
 	}
-	rec.SetRobustness(obs.Robustness{
+	s.rec.SetRobustness(obs.Robustness{
 		Cohort:         rp.cohort,
 		Expected:       expected,
 		TimedOut:       timedOut,
@@ -346,54 +417,41 @@ func recordRobustness(t, expected int, runner *engine.Runner, rec *obs.Recorder,
 	})
 }
 
-// roundReport summarizes who the server heard from in one round.
-type roundReport struct {
-	// cohort is the number of distinct clients whose uploads arrived in
-	// time; missing lists the rest, sorted ascending.
-	cohort  int
-	missing []int
-	// lostShards lists the shards whose digest never made it into the
-	// round's merge (crashed leaf, late/corrupt digest), sorted ascending.
-	// Tree rounds only.
-	lostShards []int
-}
-
-// serverRound runs the server side of one round: fan out RoundStart to the
-// round's cohort, collect uploads (all of them in strict mode, whatever
-// beats the deadline in tolerant mode), aggregate, fan out RoundEnd. A
-// client-reported error aborts the round but still produces a RoundEnd so no
-// peer blocks forever.
+// serverRound runs the flat server's side of one round plan: fan out
+// RoundStart to the cohort (the shared message, or a client's override),
+// collect uploads (all of them in strict mode, whatever beats the deadline in
+// tolerant mode), aggregate, fan out RoundEnd. A client-reported error aborts
+// the round but still produces a RoundEnd so no peer blocks forever.
 //
 // Round framing is billed for every cohort member regardless of delivery —
 // billing driven by Send outcomes would make traffic totals depend on crash
 // timing, breaking the same-seed-same-history guarantee.
-func serverRound(t int, runner *engine.Runner, conn transport.Conn, rx *receiver, cohort []int, reg *Registry, opts *Options, tolerant bool, rs *roundStats) (*roundReport, error) {
-	hooks := runner.Hooks()
-	ledger := runner.Ledger()
-	rc := runner.Context(t)
-
-	codec := runner.Codec()
+func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
+	t, conn := plan.t, s.tr.server
+	ledger := s.runner.Ledger()
+	codec := s.runner.Codec()
 	coded := codec != comm.CodecFloat64
-	global, refParams := roundGlobal(t, runner)
-	payload, hasGlobal, startRaw, err := encodeRoundStart(t, codec, global)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cohort {
-		e := &transport.Envelope{Kind: transport.KindRoundStart, From: -1, To: c, Round: t, Payload: payload}
+
+	for _, c := range plan.cohort {
+		start := plan.start(c)
+		e := &transport.Envelope{Kind: transport.KindRoundStart, From: -1, To: c, Round: t, Payload: start.payload}
 		sendErr := conn.Send(e)
-		billFraming(ledger, hasGlobal, coded, e.WireSize(), startRaw)
-		if sendErr != nil && !tolerant {
+		billFraming(ledger, start.hasGlobal, coded, e.WireSize(), start.raw)
+		if sendErr != nil && s.rs.strict {
 			return nil, sendErr
 		}
 	}
 
-	uploads, report, roundErr, err := collectUploads(t, runner, rx, cohort, reg, opts, codec, refParams, tolerant, rs, nil)
+	uploads := make([]engine.Upload, 0, len(plan.cohort))
+	report, roundErr, err := s.newCollector(t, plan.cohort, plan.noun(), plan.ref, func(u engine.Upload) error {
+		uploads = append(uploads, u)
+		return nil
+	}).collect(s.srx)
 	if err != nil {
 		return report, err
 	}
-	if roundErr == nil && opts.MinQuorum > 0 && len(uploads) < opts.MinQuorum {
-		roundErr = fmt.Errorf("%w: round %d aggregated %d of %d required uploads", ErrQuorumNotMet, t, len(uploads), opts.MinQuorum)
+	if roundErr == nil && s.opts.MinQuorum > 0 && len(uploads) < s.opts.MinQuorum {
+		roundErr = fmt.Errorf("%w: %s %d aggregated %d of %d required uploads", ErrQuorumNotMet, plan.noun(), t, len(uploads), s.opts.MinQuorum)
 	}
 
 	var bcast *engine.Payload
@@ -402,59 +460,80 @@ func serverRound(t int, runner *engine.Runner, conn transport.Conn, rx *receiver
 		// in-process engine, so reductions are order-stable regardless of
 		// which goroutine finished first.
 		sort.Slice(uploads, func(i, j int) bool { return uploads[i].Client < uploads[j].Client })
-		bcast, roundErr = hooks.Aggregate(rc, uploads)
+		bcast, roundErr = s.aggregate(plan, uploads, report)
 	}
 
 	payload, hasBroadcast, endRaw, roundErr, fatal := buildRoundEnd(t, codec, bcast, roundErr)
 	if fatal != nil {
 		return report, fatal
 	}
-	for _, c := range cohort {
+	for _, c := range plan.cohort {
 		e := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: c, Round: t, Payload: payload}
 		sendErr := conn.Send(e)
 		billFraming(ledger, hasBroadcast, coded, e.WireSize(), endRaw)
-		if sendErr != nil && !tolerant && roundErr == nil {
+		if sendErr != nil && s.rs.strict && roundErr == nil {
 			return report, sendErr
 		}
 	}
 	return report, roundErr
 }
 
-// roundGlobal returns round t's front-loaded global with the active codec
-// applied, plus the delta reference cohort uploads decode against. Clients
-// see decode(encode(global)); the server must hold the same bits so both
-// sides agree on the reference and the distributed run stays bit-identical
-// to the in-process engine.
-func roundGlobal(t int, runner *engine.Runner) (global *engine.Payload, refParams []float64) {
-	codec := runner.Codec()
-	global = runner.Hooks().GlobalState(t)
-	if codec != comm.CodecFloat64 && global != nil {
-		global = global.ApplyCodec(codec, nil)
-		refParams = global.Params
+// newCollector returns a collector for round t over cohort, streaming into
+// sink under the service's codec, ledger, registry and failure model.
+func (s *Service) newCollector(t int, cohort []int, noun string, ref func(int) []float64, sink func(engine.Upload) error) *collector {
+	return &collector{
+		t: t, noun: noun, n: s.n, cohort: cohort, ref: ref, sink: sink,
+		codec:   s.runner.Codec(),
+		ledger:  s.runner.Ledger(),
+		reg:     s.reg,
+		faults:  s.opts.Faults,
+		timeout: s.opts.ClientTimeout,
+		rs:      s.rs,
 	}
-	return global, refParams
+}
+
+// aggregate runs the algorithm's Aggregate over the round's surviving
+// uploads (sorted by client id). A flush staleness-weights them first and
+// reports who contributed, for AsyncCommitFlush.
+func (s *Service) aggregate(plan *roundPlan, uploads []engine.Upload, report *roundReport) (*engine.Payload, error) {
+	rc := s.runner.Context(plan.t)
+	if plan.flush != nil {
+		for _, u := range uploads {
+			report.contributors = append(report.contributors, u.Client)
+		}
+		uploads = s.runner.AsyncWeightUploads(rc, plan.flush, uploads)
+	}
+	return s.runner.Hooks().Aggregate(rc, uploads)
+}
+
+// wireStart is one encoded round-opening message with its billing facts:
+// whether it carries a global, and its raw-equivalent size under a
+// compressing codec.
+type wireStart struct {
+	payload   []byte
+	hasGlobal bool
+	raw       int
 }
 
 // encodeRoundStart encodes one round-opening message carrying global (which
-// must already be codec-applied) and prices its raw-equivalent billing size
-// under a compressing codec. The flat server fans the result to the whole
-// cohort; a leaf aggregator fans the same bytes to its shard.
-func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (payload []byte, hasGlobal bool, startRaw int, err error) {
+// must already be codec-applied), once per plan: the flat server fans the
+// result to its cohort, a leaf aggregator fans the same bytes to its shard.
+func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (wireStart, error) {
 	gw, err := transport.PayloadToWireIn(global, codec, nil)
 	if err != nil {
-		return nil, false, 0, err
+		return wireStart{}, err
 	}
 	msg := transport.RoundStart{Round: t, HasGlobal: global != nil, Global: gw, Codec: uint8(codec)}
-	payload, err = transport.Encode(msg)
-	if err != nil {
-		return nil, false, 0, err
+	ws := wireStart{hasGlobal: msg.HasGlobal}
+	if ws.payload, err = transport.Encode(msg); err != nil {
+		return wireStart{}, err
 	}
 	if codec != comm.CodecFloat64 && msg.HasGlobal {
-		startRaw = rawWireSize(
+		ws.raw = rawWireSize(
 			transport.RoundStart{Round: t, HasGlobal: true, Global: transport.PayloadToWire(global)},
-			(&transport.Envelope{Payload: payload}).WireSize())
+			(&transport.Envelope{Payload: ws.payload}).WireSize())
 	}
-	return payload, msg.HasGlobal, startRaw, nil
+	return ws, nil
 }
 
 // buildRoundEnd encodes one round-close message from an aggregation outcome:
@@ -522,229 +601,20 @@ func rawWireSize(msg any, fallback int) int {
 	return (&transport.Envelope{Payload: b}).WireSize()
 }
 
-// collectUploads drains the server inbox until every awaited cohort member
-// has contributed, the deadline passes (tolerant), or a protocol violation
-// is found (strict). roundErr is a protocol-level failure that still gets a
-// RoundEnd; err is a transport-level failure that aborts the run.
-//
-// Clients the shared fault schedule crashes this round are not awaited at
-// all — the deterministic equivalent of a failure detector, so a
-// crash-heavy round does not have to burn the whole deadline.
-//
-// Registration traffic flows through here too: hello/goodbye envelopes
-// arriving mid-round are queued into the registry (applied at the next
-// barrier) and billed as control bytes. Uploads from peers the registry does
-// not know surface ErrUnknownClient; uploads from registered peers outside
-// this round's cohort (offline per the availability trace) are stale.
-//
-// sink, when non-nil, streams each surviving upload out instead of retaining
-// it (the returned uploads slice stays empty) — the compact tree reduction,
-// where a leaf folds uploads as they arrive and holds no per-client state. A
-// sink failure is an algorithm-level error and aborts the round like a
-// client-reported hook failure.
-func collectUploads(t int, runner *engine.Runner, rx *receiver, cohort []int, reg *Registry, opts *Options, codec comm.Codec, refParams []float64, tolerant bool, rs *roundStats, sink func(engine.Upload) error) (uploads []engine.Upload, report *roundReport, roundErr, err error) {
-	ledger := runner.Ledger()
-	n := runner.Config().Env.Cfg.NumClients
-	uploads = make([]engine.Upload, 0, len(cohort))
-	seen := make(map[int]bool, len(cohort))
-	inCohort := make(map[int]bool, len(cohort))
-	await := 0
-	for _, c := range cohort {
-		inCohort[c] = true
-		if !opts.Faults.CrashesAt(c, t) {
-			await++
-		}
-	}
-	var deadline time.Time
-	if opts.ClientTimeout > 0 {
-		deadline = time.Now().Add(opts.ClientTimeout)
-	}
-	for await > 0 && roundErr == nil {
-		wait := time.Duration(0)
-		if !deadline.IsZero() {
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				break
-			}
-		}
-		e, rerr := rx.recv(wait)
-		if errors.Is(rerr, errRecvTimeout) {
-			break
-		}
-		var gone *peerGoneError
-		if errors.As(rerr, &gone) && tolerant {
-			// A dead connection is not a dead client: a crash-restarting
-			// peer redials and its upload (if any) arrives on the new conn.
-			continue
-		}
-		if rerr != nil {
-			return nil, report, nil, fmt.Errorf("server recv: %w", rerr)
-		}
-		if e.Kind == transport.KindHello || e.Kind == transport.KindGoodbye {
-			// Registration is legitimate mid-round traffic in both modes:
-			// queue it for the next barrier and account the bytes.
-			if e.Kind == transport.KindHello {
-				reg.QueueJoin(e.From)
-			} else {
-				reg.QueueLeave(e.From)
-			}
-			ledger.AddControl(e.WireSize())
-			continue
-		}
-		if e.Kind != transport.KindUpload {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("distrib: unexpected message kind %v", e.Kind)
-			continue
-		}
-		if e.Round != t {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload for round %d during round %d", ErrStaleEnvelope, e.Round, t)
-			continue
-		}
-		if e.From < 0 || e.From >= n {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from unknown peer %d", ErrPeerMismatch, e.From)
-			continue
-		}
-		if !reg.Has(e.From) {
-			if tolerant {
-				rs.unknown.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from unregistered peer %d in round %d", ErrUnknownClient, e.From, t)
-			continue
-		}
-		var ru transport.RoundUpload
-		if derr := transport.Decode(e.Payload, &ru); derr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = derr
-			continue
-		}
-		if verr := ru.Validate(); verr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = verr
-			continue
-		}
-		if ru.HasPayload && ru.Payload.Codec != uint8(codec) {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from peer %d coded %d, round %d negotiated %d",
-				ErrCodecMismatch, e.From, ru.Payload.Codec, t, uint8(codec))
-			continue
-		}
-		if ru.Client < 0 || ru.Client >= n {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("distrib: client id %d out of range (%d clients)", ru.Client, n)
-			continue
-		}
-		if ru.Client != e.From {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload labeled client %d arrived from peer %d", ErrPeerMismatch, ru.Client, e.From)
-			continue
-		}
-		if !inCohort[ru.Client] {
-			// Registered but not scheduled this round (offline per the
-			// availability trace, or joined after the barrier): the upload is
-			// out-of-round traffic.
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from client %d outside round %d's cohort", ErrStaleEnvelope, ru.Client, t)
-			continue
-		}
-		if ru.Round != t {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload payload stamped round %d during round %d", ErrStaleEnvelope, ru.Round, t)
-			continue
-		}
-		if seen[ru.Client] {
-			if tolerant {
-				rs.dup.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: client %d", ErrDuplicateUpload, ru.Client)
-			continue
-		}
-		seen[ru.Client] = true
-		await--
-		if ru.Err != "" {
-			// A client-side hook failure aborts the round in both modes: the
-			// failure model covers the infrastructure, not the algorithm.
-			roundErr = fmt.Errorf("distrib: client %d: %s", ru.Client, ru.Err)
-			continue
-		}
-		if !ru.HasPayload {
-			continue
-		}
-		p, perr := ru.Payload.ToPayloadRef(refParams)
-		if perr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = perr
-			continue
-		}
-		if codec == comm.CodecFloat64 {
-			ledger.AddUpload(e.WireSize())
-		} else {
-			raw := rawWireSize(
-				transport.RoundUpload{Round: ru.Round, Client: ru.Client, HasPayload: true, Payload: transport.PayloadToWire(p)},
-				e.WireSize())
-			ledger.AddUploadRaw(e.WireSize(), raw)
-		}
-		if sink != nil {
-			if serr := sink(engine.Upload{Client: ru.Client, Payload: p}); serr != nil {
-				roundErr = serr
-			}
-			continue
-		}
-		uploads = append(uploads, engine.Upload{Client: ru.Client, Payload: p})
-	}
-	missing := make([]int, 0)
-	for _, c := range cohort {
-		if !seen[c] {
-			missing = append(missing, c)
-		}
-	}
-	return uploads, &roundReport{cohort: len(cohort) - len(missing), missing: missing}, roundErr, nil
-}
-
-// clientPeer is one client worker's connection state: the fault-wrapped
-// conn, its receiver pump, and the transport's reconnect hook.
+// clientPeer is one client worker: its connection state (the fault-wrapped
+// conn, its receiver pump, the transport's reconnect hook) and the run-wide
+// handles its rounds need.
 type clientPeer struct {
 	id     int
 	conn   *faults.Conn
 	rx     *receiver
 	stats  *faults.Stats
 	redial func(id int) (transport.Conn, error) // nil when the transport cannot reconnect (bus)
+
+	runner *engine.Runner
+	rec    *obs.Recorder
+	opts   *Options
+	rs     *roundStats
 }
 
 // restart simulates a crash-restart. On TCP the connection is torn down and
@@ -769,67 +639,57 @@ func (p *clientPeer) restart() error {
 	return nil
 }
 
-// clientWorker runs one client's per-round protocol until its start channel
-// closes. Closing the conn on the way out unblocks the receiver pump, so
-// worker shutdown never leaks a goroutine stuck in Recv.
-func clientWorker(p *clientPeer, runner *engine.Runner, rec *obs.Recorder, opts *Options, tolerant bool, rs *roundStats, start <-chan int, done chan<- error) {
+// work runs the client's per-round protocol until its start channel closes.
+// Closing the conn on the way out unblocks the receiver pump, so worker
+// shutdown never leaks a goroutine stuck in Recv.
+func (p *clientPeer) work(start <-chan int, done chan<- error) {
 	defer func() {
 		p.rx.stop()
 		p.conn.Close()
 	}()
 	for t := range start {
-		done <- clientRound(p, t, runner, rec, opts, tolerant, rs)
+		done <- p.round(t)
 	}
 }
 
-// gateClient validates a server→client envelope against the current round.
+// gate validates a server→client envelope against the current round.
 // ok=false with a nil error means the envelope was counted and dropped
 // (tolerant mode).
-func gateClient(id, t int, e *transport.Envelope, tolerant bool, rs *roundStats) (ok bool, err error) {
-	if e.From != -1 || e.To != id {
-		if tolerant {
-			rs.stale.Add(1)
-			return false, nil
-		}
-		return false, fmt.Errorf("%w: client %d got envelope from %d to %d", ErrPeerMismatch, id, e.From, e.To)
+func (p *clientPeer) gate(t int, e *transport.Envelope) (ok bool, err error) {
+	switch {
+	case e.From != -1 || e.To != p.id:
+		err = fmt.Errorf("%w: client %d got envelope from %d to %d", ErrPeerMismatch, p.id, e.From, e.To)
+	case e.Round != t:
+		err = fmt.Errorf("%w: client %d got round %d envelope during round %d", ErrStaleEnvelope, p.id, e.Round, t)
+	case e.Kind != transport.KindRoundStart && e.Kind != transport.KindRoundEnd:
+		err = fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)
+	default:
+		return true, nil
 	}
-	if e.Round != t {
-		if tolerant {
-			rs.stale.Add(1)
-			return false, nil
-		}
-		return false, fmt.Errorf("%w: client %d got round %d envelope during round %d", ErrStaleEnvelope, id, e.Round, t)
-	}
-	if e.Kind != transport.KindRoundStart && e.Kind != transport.KindRoundEnd {
-		if tolerant {
-			rs.stale.Add(1)
-			return false, nil
-		}
-		return false, fmt.Errorf("client %d: unexpected message kind %v", id, e.Kind)
-	}
-	return true, nil
+	return false, p.rs.reject(&p.rs.stale, err)
 }
 
-// clientRound runs one client round: receive RoundStart, train, upload,
-// receive RoundEnd, digest. A local hook failure is reported upstream in the
-// upload's Err field — the protocol keeps flowing so neither side deadlocks.
-// In tolerant mode the client also survives the round passing it by: a recv
+// round runs one client round: receive RoundStart, train, upload, receive
+// RoundEnd, digest. A local hook failure is reported upstream in the upload's
+// Err field — the protocol keeps flowing so neither side deadlocks. In
+// tolerant mode the client also survives the round passing it by: a recv
 // timeout (2× the server's deadline, so the server always gives up first)
 // parks it until the next fan-out.
-func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder, opts *Options, tolerant bool, rs *roundStats) error {
+func (p *clientPeer) round(t int) error {
+	opts, rs := p.opts, p.rs
 	if opts.Faults.CrashesAt(p.id, t) {
 		p.stats.CountCrash()
 		return p.restart()
 	}
 	if opts.Topology.Enabled() &&
-		opts.Faults.LeafCrashesAt(ShardOf(p.id, runner.Config().Env.Cfg.NumClients, opts.Topology.Shards), t) {
+		opts.Faults.LeafCrashesAt(ShardOf(p.id, p.runner.Config().Env.Cfg.NumClients, opts.Topology.Shards), t) {
 		// This client's leaf aggregator is crashed for the round, so its
 		// RoundStart can never arrive. Skip deterministically — the leaf-plane
 		// failure detector — instead of burning the recv deadline.
 		return nil
 	}
-	hooks := runner.Hooks()
-	rc := runner.Context(t)
+	hooks := p.runner.Hooks()
+	rc := p.runner.Context(t)
 
 	var wait time.Duration
 	if opts.ClientTimeout > 0 {
@@ -847,7 +707,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 		if err != nil {
 			return fmt.Errorf("client %d recv: %w", p.id, err)
 		}
-		ok, gerr := gateClient(p.id, t, e, tolerant, rs)
+		ok, gerr := p.gate(t, e)
 		if gerr != nil {
 			return gerr
 		}
@@ -861,40 +721,29 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			break
 		}
 		var startMsg transport.RoundStart
-		if derr := transport.Decode(e.Payload, &startMsg); derr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			return derr
+		derr := transport.Decode(e.Payload, &startMsg)
+		if derr == nil {
+			derr = startMsg.Validate()
 		}
-		if verr := startMsg.Validate(); verr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			return verr
-		}
-		roundCodec := comm.Codec(startMsg.Codec)
 		var global *engine.Payload
-		if startMsg.HasGlobal {
-			var perr error
+		if derr == nil && startMsg.HasGlobal {
 			// Globals are never delta-coded, so the ref-free decode always
 			// applies; the decoded (quantized) params double as the delta
 			// reference for this client's upload.
-			if global, perr = startMsg.Global.ToPayload(); perr != nil {
-				if tolerant {
-					rs.corrupt.Add(1)
-					continue
-				}
-				return perr
-			}
+			global, derr = startMsg.Global.ToPayload()
 		}
+		if derr != nil {
+			if err := rs.reject(&rs.corrupt, derr); err != nil {
+				return err
+			}
+			continue
+		}
+		roundCodec := comm.Codec(startMsg.Codec)
 		var refParams []float64
 		if global != nil {
 			refParams = global.Params
 		}
-		stopTrain := rec.ClientSpan(p.id)
+		stopTrain := p.rec.ClientSpan(p.id)
 		up, uerr := hooks.LocalUpdate(rc, p.id, global)
 		stopTrain()
 		ru := transport.RoundUpload{Round: t, Client: p.id}
@@ -910,8 +759,8 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 				ru.Payload = w
 			}
 		}
-		if serr := p.sendUpload(t, ru, opts, tolerant, rs); serr != nil {
-			if tolerant && errors.Is(serr, faults.ErrTransient) {
+		if serr := p.sendUpload(t, ru); serr != nil {
+			if !rs.strict && errors.Is(serr, faults.ErrTransient) {
 				// The upload was lost to chaos after exhausting retries;
 				// the server's deadline covers the gap.
 			} else if roundErr == nil {
@@ -932,7 +781,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			}
 			return fmt.Errorf("client %d recv: %w", p.id, err)
 		}
-		ok, gerr := gateClient(p.id, t, e, tolerant, rs)
+		ok, gerr := p.gate(t, e)
 		if gerr != nil {
 			if roundErr != nil {
 				return roundErr
@@ -943,29 +792,25 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			continue
 		}
 		if e.Kind != transport.KindRoundEnd {
-			if tolerant {
-				rs.stale.Add(1) // duplicated RoundStart after upload
-				continue
+			// A duplicated RoundStart after the upload.
+			if err := rs.reject(&rs.stale, fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)); err != nil {
+				return err
 			}
-			return fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)
+			continue
 		}
 		endEnv = e
 	}
 
 	var re transport.RoundEnd
-	if err := transport.Decode(endEnv.Payload, &re); err != nil {
-		if tolerant {
-			rs.corrupt.Add(1)
-			return roundErr
-		}
-		return err
+	err := transport.Decode(endEnv.Payload, &re)
+	if err == nil {
+		err = re.Validate()
 	}
-	if err := re.Validate(); err != nil {
-		if tolerant {
-			rs.corrupt.Add(1)
-			return roundErr
+	if err != nil {
+		if err := rs.reject(&rs.corrupt, err); err != nil {
+			return err
 		}
-		return err
+		return roundErr
 	}
 	if roundErr != nil {
 		return roundErr
@@ -978,13 +823,9 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 	}
 	bcast, err := re.Broadcast.ToPayload()
 	if err != nil {
-		if tolerant {
-			rs.corrupt.Add(1)
-			return nil
-		}
-		return err
+		return rs.reject(&rs.corrupt, err)
 	}
-	stopPublic := rec.Span(obs.PhaseClientPublic)
+	stopPublic := p.rec.Span(obs.PhaseClientPublic)
 	derr := hooks.Digest(rc, p.id, bcast)
 	stopPublic()
 	return derr
@@ -994,30 +835,30 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 // with deterministic exponential backoff. The jitter stream is keyed by
 // (seed, round, client) in a label band disjoint from every other RNG
 // consumer, so retry schedules never perturb training draws.
-func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload, opts *Options, tolerant bool, rs *roundStats) error {
+func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload) error {
 	payload, err := transport.Encode(ru)
 	if err != nil {
 		return err
 	}
 	e := &transport.Envelope{Kind: transport.KindUpload, From: p.id, To: -1, Round: t, Payload: payload}
-	b := opts.Retry.WithDefaults()
+	b := p.opts.Retry.WithDefaults()
 	var rng *stats.RNG
 	for attempt := 1; ; attempt++ {
 		err := p.conn.Send(e)
 		if err == nil {
 			return nil
 		}
-		if !tolerant || !errors.Is(err, faults.ErrTransient) || attempt >= b.Attempts {
+		if p.rs.strict || !errors.Is(err, faults.ErrTransient) || attempt >= b.Attempts {
 			return err
 		}
 		if rng == nil {
 			var seed uint64
-			if opts.Faults != nil {
-				seed = opts.Faults.Seed
+			if p.opts.Faults != nil {
+				seed = p.opts.Faults.Seed
 			}
 			rng = stats.Split(seed, uint64(t)*1000+600+uint64(p.id))
 		}
-		rs.retries.Add(1)
+		p.rs.retries.Add(1)
 		time.Sleep(b.Delay(attempt, rng))
 	}
 }

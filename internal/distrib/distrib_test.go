@@ -38,9 +38,18 @@ func distribConfig(env *fl.Env) core.Config {
 	}
 }
 
+func distribFedPKD(t *testing.T, env *fl.Env) *core.FedPKD {
+	t.Helper()
+	f, err := core.New(distribConfig(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestRunOverBus(t *testing.T) {
 	env := distribEnv(t)
-	hist, err := Run(Config{Core: distribConfig(env), Mode: ModeBus}, 2)
+	hist, err := Run(distribFedPKD(t, env), 2, Options{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestRunOverBus(t *testing.T) {
 
 func TestRunOverTCP(t *testing.T) {
 	env := distribEnv(t)
-	hist, err := Run(Config{Core: distribConfig(env), Mode: ModeTCP}, 1)
+	hist, err := Run(distribFedPKD(t, env), 1, Options{Mode: ModeTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,7 @@ func TestRunMatchesInProcessFedPKD(t *testing.T) {
 	// Payload values travel as float64, so the distributed run must follow
 	// the exact same trajectory as the in-process engine — no tolerance.
 	env := distribEnv(t)
-	d, err := Run(Config{Core: distribConfig(env), Mode: ModeBus}, 2)
+	d, err := Run(distribFedPKD(t, env), 2, Options{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +130,7 @@ func TestRunMatchesInProcessFedAvg(t *testing.T) {
 		}
 		return f
 	}
-	d, err := RunAlgorithm(newRun(), ModeBus, 2, nil)
+	d, err := Run(newRun(), 2, Options{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestRunMatchesInProcessFedMD(t *testing.T) {
 		}
 		return f
 	}
-	d, err := RunAlgorithm(newRun(), ModeBus, 2, nil)
+	d, err := Run(newRun(), 2, Options{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +176,8 @@ func TestRunMatchesInProcessFedMD(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}, 1); err == nil {
-		t.Error("missing env should error")
-	}
 	env := distribEnv(t)
-	if _, err := Run(Config{Core: distribConfig(env), Mode: "carrier-pigeon"}, 1); err == nil {
+	if _, err := Run(distribFedPKD(t, env), 1, Options{Mode: "carrier-pigeon"}); err == nil {
 		t.Error("unknown mode should error")
 	}
 }
@@ -199,7 +205,7 @@ func TestRunMatchesInProcessFedPKDInt8(t *testing.T) {
 		return f, r
 	}
 	algoD, runnerD := newRun()
-	d, err := RunAlgorithm(algoD, ModeBus, 2, nil)
+	d, err := Run(algoD, 2, Options{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 
 // leafWorker serves rounds for one shard until its start channel closes,
 // reporting one result per round on the tree's done channel — the leaf-tier
-// mirror of clientWorker.
+// mirror of clientPeer.work.
 func (s *Service) leafWorker(shard int, start <-chan int) {
 	up := s.tree.leafUp[shard]
 	rx := s.tree.leafRx[shard]
@@ -85,7 +85,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		env := &transport.Envelope{Kind: transport.KindRoundStart, From: -1, To: cs.Client, Round: t, Payload: payload}
 		sendErr := s.tr.server.Send(env)
 		billFraming(ledger, hasGlobal, coded, env.WireSize(), raw)
-		if sendErr != nil && !s.tolerant && fatal == nil {
+		if sendErr != nil && s.rs.strict && fatal == nil {
 			fatal = sendErr
 		}
 	}
@@ -98,14 +98,13 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 	var report *roundReport
 	var roundErr error
 	if fatal == nil {
-		// Collect and reduce. On a strict-mode fan failure above this is
-		// skipped — clients that never saw RoundStart will not upload, and
-		// strict collection has no deadline to save us.
-		var cerr error
-		report, roundErr, cerr = s.collectShard(t, sa, cohort, part, rx)
-		if cerr != nil && fatal == nil {
-			fatal = cerr
-		}
+		// Collect and stream-reduce into the partial (exact partials sort on
+		// insert, so the digest does not depend on arrival order). On a
+		// strict-mode fan failure above this is skipped — clients that never
+		// saw RoundStart will not upload, and strict collection has no
+		// deadline to save us.
+		sink := func(u engine.Upload) error { return runner.PartialReduce(part, u) }
+		report, roundErr, fatal = s.newCollector(t, cohort, roundNoun(sa.Flush), assignRef(sa), sink).collect(rx)
 	}
 	if report == nil {
 		report = &roundReport{missing: cohort}
@@ -141,7 +140,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 			env := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: c, Round: t, Payload: endPayload}
 			sendErr := s.tr.server.Send(env)
 			billFraming(ledger, hasBroadcast, coded, env.WireSize(), endRaw)
-			if sendErr != nil && !s.tolerant && fatal == nil && roundErr == nil {
+			if sendErr != nil && s.rs.strict && fatal == nil && roundErr == nil {
 				fatal = sendErr
 			}
 		}
@@ -159,7 +158,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 // the close the root fans to lost shards too) so the tier link carries no
 // stale traffic into the next round, then drops whatever its client-plane
 // inbox buffered — the restarted-process semantics clientPeer.restart gives
-// the bus — and rejoins at the next round, where collectShard re-collects
+// the bus — and rejoins at the next round, where the collector re-collects
 // the shard's uploads through the usual validation ladder.
 func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver) error {
 	for {
@@ -179,39 +178,22 @@ func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver
 	return nil
 }
 
-// collectShard runs the shard's upload collection: the synchronous ladder
-// with a streaming sink into the partial, or the flush ladder followed by an
-// arrival-order fold (exact partials sort on insert, so the digest is
-// deterministic either way). report/roundErr/infra mirror the flat collect's
-// triple.
-func (s *Service) collectShard(t int, sa *transport.ShardAssign, cohort []int, part *engine.Partial, rx *receiver) (*roundReport, error, error) {
-	runner := s.runner
-	codec := runner.Codec()
-	sink := func(u engine.Upload) error { return runner.PartialReduce(part, u) }
-	if !sa.Flush {
-		_, report, roundErr, err := collectUploads(t, runner, rx, cohort, s.reg, &s.opts, codec, sa.Ref, s.tolerant, s.rs, sink)
-		return report, roundErr, err
-	}
-	refByClient := make(map[int][]float64, len(sa.Clients))
+// assignRef returns the delta-reference lookup an assignment describes: a
+// client's own override when it has one (a flush's retained global), the
+// shared round reference otherwise.
+func assignRef(sa *transport.ShardAssign) func(client int) []float64 {
+	own := make(map[int][]float64)
 	for _, cs := range sa.Clients {
-		ref := cs.Ref
-		if ref == nil {
-			ref = sa.Ref
-		}
-		if ref != nil {
-			refByClient[cs.Client] = ref
+		if cs.Ref != nil {
+			own[cs.Client] = cs.Ref
 		}
 	}
-	uploads, report, roundErr, err := asyncCollectUploads(t, runner, rx, cohort, s.reg, &s.opts, codec, refByClient, s.tolerant, s.rs)
-	if err != nil || roundErr != nil {
-		return report, roundErr, err
-	}
-	for _, u := range uploads {
-		if perr := runner.PartialReduce(part, u); perr != nil {
-			return report, perr, nil
+	return func(client int) []float64 {
+		if ref, ok := own[client]; ok {
+			return ref
 		}
+		return sa.Ref
 	}
-	return report, nil, nil
 }
 
 // buildDigest renders the shard's reduction and membership report as the

@@ -24,30 +24,31 @@ import (
 // so the root's Aggregate call is bit-identical to the flat server's — the
 // equivalence the tree goldens pin.
 
-// rootRound runs the root's side of one synchronous tree round, returning
-// the merged membership report and the round error exactly as serverRound
-// does for the flat path.
-func (s *Service) rootRound(t int, cohort []int) (*roundReport, error) {
-	runner := s.runner
-	hooks := runner.Hooks()
-	rc := runner.Context(t)
+// rootRound runs the root's side of one round plan, returning the merged
+// membership report and the round error exactly as serverRound does for the
+// flat path. The plan's shared start rides every assignment; a client's
+// override (a flush's retained global and delta reference) rides its own
+// ClientStart. A flush's staleness weighting runs here, over the merged
+// uploads — the computation the flat server performs.
+func (s *Service) rootRound(plan *roundPlan) (*roundReport, error) {
+	t, runner := plan.t, s.runner
 	codec := runner.Codec()
 	topo := s.tree.topo
 
-	global, refParams := roundGlobal(t, runner)
-	startPayload, hasGlobal, startRaw, err := encodeRoundStart(t, codec, global)
-	if err != nil {
-		return nil, err
-	}
-	cohorts := shardCohorts(cohort, s.n, topo.Shards)
+	shared := plan.shared
+	cohorts := shardCohorts(plan.cohort, s.n, topo.Shards)
 	for i, members := range cohorts {
 		sa := transport.ShardAssign{
-			Round: t, Shard: i, Compact: topo.Compact,
-			Start: startPayload, HasGlobal: hasGlobal, StartRaw: startRaw, Ref: refParams,
+			Round: t, Shard: i, Flush: plan.flush != nil, Compact: topo.Compact,
+			Start: shared.payload, HasGlobal: shared.hasGlobal, StartRaw: shared.raw, Ref: shared.ref,
 			Clients: make([]transport.ClientStart, len(members)),
 		}
 		for j, c := range members {
-			sa.Clients[j] = transport.ClientStart{Client: c}
+			cs := transport.ClientStart{Client: c}
+			if o, ok := plan.override[c]; ok {
+				cs.Start, cs.HasGlobal, cs.StartRaw, cs.Ref = o.payload, o.hasGlobal, o.raw, o.ref
+			}
+			sa.Clients[j] = cs
 		}
 		if err := s.sendAssign(&sa); err != nil {
 			return nil, err
@@ -61,23 +62,20 @@ func (s *Service) rootRound(t int, cohort []int) (*roundReport, error) {
 	report, parts, count, roundErr := s.mergeDigests(digests, cohorts, lostShards)
 
 	if roundErr == nil && s.opts.ShardQuorum > 0 && topo.Shards-len(lostShards) < s.opts.ShardQuorum {
-		roundErr = fmt.Errorf("%w: round %d merged %d of %d shard digests, quorum %d",
-			ErrShardQuorumNotMet, t, topo.Shards-len(lostShards), topo.Shards, s.opts.ShardQuorum)
+		roundErr = fmt.Errorf("%w: %s %d merged %d of %d shard digests, quorum %d",
+			ErrShardQuorumNotMet, plan.noun(), t, topo.Shards-len(lostShards), topo.Shards, s.opts.ShardQuorum)
 	}
 	if roundErr == nil && s.opts.MinQuorum > 0 && count < s.opts.MinQuorum {
-		roundErr = fmt.Errorf("%w: round %d aggregated %d of %d required uploads", ErrQuorumNotMet, t, count, s.opts.MinQuorum)
+		roundErr = fmt.Errorf("%w: %s %d aggregated %d of %d required uploads", ErrQuorumNotMet, plan.noun(), t, count, s.opts.MinQuorum)
 	}
 	var bcast *engine.Payload
 	if roundErr == nil && count > 0 {
 		if topo.Compact {
-			bcast, roundErr = runner.MergeCompact(rc, parts)
+			bcast, roundErr = runner.MergeCompact(runner.Context(t), parts)
+		} else if uploads, merr := runner.MergePartials(parts); merr != nil {
+			roundErr = merr
 		} else {
-			uploads, merr := runner.MergePartials(parts)
-			if merr != nil {
-				roundErr = merr
-			} else {
-				bcast, roundErr = hooks.Aggregate(rc, uploads)
-			}
+			bcast, roundErr = s.aggregate(plan, uploads, report)
 		}
 	}
 	payload, hasBroadcast, endRaw, roundErr, fatal := buildRoundEnd(t, codec, bcast, roundErr)
@@ -88,77 +86,6 @@ func (s *Service) rootRound(t int, cohort []int) (*roundReport, error) {
 		return report, err
 	}
 	return report, roundErr
-}
-
-// rootFlush is the root's side of one async flush: per-client retained
-// globals ride inside the shard assignments, and staleness weighting runs at
-// the root over the merged uploads — the exact computation asyncServerFlush
-// performs on the flat path.
-func (s *Service) rootFlush(t int, plan *engine.AsyncFlushPlan) (contributors []int, report *roundReport, err error) {
-	runner := s.runner
-	hooks := runner.Hooks()
-	rc := runner.Context(t)
-	codec := runner.Codec()
-	topo := s.tree.topo
-
-	idx := 0
-	cohorts := shardCohorts(plan.Chosen, s.n, topo.Shards)
-	for i, members := range cohorts {
-		sa := transport.ShardAssign{Round: t, Shard: i, Flush: true,
-			Clients: make([]transport.ClientStart, len(members))}
-		for j, c := range members {
-			// The dispatched payload was codec-applied at retention, so both
-			// ends hold the same (quantized) values — the client's delta
-			// reference.
-			g := plan.Dispatched[idx]
-			payload, hasGlobal, startRaw, werr := encodeRoundStart(t, codec, g)
-			if werr != nil {
-				return nil, nil, werr
-			}
-			cs := transport.ClientStart{Client: c, Start: payload, HasGlobal: hasGlobal, StartRaw: startRaw}
-			if g != nil {
-				cs.Ref = g.Params
-			}
-			sa.Clients[j] = cs
-			idx++
-		}
-		if err := s.sendAssign(&sa); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	digests, lostShards, err := s.collectDigests(t)
-	if err != nil {
-		return nil, nil, err
-	}
-	report, parts, count, roundErr := s.mergeDigests(digests, cohorts, lostShards)
-	if roundErr == nil && s.opts.ShardQuorum > 0 && topo.Shards-len(lostShards) < s.opts.ShardQuorum {
-		roundErr = fmt.Errorf("%w: flush %d merged %d of %d shard digests, quorum %d",
-			ErrShardQuorumNotMet, t, topo.Shards-len(lostShards), topo.Shards, s.opts.ShardQuorum)
-	}
-	if roundErr == nil && s.opts.MinQuorum > 0 && count < s.opts.MinQuorum {
-		roundErr = fmt.Errorf("%w: flush %d aggregated %d of %d required uploads", ErrQuorumNotMet, t, count, s.opts.MinQuorum)
-	}
-	var bcast *engine.Payload
-	if roundErr == nil && count > 0 {
-		uploads, merr := runner.MergePartials(parts)
-		if merr != nil {
-			roundErr = merr
-		} else {
-			for _, u := range uploads {
-				contributors = append(contributors, u.Client)
-			}
-			bcast, roundErr = hooks.Aggregate(rc, runner.AsyncWeightUploads(rc, plan, uploads))
-		}
-	}
-	payload, hasBroadcast, endRaw, roundErr, fatal := buildRoundEnd(t, codec, bcast, roundErr)
-	if fatal != nil {
-		return contributors, report, fatal
-	}
-	if err := s.sendShardEnds(t, payload, hasBroadcast, endRaw); err != nil {
-		return contributors, report, err
-	}
-	return contributors, report, roundErr
 }
 
 // sendAssign ships one shard assignment down and bills the tier backhaul.

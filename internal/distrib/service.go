@@ -14,26 +14,23 @@ import (
 	"fedpkd/internal/transport"
 )
 
-// Service is the long-lived form of the distributed runtime: where
-// RunAlgorithmOpts used to be one monolithic batch loop over a fixed peer
-// list, the service owns a client Registry, samples each round's cohort from
-// the currently registered population intersected with the availability
-// trace, and exposes the hooks a control plane needs — a Barrier callback at
-// every round boundary (all workers parked, safe to checkpoint), a live
-// Status snapshot, and the Join/Leave registration API. The legacy batch
-// entry points are thin wrappers: a service with the full fleet pre-seeded
-// into its registry and no availability trace runs byte-identically to the
-// old fixed-cohort loop.
+// Service is the long-lived form of the distributed runtime: it owns a
+// client Registry, plans each round's cohort from the currently registered
+// population intersected with the availability trace (or, with SetAsync, from
+// the engine's flush planner), and exposes the hooks a control plane needs —
+// a Barrier callback at every round boundary (all workers parked, safe to
+// checkpoint), a live Status snapshot, and the Join/Leave registration API.
+// Run is NewService + Run + Close; a service with the full fleet pre-seeded
+// into its registry and no availability trace runs a fixed cohort.
 type Service struct {
-	runner   *engine.Runner
-	opts     Options
-	n        int
-	tolerant bool
+	runner *engine.Runner
+	opts   Options
+	n      int
 	// treeTol marks the tree's tier as failure-tolerant: a LeafTimeout or a
 	// tier fault plan makes leaves chaos subjects (root-side shard deadlines,
-	// digest retry, degraded-tree rounds). The client-plane tolerant flag is
-	// independent — a run can tolerate leaf loss while staying strict about
-	// client traffic, and vice versa.
+	// digest retry, degraded-tree rounds). The client plane's failure model
+	// (rs.strict) is independent — a run can tolerate leaf loss while staying
+	// strict about client traffic, and vice versa.
 	treeTol bool
 	// dynamic marks a run whose population can differ from the fixed full
 	// fleet: a partial initial population, wire registration, or an
@@ -113,7 +110,6 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 	if opts.Mode == "" {
 		opts.Mode = ModeBus
 	}
-	opts.Topology = opts.Topology.withDefaults()
 	n := runner.Config().Env.Cfg.NumClients
 	if err := opts.validate(n); err != nil {
 		return nil, err
@@ -127,17 +123,16 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 		}
 	}
 	s := &Service{
-		runner:   runner,
-		opts:     opts,
-		n:        n,
-		tolerant: opts.ClientTimeout > 0 || opts.Faults.Enabled(),
-		treeTol:  opts.LeafTimeout > 0 || opts.Faults.TierEnabled(),
-		dynamic:  opts.Population != nil || opts.WireRegistration || runner.Availability() != nil,
-		rec:      opts.Recorder,
-		rs:       &roundStats{},
-		peers:    make(map[int]*clientPeer),
-		start:    make(map[int]chan int),
-		done:     make(chan error, n),
+		runner:  runner,
+		opts:    opts,
+		n:       n,
+		treeTol: opts.LeafTimeout > 0 || opts.Faults.TierEnabled(),
+		dynamic: opts.Population != nil || opts.WireRegistration || runner.Availability() != nil,
+		rec:     opts.Recorder,
+		rs:      &roundStats{strict: opts.ClientTimeout <= 0 && !opts.Faults.Enabled()},
+		peers:   make(map[int]*clientPeer),
+		start:   make(map[int]chan int),
+		done:    make(chan error, n),
 	}
 	runner.SetRecorder(s.rec)
 	ledger := runner.Ledger()
@@ -179,11 +174,15 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 			conn:   faults.Wrap(s.tr.clients[c], opts.Faults, c, s.fstats),
 			stats:  s.fstats,
 			redial: s.tr.redial,
+			runner: runner,
+			rec:    s.rec,
+			opts:   &s.opts,
+			rs:     s.rs,
 		}
 		p.rx = newReceiver(p.conn)
 		s.peers[c] = p
 		s.start[c] = make(chan int, 1)
-		go clientWorker(p, runner, s.rec, &s.opts, s.tolerant, s.rs, s.start[c], s.done)
+		go p.work(s.start[c], s.done)
 	}
 	s.srx = newReceiver(s.tr.server)
 	if opts.Topology.Enabled() {
@@ -208,10 +207,8 @@ func (s *Service) Run(rounds int) (*fl.History, error) {
 		}
 	}
 	var err error
-	if s.runner.Async() != nil {
-		err = s.runAsync(rounds)
-	} else {
-		err = s.runSync(rounds)
+	for i := 0; i < rounds && err == nil; i++ {
+		err = s.runRound()
 	}
 	// Shutdown drain (see drainRegistrations): registrations still queued in
 	// the receiver must not be lost on quit.
@@ -219,96 +216,99 @@ func (s *Service) Run(rounds int) (*fl.History, error) {
 	return hist, err
 }
 
-// runSync is the synchronous round loop: barrier hook, fold in pending
-// registrations, sample the cohort, fan out, serve the round, fan in.
-func (s *Service) runSync(rounds int) error {
-	var firstErr error
-	for i := 0; i < rounds; i++ {
-		t := s.runner.CurrentRound()
-		// Fold registrations in before the gate runs, so a paused service's
-		// status reports who is registered; apply again after it, so arrivals
-		// during a long pause join this round rather than the next.
-		joins, leaves := s.reg.ApplyPending()
-		s.setStatus(t)
-		if s.opts.Barrier != nil {
-			if err := s.opts.Barrier(t); err != nil {
-				return err
-			}
-		}
-		j2, l2 := s.reg.ApplyPending()
-		joins, leaves = joins+j2, leaves+l2
-		cohort := s.cohortAt(t)
-		s.setStatus(t)
-		// Fail fast on a hopeless population instead of opening a round that
-		// can only time out: quorum is checked before any fan-out.
-		if s.opts.MinQuorum > 0 && len(cohort) < s.opts.MinQuorum {
-			return fmt.Errorf("%w: round %d has %d registered online clients, quorum %d",
-				ErrQuorumNotMet, t, len(cohort), s.opts.MinQuorum)
-		}
-		if err := s.preRoundShardQuorum(t); err != nil {
-			return err
-		}
-		s.runner.BeginRound()
-		s.roundOpen.Store(true)
-		s.rs.reset()
-		faultBase := s.fstats.Snapshot().Total()
-		s.rec.SetWorkers(len(cohort))
-		for _, c := range cohort {
-			s.start[c] <- t
-		}
-		var report *roundReport
-		var serverErr error
-		if s.tree != nil {
-			for _, ch := range s.leafStart {
-				ch <- t
-			}
-			report, serverErr = s.rootRound(t, cohort)
-		} else {
-			report, serverErr = serverRound(t, s.runner, s.tr.server, s.srx, cohort, s.reg, &s.opts, s.tolerant, s.rs)
-		}
-		if serverErr != nil {
-			// Unblock any client still parked on Recv before fanning in.
-			s.closeTransport()
-		}
-		if s.tree != nil {
-			// Leaves finish (fan the round close, report in) before their
-			// clients can; drain them first so a leaf-side failure closes the
-			// transport before the client fan-in would deadlock on it.
-			s.drainLeafDone(&firstErr)
-			if firstErr != nil {
-				s.closeTransport()
-			}
-		}
-		for range cohort {
-			if err := <-s.done; err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		s.roundOpen.Store(false)
-		if serverErr != nil {
-			firstErr = serverErr
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		if s.tolerant || s.treeTol {
-			recordRobustness(t, len(cohort), s.runner, s.rec, &s.opts, report, s.rs, s.fstats.Snapshot().Total()-faultBase)
-		}
-		if s.dynamic {
-			s.rec.SetChurn(obs.Churn{
-				Registered: s.reg.Size(),
-				Online:     len(s.runner.Online(t)),
-				Cohort:     len(cohort),
-				Joins:      joins,
-				Leaves:     leaves,
-			})
-		}
-		// All workers parked: evaluate (and checkpoint) safely.
-		if err := s.runner.CompleteRound(); err != nil {
+// runRound is the one round loop's body, synchronous round and async flush
+// alike: barrier hook, fold in pending registrations, plan, check quorum,
+// fan out to the plan's cohort, serve the round, fan in. Non-chosen clients
+// never see a start signal and stay parked.
+func (s *Service) runRound() error {
+	t := s.runner.CurrentRound()
+	// Fold registrations in before the gate runs, so a paused service's
+	// status reports who is registered; apply again after it, so arrivals
+	// during a long pause join this round rather than the next.
+	joins, leaves := s.reg.ApplyPending()
+	s.setStatus(t)
+	if s.opts.Barrier != nil {
+		if err := s.opts.Barrier(t); err != nil {
 			return err
 		}
 	}
-	return nil
+	j2, l2 := s.reg.ApplyPending()
+	joins, leaves = joins+j2, leaves+l2
+	plan, err := s.planRound(t)
+	if err != nil {
+		return err
+	}
+	s.setStatus(t)
+	// Fail fast on a hopeless population instead of opening a round that can
+	// only time out: quorum is checked before the round begins, so an abort
+	// leaves the round counter, the ledger and the history in step.
+	if s.opts.MinQuorum > 0 && len(plan.cohort) < s.opts.MinQuorum {
+		return fmt.Errorf("%w: %s %d scheduled %d clients, quorum %d",
+			ErrQuorumNotMet, plan.noun(), t, len(plan.cohort), s.opts.MinQuorum)
+	}
+	if err := s.preRoundShardQuorum(t); err != nil {
+		return err
+	}
+	s.runner.BeginRound()
+	s.roundOpen.Store(true)
+	s.rs.reset()
+	faultBase := s.fstats.Snapshot().Total()
+	s.rec.SetWorkers(len(plan.cohort))
+	for _, c := range plan.cohort {
+		s.start[c] <- t
+	}
+	var report *roundReport
+	var serverErr, firstErr error
+	if s.tree != nil {
+		for _, ch := range s.leafStart {
+			ch <- t
+		}
+		report, serverErr = s.rootRound(plan)
+	} else {
+		report, serverErr = s.serverRound(plan)
+	}
+	if serverErr != nil {
+		// Unblock any client still parked on Recv before fanning in.
+		s.closeTransport()
+	}
+	if s.tree != nil {
+		// Leaves finish (fan the round close, report in) before their
+		// clients can; drain them first so a leaf-side failure closes the
+		// transport before the client fan-in would deadlock on it.
+		s.drainLeafDone(&firstErr)
+		if firstErr != nil {
+			s.closeTransport()
+		}
+	}
+	for range plan.cohort {
+		if err := <-s.done; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	s.roundOpen.Store(false)
+	if serverErr != nil {
+		return serverErr
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	if plan.flush != nil {
+		s.runner.AsyncCommitFlush(plan.flush, report.contributors)
+	}
+	if !s.rs.strict || s.treeTol {
+		s.recordRobustness(plan, report, s.fstats.Snapshot().Total()-faultBase)
+	}
+	if s.dynamic {
+		s.rec.SetChurn(obs.Churn{
+			Registered: s.reg.Size(),
+			Online:     len(s.runner.Online(t)),
+			Cohort:     len(plan.cohort),
+			Joins:      joins,
+			Leaves:     leaves,
+		})
+	}
+	// All workers parked: evaluate (and checkpoint) safely.
+	return s.runner.CompleteRound()
 }
 
 // preRoundShardQuorum fails fast when the fault schedule already dooms too

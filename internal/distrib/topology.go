@@ -13,12 +13,6 @@ import "fmt"
 type Topology struct {
 	// Shards is the number of leaf aggregators; values below 2 mean flat.
 	Shards int
-	// Depth is the tree depth including the root. Zero defaults to 2 when
-	// Shards enables the tree. The distributed runtime builds depth-2 trees
-	// (leaves + root); deeper trees are modeled by the hierarchy experiment,
-	// which composes the same PartialReduce/MergePartials contract level by
-	// level.
-	Depth int
 	// Compact opts into streaming reduction at the leaves: uploads are folded
 	// into the algorithm's CompactReducer as they arrive and never retained
 	// per client, making leaf memory O(1) in shard size. Floating-point
@@ -32,16 +26,8 @@ type Topology struct {
 // Enabled reports whether the options request a tree at all.
 func (tp Topology) Enabled() bool { return tp.Shards > 1 }
 
-// withDefaults resolves the zero Depth to the runtime's native two tiers.
-func (tp Topology) withDefaults() Topology {
-	if tp.Enabled() && tp.Depth == 0 {
-		tp.Depth = 2
-	}
-	return tp
-}
-
 // validate rejects topologies the runtime cannot build for an n-client
-// universe. Call after withDefaults.
+// universe.
 func (tp Topology) validate(n int) error {
 	if tp.Shards < 0 {
 		return fmt.Errorf("distrib: negative shard count %d", tp.Shards)
@@ -54,9 +40,6 @@ func (tp Topology) validate(n int) error {
 	}
 	if tp.Shards > n {
 		return fmt.Errorf("distrib: %d shards for %d clients; each leaf needs a non-empty id range", tp.Shards, n)
-	}
-	if tp.Depth != 2 {
-		return fmt.Errorf("distrib: tree depth %d unsupported: the distributed runtime builds two-tier trees (leaves + root); deeper hierarchies are modeled by the hierarchy experiment", tp.Depth)
 	}
 	return nil
 }

@@ -137,7 +137,7 @@ func RunCompression(sc Scale, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		dHist, err := distrib.RunAlgorithm(pkdD, distrib.ModeBus, sc.Rounds, nil)
+		dHist, err := distrib.Run(pkdD, sc.Rounds, distrib.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -83,12 +83,12 @@ func RunFailures(sc Scale, seed uint64) (*Result, error) {
 		if err := applyCodecPolicy(runner); err != nil {
 			return nil, err
 		}
-		hist, err := distrib.RunAlgorithmOpts(pkd, sc.Rounds, distrib.Options{
+		hist, err := distrib.Run(pkd, sc.Rounds, distrib.Options{
 			Mode:          distrib.ModeBus,
 			ClientTimeout: timeout,
 			MinQuorum:     failurePolicy.quorum,
 			Faults:        plan,
-			Topology:      policyTopology(),
+			Topology:      distrib.Topology{Shards: treeShards},
 		})
 		if err != nil {
 			return nil, err

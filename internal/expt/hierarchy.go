@@ -14,28 +14,16 @@ import (
 	"fedpkd/internal/transport"
 )
 
-// treePolicy is the harness-wide aggregator-tree shape, threaded from
-// fedbench's -shards / -tree-depth flags and applied to the distributed
-// experiment runs. The zero value keeps the flat single-server reduction.
-var treePolicy struct {
-	shards int
-	depth  int
-}
+// treeShards is the harness-wide aggregator-tree leaf count, threaded from
+// fedbench's -shards flag and applied to the distributed experiment runs.
+// Zero keeps the flat single-server reduction.
+var treeShards int
 
 // SetTreePolicy makes subsequent distributed experiment runs reduce through
 // an aggregator tree with the given leaf count (shards > 1 enables the
-// tree; depth 0 defaults to the runtime's two tiers). The hierarchy
-// experiment also uses the policy shard count for its real-runtime leg when
-// set.
-func SetTreePolicy(shards, depth int) {
-	treePolicy.shards = shards
-	treePolicy.depth = depth
-}
-
-// policyTopology renders the harness-wide tree policy as distrib options.
-func policyTopology() distrib.Topology {
-	return distrib.Topology{Shards: treePolicy.shards, Depth: treePolicy.depth}
-}
+// tree). The hierarchy experiment also uses the policy shard count for its
+// real-runtime leg when set.
+func SetTreePolicy(shards int) { treeShards = shards }
 
 // hierarchyPopulation is the simulated-cohort size of the experiment's scale
 // leg: far beyond any constructible fleet, so the leg drives the engine's
@@ -93,8 +81,8 @@ func hierarchyRuntimeLeg(res *Result, sc Scale, seed uint64) error {
 		rounds = 3
 	}
 	shards := 2
-	if treePolicy.shards > 1 {
-		shards = treePolicy.shards
+	if treeShards > 1 {
+		shards = treeShards
 	}
 	if shards > sc.NumClients {
 		shards = sc.NumClients
@@ -111,7 +99,7 @@ func hierarchyRuntimeLeg(res *Result, sc Scale, seed uint64) error {
 			return nil, nil, err
 		}
 		rec := obs.NewRecorder(AlgoFedAvg)
-		hist, err := distrib.RunAlgorithmOpts(algo, rounds, distrib.Options{
+		hist, err := distrib.Run(algo, rounds, distrib.Options{
 			Mode: mode, Recorder: rec, Topology: topo,
 		})
 		return hist, rec, err

@@ -53,8 +53,8 @@ func RunTreeFaults(sc Scale, seed uint64) (*Result, error) {
 		rounds = 3
 	}
 	shards := 2
-	if treePolicy.shards > 1 {
-		shards = treePolicy.shards
+	if treeShards > 1 {
+		shards = treeShards
 	}
 	if shards > sc.NumClients {
 		shards = sc.NumClients
@@ -75,7 +75,7 @@ func RunTreeFaults(sc Scale, seed uint64) (*Result, error) {
 			return nil, 0, 0, err
 		}
 		rec := obs.NewRecorder(AlgoFedAvg)
-		hist, err := distrib.RunAlgorithmOpts(algo, rounds, distrib.Options{
+		hist, err := distrib.Run(algo, rounds, distrib.Options{
 			Mode:        mode,
 			Recorder:    rec,
 			Faults:      plan,

@@ -8,7 +8,7 @@ import (
 
 // Round-reduction benchmarks: the flat server's collect-then-sort against
 // the tree's per-shard sorted inserts plus MergeExact, at simulated-cohort
-// sizes. scripts/bench.sh round mode reads these into BENCH_round.json.
+// sizes. bench/ measures the same two paths as its engine.reduce_* probes.
 
 const benchReduceDim = 64
 

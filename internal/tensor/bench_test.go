@@ -78,8 +78,7 @@ func BenchmarkMatMulF32(b *testing.B) {
 }
 
 // BenchmarkMatMulNaive measures the retained seed kernel (reference.go) on
-// the same shapes, so `scripts/bench.sh` can report blocked-vs-naive
-// speedups from one run.
+// the same shapes, so one run reports blocked-vs-naive speedups.
 func BenchmarkMatMulNaive(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {

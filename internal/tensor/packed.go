@@ -4,11 +4,11 @@ package tensor
 //
 // MatMulNT's dot-product kernel tops out well below the NN kernel: every
 // output element re-streams a k-length row of b and the 2x2 register block
-// is the only operand reuse, so at large shapes NT lagged NN by ~40% (see
-// BENCH_kernels.json history). Above minPackNTOps the dispatcher packs bᵀ
-// once into a contiguous arena panel and streams the product through the NN
-// saxpy kernel instead — the pack is O(n·k) data movement against O(m·n·k)
-// compute, so its cost vanishes exactly where the threshold admits it.
+// is the only operand reuse, so at large shapes NT lagged NN by ~40%. Above
+// minPackNTOps the dispatcher packs bᵀ once into a contiguous arena panel and
+// streams the product through the NN saxpy kernel instead — the pack is
+// O(n·k) data movement against O(m·n·k) compute, so its cost vanishes exactly
+// where the threshold admits it.
 //
 // Numerics: the NN kernel's reduction (ascending k, 4-wide groups) differs
 // from the NT dot kernel's 2-way split, so the packed path is numerically

@@ -179,7 +179,7 @@ func TestDistributedResumeMatchesStraight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	straightHist, err := RunAlgorithmDistributed(straight, ModeBus, resumeTotalRounds, nil)
+	straightHist, err := RunDistributed(straight, resumeTotalRounds, DistributedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDistributedResumeMatchesStraight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAlgorithmDistributed(first, ModeBus, resumeCutRound, nil); err != nil {
+	if _, err := RunDistributed(first, resumeCutRound, DistributedOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ckptPath, err := SaveCheckpoint(first, t.TempDir())
@@ -203,7 +203,11 @@ func TestDistributedResumeMatchesStraight(t *testing.T) {
 	if _, err := ResumeAlgorithm(resumed, ckptPath); err != nil {
 		t.Fatal(err)
 	}
-	resumedHist, err := RunAlgorithmDistributedUntil(resumed, ModeBus, resumeTotalRounds, nil)
+	done, err := CompletedRounds(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumedHist, err := RunDistributed(resumed, resumeTotalRounds-done, DistributedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

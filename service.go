@@ -48,9 +48,8 @@ var ErrControlTimeout = ctl.ErrTimeout
 
 // NewService builds a long-lived distributed service for an engine-backed
 // algorithm without running it: the caller wires a control plane to
-// Options.Barrier, then calls Run. Most callers want
-// RunAlgorithmDistributedOpts instead, which manages the service lifecycle
-// itself.
+// Options.Barrier, then calls Run and Close. Most callers want
+// RunDistributed instead, which manages the service lifecycle itself.
 func NewService(algo Algorithm, opts DistributedOptions) (*Service, error) {
 	return distrib.NewService(algo, opts)
 }

@@ -31,7 +31,7 @@ func treeRun(t *testing.T, name string, mode DistributedMode, topo Topology) tre
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := RunAlgorithmDistributedOpts(algo, goldenRounds, DistributedOptions{
+	hist, err := RunDistributed(algo, goldenRounds, DistributedOptions{
 		Mode: mode, Topology: topo,
 	})
 	if err != nil {
@@ -132,8 +132,6 @@ func TestTopologyValidation(t *testing.T) {
 			DistributedOptions{Topology: Topology{Shards: 4}}, false, "non-empty id range"},
 		{"negative shards", "fedavg",
 			DistributedOptions{Topology: Topology{Shards: -1}}, false, "negative shard count"},
-		{"unsupported depth", "fedavg",
-			DistributedOptions{Topology: Topology{Shards: 2, Depth: 3}}, false, "depth 3 unsupported"},
 		{"compact without tree", "fedavg",
 			DistributedOptions{Topology: Topology{Compact: true}}, false, "needs an aggregator tree"},
 		{"compact without CompactReducer", "fedpkd",
@@ -155,7 +153,7 @@ func TestTopologyValidation(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, err = RunAlgorithmDistributedOpts(algo, goldenRounds, tc.opts)
+			_, err = RunDistributed(algo, goldenRounds, tc.opts)
 			if err == nil {
 				t.Fatalf("invalid topology accepted")
 			}
@@ -195,7 +193,7 @@ func runAsyncChurnTree(t *testing.T) asyncChurnTreeGolden {
 	if err := SetAvailability(algo, trace); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := RunAlgorithmDistributedOpts(algo, asyncGoldenFlushes, DistributedOptions{
+	hist, err := RunDistributed(algo, asyncGoldenFlushes, DistributedOptions{
 		Mode: ModeBus, Topology: Topology{Shards: 2},
 	})
 	if err != nil {
