@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race check chaos bench fuzz cover serve-smoke
+.PHONY: build test race check chaos bench bench-pairs fuzz cover serve-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,16 @@ serve-smoke:
 # workloads, end-to-end and per-layer metrics.
 bench:
 	bash bench/run.sh
+
+# bench-pairs measures this checkout against PARENT on one WORKLOAD with the
+# alternating-pairs protocol a claimed gain needs (bench/README.md): per
+# metric, both medians and quartiles and the pairs won. ~80 s per pair.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=wire_tcp_flat PAIRS=10 SEED=123
+PARENT ?= HEAD
+WORKLOAD ?= wire_tcp_flat
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # fuzz runs the decode fuzzers (transport round messages and comm packed
 # sections) for a short budget each; raise FUZZTIME for deeper exploration.

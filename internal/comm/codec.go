@@ -165,7 +165,7 @@ func SectionWireBytes(s Section, rows, cols int) int {
 	}
 }
 
-// Named decode errors, so corruption injected below the gob layer surfaces
+// Named decode errors, so corruption injected below the message codec surfaces
 // as a typed rejection rather than a panic or silent value damage.
 var (
 	// ErrSectionTag marks an unknown or out-of-place section tag byte.

@@ -239,48 +239,73 @@ func TestChaosTCPGoroutineLeakFree(t *testing.T) {
 	}
 }
 
-// TestChaosInt8CorruptionRun is the run-level half of the quantized-chaos
-// contract: the full tolerant runtime with the int8 wire codec under payload
-// corruption completes every round (CRC-failed sections are counted drops,
-// never panics or poisoned aggregates), and the same seed reproduces the
-// same degraded history.
-func TestChaosInt8CorruptionRun(t *testing.T) {
+// TestChaosCorruptionRun is the run-level half of the corruption contract:
+// the full tolerant runtime under payload corruption completes every round,
+// the same seed reproduces the same degraded history, and — the message
+// checksum's guarantee — every corruption injected is a counted drop. The
+// plan injects nothing but corruption and the header survives it, so the
+// rounds' CorruptDropped must sum to exactly the injected count, under
+// float64raw (no packed sections, so the message checksum is the only guard)
+// as under int8.
+func TestChaosCorruptionRun(t *testing.T) {
 	plan := &faults.Plan{Seed: 31, CorruptProb: 0.3}
 	const rounds = 3
-	run := func() *fl.History {
-		var fs faults.Stats
-		env := chaosEnv(t)
-		algo := chaosFedPKD(t, env)
-		r, err := engine.Of(algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.SetCodec(comm.CodecInt8); err != nil {
-			t.Fatal(err)
-		}
-		hist, err := Run(algo, rounds, Options{
-			Mode:          ModeBus,
-			ClientTimeout: chaosTimeout,
-			Faults:        plan,
-			FaultStats:    &fs,
+	for _, codec := range []comm.Codec{comm.CodecFloat64, comm.CodecInt8} {
+		t.Run(codec.String(), func(t *testing.T) {
+			run := func() *fl.History {
+				var fs faults.Stats
+				rec := obs.NewRecorder("chaos")
+				env := chaosEnv(t)
+				// Raw parameter uploads are nearly all float bytes — where a
+				// flipped byte is just another float; logits and prototypes
+				// exercise the packed sections.
+				var algo fl.Algorithm = chaosFedAvg(t, env)
+				if codec != comm.CodecFloat64 {
+					algo = chaosFedPKD(t, env)
+				}
+				r, err := engine.Of(algo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.SetCodec(codec); err != nil {
+					t.Fatal(err)
+				}
+				hist, err := Run(algo, rounds, Options{
+					Mode:          ModeBus,
+					ClientTimeout: chaosTimeout,
+					Faults:        plan,
+					FaultStats:    &fs,
+					Recorder:      rec,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				injected := fs.Snapshot().Corrupts
+				if injected == 0 {
+					t.Fatal("no corruption injected; this plan+seed is known to corrupt payloads")
+				}
+				var dropped int64
+				for _, tr := range rec.Traces() {
+					if tr.Robustness != nil {
+						dropped += int64(tr.Robustness.CorruptDropped)
+					}
+				}
+				if dropped != injected {
+					t.Fatalf("%d payloads corrupted, %d dropped as corrupt: the rest were aggregated", injected, dropped)
+				}
+				return hist
+			}
+			h1 := run()
+			if h1.Len() != rounds {
+				t.Fatalf("history rounds = %d, want %d (corrupt payloads must not abort the run)", h1.Len(), rounds)
+			}
+			h2 := run()
+			j1, _ := json.Marshal(h1)
+			j2, _ := json.Marshal(h2)
+			if string(j1) != string(j2) {
+				t.Fatalf("same-seed corruption runs diverged:\n%s\nvs\n%s", j1, j2)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fs.Snapshot().Corrupts == 0 {
-			t.Fatal("no corruption injected; this plan+seed is known to corrupt payloads")
-		}
-		return hist
-	}
-	h1 := run()
-	if h1.Len() != rounds {
-		t.Fatalf("history rounds = %d, want %d (corrupt int8 payloads must not abort the run)", h1.Len(), rounds)
-	}
-	h2 := run()
-	j1, _ := json.Marshal(h1)
-	j2, _ := json.Marshal(h2)
-	if string(j1) != string(j2) {
-		t.Fatalf("same-seed int8 chaos runs diverged:\n%s\nvs\n%s", j1, j2)
 	}
 }
 

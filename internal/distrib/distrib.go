@@ -590,15 +590,15 @@ func billFraming(ledger *comm.Ledger, hasPayload, coded bool, wire, raw int) {
 
 // rawWireSize returns the envelope wire size msg would occupy encoded as-is —
 // used to price the float64raw equivalent of a codec-compressed message into
-// the ledger's informational raw columns. Best effort: an encode failure
-// falls back to the given compressed size so raw totals never undercount the
-// wire.
+// the ledger's informational raw columns. The size is computed, not measured:
+// nothing is encoded. Best effort: a message the codec does not know falls
+// back to the given compressed size so raw totals never undercount the wire.
 func rawWireSize(msg any, fallback int) int {
-	b, err := transport.Encode(msg)
+	n, err := transport.EncodedSize(msg)
 	if err != nil {
 		return fallback
 	}
-	return (&transport.Envelope{Payload: b}).WireSize()
+	return transport.EnvelopeHeaderSize + n
 }
 
 // clientPeer is one client worker: its connection state (the fault-wrapped

@@ -50,7 +50,7 @@ func applyCodecPolicy(r *engine.Runner) error {
 //     the in-process engine applies, so "what was priced" and "what shipped"
 //     cannot drift apart.
 //   - Compression: int8 must cut real per-round upload bytes by >= 4x
-//     against float64raw on the wire (gob float64 costs ~8 B/value; int8
+//     against float64raw on the wire (a raw float64 costs 8 B/value; int8
 //     costs ~1 B/value plus per-row scale headers).
 //   - Fidelity: quantization may cost at most 0.5pp of final server
 //     accuracy against float64. A single run cannot resolve 0.5pp at the

@@ -25,7 +25,7 @@ const (
 	pflagProtos
 )
 
-// encodePayloadCkpt appends a payload's full value to e. The transport's gob
+// encodePayloadCkpt appends a payload's full value to e. The transport's
 // wire forms cannot be reused here — the import direction runs transport →
 // engine — and the checkpoint needs exact float64 values anyway, not wire
 // quantization, so this is a plain bit-exact ckpt encoding.

@@ -68,6 +68,9 @@ type busConn struct {
 var _ Conn = (*busConn)(nil)
 
 func (c *busConn) Send(e *Envelope) error {
+	if err := checkPayloadSize(e); err != nil {
+		return err
+	}
 	c.bus.mu.Lock()
 	closed := c.bus.closed
 	c.bus.mu.Unlock()

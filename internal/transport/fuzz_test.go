@@ -19,7 +19,9 @@ import (
 )
 
 // seedCorpus returns valid encoded round messages so the fuzzer starts from
-// structurally plausible gob streams.
+// well-formed frames: the three client-plane messages raw and under both
+// compressing codecs, then the three tier messages, a bare payload, and an
+// assignment and a digest of many minimal entries.
 func seedCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	rs := RoundStart{
@@ -86,8 +88,21 @@ func seedCorpus(t testing.TB) [][]byte {
 		coded = append(coded, RoundEnd{Round: 2, HasBroadcast: true, Broadcast: wUp, Codec: uint8(c)})
 	}
 
+	tier := codecMessages(t, comm.CodecInt8)[3:]
+	// The widest decodes: nested entries that are bare ids, each the fewest
+	// bytes a ClientStart or ShardUpload takes.
+	bare := ShardAssign{Round: 2, Clients: make([]ClientStart, 48)}
+	for i := range bare.Clients {
+		bare.Clients[i].Client = i
+	}
+	idle := ShardDigest{Round: 2, Uploads: make([]ShardUpload, 16)}
+	for i := range idle.Uploads {
+		idle.Uploads[i].Client = i
+	}
+	tier = append(tier, bare, idle)
+
 	var out [][]byte
-	for _, v := range append([]any{rs, ru, re}, coded...) {
+	for _, v := range append(append([]any{rs, ru, re}, coded...), tier...) {
 		b, err := Encode(v)
 		if err != nil {
 			t.Fatalf("Encode(%T): %v", v, err)
@@ -109,73 +124,114 @@ func checkReconstruct(t *testing.T, kind string, w *WirePayload) {
 	}
 }
 
-// checkReencode pins the canonical-encoding invariant on a validated
-// message: re-encoding the decoded value is a gob fixed point — one
-// normalization pass, then bytes are stable. (Arbitrary fuzzed bytes may be
-// a non-canonical gob stream for the same value, so the invariant is
-// phrased on the re-encoded form; envelopes our own encoder produced
-// satisfy it immediately.)
-func checkReencode[T any](t *testing.T, v T) {
-	t.Helper()
-	enc1, err := Encode(v)
-	if err != nil {
-		t.Fatalf("re-encode %T: %v", v, err)
-	}
-	var v2 T
-	if err := Decode(enc1, &v2); err != nil {
-		t.Fatalf("decode of re-encoded %T: %v", v, err)
-	}
-	if !reflect.DeepEqual(v, v2) {
-		t.Fatalf("re-encode round-trip changed %T: %+v vs %+v", v, v, v2)
-	}
-	enc2, err := Encode(v2)
-	if err != nil {
-		t.Fatalf("second encode %T: %v", v, err)
-	}
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatalf("%T does not re-encode to identical bytes", v)
+// maxDecodeExpansion bounds decoded heap bytes per input byte, so a count can
+// never size an allocation the input does not pay for. The widest ratios are
+// the nested structs against their fewest encoded bytes (a 312-byte
+// ShardUpload from 19, a 72-byte ClientStart from 5); a vector element is at
+// most 8 bytes from 1. TestNestedMinimaWithinDecodeExpansion holds the format
+// to it.
+const maxDecodeExpansion = 17
+
+func TestNestedMinimaWithinDecodeExpansion(t *testing.T) {
+	for _, n := range []struct {
+		v   any
+		min int
+	}{{ClientStart{}, clientStartMin}, {ShardUpload{}, shardUploadMin}} {
+		if size := int(reflect.TypeOf(n.v).Size()); size > maxDecodeExpansion*n.min {
+			t.Errorf("%T: %d bytes in memory from as few as %d encoded, over %dx", n.v, size, n.min, maxDecodeExpansion)
+		}
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes through Decode + Validate for every round
-// message type. Malformed input must surface as an error, never a panic; any
-// payload that passes Validate must survive reconstruction into an
-// engine.Payload (packed sections included); and every validated message
-// re-encodes to identical bytes once in canonical form.
+// fuzzOne decodes data as T and checks the decoder's contract: a rejection
+// is a named error; an acceptance is a fixed point (the codec is canonical,
+// so re-encoding reproduces data byte for byte), holds no more heap than the
+// input implies, and — once Validate passes — reconstructs.
+func fuzzOne[T any](t *testing.T, data []byte, payloads func(*T) []*WirePayload, validate func(*T) error) {
+	t.Helper()
+	var v T
+	if err := Decode(data, &v); err != nil {
+		if !isNamedDecodeError(err) {
+			t.Fatalf("Decode(%T) failed with an unnamed error: %v", v, err)
+		}
+		return
+	}
+	enc, err := Encode(&v)
+	if err != nil {
+		t.Fatalf("re-encode %T: %v", v, err)
+	}
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("%T accepted a non-canonical encoding:\n in  %x\n out %x", v, data, enc)
+	}
+	if _, heap := heapOf(reflect.ValueOf(v)); heap > maxDecodeExpansion*len(data) {
+		t.Fatalf("%T decoded %d input bytes into %d heap bytes", v, len(data), heap)
+	}
+	if validate(&v) != nil {
+		return
+	}
+	for _, w := range payloads(&v) {
+		if _, err := w.ToPayload(); err != nil && !errors.Is(err, comm.ErrSectionRef) {
+			// The decoder cannot know the round's reference vector, so the
+			// named delta-without-reference rejection is the one error a
+			// validated payload may still produce.
+			t.Fatalf("validated %T failed reconstruction: %v", v, err)
+		}
+	}
+}
+
+// fuzzAll runs one input through all seven message types.
+func fuzzAll(t *testing.T, data []byte) {
+	fuzzOne(t, data, func(m *RoundStart) []*WirePayload {
+		if m.HasGlobal {
+			return []*WirePayload{&m.Global}
+		}
+		return nil
+	}, (*RoundStart).Validate)
+	fuzzOne(t, data, func(m *RoundUpload) []*WirePayload {
+		if m.HasPayload {
+			return []*WirePayload{&m.Payload}
+		}
+		return nil
+	}, (*RoundUpload).Validate)
+	fuzzOne(t, data, func(m *RoundEnd) []*WirePayload {
+		if m.HasBroadcast {
+			return []*WirePayload{&m.Broadcast}
+		}
+		return nil
+	}, (*RoundEnd).Validate)
+	fuzzOne(t, data, func(*ShardAssign) []*WirePayload { return nil }, (*ShardAssign).Validate)
+	fuzzOne(t, data, func(m *ShardDigest) []*WirePayload {
+		var ws []*WirePayload
+		for i := range m.Uploads {
+			ws = append(ws, &m.Uploads[i].Payload)
+		}
+		if m.HasSum {
+			ws = append(ws, &m.Sum)
+		}
+		return ws
+	}, (*ShardDigest).Validate)
+	fuzzOne(t, data, func(*ShardEnd) []*WirePayload { return nil }, (*ShardEnd).Validate)
+	fuzzOne(t, data, func(m *WirePayload) []*WirePayload { return []*WirePayload{m} }, (*WirePayload).Validate)
+}
+
+// FuzzDecode feeds arbitrary bytes through Decode + Validate for every
+// message type. Malformed input must surface as a named error, never a panic
+// or an allocation the input does not pay for; any accepted input must be a
+// fixed point of Decode∘Encode; and any payload that passes Validate must
+// survive reconstruction into an engine.Payload (packed sections included).
+//
+// Random bytes almost never carry a valid CRC-32C, so each input is tried
+// twice: verbatim, which exercises the frame checks, and with its trailer
+// recomputed, which lets mutations of the seed messages reach the body
+// parser behind the checksum.
 func FuzzDecode(f *testing.F) {
-	for _, b := range seedCorpus(f) {
+	for _, b := range fuzzCorpusEntries(f) {
 		f.Add(b)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte(strings.Repeat("\xff", 64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var rs RoundStart
-		if err := Decode(data, &rs); err == nil {
-			if err := rs.Validate(); err == nil {
-				if rs.HasGlobal {
-					checkReconstruct(t, "RoundStart", &rs.Global)
-				}
-				checkReencode(t, rs)
-			}
-		}
-		var ru RoundUpload
-		if err := Decode(data, &ru); err == nil {
-			if err := ru.Validate(); err == nil {
-				if ru.HasPayload {
-					checkReconstruct(t, "RoundUpload", &ru.Payload)
-				}
-				checkReencode(t, ru)
-			}
-		}
-		var re RoundEnd
-		if err := Decode(data, &re); err == nil {
-			if err := re.Validate(); err == nil {
-				if re.HasBroadcast {
-					checkReconstruct(t, "RoundEnd", &re.Broadcast)
-				}
-				checkReencode(t, re)
-			}
+		fuzzAll(t, data)
+		if len(data) >= frameOverhead {
+			fuzzAll(t, seal(append([]byte(nil), data[:len(data)-4]...)))
 		}
 	})
 }
@@ -382,8 +438,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 var updateCorpus = flag.Bool("update-corpus", false, "regenerate the checked-in fuzz seed corpus under testdata/fuzz")
 
 // fuzzCorpusEntries is the full checked-in seed set for FuzzDecode: every
-// encoded round message seedCorpus produces, plus the raw byte edge cases
-// the fuzz target registers inline.
+// encoded message seedCorpus produces, plus raw byte edge cases.
 func fuzzCorpusEntries(t testing.TB) [][]byte {
 	t.Helper()
 	entries := seedCorpus(t)
@@ -393,9 +448,9 @@ func fuzzCorpusEntries(t testing.TB) [][]byte {
 
 // TestFuzzSeedCorpusFiles pins the checked-in corpus under
 // testdata/fuzz/FuzzDecode to the live encoder, so `go test` replays valid
-// gob streams for every round message type even without -fuzz, and a wire
-// struct change shows up as a stale corpus instead of silently fuzzing
-// yesterday's format. Regenerate with -update-corpus.
+// frames for every message type even without -fuzz, and a wire format change
+// shows up as a stale corpus instead of silently fuzzing yesterday's format.
+// Regenerate with -update-corpus.
 func TestFuzzSeedCorpusFiles(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	entries := fuzzCorpusEntries(t)

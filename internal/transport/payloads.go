@@ -16,9 +16,12 @@ import (
 // to the in-process engine (the analytic byte accounting in internal/comm
 // still prices scalars at 4 bytes, modelling a float32 deployment; see
 // engine.Payload.WireBytes). Under a compressing codec the value slices
-// stay empty and the *Enc sections carry the packed bytes instead; gob
-// omits zero-valued fields, so float64raw payloads encode byte-identically
-// to the pre-codec wire format.
+// stay empty and the *Enc sections carry the packed bytes instead.
+//
+// A WirePayload built by PayloadToWire/PayloadToWireIn aliases the engine
+// payload's float slices, and ToPayloadRef hands the wire payload's slices to
+// the engine payload it returns: the wire struct is a view that lives for one
+// synchronous Encode or from one Decode, not a second copy of the values.
 type WirePayload struct {
 	// Logits block (row-major Rows x Cols), present when HasLogits.
 	HasLogits   bool
@@ -57,8 +60,7 @@ type WirePayload struct {
 // RoundStart opens a round, server → client: it carries the front-loaded
 // global state (engine.Hooks.GlobalState) when the algorithm has one, and
 // announces the round's wire codec — the negotiation: clients encode their
-// uploads under the codec the server declared here. 0 (float64raw) keeps
-// the message byte-identical to the pre-codec format.
+// uploads under the codec the server declared here.
 type RoundStart struct {
 	Round     int
 	HasGlobal bool
@@ -89,8 +91,8 @@ type RoundEnd struct {
 	Codec        uint8
 }
 
-// maxWireDim bounds any single dimension decoded off the wire. Gob happily
-// decodes arbitrary ints, so dimension fields must be range-checked before
+// maxWireDim bounds any single dimension decoded off the wire. Decode accepts
+// any int a varint can hold, so dimension fields must be range-checked before
 // they are multiplied (overflow) or used to size allocations.
 const maxWireDim = 1 << 30
 
@@ -131,12 +133,12 @@ func checkProtos(classes, counts []int32, dim, nvals int) error {
 }
 
 // Validate rejects structurally inconsistent payloads. Decode only checks
-// gob framing; every field a peer controls must pass here before it sizes
-// an allocation or indexes a slice. For packed sections this includes the
-// comm.CheckSection validation — tag legality against the declared codec,
-// exact length against the declared shape, and the body CRC — so a
-// bit-flipped quantized section is rejected here with a named comm error,
-// never silently dequantized into wrong values.
+// framing and the message checksum; every field a peer controls must pass
+// here before it sizes an allocation or indexes a slice. For packed sections
+// this includes the comm.CheckSection validation — tag legality against the
+// declared codec, exact length against the declared shape, and the body CRC —
+// so a bit-flipped quantized section is rejected here with a named comm
+// error, never silently dequantized into wrong values.
 func (w *WirePayload) Validate() error {
 	c := comm.Codec(w.Codec)
 	if !c.Valid() {
@@ -304,7 +306,7 @@ func PayloadToWireIn(p *engine.Payload, c comm.Codec, ref []float64) (WirePayloa
 		w.Rows, w.Cols = p.Logits.Rows, p.Logits.Cols
 		if p.LogitsLocal {
 			// Free on the wire and receiver-recomputable: never quantized.
-			w.Logits = append([]float64(nil), p.Logits.Data...)
+			w.Logits = p.Logits.Data
 		} else {
 			enc, err := comm.EncodeSection(c.LogitsSection(), p.Logits.Data, w.Rows, w.Cols, nil)
 			if err != nil {
@@ -352,7 +354,9 @@ func PayloadToWireIn(p *engine.Payload, c comm.Codec, ref []float64) (WirePayloa
 }
 
 // PayloadToWire serializes an engine payload (nil yields the zero wire
-// payload — pair it with a Has* flag on the enclosing message).
+// payload — pair it with a Has* flag on the enclosing message). Logits and
+// Params alias p's slices rather than copying them: encode the result before
+// p changes.
 func PayloadToWire(p *engine.Payload) WirePayload {
 	var w WirePayload
 	if p == nil {
@@ -361,7 +365,7 @@ func PayloadToWire(p *engine.Payload) WirePayload {
 	if p.Logits != nil {
 		w.HasLogits = true
 		w.Rows, w.Cols = p.Logits.Rows, p.Logits.Cols
-		w.Logits = append([]float64(nil), p.Logits.Data...)
+		w.Logits = p.Logits.Data
 	}
 	w.LogitsLocal = p.LogitsLocal
 	for _, i := range p.Indices {
@@ -382,7 +386,7 @@ func PayloadToWire(p *engine.Payload) WirePayload {
 		}
 	}
 	if len(p.Params) > 0 {
-		w.Params = append([]float64(nil), p.Params...)
+		w.Params = p.Params
 	}
 	w.ParamsCounted = p.ParamsCounted
 	w.NumSamples = p.NumSamples
@@ -400,7 +404,9 @@ func (w *WirePayload) ToPayload() (*engine.Payload, error) {
 // payload, decoding a delta-encoded params section against ref (the round's
 // global params as both ends decoded them). A delta section without a
 // matching reference fails with comm.ErrSectionRef — an error, never a
-// panic or a silently wrong vector.
+// panic or a silently wrong vector. The returned payload takes over w's raw
+// float slices (and the one vector a packed section decodes to) instead of
+// copying them: w is spent once it has been converted.
 func (w *WirePayload) ToPayloadRef(ref []float64) (*engine.Payload, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -411,17 +417,15 @@ func (w *WirePayload) ToPayloadRef(ref []float64) (*engine.Payload, error) {
 		NumSamples:    w.NumSamples,
 	}
 	if w.HasLogits {
-		m := tensor.New(w.Rows, w.Cols)
+		vals := w.Logits
 		if len(w.LogitsEnc) > 0 {
-			vals, _, err := comm.DecodeSection(w.LogitsEnc, w.Rows, w.Cols, nil)
+			var err error
+			vals, _, err = comm.DecodeSection(w.LogitsEnc, w.Rows, w.Cols, nil)
 			if err != nil {
 				return nil, fmt.Errorf("transport: decode logits: %w", err)
 			}
-			copy(m.Data, vals)
-		} else {
-			copy(m.Data, w.Logits)
 		}
-		p.Logits = m
+		p.Logits = tensor.FromSlice(w.Rows, w.Cols, vals)
 	}
 	for _, i := range w.Indices {
 		p.Indices = append(p.Indices, int(i))
@@ -437,9 +441,9 @@ func (w *WirePayload) ToPayloadRef(ref []float64) (*engine.Payload, error) {
 			}
 		}
 		for i, class := range w.ProtoClasses {
-			vec := make([]float64, w.ProtoDim)
-			copy(vec, vals[i*w.ProtoDim:(i+1)*w.ProtoDim])
-			s.Vectors[int(class)] = vec
+			// Capacity-clipped, so an append to one class's vector cannot
+			// run into its neighbour's values.
+			s.Vectors[int(class)] = vals[i*w.ProtoDim : (i+1)*w.ProtoDim : (i+1)*w.ProtoDim]
 			s.Counts[int(class)] = int(w.ProtoCounts[i])
 		}
 		p.Protos = s
@@ -451,7 +455,7 @@ func (w *WirePayload) ToPayloadRef(ref []float64) (*engine.Payload, error) {
 		}
 		p.Params = vals
 	} else if len(w.Params) > 0 {
-		p.Params = append([]float64(nil), w.Params...)
+		p.Params = w.Params
 	}
 	return p, nil
 }

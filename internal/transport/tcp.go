@@ -7,13 +7,18 @@ import (
 	"sync"
 )
 
-// tcpConn adapts a net.Conn to the envelope protocol with buffered writes.
+// tcpConn adapts a net.Conn to the envelope protocol. Reads are buffered; a
+// send is one vectored write of header and payload. Both directions keep
+// their header scratch on the conn, so neither allocates one per envelope.
 type tcpConn struct {
 	conn net.Conn
 	r    *bufio.Reader
+	rhdr [EnvelopeHeaderSize]byte // owned by the one goroutine calling Recv
 
-	wmu sync.Mutex
-	w   *bufio.Writer
+	wmu  sync.Mutex
+	whdr [EnvelopeHeaderSize]byte
+	wvec [2][]byte   // header, payload: backing array of wbuf
+	wbuf net.Buffers // consumed by each send's WriteTo, so rebuilt from wvec
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -23,7 +28,6 @@ func NewTCPConn(conn net.Conn) Conn {
 	return &tcpConn{
 		conn: conn,
 		r:    bufio.NewReader(conn),
-		w:    bufio.NewWriter(conn),
 	}
 }
 
@@ -37,19 +41,24 @@ func Dial(addr string) (Conn, error) {
 }
 
 func (c *tcpConn) Send(e *Envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := writeEnvelope(c.w, e); err != nil {
+	if err := checkPayloadSize(e); err != nil {
 		return err
 	}
-	if err := c.w.Flush(); err != nil {
-		return fmt.Errorf("transport: flush: %w", err)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	putHeader(&c.whdr, e)
+	c.wvec = [2][]byte{c.whdr[:], e.Payload}
+	c.wbuf = c.wvec[:]
+	_, err := c.wbuf.WriteTo(c.conn)
+	c.wvec[1] = nil // a failed write must not pin the payload until the next send
+	if err != nil {
+		return fmt.Errorf("transport: write envelope: %w", err)
 	}
 	return nil
 }
 
 func (c *tcpConn) Recv() (*Envelope, error) {
-	return readEnvelope(c.r)
+	return readEnvelope(c.r, &c.rhdr)
 }
 
 func (c *tcpConn) Close() error {

@@ -128,3 +128,53 @@ func TestTCPPartialPayloadIsError(t *testing.T) {
 		t.Fatalf("recv after torn payload = %v, want a non-EOF error", rerr)
 	}
 }
+
+// TestSendRejectsOversizedPayload pins the send-side half of the frame
+// limit. A payload over 64 MiB used to be written whole behind a header the
+// peer rejects, leaving the stream out of step; now Send refuses it before
+// writing a byte, and the next envelope still arrives intact.
+func TestSendRejectsOversizedPayload(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, server := acceptOne(t, srv)
+	client := NewTCPConn(raw)
+	defer client.Close()
+
+	huge := &Envelope{Kind: KindUpload, From: 1, To: -1, Payload: make([]byte, maxPayload+1)}
+	if err := client.Send(huge); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("TCP send of %d bytes = %v, want ErrPayloadTooLarge", len(huge.Payload), err)
+	}
+	if err := client.Send(&Envelope{Kind: KindUpload, From: 1, To: -1, Round: 4, Payload: []byte("next")}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := server.Recv()
+	if err != nil {
+		t.Fatalf("recv after a refused send: %v", err)
+	}
+	if e.Round != 4 || string(e.Payload) != "next" {
+		t.Fatalf("stream out of step after a refused send: %+v", e)
+	}
+
+	bus := NewBus(1, 1)
+	defer bus.Close()
+	if err := bus.ClientConn(0).Send(huge); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("bus send = %v, want ErrPayloadTooLarge", err)
+	}
+
+	// The receive-side half: a length prefix past the limit is the same
+	// named error, raised before the payload is allocated.
+	raw2, server2 := acceptOne(t, srv)
+	defer raw2.Close()
+	header := make([]byte, EnvelopeHeaderSize)
+	header[0] = byte(KindUpload)
+	binary.BigEndian.PutUint32(header[13:17], maxPayload+1)
+	if _, err := raw2.Write(header); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server2.Recv(); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("recv of an oversized length prefix = %v, want ErrPayloadTooLarge", err)
+	}
+}

@@ -1,7 +1,8 @@
 // Package transport provides real message passing for running the federated
 // protocols as communicating processes rather than an in-process loop: a
-// message envelope with gob payload encoding, an in-memory bus for tests,
-// and a length-prefixed TCP transport used by examples/distributed.
+// message envelope, a binary codec for the round messages it carries
+// (codec.go), an in-memory bus for tests, and a length-prefixed TCP transport
+// used by examples/distributed.
 //
 // The core simulation in internal/fl calls algorithms directly for speed and
 // accounts bytes through internal/comm; this package exists so the same
@@ -9,9 +10,8 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -93,24 +93,27 @@ type Envelope struct {
 // WireSize returns the envelope's size on the wire (header + payload),
 // matching what the TCP transport actually writes.
 func (e *Envelope) WireSize() int {
-	return envelopeHeaderSize + len(e.Payload)
+	return EnvelopeHeaderSize + len(e.Payload)
 }
 
-const envelopeHeaderSize = 1 + 4 + 4 + 4 + 4 // kind + from + to + round + payload length
+// EnvelopeHeaderSize is the fixed header every envelope carries on the wire:
+// kind + from + to + round + payload length.
+const EnvelopeHeaderSize = 1 + 4 + 4 + 4 + 4
 
-// Encode gob-encodes a payload value for an envelope.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// maxPayload bounds a single envelope payload (64 MiB): a sender refuses to
+// frame more, and a receiver fails fast on a corrupt length prefix rather
+// than allocating unbounded memory.
+const maxPayload = 64 << 20
 
-// Decode gob-decodes an envelope payload into v (a pointer).
-func Decode(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode payload: %w", err)
+// ErrPayloadTooLarge marks an envelope whose payload exceeds the 64 MiB frame
+// limit. Send returns it before writing anything, so the stream stays in
+// step; Recv returns it for a length prefix no sender could have written.
+var ErrPayloadTooLarge = errors.New("transport: envelope payload exceeds the frame limit")
+
+// checkPayloadSize is the send-side half of the frame limit.
+func checkPayloadSize(e *Envelope) error {
+	if len(e.Payload) > maxPayload {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrPayloadTooLarge, len(e.Payload), maxPayload)
 	}
 	return nil
 }
@@ -126,49 +129,36 @@ type Conn interface {
 	Close() error
 }
 
-// writeEnvelope serializes an envelope onto w with a fixed header.
-func writeEnvelope(w io.Writer, e *Envelope) error {
-	header := make([]byte, envelopeHeaderSize)
-	header[0] = byte(e.Kind)
-	binary.BigEndian.PutUint32(header[1:5], uint32(int32(e.From)))
-	binary.BigEndian.PutUint32(header[5:9], uint32(int32(e.To)))
-	binary.BigEndian.PutUint32(header[9:13], uint32(int32(e.Round)))
-	binary.BigEndian.PutUint32(header[13:17], uint32(len(e.Payload)))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("transport: write header: %w", err)
-	}
-	if _, err := w.Write(e.Payload); err != nil {
-		return fmt.Errorf("transport: write payload: %w", err)
-	}
-	return nil
+// putHeader writes e's fixed header into hdr.
+func putHeader(hdr *[EnvelopeHeaderSize]byte, e *Envelope) {
+	hdr[0] = byte(e.Kind)
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(int32(e.From)))
+	binary.BigEndian.PutUint32(hdr[5:9], uint32(int32(e.To)))
+	binary.BigEndian.PutUint32(hdr[9:13], uint32(int32(e.Round)))
+	binary.BigEndian.PutUint32(hdr[13:17], uint32(len(e.Payload)))
 }
 
-// maxPayload bounds a single envelope payload (64 MiB) to fail fast on
-// corrupt length prefixes rather than allocating unbounded memory.
-const maxPayload = 64 << 20
-
-// readEnvelope deserializes one envelope from r.
-func readEnvelope(r io.Reader) (*Envelope, error) {
-	header := make([]byte, envelopeHeaderSize)
-	if _, err := io.ReadFull(r, header); err != nil {
+// readEnvelope deserializes one envelope from r, using hdr as header scratch.
+func readEnvelope(r io.Reader, hdr *[EnvelopeHeaderSize]byte) (*Envelope, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(header[13:17])
+	n := binary.BigEndian.Uint32(hdr[13:17])
 	if n > maxPayload {
-		return nil, fmt.Errorf("transport: payload length %d exceeds limit %d", n, maxPayload)
+		return nil, fmt.Errorf("%w: length prefix %d, limit %d", ErrPayloadTooLarge, n, maxPayload)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("transport: read payload: %w", err)
 	}
 	return &Envelope{
-		Kind:    Kind(header[0]),
-		From:    int(int32(binary.BigEndian.Uint32(header[1:5]))),
-		To:      int(int32(binary.BigEndian.Uint32(header[5:9]))),
-		Round:   int(int32(binary.BigEndian.Uint32(header[9:13]))),
+		Kind:    Kind(hdr[0]),
+		From:    int(int32(binary.BigEndian.Uint32(hdr[1:5]))),
+		To:      int(int32(binary.BigEndian.Uint32(hdr[5:9]))),
+		Round:   int(int32(binary.BigEndian.Uint32(hdr[9:13]))),
 		Payload: payload,
 	}, nil
 }

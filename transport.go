@@ -46,8 +46,16 @@ func Dial(addr string) (Conn, error) { return transport.Dial(addr) }
 // NewBus returns an in-memory transport for n clients.
 func NewBus(n, buffer int) *Bus { return transport.NewBus(n, buffer) }
 
-// EncodePayload gob-encodes an envelope payload.
+// EncodePayload encodes an envelope payload in the transport's binary wire
+// format (version byte, message tag, body, CRC-32C trailer). v is one of the
+// round messages — RoundStart, RoundUpload, RoundEnd, a bare WirePayload, or
+// the aggregator tree's shard messages — by value or by pointer; anything
+// else fails with an error matching transport.ErrUnknownMessage.
 func EncodePayload(v any) ([]byte, error) { return transport.Encode(v) }
 
-// DecodePayload gob-decodes an envelope payload into v (a pointer).
+// DecodePayload decodes an envelope payload into v, a pointer to the round
+// message the envelope's kind announces. A payload that was corrupted, cut
+// short, or holds a different message fails with a named transport error
+// (ErrChecksum, ErrTruncated, ErrMessageTag, ErrFormatVersion); a decoded
+// message still has to pass its Validate.
 func DecodePayload(payload []byte, v any) error { return transport.Decode(payload, v) }
