@@ -23,15 +23,3 @@ type (
 	// AsyncFlushRecord is one buffer flush in an async run's history.
 	AsyncFlushRecord = fl.AsyncFlush
 )
-
-// SetAsync switches an algorithm's runs to the barrier-free async mode. Call
-// before the first round (and, when resuming an async checkpoint, before
-// Resume, with the checkpointed options). Works with every engine-backed
-// algorithm, in-process or distributed.
-func SetAsync(algo Algorithm, opts AsyncOptions) error {
-	r, err := engine.Of(algo)
-	if err != nil {
-		return err
-	}
-	return r.SetAsync(opts)
-}

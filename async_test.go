@@ -15,8 +15,8 @@ import (
 // 2-deep buffer over the 3-client golden fleet, straggler model on, so the
 // schedule produces genuinely stale contributions whose damping the goldens
 // freeze.
-func asyncGoldenOpts() AsyncOptions {
-	return AsyncOptions{
+func asyncGoldenOpts() *AsyncOptions {
+	return &AsyncOptions{
 		BufferSize:     2,
 		StalenessAlpha: 0.5,
 		Schedule:       ArrivalSchedule{Seed: 31, StragglerFrac: 0.34},
@@ -43,7 +43,7 @@ func TestGoldenAsyncHistories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SetAsync(algo, asyncGoldenOpts()); err != nil {
+			if _, err := Configure(algo, RunSpec{Async: asyncGoldenOpts()}); err != nil {
 				t.Fatal(err)
 			}
 			hist, err := algo.Run(asyncGoldenFlushes)
@@ -87,7 +87,7 @@ func TestAsyncSameSeedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := SetAsync(algo, asyncGoldenOpts()); err != nil {
+		if _, err := Configure(algo, RunSpec{Async: asyncGoldenOpts()}); err != nil {
 			t.Fatal(err)
 		}
 		hist, err := algo.Run(asyncGoldenFlushes)
@@ -125,7 +125,7 @@ func TestGoldenFedPKDFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetWireCodec(algo, "float32"); err != nil {
+	if _, err := Configure(algo, RunSpec{Codec: "float32"}); err != nil {
 		t.Fatal(err)
 	}
 	hist, err := algo.Run(goldenRounds)
@@ -172,7 +172,7 @@ func TestLedgerRawCoversWireForEveryCodec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SetWireCodec(algo, c.String()); err != nil {
+			if _, err := Configure(algo, RunSpec{Codec: c.String()}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := distrib.Run(algo, goldenRounds, distrib.Options{}); err != nil {

@@ -14,7 +14,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := expt.Run(id, expt.Quick, 42)
+		res, err := expt.Run(id, expt.Quick, 42, expt.RunSpec{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,20 +11,6 @@ import (
 // state. A run restored from a checkpoint continues bit-identically to one
 // that was never interrupted.
 
-// SetCheckpointPolicy enables auto-checkpointing for an algorithm: a durable
-// checkpoint is written into dir after every `every` completed rounds. The
-// write is crash-safe (temp file + fsync + atomic rename) and earlier round
-// files are kept, so the newest previous checkpoint survives until the new
-// one is durable.
-func SetCheckpointPolicy(algo Algorithm, dir string, every int) error {
-	r, err := engine.Of(algo)
-	if err != nil {
-		return err
-	}
-	r.SetCheckpointPolicy(dir, every)
-	return nil
-}
-
 // SaveCheckpoint durably writes the algorithm's full run state into dir and
 // returns the written path.
 func SaveCheckpoint(algo Algorithm, dir string) (string, error) {
@@ -33,18 +19,6 @@ func SaveCheckpoint(algo Algorithm, dir string) (string, error) {
 		return "", err
 	}
 	return r.SaveCheckpoint(dir)
-}
-
-// ResumeAlgorithm restores a freshly constructed algorithm from a checkpoint
-// file, or from the newest valid checkpoint when path is a directory
-// (corrupt newer files are skipped, reported in warnings). The algorithm
-// must have been built with the same configuration as the checkpointed run.
-func ResumeAlgorithm(algo Algorithm, path string) (warnings []string, err error) {
-	r, err := engine.Of(algo)
-	if err != nil {
-		return nil, err
-	}
-	return r.ResumeAny(path)
 }
 
 // CompletedRounds returns how many rounds the algorithm has completed

@@ -7,7 +7,10 @@
 //	fedbench -list
 //
 // Each experiment prints the same rows/series the paper reports and, with
-// -out, also writes CSV files.
+// -out, also writes CSV files. The run-configuration flags (-codec, -async,
+// -availability, -checkpoint-dir, -chaos, -shards, ...) fill one expt.RunSpec
+// handed to every experiment; DESIGN.md §7 tabulates which experiment
+// honours which.
 package main
 
 import (
@@ -19,65 +22,38 @@ import (
 	"time"
 
 	"fedpkd/internal/expt"
-	"fedpkd/internal/faults"
 	"fedpkd/internal/obs"
 	"fedpkd/internal/tensor"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "fedbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		expID     = flag.String("exp", "", "experiment id (or 'all'); see -list")
-		scaleName = flag.String("scale", "std", "compute scale: quick, std, or full")
-		seed      = flag.Uint64("seed", 42, "experiment seed")
-		outDir    = flag.String("out", "", "directory for CSV output (optional)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		targetC10 = flag.Float64("target-c10", expt.DefaultTargetC10, "table1 accuracy target for SynthC10")
-		targetC1h = flag.Float64("target-c100", expt.DefaultTargetC100, "table1 accuracy target for SynthC100")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-		workers   = flag.Int("workers", 0, "tensor-kernel worker fan-out; 0 tracks GOMAXPROCS (results are bit-identical at any width)")
-		ckptDir   = flag.String("checkpoint-dir", "", "root directory for per-run checkpoints (each run gets its own subdirectory)")
-		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in rounds (with -checkpoint-dir)")
-		resume    = flag.Bool("resume", false, "continue interrupted runs from their newest valid checkpoint under -checkpoint-dir")
-		codecName = flag.String("codec", "", "payload wire codec for experiment runs: float64raw (default), float32, or int8; the compression experiment sweeps all of them regardless")
-		chaosSpec = flag.String("chaos", "", "failures experiment: replace the default crash sweep with this fault plan, e.g. drop=0.1,crash=0.2 (tier keys tierdrop/tierdelay/tierdup/tiercorrupt/tiersendfail/leafcrash target the aggregator tree)")
-		asyncMode = flag.Bool("async", false, "run the generic matrix experiments in barrier-free async mode (the async experiment compares sync vs async regardless)")
-		bufSize   = flag.Int("buffer-size", 0, "async buffer size K; 0 defaults to half the fleet (with -async)")
-		stalAlpha = flag.Float64("staleness-alpha", 0, "async staleness exponent α in 1/(1+s)^α; 0 keeps the engine default (with -async)")
-		cliTmo    = flag.Duration("client-timeout", 0, "failures experiment: straggler deadline per distributed round (default 1m)")
-		minQuorum = flag.Int("min-quorum", 0, "failures experiment: abort distributed rounds that aggregate fewer uploads; 0 disables")
-		availSpec = flag.String("availability", "", "run the generic matrix experiments under a seeded diurnal availability trace, e.g. period=24,min=0.5,max=0.9 (the churn experiment compares fixed vs diurnal regardless)")
-		shards    = flag.Int("shards", 0, "reduce distributed experiment runs through an aggregator tree with this many leaves; 0/1 keeps the flat server (the hierarchy experiment compares flat vs tree regardless)")
-		leafTmo   = flag.Duration("leaf-timeout", 0, "treefaults experiment: root-side deadline per shard digest (default 1m)")
-		shardQ    = flag.Int("shard-quorum", 0, "treefaults experiment: abort tree rounds that merge fewer shard digests; 0 disables")
+		expID     = fs.String("exp", "", "experiment id (or 'all'); see -list")
+		scaleName = fs.String("scale", "std", "compute scale: quick, std, or full")
+		seed      = fs.Uint64("seed", 42, "experiment seed")
+		outDir    = fs.String("out", "", "directory for CSV output (optional)")
+		list      = fs.Bool("list", false, "list experiment ids and exit")
+		targetC10 = fs.Float64("target-c10", expt.DefaultTargetC10, "table1 accuracy target for SynthC10")
+		targetC1h = fs.Float64("target-c100", expt.DefaultTargetC100, "table1 accuracy target for SynthC100")
+		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
+		workers   = fs.Int("workers", 0, "tensor-kernel worker fan-out; 0 tracks GOMAXPROCS (results are bit-identical at any width)")
+		runFlags  = expt.BindRunFlags(fs, true)
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	tensor.SetWorkers(*workers)
-	if err := expt.SetWireCodec(*codecName); err != nil {
-		return err
-	}
-	expt.SetCheckpointPolicy(*ckptDir, *ckptEvery, *resume)
-	plan, err := faults.ParsePlan(*chaosSpec, *seed)
+	spec, err := runFlags.Spec(*seed)
 	if err != nil {
 		return err
 	}
-	expt.SetFailureModel(plan, *cliTmo, *minQuorum)
-	if !*asyncMode && (*bufSize != 0 || *stalAlpha != 0) {
-		return fmt.Errorf("-buffer-size and -staleness-alpha require -async")
-	}
-	expt.SetAsyncMode(*asyncMode, *bufSize, *stalAlpha)
-	if err := expt.SetAvailabilityModel(*availSpec); err != nil {
-		return err
-	}
-	expt.SetTreePolicy(*shards)
-	expt.SetTreeFaultModel(*leafTmo, *shardQ)
 
 	if *debugAddr != "" {
 		dbg, err := obs.StartDebugServer(*debugAddr)
@@ -108,9 +84,9 @@ func run() error {
 		start := time.Now()
 		var res *expt.Result
 		if id == "table1" {
-			res, err = expt.RunTable1(sc, *seed, *targetC10, *targetC1h)
+			res, err = expt.RunTable1(sc, *seed, spec, *targetC10, *targetC1h)
 		} else {
-			res, err = expt.Run(id, sc, *seed)
+			res, err = expt.Run(id, sc, *seed, spec)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)

@@ -20,58 +20,47 @@ import (
 	"time"
 
 	"fedpkd"
+	"fedpkd/internal/expt"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "fedpkd-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		algoName  = flag.String("algo", "FedPKD", "algorithm: "+strings.Join(fedpkd.Algorithms(), ", "))
-		task      = flag.String("task", "c10", "task: c10 or c100")
-		partition = flag.String("partition", "dirichlet", "partition: iid, dirichlet, shards")
-		alpha     = flag.Float64("alpha", 0.5, "Dirichlet concentration")
-		k         = flag.Int("k", 3, "classes per client (shards partition)")
-		clients   = flag.Int("clients", 5, "number of clients")
-		rounds    = flag.Int("rounds", 6, "total communication rounds (a resumed run executes only the remainder)")
-		trainSize = flag.Int("train", 3000, "training-pool size")
-		pubSize   = flag.Int("public", 600, "public-set size")
-		testSize  = flag.Int("test", 1000, "test-set size")
-		seed      = flag.Uint64("seed", 42, "seed")
-		hetero    = flag.Bool("hetero", false, "heterogeneous client fleet (ResNet11/20/29)")
-		theta     = flag.Float64("theta", 0.7, "FedPKD select ratio θ")
-		delta     = flag.Float64("delta", 0.5, "FedPKD server loss mix δ")
-		codec     = flag.String("codec", "float64raw", "payload wire codec: "+strings.Join(fedpkd.WireCodecs(), ", "))
-		distMode  = flag.String("distributed", "", "run the algorithm over a transport: bus or tcp")
-		chaos     = flag.String("chaos", "", "inject deterministic faults into the distributed transport, e.g. drop=0.1,crash=0.2 (client keys: drop, delay, dup, corrupt, sendfail, crash, maxdelay; tier keys with -shards: tierdrop, tierdelay, tierdup, tiercorrupt, tiersendfail, leafcrash)")
-		cliTmo    = flag.Duration("client-timeout", 0, "distributed straggler deadline per round; 0 waits forever (required >0 for lossy -chaos plans)")
-		minQuorum = flag.Int("min-quorum", 0, "abort a distributed round that aggregated fewer uploads; 0 disables")
-		leafTmo   = flag.Duration("leaf-timeout", 0, "root-side deadline per shard digest in tree mode; 0 waits forever (required >0 for lossy tier -chaos plans)")
-		shardQ    = flag.Int("shard-quorum", 0, "abort a tree-mode round that merged fewer shard digests; 0 disables")
-		localEp   = flag.Int("local-epochs", 5, "baseline local epochs / FedPKD private epochs")
-		serverEp  = flag.Int("server-epochs", 8, "server / distill epochs")
-		traceDir  = flag.String("trace-dir", "results", "directory for round-trace JSONL/CSV output (empty disables tracing)")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-		progress  = flag.Bool("progress", true, "print a per-round progress line to stderr (requires tracing)")
-		workers   = flag.Int("workers", 0, "tensor-kernel worker fan-out; 0 tracks GOMAXPROCS (results are bit-identical at any width)")
-		ckptDir   = flag.String("checkpoint-dir", "", "write a durable run checkpoint into this directory every -checkpoint-every rounds")
-		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in rounds (with -checkpoint-dir)")
-		resume    = flag.String("resume", "", "resume from a checkpoint file, or from the newest valid checkpoint in a directory")
-		async     = flag.Bool("async", false, "barrier-free rounds: each round flushes a buffer of the K earliest arrivals, staleness-weighted")
-		bufSize   = flag.Int("buffer-size", 0, "async buffer size K; 0 defaults to half the fleet (requires -async)")
-		stalAlpha = flag.Float64("staleness-alpha", 0.5, "async staleness exponent α in 1/(1+s)^α (requires -async)")
-		serveMode = flag.Bool("serve", false, "run as a long-lived service with an operator control plane (requires -distributed, -checkpoint-dir, -ctl-addr)")
-		ctlAddr   = flag.String("ctl-addr", "", "control-plane socket: a unix socket path (contains /) or a TCP host:port")
-		ctlCmd    = flag.String("ctl-cmd", "", "send one command (pause, ping, status, resume, save, quit) to the service at -ctl-addr and exit")
-		availSpec = flag.String("availability", "", "seeded diurnal availability trace, e.g. period=24,min=0.5,max=0.9,seed=7; cohorts sample from online clients")
-		popSpec   = flag.String("population", "", "comma-separated client ids registered at start, e.g. 0,1,2 (requires -distributed); others may join mid-run")
-		shards    = flag.Int("shards", 0, "aggregator-tree leaf count; >1 reduces uploads through a two-tier tree (requires -distributed), 0/1 keeps the flat server")
+		algoName  = fs.String("algo", "FedPKD", "algorithm: "+strings.Join(fedpkd.Algorithms(), ", "))
+		task      = fs.String("task", "c10", "task: c10 or c100")
+		partition = fs.String("partition", "dirichlet", "partition: iid, dirichlet, shards")
+		alpha     = fs.Float64("alpha", 0.5, "Dirichlet concentration")
+		k         = fs.Int("k", 3, "classes per client (shards partition)")
+		clients   = fs.Int("clients", 5, "number of clients")
+		rounds    = fs.Int("rounds", 6, "total communication rounds (a resumed run executes only the remainder)")
+		trainSize = fs.Int("train", 3000, "training-pool size")
+		pubSize   = fs.Int("public", 600, "public-set size")
+		testSize  = fs.Int("test", 1000, "test-set size")
+		seed      = fs.Uint64("seed", 42, "seed")
+		hetero    = fs.Bool("hetero", false, "heterogeneous client fleet (ResNet11/20/29)")
+		theta     = fs.Float64("theta", 0.7, "FedPKD select ratio θ")
+		delta     = fs.Float64("delta", 0.5, "FedPKD server loss mix δ")
+		distMode  = fs.String("distributed", "", "run the algorithm over a transport: bus or tcp")
+		localEp   = fs.Int("local-epochs", 5, "baseline local epochs / FedPKD private epochs")
+		serverEp  = fs.Int("server-epochs", 8, "server / distill epochs")
+		traceDir  = fs.String("trace-dir", "results", "directory for round-trace JSONL/CSV output (empty disables tracing)")
+		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
+		progress  = fs.Bool("progress", true, "print a per-round progress line to stderr (requires tracing)")
+		workers   = fs.Int("workers", 0, "tensor-kernel worker fan-out; 0 tracks GOMAXPROCS (results are bit-identical at any width)")
+		serveMode = fs.Bool("serve", false, "run as a long-lived service with an operator control plane (requires -distributed, -checkpoint-dir, -ctl-addr)")
+		ctlAddr   = fs.String("ctl-addr", "", "control-plane socket: a unix socket path (contains /) or a TCP host:port")
+		ctlCmd    = fs.String("ctl-cmd", "", "send one command (pause, ping, status, resume, save, quit) to the service at -ctl-addr and exit")
+		popSpec   = fs.String("population", "", "comma-separated client ids registered at start, e.g. 0,1,2 (requires -distributed); others may join mid-run")
+		runFlags  = expt.BindRunFlags(fs, false)
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	// Client mode: talk to a running service's control plane and exit.
 	if *ctlCmd != "" {
@@ -92,7 +81,13 @@ func run() error {
 		}
 		return nil
 	}
-	if *serveMode && (*distMode == "" || *ckptDir == "" || *ctlAddr == "") {
+	runSpec, err := runFlags.Spec(*seed)
+	if err != nil {
+		return err
+	}
+	dist := &runSpec.Distrib
+	dist.Mode = fedpkd.DistributedMode(*distMode)
+	if *serveMode && (*distMode == "" || runSpec.CheckpointDir == "" || *ctlAddr == "") {
 		return fmt.Errorf("-serve requires -distributed, -checkpoint-dir, and -ctl-addr")
 	}
 	if *ctlAddr != "" && !*serveMode {
@@ -101,11 +96,14 @@ func run() error {
 	if *popSpec != "" && *distMode == "" {
 		return fmt.Errorf("-population requires -distributed")
 	}
-	if *shards > 1 && *distMode == "" {
+	if dist.Topology.Enabled() && *distMode == "" {
 		return fmt.Errorf("-shards requires -distributed")
 	}
-	if (*leafTmo != 0 || *shardQ != 0) && *shards <= 1 {
+	if (dist.LeafTimeout != 0 || dist.ShardQuorum != 0) && !dist.Topology.Enabled() {
 		return fmt.Errorf("-leaf-timeout and -shard-quorum require -shards > 1")
+	}
+	if *distMode == "" && (dist.Faults != nil || dist.ClientTimeout != 0 || dist.MinQuorum != 0) {
+		return fmt.Errorf("-chaos, -client-timeout, and -min-quorum require -distributed")
 	}
 
 	fedpkd.SetKernelWorkers(*workers)
@@ -170,89 +168,36 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := fedpkd.SetWireCodec(algo, *codec); err != nil {
-		return err
-	}
 
-	if !*async && (*bufSize != 0 || *stalAlpha != 0.5) {
-		return fmt.Errorf("-buffer-size and -staleness-alpha require -async")
-	}
-	if *async {
-		k := *bufSize
-		if k <= 0 {
-			k = (*clients + 1) / 2
-		}
-		err := fedpkd.SetAsync(algo, fedpkd.AsyncOptions{
-			BufferSize:     k,
-			StalenessAlpha: *stalAlpha,
-			Schedule:       fedpkd.ArrivalSchedule{Seed: *seed},
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	if *resume != "" {
-		warnings, err := fedpkd.ResumeAlgorithm(algo, *resume)
-		for _, w := range warnings {
-			fmt.Fprintln(os.Stderr, "fedpkd-sim:", w)
-		}
-		if err != nil {
-			return fmt.Errorf("resume from %s: %w", *resume, err)
-		}
-		done, _ := fedpkd.CompletedRounds(algo)
-		fmt.Fprintf(os.Stderr, "resumed %s at round %d from %s\n", *algoName, done, *resume)
-	}
-	if *ckptDir != "" {
-		if err := fedpkd.SetCheckpointPolicy(algo, *ckptDir, *ckptEvery); err != nil {
-			return err
-		}
-	}
-
-	// The availability trace is run configuration, not checkpointed state, so
-	// it is (re)applied after any resume.
-	avail, err := fedpkd.ParseAvailability(*availSpec, *seed)
-	if err != nil {
-		return err
-	}
-	if avail != nil {
-		if err := fedpkd.SetAvailability(algo, avail); err != nil {
-			return err
-		}
-	}
-	var population []int
-	if *popSpec != "" {
-		if population, err = fedpkd.ParsePopulation(*popSpec, *clients); err != nil {
-			return err
-		}
-	}
-
-	var rec *fedpkd.Recorder
 	if *traceDir != "" {
-		rec = fedpkd.NewRecorder(*algoName)
+		runSpec.Recorder = fedpkd.NewRecorder(*algoName)
 		if *progress {
-			rec.OnRoundEnd(func(tr fedpkd.RoundTrace) {
+			runSpec.Recorder.OnRoundEnd(func(tr fedpkd.RoundTrace) {
 				fmt.Fprintln(os.Stderr, tr.ProgressLine())
 			})
 		}
 	}
+	warnings, err := fedpkd.Configure(algo, runSpec)
+	for _, w := range warnings {
+		fmt.Fprintln(os.Stderr, "fedpkd-sim:", w)
+	}
+	if err != nil {
+		return err
+	}
+	done, err := fedpkd.CompletedRounds(algo)
+	if err != nil {
+		return err
+	}
+	if runSpec.Resume != "" {
+		fmt.Fprintf(os.Stderr, "resumed %s at round %d from %s\n", *algoName, done, runSpec.Resume)
+	}
 
 	var history *fedpkd.History
 	if *distMode != "" {
-		plan, err := fedpkd.ParseFaultPlan(*chaos, *seed)
-		if err != nil {
-			return err
-		}
-		opts := fedpkd.DistributedOptions{
-			Mode:          fedpkd.DistributedMode(*distMode),
-			Recorder:      rec,
-			ClientTimeout: *cliTmo,
-			MinQuorum:     *minQuorum,
-			LeafTimeout:   *leafTmo,
-			ShardQuorum:   *shardQ,
-			Faults:        plan,
-			Population:    population,
-			Topology:      fedpkd.Topology{Shards: *shards},
+		if *popSpec != "" {
+			if dist.Population, err = fedpkd.ParsePopulation(*popSpec, *clients); err != nil {
+				return err
+			}
 		}
 		var gate *fedpkd.ControlGate
 		if *serveMode {
@@ -261,26 +206,22 @@ func run() error {
 			// command writes through the same rolling-checkpoint path the
 			// -checkpoint-every policy uses.
 			gate = fedpkd.NewControlGate(func() (string, error) {
-				return fedpkd.SaveCheckpoint(algo, *ckptDir)
+				return fedpkd.SaveCheckpoint(algo, runSpec.CheckpointDir)
 			})
-			opts.Barrier = gate.Barrier
-			opts.WireRegistration = true
-			if *shards > 1 {
+			dist.Barrier = gate.Barrier
+			dist.WireRegistration = true
+			if dist.Topology.Enabled() {
 				// Tree mode: the demultiplexer owns the fan-in socket, so
 				// registration cannot arrive as wire traffic. The registry is
 				// seeded from -population (or the whole fleet) instead.
-				opts.WireRegistration = false
+				dist.WireRegistration = false
 				fmt.Fprintln(os.Stderr, "fedpkd-sim: tree-serve mode pre-registers the fleet (wire registration needs the flat fan-in)")
 			}
-		}
-		done, err := fedpkd.CompletedRounds(algo)
-		if err != nil {
-			return err
 		}
 		if *rounds < done {
 			return fmt.Errorf("-rounds %d but %d rounds already completed", *rounds, done)
 		}
-		svc, err := fedpkd.NewService(algo, opts)
+		svc, err := fedpkd.NewService(algo, *dist)
 		if err != nil {
 			return err
 		}
@@ -319,19 +260,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	} else if *chaos != "" || *cliTmo != 0 || *minQuorum != 0 {
-		return fmt.Errorf("-chaos, -client-timeout, and -min-quorum require -distributed")
-	} else {
-		if ins, ok := algo.(fedpkd.Instrumented); ok {
-			ins.SetRecorder(rec)
-		}
-		history, err = fedpkd.RunAlgorithmUntil(algo, *rounds)
-		if err != nil {
-			return err
-		}
+	} else if history, err = fedpkd.RunAlgorithmUntil(algo, *rounds); err != nil {
+		return err
 	}
 
-	if rec != nil {
+	if rec := runSpec.Recorder; rec != nil {
 		prefix := strings.ToLower(strings.ReplaceAll(*algoName, "-", ""))
 		jsonlPath, csvPath, err := rec.DumpFiles(*traceDir, prefix)
 		if err != nil {

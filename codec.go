@@ -2,7 +2,6 @@ package fedpkd
 
 import (
 	"fedpkd/internal/comm"
-	"fedpkd/internal/fl/engine"
 )
 
 // Wire-codec facade. Every payload an algorithm ships — public-set logits,
@@ -14,27 +13,11 @@ import (
 // codecs additionally record the float64-equivalent byte counts in the
 // ledger's raw columns so compression ratios come out of one run.
 
-// WireCodecs lists the codec names SetWireCodec accepts.
+// WireCodecs lists the codec names RunSpec.Codec accepts.
 func WireCodecs() []string {
 	names := make([]string, 0, 3)
 	for c := comm.Codec(0); c.Valid(); c++ {
 		names = append(names, c.String())
 	}
 	return names
-}
-
-// SetWireCodec selects the payload wire codec for an algorithm's runs. Call
-// it before the first round; quantization is part of the training trajectory
-// (clients learn from what actually arrived), so switching codecs mid-run
-// would make the history unreproducible.
-func SetWireCodec(algo Algorithm, codec string) error {
-	r, err := engine.Of(algo)
-	if err != nil {
-		return err
-	}
-	c, err := comm.ParseCodec(codec)
-	if err != nil {
-		return err
-	}
-	return r.SetCodec(c)
 }

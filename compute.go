@@ -21,8 +21,5 @@ type KernelStats = tensor.KernelStats
 // the default, which tracks GOMAXPROCS.
 func SetKernelWorkers(n int) { tensor.SetWorkers(n) }
 
-// KernelWorkers returns the current tensor-kernel fan-out width.
-func KernelWorkers() int { return tensor.Workers() }
-
 // ReadKernelStats returns a snapshot of the compute-layer counters.
 func ReadKernelStats() KernelStats { return tensor.ReadKernelStats() }

@@ -36,16 +36,6 @@ var (
 	ErrUnknownClient     = distrib.ErrUnknownClient
 )
 
-// ParseFaultPlan parses a CLI chaos spec like
-// "drop=0.1,crash=0.2,dup=0.05,corrupt=0.01,delay=0.3,sendfail=0.1,maxdelay=5ms"
-// into a FaultPlan seeded with seed. Tier-prefixed keys (tierdrop, tierdelay,
-// tierdup, tiercorrupt, tiersendfail) and leafcrash target the aggregator
-// tree's leaf↔root links and leaf processes instead of the client plane. An
-// empty spec returns nil (no chaos).
-func ParseFaultPlan(spec string, seed uint64) (*FaultPlan, error) {
-	return faults.ParsePlan(spec, seed)
-}
-
 // Distributed transport modes.
 const (
 	ModeBus = distrib.ModeBus

@@ -99,7 +99,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(ids) < 10 {
 		t.Errorf("only %d experiments registered", len(ids))
 	}
-	if _, err := RunExperiment("bogus", ScaleQuick, 1); err == nil {
+	if _, err := RunExperiment("bogus", ScaleQuick, 1, RunSpec{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

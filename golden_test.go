@@ -135,7 +135,7 @@ func TestGoldenHistoriesExplicitFloat64Codec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SetWireCodec(algo, "float64raw"); err != nil {
+			if _, err := Configure(algo, RunSpec{Codec: "float64raw"}); err != nil {
 				t.Fatal(err)
 			}
 			hist, err := algo.Run(goldenRounds)
@@ -171,7 +171,7 @@ func TestGoldenFedPKDInt8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetWireCodec(algo, "int8"); err != nil {
+	if _, err := Configure(algo, RunSpec{Codec: "int8"}); err != nil {
 		t.Fatal(err)
 	}
 	hist, err := algo.Run(goldenRounds)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 )
 
 const (
@@ -89,13 +88,6 @@ func (d *Dict) Names() []string {
 	for i, s := range d.sections {
 		names[i] = s.Name
 	}
-	return names
-}
-
-// SortedNames returns the section names sorted, for stable error messages.
-func (d *Dict) SortedNames() []string {
-	names := d.Names()
-	sort.Strings(names)
 	return names
 }
 

@@ -225,14 +225,6 @@ func New(cfg Config) (*FedPKD, error) {
 	return &FedPKD{Runner: runner, h: h}, nil
 }
 
-// ConfigSnapshot returns the run's configuration with all defaults applied.
-// The ClientArchs slice is copied so callers cannot mutate the run.
-func (f *FedPKD) ConfigSnapshot() Config {
-	cfg := f.h.cfg
-	cfg.ClientArchs = append([]string(nil), f.h.cfg.ClientArchs...)
-	return cfg
-}
-
 // Server returns the trained server model.
 func (f *FedPKD) Server() *nn.Network { return f.h.server }
 

@@ -501,7 +501,7 @@ func (s *Service) aggregate(plan *roundPlan, uploads []engine.Upload, report *ro
 		for _, u := range uploads {
 			report.contributors = append(report.contributors, u.Client)
 		}
-		uploads = s.runner.AsyncWeightUploads(rc, plan.flush, uploads)
+		uploads = s.runner.AsyncWeightUploads(plan.flush, uploads)
 	}
 	return s.runner.Hooks().Aggregate(rc, uploads)
 }

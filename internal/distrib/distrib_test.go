@@ -9,6 +9,7 @@ import (
 	"fedpkd/internal/dataset"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
+	"fedpkd/internal/obs"
 )
 
 func distribEnv(t *testing.T) *fl.Env {
@@ -64,6 +65,27 @@ func TestRunOverBus(t *testing.T) {
 	}
 	if hist.Algo != "FedPKD(distributed)" {
 		t.Errorf("history algo = %q", hist.Algo)
+	}
+}
+
+// TestRunKeepsRunnerRecorder: a recorder attached to the runner before the
+// service is built survives a zero Options.Recorder. NewService used to
+// overwrite it with nil, so the run produced no traces.
+func TestRunKeepsRunnerRecorder(t *testing.T) {
+	algo := distribFedPKD(t, distribEnv(t))
+	rec := obs.NewRecorder(algo.Name())
+	algo.SetRecorder(rec)
+	if _, err := Run(algo, 2, Options{Mode: ModeBus}); err != nil {
+		t.Fatal(err)
+	}
+	traces := rec.Traces()
+	if len(traces) != 2 {
+		t.Fatalf("recorder holds %d round traces, want 2", len(traces))
+	}
+	for _, tr := range traces {
+		if tr.UploadBytes == 0 || tr.ClientTrainNS == nil {
+			t.Errorf("round %d trace is missing the server's bytes or the clients' spans: %+v", tr.Round, tr)
+		}
 	}
 }
 

@@ -122,19 +122,22 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 			return nil, fmt.Errorf("distrib: %s does not implement engine.CompactReducer; compact tree reduction needs a streaming fold", runner.Name())
 		}
 	}
+	// A nil Options.Recorder keeps whatever recorder the runner already has.
+	if opts.Recorder != nil {
+		runner.SetRecorder(opts.Recorder)
+	}
 	s := &Service{
 		runner:  runner,
 		opts:    opts,
 		n:       n,
 		treeTol: opts.LeafTimeout > 0 || opts.Faults.TierEnabled(),
 		dynamic: opts.Population != nil || opts.WireRegistration || runner.Availability() != nil,
-		rec:     opts.Recorder,
+		rec:     runner.Recorder(),
 		rs:      &roundStats{strict: opts.ClientTimeout <= 0 && !opts.Faults.Enabled()},
 		peers:   make(map[int]*clientPeer),
 		start:   make(map[int]chan int),
 		done:    make(chan error, n),
 	}
-	runner.SetRecorder(s.rec)
 	ledger := runner.Ledger()
 
 	// Reconnect handshakes are control traffic; they are only billable while

@@ -38,7 +38,7 @@ func runFedPKDVariant(task Task, setting Setting, sc Scale, seed uint64, mutate 
 // RunFig8 reproduces the ablation Fig. 8: FedPKD vs FedPKD without
 // prototypes ("w/o Pro") vs FedPKD without data filtering ("w/o D.F."),
 // highly non-IID settings.
-func RunFig8(sc Scale, seed uint64) (*Result, error) {
+func RunFig8(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "fig8",
 		Title:  "Ablations under highly non-IID settings",
@@ -68,7 +68,7 @@ func RunFig8(sc Scale, seed uint64) (*Result, error) {
 
 // RunFig9 reproduces Fig. 9: server accuracy as the select ratio θ varies,
 // highly non-IID settings.
-func RunFig9(sc Scale, seed uint64) (*Result, error) {
+func RunFig9(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "fig9",
 		Title:  "Server accuracy vs select ratio θ, highly non-IID",
@@ -93,7 +93,7 @@ func RunFig9(sc Scale, seed uint64) (*Result, error) {
 
 // RunFig10 reproduces Fig. 10: server accuracy as the loss mix δ varies,
 // highly non-IID settings.
-func RunFig10(sc Scale, seed uint64) (*Result, error) {
+func RunFig10(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "fig10",
 		Title:  "Server accuracy vs loss mix δ, highly non-IID",
@@ -118,7 +118,7 @@ func RunFig10(sc Scale, seed uint64) (*Result, error) {
 
 // RunAblationAggregation is an extra design-choice ablation (DESIGN.md §4):
 // variance-weighted vs plain-mean logit aggregation inside FedPKD.
-func RunAblationAggregation(sc Scale, seed uint64) (*Result, error) {
+func RunAblationAggregation(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "ablation-aggregation",
 		Title:  "FedPKD logit aggregation: variance-weighted vs mean, highly non-IID",
@@ -143,7 +143,7 @@ func RunAblationAggregation(sc Scale, seed uint64) (*Result, error) {
 
 // RunAblationFilterSignal is an extra design-choice ablation (DESIGN.md §4):
 // Algorithm 1's prototype-distance ranking vs a logit-confidence ranking.
-func RunAblationFilterSignal(sc Scale, seed uint64) (*Result, error) {
+func RunAblationFilterSignal(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "ablation-filter-signal",
 		Title:  "FedPKD filter signal: prototype distance vs logit confidence, highly non-IID",

@@ -3,46 +3,9 @@ package expt
 import (
 	"fmt"
 
-	"fedpkd/internal/core"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 )
-
-// asyncPolicy is the harness-wide async mode, threaded from fedbench's
-// -async/-buffer-size/-staleness-alpha flags and applied to the generic
-// matrix runs (RunOne). The dedicated async experiment ignores it — it
-// compares sync vs async by construction.
-var asyncPolicy struct {
-	on    bool
-	k     int
-	alpha float64
-}
-
-// SetAsyncMode switches subsequent generic experiment runs to the
-// barrier-free async mode. bufferSize <= 0 defaults to half the fleet;
-// alpha <= 0 keeps the engine default.
-func SetAsyncMode(on bool, bufferSize int, alpha float64) {
-	asyncPolicy.on = on
-	asyncPolicy.k = bufferSize
-	asyncPolicy.alpha = alpha
-}
-
-// applyAsyncPolicy stamps the harness-wide async mode onto one runner. The
-// schedule seeds from the run seed so repeated runs replay identically.
-func applyAsyncPolicy(r *engine.Runner, seed uint64, numClients int) error {
-	if !asyncPolicy.on {
-		return nil
-	}
-	k := asyncPolicy.k
-	if k <= 0 {
-		k = (numClients + 1) / 2
-	}
-	return r.SetAsync(engine.AsyncOptions{
-		BufferSize:     k,
-		StalenessAlpha: asyncPolicy.alpha,
-		Schedule:       engine.ArrivalSchedule{Seed: seed},
-	})
-}
 
 // asyncSchedule is the straggler model both legs of the async experiment are
 // measured under: base turnaround uniform in [50,150] ticks, with 30% of
@@ -84,7 +47,7 @@ func asyncSchedule(seed uint64, n int) engine.ArrivalSchedule {
 //   - Latency: the async leg's simulated wall-clock (the logical-clock time
 //     of its last flush) must beat the sync leg's barrier wall-clock (sum
 //     over rounds of the slowest client's delay) at the base seed.
-func RunAsync(sc Scale, seed uint64) (*Result, error) {
+func RunAsync(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "async",
 		Title:  "FedPKD sync barrier vs async buffered flushes under a 30% straggler model, α=0.5",
@@ -92,48 +55,27 @@ func RunAsync(sc Scale, seed uint64) (*Result, error) {
 	}
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 	n := sc.NumClients
-	k := (n + 1) / 2
+	k := halfFleet(n)
 	flushes := (sc.Rounds*n + k - 1) / k
 
 	// fidelitySeeds sizes the ensemble the accuracy budget is checked on.
 	const fidelitySeeds = 5
 
-	newRun := func(s uint64, async bool) (*core.FedPKD, error) {
-		env, err := NewEnv(TaskC10, setting, sc, s)
-		if err != nil {
-			return nil, err
-		}
-		pkd, err := core.New(core.Config{
-			Env:                 env,
-			ClientPrivateEpochs: sc.PKDPrivateEpochs,
-			ClientPublicEpochs:  sc.PKDPublicEpochs,
-			ServerEpochs:        sc.PKDServerEpochs,
-			Seed:                s,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := engine.Of(pkd)
-		if err != nil {
-			return nil, err
-		}
-		if err := applyCodecPolicy(r); err != nil {
-			return nil, err
-		}
+	// The legs differ in mode by construction; only the codec is shared.
+	newLeg := func(s uint64, async bool) (*engine.Runner, error) {
+		leg := RunSpec{Codec: spec.Codec}
 		if async {
-			if err := r.SetAsync(engine.AsyncOptions{
+			leg.Async = &engine.AsyncOptions{
 				BufferSize: k, StalenessAlpha: 0.5, Schedule: asyncSchedule(s, n),
-			}); err != nil {
-				return nil, err
 			}
 		}
-		return pkd, nil
+		return newRun(AlgoFedPKD, TaskC10, setting, sc, s, false, leg)
 	}
 
 	var histS, histA *fl.History
 	var meanS, meanA float64
 	for s := uint64(0); s < fidelitySeeds; s++ {
-		pkdS, err := newRun(seed+s, false)
+		pkdS, err := newLeg(seed+s, false)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +83,7 @@ func RunAsync(sc Scale, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkdA, err := newRun(seed+s, true)
+		pkdA, err := newLeg(seed+s, true)
 		if err != nil {
 			return nil, err
 		}

@@ -6,33 +6,21 @@ import (
 	"strings"
 
 	"fedpkd/internal/ckpt"
-	"fedpkd/internal/fl/engine"
 )
 
-// Harness-wide checkpoint policy, threaded from fedbench's -checkpoint-dir /
-// -checkpoint-every / -resume flags. When enabled, every RunOne invocation
-// checkpoints into its own subdirectory of the configured root (named after
-// algorithm, task, setting, and seed) and — in resume mode — restarts from
-// the newest valid checkpoint it finds there, so an interrupted experiment
-// sweep picks up where it left off instead of recomputing finished rounds.
-var ckptPolicy struct {
-	dir    string
-	every  int
-	resume bool
-}
-
-// SetCheckpointPolicy configures checkpointing for subsequent RunOne calls.
-// An empty dir or every <= 0 disables it. With resume set, runs whose
-// checkpoint subdirectory already holds a valid checkpoint continue from it.
-func SetCheckpointPolicy(dir string, every int, resume bool) {
-	ckptPolicy.dir = dir
-	ckptPolicy.every = every
-	ckptPolicy.resume = resume
-}
-
-// runCheckpointDir names one run's checkpoint subdirectory. The label is
-// sanitized so settings like "dirichlet(α=0.5)" stay filesystem-safe.
-func runCheckpointDir(name string, task Task, setting Setting, seed uint64, hetero bool) string {
+// forRun narrows a sweep's spec to one of its runs. When checkpointing is
+// armed, the run checkpoints into its own subdirectory of the spec's root
+// (named after algorithm, task, setting, and seed; sanitized so settings like
+// "dirichlet(α=0.5)" stay filesystem-safe) and — when the spec asks for a
+// resume — continues from the newest valid checkpoint found there, so an
+// interrupted sweep picks up where it left off instead of recomputing
+// finished rounds. A run that left no checkpoint starts fresh.
+func (s RunSpec) forRun(name string, task Task, setting Setting, seed uint64, hetero bool) RunSpec {
+	resume := s.Resume != ""
+	s.Resume = ""
+	if s.CheckpointDir == "" || s.CheckpointEvery <= 0 {
+		return s
+	}
 	label := fmt.Sprintf("%s_%s_%s_s%d", name, task, setting.Label, seed)
 	if hetero {
 		label += "_hetero"
@@ -46,23 +34,11 @@ func runCheckpointDir(name string, task Task, setting Setting, seed uint64, hete
 			return '-'
 		}
 	}, label)
-	return filepath.Join(ckptPolicy.dir, label)
-}
-
-// applyCheckpointPolicy attaches the policy to one built algorithm's runner:
-// resume first (when asked and a checkpoint file exists), then arm the
-// auto-checkpoint cadence. Returns resume warnings for the caller to
-// surface.
-func applyCheckpointPolicy(r *engine.Runner, dir string) (warnings []string, err error) {
-	if ckptPolicy.resume {
-		candidates, _ := filepath.Glob(filepath.Join(dir, "ckpt-*"+ckpt.FileExt))
-		if len(candidates) > 0 {
-			warnings, err = r.ResumeAny(dir)
-			if err != nil {
-				return warnings, fmt.Errorf("expt: resume from %s: %w", dir, err)
-			}
+	s.CheckpointDir = filepath.Join(s.CheckpointDir, label)
+	if resume {
+		if found, _ := filepath.Glob(filepath.Join(s.CheckpointDir, "ckpt-*"+ckpt.FileExt)); len(found) > 0 {
+			s.Resume = s.CheckpointDir
 		}
 	}
-	r.SetCheckpointPolicy(dir, ckptPolicy.every)
-	return warnings, nil
+	return s
 }

@@ -5,45 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"fedpkd/internal/core"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 )
-
-// availPolicy is the harness-wide availability model, threaded from
-// fedbench's -availability flag and applied to the generic matrix runs
-// (RunOne). The dedicated churn experiment ignores it — it compares a fixed
-// cohort against a diurnal trace by construction.
-var availPolicy struct {
-	spec string
-}
-
-// SetAvailabilityModel switches subsequent generic experiment runs to sample
-// cohorts from a seeded availability trace parsed from spec (see
-// engine.ParseAvailability); the empty spec keeps every client always
-// online. The spec is re-parsed per run with the run seed as the default
-// trace seed, so an unseeded spec still replays deterministically.
-func SetAvailabilityModel(spec string) error {
-	// Parse eagerly (with a placeholder seed) so bad specs fail at flag time.
-	if _, err := engine.ParseAvailability(spec, 0); err != nil {
-		return err
-	}
-	availPolicy.spec = spec
-	return nil
-}
-
-// applyAvailabilityPolicy stamps the harness-wide availability model onto one
-// runner.
-func applyAvailabilityPolicy(r *engine.Runner, seed uint64) error {
-	if availPolicy.spec == "" {
-		return nil
-	}
-	tr, err := engine.ParseAvailability(availPolicy.spec, seed)
-	if err != nil {
-		return err
-	}
-	return r.SetAvailability(tr)
-}
 
 // churnTrace derives the diurnal trace both churn legs are compared under: a
 // period that fits inside the scale's round budget (so churn actually
@@ -100,7 +64,7 @@ func churnTrace(seed uint64, n, rounds int) *engine.AvailabilityTrace {
 //     server accuracy must not trail the fixed leg's by more than 5pp.
 //     Knowledge distillation aggregates whoever is online; losing 10–50% of
 //     the fleet per round must degrade gracefully, not collapse.
-func RunChurn(sc Scale, seed uint64) (*Result, error) {
+func RunChurn(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "churn",
 		Title:  "FedPKD fixed full cohort vs diurnal availability churn (duty 0.5-0.9)",
@@ -112,40 +76,19 @@ func RunChurn(sc Scale, seed uint64) (*Result, error) {
 	// fidelitySeeds sizes the ensemble the accuracy budget is checked on.
 	const fidelitySeeds = 5
 
-	newRun := func(s uint64, churn bool) (*core.FedPKD, error) {
-		env, err := NewEnv(TaskC10, setting, sc, s)
-		if err != nil {
-			return nil, err
-		}
-		pkd, err := core.New(core.Config{
-			Env:                 env,
-			ClientPrivateEpochs: sc.PKDPrivateEpochs,
-			ClientPublicEpochs:  sc.PKDPublicEpochs,
-			ServerEpochs:        sc.PKDServerEpochs,
-			Seed:                s,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := engine.Of(pkd)
-		if err != nil {
-			return nil, err
-		}
-		if err := applyCodecPolicy(r); err != nil {
-			return nil, err
-		}
+	// The legs differ in cohort by construction; only the codec is shared.
+	newLeg := func(s uint64, churn bool) (*engine.Runner, error) {
+		leg := RunSpec{Codec: spec.Codec}
 		if churn {
-			if err := r.SetAvailability(churnTrace(s, n, sc.Rounds)); err != nil {
-				return nil, err
-			}
+			leg.Availability = churnTrace(s, n, sc.Rounds)
 		}
-		return pkd, nil
+		return newRun(AlgoFedPKD, TaskC10, setting, sc, s, false, leg)
 	}
 
 	var histF, histC *fl.History
 	var meanF, meanC float64
 	for s := uint64(0); s < fidelitySeeds; s++ {
-		pkdF, err := newRun(seed+s, false)
+		pkdF, err := newLeg(seed+s, false)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +96,7 @@ func RunChurn(sc Scale, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkdC, err := newRun(seed+s, true)
+		pkdC, err := newLeg(seed+s, true)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +114,7 @@ func RunChurn(sc Scale, seed uint64) (*Result, error) {
 	meanC /= fidelitySeeds
 
 	// Contract 1: same seed + same trace ⇒ byte-identical history.
-	replay, err := newRun(seed, true)
+	replay, err := newLeg(seed, true)
 	if err != nil {
 		return nil, err
 	}

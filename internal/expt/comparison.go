@@ -6,23 +6,23 @@ import (
 
 // RunFig5 reproduces Fig. 5: final S_acc and C_acc of all seven algorithms
 // under four non-IID settings per task, homogeneous client models.
-func RunFig5(sc Scale, seed uint64) (*Result, error) {
+func RunFig5(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	return runComparison("fig5",
 		"Accuracy under non-IID settings, homogeneous models (all algorithms)",
-		AllAlgos, sc, seed, false, false)
+		AllAlgos, sc, seed, spec, false, false)
 }
 
 // RunFig7 reproduces Fig. 7: the same comparison restricted to the methods
 // that support heterogeneous client models (ResNet11/20/29 fleet,
 // ResNet56 server).
-func RunFig7(sc Scale, seed uint64) (*Result, error) {
+func RunFig7(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	return runComparison("fig7",
 		"Accuracy under non-IID settings, heterogeneous models (FedPKD, FedMD, DS-FL, FedET)",
-		HeteroAlgos, sc, seed, true, false)
+		HeteroAlgos, sc, seed, spec, true, false)
 }
 
 // runComparison runs an algorithm set over the evaluation grid.
-func runComparison(id, title string, algos []string, sc Scale, seed uint64, hetero, highOnly bool) (*Result, error) {
+func runComparison(id, title string, algos []string, sc Scale, seed uint64, spec RunSpec, hetero, highOnly bool) (*Result, error) {
 	res := &Result{
 		ID:     id,
 		Title:  title,
@@ -31,7 +31,7 @@ func runComparison(id, title string, algos []string, sc Scale, seed uint64, hete
 	for _, task := range []Task{TaskC10, TaskC100} {
 		for _, setting := range SettingsFor(task, sc, highOnly) {
 			for _, algo := range algos {
-				hist, err := RunOne(algo, task, setting, sc, seed, hetero)
+				hist, err := RunOne(algo, task, setting, sc, seed, hetero, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -45,7 +45,7 @@ func runComparison(id, title string, algos []string, sc Scale, seed uint64, hete
 // RunFig6 reproduces Fig. 6: accuracy-vs-round curves for all algorithms in
 // the highly non-IID settings. The per-round traces land in Result.Series;
 // the table reports the final values.
-func RunFig6(sc Scale, seed uint64) (*Result, error) {
+func RunFig6(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "fig6",
 		Title:  "Accuracy vs communication round, highly non-IID settings",
@@ -54,7 +54,7 @@ func RunFig6(sc Scale, seed uint64) (*Result, error) {
 	for _, task := range []Task{TaskC10, TaskC100} {
 		for _, setting := range SettingsFor(task, sc, true) {
 			for _, algo := range AllAlgos {
-				hist, err := RunOne(algo, task, setting, sc, seed, false)
+				hist, err := RunOne(algo, task, setting, sc, seed, false, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -78,7 +78,7 @@ func RunFig6(sc Scale, seed uint64) (*Result, error) {
 // target accuracy in the weakly non-IID settings. Targets scale with the
 // synthetic tasks' attainable bands (paper: 60% C10 / 25% C100 on real
 // CIFAR).
-func RunTable1(sc Scale, seed uint64, targetC10, targetC100 float64) (*Result, error) {
+func RunTable1(sc Scale, seed uint64, spec RunSpec, targetC10, targetC100 float64) (*Result, error) {
 	res := &Result{
 		ID: "table1",
 		Title: fmt.Sprintf("Communication overhead (MB) to reach target accuracy (C10: %.0f%%, C100: %.0f%%), weakly non-IID",
@@ -92,7 +92,7 @@ func RunTable1(sc Scale, seed uint64, targetC10, targetC100 float64) (*Result, e
 		}
 		for _, setting := range weaklyNonIID(task, sc) {
 			for _, algo := range AllAlgos {
-				hist, err := RunOne(algo, task, setting, sc, seed, false)
+				hist, err := RunOne(algo, task, setting, sc, seed, false, spec)
 				if err != nil {
 					return nil, err
 				}

@@ -4,39 +4,10 @@ import (
 	"fmt"
 
 	"fedpkd/internal/comm"
-	"fedpkd/internal/core"
 	"fedpkd/internal/distrib"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 )
-
-// codecPolicy is the harness-wide wire codec, threaded from fedbench's
-// -codec flag. The compression experiment ignores it (it sweeps every codec
-// by construction).
-var codecPolicy comm.Codec
-
-// SetWireCodec selects the payload wire codec subsequent experiment runs
-// use. The empty string and "float64raw" restore the default.
-func SetWireCodec(name string) error {
-	if name == "" {
-		codecPolicy = comm.CodecFloat64
-		return nil
-	}
-	c, err := comm.ParseCodec(name)
-	if err != nil {
-		return err
-	}
-	codecPolicy = c
-	return nil
-}
-
-// applyCodecPolicy stamps the harness-wide codec onto one runner.
-func applyCodecPolicy(r *engine.Runner) error {
-	if codecPolicy == comm.CodecFloat64 {
-		return nil
-	}
-	return r.SetCodec(codecPolicy)
-}
 
 // RunCompression is the wire-codec experiment: FedPKD at the same seed under
 // each payload codec, run twice per codec — once in-process (the ledger is
@@ -59,7 +30,7 @@ func applyCodecPolicy(r *engine.Runner) error {
 //     on the mean over fidelitySeeds consecutive seeds; the in-process leg
 //     stands in for the wire leg there because contract 1 proves them
 //     bit-identical.
-func RunCompression(sc Scale, seed uint64) (*Result, error) {
+func RunCompression(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "compression",
 		Title:  "FedPKD payload wire codecs: predicted vs real bytes, α=0.5",
@@ -69,31 +40,6 @@ func RunCompression(sc Scale, seed uint64) (*Result, error) {
 
 	// fidelitySeeds sizes the ensemble the accuracy budget is checked on.
 	const fidelitySeeds = 5
-
-	newRun := func(c comm.Codec, s uint64) (*core.FedPKD, *engine.Runner, error) {
-		env, err := NewEnv(TaskC10, setting, sc, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		pkd, err := core.New(core.Config{
-			Env:                 env,
-			ClientPrivateEpochs: sc.PKDPrivateEpochs,
-			ClientPublicEpochs:  sc.PKDPublicEpochs,
-			ServerEpochs:        sc.PKDServerEpochs,
-			Seed:                s,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		r, err := engine.Of(pkd)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := r.SetCodec(c); err != nil {
-			return nil, nil, err
-		}
-		return pkd, r, nil
-	}
 
 	type legTotals struct {
 		upload, rawUpload int64
@@ -117,11 +63,11 @@ func RunCompression(sc Scale, seed uint64) (*Result, error) {
 		var inproc legTotals
 		var inHist *fl.History
 		for s := uint64(0); s < fidelitySeeds; s++ {
-			pkd, r, err := newRun(c, seed+s)
+			r, err := newRun(AlgoFedPKD, TaskC10, setting, sc, seed+s, false, RunSpec{Codec: c.String()})
 			if err != nil {
 				return nil, err
 			}
-			hist, err := pkd.Run(sc.Rounds)
+			hist, err := r.Run(sc.Rounds)
 			if err != nil {
 				return nil, err
 			}
@@ -133,11 +79,11 @@ func RunCompression(sc Scale, seed uint64) (*Result, error) {
 		}
 		meanAcc /= fidelitySeeds
 
-		pkdD, rD, err := newRun(c, seed)
+		rD, err := newRun(AlgoFedPKD, TaskC10, setting, sc, seed, false, RunSpec{Codec: c.String()})
 		if err != nil {
 			return nil, err
 		}
-		dHist, err := distrib.Run(pkdD, sc.Rounds, distrib.Options{})
+		dHist, err := distrib.Run(rD, sc.Rounds, distrib.Options{})
 		if err != nil {
 			return nil, err
 		}

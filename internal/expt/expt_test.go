@@ -157,7 +157,7 @@ func TestPctAndMB(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", microScale, 1); err == nil {
+	if _, err := Run("nope", microScale, 1, RunSpec{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
@@ -184,7 +184,7 @@ func TestExperimentIDsSortedAndComplete(t *testing.T) {
 
 // Smoke-run the cheap motivation experiments end to end at micro scale.
 func TestRunFig2Micro(t *testing.T) {
-	res, err := RunFig2(microScale, 5)
+	res, err := RunFig2(microScale, 5, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRunFig2Micro(t *testing.T) {
 }
 
 func TestRunFig1Micro(t *testing.T) {
-	res, err := RunFig1(microScale, 5)
+	res, err := RunFig1(microScale, 5, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRunFig1Micro(t *testing.T) {
 }
 
 func TestRunFailuresMicro(t *testing.T) {
-	res, err := RunFailures(microScale, 5)
+	res, err := RunFailures(microScale, 5, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

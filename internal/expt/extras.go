@@ -13,7 +13,7 @@ import (
 // It compares FedAvg and FedPKD with BatchNorm models against LayerNorm
 // models (statistics-free averaging) under the highly non-IID Dirichlet
 // setting.
-func RunAblationNormalization(sc Scale, seed uint64) (*Result, error) {
+func RunAblationNormalization(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "ablation-normalization",
 		Title:  "BatchNorm vs LayerNorm under weight averaging, α=0.1",
@@ -66,7 +66,7 @@ func RunAblationNormalization(sc Scale, seed uint64) (*Result, error) {
 // contrasts FedPKD's dual knowledge (logits + prototypes) with FedProto's
 // prototype-only exchange and FedMD's logit-only exchange under the highly
 // non-IID settings, on the client-accuracy metric all three support.
-func RunExtraFedProto(sc Scale, seed uint64) (*Result, error) {
+func RunExtraFedProto(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "extra-fedproto",
 		Title:  "Dual knowledge vs prototype-only (FedProto) vs logit-only (FedMD), highly non-IID",

@@ -4,30 +4,10 @@ import (
 	"strconv"
 	"time"
 
-	"fedpkd/internal/core"
 	"fedpkd/internal/distrib"
 	"fedpkd/internal/faults"
 	"fedpkd/internal/fl"
-	"fedpkd/internal/fl/engine"
 )
-
-// Harness-wide failure model for the failures experiment, threaded from
-// fedbench's -chaos / -client-timeout / -min-quorum flags.
-var failurePolicy struct {
-	plan    *faults.Plan
-	timeout time.Duration
-	quorum  int
-}
-
-// SetFailureModel overrides the failures experiment's defaults: a non-nil
-// plan replaces the built-in crash sweep with a baseline-vs-plan comparison,
-// a positive timeout replaces the default straggler deadline, and quorum > 0
-// makes rounds below it abort.
-func SetFailureModel(plan *faults.Plan, timeout time.Duration, quorum int) {
-	failurePolicy.plan = plan
-	failurePolicy.timeout = timeout
-	failurePolicy.quorum = quorum
-}
 
 // RunFailures is an extension experiment beyond the paper's grid: the
 // distributed dropout curve. FedPKD runs over the real transport under
@@ -40,7 +20,12 @@ func SetFailureModel(plan *faults.Plan, timeout time.Duration, quorum int) {
 // the experiment wall-clock scale-free: the shared fault schedule tells the
 // server which clients are down, so no round burns its straggler deadline
 // waiting for a peer that will never upload.
-func RunFailures(sc Scale, seed uint64) (*Result, error) {
+//
+// The spec's Distrib fields override the defaults: a fault plan replaces the
+// built-in crash sweep with a baseline-vs-plan comparison, a positive
+// ClientTimeout replaces the one-minute straggler deadline, MinQuorum > 0
+// makes rounds below it abort, and Topology reduces through a tree.
+func RunFailures(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "failures",
 		Title:  "Distributed FedPKD under deterministic fault injection, α=0.5",
@@ -52,43 +37,26 @@ func RunFailures(sc Scale, seed uint64) (*Result, error) {
 		{Seed: seed, CrashProb: 0.3},
 		{Seed: seed, CrashProb: 0.5},
 	}
-	if failurePolicy.plan != nil {
-		plans = []*faults.Plan{nil, failurePolicy.plan}
+	if spec.Distrib.Faults != nil {
+		plans = []*faults.Plan{nil, spec.Distrib.Faults}
 	}
 	timeout := time.Minute
-	if failurePolicy.timeout > 0 {
-		timeout = failurePolicy.timeout
+	if spec.Distrib.ClientTimeout > 0 {
+		timeout = spec.Distrib.ClientTimeout
 	}
 	task := TaskC10
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 	for _, plan := range plans {
-		env, err := NewEnv(task, setting, sc, seed)
+		r, err := newRun(AlgoFedPKD, task, setting, sc, seed, false, RunSpec{Codec: spec.Codec})
 		if err != nil {
 			return nil, err
 		}
-		pkd, err := core.New(core.Config{
-			Env:                 env,
-			ClientPrivateEpochs: sc.PKDPrivateEpochs,
-			ClientPublicEpochs:  sc.PKDPublicEpochs,
-			ServerEpochs:        sc.PKDServerEpochs,
-			Seed:                seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		runner, err := engine.Of(pkd)
-		if err != nil {
-			return nil, err
-		}
-		if err := applyCodecPolicy(runner); err != nil {
-			return nil, err
-		}
-		hist, err := distrib.Run(pkd, sc.Rounds, distrib.Options{
+		hist, err := distrib.Run(r, sc.Rounds, distrib.Options{
 			Mode:          distrib.ModeBus,
 			ClientTimeout: timeout,
-			MinQuorum:     failurePolicy.quorum,
+			MinQuorum:     spec.Distrib.MinQuorum,
 			Faults:        plan,
-			Topology:      distrib.Topology{Shards: treeShards},
+			Topology:      spec.Distrib.Topology,
 		})
 		if err != nil {
 			return nil, err

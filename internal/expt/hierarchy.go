@@ -14,17 +14,6 @@ import (
 	"fedpkd/internal/transport"
 )
 
-// treeShards is the harness-wide aggregator-tree leaf count, threaded from
-// fedbench's -shards flag and applied to the distributed experiment runs.
-// Zero keeps the flat single-server reduction.
-var treeShards int
-
-// SetTreePolicy makes subsequent distributed experiment runs reduce through
-// an aggregator tree with the given leaf count (shards > 1 enables the
-// tree). The hierarchy experiment also uses the policy shard count for its
-// real-runtime leg when set.
-func SetTreePolicy(shards int) { treeShards = shards }
-
 // hierarchyPopulation is the simulated-cohort size of the experiment's scale
 // leg: far beyond any constructible fleet, so the leg drives the engine's
 // associative-reduction contract directly instead of spawning clients.
@@ -58,13 +47,13 @@ const hierarchyDim = 512
 //
 // Tier wire bytes for the scale leg are estimated by encoding
 // representative digest/assignment envelopes at the same shard shape.
-func RunHierarchy(sc Scale, seed uint64) (*Result, error) {
+func RunHierarchy(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "hierarchy",
 		Title:  "Two-tier aggregator tree: flat-equivalence at runtime scale, O(shard) memory at 100k-client scale",
 		Header: []string{"leg", "mode", "clients", "shards", "peak_heap_B", "tier_up_B", "tier_down_B", "check"},
 	}
-	if err := hierarchyRuntimeLeg(res, sc, seed); err != nil {
+	if err := hierarchyRuntimeLeg(res, sc, seed, treeShards(spec, sc)); err != nil {
 		return nil, err
 	}
 	if err := hierarchyScaleLeg(res); err != nil {
@@ -73,35 +62,36 @@ func RunHierarchy(sc Scale, seed uint64) (*Result, error) {
 	return res, nil
 }
 
-// hierarchyRuntimeLeg runs the real-runtime equivalence check and reports
-// measured per-tier traffic.
-func hierarchyRuntimeLeg(res *Result, sc Scale, seed uint64) error {
-	rounds := sc.Rounds
-	if rounds > 3 {
-		rounds = 3
-	}
+// treeShards is the leaf count the hierarchy and treefaults experiments build
+// their tree legs with: the spec's when it enables a tree, two otherwise,
+// capped at one client per shard.
+func treeShards(spec RunSpec, sc Scale) int {
 	shards := 2
-	if treeShards > 1 {
-		shards = treeShards
+	if spec.Distrib.Topology.Enabled() {
+		shards = spec.Distrib.Topology.Shards
 	}
 	if shards > sc.NumClients {
 		shards = sc.NumClients
 	}
+	return shards
+}
+
+// hierarchyRuntimeLeg runs the real-runtime equivalence check and reports
+// measured per-tier traffic.
+func hierarchyRuntimeLeg(res *Result, sc Scale, seed uint64, shards int) error {
+	rounds := sc.Rounds
+	if rounds > 3 {
+		rounds = 3
+	}
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 
 	run := func(mode distrib.Mode, topo distrib.Topology) (*fl.History, *obs.Recorder, error) {
-		env, err := NewEnv(TaskC10, setting, sc, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		algo, err := BuildAlgorithm(AlgoFedAvg, env, sc, seed, false)
-		if err != nil {
-			return nil, nil, err
-		}
 		rec := obs.NewRecorder(AlgoFedAvg)
-		hist, err := distrib.Run(algo, rounds, distrib.Options{
-			Mode: mode, Recorder: rec, Topology: topo,
-		})
+		r, err := newRun(AlgoFedAvg, TaskC10, setting, sc, seed, false, RunSpec{Recorder: rec})
+		if err != nil {
+			return nil, nil, err
+		}
+		hist, err := distrib.Run(r, rounds, distrib.Options{Mode: mode, Topology: topo})
 		return hist, rec, err
 	}
 

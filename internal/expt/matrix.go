@@ -116,11 +116,9 @@ func BuildAlgorithmOpts(name string, env *fl.Env, sc Scale, seed uint64, hetero 
 	}
 }
 
-// RunOne materializes an environment and runs one algorithm over the
-// scale's round budget. When a checkpoint policy is set
-// (SetCheckpointPolicy), the run checkpoints into its own subdirectory and,
-// in resume mode, continues from the newest valid checkpoint found there.
-func RunOne(name string, task Task, setting Setting, sc Scale, seed uint64, hetero bool) (*fl.History, error) {
+// newRun materializes an environment, builds one algorithm on it and applies
+// the spec: a configured run, not yet started.
+func newRun(name string, task Task, setting Setting, sc Scale, seed uint64, hetero bool, spec RunSpec) (*engine.Runner, error) {
 	env, err := NewEnv(task, setting, sc, seed)
 	if err != nil {
 		return nil, fmt.Errorf("expt: env for %s/%s: %w", task, setting.Label, err)
@@ -129,27 +127,23 @@ func RunOne(name string, task Task, setting Setting, sc Scale, seed uint64, hete
 	if err != nil {
 		return nil, err
 	}
-	runner, err := engine.Of(algo)
+	warnings, err := spec.Apply(algo)
+	for _, w := range warnings {
+		fmt.Fprintln(os.Stderr, "expt:", w)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := applyCodecPolicy(runner); err != nil {
+	return engine.Of(algo)
+}
+
+// RunOne runs one algorithm over the scale's round budget under the spec's
+// codec, async mode, availability trace and checkpoint policy (see
+// RunSpec.forRun for how a sweep's checkpoint root maps onto this run).
+func RunOne(name string, task Task, setting Setting, sc Scale, seed uint64, hetero bool, spec RunSpec) (*fl.History, error) {
+	runner, err := newRun(name, task, setting, sc, seed, hetero, spec.forRun(name, task, setting, seed, hetero))
+	if err != nil {
 		return nil, err
-	}
-	if err := applyAsyncPolicy(runner, seed, sc.NumClients); err != nil {
-		return nil, err
-	}
-	if err := applyAvailabilityPolicy(runner, seed); err != nil {
-		return nil, err
-	}
-	if ckptPolicy.dir != "" && ckptPolicy.every > 0 {
-		warnings, err := applyCheckpointPolicy(runner, runCheckpointDir(name, task, setting, seed, hetero))
-		for _, w := range warnings {
-			fmt.Fprintln(os.Stderr, "expt:", w)
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	hist, err := runner.RunUntil(sc.Rounds)
 	if err != nil {

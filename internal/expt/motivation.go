@@ -15,7 +15,7 @@ import (
 // RunFig1 reproduces the motivating Fig. 1: server-model accuracy of FedAvg
 // vs the plain KD-based method, in IID and non-IID (Dirichlet α=0.3)
 // settings, on both tasks.
-func RunFig1(sc Scale, seed uint64) (*Result, error) {
+func RunFig1(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "fig1",
 		Title:  "Server accuracy: FedAvg vs plain KD, IID vs non-IID (α=0.3)",
@@ -28,7 +28,7 @@ func RunFig1(sc Scale, seed uint64) (*Result, error) {
 	for _, task := range []Task{TaskC10, TaskC100} {
 		for _, setting := range settings {
 			for _, algo := range []string{AlgoFedAvg, AlgoKD} {
-				hist, err := RunOne(algo, task, setting, sc, seed, false)
+				hist, err := RunOne(algo, task, setting, sc, seed, false, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -42,7 +42,7 @@ func RunFig1(sc Scale, seed uint64) (*Result, error) {
 // RunFig2 reproduces Fig. 2: two clients trained on disjoint class halves;
 // per-label logit accuracy of each client and of the equal-average
 // aggregation on the public set.
-func RunFig2(sc Scale, seed uint64) (*Result, error) {
+func RunFig2(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	task := TaskC10
 	env, err := fl.NewEnv(fl.EnvConfig{
 		Spec:       task.Spec(seed),
@@ -109,7 +109,7 @@ func RunFig2(sc Scale, seed uint64) (*Result, error) {
 // RunFig3 reproduces Fig. 3: plain-KD server accuracy and per-client
 // communication overhead as the public-set size grows, against the
 // model-update size reference line.
-func RunFig3(sc Scale, seed uint64) (*Result, error) {
+func RunFig3(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	task := TaskC10
 	res := &Result{
 		ID:     "fig3",
@@ -128,7 +128,7 @@ func RunFig3(sc Scale, seed uint64) (*Result, error) {
 		scCopy := sc
 		scCopy.PublicSize = publicSize
 		setting := Setting{Label: "α=0.3", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.3}}
-		hist, err := RunOne(AlgoKD, task, setting, scCopy, seed, false)
+		hist, err := RunOne(AlgoKD, task, setting, scCopy, seed, false, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,10 @@ import (
 	"sort"
 )
 
-// Runner regenerates one experiment at a scale.
-type Runner func(sc Scale, seed uint64) (*Result, error)
+// Runner regenerates one experiment at a scale under a run specification.
+// Which RunSpec fields an experiment honours is tabulated in DESIGN.md §7;
+// legs an experiment compares by construction override the spec's field.
+type Runner func(sc Scale, seed uint64, spec RunSpec) (*Result, error)
 
 // DefaultTargetC10 and DefaultTargetC100 are the Table I accuracy targets,
 // scaled to the synthetic tasks' attainable bands (the paper used 60% / 25%
@@ -26,8 +28,8 @@ func Runners() map[string]Runner {
 		"fig5": RunFig5,
 		"fig6": RunFig6,
 		"fig7": RunFig7,
-		"table1": func(sc Scale, seed uint64) (*Result, error) {
-			return RunTable1(sc, seed, DefaultTargetC10, DefaultTargetC100)
+		"table1": func(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
+			return RunTable1(sc, seed, spec, DefaultTargetC10, DefaultTargetC100)
 		},
 		"fig8":                   RunFig8,
 		"fig9":                   RunFig9,
@@ -57,10 +59,10 @@ func ExperimentIDs() []string {
 }
 
 // Run looks up and executes an experiment by id.
-func Run(id string, sc Scale, seed uint64) (*Result, error) {
+func Run(id string, sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	runner, ok := Runners()[id]
 	if !ok {
 		return nil, fmt.Errorf("expt: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}
-	return runner(sc, seed)
+	return runner(sc, seed, spec)
 }

@@ -12,7 +12,7 @@ func TestRunFig5MicroStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro fig5 still trains dozens of models")
 	}
-	res, err := RunFig5(microScale, 3)
+	res, err := RunFig5(microScale, 3, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunTable1MicroStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro table1 still trains dozens of models")
 	}
-	res, err := RunTable1(microScale, 3, 0.01, 0.001)
+	res, err := RunTable1(microScale, 3, RunSpec{}, 0.01, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunFig8MicroStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro fig8 still trains models")
 	}
-	res, err := RunFig8(microScale, 3)
+	res, err := RunFig8(microScale, 3, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunExtraFedProtoMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	res, err := RunExtraFedProto(microScale, 3)
+	res, err := RunExtraFedProto(microScale, 3, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunCompressionMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models over both transport legs")
 	}
-	res, err := RunCompression(microScale, 5)
+	res, err := RunCompression(microScale, 5, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRunAblationNormalizationMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	res, err := RunAblationNormalization(microScale, 3)
+	res, err := RunAblationNormalization(microScale, 3, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunAsyncMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains both legs over a seed ensemble")
 	}
-	res, err := RunAsync(microScale, 1)
+	res, err := RunAsync(microScale, 1, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

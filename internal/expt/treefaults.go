@@ -12,22 +12,6 @@ import (
 	"fedpkd/internal/obs"
 )
 
-// Harness-wide tree fault tolerance knobs, threaded from fedbench's
-// -leaf-timeout / -shard-quorum flags. Zero values keep the experiment
-// defaults (a generous digest deadline, quorum disabled).
-var treeFaultPolicy struct {
-	leafTimeout time.Duration
-	shardQuorum int
-}
-
-// SetTreeFaultModel overrides the treefaults experiment's root-side digest
-// deadline and shard quorum. A zero timeout keeps the default deadline;
-// quorum > 0 makes rounds that merge fewer shard digests abort.
-func SetTreeFaultModel(leafTimeout time.Duration, shardQuorum int) {
-	treeFaultPolicy.leafTimeout = leafTimeout
-	treeFaultPolicy.shardQuorum = shardQuorum
-}
-
 // RunTreeFaults is the fault-tolerant aggregator-tier experiment, self-
 // checking in three legs:
 //
@@ -42,7 +26,11 @@ func SetTreeFaultModel(leafTimeout time.Duration, shardQuorum int) {
 // Each leg runs twice and must replay byte-identically: same history JSON,
 // same per-tier ledger totals, same per-round lost-shard sets — the
 // determinism contract that makes tier chaos debuggable.
-func RunTreeFaults(sc Scale, seed uint64) (*Result, error) {
+//
+// The spec's Distrib fields override the defaults: a positive LeafTimeout
+// replaces the one-minute digest deadline, ShardQuorum > 0 makes rounds that
+// merge fewer shard digests abort, and Topology sets the leaf count.
+func RunTreeFaults(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
 		ID:     "treefaults",
 		Title:  "Aggregator-tree fault tolerance: leaf crashes, degraded rounds, deterministic replay",
@@ -52,35 +40,24 @@ func RunTreeFaults(sc Scale, seed uint64) (*Result, error) {
 	if rounds > 3 {
 		rounds = 3
 	}
-	shards := 2
-	if treeShards > 1 {
-		shards = treeShards
-	}
-	if shards > sc.NumClients {
-		shards = sc.NumClients
-	}
+	shards := treeShards(spec, sc)
 	timeout := time.Minute
-	if treeFaultPolicy.leafTimeout > 0 {
-		timeout = treeFaultPolicy.leafTimeout
+	if spec.Distrib.LeafTimeout > 0 {
+		timeout = spec.Distrib.LeafTimeout
 	}
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 
 	run := func(mode distrib.Mode, plan *faults.Plan, tmo time.Duration) (*fl.History, int64, int64, error) {
-		env, err := NewEnv(TaskC10, setting, sc, seed)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		algo, err := BuildAlgorithm(AlgoFedAvg, env, sc, seed, false)
-		if err != nil {
-			return nil, 0, 0, err
-		}
 		rec := obs.NewRecorder(AlgoFedAvg)
-		hist, err := distrib.Run(algo, rounds, distrib.Options{
+		r, err := newRun(AlgoFedAvg, TaskC10, setting, sc, seed, false, RunSpec{Recorder: rec})
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		hist, err := distrib.Run(r, rounds, distrib.Options{
 			Mode:        mode,
-			Recorder:    rec,
 			Faults:      plan,
 			LeafTimeout: tmo,
-			ShardQuorum: treeFaultPolicy.shardQuorum,
+			ShardQuorum: spec.Distrib.ShardQuorum,
 			Topology:    distrib.Topology{Shards: shards},
 		})
 		if err != nil {

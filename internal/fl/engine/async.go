@@ -118,7 +118,7 @@ type AsyncOptions struct {
 	// pending arrivals are in, refreshing only those contributors.
 	BufferSize int
 	// StalenessAlpha is α in the staleness weight 1/(1+s)^α applied to each
-	// buffered update (default 0.5; 0 disables staleness damping).
+	// buffered update; 0 means the default, 0.5.
 	StalenessAlpha float64
 	// Schedule is the seeded logical arrival clock.
 	Schedule ArrivalSchedule
@@ -133,21 +133,8 @@ func (o AsyncOptions) withDefaults() AsyncOptions {
 	return o
 }
 
-// AsyncHooks is the optional extension of Hooks an algorithm implements to
-// own its staleness weighting. Algorithms that do not implement it get the
-// shared default, WeightStalePayload.
-type AsyncHooks interface {
-	// WeightStaleUpload returns the staleness-damped version of up's payload.
-	// staleness is s = flush − dispatch version (0 for a fresh contributor),
-	// weight is 1/(1+s)^α, and anchor is the server's current front-loaded
-	// global state (GlobalState at the flush index; nil for algorithms that
-	// front-load nothing). The returned payload must not alias mutable server
-	// state; returning up.Payload unchanged opts the upload out of damping.
-	WeightStaleUpload(rc *RoundContext, up Upload, staleness int, weight float64, anchor *Payload) *Payload
-}
-
-// WeightStalePayload is the shared default staleness weighting, applied to
-// every algorithm that does not implement AsyncHooks. The damping contract,
+// WeightStalePayload is the staleness weighting every algorithm shares. The
+// damping contract,
 // per payload section (w = weight, in (0,1]):
 //
 //   - Params with a shape-matching anchor: g + w·(u−g) — the client's model
@@ -408,30 +395,22 @@ func (r *Runner) AsyncPlanFlushFrom(t int, eligible []int) (*AsyncFlushPlan, err
 }
 
 // AsyncWeightUploads applies the staleness weighting to a flush's surviving
-// uploads (sorted by client id, each a member of plan.Chosen): the
-// algorithm's own AsyncHooks when implemented, the shared default otherwise.
-// The anchor passed to the weighting is the server's current GlobalState at
-// the flush index. Exposed for internal/distrib, so transport runs damp
-// exactly like in-process ones.
-func (r *Runner) AsyncWeightUploads(rc *RoundContext, plan *AsyncFlushPlan, uploads []Upload) []Upload {
+// uploads (sorted by client id, each a member of plan.Chosen) through
+// WeightStalePayload. The anchor passed to the weighting is the server's
+// current GlobalState at the flush index. Exposed for internal/distrib, so
+// transport runs damp exactly like in-process ones.
+func (r *Runner) AsyncWeightUploads(plan *AsyncFlushPlan, uploads []Upload) []Upload {
 	anchor := r.hooks.GlobalState(plan.Flush)
-	ah, custom := r.hooks.(AsyncHooks)
 	out := make([]Upload, len(uploads))
 	for i, up := range uploads {
-		s, w := 0, 1.0
+		w := 1.0
 		for j, c := range plan.Chosen {
 			if c == up.Client {
-				s, w = plan.Staleness[j], plan.Weights[j]
+				w = plan.Weights[j]
 				break
 			}
 		}
-		p := up.Payload
-		if custom {
-			p = ah.WeightStaleUpload(rc, up, s, w, anchor)
-		} else {
-			p = WeightStalePayload(p, w, anchor)
-		}
-		out[i] = Upload{Client: up.Client, Payload: p}
+		out[i] = Upload{Client: up.Client, Payload: WeightStalePayload(up.Payload, w, anchor)}
 	}
 	return out
 }
@@ -543,7 +522,7 @@ func (r *Runner) asyncFlush(t int) error {
 	}
 
 	if len(uploads) > 0 {
-		bcast, err := r.hooks.Aggregate(rc, r.AsyncWeightUploads(rc, plan, uploads))
+		bcast, err := r.hooks.Aggregate(rc, r.AsyncWeightUploads(plan, uploads))
 		if err != nil {
 			return err
 		}

@@ -256,6 +256,10 @@ func (r *Runner) SetRecorder(rec *obs.Recorder) {
 	r.ledger.SetObserver(rec)
 }
 
+// Recorder returns the attached recorder, or nil. internal/distrib reads it
+// so a service built without Options.Recorder keeps the runner's.
+func (r *Runner) Recorder() *obs.Recorder { return r.rec }
+
 // SetCodec selects the wire codec for every subsequent round: payloads are
 // transcoded through it (the exact decode(encode(x)) the transport runs)
 // before pricing and delivery, so ledger totals are real compressed wire

@@ -39,15 +39,6 @@ func NewDense(rng *stats.RNG, in, out int) *Dense {
 	}
 }
 
-// NewDenseXavier returns a dense layer with Xavier/Glorot initialization,
-// appropriate for tanh-activated or linear output layers.
-func NewDenseXavier(rng *stats.RNG, in, out int) *Dense {
-	std := math.Sqrt(2 / float64(in+out))
-	d := NewDense(rng, in, out)
-	d.w.Value = tensor.Randn(rng, in, out, std)
-	return d
-}
-
 // Forward computes xW + b.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {

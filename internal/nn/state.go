@@ -109,21 +109,6 @@ func (sd *StateDict) CopyTensorInto(name string, dst *tensor.Matrix) error {
 	return nil
 }
 
-// NewTensor returns a fresh matrix holding the tensor stored under name.
-func (sd *StateDict) NewTensor(name string) (*tensor.Matrix, error) {
-	i, ok := sd.index[name]
-	if !ok {
-		return nil, fmt.Errorf("nn: state dict has no entry %q", name)
-	}
-	e := sd.entries[i]
-	if e.kind != 't' {
-		return nil, fmt.Errorf("nn: state entry %q is an int scalar, want a tensor", name)
-	}
-	m := tensor.New(e.rows, e.cols)
-	copy(m.Data, e.data)
-	return m, nil
-}
-
 // Encode serializes the state dict to the ckpt binary form.
 func (sd *StateDict) Encode() []byte {
 	e := ckpt.NewEnc()

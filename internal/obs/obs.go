@@ -125,9 +125,6 @@ func RecordAsyncFlush(occupancy int, staleness []int) {
 	}
 }
 
-// AsyncFlushesTotal returns the process-wide flush count (for tests).
-func AsyncFlushesTotal() int64 { return asyncFlushesTotal.Value() }
-
 func init() {
 	// Live kernel/arena counters from the tensor compute layer, exported as
 	// one JSON object at /debug/vars alongside the round counters.
@@ -161,14 +158,6 @@ func RecordCheckpoint(round int, bytes int64, d time.Duration) {
 	checkpointWriteNS.Add(int64(d))
 	checkpointsTotal.Add(1)
 }
-
-// LastCheckpointRound returns the round of the most recent checkpoint write
-// (for tests; -0 initial value is indistinguishable from round 0, so tests
-// should write a checkpoint first).
-func LastCheckpointRound() int64 { return lastCheckpointRound.Value() }
-
-// CheckpointsTotal returns the process-wide checkpoint write count.
-func CheckpointsTotal() int64 { return checkpointsTotal.Value() }
 
 // RoundTrace is the observed cost profile of one communication round.
 type RoundTrace struct {

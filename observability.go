@@ -32,9 +32,3 @@ func NewRecorder(algo string) *Recorder { return obs.NewRecorder(algo) }
 // StartDebugServer exposes /debug/pprof/* and /debug/vars on addr (e.g.
 // "localhost:6060"). Close the returned server to release the listener.
 func StartDebugServer(addr string) (*DebugServer, error) { return obs.StartDebugServer(addr) }
-
-// WriteRoundTracesJSONL writes traces as one JSON object per line.
-var WriteRoundTracesJSONL = obs.WriteJSONL
-
-// WriteRoundTracesCSV writes traces as a CSV table.
-var WriteRoundTracesCSV = obs.WriteCSV

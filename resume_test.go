@@ -66,7 +66,7 @@ func TestResumeEquivalenceGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ResumeAlgorithm(resumed, ckptPath); err != nil {
+			if _, err := Configure(resumed, RunSpec{Resume: ckptPath}); err != nil {
 				t.Fatal(err)
 			}
 			if done, _ := CompletedRounds(resumed); done != resumeCutRound {
@@ -127,7 +127,7 @@ func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetCheckpointPolicy(first, dir, 1); err != nil {
+	if _, err := Configure(first, RunSpec{CheckpointDir: dir, CheckpointEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.Run(resumeCutRound); err != nil {
@@ -148,7 +148,7 @@ func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warnings, err := ResumeAlgorithm(resumed, dir)
+	warnings, err := Configure(resumed, RunSpec{Resume: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDistributedResumeMatchesStraight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeAlgorithm(resumed, ckptPath); err != nil {
+	if _, err := Configure(resumed, RunSpec{Resume: ckptPath}); err != nil {
 		t.Fatal(err)
 	}
 	done, err := CompletedRounds(resumed)

@@ -80,19 +80,6 @@ func ParseAvailability(spec string, defaultSeed uint64) (*AvailabilityTrace, err
 	return engine.ParseAvailability(spec, defaultSeed)
 }
 
-// SetAvailability installs a seeded availability trace on an algorithm's
-// runner: rounds (and async flushes) sample their cohorts from the clients
-// the trace puts online. Call before the first round; nil restores the
-// always-online default. Like the wire codec, the trace is run
-// configuration, not checkpointed state — a resumed run must re-apply it.
-func SetAvailability(algo Algorithm, tr *AvailabilityTrace) error {
-	r, err := engine.Of(algo)
-	if err != nil {
-		return err
-	}
-	return r.SetAvailability(tr)
-}
-
 // ParsePopulation parses a comma-separated id list like "0,2,5" into a
 // sorted Options.Population slice; the empty spec returns nil (whole fleet).
 func ParsePopulation(spec string, n int) ([]int, error) {

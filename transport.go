@@ -13,8 +13,6 @@ type (
 	MessageKind = transport.Kind
 	// Conn is a bidirectional, ordered envelope stream.
 	Conn = transport.Conn
-	// TransportServer accepts envelope connections over TCP.
-	TransportServer = transport.Server
 	// Bus is the in-memory transport with the same semantics as TCP.
 	Bus = transport.Bus
 
@@ -36,12 +34,6 @@ const (
 	KindRoundEnd   = transport.KindRoundEnd
 	KindControl    = transport.KindControl
 )
-
-// Listen starts an envelope server on a TCP address.
-func Listen(addr string) (*TransportServer, error) { return transport.Listen(addr) }
-
-// Dial connects to a listening envelope server.
-func Dial(addr string) (Conn, error) { return transport.Dial(addr) }
 
 // NewBus returns an in-memory transport for n clients.
 func NewBus(n, buffer int) *Bus { return transport.NewBus(n, buffer) }

@@ -149,7 +149,7 @@ func TestTopologyValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.async {
-				if err := SetAsync(algo, asyncGoldenOpts()); err != nil {
+				if _, err := Configure(algo, RunSpec{Async: asyncGoldenOpts()}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -183,19 +183,19 @@ func runAsyncChurnTree(t *testing.T) asyncChurnTreeGolden {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetAsync(algo, asyncGoldenOpts()); err != nil {
-		t.Fatal(err)
-	}
 	trace, err := ParseAvailability("period=3,min=0.5,max=0.9,seed=9", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetAvailability(algo, trace); err != nil {
+	spec := RunSpec{
+		Async:        asyncGoldenOpts(),
+		Availability: trace,
+		Distrib:      DistributedOptions{Mode: ModeBus, Topology: Topology{Shards: 2}},
+	}
+	if _, err := Configure(algo, spec); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := RunDistributed(algo, asyncGoldenFlushes, DistributedOptions{
-		Mode: ModeBus, Topology: Topology{Shards: 2},
-	})
+	hist, err := RunDistributed(algo, asyncGoldenFlushes, spec.Distrib)
 	if err != nil {
 		t.Fatal(err)
 	}
