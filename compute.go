@@ -11,7 +11,7 @@ import (
 // The kernels are deterministic at every width: output rows are sharded
 // into disjoint panels and every reduction runs in one fixed order, so a
 // simulation produces bit-identical results whether it runs with 1 worker
-// or 16 (see DESIGN.md, "Parallel tensor kernels").
+// or 16 (see DESIGN.md §6, "Kernel architecture").
 
 // KernelStats is a snapshot of the tensor compute layer's process-wide
 // counters.

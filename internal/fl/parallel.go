@@ -11,10 +11,11 @@ import (
 )
 
 // Workers returns the fan-out width ForEachClient uses for n clients:
-// bounded by the CPU count, at least 1. Exported so instrumentation can
-// report the parallelism a round actually ran with.
+// bounded by GOMAXPROCS — what the scheduler runs at once, as tensor.Workers
+// tracks; bodies beyond it could only time-slice — and at least 1. Exported
+// so instrumentation can report the parallelism a round actually ran with.
 func Workers(n int) int {
-	w := runtime.NumCPU()
+	w := runtime.GOMAXPROCS(0)
 	if w > n {
 		w = n
 	}
@@ -25,7 +26,7 @@ func Workers(n int) int {
 }
 
 // ForEachClient runs fn(c) for every client 0..n-1 concurrently, bounded by
-// the number of CPUs, and waits for all to finish. The first non-nil error
+// Workers(n), and waits for all to finish. The first non-nil error
 // is returned. A panic in a client body is recovered and reported as an
 // error carrying the client index — one crashing client must not take down
 // the whole simulation. Each client owns its model and RNG stream, so

@@ -16,8 +16,14 @@ func TestWorkersBounds(t *testing.T) {
 	if got := Workers(1); got != 1 {
 		t.Errorf("Workers(1) = %d, want 1", got)
 	}
-	if got := Workers(1 << 20); got != runtime.NumCPU() {
-		t.Errorf("Workers(big) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Workers(1 << 20); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(big) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+	// The bound is the scheduler's width, not the machine's: capping
+	// GOMAXPROCS caps the fan-out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(1 << 20); got != 1 {
+		t.Errorf("Workers(big) under GOMAXPROCS=1 = %d, want 1", got)
 	}
 }
 

@@ -7,152 +7,107 @@ import (
 	"fedpkd/internal/stats"
 )
 
-// benchSizes spans the shapes the training loops actually hit: batch-sized
-// activations (32), layer-sized weights (128), and a larger stress point.
-var benchSizes = []int{32, 128, 256}
+// benchShapes are Dense-layer shapes (batch, in, out); a training step issues
+// three products per layer: NN x·W, TN xᵀ·dy -> (in x out) and NT dy·Wᵀ ->
+// (batch x in). The first four are the shapes the training loops actually
+// hit (models.FeatureWidth = 48, batch 32, 32 inputs, 10 classes) and between
+// them reach every tail of the simd loops: out = 10 leaves n mod 4 = 2,
+// batch 18 leaves TN a k mod 4 = 2 tail and an odd count of row pairs. The
+// squares are stress points; 128 and 256 take the packed NT path.
+var benchShapes = [][3]int{
+	{32, 48, 48}, // hidden layer, full batch
+	{32, 32, 48}, // input layer
+	{32, 48, 10}, // classifier head
+	{18, 48, 48}, // partial last batch
+	{32, 32, 32},
+	{128, 128, 128},
+	{256, 256, 256},
+}
 
-func BenchmarkMatMul(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+// crossoverShapes straddle minParallelOps (the numbers next to it come from
+// these): the two inference products of an evaluation pass over 300 rows and
+// a longer one, and squares on both sides.
+var crossoverShapes = [][3]int{{300, 32, 48}, {300, 48, 48}, {64, 64, 64}, {128, 128, 128}, {160, 160, 160}, {2000, 48, 48}, {192, 192, 192}, {256, 256, 256}}
+
+// benchLayer runs one product of a Dense layer per iteration over every
+// shape. op receives the layer's tensors: x (batch x in), w (in x out),
+// dy and y (batch x out), gw (in x out), dx (batch x in).
+func benchLayer(b *testing.B, shapes [][3]int, op func(x, w, dy, y, gw, dx *Matrix)) {
+	for _, s := range shapes {
+		batch, in, out := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", batch, in, out), func(b *testing.B) {
 			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 8))
+			x := Randn(rng, batch, in, 1)
+			w := Randn(rng, in, out, 1)
+			dy := Randn(rng, batch, out, 0.1)
+			y, gw, dx := New(batch, out), New(in, out), New(batch, in)
+			b.SetBytes(int64(batch * in * out * 8)) // MB/s = 8 x Mmul-add/s
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(out, x, y)
+				op(x, w, dy, y, gw, dx)
 			}
 		})
 	}
+}
+
+// benchBothPaths runs benchLayer on the simd inner loops (where the CPU has
+// them) and on the pure-Go ones, so one run reports the speedup.
+func benchBothPaths(b *testing.B, op func(x, w, dy, y, gw, dx *Matrix)) {
+	for _, path := range kernelPaths {
+		b.Run(path, func(b *testing.B) {
+			useKernelPath(b, path)
+			benchLayer(b, benchShapes, op)
+		})
+	}
+}
+
+func BenchmarkMatMul(b *testing.B) {
+	benchBothPaths(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
 
 func BenchmarkMatMulTN(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTNInto(out, x, y)
-			}
-		})
-	}
+	benchBothPaths(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulTNInto(gw, x, dy) })
 }
 
 func BenchmarkMatMulNT(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulNTInto(out, x, y)
-			}
-		})
-	}
+	benchBothPaths(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulNTInto(dx, dy, w) })
 }
 
 // BenchmarkMatMulF32 measures the opt-in float32 compute path on the same
 // shapes as the float64 kernels.
 func BenchmarkMatMulF32(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulF32Into(out, x, y)
-			}
-		})
-	}
+	benchLayer(b, benchShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulF32Into(y, x, w) })
 }
 
 // BenchmarkMatMulNaive measures the retained seed kernel (reference.go) on
 // the same shapes, so one run reports blocked-vs-naive speedups.
 func BenchmarkMatMulNaive(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				refMatMulInto(out, x, y)
-			}
-		})
-	}
+	benchLayer(b, benchShapes, func(x, w, dy, y, gw, dx *Matrix) { refMatMulInto(y, x, w) })
 }
 
-// BenchmarkMatMulSerial pins the pool to one worker: the blocked kernel
-// without fan-out, isolating the cache-tiling + unrolling win.
+// BenchmarkMatMulSerial pins the pool to one worker: the kernel without
+// fan-out, at the shapes around the parallel threshold.
 func BenchmarkMatMulSerial(b *testing.B) {
 	SetWorkers(1)
 	defer SetWorkers(0)
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(out, x, y)
-			}
-		})
-	}
+	benchLayer(b, crossoverShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
 
-// BenchmarkMatMulParallel forces a 4-way fan-out regardless of GOMAXPROCS;
-// on a multi-core host this is the full pooled path, on a 1-CPU host it
-// measures the fan-out overhead ceiling.
+// BenchmarkMatMulParallel fans the same shapes out two ways with the
+// threshold dropped, so Serial vs Parallel brackets where minParallelOps
+// belongs; on a 1-CPU host it measures the fan-out overhead ceiling.
 func BenchmarkMatMulParallel(b *testing.B) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := stats.NewRNG(1)
-			x := Randn(rng, n, n, 1)
-			y := Randn(rng, n, n, 1)
-			out := New(n, n)
-			b.SetBytes(int64(n * n * n * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(out, x, y)
-			}
-		})
-	}
+	forceParallel(b, 2)
+	benchLayer(b, crossoverShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
 
 // BenchmarkDenseTrainStep measures the allocation-free Dense-equivalent hot
-// path at training shapes: forward product, fused weight-gradient
-// accumulation, and input-gradient product.
+// path at the hidden-layer training shape: forward product, fused
+// weight-gradient accumulation, and input-gradient product.
 func BenchmarkDenseTrainStep(b *testing.B) {
-	const batch, in, out = 32, 128, 128
-	rng := stats.NewRNG(1)
-	x := Randn(rng, batch, in, 1)
-	w := Randn(rng, in, out, 1)
-	dout := Randn(rng, batch, out, 0.1)
-	y := New(batch, out)
-	gw := New(in, out)
-	dx := New(batch, in)
-	b.SetBytes(int64(3 * batch * in * out * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchLayer(b, benchShapes[:1], func(x, w, dy, y, gw, dx *Matrix) {
 		MatMulInto(y, x, w)
-		MatMulTNAccInto(gw, x, dout)
-		MatMulNTInto(dx, dout, w)
-	}
+		MatMulTNAccInto(gw, x, dy)
+		MatMulNTInto(dx, dy, w)
+	})
 }

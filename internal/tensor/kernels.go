@@ -24,6 +24,32 @@ const (
 	trTile  = 32  // transpose tile edge
 )
 
+// simdLoops are data-parallel forms of the kernels' innermost "for every
+// output column j" loops. Lanes run across columns, which never interact, and
+// every multiply and add stays a separate IEEE-exact operation (no fused
+// multiply-add), so each element sees exactly the roundings of the Go loop it
+// replaces: the determinism contract holds bit for bit across kernel paths,
+// and the Go loops are the oracle equivalence_test.go compares against.
+// Tiling, row pairing, zero-group skips and k-tails stay in Go.
+type simdLoops struct {
+	name string // what KernelStats.Path reports
+	// axpy4: o[j] += ((a0*b[j] + a1*b[n+j]) + a2*b[2n+j]) + a3*b[3n+j] for
+	// j < n = len(o); b is four consecutive rows of n.
+	axpy4 func(o, b []float64, a0, a1, a2, a3 float64)
+	// axpy4x2 is axpy4 for two output rows in one pass over b: o takes the a
+	// coefficients, o2 the c coefficients.
+	axpy4x2 func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64)
+	// dotCols: o[j] = dotSplit2(a, column j of bt) for j < len(o), a positive
+	// multiple of 4; bt is a packed bᵀ whose rows are stride apart.
+	dotCols func(o, a, bt []float64, stride int)
+}
+
+// simd is the inner-loop set in use; nil selects the pure-Go loops, the only
+// path off amd64 or without AVX2. Set once at package init from what the CPU
+// reports (simd_amd64.go) and never by configuration; tests swap it to run
+// both paths on one host.
+var simd *simdLoops
+
 // gemmNNPanel computes out[lo:hi] = a[lo:hi] * b (zeroing the panel first).
 // The 4-wide k grouping halves traffic on the output row; an all-zero group
 // (common for post-ReLU activations) is skipped entirely. Output rows are
@@ -63,6 +89,17 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 				zA := a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0
 				zC := c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0
 				if zA && zC {
+					continue
+				}
+				if simd != nil {
+					switch b4 := b.Data[k*n:][:4*n]; {
+					case zA:
+						simd.axpy4(orow2, b4, c0, c1, c2, c3)
+					case zC:
+						simd.axpy4(orow, b4, a0, a1, a2, a3)
+					default:
+						simd.axpy4x2(orow, orow2, b4, a0, a1, a2, a3, c0, c1, c2, c3)
+					}
 					continue
 				}
 				b0 := b.Data[k*n:][:n]
@@ -118,6 +155,10 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
+				if simd != nil {
+					simd.axpy4(orow, b.Data[k*n:][:4*n], a0, a1, a2, a3)
+					continue
+				}
 				b0 := b.Data[k*n:][:n]
 				b1 := b.Data[(k+1)*n:][:n]
 				b2 := b.Data[(k+2)*n:][:n]
@@ -169,6 +210,7 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 		br1 := b.Data[(k+1)*n:][:n]
 		br2 := b.Data[(k+2)*n:][:n]
 		br3 := b.Data[(k+3)*n:][:n]
+		b4 := b.Data[k*n:][:4*n] // the same four rows, as the simd loops take them
 		// Output rows in register-blocked pairs: one pass over the four b
 		// rows feeds both. Skip decisions and accumulation expressions stay
 		// per-row, so results are bit-identical to the unpaired walk.
@@ -183,6 +225,17 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 			}
 			orow := out.Row(i)[:n]
 			orow2 := out.Row(i + 1)[:n]
+			if simd != nil {
+				switch {
+				case zA:
+					simd.axpy4(orow2, b4, c0, c1, c2, c3)
+				case zC:
+					simd.axpy4(orow, b4, a0, a1, a2, a3)
+				default:
+					simd.axpy4x2(orow, orow2, b4, a0, a1, a2, a3, c0, c1, c2, c3)
+				}
+				continue
+			}
 			switch {
 			case zA:
 				for j, v0 := range br0 {
@@ -206,6 +259,10 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 				continue
 			}
 			orow := out.Row(i)[:n]
+			if simd != nil {
+				simd.axpy4(orow, b4, a0, a1, a2, a3)
+				continue
+			}
 			for j, v0 := range br0 {
 				orow[j] += a0*v0 + a1*br1[j] + a2*br2[j] + a3*br3[j]
 			}
@@ -253,7 +310,11 @@ func dotSplit2(arow, brow []float64) float64 {
 // each streamed pair of operand values feeds four dot products, doubling
 // flops per load; the j tiling keeps a jTileNT x k panel of b resident
 // across the output panel.
-func gemmNTPanel(out, a, b *Matrix, lo, hi int) {
+//
+// With bt, a packed bᵀ (simd only; nil otherwise), each row's columns go
+// through simd.dotCols in multiples of four, lanes across j, and only the
+// up-to-three columns left in a tile fall to the Go loops below.
+func gemmNTPanel(out, a, b, bt *Matrix, lo, hi int) {
 	kDim := a.Cols
 	nOut := b.Rows
 	for jj := 0; jj < nOut; jj += jTileNT {
@@ -268,6 +329,11 @@ func gemmNTPanel(out, a, b *Matrix, lo, hi int) {
 			orow := out.Row(i)[:nOut]
 			orow2 := out.Row(i + 1)[:nOut]
 			j := jj
+			if w := (jEnd - jj) &^ 3; bt != nil && w > 0 {
+				simd.dotCols(orow[jj:jj+w], arow, bt.Data[jj:], nOut)
+				simd.dotCols(orow2[jj:jj+w], arow2, bt.Data[jj:], nOut)
+				j += w
+			}
 			for ; j+1 < jEnd; j += 2 {
 				brow := b.Row(j)[:kDim]
 				brow2 := b.Row(j + 1)[:kDim]
@@ -308,7 +374,12 @@ func gemmNTPanel(out, a, b *Matrix, lo, hi int) {
 		for ; i < hi; i++ {
 			arow := a.Row(i)[:kDim]
 			orow := out.Row(i)[:nOut]
-			for j := jj; j < jEnd; j++ {
+			j := jj
+			if w := (jEnd - jj) &^ 3; bt != nil && w > 0 {
+				simd.dotCols(orow[jj:jj+w], arow, bt.Data[jj:], nOut)
+				j += w
+			}
+			for ; j < jEnd; j++ {
 				orow[j] = dotSplit2(arow, b.Row(j)[:kDim])
 			}
 		}

@@ -106,12 +106,18 @@ func MatMulNTInto(out, a, b *Matrix) {
 		matMulNTPacked(out, a, b, ops)
 		return
 	}
+	// The simd dot loops run lanes across b's rows, so they need bᵀ: packed
+	// once per call, before any fan-out, into pooled scratch. Assigned once
+	// so the parallel closure captures it by value and the serial path stays
+	// allocation-free.
+	bt := packTForSIMD(b)
 	if !useParallel(out.Rows, ops) {
-		gemmNTPanel(out, a, b, 0, out.Rows)
+		gemmNTPanel(out, a, b, bt, 0, out.Rows)
 		noteSerial(ops)
-		return
+	} else {
+		parallelFor(out.Rows, ops, func(lo, hi int) { gemmNTPanel(out, a, b, bt, lo, hi) })
 	}
-	parallelFor(out.Rows, ops, func(lo, hi int) { gemmNTPanel(out, a, b, lo, hi) })
+	Release(bt)
 }
 
 // Transpose returns a new matrix that is m transposed.

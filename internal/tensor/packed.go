@@ -29,8 +29,7 @@ var minPackNTOps int64 = 1 << 18
 // panel and running the NN kernel over it. The scratch round-trips through
 // GetScratch/Release, so the steady state allocates nothing.
 func matMulNTPacked(out, a, b *Matrix, ops int64) {
-	bt := GetScratch(b.Cols, b.Rows)
-	transposePanel(bt, b, 0, bt.Rows)
+	bt := packT(b)
 	if !useParallel(out.Rows, ops) {
 		gemmNNPanel(out, a, bt, 0, out.Rows)
 		noteSerial(ops)
@@ -38,4 +37,23 @@ func matMulNTPacked(out, a, b *Matrix, ops int64) {
 		parallelFor(out.Rows, ops, func(lo, hi int) { gemmNNPanel(out, a, bt, lo, hi) })
 	}
 	Release(bt)
+}
+
+// packT returns bᵀ in an arena scratch panel; the caller Releases it.
+func packT(b *Matrix) *Matrix {
+	bt := GetScratch(b.Cols, b.Rows)
+	transposePanel(bt, b, 0, bt.Rows)
+	return bt
+}
+
+// packTForSIMD is packT for the dot-product kernel below minPackNTOps: the
+// simd column loops read a packed bᵀ, the Go loops read b itself and get nil
+// (as does an empty b, which leaves the simd loops nothing to do). The
+// reduction order per element is dotSplit2's either way, so unlike the
+// threshold above this choice moves no result bit.
+func packTForSIMD(b *Matrix) *Matrix {
+	if simd == nil || len(b.Data) == 0 {
+		return nil
+	}
+	return packT(b)
 }

@@ -72,9 +72,9 @@ func TestPackedNTIsTransposePlusNN(t *testing.T) {
 }
 
 // TestPackedNTParallelBitIdentical is the packed path's half of the
-// determinism contract: for every shape and worker count (including the
-// GOMAXPROCS default), the pooled parallel launch must be bit-identical to
-// the serial one-panel launch.
+// determinism contract: for every shape, worker count (including the
+// GOMAXPROCS default) and kernel path, the pooled parallel launch must be
+// bit-identical to the serial one-panel launch of the pure-Go kernel.
 func TestPackedNTParallelBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 2, 3, 4, 7} {
 		for si, shape := range eqShapes {
@@ -83,19 +83,15 @@ func TestPackedNTParallelBitIdentical(t *testing.T) {
 				forcePackNT(t)
 				a := eqOperands(uint64(600+si), m, k)
 				b := eqOperands(uint64(601+si), n, k)
-
-				SetWorkers(1)
-				serial := dirty(m, n)
-				MatMulNTInto(serial, a, b)
-
-				forceParallel(t, workers)
-				parallel := dirty(m, n)
-				MatMulNTInto(parallel, a, b)
-
-				if !bitsEqual(serial, parallel) {
-					t.Errorf("packed NT parallel (w=%d) not bit-identical to serial\n serial   %v\n parallel %v",
-						workers, serial.Data, parallel.Data)
-				}
+				dst := dirty(m, n)
+				serial := oracle.run(MatMulNTInto, dst, a, b)
+				onEachPath(t, func(t *testing.T) {
+					parallel := launch{simd, workers}.run(MatMulNTInto, dst, a, b)
+					if !bitsEqual(serial, parallel) {
+						t.Errorf("packed NT parallel (w=%d) not bit-identical to serial\n serial   %v\n parallel %v",
+							workers, serial.Data, parallel.Data)
+					}
+				})
 			})
 		}
 	}
@@ -128,7 +124,7 @@ func TestPackedNTThresholdContract(t *testing.T) {
 	unpacked := dirty(64, 64)
 	MatMulNTInto(unpacked, a, b)
 	wantDot := dirty(64, 64)
-	gemmNTPanel(wantDot, a, b, 0, 64)
+	gemmNTPanel(wantDot, a, b, nil, 0, 64)
 	if !bitsEqual(unpacked, wantDot) {
 		t.Error("ops < minPackNTOps did not take the dot-product path")
 	}

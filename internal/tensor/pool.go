@@ -34,9 +34,24 @@ var (
 
 // minParallelOps is the work threshold (in multiply-adds) below which a
 // kernel runs serially on the calling goroutine: small matrices finish
-// faster than the fan-out handshake. A var, not a const, so tests can force
-// the parallel path for tiny shapes.
-var minParallelOps int64 = 1 << 17
+// faster than the fan-out handshake. Fan-out moves no result bit (parallel ==
+// serial), so only speed depends on it. A var, not a const, so tests can
+// force the parallel path for tiny shapes.
+//
+// Re-derived against the AVX2 inner loops (1<<17 dated from kernels that took
+// 3x longer per panel) on the 2-core reference VM, BenchmarkMatMulSerial vs
+// BenchmarkMatMulParallel (two workers), us per product, range of five runs:
+//
+//	64^3        0.26M   20-21     -> 24-26     fan-out loses
+//	300x32x48   0.46M   53-86     -> 49-58     (serial bimodal; 38-47 other days)
+//	300x48x48   0.69M   60-63     -> 68-97     loses: every inference product
+//	128^3       2.1M    182-213   -> 171-181   break-even
+//	160^3       4.1M    325-389   -> 253-264   wins
+//	2000x48x48  4.6M    409-467   -> 313-364   wins
+//	256^3       16.8M   1321-1494 -> 833-916   wins
+//
+// i.e. parallel ~ serial/1.7 + 60 us there, crossing over near 1.7M.
+var minParallelOps int64 = 1 << 21
 
 // SetWorkers sets the kernel fan-out width. n <= 0 restores the default,
 // which tracks GOMAXPROCS. Safe to call at any time, including while kernels

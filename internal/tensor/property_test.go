@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +73,60 @@ func TestPropertyDoubleTranspose(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// kernelPathsAgree is the property behind TestPropertyKernelPathsBitIdentical
+// and FuzzKernelPaths: with the operand family, the destination contents and
+// the worker count drawn from seed, every kernel gives the oracle's bits on
+// every kernel path this host has.
+func kernelPathsAgree(seed uint64, m, k, n int) error {
+	rng := stats.NewRNG(seed)
+	gen := operandModes[rng.IntN(len(operandModes))].gen
+	workers := 1 + rng.IntN(4)
+	dst := eqOperands(seed+2, m, n)
+	for _, kernel := range pathCases {
+		a, b := kernel.operands(gen, seed, m, k, n)
+		want := oracle.run(kernel.into, dst, a, b)
+		for _, loops := range []*simdLoops{nil, hostSIMD} {
+			if got := (launch{loops, workers}).run(kernel.into, dst, a, b); !bitsEqual(got, want) {
+				return fmt.Errorf("%s %dx%dx%d seed %d, %d workers, loops %v: not bit-identical to the serial pure-Go kernel",
+					kernel.name, m, k, n, seed, workers, loops != nil)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPropertyKernelPathsBitIdentical draws shapes at random from a fixed
+// seed, so the same 150 cases run everywhere: the grid in equivalence_test.go
+// is where a tail is guaranteed to be hit, this is where an interaction
+// nobody listed can be.
+func TestPropertyKernelPathsBitIdentical(t *testing.T) {
+	f := func(seed uint32) bool {
+		r := stats.NewRNG(uint64(seed))
+		if err := kernelPathsAgree(uint64(seed), 1+r.IntN(40), 1+r.IntN(70), 1+r.IntN(70)); err != nil {
+			t.Error(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(22))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzKernelPaths lets the fuzzer pick the shape (empty dimensions and
+// reductions past kTileNN included) and the seed everything else is drawn
+// from. `make fuzz` runs it; plain `go test` replays the seeds below.
+func FuzzKernelPaths(f *testing.F) {
+	f.Add(uint64(1), uint8(32), uint16(48), uint8(48))
+	f.Add(uint64(2), uint8(18), uint16(257), uint8(10))
+	f.Add(uint64(3), uint8(3), uint16(0), uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, m uint8, k uint16, n uint8) {
+		if err := kernelPathsAgree(seed, int(m%48), int(k%300), int(n%80)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // mustPanic runs fn and reports an error unless it panicked.

@@ -34,10 +34,18 @@ type KernelStats struct {
 	ScratchGets   int64 `json:"scratch_gets"`
 	ScratchMisses int64 `json:"scratch_misses"`
 	ScratchPuts   int64 `json:"scratch_puts"`
+	// Path names the inner loops the matmul kernels run, chosen once at
+	// start-up from what the CPU supports: "avx2" or "generic" (pure Go). The
+	// two produce identical bits; only timings depend on it.
+	Path string `json:"path"`
 }
 
 // ReadKernelStats returns a snapshot of the process-wide kernel counters.
 func ReadKernelStats() KernelStats {
+	path := "generic"
+	if simd != nil {
+		path = simd.name
+	}
 	return KernelStats{
 		SerialCalls:   statSerialCalls.Load(),
 		ParallelCalls: statParallelCalls.Load(),
@@ -46,5 +54,6 @@ func ReadKernelStats() KernelStats {
 		ScratchGets:   statScratchGets.Load(),
 		ScratchMisses: statScratchMisses.Load(),
 		ScratchPuts:   statScratchPuts.Load(),
+		Path:          path,
 	}
 }

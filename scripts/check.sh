@@ -17,6 +17,16 @@ go test ./...
 echo ">> go test -race ./..."
 go test -race ./...
 
+# The amd64 legs above run the AVX2 inner loops (internal/tensor/simd_amd64.s)
+# wherever the CPU has them. 32-bit x86 computes float64 in SSE2 with the same
+# roundings and has no assembly, so the goldens passing there prove the
+# pure-Go kernels still reproduce every checked-in byte; vetting for arm64
+# proves the tree builds without the assembly.
+echo ">> GOARCH=386 go test -run Golden . (pure-Go kernels against the goldens)"
+GOARCH=386 go test -count=1 -run Golden .
+echo ">> GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
+
 # bench/ is a module of its own (the root ./... does not see it) and the only
 # consumer that pins the public surface the benchmark drives.
 echo ">> (cd bench && go vet . && go test .)"
@@ -107,11 +117,11 @@ for ty in $types; do
 done
 
 # The kernel determinism contract (parallel == serial, bit for bit) must hold
-# under real interleaving, so the equivalence, property, and packed-NT/f32
-# suites run again with the race detector and two scheduler threads forcing
-# the worker pool to actually overlap panels.
-echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + packed)"
-GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32' ./internal/tensor/
+# under real interleaving, so the equivalence, property, kernel-path, and
+# packed-NT/f32 suites run again with the race detector and two scheduler
+# threads forcing the worker pool to actually overlap panels.
+echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + packed)"
+GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32|Kernel' ./internal/tensor/
 
 # Compile-and-run every kernel benchmark once so perf-path-only code (panel
 # kernels at benchmark shapes, scratch arena reuse) cannot rot unnoticed.
