@@ -49,11 +49,13 @@ bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # fuzz runs the decode fuzzers (transport round messages and comm packed
-# sections) and the kernel-path fuzzer (simd inner loops == pure-Go kernels,
-# bit for bit) for a short budget each; raise FUZZTIME for deeper exploration.
+# sections) and the kernel-path fuzzers (simd inner loops == pure-Go kernels
+# and row ops, bit for bit) for a short budget each; raise FUZZTIME for deeper
+# exploration.
 # The decoders start from the checked-in seed corpora under testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/transport/ -run=XXX -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=XXX -fuzz=FuzzDecodeSection -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzKernelPaths -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzRowOps -fuzztime=$(FUZZTIME)

@@ -108,42 +108,6 @@ func BenchmarkFedPKDRound(b *testing.B) {
 	}
 }
 
-// BenchmarkFedPKDRoundSerialKernels is BenchmarkFedPKDRound with the tensor
-// worker pool pinned to one worker; comparing the two isolates what the
-// kernel fan-out contributes on this host (on multi-core machines the
-// default-width run should win, and determinism tests guarantee both
-// produce bit-identical models).
-func BenchmarkFedPKDRoundSerialKernels(b *testing.B) {
-	SetKernelWorkers(1)
-	defer SetKernelWorkers(0)
-	env, err := NewEnvironment(EnvConfig{
-		Spec:       SynthC10(42),
-		NumClients: 3,
-		TrainSize:  600, TestSize: 300, PublicSize: 200, LocalTestSize: 50,
-		Partition: PartitionConfig{Kind: PartitionDirichlet, Alpha: 0.3},
-		Seed:      42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	algo, err := NewFedPKD(Config{
-		Env:                 env,
-		ClientPrivateEpochs: 2,
-		ClientPublicEpochs:  1,
-		ServerEpochs:        3,
-		Seed:                42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := algo.Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFedPKDRoundInstrumented is BenchmarkFedPKDRound with a Recorder
 // attached; comparing the two quantifies the observability overhead.
 func BenchmarkFedPKDRoundInstrumented(b *testing.B) {

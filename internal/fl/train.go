@@ -171,14 +171,25 @@ func Accuracy(net *nn.Network, d *dataset.Dataset) float64 {
 }
 
 // MeanClientAccuracy evaluates each client model on its own local test set
-// and returns the mean — the paper's C_acc.
+// and returns the mean — the paper's C_acc. The round's workers are parked
+// when it runs and every client owns its model, so clients are evaluated
+// through ForEachClient; the accuracies are summed in client order, which
+// keeps the mean the bits of a serial loop at any fan-out width. A panic in
+// one client's evaluation is raised again here.
 func MeanClientAccuracy(nets []*nn.Network, localTests []*dataset.Dataset) float64 {
 	if len(nets) == 0 {
 		return 0
 	}
+	accs := make([]float64, len(nets))
+	if err := ForEachClient(len(nets), func(c int) error {
+		accs[c] = Accuracy(nets[c], localTests[c])
+		return nil
+	}); err != nil {
+		panic(err)
+	}
 	var sum float64
-	for c, net := range nets {
-		sum += Accuracy(net, localTests[c])
+	for _, acc := range accs {
+		sum += acc
 	}
 	return sum / float64(len(nets))
 }

@@ -2,6 +2,10 @@ package fl
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -198,6 +202,43 @@ func TestMeanClientAccuracy(t *testing.T) {
 	if MeanClientAccuracy(nil, nil) != 0 {
 		t.Error("no clients must yield 0")
 	}
+}
+
+// TestMeanClientAccuracyMatchesSerialLoop: the fanned-out evaluation returns
+// the bits of the serial loop it replaced, whatever the fan-out width, and a
+// client whose evaluation panics takes the caller down with it.
+func TestMeanClientAccuracyMatchesSerialLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{1, 2, 7} {
+		nets := make([]*nn.Network, n)
+		tests := make([]*dataset.Dataset, n)
+		for c := range nets {
+			rng := stats.NewRNG(uint64(100*n + c))
+			nets[c] = allocTestNet(rng)
+			tests[c] = allocTestData(rng, 9+5*c)
+		}
+		var want float64
+		for c, net := range nets {
+			want += Accuracy(net, tests[c])
+		}
+		want /= float64(n)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := MeanClientAccuracy(nets, tests); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%d clients, GOMAXPROCS %d: MeanClientAccuracy = %v, serial loop %v", n, procs, got, want)
+			}
+		}
+	}
+
+	rng := stats.NewRNG(1)
+	nets := []*nn.Network{allocTestNet(rng), allocTestNet(rng)}
+	tests := []*dataset.Dataset{allocTestData(rng, 8), {X: tensor.New(3, 5), Labels: make([]int, 3), Classes: 4}} // wrong width
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "client 1 panicked") {
+			t.Errorf("a panicking client evaluation should be re-raised naming the client, got %v", r)
+		}
+	}()
+	MeanClientAccuracy(nets, tests)
 }
 
 func TestAccuracyEmptyDataset(t *testing.T) {

@@ -12,19 +12,14 @@ import (
 // the engine-wide buffer contract: valid until the next call on the same
 // layer.
 
-// reluVal returns max(0, v) without a branch: negative inputs (sign bit
-// set) are masked to +0.0, everything else — including +0.0 and -0.0 —
-// passes through as itself or +0.0. Bit-for-bit the same outputs as the
-// branchy form, but immune to the ~50% mispredict rate of random-signed
-// activations.
+// reluVal and zeroOne are tensor.ReLUInto's branch-free bit tricks, which
+// LeakyReLU builds its slope from: max(0, v) by masking on the sign bit, and
+// 1.0 or 0.0 for a non-negative float that is or is not zero.
 func reluVal(v float64) float64 {
 	b := math.Float64bits(v)
 	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }
 
-// zeroOne returns 1.0 when nonNeg (a reluVal result, so never negative) is
-// nonzero and 0.0 when it is zero, again branch-free: for a non-negative
-// float, the bit pattern is zero iff the value is zero.
 func zeroOne(nonNeg float64) float64 {
 	u := int64(math.Float64bits(nonNeg))
 	return float64((u | -u) >> 63 & 1)
@@ -48,23 +43,12 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward applies max(0, x) elementwise.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	r.out = tensor.Ensure(r.out, x.Rows, x.Cols)
-	out := r.out.Data
+	var mask []float64
 	if train {
-		if cap(r.mask) < len(out) {
-			r.mask = make([]float64, len(out))
-		}
-		r.mask = r.mask[:len(out)]
-		mask := r.mask
-		for i, v := range x.Data {
-			y := reluVal(v)
-			out[i] = y
-			mask[i] = zeroOne(y)
-		}
-	} else {
-		for i, v := range x.Data {
-			out[i] = reluVal(v)
-		}
+		r.mask = ensureFloats(r.mask, len(x.Data))
+		mask = r.mask
 	}
+	tensor.ReLUInto(r.out.Data, mask, x.Data)
 	r.ready = train
 	return r.out
 }
@@ -75,11 +59,7 @@ func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		panic("nn: ReLU.Backward called without a train-mode Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, dout.Rows, dout.Cols)
-	dx := r.dx.Data
-	mask := r.mask
-	for i, v := range dout.Data {
-		dx[i] = v * mask[i]
-	}
+	tensor.MulInto(r.dx.Data, dout.Data, r.mask)
 	return r.dx
 }
 

@@ -94,26 +94,12 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		for j := 0; j < b.Dim; j++ {
 			invStd[j] = 1 / math.Sqrt(rv[j]+b.Eps)
 		}
+		var xhat *tensor.Matrix
 		if train {
 			b.xhat = tensor.Ensure(b.xhat, x.Rows, x.Cols)
+			xhat = b.xhat
 		}
-		for i := 0; i < x.Rows; i++ {
-			row := x.Row(i)
-			orow := out.Row(i)
-			if train {
-				xrow := b.xhat.Row(i)
-				for j := 0; j < b.Dim; j++ {
-					xhat := (row[j] - rm[j]) * invStd[j]
-					xrow[j] = xhat
-					orow[j] = gamma[j]*xhat + beta[j]
-				}
-			} else {
-				for j := 0; j < b.Dim; j++ {
-					xhat := (row[j] - rm[j]) * invStd[j]
-					orow[j] = gamma[j]*xhat + beta[j]
-				}
-			}
-		}
+		tensor.BatchNormApply(out, xhat, x, rm, invStd, gamma, beta)
 		return out
 	}
 	b.ready = true
@@ -131,12 +117,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		mean[j] = 0
 		variance[j] = 0
 	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			mean[j] += v
-			variance[j] += v * v
-		}
-	}
+	tensor.AddColSumSq(mean, variance, x)
 	for j := range mean {
 		mu := mean[j] * invBatch
 		mean[j] = mu
@@ -153,16 +134,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for j := 0; j < b.Dim; j++ {
 		invStd[j] = 1 / math.Sqrt(variance[j]+b.Eps)
 	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		xrow := b.xhat.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Dim; j++ {
-			xhat := (row[j] - mean[j]) * invStd[j]
-			xrow[j] = xhat
-			orow[j] = gamma[j]*xhat + beta[j]
-		}
-	}
+	tensor.BatchNormApply(out, b.xhat, x, mean, invStd, gamma, beta)
 	// Exponential running statistics.
 	om, mom := 1-b.Momentum, b.Momentum
 	rm, rv := b.runningMean.Value.Data, b.runningVar.Value.Data
@@ -178,7 +150,6 @@ func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if !b.ready {
 		panic("nn: BatchNorm.Backward called without a train-mode Forward")
 	}
-	m := float64(dout.Rows)
 	b.dx = tensor.Ensure(b.dx, dout.Rows, dout.Cols)
 	dx := b.dx
 	gamma := b.gamma.Value.Data
@@ -209,28 +180,9 @@ func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		sumDxhat[j] = 0
 		sumDxhatXhat[j] = 0
 	}
-	for i := 0; i < dout.Rows; i++ {
-		drow := dout.Row(i)
-		xrow := b.xhat.Row(i)
-		for j := 0; j < b.Dim; j++ {
-			dxhat := drow[j] * gamma[j]
-			sumDxhat[j] += dxhat
-			sumDxhatXhat[j] += dxhat * xrow[j]
-			gGrad[j] += drow[j] * xrow[j]
-			bGrad[j] += drow[j]
-		}
-	}
+	tensor.BatchNormGradSums(sumDxhat, sumDxhatXhat, gGrad, bGrad, dout, b.xhat, gamma)
 	// dx = (1/m) * gamma/std * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)).
-	invM := 1 / m
-	for i := 0; i < dout.Rows; i++ {
-		drow := dout.Row(i)
-		xrow := b.xhat.Row(i)
-		dxrow := dx.Row(i)
-		for j := 0; j < b.Dim; j++ {
-			dxhat := drow[j] * gamma[j]
-			dxrow[j] = (dxhat*m - sumDxhat[j] - xrow[j]*sumDxhatXhat[j]) * invStd[j] * invM
-		}
-	}
+	tensor.BatchNormGradInput(dx, dout, b.xhat, gamma, sumDxhat, sumDxhatXhat, invStd)
 	return dx
 }
 

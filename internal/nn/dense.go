@@ -61,12 +61,7 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		panic("nn: Dense.Backward called without a train-mode Forward")
 	}
 	tensor.MatMulTNAccInto(d.w.Grad, d.x, dout)
-	bg := d.b.Grad.Data
-	for i := 0; i < dout.Rows; i++ {
-		for j, v := range dout.Row(i) {
-			bg[j] += v
-		}
-	}
+	tensor.AddColSums(d.b.Grad.Data, dout)
 	d.dx = tensor.Ensure(d.dx, dout.Rows, d.In)
 	tensor.MatMulNTInto(d.dx, dout, d.w.Value)
 	return d.dx

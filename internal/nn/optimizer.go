@@ -132,16 +132,18 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step applies one Adam update with bias correction. The per-step bias
-// corrections are hoisted out of the element loop as reciprocals, so the
-// inner loop pays one divide and one sqrt per element instead of three
-// divides.
+// corrections go to the element loop (tensor.AdamStep) as reciprocals, so it
+// pays one divide and one sqrt per element instead of three divides.
 func (o *Adam) Step(params []*Param) {
 	o.t++
-	invC1 := 1 / (1 - math.Pow(o.Beta1, float64(o.t)))
-	invC2 := 1 / (1 - math.Pow(o.Beta2, float64(o.t)))
-	b1, b2 := o.Beta1, o.Beta2
-	ob1, ob2 := 1-o.Beta1, 1-o.Beta2
-	lr, eps := o.LR, o.Eps
+	k := tensor.AdamCoeffs{
+		B1: o.Beta1, OB1: 1 - o.Beta1,
+		B2: o.Beta2, OB2: 1 - o.Beta2,
+		LR:    o.LR,
+		InvC1: 1 / (1 - math.Pow(o.Beta1, float64(o.t))),
+		InvC2: 1 / (1 - math.Pow(o.Beta2, float64(o.t))),
+		Eps:   o.Eps,
+	}
 	for _, p := range params {
 		st, ok := o.state[p]
 		if !ok {
@@ -151,14 +153,7 @@ func (o *Adam) Step(params []*Param) {
 			}
 			o.state[p] = st
 		}
-		md, vd, pd := st.m.Data, st.v.Data, p.Value.Data
-		for i, g := range p.Grad.Data {
-			mi := b1*md[i] + ob1*g
-			vi := b2*vd[i] + ob2*g*g
-			md[i] = mi
-			vd[i] = vi
-			pd[i] -= lr * (mi * invC1) / (math.Sqrt(vi*invC2) + eps)
-		}
+		tensor.AdamStep(p.Value.Data, st.m.Data, st.v.Data, p.Grad.Data, k)
 	}
 }
 

@@ -59,9 +59,7 @@ func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	out := r.Inner.Forward(x, train)
 	r.out = tensor.Ensure(r.out, out.Rows, out.Cols)
-	for i, v := range out.Data {
-		r.out.Data[i] = v + x.Data[i]
-	}
+	tensor.AddInto(r.out.Data, out.Data, x.Data)
 	return r.out
 }
 
@@ -70,9 +68,7 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 func (r *Residual) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	dx := r.Inner.Backward(dout)
 	r.dx = tensor.Ensure(r.dx, dx.Rows, dx.Cols)
-	for i, v := range dx.Data {
-		r.dx.Data[i] = v + dout.Data[i]
-	}
+	tensor.AddInto(r.dx.Data, dx.Data, dout.Data)
 	return r.dx
 }
 

@@ -111,3 +111,31 @@ func BenchmarkDenseTrainStep(b *testing.B) {
 		MatMulNTInto(dx, dy, w)
 	})
 }
+
+// BenchmarkRowOps measures every loop of rowops.go on both paths at the
+// training shape, a 32-row batch of models.FeatureWidth = 48 columns (Adam
+// on a 48x48 weight). MB/s counts the block once: 8 bytes per element.
+func BenchmarkRowOps(b *testing.B) {
+	for _, path := range kernelPaths {
+		b.Run(path, func(b *testing.B) {
+			useKernelPath(b, path)
+			for _, c := range rowOpCases {
+				if c.aliased {
+					continue
+				}
+				rows := 32
+				if c.name == "AdamStep" {
+					rows = 48
+				}
+				b.Run(c.name, func(b *testing.B) {
+					o := c.build(func(seed uint64, r, cols int) *Matrix { return Randn(stats.NewRNG(seed), r, cols, 1) }, 1, rows, 48)
+					b.SetBytes(int64(rows * 48 * 8))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.run(o)
+					}
+				})
+			}
+		})
+	}
+}

@@ -172,14 +172,14 @@ func reluOperands(seed uint64, rows, cols int) *Matrix {
 }
 
 // specialOperands mixes signed zeros, infinities, subnormals, near-overflow
-// magnitudes and NaN into gaussian data, so products hit 0·Inf, Inf-Inf,
+// magnitudes and signed NaNs into gaussian data, so products hit 0·Inf, Inf-Inf,
 // gradual underflow and overflow in both paths.
 func specialOperands(seed uint64, rows, cols int) *Matrix {
 	rng := stats.NewRNG(seed)
 	specials := []float64{
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -3e-309,
-		math.MaxFloat64, -1e308, math.NaN(),
+		math.MaxFloat64, -1e308, math.NaN(), math.Float64frombits(0xfff8_0000_0000_0001), // NaN of both signs
 	}
 	m := Randn(rng, rows, cols, 1)
 	for i := range m.Data {
@@ -392,28 +392,75 @@ func TestEquivalenceAccIntoBitIdentical(t *testing.T) {
 	}
 }
 
+// countedLoops returns loops with every entry wrapped to count its calls into
+// calls, under the name of its field (both axpy forms under "axpy4").
+func countedLoops(loops *simdLoops, calls map[string]int) *simdLoops {
+	c := *loops
+	c.axpy4 = func(o, b []float64, a0, a1, a2, a3 float64) {
+		calls["axpy4"]++
+		loops.axpy4(o, b, a0, a1, a2, a3)
+	}
+	c.axpy4x2 = func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
+		calls["axpy4"]++
+		loops.axpy4x2(o, o2, b, a0, a1, a2, a3, c0, c1, c2, c3)
+	}
+	c.dotCols = func(o, a, bt []float64, stride int) {
+		calls["dotCols"]++
+		loops.dotCols(o, a, bt, stride)
+	}
+	c.adam = func(p, m, v, g []float64, k AdamCoeffs) {
+		calls["adam"]++
+		loops.adam(p, m, v, g, k)
+	}
+	c.colSumSq = func(sum, sumSq, x []float64, rows int) {
+		calls["colSumSq"]++
+		loops.colSumSq(sum, sumSq, x, rows)
+	}
+	c.bnApply = func(out, xhat, x, mean, invStd, gamma, beta []float64, rows int) {
+		calls["bnApply"]++
+		loops.bnApply(out, xhat, x, mean, invStd, gamma, beta, rows)
+	}
+	c.bnGradSums = func(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma []float64, rows int) {
+		calls["bnGradSums"]++
+		loops.bnGradSums(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma, rows)
+	}
+	c.bnGradInput = func(dx, dout, xhat, gamma, sumD, sumDX, invStd []float64, rows int, m, invM float64) {
+		calls["bnGradInput"]++
+		loops.bnGradInput(dx, dout, xhat, gamma, sumD, sumDX, invStd, rows, m, invM)
+	}
+	c.relu = func(out, mask, x []float64) {
+		calls["relu"]++
+		loops.relu(out, mask, x)
+	}
+	c.mul = func(dst, a, b []float64) {
+		calls["mul"]++
+		loops.mul(dst, a, b)
+	}
+	c.add = func(dst, a, b []float64) {
+		calls["add"]++
+		loops.add(dst, a, b)
+	}
+	c.addRowVec = func(m, v []float64, rows int) {
+		calls["addRowVec"]++
+		loops.addRowVec(m, v, rows)
+	}
+	c.addColSums = func(sums, m []float64, rows int) {
+		calls["addColSums"]++
+		loops.addColSums(sums, m, rows)
+	}
+	return &c
+}
+
 // TestKernelPathReported: KernelStats.Path names the inner loops in use, and
-// a product of each orientation really goes through them.
+// a product of each orientation and every row op really goes through them.
+// (layers_test.go carries the same proof up to the nn layers.)
 func TestKernelPathReported(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
 		want := "generic"
-		var axpy, dots int
+		calls := map[string]int{}
 		if simd != nil {
 			want = simd.name
-			counted := *simd
-			counted.axpy4 = func(o, b []float64, a0, a1, a2, a3 float64) {
-				axpy++
-				hostSIMD.axpy4(o, b, a0, a1, a2, a3)
-			}
-			counted.axpy4x2 = func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
-				axpy++
-				hostSIMD.axpy4x2(o, o2, b, a0, a1, a2, a3, c0, c1, c2, c3)
-			}
-			counted.dotCols = func(o, a, bt []float64, stride int) {
-				dots++
-				hostSIMD.dotCols(o, a, bt, stride)
-			}
-			simd = &counted // useKernelPath's cleanup restores the original
+			simd = countedLoops(simd, calls) // useKernelPath's cleanup restores the original
 		}
 		if got := ReadKernelStats().Path; got != want {
 			t.Errorf("KernelStats.Path = %q, want %q", got, want)
@@ -423,19 +470,30 @@ func TestKernelPathReported(t *testing.T) {
 		}
 		rng := stats.NewRNG(11)
 		x, w, dy := Randn(rng, 5, 8, 1), Randn(rng, 8, 8, 1), Randn(rng, 5, 8, 1)
+		v := func() []float64 { return make([]float64, 8) }
 		for _, kc := range []struct {
-			name  string
-			run   func()
-			calls *int
+			name string
+			run  func()
+			loop string
 		}{
-			{"MatMulInto", func() { MatMulInto(New(5, 8), x, w) }, &axpy},
-			{"MatMulTNInto", func() { MatMulTNInto(New(8, 8), x, dy) }, &axpy},
-			{"MatMulNTInto", func() { MatMulNTInto(New(5, 8), dy, w) }, &dots},
+			{"MatMulInto", func() { MatMulInto(New(5, 8), x, w) }, "axpy4"},
+			{"MatMulTNInto", func() { MatMulTNInto(New(8, 8), x, dy) }, "axpy4"},
+			{"MatMulNTInto", func() { MatMulNTInto(New(5, 8), dy, w) }, "dotCols"},
+			{"AdamStep", func() { AdamStep(v(), v(), v(), v(), testAdam) }, "adam"},
+			{"AddColSumSq", func() { AddColSumSq(v(), v(), x) }, "colSumSq"},
+			{"BatchNormApply", func() { BatchNormApply(New(5, 8), nil, x, v(), v(), v(), v()) }, "bnApply"},
+			{"BatchNormGradSums", func() { BatchNormGradSums(v(), v(), v(), v(), dy, x, v()) }, "bnGradSums"},
+			{"BatchNormGradInput", func() { BatchNormGradInput(New(5, 8), dy, x, v(), v(), v(), v()) }, "bnGradInput"},
+			{"ReLUInto", func() { ReLUInto(v(), nil, v()) }, "relu"},
+			{"MulInto", func() { MulInto(v(), v(), v()) }, "mul"},
+			{"AddInto", func() { AddInto(v(), v(), v()) }, "add"},
+			{"AddRowVector", func() { New(5, 8).AddRowVector(v()) }, "addRowVec"},
+			{"AddColSums", func() { AddColSums(v(), x) }, "addColSums"},
 		} {
-			before := *kc.calls
+			before := calls[kc.loop]
 			kc.run()
-			if *kc.calls == before {
-				t.Errorf("%s made no call into the %s loops KernelStats reports", kc.name, want)
+			if calls[kc.loop] == before {
+				t.Errorf("%s made no call into the %s %s loop KernelStats reports", kc.name, want, kc.loop)
 			}
 		}
 	})
@@ -539,8 +597,8 @@ func (g *guards) broken() string {
 	return ""
 }
 
-// TestKernelGuardBands runs every kernel, on every kernel path and grid
-// shape, over operands and destinations that are sub-slices at odd element
+// TestKernelGuardBands runs every kernel and row op, on every kernel path and
+// grid shape, over operands and destinations that are sub-slices at odd element
 // offsets with sentinel words on both sides: results must equal the oracle's
 // bits and no sentinel may change. The NT panel is also driven directly with
 // a guarded bᵀ pack, the one scratch buffer the simd loops read.
@@ -577,6 +635,21 @@ func TestKernelGuardBands(t *testing.T) {
 						if name := g.broken(); name != "" {
 							t.Fatalf("%s %dx%dx%d: wrote outside %s", kernel.name, m, k, n, name)
 						}
+					}
+				}
+			}
+		}
+		// The row ops, every operand at its own odd offset.
+		for _, c := range rowOpCases {
+			for _, rows := range gridM {
+				for _, cols := range gridN {
+					g.bands = g.bands[:0]
+					embed := func(i int, m *Matrix) *Matrix { return g.embed(fmt.Sprintf("operand %d", i), m, 2*i+1) }
+					if err := rowOpAgrees(c, eqOperands, uint64(rows*1000+cols), rows, cols, embed); err != nil {
+						t.Fatal(err)
+					}
+					if name := g.broken(); name != "" {
+						t.Fatalf("%s %dx%d: wrote outside %s", c.name, rows, cols, name)
 					}
 				}
 			}

@@ -42,6 +42,8 @@ type simdLoops struct {
 	// dotCols: o[j] = dotSplit2(a, column j of bt) for j < len(o), a positive
 	// multiple of 4; bt is a packed bᵀ whose rows are stride apart.
 	dotCols func(o, a, bt []float64, stride int)
+	// The step's per-element loops outside the products (rowops.go).
+	simdRowOps
 }
 
 // simd is the inner-loop set in use; nil selects the pure-Go loops, the only

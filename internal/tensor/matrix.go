@@ -154,9 +154,7 @@ func (m *Matrix) AddScaled(s float64, other *Matrix) *Matrix {
 // Hadamard multiplies m elementwise by other in place and returns m.
 func (m *Matrix) Hadamard(other *Matrix) *Matrix {
 	m.mustSameShape(other, "Hadamard")
-	for i, v := range other.Data {
-		m.Data[i] *= v
-	}
+	MulInto(m.Data, m.Data, other.Data)
 	return m
 }
 
@@ -168,29 +166,10 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 	return m
 }
 
-// AddRowVector adds v to every row of m in place (bias broadcast).
-func (m *Matrix) AddRowVector(v []float64) *Matrix {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector got %d values for %d cols", len(v), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, b := range v {
-			row[j] += b
-		}
-	}
-	return m
-}
-
 // ColSums returns the per-column sums (used for bias gradients).
 func (m *Matrix) ColSums() []float64 {
 	sums := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			sums[j] += v
-		}
-	}
+	AddColSums(sums, m)
 	return sums
 }
 

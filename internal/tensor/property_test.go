@@ -134,7 +134,7 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Errorf("%s: aliased Into call should panic", name)
+			t.Errorf("%s should panic", name)
 		}
 	}()
 	fn()

@@ -18,7 +18,7 @@ func dotColsAVX2(o *float64, n int, a *float64, k int, bt *float64, stride int)
 
 func init() {
 	if hasAVX2() {
-		simd = &simdLoops{name: "avx2", axpy4: avx2Axpy4, axpy4x2: avx2Axpy4x2, dotCols: avx2DotCols}
+		simd = &simdLoops{name: "avx2", axpy4: avx2Axpy4, axpy4x2: avx2Axpy4x2, dotCols: avx2DotCols, simdRowOps: avx2RowOps}
 	}
 }
 

@@ -17,12 +17,13 @@ go test ./...
 echo ">> go test -race ./..."
 go test -race ./...
 
-# The amd64 legs above run the AVX2 inner loops (internal/tensor/simd_amd64.s)
-# wherever the CPU has them. 32-bit x86 computes float64 in SSE2 with the same
-# roundings and has no assembly, so the goldens passing there prove the
-# pure-Go kernels still reproduce every checked-in byte; vetting for arm64
-# proves the tree builds without the assembly.
-echo ">> GOARCH=386 go test -run Golden . (pure-Go kernels against the goldens)"
+# The amd64 legs above run the AVX2 inner loops (internal/tensor/*_amd64.s:
+# the GEMM column loops and the step's row ops) wherever the CPU has them.
+# 32-bit x86 computes float64 in SSE2 with the same roundings and has no
+# assembly, so the goldens passing there prove the pure-Go loops still
+# reproduce every checked-in byte; vetting for arm64 proves the tree builds
+# without the assembly.
+echo ">> GOARCH=386 go test -run Golden . (pure-Go loops against the goldens)"
 GOARCH=386 go test -count=1 -run Golden .
 echo ">> GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
@@ -116,12 +117,16 @@ for ty in $types; do
     done
 done
 
-# The kernel determinism contract (parallel == serial, bit for bit) must hold
-# under real interleaving, so the equivalence, property, kernel-path, and
-# packed-NT/f32 suites run again with the race detector and two scheduler
-# threads forcing the worker pool to actually overlap panels.
-echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + packed)"
-GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32|Kernel' ./internal/tensor/
+# The kernel determinism contract (parallel == serial == pure Go, bit for bit)
+# must hold under real interleaving, so the equivalence, property, kernel-path,
+# row-op and packed-NT/f32 suites run again with the race detector and two
+# scheduler threads forcing the worker pool to actually overlap panels — and
+# with them the nn tests that stand on those loops (gradient checks,
+# optimizer bit-equality, properties).
+echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + row ops + packed)"
+GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32|Kernel|RowOps|ReLUInto|LayersReach' ./internal/tensor/
+echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties)"
+GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam' ./internal/nn/
 
 # Compile-and-run every kernel benchmark once so perf-path-only code (panel
 # kernels at benchmark shapes, scratch arena reuse) cannot rot unnoticed.
