@@ -302,11 +302,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		if cmd == "" {
 			continue
 		}
-		resp := s.dispatch(cmd)
-		if err := enc.Encode(resp); err != nil {
+		err := enc.Encode(s.dispatch(cmd))
+		if cmd == "quit" {
+			// Reply first: the run loop may exit the process the instant the
+			// gate reports quitting, taking an unwritten reply with it.
+			s.gate.Quit()
 			return
 		}
-		if cmd == "quit" {
+		if err != nil {
 			return
 		}
 	}
@@ -334,8 +337,7 @@ func (s *Server) dispatch(cmd string) Response {
 		}
 		return Response{OK: true, Checkpoint: path}
 	case "quit":
-		s.gate.Quit()
-		return Response{OK: true}
+		return Response{OK: true} // serveConn quits the gate once this is written
 	default:
 		return Response{OK: false, Err: fmt.Sprintf("ctl: unknown command %q (want pause, ping, status, resume, save, quit)", cmd)}
 	}

@@ -203,3 +203,45 @@ func TestSendDialTimeout(t *testing.T) {
 		t.Fatalf("connection refused mislabeled as ErrTimeout: %v", err)
 	}
 }
+
+// TestQuitRepliesBeforeTheGateQuits pins the order of a quit: the reply is on
+// the wire before the gate reports quitting. The run loop here does what the
+// real one's process exit does — the instant Barrier returns ErrQuit it tears
+// the command connection down — and the operator must still read OK, every
+// time.
+func TestQuitRepliesBeforeTheGateQuits(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "ctl.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for i := 0; i < 200; i++ {
+		g := NewGate(nil)
+		g.Pause() // park the loop at its barrier until quit
+		srv := &Server{gate: g, status: func() Status { return Status{} }}
+		conns := make(chan net.Conn, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				close(conns)
+				return
+			}
+			conns <- conn
+			srv.serveConn(conn)
+		}()
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			conn := <-conns
+			if err := g.Barrier(0); errors.Is(err, ErrQuit) && conn != nil {
+				conn.Close()
+			}
+		}()
+		resp, err := Send(sock, "quit", 2*time.Second)
+		if err != nil || !resp.OK {
+			t.Fatalf("quit %d: %+v, %v", i, resp, err)
+		}
+		<-exited
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,21 +78,17 @@ const chaosTimeout = 2 * time.Second
 // completes every round with partial cohorts, and the same seed yields the
 // same history — degraded rounds included — across two independent runs.
 func TestChaosFedPKDDeterministicPartialRounds(t *testing.T) {
+	t.Parallel() // sleeps out deadlines; overlaps TestChaosCorruptionRun's
 	plan := &faults.Plan{Seed: 42, CrashProb: 0.2, DropProb: 0.1}
 	const rounds = 3
-	run := func() *fl.History {
-		env := chaosEnv(t)
-		hist, err := Run(chaosFedPKD(t, env), rounds, Options{
+	algos := [2]fl.Algorithm{chaosFedPKD(t, chaosEnv(t)), chaosFedPKD(t, chaosEnv(t))}
+	h1, h2 := replayLegs(t, func(i int) (*fl.History, error) {
+		return Run(algos[i], rounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist
-	}
-	h1 := run()
+	})
 	if h1.Len() != rounds {
 		t.Fatalf("history rounds = %d, want %d (chaos must not abort the run)", h1.Len(), rounds)
 	}
@@ -103,12 +100,37 @@ func TestChaosFedPKDDeterministicPartialRounds(t *testing.T) {
 			t.Fatalf("inconsistent degraded record %+v", d)
 		}
 	}
-	h2 := run()
 	j1, _ := json.Marshal(h1)
 	j2, _ := json.Marshal(h2)
 	if string(j1) != string(j2) {
 		t.Fatalf("same-seed chaos runs diverged:\n%s\nvs\n%s", j1, j2)
 	}
+}
+
+// replayLegs runs leg(0) and leg(1) — two independent same-seed runs — at the
+// same time, so the deadlines they sleep out overlap, and returns both
+// histories. Runs that agree byte for byte while interleaving are a stronger
+// determinism check than runs taken in turn. A leg's failure is reported from
+// the calling test goroutine.
+func replayLegs(t *testing.T, leg func(i int) (*fl.History, error)) (h1, h2 *fl.History) {
+	t.Helper()
+	var hists [2]*fl.History
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range hists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hists[i], errs[i] = leg(i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("leg %d: %v", i, err)
+		}
+	}
+	return hists[0], hists[1]
 }
 
 // TestChaosTCPCrashRestart drives the full reconnect path: crashed clients
@@ -248,44 +270,49 @@ func TestChaosTCPGoroutineLeakFree(t *testing.T) {
 // float64raw (no packed sections, so the message checksum is the only guard)
 // as under int8.
 func TestChaosCorruptionRun(t *testing.T) {
+	t.Parallel()
 	plan := &faults.Plan{Seed: 31, CorruptProb: 0.3}
 	const rounds = 3
 	for _, codec := range []comm.Codec{comm.CodecFloat64, comm.CodecInt8} {
 		t.Run(codec.String(), func(t *testing.T) {
-			run := func() *fl.History {
-				var fs faults.Stats
-				rec := obs.NewRecorder("chaos")
+			t.Parallel()
+			var algos [2]fl.Algorithm
+			var fs [2]faults.Stats
+			var recs [2]*obs.Recorder
+			for i := range algos {
 				env := chaosEnv(t)
 				// Raw parameter uploads are nearly all float bytes — where a
 				// flipped byte is just another float; logits and prototypes
 				// exercise the packed sections.
-				var algo fl.Algorithm = chaosFedAvg(t, env)
+				algos[i] = chaosFedAvg(t, env)
 				if codec != comm.CodecFloat64 {
-					algo = chaosFedPKD(t, env)
+					algos[i] = chaosFedPKD(t, env)
 				}
-				r, err := engine.Of(algo)
+				r, err := engine.Of(algos[i])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := r.SetCodec(codec); err != nil {
 					t.Fatal(err)
 				}
-				hist, err := Run(algo, rounds, Options{
+				recs[i] = obs.NewRecorder("chaos")
+			}
+			h1, h2 := replayLegs(t, func(i int) (*fl.History, error) {
+				return Run(algos[i], rounds, Options{
 					Mode:          ModeBus,
 					ClientTimeout: chaosTimeout,
 					Faults:        plan,
-					FaultStats:    &fs,
-					Recorder:      rec,
+					FaultStats:    &fs[i],
+					Recorder:      recs[i],
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				injected := fs.Snapshot().Corrupts
+			})
+			for i := range algos {
+				injected := fs[i].Snapshot().Corrupts
 				if injected == 0 {
 					t.Fatal("no corruption injected; this plan+seed is known to corrupt payloads")
 				}
 				var dropped int64
-				for _, tr := range rec.Traces() {
+				for _, tr := range recs[i].Traces() {
 					if tr.Robustness != nil {
 						dropped += int64(tr.Robustness.CorruptDropped)
 					}
@@ -293,13 +320,10 @@ func TestChaosCorruptionRun(t *testing.T) {
 				if dropped != injected {
 					t.Fatalf("%d payloads corrupted, %d dropped as corrupt: the rest were aggregated", injected, dropped)
 				}
-				return hist
 			}
-			h1 := run()
 			if h1.Len() != rounds {
 				t.Fatalf("history rounds = %d, want %d (corrupt payloads must not abort the run)", h1.Len(), rounds)
 			}
-			h2 := run()
 			j1, _ := json.Marshal(h1)
 			j2, _ := json.Marshal(h2)
 			if string(j1) != string(j2) {

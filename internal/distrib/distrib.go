@@ -33,7 +33,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fedpkd/internal/comm"
@@ -41,7 +40,6 @@ import (
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
-	"fedpkd/internal/stats"
 	"fedpkd/internal/transport"
 )
 
@@ -219,48 +217,6 @@ func Run(algo fl.Algorithm, rounds int, opts Options) (*fl.History, error) {
 	return s.Run(rounds)
 }
 
-// roundStats is the client plane's failure model plus one round's
-// protocol-hygiene counters, shared by the server and client goroutines.
-type roundStats struct {
-	// strict makes every protocol violation fatal. It is false when a
-	// ClientTimeout or a fault plan is set: violations are then counted below
-	// and the offending envelope dropped.
-	strict bool
-
-	stale   atomic.Int64
-	dup     atomic.Int64
-	corrupt atomic.Int64
-	retries atomic.Int64
-	unknown atomic.Int64
-	// Tier-plane counters: digests the root gave up waiting for, leaf-side
-	// digest send retries, and duplicate digests the root rejected.
-	leafTimeouts  atomic.Int64
-	digestRetries atomic.Int64
-	digestDups    atomic.Int64
-}
-
-func (rs *roundStats) reset() {
-	rs.stale.Store(0)
-	rs.dup.Store(0)
-	rs.corrupt.Store(0)
-	rs.retries.Store(0)
-	rs.unknown.Store(0)
-	rs.leafTimeouts.Store(0)
-	rs.digestRetries.Store(0)
-	rs.digestDups.Store(0)
-}
-
-// reject applies the failure model to one protocol violation: strict mode
-// returns err for the caller to abort with, tolerant mode counts the
-// violation in class and returns nil.
-func (rs *roundStats) reject(class *atomic.Int64, err error) error {
-	if rs.strict {
-		return err
-	}
-	class.Add(1)
-	return nil
-}
-
 // roundPlan is everything one round moves: who takes part and what each of
 // them is sent to train against. A synchronous round is a plan with no
 // overrides — the whole cohort shares one global; an async buffer flush is a
@@ -285,7 +241,7 @@ type roundPlan struct {
 // planStart is one encoded round-opening message and the delta reference
 // uploads trained against its global decode with.
 type planStart struct {
-	wireStart
+	frame
 	ref []float64
 }
 
@@ -350,7 +306,7 @@ func (s *Service) planRound(t int) (*roundPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := planStart{wireStart: ws}
+		start := planStart{frame: ws}
 		if g != nil {
 			start.ref = g.Params
 		}
@@ -380,7 +336,7 @@ type roundReport struct {
 // scheduled fleet, or the flush's planned contributors.
 func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected int64) {
 	var crashed, timedOut []int
-	t, expected, rs := plan.t, len(plan.cohort), s.rs
+	t, expected, cl, tier := plan.t, len(plan.cohort), s.clients, s.tier
 	inLost := make(map[int]bool, len(rp.lostShards))
 	for _, sh := range rp.lostShards {
 		inLost[sh] = true
@@ -404,14 +360,14 @@ func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected in
 		Expected:       expected,
 		TimedOut:       timedOut,
 		Crashed:        crashed,
-		StaleDropped:   int(rs.stale.Load()),
-		DupDropped:     int(rs.dup.Load()),
-		CorruptDropped: int(rs.corrupt.Load()),
-		UnknownDropped: int(rs.unknown.Load()),
-		Retries:        int(rs.retries.Load()),
-		LeafTimeouts:   int(rs.leafTimeouts.Load()),
-		DigestRetries:  int(rs.digestRetries.Load()),
-		DigestDups:     int(rs.digestDups.Load()),
+		StaleDropped:   int(cl.stale.Load() + tier.stale.Load()),
+		DupDropped:     int(cl.dup.Load()),
+		CorruptDropped: int(cl.corrupt.Load() + tier.corrupt.Load()),
+		UnknownDropped: int(cl.unknown.Load()),
+		Retries:        int(cl.retries.Load()),
+		LeafTimeouts:   int(tier.timeouts.Load()),
+		DigestRetries:  int(tier.retries.Load()),
+		DigestDups:     int(tier.dup.Load()),
 		ShardsLost:     rp.lostShards,
 		FaultsInjected: injected,
 	})
@@ -422,31 +378,19 @@ func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected in
 // collect uploads (all of them in strict mode, whatever beats the deadline in
 // tolerant mode), aggregate, fan out RoundEnd. A client-reported error aborts
 // the round but still produces a RoundEnd so no peer blocks forever.
-//
-// Round framing is billed for every cohort member regardless of delivery —
-// billing driven by Send outcomes would make traffic totals depend on crash
-// timing, breaking the same-seed-same-history guarantee.
 func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
-	t, conn := plan.t, s.tr.server
-	ledger := s.runner.Ledger()
-	codec := s.runner.Codec()
-	coded := codec != comm.CodecFloat64
-
-	for _, c := range plan.cohort {
-		start := plan.start(c)
-		e := &transport.Envelope{Kind: transport.KindRoundStart, From: -1, To: c, Round: t, Payload: start.payload}
-		sendErr := conn.Send(e)
-		billFraming(ledger, start.hasGlobal, coded, e.WireSize(), start.raw)
-		if sendErr != nil && s.rs.strict {
-			return nil, sendErr
-		}
+	t := plan.t
+	start := func(i int) frame { return plan.start(plan.cohort[i]).frame }
+	if err := s.fanFraming(transport.KindRoundStart, t, plan.cohort, start); err != nil {
+		return nil, err
 	}
 
 	uploads := make([]engine.Upload, 0, len(plan.cohort))
-	report, roundErr, err := s.newCollector(t, plan.cohort, plan.noun(), plan.ref, func(u engine.Upload) error {
+	rungs := s.uploadLadder(plan.noun(), plan.ref, func(u engine.Upload) error {
 		uploads = append(uploads, u)
 		return nil
-	}).collect(s.srx)
+	})
+	report, roundErr, err := newCollector(s.clients, s.srx, t, plan.cohort, rungs).collect()
 	if err != nil {
 		return report, err
 	}
@@ -460,78 +404,83 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 		// in-process engine, so reductions are order-stable regardless of
 		// which goroutine finished first.
 		sort.Slice(uploads, func(i, j int) bool { return uploads[i].Client < uploads[j].Client })
-		bcast, roundErr = s.aggregate(plan, uploads, report)
+		bcast, roundErr = aggregate(s.runner, plan, uploads, report)
 	}
 
-	payload, hasBroadcast, endRaw, roundErr, fatal := buildRoundEnd(t, codec, bcast, roundErr)
+	end, roundErr, fatal := buildRoundEnd(t, s.runner.Codec(), bcast, roundErr)
 	if fatal != nil {
 		return report, fatal
 	}
-	for _, c := range plan.cohort {
-		e := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: c, Round: t, Payload: payload}
-		sendErr := conn.Send(e)
-		billFraming(ledger, hasBroadcast, coded, e.WireSize(), endRaw)
-		if sendErr != nil && s.rs.strict && roundErr == nil {
-			return report, sendErr
-		}
+	if err := s.fanFraming(transport.KindRoundEnd, t, plan.cohort, func(int) frame { return end }); err != nil && roundErr == nil {
+		return report, err
 	}
 	return report, roundErr
 }
 
-// newCollector returns a collector for round t over cohort, streaming into
-// sink under the service's codec, ledger, registry and failure model.
-func (s *Service) newCollector(t int, cohort []int, noun string, ref func(int) []float64, sink func(engine.Upload) error) *collector {
-	return &collector{
-		t: t, noun: noun, n: s.n, cohort: cohort, ref: ref, sink: sink,
-		codec:   s.runner.Codec(),
-		ledger:  s.runner.Ledger(),
-		reg:     s.reg,
-		faults:  s.opts.Faults,
-		timeout: s.opts.ClientTimeout,
-		rs:      s.rs,
+// fanFraming sends every cohort member its round-framing message — msg(i)
+// for cohort[i], a RoundStart or RoundEnd — over the client fabric: the flat
+// server's fan-out and a leaf's, which therefore bill identically. Framing is
+// billed for every member regardless of delivery: billing driven by Send
+// outcomes would make traffic totals depend on crash timing, breaking the
+// same-seed-same-history guarantee. The first send failure is returned when
+// the client plane is strict; a tolerant plane's deadline covers the gap.
+func (s *Service) fanFraming(kind transport.Kind, t int, cohort []int, msg func(i int) frame) error {
+	ledger := s.runner.Ledger()
+	coded := s.runner.Codec() != comm.CodecFloat64
+	var first error
+	for i, c := range cohort {
+		f := msg(i)
+		e := &transport.Envelope{Kind: kind, From: -1, To: c, Round: t, Payload: f.bytes}
+		err := s.tr.server.Send(e)
+		billFraming(ledger, f.knowledge, coded, e.WireSize(), f.raw)
+		if err != nil && s.clients.strict && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // aggregate runs the algorithm's Aggregate over the round's surviving
 // uploads (sorted by client id). A flush staleness-weights them first and
 // reports who contributed, for AsyncCommitFlush.
-func (s *Service) aggregate(plan *roundPlan, uploads []engine.Upload, report *roundReport) (*engine.Payload, error) {
-	rc := s.runner.Context(plan.t)
+func aggregate(runner *engine.Runner, plan *roundPlan, uploads []engine.Upload, report *roundReport) (*engine.Payload, error) {
+	rc := runner.Context(plan.t)
 	if plan.flush != nil {
 		for _, u := range uploads {
 			report.contributors = append(report.contributors, u.Client)
 		}
-		uploads = s.runner.AsyncWeightUploads(plan.flush, uploads)
+		uploads = runner.AsyncWeightUploads(plan.flush, uploads)
 	}
-	return s.runner.Hooks().Aggregate(rc, uploads)
+	return runner.Hooks().Aggregate(rc, uploads)
 }
 
-// wireStart is one encoded round-opening message with its billing facts:
-// whether it carries a global, and its raw-equivalent size under a
-// compressing codec.
-type wireStart struct {
-	payload   []byte
-	hasGlobal bool
+// frame is one encoded round-framing message (a RoundStart or RoundEnd
+// payload) with its billing facts: whether it carries knowledge (a global, a
+// broadcast) rather than control only, and its raw-equivalent envelope size
+// under a compressing codec.
+type frame struct {
+	bytes     []byte
+	knowledge bool
 	raw       int
 }
 
 // encodeRoundStart encodes one round-opening message carrying global (which
 // must already be codec-applied), once per plan: the flat server fans the
 // result to its cohort, a leaf aggregator fans the same bytes to its shard.
-func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (wireStart, error) {
+func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (frame, error) {
 	gw, err := transport.PayloadToWireIn(global, codec, nil)
 	if err != nil {
-		return wireStart{}, err
+		return frame{}, err
 	}
 	msg := transport.RoundStart{Round: t, HasGlobal: global != nil, Global: gw, Codec: uint8(codec)}
-	ws := wireStart{hasGlobal: msg.HasGlobal}
-	if ws.payload, err = transport.Encode(msg); err != nil {
-		return wireStart{}, err
+	ws := frame{knowledge: msg.HasGlobal}
+	if ws.bytes, err = transport.Encode(msg); err != nil {
+		return frame{}, err
 	}
 	if codec != comm.CodecFloat64 && msg.HasGlobal {
 		ws.raw = rawWireSize(
 			transport.RoundStart{Round: t, HasGlobal: true, Global: transport.PayloadToWire(global)},
-			(&transport.Envelope{Payload: ws.payload}).WireSize())
+			(&transport.Envelope{Payload: ws.bytes}).WireSize())
 	}
 	return ws, nil
 }
@@ -542,7 +491,7 @@ func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (wireStar
 // still decode them ref-free). Encode failures fold into the returned
 // roundErr; a non-nil fatal aborts the round with no close message, matching
 // the flat server's historical behavior.
-func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr error) (payload []byte, hasBroadcast bool, endRaw int, outRoundErr, fatal error) {
+func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr error) (end frame, outRoundErr, fatal error) {
 	re := transport.RoundEnd{Round: t, Codec: uint8(codec)}
 	if roundErr == nil && bcast != nil {
 		bw, werr := transport.PayloadToWireIn(bcast, codec, nil)
@@ -561,16 +510,17 @@ func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr erro
 	payload, err := transport.Encode(re)
 	if err != nil {
 		if roundErr != nil {
-			return nil, false, 0, roundErr, roundErr
+			return frame{}, roundErr, roundErr
 		}
-		return nil, false, 0, nil, err
+		return frame{}, nil, err
 	}
+	end = frame{bytes: payload, knowledge: re.HasBroadcast}
 	if codec != comm.CodecFloat64 && re.HasBroadcast {
-		endRaw = rawWireSize(
+		end.raw = rawWireSize(
 			transport.RoundEnd{Round: t, HasBroadcast: true, Broadcast: transport.PayloadToWire(bcast)},
 			(&transport.Envelope{Payload: payload}).WireSize())
 	}
-	return payload, re.HasBroadcast, endRaw, roundErr, nil
+	return end, roundErr, nil
 }
 
 // billFraming bills one round-framing envelope exactly as the flat server
@@ -614,7 +564,7 @@ type clientPeer struct {
 	runner *engine.Runner
 	rec    *obs.Recorder
 	opts   *Options
-	rs     *roundStats
+	pl     *plane // the client plane
 }
 
 // restart simulates a crash-restart. On TCP the connection is torn down and
@@ -666,7 +616,7 @@ func (p *clientPeer) gate(t int, e *transport.Envelope) (ok bool, err error) {
 	default:
 		return true, nil
 	}
-	return false, p.rs.reject(&p.rs.stale, err)
+	return false, p.pl.reject(&p.pl.stale, err)
 }
 
 // round runs one client round: receive RoundStart, train, upload, receive
@@ -676,8 +626,8 @@ func (p *clientPeer) gate(t int, e *transport.Envelope) (ok bool, err error) {
 // timeout (2× the server's deadline, so the server always gives up first)
 // parks it until the next fan-out.
 func (p *clientPeer) round(t int) error {
-	opts, rs := p.opts, p.rs
-	if opts.Faults.CrashesAt(p.id, t) {
+	opts, pl := p.opts, p.pl
+	if pl.crashes(p.id, t) {
 		p.stats.CountCrash()
 		return p.restart()
 	}
@@ -691,10 +641,7 @@ func (p *clientPeer) round(t int) error {
 	hooks := p.runner.Hooks()
 	rc := p.runner.Context(t)
 
-	var wait time.Duration
-	if opts.ClientTimeout > 0 {
-		wait = 2 * opts.ClientTimeout
-	}
+	wait := 2 * pl.timeout
 
 	var roundErr error
 	var endEnv *transport.Envelope
@@ -733,7 +680,7 @@ func (p *clientPeer) round(t int) error {
 			global, derr = startMsg.Global.ToPayload()
 		}
 		if derr != nil {
-			if err := rs.reject(&rs.corrupt, derr); err != nil {
+			if err := pl.reject(&pl.corrupt, derr); err != nil {
 				return err
 			}
 			continue
@@ -760,7 +707,7 @@ func (p *clientPeer) round(t int) error {
 			}
 		}
 		if serr := p.sendUpload(t, ru); serr != nil {
-			if !rs.strict && errors.Is(serr, faults.ErrTransient) {
+			if !pl.strict && errors.Is(serr, faults.ErrTransient) {
 				// The upload was lost to chaos after exhausting retries;
 				// the server's deadline covers the gap.
 			} else if roundErr == nil {
@@ -793,7 +740,7 @@ func (p *clientPeer) round(t int) error {
 		}
 		if e.Kind != transport.KindRoundEnd {
 			// A duplicated RoundStart after the upload.
-			if err := rs.reject(&rs.stale, fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)); err != nil {
+			if err := pl.reject(&pl.stale, fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)); err != nil {
 				return err
 			}
 			continue
@@ -807,7 +754,7 @@ func (p *clientPeer) round(t int) error {
 		err = re.Validate()
 	}
 	if err != nil {
-		if err := rs.reject(&rs.corrupt, err); err != nil {
+		if err := pl.reject(&pl.corrupt, err); err != nil {
 			return err
 		}
 		return roundErr
@@ -823,7 +770,7 @@ func (p *clientPeer) round(t int) error {
 	}
 	bcast, err := re.Broadcast.ToPayload()
 	if err != nil {
-		return rs.reject(&rs.corrupt, err)
+		return pl.reject(&pl.corrupt, err)
 	}
 	stopPublic := p.rec.Span(obs.PhaseClientPublic)
 	derr := hooks.Digest(rc, p.id, bcast)
@@ -832,35 +779,14 @@ func (p *clientPeer) round(t int) error {
 }
 
 // sendUpload encodes and sends one RoundUpload, retrying transient failures
-// with deterministic exponential backoff. The jitter stream is keyed by
-// (seed, round, client) in a label band disjoint from every other RNG
-// consumer, so retry schedules never perturb training draws.
+// on the client plane's backoff schedule.
 func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload) error {
 	payload, err := transport.Encode(ru)
 	if err != nil {
 		return err
 	}
 	e := &transport.Envelope{Kind: transport.KindUpload, From: p.id, To: -1, Round: t, Payload: payload}
-	b := p.opts.Retry.WithDefaults()
-	var rng *stats.RNG
-	for attempt := 1; ; attempt++ {
-		err := p.conn.Send(e)
-		if err == nil {
-			return nil
-		}
-		if p.rs.strict || !errors.Is(err, faults.ErrTransient) || attempt >= b.Attempts {
-			return err
-		}
-		if rng == nil {
-			var seed uint64
-			if p.opts.Faults != nil {
-				seed = p.opts.Faults.Seed
-			}
-			rng = stats.Split(seed, uint64(t)*1000+600+uint64(p.id))
-		}
-		p.rs.retries.Add(1)
-		time.Sleep(b.Delay(attempt, rng))
-	}
+	return p.pl.send(uint64(t)*1000+600+uint64(p.id), func(int) error { return p.conn.Send(e) })
 }
 
 // receiver pumps a Conn into a channel so callers can apply deadlines to
@@ -947,9 +873,8 @@ func (r *receiver) drain() {
 
 func (r *receiver) stop() { r.once.Do(func() { close(r.done) }) }
 
-// peerGoneError reports that one client's server-side connection died. In
-// tolerant mode the collect loop skips it (the client may redial); in
-// strict mode it aborts the round.
+// peerGoneError reports that one peer's connection to a fan-in died. A strict
+// plane aborts on it; a tolerant one applies its writeOff policy (collect.go).
 type peerGoneError struct {
 	id  int
 	err error

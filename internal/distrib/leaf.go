@@ -1,15 +1,10 @@
 package distrib
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
-	"fedpkd/internal/comm"
-	"fedpkd/internal/faults"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
-	"fedpkd/internal/stats"
 	"fedpkd/internal/transport"
 )
 
@@ -44,14 +39,11 @@ func (s *Service) leafWorker(shard int, start <-chan int) {
 // assignment arrives mean the upper fabric is dead, in which case the root's
 // collect fails too and the service tears the transports down.
 func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error {
-	if s.treeTol && s.opts.Faults.LeafCrashesAt(shard, t) {
+	if s.tier.crashes(shard, t) {
 		s.fstats.CountLeafCrash()
 		return s.leafCrashRestart(shard, t, up, rx)
 	}
 	runner := s.runner
-	ledger := runner.Ledger()
-	codec := runner.Codec()
-	coded := codec != comm.CodecFloat64
 
 	sa, assignErr := awaitAssign(shard, t, up)
 	if sa == nil {
@@ -73,22 +65,13 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 	}
 
 	// Fan the round opening: shared payload for a synchronous round,
-	// per-client retained globals for an async flush. Framing is billed for
-	// every cohort member regardless of delivery, like the flat server, so
-	// traffic totals never depend on crash timing.
-	var fatal error
-	for _, cs := range sa.Clients {
-		payload, hasGlobal, raw := sa.Start, sa.HasGlobal, sa.StartRaw
-		if cs.Start != nil {
-			payload, hasGlobal, raw = cs.Start, cs.HasGlobal, cs.StartRaw
+	// per-client retained globals for an async flush.
+	fatal := s.fanFraming(transport.KindRoundStart, t, cohort, func(i int) frame {
+		if cs := sa.Clients[i]; cs.Start != nil {
+			return frame{cs.Start, cs.HasGlobal, cs.StartRaw}
 		}
-		env := &transport.Envelope{Kind: transport.KindRoundStart, From: -1, To: cs.Client, Round: t, Payload: payload}
-		sendErr := s.tr.server.Send(env)
-		billFraming(ledger, hasGlobal, coded, env.WireSize(), raw)
-		if sendErr != nil && s.rs.strict && fatal == nil {
-			fatal = sendErr
-		}
-	}
+		return frame{sa.Start, sa.HasGlobal, sa.StartRaw}
+	})
 
 	part, perr := runner.NewPartial(shard, sa.Compact)
 	if perr != nil && fatal == nil {
@@ -104,7 +87,8 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		// saw RoundStart will not upload, and strict collection has no
 		// deadline to save us.
 		sink := func(u engine.Upload) error { return runner.PartialReduce(part, u) }
-		report, roundErr, fatal = s.newCollector(t, cohort, roundNoun(sa.Flush), assignRef(sa), sink).collect(rx)
+		rungs := s.uploadLadder(roundNoun(runner.Async() != nil), assignRef(sa), sink)
+		report, roundErr, fatal = newCollector(s.clients, rx, t, cohort, rungs).collect()
 	}
 	if report == nil {
 		report = &roundReport{missing: cohort}
@@ -120,29 +104,23 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 	s.sendDigest(t, shard, d)
 
 	se, seErr := awaitShardEnd(shard, t, up)
-	var endPayload []byte
-	hasBroadcast := false
-	endRaw := 0
+	var end frame
 	if seErr != nil {
 		// The root's close never arrived (torn fabric mid-round): fan a
 		// locally built error close so the shard's clients unpark.
-		re := transport.RoundEnd{Round: t, Codec: uint8(codec),
+		re := transport.RoundEnd{Round: t, Codec: uint8(runner.Codec()),
 			Err: fmt.Sprintf("distrib: leaf %d lost the root: %v", shard, seErr)}
-		endPayload, _ = transport.Encode(re)
+		end.bytes, _ = transport.Encode(re)
 		if fatal == nil {
 			fatal = seErr
 		}
 	} else {
-		endPayload, hasBroadcast, endRaw = se.End, se.HasBroadcast, se.EndRaw
+		end = frame{se.End, se.HasBroadcast, se.EndRaw}
 	}
-	if endPayload != nil {
-		for _, c := range cohort {
-			env := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: c, Round: t, Payload: endPayload}
-			sendErr := s.tr.server.Send(env)
-			billFraming(ledger, hasBroadcast, coded, env.WireSize(), endRaw)
-			if sendErr != nil && s.rs.strict && fatal == nil && roundErr == nil {
-				fatal = sendErr
-			}
+	if end.bytes != nil {
+		sendErr := s.fanFraming(transport.KindRoundEnd, t, cohort, func(int) frame { return end })
+		if fatal == nil && roundErr == nil {
+			fatal = sendErr
 		}
 	}
 	if fatal != nil {
@@ -228,37 +206,25 @@ func buildDigest(t, shard int, part *engine.Partial, report *roundReport, digest
 // sendDigest ships one digest upward and bills the tier backhaul. An encode
 // failure degrades to an empty payload — the root's decode then fails the
 // round, which still unblocks its collect; silence would burn the whole
-// LeafTimeout. Injected transient send failures are retried with the same
-// deterministic backoff the clients use, on a jitter stream disjoint from
-// every other RNG consumer; each attempt is billed (attempt counts are a
-// pure function of the plan, so billing stays replay-stable). Real send
-// failures only happen when the fabric is tearing down, and then the root's
-// collect errors on its own.
+// LeafTimeout. Injected transient send failures are retried on the tier
+// plane's backoff schedule; each attempt is billed (attempt counts are a pure
+// function of the plan, so billing stays replay-stable). Real send failures
+// only happen when the fabric is tearing down, and then the root's collect
+// errors on its own.
 func (s *Service) sendDigest(t, shard int, d *transport.ShardDigest) {
 	payload, err := transport.Encode(d)
 	if err != nil {
 		payload = nil
 	}
 	env := &transport.Envelope{Kind: transport.KindShardDigest, From: shard, To: -1, Round: t, Payload: payload}
-	b := s.opts.Retry.WithDefaults()
-	var rng *stats.RNG
-	for attempt := 1; ; attempt++ {
-		sendErr := s.tree.leafUp[shard].Send(env)
+	_ = s.tier.send(uint64(t)*1000+800+uint64(shard), func(attempt int) error {
+		if attempt > 1 {
+			s.root.note(shard, func(h *ShardHealth) { h.Retries++ })
+		}
+		err := s.tree.leafUp[shard].Send(env)
 		s.runner.Ledger().AddTierUp(env.WireSize())
-		if sendErr == nil || !s.treeTol || !errors.Is(sendErr, faults.ErrTransient) || attempt >= b.Attempts {
-			return
-		}
-		if rng == nil {
-			var seed uint64
-			if s.opts.Faults != nil {
-				seed = s.opts.Faults.Seed
-			}
-			rng = stats.Split(seed, uint64(t)*1000+800+uint64(shard))
-		}
-		s.rs.digestRetries.Add(1)
-		s.noteShardRetry(shard)
-		time.Sleep(b.Delay(attempt, rng))
-	}
+		return err
+	})
 }
 
 // awaitAssign receives round t's shard assignment. A nil assignment means no

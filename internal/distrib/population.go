@@ -17,7 +17,7 @@ import (
 // population is dynamic — a conn existing is not a client being registered,
 // exactly as an open TCP socket is not a row in a production registry.
 // Everything outside this file tracks clients through the Registry and
-// id-keyed maps; scripts/check.sh enforces that split structurally.
+// id-keyed maps.
 
 // ParsePopulation parses a CLI population spec — comma-separated client ids
 // like "0,2,5" — into a sorted id list for Options.Population. The empty

@@ -3,240 +3,211 @@ package distrib
 import (
 	"errors"
 	"fmt"
-	"time"
+	"sync"
 
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
 	"fedpkd/internal/transport"
 )
 
-// Root aggregator: the top of the two-tier tree. The root never touches
-// per-client connections or uploads — it partitions the round's cohort into
-// contiguous shard slices (index ranges over the cohort, no copies), encodes
-// the round framing ONCE, hands each leaf its assignment, collects exactly
-// one digest per shard, merges the per-shard partials, and runs the
-// algorithm's Aggregate over the merged result. Every structure the root
-// allocates is sized by the shard count, never the population — the
-// structural gate in scripts/check.sh holds this file to that invariant.
+// root is the top of the two-tier tree. It never touches per-client
+// connections or uploads — it partitions the round's cohort into contiguous
+// shard slices (index ranges over the cohort, no copies), encodes the round
+// framing ONCE, hands each leaf its assignment, collects exactly one digest
+// per shard, merges the per-shard partials, and runs the algorithm's
+// Aggregate over the merged result.
+//
+// The type holds the root to two invariants. It knows its leaves only as
+// children — never the population size — so everything it allocates is sized
+// by the shard count. And it has no inbox: digests reach it only through
+// collector, the shared collect loop under the tier plane's deadline, so it
+// cannot block on a lost digest.
 //
 // Because shards are contiguous id ranges, concatenating the per-shard
 // sorted uploads in shard order reproduces the globally client-sorted slice,
 // so the root's Aggregate call is bit-identical to the flat server's — the
 // equivalence the tree goldens pin.
+type root struct {
+	runner *engine.Runner
+	rec    *obs.Recorder
+	opts   *Options
+	// send ships one envelope down the tier fabric, routed by its To.
+	send func(*transport.Envelope) error
+	// collector returns round t's collector over the tier fabric's inbox,
+	// awaiting one child per shard.
+	collector func(t int, l ladder) *collector
 
-// rootRound runs the root's side of one round plan, returning the merged
+	// mu guards each child's health record, which the operator's status reads
+	// while the root collects and the leaves retry.
+	mu       sync.Mutex
+	children []shardChild
+}
+
+// shardChild is what the root knows of one leaf: where its contiguous client
+// id range ends (it starts where the previous child's ends) and its liveness
+// profile.
+type shardChild struct {
+	end    int
+	health ShardHealth
+}
+
+// shardCohorts partitions a sorted cohort into per-shard sub-slices. The
+// sub-slices share the cohort's backing array — the root partitions by index
+// ranges and never copies per-client state.
+func (r *root) shardCohorts(cohort []int) [][]int {
+	out := make([][]int, len(r.children))
+	lo := 0
+	for i := range r.children {
+		hi := lo
+		for hi < len(cohort) && cohort[hi] < r.children[i].end {
+			hi++
+		}
+		out[i] = cohort[lo:hi]
+		lo = hi
+	}
+	return out
+}
+
+// round runs the root's side of one round plan, returning the merged
 // membership report and the round error exactly as serverRound does for the
 // flat path. The plan's shared start rides every assignment; a client's
 // override (a flush's retained global and delta reference) rides its own
 // ClientStart. A flush's staleness weighting runs here, over the merged
 // uploads — the computation the flat server performs.
-func (s *Service) rootRound(plan *roundPlan) (*roundReport, error) {
-	t, runner := plan.t, s.runner
-	codec := runner.Codec()
-	topo := s.tree.topo
+func (r *root) round(plan *roundPlan) (*roundReport, error) {
+	t, runner := plan.t, r.runner
+	compact := r.opts.Topology.Compact
+	shards := len(r.children)
 
 	shared := plan.shared
-	cohorts := shardCohorts(plan.cohort, s.n, topo.Shards)
+	cohorts := r.shardCohorts(plan.cohort)
 	for i, members := range cohorts {
 		sa := transport.ShardAssign{
-			Round: t, Shard: i, Flush: plan.flush != nil, Compact: topo.Compact,
-			Start: shared.payload, HasGlobal: shared.hasGlobal, StartRaw: shared.raw, Ref: shared.ref,
+			Round: t, Shard: i, Compact: compact,
+			Start: shared.bytes, HasGlobal: shared.knowledge, StartRaw: shared.raw, Ref: shared.ref,
 			Clients: make([]transport.ClientStart, len(members)),
 		}
 		for j, c := range members {
 			cs := transport.ClientStart{Client: c}
 			if o, ok := plan.override[c]; ok {
-				cs.Start, cs.HasGlobal, cs.StartRaw, cs.Ref = o.payload, o.hasGlobal, o.raw, o.ref
+				cs.Start, cs.HasGlobal, cs.StartRaw, cs.Ref = o.bytes, o.knowledge, o.raw, o.ref
 			}
 			sa.Clients[j] = cs
 		}
-		if err := s.sendAssign(&sa); err != nil {
+		if err := r.sendDown(transport.KindShardAssign, i, t, &sa); err != nil {
 			return nil, err
 		}
 	}
 
-	digests, lostShards, err := s.collectDigests(t)
+	digests := make([]*transport.ShardDigest, shards)
+	heard, _, err := r.collector(t, r.digestLadder(digests)).collect()
 	if err != nil {
 		return nil, err
 	}
-	report, parts, count, roundErr := s.mergeDigests(digests, cohorts, lostShards)
-
-	if roundErr == nil && s.opts.ShardQuorum > 0 && topo.Shards-len(lostShards) < s.opts.ShardQuorum {
-		roundErr = fmt.Errorf("%w: %s %d merged %d of %d shard digests, quorum %d",
-			ErrShardQuorumNotMet, plan.noun(), t, topo.Shards-len(lostShards), topo.Shards, s.opts.ShardQuorum)
+	var lost []int
+	for _, i := range heard.missing {
+		lost = append(lost, i)
+		r.note(i, func(h *ShardHealth) { h.Lost++ })
 	}
-	if roundErr == nil && s.opts.MinQuorum > 0 && count < s.opts.MinQuorum {
-		roundErr = fmt.Errorf("%w: %s %d aggregated %d of %d required uploads", ErrQuorumNotMet, plan.noun(), t, count, s.opts.MinQuorum)
+	report, parts, count, roundErr := r.mergeDigests(digests, cohorts, lost)
+
+	if roundErr == nil && r.opts.ShardQuorum > 0 && heard.cohort < r.opts.ShardQuorum {
+		roundErr = fmt.Errorf("%w: %s %d merged %d of %d shard digests, quorum %d",
+			ErrShardQuorumNotMet, plan.noun(), t, heard.cohort, shards, r.opts.ShardQuorum)
+	}
+	if roundErr == nil && r.opts.MinQuorum > 0 && count < r.opts.MinQuorum {
+		roundErr = fmt.Errorf("%w: %s %d aggregated %d of %d required uploads", ErrQuorumNotMet, plan.noun(), t, count, r.opts.MinQuorum)
 	}
 	var bcast *engine.Payload
 	if roundErr == nil && count > 0 {
-		if topo.Compact {
+		if compact {
 			bcast, roundErr = runner.MergeCompact(runner.Context(t), parts)
 		} else if uploads, merr := runner.MergePartials(parts); merr != nil {
 			roundErr = merr
 		} else {
-			bcast, roundErr = s.aggregate(plan, uploads, report)
+			bcast, roundErr = aggregate(runner, plan, uploads, report)
 		}
 	}
-	payload, hasBroadcast, endRaw, roundErr, fatal := buildRoundEnd(t, codec, bcast, roundErr)
+	end, roundErr, fatal := buildRoundEnd(t, runner.Codec(), bcast, roundErr)
 	if fatal != nil {
 		return report, fatal
 	}
-	if err := s.sendShardEnds(t, payload, hasBroadcast, endRaw); err != nil {
-		return report, err
+	// Every leaf gets the encoded round close with its billing facts, so each
+	// can close its shard exactly as the flat server would have.
+	for i := range r.children {
+		se := transport.ShardEnd{Round: t, Shard: i, End: end.bytes, HasBroadcast: end.knowledge, EndRaw: end.raw}
+		if err := r.sendDown(transport.KindShardEnd, i, t, se); err != nil {
+			return report, err
+		}
 	}
 	return report, roundErr
 }
 
-// sendAssign ships one shard assignment down and bills the tier backhaul.
-func (s *Service) sendAssign(sa *transport.ShardAssign) error {
-	payload, err := transport.Encode(sa)
+// sendDown ships one round-framing message (an assignment or a close) to a
+// leaf and bills the tier backhaul.
+func (r *root) sendDown(kind transport.Kind, shard, t int, msg any) error {
+	payload, err := transport.Encode(msg)
 	if err != nil {
 		return err
 	}
-	env := &transport.Envelope{Kind: transport.KindShardAssign, From: -1, To: sa.Shard, Round: sa.Round, Payload: payload}
-	if err := s.tree.upper.server.Send(env); err != nil {
-		return fmt.Errorf("distrib: root assign shard %d: %w", sa.Shard, err)
+	env := &transport.Envelope{Kind: kind, From: -1, To: shard, Round: t, Payload: payload}
+	if err := r.send(env); err != nil {
+		return fmt.Errorf("distrib: root send %v to shard %d: %w", kind, shard, err)
 	}
-	s.runner.Ledger().AddTierDown(env.WireSize())
+	r.runner.Ledger().AddTierDown(env.WireSize())
 	return nil
 }
 
-// sendShardEnds fans the encoded round close to every leaf with its billing
-// facts, so each leaf can close its shard exactly as the flat server would
-// have.
-func (s *Service) sendShardEnds(t int, end []byte, hasBroadcast bool, endRaw int) error {
-	for i := 0; i < s.tree.topo.Shards; i++ {
-		se := transport.ShardEnd{Round: t, Shard: i, End: end, HasBroadcast: hasBroadcast, EndRaw: endRaw}
-		payload, err := transport.Encode(se)
-		if err != nil {
-			return err
-		}
-		env := &transport.Envelope{Kind: transport.KindShardEnd, From: -1, To: i, Round: t, Payload: payload}
-		if err := s.tree.upper.server.Send(env); err != nil {
-			return fmt.Errorf("distrib: root close shard %d: %w", i, err)
-		}
-		s.runner.Ledger().AddTierDown(env.WireSize())
-	}
-	return nil
-}
-
-// rootWaitSlice bounds any single wait of the root's digest collect. Strict
-// tree mode still waits for every digest indefinitely — but in slices, so no
-// receive in this file ever blocks without a deadline (the structural gate in
-// scripts/check.sh holds the root to that shape).
-const rootWaitSlice = time.Second
-
-// collectDigests awaits up to one digest per shard and returns the digests
-// alongside the sorted list of lost shards. Strict tree mode (no LeafTimeout,
-// no tier fault plan) keeps the old contract: every leaf digests every round
-// and any tier-link protocol violation is an error. Tolerant tree mode makes
-// leaves chaos subjects — shards the fault schedule crashes are never awaited
-// (the deterministic failure detector, so a crash-heavy round does not burn
-// the deadline), a corrupt or misrouted digest loses its shard, a duplicate
-// digest is rejected, and whatever has not arrived when LeafTimeout expires
-// is lost to a leaf timeout.
-func (s *Service) collectDigests(t int) ([]*transport.ShardDigest, []int, error) {
-	shards := s.tree.topo.Shards
-	digests := make([]*transport.ShardDigest, shards)
-	lost := make(map[int]bool, shards)
-	await := shards
-	for i := 0; i < shards; i++ {
-		if s.treeTol && s.opts.Faults.LeafCrashesAt(i, t) {
-			lost[i] = true
-			await--
-		}
-	}
-	markLost := func(shard int) {
-		if shard >= 0 && shard < shards && !lost[shard] && digests[shard] == nil {
-			lost[shard] = true
-			await--
-		}
-	}
-	var deadline time.Time
-	if s.opts.LeafTimeout > 0 {
-		deadline = time.Now().Add(s.opts.LeafTimeout)
-	}
-	for await > 0 {
-		wait := rootWaitSlice
-		if !deadline.IsZero() {
-			until := time.Until(deadline)
-			if until <= 0 {
-				break
-			}
-			if until < wait {
-				wait = until
-			}
-		}
-		e, err := s.tree.rootRx.recv(wait)
-		if errors.Is(err, errRecvTimeout) {
-			continue // the loop head re-checks the deadline
-		}
-		var gone *peerGoneError
-		if errors.As(err, &gone) && s.treeTol {
-			markLost(gone.id)
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("distrib: root recv: %w", err)
-		}
-		if e.Kind != transport.KindShardDigest || e.Round != t {
-			if s.treeTol {
-				s.rs.stale.Add(1)
-				continue
-			}
-			return nil, nil, fmt.Errorf("distrib: root got kind %v round %d during round %d", e.Kind, e.Round, t)
+// digestLadder is the tier's ladder: it validates one shard digest and files
+// it under its shard. A corrupt or misrouted digest is attributable to the
+// leaf whose link it arrived on, so the tolerant tier writes that shard off;
+// a duplicate — or a digest for a shard already written off — is rejected.
+func (r *root) digestLadder(digests []*transport.ShardDigest) ladder {
+	return func(c *collector, e *transport.Envelope) {
+		pl := c.pl
+		if e.Kind != transport.KindShardDigest || e.Round != c.t {
+			c.reject(&pl.stale, fmt.Errorf("distrib: root got kind %v round %d during round %d", e.Kind, e.Round, c.t))
+			return
 		}
 		var d transport.ShardDigest
 		if derr := transport.Decode(e.Payload, &d); derr != nil {
-			if s.treeTol {
-				s.rs.corrupt.Add(1)
-				markLost(e.From)
-				continue
-			}
-			return nil, nil, derr
+			c.rejectFrom(e.From, &pl.corrupt, derr)
+			return
 		}
 		if verr := d.Validate(); verr != nil {
-			if s.treeTol {
-				s.rs.corrupt.Add(1)
-				markLost(e.From)
-				continue
-			}
-			return nil, nil, verr
+			c.rejectFrom(e.From, &pl.corrupt, verr)
+			return
 		}
-		if d.Shard < 0 || d.Shard >= shards || d.Shard != e.From {
-			if s.treeTol {
-				s.rs.corrupt.Add(1)
-				markLost(e.From)
-				continue
-			}
-			return nil, nil, fmt.Errorf("distrib: digest labeled shard %d arrived from leaf %d", d.Shard, e.From)
+		if d.Shard != e.From || c.state[d.Shard] == absent {
+			c.rejectFrom(e.From, &pl.corrupt, fmt.Errorf("distrib: digest labeled shard %d arrived from leaf %d", d.Shard, e.From))
+			return
 		}
-		if digests[d.Shard] != nil || lost[d.Shard] {
-			if s.treeTol {
-				s.rs.digestDups.Add(1)
-				continue
-			}
-			return nil, nil, fmt.Errorf("distrib: duplicate digest from shard %d in round %d", d.Shard, t)
+		if c.state[d.Shard] != pending {
+			c.reject(&pl.dup, fmt.Errorf("distrib: duplicate digest from shard %d in round %d", d.Shard, c.t))
+			return
 		}
+		c.accept(d.Shard)
 		digests[d.Shard] = &d
-		await--
-		s.noteShardDigest(d.Shard, t)
+		r.note(d.Shard, func(h *ShardHealth) { h.LastDigestRound = c.t })
 	}
-	var lostList []int
-	for i := 0; i < shards; i++ {
-		if digests[i] != nil {
-			continue
-		}
-		if !lost[i] {
-			// Neither crashed nor attributably corrupt: the digest simply
-			// missed the deadline.
-			s.rs.leafTimeouts.Add(1)
-		}
-		lostList = append(lostList, i)
-		s.noteShardLost(i)
+}
+
+// note updates one shard's health record.
+func (r *root) note(shard int, update func(*ShardHealth)) {
+	r.mu.Lock()
+	update(&r.children[shard].health)
+	r.mu.Unlock()
+}
+
+// health snapshots every shard's health record, in shard order.
+func (r *root) health() []ShardHealth {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]ShardHealth, len(r.children))
+	for i := range r.children {
+		out[i] = r.children[i].health
 	}
-	return digests, lostList, nil
+	return out
 }
 
 // mergeDigests folds the shard digests into engine partials plus the
@@ -247,8 +218,8 @@ func (s *Service) collectDigests(t int) ([]*transport.ShardDigest, []int, error)
 // exactly the clients the merge never saw. The first shard-order Err becomes
 // the round error with its text intact, so the round close a tree run fans
 // on failure carries the same message a flat run's would.
-func (s *Service) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int, lostShards []int) (*roundReport, []*engine.Partial, int, error) {
-	stop := s.rec.Span(obs.PhaseRootMerge)
+func (r *root) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int, lostShards []int) (*roundReport, []*engine.Partial, int, error) {
+	stop := r.rec.Span(obs.PhaseRootMerge)
 	defer stop()
 	parts := make([]*engine.Partial, len(digests))
 	report := &roundReport{missing: make([]int, 0), lostShards: lostShards}
@@ -267,7 +238,7 @@ func (s *Service) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int
 			}
 			continue
 		}
-		if s.tree.topo.Compact {
+		if r.opts.Topology.Compact {
 			p := &engine.Partial{Shard: i, Compact: true, Weight: d.Weight, Count: d.Count}
 			if d.HasSum {
 				sum, perr := d.Sum.ToPayload()
@@ -287,7 +258,7 @@ func (s *Service) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int
 		for _, su := range d.Uploads {
 			pay, perr := su.Payload.ToPayload()
 			if perr == nil {
-				perr = s.runner.PartialReduce(p, engine.Upload{Client: su.Client, Payload: pay})
+				perr = r.runner.PartialReduce(p, engine.Upload{Client: su.Client, Payload: pay})
 			}
 			if perr != nil {
 				if roundErr == nil {

@@ -26,12 +26,6 @@ type Service struct {
 	runner *engine.Runner
 	opts   Options
 	n      int
-	// treeTol marks the tree's tier as failure-tolerant: a LeafTimeout or a
-	// tier fault plan makes leaves chaos subjects (root-side shard deadlines,
-	// digest retry, degraded-tree rounds). The client plane's failure model
-	// (rs.strict) is independent — a run can tolerate leaf loss while staying
-	// strict about client traffic, and vice versa.
-	treeTol bool
 	// dynamic marks a run whose population can differ from the fixed full
 	// fleet: a partial initial population, wire registration, or an
 	// availability trace. Only dynamic runs record churn traces, so legacy
@@ -44,16 +38,16 @@ type Service struct {
 	peers   map[int]*clientPeer
 	start   map[int]chan int
 	done    chan error
-	rs      *roundStats
-	fstats  *faults.Stats
-	// tree is the aggregator-tree state when Options.Topology is enabled
-	// (nil for the flat runtime); leafStart fans round indices to the leaf
-	// workers exactly as start fans them to client workers.
+	// clients and tier are the two planes' failure models and counters
+	// (collect.go); tier is idle in a flat run.
+	clients, tier *plane
+	fstats        *faults.Stats
+	// tree and root are the aggregator-tree state when Options.Topology is
+	// enabled (nil for the flat runtime); leafStart fans round indices to the
+	// leaf workers exactly as start fans them to client workers.
 	tree      *treeParts
+	root      *root
 	leafStart []chan int
-	// shardHealth tracks per-leaf liveness for the operator's ctl status
-	// (guarded by mu, like status). Nil for flat runs.
-	shardHealth []ShardHealth
 
 	roundOpen atomic.Bool
 	trOnce    sync.Once
@@ -130,14 +124,13 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 		runner:  runner,
 		opts:    opts,
 		n:       n,
-		treeTol: opts.LeafTimeout > 0 || opts.Faults.TierEnabled(),
 		dynamic: opts.Population != nil || opts.WireRegistration || runner.Availability() != nil,
 		rec:     runner.Recorder(),
-		rs:      &roundStats{strict: opts.ClientTimeout <= 0 && !opts.Faults.Enabled()},
 		peers:   make(map[int]*clientPeer),
 		start:   make(map[int]chan int),
 		done:    make(chan error, n),
 	}
+	s.clients, s.tier = newPlanes(&s.opts)
 	ledger := runner.Ledger()
 
 	// Reconnect handshakes are control traffic; they are only billable while
@@ -180,7 +173,7 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 			runner: runner,
 			rec:    s.rec,
 			opts:   &s.opts,
-			rs:     s.rs,
+			pl:     s.clients,
 		}
 		p.rx = newReceiver(p.conn)
 		s.peers[c] = p
@@ -254,7 +247,8 @@ func (s *Service) runRound() error {
 	}
 	s.runner.BeginRound()
 	s.roundOpen.Store(true)
-	s.rs.reset()
+	s.clients.reset()
+	s.tier.reset()
 	faultBase := s.fstats.Snapshot().Total()
 	s.rec.SetWorkers(len(plan.cohort))
 	for _, c := range plan.cohort {
@@ -266,7 +260,7 @@ func (s *Service) runRound() error {
 		for _, ch := range s.leafStart {
 			ch <- t
 		}
-		report, serverErr = s.rootRound(plan)
+		report, serverErr = s.root.round(plan)
 	} else {
 		report, serverErr = s.serverRound(plan)
 	}
@@ -298,7 +292,7 @@ func (s *Service) runRound() error {
 	if plan.flush != nil {
 		s.runner.AsyncCommitFlush(plan.flush, report.contributors)
 	}
-	if !s.rs.strict || s.treeTol {
+	if !s.clients.strict || !s.tier.strict {
 		s.recordRobustness(plan, report, s.fstats.Snapshot().Total()-faultBase)
 	}
 	if s.dynamic {
@@ -319,13 +313,13 @@ func (s *Service) runRound() error {
 // pre-round MinQuorum check, so a hopeless tree round aborts before any
 // fan-out instead of burning its deadline.
 func (s *Service) preRoundShardQuorum(t int) error {
-	if s.tree == nil || s.opts.ShardQuorum <= 0 || !s.treeTol {
+	if s.tree == nil || s.opts.ShardQuorum <= 0 {
 		return nil
 	}
-	shards := s.tree.topo.Shards
+	shards := s.opts.Topology.Shards
 	doomed := 0
 	for i := 0; i < shards; i++ {
-		if s.opts.Faults.LeafCrashesAt(i, t) {
+		if s.tier.crashes(i, t) {
 			doomed++
 		}
 	}
@@ -481,8 +475,8 @@ func (s *Service) Status() Status {
 	st := s.status
 	// Shard health is attached live rather than at the barrier, so an
 	// operator polling mid-round sees a leaf sicken as it happens.
-	if s.shardHealth != nil {
-		st.Shards = append([]ShardHealth(nil), s.shardHealth...)
+	if s.root != nil {
+		st.Shards = s.root.health()
 	}
 	return st
 }
@@ -498,26 +492,6 @@ func (s *Service) setStatus(t int) {
 	}
 	s.mu.Lock()
 	s.status = st
-	s.mu.Unlock()
-}
-
-// noteShardDigest, noteShardRetry, and noteShardLost refresh the operator's
-// per-shard health view as the root collects and the leaves retry.
-func (s *Service) noteShardDigest(shard, t int) {
-	s.mu.Lock()
-	s.shardHealth[shard].LastDigestRound = t
-	s.mu.Unlock()
-}
-
-func (s *Service) noteShardRetry(shard int) {
-	s.mu.Lock()
-	s.shardHealth[shard].Retries++
-	s.mu.Unlock()
-}
-
-func (s *Service) noteShardLost(shard int) {
-	s.mu.Lock()
-	s.shardHealth[shard].Lost++
 	s.mu.Unlock()
 }
 

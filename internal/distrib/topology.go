@@ -54,19 +54,7 @@ func ShardOf(id, n, shards int) int {
 	return id * shards / n
 }
 
-// shardCohorts partitions a sorted cohort into per-shard sub-slices. The
-// sub-slices share the cohort's backing array — the root partitions by index
-// ranges and never copies per-client state.
-func shardCohorts(cohort []int, n, shards int) [][]int {
-	out := make([][]int, shards)
-	lo := 0
-	for s := 0; s < shards; s++ {
-		hi := lo
-		for hi < len(cohort) && ShardOf(cohort[hi], n, shards) == s {
-			hi++
-		}
-		out[s] = cohort[lo:hi]
-		lo = hi
-	}
-	return out
+// shardEnd returns the exclusive upper bound of shard s's id range.
+func shardEnd(s, n, shards int) int {
+	return ((s+1)*n + shards - 1) / shards
 }

@@ -28,8 +28,8 @@ type treeParts struct {
 	// other kind and all receives pass through untouched. With no tier plan
 	// the decorator is a pass-through, so strict trees are unchanged.
 	leafUp []*faults.Conn
-	// rootRx pumps the root's fan-in so digest collection can use the shared
-	// receiver semantics.
+	// rootRx pumps the root's fan-in for the tier plane's collector; the root
+	// itself never holds it (root.go).
 	rootRx *receiver
 	// leafRx[i] is leaf i's client-plane inbox, fed by the demultiplexer
 	// (chan-backed receivers with no pump of their own).
@@ -115,12 +115,19 @@ func (s *Service) setupTree() error {
 	// stragglers and registration traffic without stalling the demux.
 	buf := 2*(s.n/topo.Shards+1) + 16
 	s.leafStart = make([]chan int, topo.Shards)
-	s.shardHealth = make([]ShardHealth, topo.Shards)
+	shards := make([]int, topo.Shards)
+	s.root = &root{
+		runner: s.runner, rec: s.rec, opts: &s.opts,
+		send:      upper.server.Send,
+		collector: func(t int, l ladder) *collector { return newCollector(s.tier, tree.rootRx, t, shards, l) },
+		children:  make([]shardChild, topo.Shards),
+	}
 	for i := range tree.leafRx {
 		tree.leafRx[i] = newChanReceiver(buf)
 		tree.leafUp[i] = faults.WrapTier(upper.clients[i], s.opts.Faults, i, s.fstats)
 		s.leafStart[i] = make(chan int, 1)
-		s.shardHealth[i] = ShardHealth{Shard: i, LastDigestRound: -1}
+		shards[i] = i
+		s.root.children[i] = shardChild{end: shardEnd(i, s.n, topo.Shards), health: ShardHealth{Shard: i, LastDigestRound: -1}}
 	}
 	s.tree = tree
 	go s.demux()

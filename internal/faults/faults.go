@@ -90,32 +90,82 @@ type Plan struct {
 	LeafCrashProb float64
 }
 
-// Enabled reports whether any fault kind can fire.
-func (p *Plan) Enabled() bool {
-	return p != nil && (p.DropProb > 0 || p.DelayProb > 0 || p.DupProb > 0 ||
-		p.CorruptProb > 0 || p.SendFailProb > 0 || p.CrashProb > 0 || p.TierEnabled())
+// plane names the two fault families: the client plane and the aggregator
+// tree's tier links.
+type plane int
+
+const (
+	clientPlane plane = iota
+	tierPlane
+	numPlanes
+)
+
+// fault indexes a plane's fault kinds: the five decisions a wrapped Send
+// takes, in the order it takes them, then the whole-round crash.
+type fault int
+
+const (
+	failFault fault = iota
+	delayFault
+	dropFault
+	corruptFault
+	dupFault
+	crashFault
+	numFaults
+)
+
+// planeFaults is one plane's share of a Plan: each fault kind's probability
+// and the salt its decision draws from, plus the salts of Send's two
+// follow-up draws (delay magnitude, corruption positions).
+type planeFaults struct {
+	prob                 [numFaults]float64
+	salt                 [numFaults]uint64
+	delayMag, corruptPos uint64
 }
 
-// Lossy reports whether the plan can make a message or a whole client
-// disappear — the fault kinds that require a finite straggler timeout on the
-// collecting side to avoid deadlock.
-func (p *Plan) Lossy() bool {
-	return p != nil && (p.DropProb > 0 || p.CorruptProb > 0 || p.SendFailProb > 0 || p.CrashProb > 0)
+// share returns one plane's share of the plan. A nil plan has the zero share,
+// which injects nothing.
+func (p *Plan) share(pl plane) planeFaults {
+	switch {
+	case p == nil:
+		return planeFaults{}
+	case pl == tierPlane:
+		return planeFaults{
+			prob:     [numFaults]float64{p.TierSendFailProb, p.TierDelayProb, p.TierDropProb, p.TierCorruptProb, p.TierDupProb, p.LeafCrashProb},
+			salt:     [numFaults]uint64{saltTierSendFail, saltTierSendDelay, saltTierSendDrop, saltTierSendCorrupt, saltTierSendDup, saltLeafCrash},
+			delayMag: saltTierDelayMag, corruptPos: saltTierCorruptPos,
+		}
+	}
+	return planeFaults{
+		prob:     [numFaults]float64{p.SendFailProb, p.DelayProb, p.DropProb, p.CorruptProb, p.DupProb, p.CrashProb},
+		salt:     [numFaults]uint64{saltSendFail, saltSendDelay, saltSendDrop, saltSendCorrupt, saltSendDup, saltCrash},
+		delayMag: saltDelayMag, corruptPos: saltCorruptPos,
+	}
 }
+
+// enabled reports whether any of the plane's fault kinds can fire.
+func (v planeFaults) enabled() bool { return v.prob != [numFaults]float64{} }
+
+// lossy reports whether the plane can make a message or a whole child
+// disappear — the fault kinds that need a finite deadline on the collecting
+// side to avoid deadlock.
+func (v planeFaults) lossy() bool {
+	return v.prob[dropFault] > 0 || v.prob[corruptFault] > 0 || v.prob[failFault] > 0 || v.prob[crashFault] > 0
+}
+
+// Enabled reports whether any fault kind can fire, on either plane.
+func (p *Plan) Enabled() bool { return p.share(clientPlane).enabled() || p.TierEnabled() }
+
+// Lossy reports whether the plan can make a client's message or a whole
+// client disappear; such plans require a positive ClientTimeout.
+func (p *Plan) Lossy() bool { return p.share(clientPlane).lossy() }
 
 // TierEnabled reports whether any tier-link or leaf fault can fire.
-func (p *Plan) TierEnabled() bool {
-	return p != nil && (p.TierDropProb > 0 || p.TierDelayProb > 0 || p.TierDupProb > 0 ||
-		p.TierCorruptProb > 0 || p.TierSendFailProb > 0 || p.LeafCrashProb > 0)
-}
+func (p *Plan) TierEnabled() bool { return p.share(tierPlane).enabled() }
 
 // TierLossy reports whether the plan can make a shard digest or a whole leaf
-// disappear — the tier fault kinds that require a finite LeafTimeout on the
-// root so its digest collect cannot wait forever.
-func (p *Plan) TierLossy() bool {
-	return p != nil && (p.TierDropProb > 0 || p.TierCorruptProb > 0 ||
-		p.TierSendFailProb > 0 || p.LeafCrashProb > 0)
-}
+// disappear; such plans require a positive LeafTimeout on the root.
+func (p *Plan) TierLossy() bool { return p.share(tierPlane).lossy() }
 
 // Validate rejects out-of-range probabilities.
 func (p *Plan) Validate() error {
@@ -193,66 +243,47 @@ func (p *Plan) roll(salt uint64, peer int, kind transport.Kind, round, attempt i
 	return stats.Split(p.Seed, label).Float64()
 }
 
+// crashesAt draws a plane's whole-round crash decision for one child.
+func (p *Plan) crashesAt(pl plane, child, round int) bool {
+	v := p.share(pl)
+	return v.prob[crashFault] > 0 && p.roll(v.salt[crashFault], child, 0, round, 0) < v.prob[crashFault]
+}
+
 // CrashesAt reports whether the plan crashes the given client for the given
 // round. Pure: safe to call from any goroutine, any number of times.
-func (p *Plan) CrashesAt(client, round int) bool {
-	if p == nil || p.CrashProb <= 0 {
-		return false
-	}
-	return p.roll(saltCrash, client, 0, round, 0) < p.CrashProb
-}
+func (p *Plan) CrashesAt(client, round int) bool { return p.crashesAt(clientPlane, client, round) }
 
 // LeafCrashesAt reports whether the plan crashes the given leaf aggregator
 // for the given round. Pure, like CrashesAt: the root uses it as a
 // deterministic failure detector (crashed shards are never awaited), the leaf
 // to execute the crash, and clients of the crashed shard to skip a round
 // whose RoundStart can never arrive.
-func (p *Plan) LeafCrashesAt(leaf, round int) bool {
-	if p == nil || p.LeafCrashProb <= 0 {
-		return false
-	}
-	return p.roll(saltLeafCrash, leaf, 0, round, 0) < p.LeafCrashProb
-}
+func (p *Plan) LeafCrashesAt(leaf, round int) bool { return p.crashesAt(tierPlane, leaf, round) }
 
-// Stats counts injected faults, shared by every Conn wrapped against it.
-// All methods are safe for concurrent use and nil-receiver-safe.
+// Stats counts injected faults by plane and kind (receive-path drops and
+// delays count with the client plane's), shared by every Conn wrapped against
+// it. All methods are safe for concurrent use and nil-receiver-safe.
 type Stats struct {
-	mu                                                sync.Mutex
-	drops, delays, dups, corrupts, sendFails, crashes int64
-	// Tier-link counters, bumped by WrapTier decorators and the leaf-crash
-	// executor — kept separate so tests can tell the planes apart.
-	tierDrops, tierDelays, tierDups, tierCorrupts, tierSendFails, leafCrashes int64
+	mu sync.Mutex
+	n  [numPlanes][numFaults]int64
 }
 
-// add bumps the counter selected by pick. Nil-receiver-safe.
-func (s *Stats) add(pick func(*Stats) *int64) {
+func (s *Stats) count(pl plane, f fault) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	*pick(s)++
+	s.n[pl][f]++
 	s.mu.Unlock()
 }
 
-func (s *Stats) countDrop()     { s.add(func(s *Stats) *int64 { return &s.drops }) }
-func (s *Stats) countDelay()    { s.add(func(s *Stats) *int64 { return &s.delays }) }
-func (s *Stats) countDup()      { s.add(func(s *Stats) *int64 { return &s.dups }) }
-func (s *Stats) countCorrupt()  { s.add(func(s *Stats) *int64 { return &s.corrupts }) }
-func (s *Stats) countSendFail() { s.add(func(s *Stats) *int64 { return &s.sendFails }) }
-
 // CountCrash records one injected client-round crash (driven by the
 // protocol layer, which owns crash execution).
-func (s *Stats) CountCrash() { s.add(func(s *Stats) *int64 { return &s.crashes }) }
+func (s *Stats) CountCrash() { s.count(clientPlane, crashFault) }
 
 // CountLeafCrash records one injected leaf-round crash (driven by the
 // protocol layer, which owns crash execution).
-func (s *Stats) CountLeafCrash() { s.add(func(s *Stats) *int64 { return &s.leafCrashes }) }
-
-func (s *Stats) countTierDrop()     { s.add(func(s *Stats) *int64 { return &s.tierDrops }) }
-func (s *Stats) countTierDelay()    { s.add(func(s *Stats) *int64 { return &s.tierDelays }) }
-func (s *Stats) countTierDup()      { s.add(func(s *Stats) *int64 { return &s.tierDups }) }
-func (s *Stats) countTierCorrupt()  { s.add(func(s *Stats) *int64 { return &s.tierCorrupts }) }
-func (s *Stats) countTierSendFail() { s.add(func(s *Stats) *int64 { return &s.tierSendFails }) }
+func (s *Stats) CountLeafCrash() { s.count(tierPlane, crashFault) }
 
 // Snapshot is a point-in-time copy of the fault counters.
 type Snapshot struct {
@@ -273,11 +304,12 @@ func (s *Stats) Snapshot() Snapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c, t := s.n[clientPlane], s.n[tierPlane]
 	return Snapshot{
-		Drops: s.drops, Delays: s.delays, Dups: s.dups,
-		Corrupts: s.corrupts, SendFails: s.sendFails, Crashes: s.crashes,
-		TierDrops: s.tierDrops, TierDelays: s.tierDelays, TierDups: s.tierDups,
-		TierCorrupts: s.tierCorrupts, TierSendFails: s.tierSendFails, LeafCrashes: s.leafCrashes,
+		Drops: c[dropFault], Delays: c[delayFault], Dups: c[dupFault],
+		Corrupts: c[corruptFault], SendFails: c[failFault], Crashes: c[crashFault],
+		TierDrops: t[dropFault], TierDelays: t[delayFault], TierDups: t[dupFault],
+		TierCorrupts: t[corruptFault], TierSendFails: t[failFault], LeafCrashes: t[crashFault],
 	}
 }
 
@@ -289,10 +321,11 @@ type Conn struct {
 	plan  *Plan
 	peer  int
 	stats *Stats
-	// tier marks a WrapTier decorator: faults draw from the tier salt
-	// family, fire only on shard digests, and only on the send path (the
-	// leaf owns its upward link; the root's server conn stays unwrapped).
-	tier bool
+	// plane selects the share of the plan this decorator injects. A tierPlane
+	// (WrapTier) decorator fires only on shard digests and only on the send
+	// path (the leaf owns its upward link; the root's server conn stays
+	// unwrapped).
+	plane plane
 
 	mu    sync.Mutex
 	inner transport.Conn
@@ -331,7 +364,7 @@ func Wrap(conn transport.Conn, plan *Plan, peer int, stats *Stats) *Conn {
 // through untouched, so assignments and round closes stay infrastructure.
 func WrapTier(conn transport.Conn, plan *Plan, shard int, stats *Stats) *Conn {
 	c := Wrap(conn, plan, shard, stats)
-	c.tier = true
+	c.plane = tierPlane
 	return c
 }
 
@@ -382,78 +415,39 @@ func (c *Conn) nextRecv(e *transport.Envelope) int {
 
 // Send applies, in order: transient failure, delivery delay, drop,
 // corruption, duplication. Exactly one decision per kind per (message,
-// attempt), each from its own stream.
+// attempt), each from its own stream of the decorator's plane. A tier
+// decorator faults shard digests only: everything else a leaf sends upward is
+// infrastructure and passes through without burning an attempt counter.
 func (c *Conn) Send(e *transport.Envelope) error {
-	if c.tier {
-		return c.sendTier(e)
-	}
-	p := c.plan
-	if !p.Enabled() {
+	p, v := c.plan, c.plan.share(c.plane)
+	if !v.enabled() || (c.plane == tierPlane && e.Kind != transport.KindShardDigest) {
 		return c.Inner().Send(e)
 	}
 	attempt, inner := c.nextAttempt(e)
-	if p.SendFailProb > 0 && p.roll(saltSendFail, c.peer, e.Kind, e.Round, attempt) < p.SendFailProb {
-		c.stats.countSendFail()
+	hit := func(f fault) bool {
+		if v.prob[f] <= 0 || p.roll(v.salt[f], c.peer, e.Kind, e.Round, attempt) >= v.prob[f] {
+			return false
+		}
+		c.stats.count(c.plane, f)
+		return true
+	}
+	if hit(failFault) {
 		return ErrTransient
 	}
-	if p.DelayProb > 0 && p.roll(saltSendDelay, c.peer, e.Kind, e.Round, attempt) < p.DelayProb {
-		c.stats.countDelay()
-		time.Sleep(c.delayFor(e, attempt))
+	if hit(delayFault) {
+		time.Sleep(c.delayFor(v.delayMag, e, attempt))
 	}
-	if p.DropProb > 0 && p.roll(saltSendDrop, c.peer, e.Kind, e.Round, attempt) < p.DropProb {
-		c.stats.countDrop()
+	if hit(dropFault) {
 		return nil // lost in transit: the sender believes it went out
 	}
 	out := e
-	if p.CorruptProb > 0 && len(e.Payload) > 0 &&
-		p.roll(saltSendCorrupt, c.peer, e.Kind, e.Round, attempt) < p.CorruptProb {
-		c.stats.countCorrupt()
-		out = corruptEnvelope(p, saltCorruptPos, c.peer, e, attempt)
+	if len(e.Payload) > 0 && hit(corruptFault) {
+		out = corruptEnvelope(p, v.corruptPos, c.peer, e, attempt)
 	}
 	if err := inner.Send(out); err != nil {
 		return err
 	}
-	if p.DupProb > 0 && p.roll(saltSendDup, c.peer, e.Kind, e.Round, attempt) < p.DupProb {
-		c.stats.countDup()
-		return inner.Send(out)
-	}
-	return nil
-}
-
-// sendTier is the tier-plane Send: the same fault order as the client plane
-// (transient failure, delay, drop, corruption, duplication), but drawn from
-// the tier salt family, keyed by shard id, and applied only to shard
-// digests. Everything else a leaf sends upward is infrastructure and passes
-// through without burning an attempt counter.
-func (c *Conn) sendTier(e *transport.Envelope) error {
-	p := c.plan
-	if !p.TierEnabled() || e.Kind != transport.KindShardDigest {
-		return c.Inner().Send(e)
-	}
-	attempt, inner := c.nextAttempt(e)
-	if p.TierSendFailProb > 0 && p.roll(saltTierSendFail, c.peer, e.Kind, e.Round, attempt) < p.TierSendFailProb {
-		c.stats.countTierSendFail()
-		return ErrTransient
-	}
-	if p.TierDelayProb > 0 && p.roll(saltTierSendDelay, c.peer, e.Kind, e.Round, attempt) < p.TierDelayProb {
-		c.stats.countTierDelay()
-		time.Sleep(c.tierDelayFor(e, attempt))
-	}
-	if p.TierDropProb > 0 && p.roll(saltTierSendDrop, c.peer, e.Kind, e.Round, attempt) < p.TierDropProb {
-		c.stats.countTierDrop()
-		return nil // lost in transit: the leaf believes the digest went out
-	}
-	out := e
-	if p.TierCorruptProb > 0 && len(e.Payload) > 0 &&
-		p.roll(saltTierSendCorrupt, c.peer, e.Kind, e.Round, attempt) < p.TierCorruptProb {
-		c.stats.countTierCorrupt()
-		out = corruptEnvelope(p, saltTierCorruptPos, c.peer, e, attempt)
-	}
-	if err := inner.Send(out); err != nil {
-		return err
-	}
-	if p.TierDupProb > 0 && p.roll(saltTierSendDup, c.peer, e.Kind, e.Round, attempt) < p.TierDupProb {
-		c.stats.countTierDup()
+	if hit(dupFault) {
 		return inner.Send(out)
 	}
 	return nil
@@ -462,7 +456,7 @@ func (c *Conn) sendTier(e *transport.Envelope) error {
 // Recv applies receive-path faults: a dropped delivery is consumed and
 // never surfaced (the reader keeps waiting), a delayed one sleeps first.
 func (c *Conn) Recv() (*transport.Envelope, error) {
-	if c.tier {
+	if c.plane == tierPlane {
 		// Tier faults are send-side only: the leaf's downward traffic
 		// (assignments, round closes) is infrastructure.
 		return c.Inner().Recv()
@@ -475,12 +469,12 @@ func (c *Conn) Recv() (*transport.Envelope, error) {
 		}
 		attempt := c.nextRecv(e)
 		if p.DropProb > 0 && p.roll(saltRecvDrop, c.peer, e.Kind, e.Round, attempt) < p.DropProb {
-			c.stats.countDrop()
+			c.stats.count(clientPlane, dropFault)
 			continue
 		}
 		if p.DelayProb > 0 && p.roll(saltRecvDelay, c.peer, e.Kind, e.Round, attempt) < p.DelayProb {
-			c.stats.countDelay()
-			time.Sleep(c.delayFor(e, attempt))
+			c.stats.count(clientPlane, delayFault)
+			time.Sleep(c.delayFor(saltDelayMag, e, attempt))
 		}
 		return e, nil
 	}
@@ -491,19 +485,10 @@ func (c *Conn) Close() error {
 	return c.Inner().Close()
 }
 
-// delayFor returns the deterministic delay magnitude for a message.
-func (c *Conn) delayFor(e *transport.Envelope, attempt int) time.Duration {
-	frac := c.plan.roll(saltDelayMag, c.peer, e.Kind, e.Round, attempt)
-	d := time.Duration(frac * float64(c.plan.maxDelay()))
-	if d <= 0 {
-		d = time.Microsecond
-	}
-	return d
-}
-
-// tierDelayFor is delayFor on the tier salt family.
-func (c *Conn) tierDelayFor(e *transport.Envelope, attempt int) time.Duration {
-	frac := c.plan.roll(saltTierDelayMag, c.peer, e.Kind, e.Round, attempt)
+// delayFor returns the deterministic delay magnitude for a message, drawn
+// from the given plane's magnitude stream.
+func (c *Conn) delayFor(salt uint64, e *transport.Envelope, attempt int) time.Duration {
+	frac := c.plan.roll(salt, c.peer, e.Kind, e.Round, attempt)
 	d := time.Duration(frac * float64(c.plan.maxDelay()))
 	if d <= 0 {
 		d = time.Microsecond

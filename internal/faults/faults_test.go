@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"hash/fnv"
 	"io"
 	"strings"
 	"testing"
@@ -565,5 +567,57 @@ func TestParsePlanTierKeys(t *testing.T) {
 	}
 	if (&Plan{TierDelayProb: 0.5}).TierLossy() {
 		t.Error("tier delay alone must not be lossy")
+	}
+}
+
+// TestSendFaultFingerprint pins every Send decision of both planes: for a
+// fixed seed it hashes, over 1000 (peer, round, attempt) triples per plane,
+// the returned error, the envelopes (and corrupted bytes) that reached the
+// inner conn, every Stats counter and the delay magnitude. The constants were
+// computed at the commit before the two planes' Send paths were merged, so a
+// match proves the merge moved no draw.
+func TestSendFaultFingerprint(t *testing.T) {
+	plan := &Plan{Seed: 42, MaxDelay: time.Nanosecond,
+		SendFailProb: 0.2, DelayProb: 0.3, DropProb: 0.2, CorruptProb: 0.4, DupProb: 0.3,
+		TierSendFailProb: 0.25, TierDelayProb: 0.2, TierDropProb: 0.3, TierCorruptProb: 0.3, TierDupProb: 0.4}
+	// Delay magnitudes are read from a twin plan with a wide bound, without
+	// sleeping them out.
+	wide := *plan
+	wide.MaxDelay = time.Second
+	payload := make([]byte, 600)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	for _, side := range []struct {
+		name string
+		wrap func(transport.Conn, *Plan, int, *Stats) *Conn
+		kind transport.Kind
+		want uint64
+	}{
+		{"client", Wrap, transport.KindUpload, 0x10e4a197927fab5},
+		{"tier", WrapTier, transport.KindShardDigest, 0x4a09481e80466024},
+	} {
+		t.Run(side.name, func(t *testing.T) {
+			h := fnv.New64a()
+			for peer := 0; peer < 10; peer++ {
+				inner, st := newPipe(), &Stats{}
+				c := side.wrap(inner, plan, peer, st)
+				mag := side.wrap(nil, &wide, peer, nil)
+				for round := 0; round < 20; round++ {
+					for attempt := 0; attempt < 5; attempt++ {
+						e := &transport.Envelope{Kind: side.kind, From: peer, To: -1, Round: round, Payload: payload}
+						err := c.Send(e)
+						fmt.Fprintf(h, "%d/%d/%d err=%v n=%d stats=%+v", peer, round, attempt, err, len(inner.ch), st.Snapshot())
+						for len(inner.ch) > 0 {
+							h.Write((<-inner.ch).Payload)
+						}
+						fmt.Fprintf(h, " mag=%d;", mag.delayFor(wide.share(mag.plane).delayMag, e, attempt))
+					}
+				}
+			}
+			if got := h.Sum64(); got != side.want {
+				t.Errorf("%s plane fingerprint = %#x, want %#x", side.name, got, side.want)
+			}
+		})
 	}
 }

@@ -746,7 +746,7 @@ func (sa *ShardAssign) size() int {
 func (sa *ShardAssign) put(b []byte) []byte {
 	b = putInt(b, sa.Round)
 	b = putInt(b, sa.Shard)
-	b = putFlags(b, sa.Flush, sa.Compact, sa.HasGlobal)
+	b = putFlags(b, sa.Compact, sa.HasGlobal)
 	b = putInt(b, sa.StartRaw)
 	b = putBytes(b, sa.Start)
 	b = putFloats(b, sa.Ref)
@@ -760,8 +760,8 @@ func (sa *ShardAssign) put(b []byte) []byte {
 func (sa *ShardAssign) get(r *reader) {
 	sa.Round = r.int()
 	sa.Shard = r.int()
-	f := r.flags(3)
-	sa.Flush, sa.Compact, sa.HasGlobal = f&1 != 0, f&2 != 0, f&4 != 0
+	f := r.flags(2)
+	sa.Compact, sa.HasGlobal = f&1 != 0, f&2 != 0
 	sa.StartRaw = r.int()
 	sa.Start = r.bytes()
 	sa.Ref = r.floats()

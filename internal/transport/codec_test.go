@@ -59,7 +59,7 @@ func codecMessages(t testing.TB, c comm.Codec) []any {
 		RoundUpload{Round: 3, Client: 9, Err: "local update: diverged", HasPayload: true, Payload: w},
 		re,
 		ShardAssign{
-			Round: 3, Shard: 1, Flush: true, Compact: true,
+			Round: 3, Shard: 1, Compact: true,
 			Start: start, HasGlobal: true, StartRaw: 4096, Ref: ref,
 			Clients: []ClientStart{
 				{Client: 4},

@@ -43,9 +43,6 @@ type ShardAssign struct {
 	// leaf.
 	Round int
 	Shard int
-	// Flush marks an async flush, which selects the flush-mode validation
-	// ladder at the leaf (the wording and classification PR 7 pinned).
-	Flush bool
 	// Compact asks the leaf to stream-fold uploads through the algorithm's
 	// CompactReducer instead of retaining them.
 	Compact bool

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_pairs.sh — the alternating-pairs protocol of bench/README.md ("Claiming
-# a gain later") for one workload: check out <parent-ref> into a git worktree,
-# then run the repo's benchmark (bash bench/run.sh --workload W --trace 0) on
+# a gain later") for one workload: unpack <parent-ref> with git archive, then
+# run the repo's benchmark (bash bench/run.sh --workload W --trace 0) on
 # the parent and on this checkout <pairs> times, alternating which side goes
 # first (parent first, then change first, ...) so host drift cancels. Prints,
 # per end-to-end metric: each side's median and quartiles, the change's
@@ -13,9 +13,8 @@
 #
 # The seed defaults to the clock, i.e. one not used while writing the change;
 # it is printed so a run can be repeated. Everything the script writes stays
-# under .bench_build/pairs/ (the worktree, both builds, one result line per
-# run); the worktree is removed on exit. `make bench-pairs` wraps this; it is
-# not part of scripts/check.sh.
+# under .bench_build/pairs/ (the parent's files, both builds, one result line
+# per run). `make bench-pairs` wraps this; it is not part of scripts/check.sh.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 4 ]; then
@@ -31,16 +30,10 @@ root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 work=$root/.bench_build/pairs
 parent=$work/parent
 runs=$work/runs
-rm -rf "$runs"
-mkdir -p "$runs"
+rm -rf "$runs" "$parent"
+mkdir -p "$runs" "$parent"
 
-remove_worktree() {
-    git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
-    git -C "$root" worktree prune
-}
-trap remove_worktree EXIT
-remove_worktree
-git -C "$root" worktree add --detach "$parent" "$parent_ref" >/dev/null
+git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
 if [ ! -f "$parent/bench/run.sh" ]; then
     echo "$parent_ref has no bench/run.sh: the parent must carry the same benchmark" >&2
     exit 1
