@@ -1,7 +1,9 @@
 package distrib
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"fedpkd/internal/core"
@@ -145,4 +147,48 @@ func TestAsyncChaosDeterministicPartialFlushes(t *testing.T) {
 	if string(j1) != string(j2) {
 		t.Fatalf("same-seed async chaos runs diverged:\n%s\nvs\n%s", j1, j2)
 	}
+}
+
+// TestAsyncTreeFloat64RawShipsNoRef pins the one delta-reference rule on the
+// tier: under float64raw nothing is delta-coded, so a flush's ClientStarts no
+// longer ship each member's whole model to its leaf as an unused Ref. The
+// history is byte-identical to the flat run's and to the parent commit's
+// (which shipped the Ref); only the root→leaf backhaul shrinks.
+func TestAsyncTreeFloat64RawShipsNoRef(t *testing.T) {
+	const (
+		parentHistorySHA = "4abeff45538bab2a831c086fb445aedbc16fe9057d6d58c0e2d9325ea33b7cc4"
+		parentTierDown   = 1683636 // bytes, 3 flushes
+	)
+	run := func(shards int) (string, int64) {
+		algo := chaosFedAvg(t, chaosEnv(t))
+		r, err := engine.Of(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetAsync(asyncTestOpts()); err != nil {
+			t.Fatal(err)
+		}
+		hist, err := Run(algo, 3, Options{Mode: ModeBus, Topology: Topology{Shards: shards}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := json.Marshal(hist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var down int64
+		for _, rt := range r.Ledger().Rounds() {
+			down += rt.TierDown
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(j)), down
+	}
+	flat, _ := run(0)
+	tree, down := run(2)
+	if tree != flat || tree != parentHistorySHA {
+		t.Fatalf("history sha256: tree %s, flat %s, parent %s", tree, flat, parentHistorySHA)
+	}
+	if down <= 0 || down >= parentTierDown {
+		t.Fatalf("tier-down bytes %d, want fewer than the parent's %d", down, parentTierDown)
+	}
+	t.Logf("tier-down bytes: parent %d, now %d", parentTierDown, down)
 }

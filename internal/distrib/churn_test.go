@@ -3,8 +3,10 @@ package distrib
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
+	"fedpkd/internal/baselines"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
 )
@@ -280,5 +282,28 @@ func TestAsyncPreRoundQuorumAbortKeepsCountersInStep(t *testing.T) {
 	done, inHistory, inLedger := runner.CurrentRound(), len(runner.History().Rounds), len(runner.Ledger().Rounds())
 	if done != 2 || inHistory != 2 || inLedger != 2 {
 		t.Fatalf("after the abort: CurrentRound=%d history rounds=%d ledger rounds=%d, want 2 each", done, inHistory, inLedger)
+	}
+}
+
+// TestServiceRefusesParticipationKnobs: the in-process participation knobs
+// have no distributed meaning — the cohort shrinks through the failure model —
+// so NewService refuses them by name instead of silently running everyone.
+func TestServiceRefusesParticipationKnobs(t *testing.T) {
+	env := chaosEnv(t)
+	for knob, cfg := range map[string]engine.Config{
+		"ClientFraction": {Env: env, Seed: 9, ClientFraction: 0.5},
+		"ClientDropProb": {Env: env, Seed: 9, ClientDropProb: 0.2},
+	} {
+		algo, err := baselines.NewFedAvg(baselines.FedAvgConfig{Common: cfg, LocalEpochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewService(algo, Options{Mode: ModeBus})
+		if err == nil {
+			svc.Close()
+			t.Errorf("%s accepted by a distributed service", knob)
+		} else if !strings.Contains(err.Error(), knob) {
+			t.Errorf("%s refused with %q, which does not name it", knob, err)
+		}
 	}
 }

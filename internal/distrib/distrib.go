@@ -198,9 +198,9 @@ func (o *Options) validate(n int) error {
 // goroutines during a round; evaluation (and, when a checkpoint policy is set
 // on the runner, the durable checkpoint write) happens at round barriers when
 // every worker is parked. The distributed runner always uses full
-// participation: ClientFraction and ClientDropProb apply to the in-process
-// engine only — here the cohort shrinks through the failure model instead
-// (timeouts, injected faults).
+// participation: NewService refuses ClientFraction and ClientDropProb — here
+// the cohort shrinks through the failure model instead (timeouts, injected
+// faults).
 //
 // Resume: restore the algorithm first (engine.Runner.ResumeAny) and the run
 // continues from the checkpointed round — the server-side checkpoint holds
@@ -217,25 +217,19 @@ func Run(algo fl.Algorithm, rounds int, opts Options) (*fl.History, error) {
 	return s.Run(rounds)
 }
 
-// roundPlan is everything one round moves: who takes part and what each of
-// them is sent to train against. A synchronous round is a plan with no
-// overrides — the whole cohort shares one global; an async buffer flush is a
-// plan with one override per chosen client — each trains against the global
-// it retained at its last refresh. The wire speaks the same dialect
-// (transport.ShardAssign), so the plan maps onto it field for field.
+// roundPlan is the engine's plan of one round, encoded for the wire: the
+// RoundStart each member is sent and the delta reference its upload decodes
+// against. A synchronous round's members share one start; a flush member
+// holds the global it retained, so each gets its own override. The wire
+// speaks the same dialect (transport.ShardAssign), so the plan maps onto it
+// field for field.
 type roundPlan struct {
-	t int
-	// cohort lists the round's clients, ascending.
-	cohort []int
+	*engine.Plan
 	// shared is the start every member without an override receives; the zero
 	// value when every member has one.
 	shared planStart
 	// override replaces shared for the clients it names.
 	override map[int]planStart
-	// flush, when non-nil, makes the round an async flush: surviving uploads
-	// are staleness-weighted before aggregation and the flush is committed to
-	// the engine's async state afterwards.
-	flush *engine.AsyncFlushPlan
 }
 
 // planStart is one encoded round-opening message and the delta reference
@@ -256,8 +250,12 @@ func (p *roundPlan) start(c int) planStart {
 // ref returns the delta reference client c's upload decodes against.
 func (p *roundPlan) ref(c int) []float64 { return p.start(c).ref }
 
+// flush reports whether the plan is an async buffer flush (it carries
+// staleness weights).
+func (p *roundPlan) flush() bool { return p.Weights != nil }
+
 // noun names the plan's unit of work in error text.
-func (p *roundPlan) noun() string { return roundNoun(p.flush != nil) }
+func (p *roundPlan) noun() string { return roundNoun(p.flush()) }
 
 func roundNoun(flush bool) string {
 	if flush {
@@ -266,53 +264,31 @@ func roundNoun(flush bool) string {
 	return "round"
 }
 
-// planRound plans round t: the synchronous cohort (registered ∩ online)
-// sharing round t's front-loaded global, or — with SetAsync — the engine's
-// flush plan, restricted to the registered clients under a dynamic population
-// (nil eligibility keeps fixed-fleet flushes byte-identical). Planning bills
-// nothing and leaves the round counter alone, so a pre-round quorum abort
-// leaves no half-open round behind.
+// planRound takes round t's plan from the engine, over the registered
+// population, and encodes it: one RoundStart for a synchronous round's shared
+// start, one per member for a flush. Planning bills nothing and leaves the
+// round counter alone, so a pre-round quorum abort leaves no half-open round
+// behind.
 func (s *Service) planRound(t int) (*roundPlan, error) {
-	codec := s.runner.Codec()
-	if s.runner.Async() == nil {
-		// Clients see decode(encode(global)); the server must hold the same
-		// bits so both sides agree on the delta reference and the run stays
-		// bit-identical to the in-process engine.
-		global := s.runner.Hooks().GlobalState(t)
-		var ref []float64
-		if codec != comm.CodecFloat64 && global != nil {
-			global = global.ApplyCodec(codec, nil)
-			ref = global.Params
-		}
-		ws, err := encodeRoundStart(t, codec, global)
-		if err != nil {
-			return nil, err
-		}
-		return &roundPlan{t: t, cohort: s.cohortAt(t), shared: planStart{ws, ref}}, nil
-	}
-	var eligible []int
-	if s.dynamic {
-		eligible = s.reg.Active()
-	}
-	fp, err := s.runner.AsyncPlanFlushFrom(t, eligible)
+	p, err := s.runner.Plan(t, s.reg.Active())
 	if err != nil {
 		return nil, err
 	}
-	plan := &roundPlan{t: t, cohort: fp.Chosen, flush: fp, override: make(map[int]planStart, len(fp.Chosen))}
-	for i, c := range fp.Chosen {
-		// The dispatched payload was codec-applied at retention.
-		g := fp.Dispatched[i]
-		ws, err := encodeRoundStart(t, codec, g)
+	rp := &roundPlan{Plan: p, override: make(map[int]planStart, len(p.Cohort))}
+	for i, c := range p.Cohort {
+		ws, err := encodeRoundStart(t, s.runner.Codec(), p.Starts[i])
 		if err != nil {
 			return nil, err
 		}
-		start := planStart{frame: ws}
-		if g != nil {
-			start.ref = g.Params
+		start := planStart{ws, p.Ref(i)}
+		if !rp.flush() {
+			// A synchronous round's members share Starts[0]: one message.
+			rp.shared = start
+			break
 		}
-		plan.override[c] = start
+		rp.override[c] = start
 	}
-	return plan, nil
+	return rp, nil
 }
 
 // roundReport summarizes who the server heard from in one round.
@@ -325,8 +301,8 @@ type roundReport struct {
 	// round's merge (crashed leaf, late/corrupt digest), sorted ascending.
 	// Tree rounds only.
 	lostShards []int
-	// contributors lists the clients whose uploads a flush aggregated,
-	// ascending. Flushes only.
+	// contributors lists the clients whose uploads the round aggregated,
+	// ascending — what a flush commits.
 	contributors []int
 }
 
@@ -336,7 +312,7 @@ type roundReport struct {
 // scheduled fleet, or the flush's planned contributors.
 func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected int64) {
 	var crashed, timedOut []int
-	t, expected, cl, tier := plan.t, len(plan.cohort), s.clients, s.tier
+	t, expected, cl, tier := plan.Round, len(plan.Cohort), s.clients, s.tier
 	inLost := make(map[int]bool, len(rp.lostShards))
 	for _, sh := range rp.lostShards {
 		inLost[sh] = true
@@ -379,18 +355,18 @@ func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected in
 // tolerant mode), aggregate, fan out RoundEnd. A client-reported error aborts
 // the round but still produces a RoundEnd so no peer blocks forever.
 func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
-	t := plan.t
-	start := func(i int) frame { return plan.start(plan.cohort[i]).frame }
-	if err := s.fanFraming(transport.KindRoundStart, t, plan.cohort, start); err != nil {
+	t, cohort := plan.Round, plan.Cohort
+	start := func(i int) frame { return plan.start(cohort[i]).frame }
+	if err := s.fanFraming(transport.KindRoundStart, t, cohort, start); err != nil {
 		return nil, err
 	}
 
-	uploads := make([]engine.Upload, 0, len(plan.cohort))
+	uploads := make([]engine.Upload, 0, len(cohort))
 	rungs := s.uploadLadder(plan.noun(), plan.ref, func(u engine.Upload) error {
 		uploads = append(uploads, u)
 		return nil
 	})
-	report, roundErr, err := newCollector(s.clients, s.srx, t, plan.cohort, rungs).collect()
+	report, roundErr, err := newCollector(s.clients, s.srx, t, cohort, rungs).collect()
 	if err != nil {
 		return report, err
 	}
@@ -404,14 +380,15 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 		// in-process engine, so reductions are order-stable regardless of
 		// which goroutine finished first.
 		sort.Slice(uploads, func(i, j int) bool { return uploads[i].Client < uploads[j].Client })
-		bcast, roundErr = aggregate(s.runner, plan, uploads, report)
+		report.contributed(uploads)
+		bcast, roundErr = plan.Aggregate(uploads)
 	}
 
 	end, roundErr, fatal := buildRoundEnd(t, s.runner.Codec(), bcast, roundErr)
 	if fatal != nil {
 		return report, fatal
 	}
-	if err := s.fanFraming(transport.KindRoundEnd, t, plan.cohort, func(int) frame { return end }); err != nil && roundErr == nil {
+	if err := s.fanFraming(transport.KindRoundEnd, t, cohort, func(int) frame { return end }); err != nil && roundErr == nil {
 		return report, err
 	}
 	return report, roundErr
@@ -440,18 +417,11 @@ func (s *Service) fanFraming(kind transport.Kind, t int, cohort []int, msg func(
 	return first
 }
 
-// aggregate runs the algorithm's Aggregate over the round's surviving
-// uploads (sorted by client id). A flush staleness-weights them first and
-// reports who contributed, for AsyncCommitFlush.
-func aggregate(runner *engine.Runner, plan *roundPlan, uploads []engine.Upload, report *roundReport) (*engine.Payload, error) {
-	rc := runner.Context(plan.t)
-	if plan.flush != nil {
-		for _, u := range uploads {
-			report.contributors = append(report.contributors, u.Client)
-		}
-		uploads = runner.AsyncWeightUploads(plan.flush, uploads)
+// contributed records the clients whose uploads the round aggregates.
+func (rp *roundReport) contributed(uploads []engine.Upload) {
+	for _, u := range uploads {
+		rp.contributors = append(rp.contributors, u.Client)
 	}
-	return runner.Hooks().Aggregate(rc, uploads)
 }
 
 // frame is one encoded round-framing message (a RoundStart or RoundEnd

@@ -75,12 +75,12 @@ func (r *root) shardCohorts(cohort []int) [][]int {
 // ClientStart. A flush's staleness weighting runs here, over the merged
 // uploads — the computation the flat server performs.
 func (r *root) round(plan *roundPlan) (*roundReport, error) {
-	t, runner := plan.t, r.runner
+	t, runner := plan.Round, r.runner
 	compact := r.opts.Topology.Compact
 	shards := len(r.children)
 
 	shared := plan.shared
-	cohorts := r.shardCohorts(plan.cohort)
+	cohorts := r.shardCohorts(plan.Cohort)
 	for i, members := range cohorts {
 		sa := transport.ShardAssign{
 			Round: t, Shard: i, Compact: compact,
@@ -125,7 +125,8 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 		} else if uploads, merr := runner.MergePartials(parts); merr != nil {
 			roundErr = merr
 		} else {
-			bcast, roundErr = aggregate(runner, plan, uploads, report)
+			report.contributed(uploads)
+			bcast, roundErr = plan.Aggregate(uploads)
 		}
 	}
 	end, roundErr, fatal := buildRoundEnd(t, runner.Codec(), bcast, roundErr)

@@ -15,11 +15,11 @@ import (
 )
 
 // Service is the long-lived form of the distributed runtime: it owns a
-// client Registry, plans each round's cohort from the currently registered
-// population intersected with the availability trace (or, with SetAsync, from
-// the engine's flush planner), and exposes the hooks a control plane needs —
-// a Barrier callback at every round boundary (all workers parked, safe to
-// checkpoint), a live Status snapshot, and the Join/Leave registration API.
+// client Registry, takes each round's plan from the engine over the
+// currently registered population (engine.Runner.Plan), and exposes the hooks
+// a control plane needs — a Barrier callback at every round boundary (all
+// workers parked, safe to checkpoint), a live Status snapshot, and the
+// Join/Leave registration API.
 // Run is NewService + Run + Close; a service with the full fleet pre-seeded
 // into its registry and no availability trace runs a fixed cohort.
 type Service struct {
@@ -107,6 +107,14 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 	n := runner.Config().Env.Cfg.NumClients
 	if err := opts.validate(n); err != nil {
 		return nil, err
+	}
+	// The cohort shrinks through the failure model here, not the in-process
+	// participation knobs — refuse them rather than silently run everyone.
+	if f := runner.Config().ClientFraction; f != 0 && f != 1 {
+		return nil, fmt.Errorf("distrib: ClientFraction %v unsupported: distributed runs schedule every registered online client", f)
+	}
+	if p := runner.Config().ClientDropProb; p != 0 {
+		return nil, fmt.Errorf("distrib: ClientDropProb %v unsupported: distributed runs lose clients through Options.Faults", p)
 	}
 	if opts.Topology.Compact {
 		if runner.Async() != nil {
@@ -214,8 +222,9 @@ func (s *Service) Run(rounds int) (*fl.History, error) {
 
 // runRound is the one round loop's body, synchronous round and async flush
 // alike: barrier hook, fold in pending registrations, plan, check quorum,
-// fan out to the plan's cohort, serve the round, fan in. Non-chosen clients
-// never see a start signal and stay parked.
+// fan out to the plan's cohort, serve the round, fan in, commit the plan with
+// the clients whose uploads were aggregated. Non-chosen clients never see a
+// start signal and stay parked.
 func (s *Service) runRound() error {
 	t := s.runner.CurrentRound()
 	// Fold registrations in before the gate runs, so a paused service's
@@ -238,9 +247,9 @@ func (s *Service) runRound() error {
 	// Fail fast on a hopeless population instead of opening a round that can
 	// only time out: quorum is checked before the round begins, so an abort
 	// leaves the round counter, the ledger and the history in step.
-	if s.opts.MinQuorum > 0 && len(plan.cohort) < s.opts.MinQuorum {
+	if s.opts.MinQuorum > 0 && len(plan.Cohort) < s.opts.MinQuorum {
 		return fmt.Errorf("%w: %s %d scheduled %d clients, quorum %d",
-			ErrQuorumNotMet, plan.noun(), t, len(plan.cohort), s.opts.MinQuorum)
+			ErrQuorumNotMet, plan.noun(), t, len(plan.Cohort), s.opts.MinQuorum)
 	}
 	if err := s.preRoundShardQuorum(t); err != nil {
 		return err
@@ -250,8 +259,8 @@ func (s *Service) runRound() error {
 	s.clients.reset()
 	s.tier.reset()
 	faultBase := s.fstats.Snapshot().Total()
-	s.rec.SetWorkers(len(plan.cohort))
-	for _, c := range plan.cohort {
+	s.rec.SetWorkers(len(plan.Cohort))
+	for _, c := range plan.Cohort {
 		s.start[c] <- t
 	}
 	var report *roundReport
@@ -277,7 +286,7 @@ func (s *Service) runRound() error {
 			s.closeTransport()
 		}
 	}
-	for range plan.cohort {
+	for range plan.Cohort {
 		if err := <-s.done; err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -289,17 +298,15 @@ func (s *Service) runRound() error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if plan.flush != nil {
-		s.runner.AsyncCommitFlush(plan.flush, report.contributors)
-	}
+	plan.Commit(report.contributors)
 	if !s.clients.strict || !s.tier.strict {
 		s.recordRobustness(plan, report, s.fstats.Snapshot().Total()-faultBase)
 	}
 	if s.dynamic {
 		s.rec.SetChurn(obs.Churn{
 			Registered: s.reg.Size(),
-			Online:     len(s.runner.Online(t)),
-			Cohort:     len(plan.cohort),
+			Online:     len(s.runner.Online(t, nil)),
+			Cohort:     len(plan.Cohort),
 			Joins:      joins,
 			Leaves:     leaves,
 		})
@@ -328,23 +335,6 @@ func (s *Service) preRoundShardQuorum(t int) error {
 			ErrShardQuorumNotMet, t, doomed, shards, s.opts.ShardQuorum)
 	}
 	return nil
-}
-
-// cohortAt returns round t's cohort: the registered population intersected
-// with the clients the availability trace puts online, sorted ascending.
-func (s *Service) cohortAt(t int) []int {
-	active := s.reg.Active()
-	tr := s.runner.Availability()
-	if tr == nil {
-		return active
-	}
-	kept := make([]int, 0, len(active))
-	for _, c := range active {
-		if tr.Online(c, t) {
-			kept = append(kept, c)
-		}
-	}
-	return kept
 }
 
 // Join registers client id with the service over the wire: a hello envelope
@@ -482,13 +472,12 @@ func (s *Service) Status() Status {
 }
 
 func (s *Service) setStatus(t int) {
-	cohort := s.cohortAt(t)
 	st := Status{
 		Algo:       s.runner.Name(),
 		Round:      t,
 		Registered: s.reg.Size(),
-		Online:     len(s.runner.Online(t)),
-		Cohort:     len(cohort),
+		Online:     len(s.runner.Online(t, nil)),
+		Cohort:     len(s.runner.Online(t, s.reg.Active())),
 	}
 	s.mu.Lock()
 	s.status = st

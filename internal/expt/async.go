@@ -58,50 +58,32 @@ func RunAsync(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	k := halfFleet(n)
 	flushes := (sc.Rounds*n + k - 1) / k
 
-	// fidelitySeeds sizes the ensemble the accuracy budget is checked on.
-	const fidelitySeeds = 5
-
 	// The legs differ in mode by construction; only the codec is shared.
-	newLeg := func(s uint64, async bool) (*engine.Runner, error) {
-		leg := RunSpec{Codec: spec.Codec}
-		if async {
-			leg.Async = &engine.AsyncOptions{
-				BufferSize: k, StalenessAlpha: 0.5, Schedule: asyncSchedule(s, n),
+	leg := func(async bool) func(s uint64) (*fl.History, error) {
+		return func(s uint64) (*fl.History, error) {
+			run, rounds := RunSpec{Codec: spec.Codec}, sc.Rounds
+			if async {
+				run.Async = &engine.AsyncOptions{
+					BufferSize: k, StalenessAlpha: 0.5, Schedule: asyncSchedule(s, n),
+				}
+				rounds = flushes
 			}
-		}
-		return newRun(AlgoFedPKD, TaskC10, setting, sc, s, false, leg)
-	}
-
-	var histS, histA *fl.History
-	var meanS, meanA float64
-	for s := uint64(0); s < fidelitySeeds; s++ {
-		pkdS, err := newLeg(seed+s, false)
-		if err != nil {
-			return nil, err
-		}
-		hS, err := pkdS.Run(sc.Rounds)
-		if err != nil {
-			return nil, err
-		}
-		pkdA, err := newLeg(seed+s, true)
-		if err != nil {
-			return nil, err
-		}
-		hA, err := pkdA.Run(flushes)
-		if err != nil {
-			return nil, err
-		}
-		if len(hA.Flushes) != flushes {
-			return nil, fmt.Errorf("expt: async leg recorded %d flushes, ran %d", len(hA.Flushes), flushes)
-		}
-		meanS += hS.FinalServerAcc()
-		meanA += hA.FinalServerAcc()
-		if s == 0 {
-			histS, histA = hS, hA
+			r, err := newRun(AlgoFedPKD, TaskC10, setting, sc, s, false, run)
+			if err != nil {
+				return nil, err
+			}
+			h, err := r.Run(rounds)
+			if err == nil && async && len(h.Flushes) != flushes {
+				err = fmt.Errorf("expt: async leg recorded %d flushes, ran %d", len(h.Flushes), flushes)
+			}
+			return h, err
 		}
 	}
-	meanS /= fidelitySeeds
-	meanA /= fidelitySeeds
+	mean, base, err := seedEnsemble(seed, leg(false), leg(true))
+	if err != nil {
+		return nil, err
+	}
+	meanS, meanA, histS, histA := mean[0], mean[1], base[0], base[1]
 
 	// The sync leg's simulated wall-clock is analytic: a barrier round ends
 	// when the slowest client of that round delivers.

@@ -73,9 +73,6 @@ func RunChurn(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 	n := sc.NumClients
 
-	// fidelitySeeds sizes the ensemble the accuracy budget is checked on.
-	const fidelitySeeds = 5
-
 	// The legs differ in cohort by construction; only the codec is shared.
 	newLeg := func(s uint64, churn bool) (*engine.Runner, error) {
 		leg := RunSpec{Codec: spec.Codec}
@@ -84,34 +81,20 @@ func RunChurn(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 		}
 		return newRun(AlgoFedPKD, TaskC10, setting, sc, s, false, leg)
 	}
-
-	var histF, histC *fl.History
-	var meanF, meanC float64
-	for s := uint64(0); s < fidelitySeeds; s++ {
-		pkdF, err := newLeg(seed+s, false)
-		if err != nil {
-			return nil, err
-		}
-		hF, err := pkdF.Run(sc.Rounds)
-		if err != nil {
-			return nil, err
-		}
-		pkdC, err := newLeg(seed+s, true)
-		if err != nil {
-			return nil, err
-		}
-		hC, err := pkdC.Run(sc.Rounds)
-		if err != nil {
-			return nil, err
-		}
-		meanF += hF.FinalServerAcc()
-		meanC += hC.FinalServerAcc()
-		if s == 0 {
-			histF, histC = hF, hC
+	leg := func(churn bool) func(s uint64) (*fl.History, error) {
+		return func(s uint64) (*fl.History, error) {
+			r, err := newLeg(s, churn)
+			if err != nil {
+				return nil, err
+			}
+			return r.Run(sc.Rounds)
 		}
 	}
-	meanF /= fidelitySeeds
-	meanC /= fidelitySeeds
+	mean, base, err := seedEnsemble(seed, leg(false), leg(true))
+	if err != nil {
+		return nil, err
+	}
+	meanF, meanC, histF, histC := mean[0], mean[1], base[0], base[1]
 
 	// Contract 1: same seed + same trace ⇒ byte-identical history.
 	replay, err := newLeg(seed, true)

@@ -38,9 +38,6 @@ func RunCompression(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	}
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 
-	// fidelitySeeds sizes the ensemble the accuracy budget is checked on.
-	const fidelitySeeds = 5
-
 	type legTotals struct {
 		upload, rawUpload int64
 		hist              *fl.History
@@ -59,25 +56,22 @@ func RunCompression(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	for c := comm.Codec(0); c.Valid(); c++ {
 		// In-process fidelity ensemble; the base-seed member doubles as the
 		// predicted-bytes leg of the equivalence contract.
-		var meanAcc float64
 		var inproc legTotals
-		var inHist *fl.History
-		for s := uint64(0); s < fidelitySeeds; s++ {
-			r, err := newRun(AlgoFedPKD, TaskC10, setting, sc, seed+s, false, RunSpec{Codec: c.String()})
+		mean, _, err := seedEnsemble(seed, func(s uint64) (*fl.History, error) {
+			r, err := newRun(AlgoFedPKD, TaskC10, setting, sc, s, false, RunSpec{Codec: c.String()})
 			if err != nil {
 				return nil, err
 			}
 			hist, err := r.Run(sc.Rounds)
-			if err != nil {
-				return nil, err
-			}
-			meanAcc += hist.FinalServerAcc()
-			if s == 0 {
+			if err == nil && s == seed {
 				inproc = sum(r, hist)
-				inHist = hist
 			}
+			return hist, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		meanAcc /= fidelitySeeds
+		meanAcc, inHist := mean[0], inproc.hist
 
 		rD, err := newRun(AlgoFedPKD, TaskC10, setting, sc, seed, false, RunSpec{Codec: c.String()})
 		if err != nil {

@@ -137,6 +137,35 @@ func newRun(name string, task Task, setting Setting, sc Scale, seed uint64, hete
 	return engine.Of(algo)
 }
 
+// fidelitySeeds sizes the seed ensemble the self-checking experiments
+// (async, churn, compression) check their accuracy budgets on: one run cannot
+// resolve a budget of a few pp at the reduced scales.
+const fidelitySeeds = 5
+
+// seedEnsemble runs every leg at seeds seed … seed+fidelitySeeds−1, the legs
+// in order within each seed, and returns each leg's mean final server
+// accuracy and its base-seed history.
+func seedEnsemble(seed uint64, legs ...func(s uint64) (*fl.History, error)) (mean []float64, base []*fl.History, err error) {
+	mean = make([]float64, len(legs))
+	base = make([]*fl.History, len(legs))
+	for s := uint64(0); s < fidelitySeeds; s++ {
+		for i, leg := range legs {
+			h, err := leg(seed + s)
+			if err != nil {
+				return nil, nil, err
+			}
+			mean[i] += h.FinalServerAcc()
+			if s == 0 {
+				base[i] = h
+			}
+		}
+	}
+	for i := range mean {
+		mean[i] /= fidelitySeeds
+	}
+	return mean, base, nil
+}
+
 // RunOne runs one algorithm over the scale's round budget under the spec's
 // codec, async mode, availability trace and checkpoint policy (see
 // RunSpec.forRun for how a sweep's checkpoint root maps onto this run).

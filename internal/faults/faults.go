@@ -225,21 +225,9 @@ const (
 	saltTierCorruptPos
 )
 
-// mix folds the draw coordinates into one stream label (splitmix64-style
-// finalization, applied per field so permuted inputs never collide).
-func mix(vs ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vs {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-	}
-	return h
-}
-
 // roll returns the deterministic uniform draw for one fault decision.
 func (p *Plan) roll(salt uint64, peer int, kind transport.Kind, round, attempt int) float64 {
-	label := mix(salt, uint64(peer)+1, uint64(kind), uint64(int64(round))+2, uint64(attempt)+3)
+	label := stats.Mix(salt, uint64(peer)+1, uint64(kind), uint64(int64(round))+2, uint64(attempt)+3)
 	return stats.Split(p.Seed, label).Float64()
 }
 
@@ -502,7 +490,7 @@ func (c *Conn) delayFor(salt uint64, e *transport.Envelope, attempt int) time.Du
 // the garbage to its sender.
 func corruptEnvelope(p *Plan, salt uint64, peer int, e *transport.Envelope, attempt int) *transport.Envelope {
 	payload := append([]byte(nil), e.Payload...)
-	rng := stats.Split(p.Seed, mix(salt, uint64(peer)+1, uint64(e.Kind), uint64(int64(e.Round))+2, uint64(attempt)+3))
+	rng := stats.Split(p.Seed, stats.Mix(salt, uint64(peer)+1, uint64(e.Kind), uint64(int64(e.Round))+2, uint64(attempt)+3))
 	flips := 1 + len(payload)/512
 	for i := 0; i < flips; i++ {
 		pos := rng.IntN(len(payload))

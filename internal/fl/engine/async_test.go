@@ -320,8 +320,8 @@ func TestAsyncCheckpointResumeRoundTrip(t *testing.T) {
 	if err := resumed.Resume(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.AsyncClock() != first.AsyncClock() {
-		t.Fatalf("resumed clock %d, checkpointed %d", resumed.AsyncClock(), first.AsyncClock())
+	if got, want := resumed.History().FinalClock(), first.History().FinalClock(); got != want || got == 0 {
+		t.Fatalf("resumed clock %d, checkpointed %d", got, want)
 	}
 	resumedHist, err := resumed.RunUntil(6)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // transport.
 
 // Availability-trace salts, disjoint from the async-schedule salts above
-// (same asyncMix stream construction).
+// (same stats.Mix stream construction).
 const (
 	saltAvailPhase uint64 = iota + 201
 	saltAvailDuty
@@ -80,8 +80,8 @@ func (a *AvailabilityTrace) Online(c, t int) bool {
 	}
 	tr := a.WithDefaults()
 	period := uint64(tr.Period)
-	phase := stats.Split(tr.Seed, asyncMix(saltAvailPhase, uint64(c)+1)).Uint64() % period
-	u := stats.Split(tr.Seed, asyncMix(saltAvailDuty, uint64(c)+1)).Float64()
+	phase := stats.Split(tr.Seed, stats.Mix(saltAvailPhase, uint64(c)+1)).Uint64() % period
+	u := stats.Split(tr.Seed, stats.Mix(saltAvailDuty, uint64(c)+1)).Float64()
 	duty := tr.MinDuty + u*(tr.MaxDuty-tr.MinDuty)
 	window := uint64(duty*float64(tr.Period) + 0.5)
 	if window < 1 {
@@ -170,14 +170,20 @@ func (r *Runner) SetAvailability(tr *AvailabilityTrace) error {
 // online.
 func (r *Runner) Availability() *AvailabilityTrace { return r.avail }
 
-// Online returns the ids of the clients the availability trace puts online
-// at round t, sorted ascending — the whole fleet when no trace is set.
-// internal/distrib intersects this with its registry to build each round's
-// cohort.
-func (r *Runner) Online(t int) []int {
-	n := r.cfg.Env.Cfg.NumClients
-	out := make([]int, 0, n)
-	for c := 0; c < n; c++ {
+// Online returns the clients among the given ids (ascending; nil means the
+// whole fleet) that the availability trace puts online at round t — all of
+// them when no trace is set. It is the one place "online ∩ eligible" is
+// computed: Plan narrows its eligible clients with it, and internal/distrib
+// its registry's population.
+func (r *Runner) Online(t int, among []int) []int {
+	if among == nil {
+		among = make([]int, r.cfg.Env.Cfg.NumClients)
+		for c := range among {
+			among[c] = c
+		}
+	}
+	out := make([]int, 0, len(among))
+	for _, c := range among {
 		if r.avail.Online(c, t) {
 			out = append(out, c)
 		}

@@ -203,8 +203,8 @@ type Runner struct {
 	ckptDir   string
 	ckptEvery int
 
-	// async, when non-nil, switches Round() to barrier-free buffer flushes
-	// (see async.go). Nil is the default synchronous mode.
+	// async, when non-nil, makes every planned round a barrier-free buffer
+	// flush (see async.go). Nil is the default synchronous mode.
 	async *asyncState
 
 	// avail, when non-nil, is the seeded availability trace (avail.go):
@@ -285,14 +285,17 @@ func (r *Runner) Context(round int) *RoundContext {
 	return &RoundContext{r: r, round: round}
 }
 
-// Participants returns the given round's participating client ids: the
-// online population (everyone without an availability trace) when
-// ClientFraction is 0 or 1, otherwise a deterministic random sample of
-// ceil(fraction·n) of them (at least one), sorted ascending. With a trace
-// set, fraction sampling draws within the online set, so churn composes
-// with partial participation.
-func (r *Runner) Participants(round int) []int {
-	base := r.Online(round)
+// Participants returns the given round's participating client ids — the
+// in-process cohort of Plan(round, nil) in synchronous mode: the online
+// population (everyone without an availability trace) when ClientFraction is
+// 0 or 1, otherwise a deterministic random sample of ceil(fraction·n) of them
+// (at least one), sorted ascending. With a trace set, fraction sampling draws
+// within the online set, so churn composes with partial participation.
+func (r *Runner) Participants(round int) []int { return r.sample(round, r.Online(round, nil)) }
+
+// sample draws round's ClientFraction sample of base (ascending); base itself
+// when the fraction is 0 or 1.
+func (r *Runner) sample(round int, base []int) []int {
 	if r.cfg.ClientFraction == 0 || r.cfg.ClientFraction == 1 || len(base) == 0 {
 		return base
 	}
@@ -424,44 +427,43 @@ func (r *Runner) addDownload(wire, raw int) {
 	r.ledger.AddDownloadRaw(wire, raw)
 }
 
-// Round executes one communication round through the phase hooks — or, in
-// async mode, one buffer flush (async.go).
+// Round executes one communication round — or, in async mode, one buffer
+// flush: plan it, then execute the plan in-process.
 func (r *Runner) Round() error {
-	t := r.BeginRound()
-	if r.async != nil {
-		return r.asyncFlush(t)
+	p, err := r.Plan(r.BeginRound(), nil)
+	if err != nil {
+		return err
 	}
+	return r.execute(p)
+}
 
+// execute is the in-process driver of one plan (internal/distrib is the
+// other): deliver each member its start, train, collect, aggregate, broadcast,
+// commit. Drop injection (ClientDropProb, which async mode refuses) is the
+// one step only this driver has.
+func (r *Runner) execute(p *Plan) error {
+	t, cohort := p.Round, p.Cohort
 	rc := r.Context(t)
-	participants := r.Participants(t)
-	r.rec.SetWorkers(fl.Workers(len(participants)))
+	r.rec.SetWorkers(fl.Workers(len(cohort)))
 	if r.avail != nil {
 		n := r.cfg.Env.Cfg.NumClients
-		r.rec.SetChurn(obs.Churn{Registered: n, Online: len(r.Online(t)), Cohort: len(participants)})
+		r.rec.SetChurn(obs.Churn{Registered: n, Online: len(r.Online(t, nil)), Cohort: len(cohort)})
 	}
 
-	// Front-loaded server state: every participant downloads it. Under a
-	// compressing codec clients receive (and train against) the transcoded
-	// global; its params double as the delta reference for this round's
-	// uploads — both ends hold exactly these values.
-	global := r.hooks.GlobalState(t).ApplyCodec(r.codec, nil)
-	var refParams []float64
-	if global != nil {
-		refParams = global.Params
-	}
-	if n := global.WireBytesIn(r.codec); n > 0 {
-		raw := global.WireBytes()
-		for range participants {
-			r.addDownload(n, raw)
+	// Starts are billed at delivery: a flush member's global was minted at
+	// its dispatch flush but travels with this train order (DESIGN.md §11).
+	for _, g := range p.Starts {
+		if n := g.WireBytesIn(r.codec); n > 0 {
+			r.addDownload(n, g.WireBytes())
 		}
 	}
 
 	// Local training fan-out over the worker pool.
-	payloads := make([]*Payload, len(participants))
-	err := fl.ForEachClient(len(participants), func(i int) error {
-		c := participants[i]
+	payloads := make([]*Payload, len(cohort))
+	err := fl.ForEachClient(len(cohort), func(i int) error {
+		c := cohort[i]
 		stopTrain := r.rec.ClientSpan(c)
-		up, err := r.hooks.LocalUpdate(rc, c, global)
+		up, err := r.hooks.LocalUpdate(rc, c, p.Starts[i])
 		stopTrain()
 		if err != nil {
 			return err
@@ -479,24 +481,24 @@ func (r *Runner) Round() error {
 	var dropped []int
 	if r.cfg.ClientDropProb > 0 {
 		dropRng := stats.Split(r.cfg.Seed, uint64(t)*1000+777)
-		for i := range participants {
+		for i := range cohort {
 			if dropRng.Float64() < r.cfg.ClientDropProb {
 				if payloads[i] != nil {
-					dropped = append(dropped, participants[i])
+					dropped = append(dropped, cohort[i])
 				}
 				payloads[i] = nil
 			}
 		}
 	}
-	uploads := make([]Upload, 0, len(participants))
-	for i, c := range participants {
+	uploads := make([]Upload, 0, len(cohort))
+	for i, c := range cohort {
 		if payloads[i] == nil {
 			continue
 		}
 		// The server aggregates what it decodes off the wire: the upload
-		// after codec transcoding, params delta-coded against the global
-		// reference both ends share.
-		up := payloads[i].ApplyCodec(r.codec, refParams)
+		// after codec transcoding, params delta-coded against the start the
+		// member holds.
+		up := payloads[i].ApplyCodec(r.codec, p.Ref(i))
 		r.addUpload(up.WireBytesIn(r.codec), up.WireBytes())
 		uploads = append(uploads, Upload{Client: c, Payload: up})
 	}
@@ -513,32 +515,34 @@ func (r *Runner) Round() error {
 			Crashed:  dropped,
 		})
 	}
-	if len(uploads) == 0 {
-		// Every participant failed: nothing to aggregate this round.
-		return nil
-	}
 
-	bcast, err := r.hooks.Aggregate(rc, uploads)
-	if err != nil {
-		return err
+	// A round every member failed has nothing to aggregate or broadcast; a
+	// flush still commits, with its whole cohort as contributors.
+	if len(uploads) > 0 {
+		bcast, err := p.Aggregate(uploads)
+		if err != nil {
+			return err
+		}
+		if bcast != nil {
+			// Broadcast and digest fan-out, to every member — one that dropped
+			// before uploading still receives the round's knowledge.
+			// Broadcasts are never delta-coded: they define the next
+			// reference rather than diffing against one.
+			bcast = bcast.ApplyCodec(r.codec, nil)
+			bcastBytes := bcast.WireBytesIn(r.codec)
+			bcastRaw := bcast.WireBytes()
+			err = fl.ForEachClient(len(cohort), func(i int) error {
+				r.addDownload(bcastBytes, bcastRaw)
+				stopPublic := r.rec.Span(obs.PhaseClientPublic)
+				err := r.hooks.Digest(rc, cohort[i], bcast)
+				stopPublic()
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
 	}
-	if bcast == nil {
-		return nil
-	}
-
-	// Broadcast and digest fan-out, to every participant — a client that
-	// dropped before uploading still receives the round's knowledge.
-	// Broadcasts are never delta-coded: they define the next reference
-	// rather than diffing against one.
-	bcast = bcast.ApplyCodec(r.codec, nil)
-	bcastBytes := bcast.WireBytesIn(r.codec)
-	bcastRaw := bcast.WireBytes()
-	return fl.ForEachClient(len(participants), func(i int) error {
-		c := participants[i]
-		r.addDownload(bcastBytes, bcastRaw)
-		stopPublic := r.rec.Span(obs.PhaseClientPublic)
-		err := r.hooks.Digest(rc, c, bcast)
-		stopPublic()
-		return err
-	})
+	p.Commit(cohort)
+	return nil
 }

@@ -28,6 +28,20 @@ func Split(seed uint64, label uint64) *RNG {
 	return rand.New(rand.NewPCG(seed+0x9e3779b97f4a7c15*(label+1), label^0xda942042e4dd58b5))
 }
 
+// Mix folds draw coordinates into one Split stream label (splitmix64-style
+// finalization, applied per field so permuted inputs never collide) — how
+// internal/faults and the engine's arrival schedule and availability trace
+// key draws that must be pure functions of their coordinates.
+func Mix(vs ...uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vs {
+		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+	}
+	return h
+}
+
 // Perm returns a random permutation of [0, n) drawn from rng.
 func Perm(rng *RNG, n int) []int {
 	p := make([]int, n)

@@ -29,7 +29,13 @@ echo ">> GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
 # bench/ is a module of its own (the root ./... does not see it) and the only
-# consumer that pins the public surface the benchmark drives.
+# consumer that pins the public surface the benchmark drives: distrib's
+# Options/NewService/Service.Run/Close, transport's codec entry points, and the
+# engine names its probes call — engine.Of, Runner.BeginRound/Context/
+# Participants/Hooks/SetCodec/SetAsync/SaveCheckpoint/ResumeAny, Upload,
+# Payload, Partial, NewExactPartial, MergeExact, ArrivalSchedule, AsyncOptions
+# (full list in .claude/skills/verify/SKILL.md). An engine refactor may not
+# rename them.
 echo ">> (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
 
