@@ -48,14 +48,20 @@ PAIRS ?= 10
 bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
-# fuzz runs the decode fuzzers (transport round messages and comm packed
-# sections) and the kernel-path fuzzers (simd inner loops == pure-Go kernels
-# and row ops, bit for bit) for a short budget each; raise FUZZTIME for deeper
-# exploration.
-# The decoders start from the checked-in seed corpora under testdata/fuzz/.
+# fuzz runs the decode fuzzers (transport round messages, comm packed
+# sections, and the checkpoint parsers: the ckpt container, histories, state
+# dicts and prototype sets) and the kernel-path fuzzers (simd inner loops ==
+# pure-Go kernels and row ops, bit for bit) for a short budget each; raise
+# FUZZTIME for deeper exploration.
+# The wire decoders start from the checked-in seed corpora under
+# testdata/fuzz/; the checkpoint parsers seed from their own encoders.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/transport/ -run=XXX -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=XXX -fuzz=FuzzDecodeSection -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -run=XXX -fuzz=FuzzRead -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fl/ -run=XXX -fuzz=FuzzDecodeHistory -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/nn/ -run=XXX -fuzz=FuzzDecodeStateDict -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/proto/ -run=XXX -fuzz=FuzzDecodeSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzKernelPaths -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzRowOps -fuzztime=$(FUZZTIME)

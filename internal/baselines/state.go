@@ -30,8 +30,8 @@ func getFloatsSection(d *ckpt.Dict, section string) ([]float64, error) {
 		return nil, err
 	}
 	dec := ckpt.NewDec(b)
-	v, err := dec.F64s()
-	if err != nil {
+	v := dec.F64s()
+	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("baselines: section %q: %w", section, err)
 	}
 	return v, nil

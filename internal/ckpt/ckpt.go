@@ -11,14 +11,15 @@
 //
 // Section payloads are opaque bytes; the layers that own state (internal/nn
 // models and optimizers, internal/proto prototype sets, the engine's round
-// counter/history/ledger) encode themselves with the Enc/Dec helpers and
-// store the result under names they own. The container guarantees that a
-// truncated or bit-flipped file is rejected as a whole — partial state can
-// never be restored.
+// counter/history/ledger) encode themselves with Enc and store the result
+// under names they own. Every decoder, the container's own included, reads
+// through Dec's sticky reads, takes element counts from Count, and checks
+// Err once per section and before comparing a decoded value with anything.
+// The container guarantees that a truncated or bit-flipped file is rejected
+// as a whole — partial state can never be restored.
 package ckpt
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -29,10 +30,6 @@ const (
 	Magic = "FPKC"
 	// Version is the container format version.
 	Version = 1
-
-	// maxSectionName bounds section-name length so a corrupt header cannot
-	// drive a huge allocation before the CRC is ever checked.
-	maxSectionName = 4096
 )
 
 // Section is one named state blob inside a checkpoint.
@@ -125,62 +122,45 @@ func Write(w io.Writer, d *Dict) error {
 	return nil
 }
 
-// Read parses a checkpoint from r, verifying magic, version, and CRC. Any
-// truncation or corruption yields an error and no partial dict.
+// Read parses a checkpoint from r. Magic, version and the CRC over
+// everything before the trailer are checked before any section is decoded,
+// so a truncated or corrupt checkpoint yields an error and no partial dict.
 func Read(r io.Reader) (*Dict, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: read checkpoint: %w", err)
+	}
+	return parse(b)
+}
 
-	head := make([]byte, 4+4+4)
-	if _, err := io.ReadFull(tr, head); err != nil {
-		return nil, fmt.Errorf("ckpt: read header (truncated checkpoint?): %w", err)
-	}
-	hd := NewDec(head)
-	magic, _ := hd.BytesN(4)
-	if string(magic) != Magic {
+// parse is Read over a checkpoint in memory, decoded through one Dec; the
+// sections' data alias b.
+func parse(b []byte) (*Dict, error) {
+	body := b[:max(len(b)-crc32.Size, 0)]
+	d := NewDec(body)
+	magic, version := d.take(len(Magic)), d.U32()
+	switch {
+	case d.Err() != nil:
+		return nil, fmt.Errorf("ckpt: read header (truncated checkpoint?): %w", d.Err())
+	case string(magic) != Magic:
 		return nil, fmt.Errorf("ckpt: bad magic %q, want %q", magic, Magic)
-	}
-	version, _ := hd.U32()
-	if version != Version {
+	case version != Version:
 		return nil, fmt.Errorf("ckpt: unsupported checkpoint version %d (have %d)", version, Version)
 	}
-	count, _ := hd.U32()
-
-	d := NewDict()
-	for i := uint32(0); i < count; i++ {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(tr, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("ckpt: read section %d name length: %w", i, err)
-		}
-		nameLen := NewDec(lenBuf[:]).mustU32()
-		if nameLen > maxSectionName {
-			return nil, fmt.Errorf("ckpt: implausible section name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(tr, name); err != nil {
-			return nil, fmt.Errorf("ckpt: read section %d name: %w", i, err)
-		}
-		var sizeBuf [8]byte
-		if _, err := io.ReadFull(tr, sizeBuf[:]); err != nil {
-			return nil, fmt.Errorf("ckpt: read section %q size: %w", name, err)
-		}
-		size := NewDec(sizeBuf[:]).mustU64()
-		// Copy rather than pre-allocate: a bit-flipped size field must fail
-		// with a truncation error, not drive a multi-GB allocation.
-		var data bytes.Buffer
-		if _, err := io.CopyN(&data, tr, int64(size)); err != nil {
-			return nil, fmt.Errorf("ckpt: read section %q (%d bytes): %w", name, size, err)
-		}
-		d.Put(string(name), data.Bytes())
-	}
-	want := crc.Sum32()
-	var sumBuf [4]byte
-	if _, err := io.ReadFull(r, sumBuf[:]); err != nil {
-		return nil, fmt.Errorf("ckpt: read checksum: %w", err)
-	}
-	got := NewDec(sumBuf[:]).mustU32()
-	if got != want {
+	if got, want := NewDec(b[len(body):]).U32(), crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("ckpt: checksum mismatch: stored %08x, computed %08x (corrupt checkpoint)", got, want)
 	}
-	return d, nil
+	dict := NewDict()
+	// A section is at least its name length (4 bytes) and data size (8).
+	for n := d.Count(4 + 8); n > 0; n-- {
+		name := d.String()
+		dict.Put(name, d.take(d.bound(d.U64(), 1)))
+	}
+	if d.Err() == nil && d.Remaining() != 0 {
+		d.Fail(fmt.Errorf("%d bytes after the last section", d.Remaining()))
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: decode sections: %w", err)
+	}
+	return dict, nil
 }

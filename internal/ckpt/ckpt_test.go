@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,54 +18,86 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.F64(math.Pi)
 	e.F64s([]float64{1.5, -2.5, math.Inf(1)})
 	e.String("hello")
-	e.LenBytes([]byte{0xde, 0xad})
+	e.U32(2)
+	e.F64s(nil)
 
 	d := NewDec(e.Buf())
-	if v, _ := d.U32(); v != 7 {
+	if v := d.U32(); v != 7 {
 		t.Fatalf("U32 = %d", v)
 	}
-	if v, _ := d.U64(); v != 1<<40 {
+	if v := d.U64(); v != 1<<40 {
 		t.Fatalf("U64 = %d", v)
 	}
-	if v, _ := d.I64(); v != -99 {
+	if v := d.I64(); v != -99 {
 		t.Fatalf("I64 = %d", v)
 	}
-	if v, _ := d.F64(); v != math.Pi {
+	if v := d.F64(); v != math.Pi {
 		t.Fatalf("F64 = %v", v)
 	}
-	fs, err := d.F64s()
-	if err != nil || len(fs) != 3 || fs[0] != 1.5 || fs[1] != -2.5 || !math.IsInf(fs[2], 1) {
-		t.Fatalf("F64s = %v, %v", fs, err)
+	if fs := d.F64s(); len(fs) != 3 || fs[0] != 1.5 || fs[1] != -2.5 || !math.IsInf(fs[2], 1) {
+		t.Fatalf("F64s = %v", fs)
 	}
-	if s, _ := d.String(); s != "hello" {
+	if s := d.String(); s != "hello" {
 		t.Fatalf("String = %q", s)
 	}
-	b, err := d.LenBytes()
-	if err != nil || !bytes.Equal(b, []byte{0xde, 0xad}) {
-		t.Fatalf("LenBytes = %x, %v", b, err)
+	// Two elements of 8+ bytes fit in the empty F64s that follows.
+	if n := d.Count(4); n != 2 {
+		t.Fatalf("Count = %d", n)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", d.Remaining())
+	if fs := d.F64s(); fs == nil || len(fs) != 0 {
+		t.Fatalf("empty F64s = %#v, want a non-nil empty slice", fs)
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("Err = %v, Remaining = %d", d.Err(), d.Remaining())
 	}
 }
 
+// TestDecUnderflow pins the sticky contract: the first failure is kept and
+// names its offset, every later read is zero, and a count or length prefix
+// larger than the bytes left fails before anything is sized by it.
 func TestDecUnderflow(t *testing.T) {
-	d := NewDec([]byte{1, 2})
-	if _, err := d.U32(); err == nil {
-		t.Fatal("U32 on 2 bytes should error")
-	}
-	d = NewDec(NewEnc().Buf())
-	if _, err := d.F64s(); err == nil {
-		t.Fatal("F64s on empty buffer should error")
-	}
-	// Length prefix claims more data than exists.
 	e := NewEnc()
-	e.U64(1 << 30)
-	if _, err := NewDec(e.Buf()).F64s(); err == nil {
-		t.Fatal("F64s with oversized length prefix should error, not allocate")
+	e.U32(7)
+	e.String("hi")
+	d := NewDec(e.Buf()[:9]) // the string's last byte is cut
+	if v := d.U32(); v != 7 {
+		t.Fatalf("U32 = %d", v)
 	}
-	if _, err := NewDec(e.Buf()).LenBytes(); err == nil {
-		t.Fatal("LenBytes with oversized length prefix should error")
+	if s := d.String(); s != "" {
+		t.Fatalf("truncated String = %q", s)
+	}
+	first := d.Err()
+	if first == nil || !strings.Contains(first.Error(), "offset 8") {
+		t.Fatalf("Err = %v, want a truncation at offset 8", first)
+	}
+	if d.U32() != 0 || d.U64() != 0 || d.I64() != 0 || d.F64() != 0 || d.F64s() != nil || d.String() != "" || d.Count(1) != 0 {
+		t.Fatal("a read after an underflow returned a non-zero value")
+	}
+	d.Fail(errors.New("later"))
+	if d.Err() != first {
+		t.Fatalf("Err = %v, want the first error %v", d.Err(), first)
+	}
+
+	d = NewDec(nil)
+	d.Fail(errors.New("shape"))
+	if d.U32() != 0 || d.Err().Error() != "shape" {
+		t.Fatalf("Fail did not stick: U32 after it read, Err = %v", d.Err())
+	}
+
+	huge := NewEnc()
+	huge.U64(1 << 30)
+	huge.U32(0xFFFFFFFF)
+	for name, read := range map[string]func(*Dec){
+		"F64s":  func(d *Dec) { d.F64s() },
+		"Count": func(d *Dec) { d.U64(); d.Count(1) },
+	} {
+		d := NewDec(huge.Buf())
+		if read(d); d.Err() == nil {
+			t.Errorf("%s with an oversized prefix decoded", name)
+		}
+		if grew := allocated(func() { read(NewDec(huge.Buf())) }); grew > 4096 {
+			t.Errorf("%s with an oversized prefix allocated %d bytes", name, grew)
+		}
 	}
 }
 

@@ -48,17 +48,17 @@ func (e *Enc) String(s string) {
 // Bytes appends raw bytes with no prefix.
 func (e *Enc) Bytes(b []byte) { e.buf = append(e.buf, b...) }
 
-// LenBytes appends a length-prefixed byte slice.
-func (e *Enc) LenBytes(b []byte) {
-	e.U64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Dec reads back what Enc wrote. Every method returns an error on underflow
-// so a truncated section surfaces as a decode error rather than garbage.
+// Dec reads back what Enc wrote. Reads are sticky: the first underflow, or
+// the first semantic error a caller records with Fail, is kept, and every
+// later read returns the zero value. A decoder therefore reads a section's
+// fields straight through and checks Err once — before it compares a decoded
+// value against anything and before it applies any of them. Element counts
+// come from Count, which bounds them by the bytes left, so a corrupt count
+// can neither size an allocation nor spin a loop.
 type Dec struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewDec wraps b for decoding.
@@ -67,89 +67,83 @@ func NewDec(b []byte) *Dec { return &Dec{buf: b} }
 // Remaining reports how many bytes are left unread.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
 
-func (d *Dec) take(n int) ([]byte, error) {
-	if d.Remaining() < n {
-		return nil, fmt.Errorf("ckpt: truncated data: need %d bytes at offset %d, have %d", n, d.off, d.Remaining())
+// Err reports the first error of any read or Fail, or nil.
+func (d *Dec) Err() error { return d.err }
+
+// Fail records err unless an earlier error is already recorded.
+func (d *Dec) Fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	b := d.buf[d.off : d.off+n]
+}
+
+// take returns the next n bytes, capped so an append cannot reach past them.
+func (d *Dec) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if d.Remaining() < n {
+		d.Fail(fmt.Errorf("ckpt: truncated data: need %d bytes at offset %d, have %d", n, d.off, d.Remaining()))
+		return nil
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
-	return b, nil
+	return b
+}
+
+// bound returns n as an int if n elements of at least minBytes each fit in
+// the bytes left, and fails and returns 0 otherwise.
+func (d *Dec) bound(n uint64, minBytes int) int {
+	if d.err == nil && n > uint64(d.Remaining()/minBytes) {
+		d.Fail(fmt.Errorf("ckpt: truncated data: count %d at offset %d needs %d+ bytes each, have %d",
+			n, d.off, minBytes, d.Remaining()))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // U32 reads a little-endian uint32.
-func (d *Dec) U32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
+func (d *Dec) U32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
 // U64 reads a little-endian uint64.
-func (d *Dec) U64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
+func (d *Dec) U64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return 0
 }
 
 // I64 reads a little-endian int64.
-func (d *Dec) I64() (int64, error) {
-	v, err := d.U64()
-	return int64(v), err
-}
+func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a float64 from its IEEE-754 bits.
-func (d *Dec) F64() (float64, error) {
-	v, err := d.U64()
-	return math.Float64frombits(v), err
-}
+func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// Count reads a u32 element count and returns it, or fails and returns 0
+// when that many elements of at least minBytes each cannot fit in the bytes
+// left.
+func (d *Dec) Count(minBytes int) int { return d.bound(uint64(d.U32()), minBytes) }
 
 // F64s reads a length-prefixed float64 slice.
-func (d *Dec) F64s() ([]float64, error) {
-	n, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(d.Remaining()) < n*8 {
-		return nil, fmt.Errorf("ckpt: truncated float64 slice: need %d values, have %d bytes", n, d.Remaining())
+func (d *Dec) F64s() []float64 {
+	n := d.bound(d.U64(), 8)
+	b := d.take(8 * n)
+	if d.err != nil {
+		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i], _ = d.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out, nil
+	return out
 }
 
 // String reads a length-prefixed string.
-func (d *Dec) String() (string, error) {
-	n, err := d.U32()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// BytesN reads exactly n raw bytes.
-func (d *Dec) BytesN(n int) ([]byte, error) { return d.take(n) }
-
-// LenBytes reads a length-prefixed byte slice.
-func (d *Dec) LenBytes() ([]byte, error) {
-	n, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(d.Remaining()) < n {
-		return nil, fmt.Errorf("ckpt: truncated byte slice: need %d bytes, have %d", n, d.Remaining())
-	}
-	return d.take(int(n))
-}
-
-// mustU32/mustU64 read from buffers whose length the caller already checked.
-func (d *Dec) mustU32() uint32 { v, _ := d.U32(); return v }
-func (d *Dec) mustU64() uint64 { v, _ := d.U64(); return v }
+func (d *Dec) String() string { return string(d.take(d.bound(uint64(d.U32()), 1))) }

@@ -62,12 +62,11 @@ func WriteFile(path string, d *Dict) error {
 
 // ReadFile parses the checkpoint file at path.
 func ReadFile(path string) (*Dict, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: open checkpoint: %w", err)
+		return nil, fmt.Errorf("ckpt: read checkpoint: %w", err)
 	}
-	defer f.Close()
-	d, err := Read(f)
+	d, err := parse(b)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}

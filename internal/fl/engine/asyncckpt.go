@@ -74,96 +74,40 @@ func encodePayloadCkpt(e *ckpt.Enc, p *Payload) {
 	e.I64(int64(p.NumSamples))
 }
 
-// decodePayloadCkpt reads back what encodePayloadCkpt wrote.
-func decodePayloadCkpt(d *ckpt.Dec) (*Payload, error) {
-	flags, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("engine: decode payload flags: %w", err)
-	}
+// decodePayloadCkpt reads back what encodePayloadCkpt wrote. Errors are
+// recorded in d, which the caller checks.
+func decodePayloadCkpt(d *ckpt.Dec) *Payload {
+	flags := d.U32()
 	if flags&pflagPresent == 0 {
-		return nil, nil
+		return nil
 	}
 	p := &Payload{LogitsLocal: flags&pflagLogitsLocal != 0}
 	if flags&pflagLogits != 0 {
-		rows, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload logits rows: %w", err)
+		rows, cols, data := d.U32(), d.U32(), d.F64s()
+		if uint64(len(data)) != uint64(rows)*uint64(cols) {
+			d.Fail(fmt.Errorf("payload logits shape %dx%d but %d values", rows, cols, len(data)))
+			return nil // before the bad shape sizes a matrix
 		}
-		cols, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload logits cols: %w", err)
-		}
-		data, err := d.F64s()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload logits data: %w", err)
-		}
-		if len(data) != int(rows)*int(cols) {
-			return nil, fmt.Errorf("engine: payload logits shape %dx%d but %d values", rows, cols, len(data))
-		}
-		m := tensor.New(int(rows), int(cols))
-		copy(m.Data, data)
-		p.Logits = m
+		p.Logits = tensor.New(int(rows), int(cols))
+		copy(p.Logits.Data, data)
 	}
-	nix, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("engine: decode payload index count: %w", err)
-	}
-	for i := uint32(0); i < nix; i++ {
-		ix, err := d.I64()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload index %d: %w", i, err)
-		}
-		p.Indices = append(p.Indices, int(ix))
+	for n := d.Count(8); n > 0; n-- {
+		p.Indices = append(p.Indices, int(d.I64()))
 	}
 	if flags&pflagProtos != 0 {
-		classes, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload proto classes: %w", err)
+		p.Protos = proto.NewSet(int(d.U32()), int(d.U32()))
+		// An entry is its class and count (8 bytes each) and a length prefix (8).
+		for n := d.Count(3 * 8); n > 0; n-- {
+			class, count := int(d.I64()), int(d.I64())
+			p.Protos.Vectors[class] = d.F64s()
+			p.Protos.Counts[class] = count
 		}
-		dim, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload proto dim: %w", err)
-		}
-		s := proto.NewSet(int(classes), int(dim))
-		n, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("engine: decode payload proto entry count: %w", err)
-		}
-		for i := uint32(0); i < n; i++ {
-			class, err := d.I64()
-			if err != nil {
-				return nil, fmt.Errorf("engine: decode payload proto class %d: %w", i, err)
-			}
-			count, err := d.I64()
-			if err != nil {
-				return nil, fmt.Errorf("engine: decode payload proto count %d: %w", i, err)
-			}
-			vec, err := d.F64s()
-			if err != nil {
-				return nil, fmt.Errorf("engine: decode payload proto vector %d: %w", i, err)
-			}
-			s.Vectors[int(class)] = vec
-			s.Counts[int(class)] = int(count)
-		}
-		p.Protos = s
 	}
-	if p.Params, err = d.F64s(); err != nil {
-		return nil, fmt.Errorf("engine: decode payload params: %w", err)
-	}
-	if len(p.Params) == 0 {
+	if p.Params = d.F64s(); len(p.Params) == 0 {
 		p.Params = nil
 	}
-	pc, err := d.I64()
-	if err != nil {
-		return nil, fmt.Errorf("engine: decode payload params counted: %w", err)
-	}
-	p.ParamsCounted = int(pc)
-	ns, err := d.I64()
-	if err != nil {
-		return nil, fmt.Errorf("engine: decode payload num samples: %w", err)
-	}
-	p.NumSamples = int(ns)
-	return p, nil
+	p.ParamsCounted, p.NumSamples = int(d.I64()), int(d.I64())
+	return p
 }
 
 // asyncSnapshot encodes the async buffer state, plus the options that shaped
@@ -196,81 +140,38 @@ func (st *asyncState) asyncSnapshot() []byte {
 	return e.Buf()
 }
 
-// asyncRestore decodes an asyncSnapshot into a fresh state with the same
-// options, failing (not partially applying) on any mismatch.
+// asyncRestore decodes an asyncSnapshot into st, a fresh state sized for the
+// runner's fleet and holding its options; the caller discards st on error.
+// Options and fleet size are compared only once the fields before them have
+// decoded, so a truncated section reports the truncation, not a mismatch.
 func (st *asyncState) asyncRestore(b []byte) error {
 	d := ckpt.NewDec(b)
-	k, err := d.I64()
-	if err != nil {
-		return fmt.Errorf("engine: decode async buffer size: %w", err)
+	k, alpha := int(d.I64()), d.F64()
+	sched := ArrivalSchedule{
+		Seed: d.U64(), MinTicks: d.U64(), MaxTicks: d.U64(), StragglerFrac: d.F64(), StragglerFactor: d.U64(),
 	}
-	alpha, err := d.F64()
-	if err != nil {
-		return fmt.Errorf("engine: decode async staleness alpha: %w", err)
-	}
-	var sched ArrivalSchedule
-	if sched.Seed, err = d.U64(); err != nil {
-		return fmt.Errorf("engine: decode async schedule seed: %w", err)
-	}
-	if sched.MinTicks, err = d.U64(); err != nil {
-		return fmt.Errorf("engine: decode async schedule min ticks: %w", err)
-	}
-	if sched.MaxTicks, err = d.U64(); err != nil {
-		return fmt.Errorf("engine: decode async schedule max ticks: %w", err)
-	}
-	if sched.StragglerFrac, err = d.F64(); err != nil {
-		return fmt.Errorf("engine: decode async schedule straggler frac: %w", err)
-	}
-	if sched.StragglerFactor, err = d.U64(); err != nil {
-		return fmt.Errorf("engine: decode async schedule straggler factor: %w", err)
+	started, clock := d.U32() != 0, d.U64()
+	// A client is its version, ready time and attempts (8 bytes each) and a
+	// payload flags word (4).
+	n := d.Count(3*8 + 4)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("engine: decode %s: %w", secAsync, err)
 	}
 	o := st.opts
-	if int(k) != o.BufferSize || math.Float64bits(alpha) != math.Float64bits(o.StalenessAlpha) || sched != o.Schedule {
+	if k != o.BufferSize || math.Float64bits(alpha) != math.Float64bits(o.StalenessAlpha) || sched != o.Schedule {
 		return fmt.Errorf("engine: checkpoint async options (K=%d α=%v %+v) differ from the runner's (K=%d α=%v %+v) — resumed arrivals would diverge",
 			k, alpha, sched, o.BufferSize, o.StalenessAlpha, o.Schedule)
 	}
-	started, err := d.U32()
-	if err != nil {
-		return fmt.Errorf("engine: decode async started flag: %w", err)
-	}
-	clock, err := d.U64()
-	if err != nil {
-		return fmt.Errorf("engine: decode async clock: %w", err)
-	}
-	n, err := d.U32()
-	if err != nil {
-		return fmt.Errorf("engine: decode async client count: %w", err)
-	}
-	if int(n) != len(st.dispatchVersion) {
+	if n != len(st.dispatchVersion) {
 		return fmt.Errorf("engine: checkpoint async state has %d clients, runner has %d", n, len(st.dispatchVersion))
 	}
-	versions := make([]int, n)
-	ready := make([]uint64, n)
-	attempts := make([]int, n)
-	dispatched := make([]*Payload, n)
-	for c := uint32(0); c < n; c++ {
-		v, err := d.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode async client %d version: %w", c, err)
-		}
-		versions[c] = int(v)
-		if ready[c], err = d.U64(); err != nil {
-			return fmt.Errorf("engine: decode async client %d ready: %w", c, err)
-		}
-		a, err := d.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode async client %d attempts: %w", c, err)
-		}
-		attempts[c] = int(a)
-		if dispatched[c], err = decodePayloadCkpt(d); err != nil {
-			return fmt.Errorf("engine: decode async client %d dispatch: %w", c, err)
-		}
+	for c := range st.dispatchVersion {
+		st.dispatchVersion[c], st.ready[c], st.attempts[c], st.dispatched[c] =
+			int(d.I64()), d.U64(), int(d.I64()), decodePayloadCkpt(d)
 	}
-	st.started = started != 0
-	st.clock = clock
-	st.dispatchVersion = versions
-	st.ready = ready
-	st.attempts = attempts
-	st.dispatched = dispatched
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("engine: decode %s: %w", secAsync, err)
+	}
+	st.started, st.clock = started, clock
 	return nil
 }

@@ -40,8 +40,8 @@ func TestPayloadCkptRoundTrip(t *testing.T) {
 		e := ckpt.NewEnc()
 		encodePayloadCkpt(e, p)
 		d := ckpt.NewDec(e.Buf())
-		got, err := decodePayloadCkpt(d)
-		if err != nil {
+		got := decodePayloadCkpt(d)
+		if err := d.Err(); err != nil {
 			t.Fatalf("payload %d: decode: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, p) {
@@ -58,7 +58,8 @@ func TestPayloadCkptRejectsTruncation(t *testing.T) {
 	// Every strict prefix must fail with an error, never panic or return a
 	// partially-filled payload as valid.
 	for cut := 0; cut < len(buf); cut += 7 {
-		if p, err := decodePayloadCkpt(ckpt.NewDec(buf[:cut])); err == nil {
+		d := ckpt.NewDec(buf[:cut])
+		if p := decodePayloadCkpt(d); d.Err() == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded to %+v", cut, len(buf), p)
 		}
 	}

@@ -77,30 +77,16 @@ func (r *Runner) restoreDict(d *ckpt.Dict) error {
 		return err
 	}
 	md := ckpt.NewDec(mb)
-	algo, err := md.String()
-	if err != nil {
-		return fmt.Errorf("engine: decode checkpoint meta: %w", err)
-	}
-	if algo != r.hooks.Name() {
+	algo, seed, numClients, round := md.String(), md.U64(), int(md.U32()), int(md.I64())
+	switch {
+	case md.Err() != nil:
+		return fmt.Errorf("engine: decode %s: %w", secMeta, md.Err())
+	case algo != r.hooks.Name():
 		return fmt.Errorf("engine: checkpoint is for algorithm %q, runner is %q", algo, r.hooks.Name())
-	}
-	seed, err := md.U64()
-	if err != nil {
-		return fmt.Errorf("engine: decode checkpoint seed: %w", err)
-	}
-	if seed != r.cfg.Seed {
+	case seed != r.cfg.Seed:
 		return fmt.Errorf("engine: checkpoint seed %d, runner seed %d — resumed RNG streams would diverge", seed, r.cfg.Seed)
-	}
-	numClients, err := md.U32()
-	if err != nil {
-		return fmt.Errorf("engine: decode checkpoint fleet size: %w", err)
-	}
-	if int(numClients) != r.cfg.Env.Cfg.NumClients {
+	case numClients != r.cfg.Env.Cfg.NumClients:
 		return fmt.Errorf("engine: checkpoint has %d clients, environment has %d", numClients, r.cfg.Env.Cfg.NumClients)
-	}
-	round, err := md.I64()
-	if err != nil {
-		return fmt.Errorf("engine: decode checkpoint round: %w", err)
 	}
 
 	hb, err := d.MustGet(secHistory)
@@ -117,40 +103,15 @@ func (r *Runner) restoreDict(d *ckpt.Dict) error {
 		return err
 	}
 	ld := ckpt.NewDec(lb)
-	n, err := ld.U32()
-	if err != nil {
-		return fmt.Errorf("engine: decode ledger rounds: %w", err)
-	}
-	ledgerRounds := make([]comm.RoundTraffic, n)
+	ledgerRounds := make([]comm.RoundTraffic, ld.Count(6*8))
 	for i := range ledgerRounds {
-		rd, err := ld.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode ledger round %d: %w", i, err)
-		}
-		up, err := ld.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode ledger round %d upload: %w", i, err)
-		}
-		down, err := ld.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode ledger round %d download: %w", i, err)
-		}
-		ctrl, err := ld.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode ledger round %d control: %w", i, err)
-		}
-		rawUp, err := ld.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode ledger round %d raw upload: %w", i, err)
-		}
-		rawDown, err := ld.I64()
-		if err != nil {
-			return fmt.Errorf("engine: decode ledger round %d raw download: %w", i, err)
-		}
 		ledgerRounds[i] = comm.RoundTraffic{
-			Round: int(rd), Upload: up, Download: down, Control: ctrl,
-			RawUpload: rawUp, RawDownload: rawDown,
+			Round: int(ld.I64()), Upload: ld.I64(), Download: ld.I64(), Control: ld.I64(),
+			RawUpload: ld.I64(), RawDownload: ld.I64(),
 		}
+	}
+	if err := ld.Err(); err != nil {
+		return fmt.Errorf("engine: decode %s: %w", secLedger, err)
 	}
 
 	// The async section must agree with the runner's mode: an async
@@ -182,7 +143,7 @@ func (r *Runner) restoreDict(d *ckpt.Dict) error {
 	if err := r.hooks.Restore(d); err != nil {
 		return fmt.Errorf("%s: restore algorithm state: %w", r.hooks.Name(), err)
 	}
-	r.round = int(round)
+	r.round = round
 	r.hist = hist
 	r.ledger.Restore(ledgerRounds)
 	if async != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"fedpkd/internal/ckpt"
@@ -45,8 +46,9 @@ func (h *toyHooks) Restore(d *ckpt.Dict) error {
 	if err != nil {
 		return err
 	}
-	v, err := ckpt.NewDec(b).I64()
-	if err != nil {
+	dec := ckpt.NewDec(b)
+	v := dec.I64()
+	if err := dec.Err(); err != nil {
 		return err
 	}
 	h.counter = v
@@ -158,6 +160,70 @@ func TestRunnerResumeFailsWithoutPartialApply(t *testing.T) {
 	if r.CurrentRound() != 0 || h.counter != 0 || len(r.History().Rounds) != 0 {
 		t.Fatalf("failed resume partially applied: round=%d counter=%d hist=%d",
 			r.CurrentRound(), h.counter, len(r.History().Rounds))
+	}
+}
+
+// TestRunnerResumeRejectsImplausibleCounts writes CRC-valid checkpoints whose
+// ledger, history-round and async-client counts are 0xFFFFFFFF. Resume must
+// refuse each before the count sizes an allocation.
+func TestRunnerResumeRejectsImplausibleCounts(t *testing.T) {
+	huge := func(prefix []byte) []byte {
+		e := ckpt.NewEnc()
+		e.Bytes(prefix)
+		e.U32(0xFFFFFFFF)
+		return e.Buf()
+	}
+	labels := ckpt.NewEnc()
+	for _, s := range []string{"Toy", "", ""} {
+		labels.String(s)
+	}
+	// The async client count follows the options (seven 8-byte fields), the
+	// started flag and the clock.
+	const asyncCountAt = 7*8 + 4 + 8
+	cases := []struct {
+		label, section string
+		async          bool
+		data           func(async []byte) []byte
+	}{
+		{"ledger rounds", secLedger, false, func([]byte) []byte { return huge(nil) }},
+		{"history rounds", secHistory, false, func([]byte) []byte { return huge(labels.Buf()) }},
+		{"async clients", secAsync, true, func(async []byte) []byte { return huge(async[:asyncCountAt]) }},
+	}
+	for _, tc := range cases {
+		runner := func() *Runner {
+			if tc.async {
+				r, _ := asyncToyRunner(t, 7)
+				return r
+			}
+			r, _ := toyRunner(t, "Toy", 7, 4)
+			return r
+		}
+		src := runner()
+		if _, err := src.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		d, err := src.checkpointDict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		async, _ := d.Get(secAsync)
+		d.Put(tc.section, tc.data(async))
+		var buf bytes.Buffer
+		if err := ckpt.Write(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+
+		r := runner()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = r.Resume(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count of 0xFFFFFFFF was accepted", tc.label)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: the rejected resume allocated %d bytes", tc.label, grew)
+		}
 	}
 }
 

@@ -27,10 +27,7 @@ func EncodeHistory(h *History) []byte {
 		e.I64(int64(d.Round))
 		e.I64(int64(d.Cohort))
 		e.I64(int64(d.Expected))
-		e.U32(uint32(len(d.Missing)))
-		for _, c := range d.Missing {
-			e.I64(int64(c))
-		}
+		encodeInts(e, d.Missing)
 	}
 	// The async flush block is a trailing extension written only when flushes
 	// exist: synchronous histories keep the exact pre-async encoding, and the
@@ -41,128 +38,54 @@ func EncodeHistory(h *History) []byte {
 		for _, f := range h.Flushes {
 			e.I64(int64(f.Flush))
 			e.U64(f.Clock)
-			e.U32(uint32(len(f.Contributors)))
-			for _, c := range f.Contributors {
-				e.I64(int64(c))
-			}
-			e.U32(uint32(len(f.Staleness)))
-			for _, s := range f.Staleness {
-				e.I64(int64(s))
-			}
+			encodeInts(e, f.Contributors)
+			encodeInts(e, f.Staleness)
 		}
 	}
 	return e.Buf()
 }
 
+// encodeInts writes a u32 count and then each int as an int64.
+func encodeInts(e *ckpt.Enc, xs []int) {
+	e.U32(uint32(len(xs)))
+	for _, x := range xs {
+		e.I64(int64(x))
+	}
+}
+
 // DecodeHistory parses a history from its EncodeHistory form.
 func DecodeHistory(b []byte) (*History, error) {
 	d := ckpt.NewDec(b)
-	h := &History{}
-	var err error
-	if h.Algo, err = d.String(); err != nil {
-		return nil, fmt.Errorf("fl: decode history algo: %w", err)
+	h := &History{Algo: d.String(), Dataset: d.String(), Setting: d.String()}
+	for n := d.Count(4 * 8); n > 0; n-- {
+		h.Rounds = append(h.Rounds, RoundMetrics{
+			Round: int(d.I64()), ServerAcc: d.F64(), ClientAcc: d.F64(), CumulativeMB: d.F64(),
+		})
 	}
-	if h.Dataset, err = d.String(); err != nil {
-		return nil, fmt.Errorf("fl: decode history dataset: %w", err)
-	}
-	if h.Setting, err = d.String(); err != nil {
-		return nil, fmt.Errorf("fl: decode history setting: %w", err)
-	}
-	n, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("fl: decode history round count: %w", err)
-	}
-	for i := uint32(0); i < n; i++ {
-		var m RoundMetrics
-		round, err := d.I64()
-		if err != nil {
-			return nil, fmt.Errorf("fl: decode history round %d: %w", i, err)
-		}
-		m.Round = int(round)
-		if m.ServerAcc, err = d.F64(); err != nil {
-			return nil, fmt.Errorf("fl: decode history round %d server acc: %w", i, err)
-		}
-		if m.ClientAcc, err = d.F64(); err != nil {
-			return nil, fmt.Errorf("fl: decode history round %d client acc: %w", i, err)
-		}
-		if m.CumulativeMB, err = d.F64(); err != nil {
-			return nil, fmt.Errorf("fl: decode history round %d traffic: %w", i, err)
-		}
-		h.Rounds = append(h.Rounds, m)
-	}
-	nd, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("fl: decode history degraded count: %w", err)
-	}
-	for i := uint32(0); i < nd; i++ {
-		var dr DegradedRound
-		round, err := d.I64()
-		if err != nil {
-			return nil, fmt.Errorf("fl: decode degraded round %d: %w", i, err)
-		}
-		dr.Round = int(round)
-		cohort, err := d.I64()
-		if err != nil {
-			return nil, fmt.Errorf("fl: decode degraded round %d cohort: %w", i, err)
-		}
-		dr.Cohort = int(cohort)
-		expected, err := d.I64()
-		if err != nil {
-			return nil, fmt.Errorf("fl: decode degraded round %d expected: %w", i, err)
-		}
-		dr.Expected = int(expected)
-		nm, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("fl: decode degraded round %d missing count: %w", i, err)
-		}
-		for j := uint32(0); j < nm; j++ {
-			c, err := d.I64()
-			if err != nil {
-				return nil, fmt.Errorf("fl: decode degraded round %d missing client %d: %w", i, j, err)
-			}
-			dr.Missing = append(dr.Missing, int(c))
-		}
-		h.Degraded = append(h.Degraded, dr)
+	for n := d.Count(3*8 + 4); n > 0; n-- {
+		h.Degraded = append(h.Degraded, DegradedRound{
+			Round: int(d.I64()), Cohort: int(d.I64()), Expected: int(d.I64()), Missing: decodeInts(d),
+		})
 	}
 	if d.Remaining() > 0 {
-		nf, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("fl: decode history flush count: %w", err)
-		}
-		for i := uint32(0); i < nf; i++ {
-			var f AsyncFlush
-			flush, err := d.I64()
-			if err != nil {
-				return nil, fmt.Errorf("fl: decode flush %d: %w", i, err)
-			}
-			f.Flush = int(flush)
-			if f.Clock, err = d.U64(); err != nil {
-				return nil, fmt.Errorf("fl: decode flush %d clock: %w", i, err)
-			}
-			nc, err := d.U32()
-			if err != nil {
-				return nil, fmt.Errorf("fl: decode flush %d contributor count: %w", i, err)
-			}
-			for j := uint32(0); j < nc; j++ {
-				c, err := d.I64()
-				if err != nil {
-					return nil, fmt.Errorf("fl: decode flush %d contributor %d: %w", i, j, err)
-				}
-				f.Contributors = append(f.Contributors, int(c))
-			}
-			ns, err := d.U32()
-			if err != nil {
-				return nil, fmt.Errorf("fl: decode flush %d staleness count: %w", i, err)
-			}
-			for j := uint32(0); j < ns; j++ {
-				s, err := d.I64()
-				if err != nil {
-					return nil, fmt.Errorf("fl: decode flush %d staleness %d: %w", i, j, err)
-				}
-				f.Staleness = append(f.Staleness, int(s))
-			}
-			h.Flushes = append(h.Flushes, f)
+		for n := d.Count(8 + 8 + 4 + 4); n > 0; n-- {
+			h.Flushes = append(h.Flushes, AsyncFlush{
+				Flush: int(d.I64()), Clock: d.U64(), Contributors: decodeInts(d), Staleness: decodeInts(d),
+			})
 		}
 	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("fl: decode history: %w", err)
+	}
 	return h, nil
+}
+
+// decodeInts reads what encodeInts wrote. An empty list decodes to nil, as
+// histories hold it.
+func decodeInts(d *ckpt.Dec) []int {
+	var out []int
+	for n := d.Count(8); n > 0; n-- {
+		out = append(out, int(d.I64()))
+	}
+	return out
 }

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -65,6 +67,45 @@ func TestHistoryCodecCarriesDegradedRounds(t *testing.T) {
 	}
 }
 
+// maxHistoryExpansion bounds DecodeHistory's heap per input byte, over a
+// fixed 1 KiB for the History and error text. The widest ratio is an async
+// flush record with no contributors: 24 encoded bytes, a 64-byte AsyncFlush,
+// and append's growth copies.
+const maxHistoryExpansion = 16
+
+// FuzzDecodeHistory holds the history codec to its contract on arbitrary
+// bytes: no panic, heap within the stated bound, and either an error or a
+// history whose re-encoding decodes to the same bytes again.
+func FuzzDecodeHistory(f *testing.F) {
+	h := &History{Algo: "FedPKD", Dataset: "SynthC10", Setting: "iid"}
+	h.Add(RoundMetrics{Round: 0, ServerAcc: 0.5, ClientAcc: -1, CumulativeMB: 1})
+	f.Add(EncodeHistory(h))
+	h.AddDegraded(DegradedRound{Round: 0, Cohort: 2, Expected: 3, Missing: []int{1}})
+	f.Add(EncodeHistory(h))
+	h.Flushes = []AsyncFlush{{Flush: 0, Clock: 40, Contributors: []int{0, 2}, Staleness: []int{0, 1}}, {Flush: 1, Clock: 41}}
+	f.Add(EncodeHistory(h))
+	if _, err := DecodeHistory(EncodeHistory(h)); err != nil { // first-use allocations
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if grew := allocated(func() { DecodeHistory(data) }); grew > uint64(maxHistoryExpansion*len(data)+1024) {
+			t.Fatalf("DecodeHistory of %d bytes allocated %d", len(data), grew)
+		}
+		h, err := DecodeHistory(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeHistory(h)
+		back, err := DecodeHistory(enc)
+		if err != nil {
+			t.Fatalf("re-encoded history rejected: %v", err)
+		}
+		if again := EncodeHistory(back); !bytes.Equal(again, enc) {
+			t.Fatalf("history changed across a re-encode:\n %x\n %x", enc, again)
+		}
+	})
+}
+
 func TestDecodeHistoryRejectsTruncation(t *testing.T) {
 	h := &History{Algo: "x"}
 	h.Add(RoundMetrics{Round: 0})
@@ -74,4 +115,18 @@ func TestDecodeHistoryRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// allocated reports the fewest heap bytes any of three runs of fn allocated,
+// which screens out allocations the fuzzing engine makes concurrently.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

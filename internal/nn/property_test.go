@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -45,17 +44,15 @@ func TestCheckpointRoundtripProperty(t *testing.T) {
 	f := func(seed uint16) bool {
 		rng := stats.NewRNG(uint64(seed))
 		dim := 2 + rng.IntN(5)
-		net := NewSequential(NewDense(rng, dim, dim), NewBatchNorm(dim), NewTanh(), NewDense(rng, dim, 3))
+		net := NewNetwork("p", NewSequential(NewDense(rng, dim, dim), NewBatchNorm(dim), NewTanh()),
+			NewSequential(NewDense(rng, dim, 3)))
 		before := FlattenParams(net.Params())
-		var buf bytes.Buffer
-		if err := SaveParams(&buf, net.Params()); err != nil {
-			return false
-		}
+		data := saveModel(t, net)
 		// Scramble, then restore from the checkpoint.
 		for _, p := range net.Params() {
 			p.Value.Fill(9)
 		}
-		if err := LoadParams(&buf, net.Params()); err != nil {
+		if err := loadModel(data, net); err != nil {
 			return false
 		}
 		after := FlattenParams(net.Params())

@@ -13,10 +13,10 @@ import (
 // snapshot their mutable state into one and restore from one; the engine
 // packs the encoded bytes into a ckpt.Dict section.
 //
-// Unlike the flat params codec (SaveParams), a StateDict captures state the
-// optimizer owns — Adam first/second moments and step count, SGD momentum
-// velocity — and it addresses entries by name, so restore errors can say
-// exactly which tensor mismatched.
+// A StateDict captures state the optimizer owns — Adam first/second moments
+// and step count, SGD momentum velocity — as well as the weights, and it
+// addresses entries by name, so restore errors can say exactly which tensor
+// mismatched.
 type StateDict struct {
 	entries []stateEntry
 	index   map[string]int
@@ -131,48 +131,26 @@ func (sd *StateDict) Encode() []byte {
 // DecodeStateDict parses a state dict from its Encode form.
 func DecodeStateDict(b []byte) (*StateDict, error) {
 	d := ckpt.NewDec(b)
-	n, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("nn: decode state dict: %w", err)
-	}
 	sd := NewStateDict()
-	for i := uint32(0); i < n; i++ {
-		name, err := d.String()
-		if err != nil {
-			return nil, fmt.Errorf("nn: decode state entry %d name: %w", i, err)
-		}
-		kind, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("nn: decode state entry %q kind: %w", name, err)
-		}
+	// The smallest entry is an empty name (4 bytes), its kind (4) and either
+	// an int (8) or a tensor's rows, cols and length prefix (16).
+	for n := d.Count(4 + 4 + 8); n > 0; n-- {
+		name, kind := d.String(), d.U32()
 		switch byte(kind) {
 		case 't':
-			rows, err := d.U32()
-			if err != nil {
-				return nil, fmt.Errorf("nn: decode state entry %q rows: %w", name, err)
-			}
-			cols, err := d.U32()
-			if err != nil {
-				return nil, fmt.Errorf("nn: decode state entry %q cols: %w", name, err)
-			}
-			data, err := d.F64s()
-			if err != nil {
-				return nil, fmt.Errorf("nn: decode state entry %q values: %w", name, err)
-			}
-			if len(data) != int(rows)*int(cols) {
-				return nil, fmt.Errorf("nn: state entry %q has %d values for a %dx%d shape",
-					name, len(data), rows, cols)
+			rows, cols, data := d.U32(), d.U32(), d.F64s()
+			if uint64(len(data)) != uint64(rows)*uint64(cols) {
+				d.Fail(fmt.Errorf("state entry %q has %d values for a %dx%d shape", name, len(data), rows, cols))
 			}
 			sd.put(stateEntry{name: name, kind: 't', rows: int(rows), cols: int(cols), data: data})
 		case 'i':
-			v, err := d.I64()
-			if err != nil {
-				return nil, fmt.Errorf("nn: decode state entry %q int: %w", name, err)
-			}
-			sd.put(stateEntry{name: name, kind: 'i', ival: v})
+			sd.put(stateEntry{name: name, kind: 'i', ival: d.I64()})
 		default:
-			return nil, fmt.Errorf("nn: state entry %q has unknown kind %d", name, kind)
+			d.Fail(fmt.Errorf("state entry %q has unknown kind %d", name, kind))
 		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("nn: decode state dict: %w", err)
 	}
 	return sd, nil
 }

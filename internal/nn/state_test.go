@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func stateTestNet(seed uint64) *Network {
 
 // trainSteps runs n deterministic training steps (synthetic batches from a
 // fixed stream, squared-error-style gradient) on net with opt.
-func trainSteps(t *testing.T, net *Network, opt Optimizer, dataSeed uint64, n int) {
+func trainSteps(t testing.TB, net *Network, opt Optimizer, dataSeed uint64, n int) {
 	t.Helper()
 	rng := stats.NewRNG(dataSeed)
 	params := net.Params()
@@ -181,8 +182,8 @@ func TestScheduledRoundTrip(t *testing.T) {
 }
 
 // TestBatchNormRunningStatsCaptured asserts the running statistics appear in
-// the snapshot by name and change restore behaviour — the state the old
-// params-only codec carried only implicitly.
+// the snapshot by name and change restore behaviour — state a flat
+// parameter vector carries only implicitly.
 func TestBatchNormRunningStatsCaptured(t *testing.T) {
 	net := stateTestNet(9)
 	trainSteps(t, net, NewSGD(0.1, 0), 5, 2)
@@ -221,6 +222,45 @@ func TestRestoreErrorsNameTheEntry(t *testing.T) {
 	}
 }
 
+// maxStateDictExpansion bounds DecodeStateDict's heap per input byte, over a
+// fixed 1 KiB for the dict and error text. The widest ratio is an int entry
+// with a one-byte name: 17 encoded bytes, a 72-byte stateEntry and an index
+// entry, both with their growth copies.
+const maxStateDictExpansion = 32
+
+// FuzzDecodeStateDict holds the state-dict codec to its contract on
+// arbitrary bytes: no panic, heap within the stated bound, and either an
+// error or a dict whose re-encoding decodes to the same bytes again.
+func FuzzDecodeStateDict(f *testing.F) {
+	// A small net keeps the seeds short enough for the fuzzer to mutate well.
+	rng := stats.NewRNG(7)
+	net := NewNetwork("fuzz", NewSequential(NewDense(rng, 6, 2), NewBatchNorm(2)), NewSequential(NewDense(rng, 2, 2)))
+	adam := NewAdam(0.01)
+	trainSteps(f, net, adam, 99, 2)
+	f.Add(CaptureState(net, adam).Encode())
+	f.Add(CaptureState(net, NewSGD(0.05, 0.9)).Encode())
+	if _, err := DecodeStateDict(CaptureState(net, adam).Encode()); err != nil { // first-use allocations
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if grew := allocated(func() { DecodeStateDict(data) }); grew > uint64(maxStateDictExpansion*len(data)+1024) {
+			t.Fatalf("DecodeStateDict of %d bytes allocated %d", len(data), grew)
+		}
+		sd, err := DecodeStateDict(data)
+		if err != nil {
+			return
+		}
+		enc := sd.Encode()
+		back, err := DecodeStateDict(enc)
+		if err != nil {
+			t.Fatalf("re-encoded state dict rejected: %v", err)
+		}
+		if again := back.Encode(); !bytes.Equal(again, enc) {
+			t.Fatalf("state dict changed across a re-encode:\n %x\n %x", enc, again)
+		}
+	})
+}
+
 // TestStateDictMissingEntry pins the missing-entry error path.
 func TestStateDictMissingEntry(t *testing.T) {
 	sd := NewStateDict()
@@ -232,45 +272,51 @@ func TestStateDictMissingEntry(t *testing.T) {
 	}
 }
 
-// TestLoadParamsErrorsNameIndexAndShape pins the upgraded LoadParams
-// diagnostics (satellite): errors identify the offending param index and the
-// expected-vs-got shape.
+// TestLoadParamsErrorsNameIndexAndShape pins the diagnostics of loading a
+// model checkpoint: errors identify the section, the offending param index,
+// and the expected-vs-got shape or the missing name.
 func TestLoadParamsErrorsNameIndexAndShape(t *testing.T) {
-	rng := stats.NewRNG(1)
-	saveP := []*Param{
-		newParam("W", tensor.Randn(rng, 3, 3, 1)),
-		newParam("b", tensor.Randn(rng, 1, 3, 1)),
+	dense := func() (*Dense, *Network) {
+		d := NewDense(stats.NewRNG(1), 3, 3)
+		return d, NewNetwork("one", NewSequential(d), NewSequential())
 	}
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, saveP); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.String()
+	_, saved := dense()
+	data := saveModel(t, saved)
 
 	// Same names, wrong shape on param 1.
-	loadP := []*Param{
-		newParam("W", tensor.New(3, 3)),
-		newParam("b", tensor.New(1, 5)),
-	}
-	err := LoadParams(strings.NewReader(data), loadP)
+	d, net := dense()
+	d.b = newParam("b", tensor.New(1, 5))
+	err := loadModel(data, net)
 	if err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "param 1") || !strings.Contains(msg, "1x3") || !strings.Contains(msg, "1x5") {
-		t.Fatalf("LoadParams shape error lacks index or shapes: %v", err)
+	if !strings.Contains(msg, `"model"`) || !strings.Contains(msg, "param 1") || !strings.Contains(msg, "1x3") || !strings.Contains(msg, "1x5") {
+		t.Fatalf("shape error lacks section, index or shapes: %v", err)
 	}
 
 	// Wrong name on param 0.
-	loadP = []*Param{
-		newParam("X", tensor.New(3, 3)),
-		newParam("b", tensor.New(1, 3)),
-	}
-	err = LoadParams(strings.NewReader(data), loadP)
+	d, net = dense()
+	d.w.Name = "X"
+	err = loadModel(data, net)
 	if err == nil {
 		t.Fatal("name mismatch accepted")
 	}
-	if !strings.Contains(err.Error(), "param 0") {
-		t.Fatalf("LoadParams name error lacks index: %v", err)
+	if !strings.Contains(err.Error(), "param 0") || !strings.Contains(err.Error(), `"net.body.0.0.X"`) {
+		t.Fatalf("name error lacks index or entry: %v", err)
 	}
+}
+
+// allocated reports the fewest heap bytes any of three runs of fn allocated,
+// which screens out allocations the fuzzing engine makes concurrently.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"sort"
 
 	"fedpkd/internal/ckpt"
 )
@@ -9,20 +10,22 @@ import (
 // Encode serializes the set deterministically: classes are written in
 // ascending order regardless of map iteration order, so identical sets
 // always produce identical bytes — the property the engine's resume-
-// equivalence goldens rely on.
+// equivalence goldens rely on. The cost follows the prototypes held, not
+// Classes.
 func (s *Set) Encode() []byte {
+	classes := make([]int, 0, len(s.Vectors))
+	for class := range s.Vectors {
+		classes = append(classes, class)
+	}
+	sort.Ints(classes)
 	e := ckpt.NewEnc()
 	e.U32(uint32(s.Classes))
 	e.U32(uint32(s.Dim))
-	e.U32(uint32(len(s.Vectors)))
-	for class := 0; class < s.Classes; class++ {
-		vec, ok := s.Vectors[class]
-		if !ok {
-			continue
-		}
+	e.U32(uint32(len(classes)))
+	for _, class := range classes {
 		e.U32(uint32(class))
 		e.I64(int64(s.Counts[class]))
-		e.F64s(vec)
+		e.F64s(s.Vectors[class])
 	}
 	return e.Buf()
 }
@@ -30,40 +33,21 @@ func (s *Set) Encode() []byte {
 // DecodeSet parses a set from its Encode form.
 func DecodeSet(b []byte) (*Set, error) {
 	d := ckpt.NewDec(b)
-	classes, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("proto: decode set classes: %w", err)
+	s := NewSet(int(d.U32()), int(d.U32()))
+	// An entry is its class (4 bytes), count (8) and vector length prefix (8).
+	for n := d.Count(4 + 8 + 8); n > 0; n-- {
+		class, count, vec := int(d.U32()), int(d.I64()), d.F64s()
+		switch {
+		case class >= s.Classes:
+			d.Fail(fmt.Errorf("prototype class %d out of range (%d classes)", class, s.Classes))
+		case len(vec) != s.Dim:
+			d.Fail(fmt.Errorf("class %d vector has %d dims, set expects %d", class, len(vec), s.Dim))
+		}
+		s.Vectors[class] = vec
+		s.Counts[class] = count
 	}
-	dim, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("proto: decode set dim: %w", err)
-	}
-	n, err := d.U32()
-	if err != nil {
-		return nil, fmt.Errorf("proto: decode set size: %w", err)
-	}
-	s := NewSet(int(classes), int(dim))
-	for i := uint32(0); i < n; i++ {
-		class, err := d.U32()
-		if err != nil {
-			return nil, fmt.Errorf("proto: decode prototype %d class: %w", i, err)
-		}
-		if int(class) >= s.Classes {
-			return nil, fmt.Errorf("proto: prototype class %d out of range (%d classes)", class, s.Classes)
-		}
-		count, err := d.I64()
-		if err != nil {
-			return nil, fmt.Errorf("proto: decode class %d count: %w", class, err)
-		}
-		vec, err := d.F64s()
-		if err != nil {
-			return nil, fmt.Errorf("proto: decode class %d vector: %w", class, err)
-		}
-		if len(vec) != s.Dim {
-			return nil, fmt.Errorf("proto: class %d vector has %d dims, set expects %d", class, len(vec), s.Dim)
-		}
-		s.Vectors[int(class)] = vec
-		s.Counts[int(class)] = int(count)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("proto: decode set: %w", err)
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -55,6 +56,45 @@ func TestSetEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// maxSetExpansion bounds DecodeSet's heap per input byte, over a fixed 1 KiB
+// for the set and error text. The widest ratio is an entry with an empty
+// vector: 20 encoded bytes, one slot in each of the two maps, and the maps'
+// growth copies.
+const maxSetExpansion = 16
+
+// FuzzDecodeSet holds the prototype-set codec to its contract on arbitrary
+// bytes: no panic, heap within the stated bound, and either an error or a
+// set whose re-encoding decodes to the same bytes again.
+func FuzzDecodeSet(f *testing.F) {
+	s := NewSet(5, 3)
+	s.Vectors[0] = []float64{1, 2, 3}
+	s.Counts[0] = 7
+	s.Vectors[3] = []float64{-0.5, 0, 4.25}
+	s.Counts[3] = 2
+	f.Add(s.Encode())
+	f.Add(NewSet(10, 0).Encode())
+	if _, err := DecodeSet(s.Encode()); err != nil { // first-use allocations
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if grew := allocated(func() { DecodeSet(data) }); grew > uint64(maxSetExpansion*len(data)+1024) {
+			t.Fatalf("DecodeSet of %d bytes allocated %d", len(data), grew)
+		}
+		s, err := DecodeSet(data)
+		if err != nil {
+			return
+		}
+		enc := s.Encode()
+		back, err := DecodeSet(enc)
+		if err != nil {
+			t.Fatalf("re-encoded set rejected: %v", err)
+		}
+		if again := back.Encode(); !bytes.Equal(again, enc) {
+			t.Fatalf("set changed across a re-encode:\n %x\n %x", enc, again)
+		}
+	})
+}
+
 func TestDecodeSetRejectsCorruption(t *testing.T) {
 	s := NewSet(3, 2)
 	s.Vectors[1] = []float64{1, 2}
@@ -66,4 +106,18 @@ func TestDecodeSetRejectsCorruption(t *testing.T) {
 	if _, err := DecodeSet(nil); err == nil {
 		t.Fatal("empty bytes accepted")
 	}
+}
+
+// allocated reports the fewest heap bytes any of three runs of fn allocated,
+// which screens out allocations the fuzzing engine makes concurrently.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -71,23 +71,6 @@ fi
 echo ">> sh scripts/serve_smoke.sh"
 sh scripts/serve_smoke.sh
 
-# Structural invariant of the run-state contract: every nn.Layer and
-# nn.Optimizer implementation must declare Snapshot/Restore. New types are
-# registered by their compile-time interface assertions (var _ Layer = ...),
-# so a type that compiles without the state methods can only exist if someone
-# also skipped the assertion — this gate catches exactly that drift.
-echo ">> structural check: every nn.Layer/nn.Optimizer has Snapshot and Restore"
-types=$(grep -rhoE 'var _ (Layer|Optimizer) = \(\*[A-Za-z0-9_]+\)' internal/nn/*.go \
-    | sed -E 's/.*\(\*([A-Za-z0-9_]+)\)/\1/' | sort -u)
-for ty in $types; do
-    for method in Snapshot Restore; do
-        if ! grep -qE "func \([a-zA-Z0-9_]+ \*$ty\) $method\(" internal/nn/*.go; then
-            echo "FAIL: nn type $ty lacks $method (run-state contract, DESIGN.md §8)" >&2
-            exit 1
-        fi
-    done
-done
-
 # The kernel determinism contract (parallel == serial == pure Go, bit for bit)
 # must hold under real interleaving, so the equivalence, property, kernel-path,
 # row-op and packed-NT/f32 suites run again with the race detector and two
