@@ -1,7 +1,6 @@
 package fedpkd
 
 import (
-	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 )
 
@@ -10,7 +9,7 @@ import (
 // each update by its staleness (1/(1+s)^α), refreshes only the contributors,
 // and moves on. Client arrivals run on a seeded logical clock — a pure
 // function of (seed, client, model version) — so async runs replay
-// byte-identically across repeats and across transports (DESIGN.md §11).
+// byte-identically across repeats and across transports (DESIGN.md §3).
 
 // Async-execution types, aliased for the public surface.
 type (
@@ -20,6 +19,4 @@ type (
 	// ArrivalSchedule is the seeded logical clock deciding when each client's
 	// update arrives.
 	ArrivalSchedule = engine.ArrivalSchedule
-	// AsyncFlushRecord is one buffer flush in an async run's history.
-	AsyncFlushRecord = fl.AsyncFlush
 )

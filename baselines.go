@@ -8,46 +8,15 @@ import (
 type (
 	// CommonConfig holds the knobs every baseline shares.
 	CommonConfig = baselines.CommonConfig
-	// FedAvgConfig parameterizes FedAvg and FedProx.
+	// FedAvgConfig parameterizes FedAvg.
 	FedAvgConfig = baselines.FedAvgConfig
-	// FedMDConfig parameterizes FedMD and DS-FL.
+	// FedMDConfig parameterizes FedMD.
 	FedMDConfig = baselines.FedMDConfig
-	// FedDFConfig parameterizes FedDF.
-	FedDFConfig = baselines.FedDFConfig
-	// FedETConfig parameterizes FedET.
-	FedETConfig = baselines.FedETConfig
-	// VanillaKDConfig parameterizes the plain KD-based method of the
-	// paper's motivating experiments.
-	VanillaKDConfig = baselines.VanillaKDConfig
-	// FedProtoConfig parameterizes FedProto, the prototype-only method the
-	// paper's related work contrasts FedPKD with.
-	FedProtoConfig = baselines.FedProtoConfig
 )
 
 // NewFedAvg builds a FedAvg run (Eq. 1 weight averaging).
 func NewFedAvg(cfg FedAvgConfig) (Algorithm, error) { return baselines.NewFedAvg(cfg) }
 
-// NewFedProx builds a FedProx run (FedAvg plus a proximal term; Mu defaults
-// to 0.01).
-func NewFedProx(cfg FedAvgConfig) (Algorithm, error) { return baselines.NewFedProx(cfg) }
-
 // NewFedMD builds a FedMD run (logit-consensus distillation, no server
 // model).
 func NewFedMD(cfg FedMDConfig) (Algorithm, error) { return baselines.NewFedMD(cfg) }
-
-// NewDSFL builds a DS-FL run (FedMD with entropy-reduction aggregation).
-func NewDSFL(cfg FedMDConfig) (Algorithm, error) { return baselines.NewDSFL(cfg) }
-
-// NewFedDF builds a FedDF run (model fusion plus ensemble distillation).
-func NewFedDF(cfg FedDFConfig) (Algorithm, error) { return baselines.NewFedDF(cfg) }
-
-// NewFedET builds a FedET run (heterogeneous ensemble transfer into a large
-// server model).
-func NewFedET(cfg FedETConfig) (Algorithm, error) { return baselines.NewFedET(cfg) }
-
-// NewVanillaKD builds the plain average-logit KD method (Fig. 1's "KD").
-func NewVanillaKD(cfg VanillaKDConfig) (Algorithm, error) { return baselines.NewVanillaKD(cfg) }
-
-// NewFedProto builds a FedProto run (prototype-only exchange, no server
-// model, no public dataset).
-func NewFedProto(cfg FedProtoConfig) (Algorithm, error) { return baselines.NewFedProto(cfg) }

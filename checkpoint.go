@@ -5,7 +5,7 @@ import (
 )
 
 // Checkpoint/resume facade. Every algorithm in this package runs on the
-// shared round engine, which owns the run-state contract (DESIGN.md §8): a
+// shared round engine, which owns the run-state contract (DESIGN.md §6): a
 // checkpoint is one versioned, checksummed file bundling the round counter,
 // per-round history, ledger traffic, and every model's weights and optimizer
 // state. A run restored from a checkpoint continues bit-identically to one

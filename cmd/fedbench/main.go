@@ -9,7 +9,7 @@
 // Each experiment prints the same rows/series the paper reports and, with
 // -out, also writes CSV files. The run-configuration flags (-codec, -async,
 // -availability, -checkpoint-dir, -chaos, -shards, ...) fill one expt.RunSpec
-// handed to every experiment; DESIGN.md §7 tabulates which experiment
+// handed to every experiment; DESIGN.md §3 tabulates which experiment
 // honours which.
 package main
 

@@ -228,20 +228,7 @@ func run(args []string) error {
 		defer svc.Close()
 		if gate != nil {
 			srv, err := fedpkd.ServeControl(*ctlAddr, gate, func() fedpkd.ControlStatus {
-				ss := svc.Status()
-				st := fedpkd.ControlStatus{
-					Algo: ss.Algo, Round: ss.Round, Rounds: *rounds,
-					Registered: ss.Registered, Online: ss.Online, Cohort: ss.Cohort,
-				}
-				for _, sh := range ss.Shards {
-					st.Shards = append(st.Shards, fedpkd.ControlShardHealth{
-						Shard:           sh.Shard,
-						LastDigestRound: sh.LastDigestRound,
-						Retries:         sh.Retries,
-						Lost:            sh.Lost,
-					})
-				}
-				return st
+				return fedpkd.ControlStatus{Status: svc.Status(), Rounds: *rounds}
 			})
 			if err != nil {
 				return err

@@ -6,8 +6,6 @@ import (
 
 // Experiment-harness types, aliased for the public surface.
 type (
-	// ExperimentResult is one regenerated table/figure.
-	ExperimentResult = expt.Result
 	// ExperimentScale bundles the compute-budget knobs of a run.
 	ExperimentScale = expt.Scale
 	// AlgoOptions carries per-algorithm overrides for BuildAlgorithm.
@@ -15,7 +13,7 @@ type (
 	// RunSpec is a run's configuration as a plain value: wire codec, async
 	// mode, availability trace, checkpoint policy and resume point, recorder,
 	// and the distributed runtime's options. The zero value is the default
-	// run. See DESIGN.md §7, "Configuring a run".
+	// run. See DESIGN.md §3, "Configuring a run".
 	RunSpec = expt.RunSpec
 )
 
@@ -29,23 +27,13 @@ var (
 	ScaleFull = expt.Full
 )
 
-// Experiments returns the ids of every reproducible table and figure.
-func Experiments() []string { return expt.ExperimentIDs() }
-
-// RunExperiment regenerates one of the paper's tables or figures by id
-// ("fig1".."fig10", "table1", "ablation-*") under a run specification; the
-// zero RunSpec is the paper's setting.
-func RunExperiment(id string, sc ExperimentScale, seed uint64, spec RunSpec) (*ExperimentResult, error) {
-	return expt.Run(id, sc, seed, spec)
-}
-
 // Configure installs a RunSpec on a freshly built algorithm, before its
-// first round: everything BuildAlgorithm or the New* constructors return
-// accepts one. It is the only way run configuration reaches an algorithm,
-// in-process or distributed (hand spec.Distrib to RunDistributed or
-// NewService afterwards). When spec.Resume is set the run is restored from
-// that checkpoint once configured; the returned warnings name corrupt newer
-// checkpoints a directory resume skipped.
+// first round: everything BuildAlgorithm, NewFedPKD, NewFedAvg or NewFedMD
+// return accepts one. It is the only way run configuration reaches an
+// algorithm, in-process or distributed (hand spec.Distrib to RunDistributed
+// or NewService afterwards). When spec.Resume is set the run is restored
+// from that checkpoint once configured; the returned warnings name corrupt
+// newer checkpoints a directory resume skipped.
 func Configure(algo Algorithm, spec RunSpec) (warnings []string, err error) {
 	return spec.Apply(algo)
 }

@@ -6,7 +6,9 @@
 // algorithms the paper compares against, communication accounting, and the
 // experiment harness that regenerates the paper's tables and figures.
 //
-// This package is the public facade. A minimal run:
+// This package is the public facade. It exports what cmd/ and examples/
+// call, plus the config types, field types and enum constants needed to build
+// those calls' arguments; everything else stays internal. A minimal run:
 //
 //	env, err := fedpkd.NewEnvironment(fedpkd.EnvConfig{
 //		Spec:       fedpkd.SynthC10(42),
@@ -49,8 +51,6 @@ type (
 	SyntheticSpec = dataset.SyntheticSpec
 	// History is the per-round metric trace of a run.
 	History = fl.History
-	// RoundMetrics is one round's measurements.
-	RoundMetrics = fl.RoundMetrics
 	// Algorithm is a runnable federated-learning method.
 	Algorithm = fl.Algorithm
 
@@ -89,13 +89,6 @@ func NewEnvironment(cfg EnvConfig) (*Env, error) { return fl.NewEnv(cfg) }
 // defaults (B=32, η=0.001, θ=0.7, ε=δ=γ=0.5, epochs 15/10/40).
 func NewFedPKD(cfg Config) (*FedPKD, error) { return core.New(cfg) }
 
-// HomogeneousFleet returns n ResNet20 client architecture names (the
-// paper's homogeneous setting).
-func HomogeneousFleet(n int) []string { return models.HomogeneousFleet(n) }
-
 // HeterogeneousFleet returns n client architecture names cycling through
 // ResNet11/20/29 (the paper's heterogeneous setting).
 func HeterogeneousFleet(n int) []string { return models.HeterogeneousFleet(n) }
-
-// ModelNames returns the registered model-architecture names.
-func ModelNames() []string { return models.Names() }

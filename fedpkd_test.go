@@ -47,31 +47,23 @@ func TestFacadeFedPKD(t *testing.T) {
 	}
 }
 
+// facadeScale is ScaleQuick cut to one epoch per phase, so the facade tests
+// build every algorithm on facadeEnv and run a round in milliseconds.
+func facadeScale() ExperimentScale {
+	sc := ScaleQuick
+	sc.PKDPrivateEpochs, sc.PKDPublicEpochs, sc.PKDServerEpochs = 1, 1, 1
+	sc.LocalEpochs, sc.DistillEpochs = 1, 1
+	sc.FedDFLocalEpochs, sc.FedDFServerEpochs = 1, 1
+	sc.FedETServerEpochs, sc.VanillaServerEpoch = 1, 1
+	return sc
+}
+
 func TestFacadeBaselines(t *testing.T) {
 	env := facadeEnv(t)
-	common := CommonConfig{Env: env, Seed: 1}
-	builders := map[string]func() (Algorithm, error){
-		"FedAvg":  func() (Algorithm, error) { return NewFedAvg(FedAvgConfig{Common: common, LocalEpochs: 1}) },
-		"FedProx": func() (Algorithm, error) { return NewFedProx(FedAvgConfig{Common: common, LocalEpochs: 1}) },
-		"FedMD": func() (Algorithm, error) {
-			return NewFedMD(FedMDConfig{Common: common, LocalEpochs: 1, DistillEpochs: 1})
-		},
-		"DS-FL": func() (Algorithm, error) {
-			return NewDSFL(FedMDConfig{Common: common, LocalEpochs: 1, DistillEpochs: 1})
-		},
-		"FedDF": func() (Algorithm, error) {
-			return NewFedDF(FedDFConfig{Common: common, LocalEpochs: 1, ServerEpochs: 1})
-		},
-		"FedET": func() (Algorithm, error) {
-			return NewFedET(FedETConfig{Common: common, LocalEpochs: 1, ServerEpochs: 1})
-		},
-		"KD": func() (Algorithm, error) {
-			return NewVanillaKD(VanillaKDConfig{Common: common, LocalEpochs: 1, ServerEpochs: 1})
-		},
-	}
-	for name, build := range builders {
+	for _, name := range Algorithms() {
+		name := name
 		t.Run(name, func(t *testing.T) {
-			algo, err := build()
+			algo, err := BuildAlgorithm(name, env, facadeScale(), 1, false, AlgoOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,43 +78,77 @@ func TestFacadeBaselines(t *testing.T) {
 }
 
 func TestFacadeFleets(t *testing.T) {
-	if len(HomogeneousFleet(3)) != 3 || len(HeterogeneousFleet(4)) != 4 {
-		t.Error("fleet sizes wrong")
+	fleet := HeterogeneousFleet(4)
+	if len(fleet) != 4 || fleet[0] == fleet[1] || fleet[1] == fleet[2] || fleet[3] != fleet[0] {
+		t.Errorf("HeterogeneousFleet(4) = %v, want a 4-client cycle of three architectures", fleet)
 	}
-	if len(ModelNames()) < 4 {
-		t.Error("model registry too small")
+	env := facadeEnv(t)
+	if _, err := BuildAlgorithm("FedMD", env, facadeScale(), 1, true, AlgoOptions{}); err != nil {
+		t.Errorf("FedMD on a heterogeneous fleet: %v", err)
+	}
+	if _, err := BuildAlgorithm("FedAvg", env, facadeScale(), 1, true, AlgoOptions{}); err == nil {
+		t.Error("FedAvg accepted a heterogeneous fleet")
 	}
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	ids := Experiments()
-	if len(ids) < 10 {
-		t.Errorf("only %d experiments registered", len(ids))
+	seen := map[string]bool{}
+	for _, name := range Algorithms() {
+		if seen[name] {
+			t.Errorf("Algorithms lists %q twice", name)
+		}
+		seen[name] = true
 	}
-	if _, err := RunExperiment("bogus", ScaleQuick, 1, RunSpec{}); err == nil {
-		t.Error("unknown experiment should error")
+	if len(seen) != 9 {
+		t.Errorf("Algorithms lists %d names, want FedPKD and its eight comparison methods", len(seen))
+	}
+	if ScaleQuick.Name != "quick" || ScaleStd.Name != "std" || ScaleFull.Name != "full" {
+		t.Errorf("scale names = %q/%q/%q", ScaleQuick.Name, ScaleStd.Name, ScaleFull.Name)
+	}
+	env := facadeEnv(t)
+	if _, err := BuildAlgorithm("bogus", env, facadeScale(), 1, false, AlgoOptions{}); err == nil {
+		t.Error("unknown algorithm should error")
+	}
+	algo, err := BuildAlgorithm("FedAvg", env, facadeScale(), 1, false, AlgoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Configure(algo, RunSpec{Codec: "bogus"}); err == nil {
+		t.Error("unknown codec should error")
 	}
 }
 
+// TestFacadeTransportRoundtrip runs the same algorithm over the in-memory bus
+// and in-process: the payloads cross the wire as float64, so the accuracy
+// trajectories must match exactly; only the ledger differs (encoded wire
+// bytes instead of analytic sizes).
 func TestFacadeTransportRoundtrip(t *testing.T) {
-	bus := NewBus(1, 1)
-	defer bus.Close()
-	payload, err := EncodePayload(RoundUpload{Client: 2, HasPayload: true, Payload: WirePayload{Params: []float64{1}}})
+	env := facadeEnv(t)
+	build := func() Algorithm {
+		algo, err := NewFedMD(FedMDConfig{Common: CommonConfig{Env: env, Seed: 1}, LocalEpochs: 1, DistillEpochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return algo
+	}
+	wire, err := RunDistributed(build(), 2, DistributedOptions{Mode: ModeBus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bus.ClientConn(0).Send(&Envelope{Kind: KindUpload, From: 0, To: -1, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := bus.ServerConn().Recv()
+	local, err := build().Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ru RoundUpload
-	if err := DecodePayload(e.Payload, &ru); err != nil {
-		t.Fatal(err)
+	if wire.Len() != local.Len() {
+		t.Fatalf("rounds: bus %d, in-process %d", wire.Len(), local.Len())
 	}
-	if ru.Client != 2 {
-		t.Errorf("decoded = %+v", ru)
+	for i, w := range wire.Rounds {
+		l := local.Rounds[i]
+		if w.ServerAcc != l.ServerAcc || w.ClientAcc != l.ClientAcc {
+			t.Errorf("round %d: bus (%v, %v), in-process (%v, %v)", i, w.ServerAcc, w.ClientAcc, l.ServerAcc, l.ClientAcc)
+		}
+	}
+	if wire.TotalMB() <= 0 {
+		t.Error("bus run recorded no wire traffic")
 	}
 }

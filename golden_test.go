@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fedpkd/internal/baselines"
 )
 
 // updateGoldens regenerates testdata/goldens/*.json from the current
@@ -39,7 +41,7 @@ func goldenEnv(t *testing.T) *Env {
 // goldenAlgos builds every algorithm variant at a fast fixed-seed schedule.
 // Keyed by file name; order does not matter (each run is independent).
 func goldenAlgos(env *Env) map[string]func() (Algorithm, error) {
-	common := CommonConfig{Env: env, Seed: 5}
+	common := baselines.CommonConfig{Env: env, Seed: 5}
 	return map[string]func() (Algorithm, error){
 		"fedpkd": func() (Algorithm, error) {
 			return NewFedPKD(Config{
@@ -47,28 +49,28 @@ func goldenAlgos(env *Env) map[string]func() (Algorithm, error) {
 			})
 		},
 		"fedavg": func() (Algorithm, error) {
-			return NewFedAvg(FedAvgConfig{Common: common, LocalEpochs: 2})
+			return baselines.NewFedAvg(baselines.FedAvgConfig{Common: common, LocalEpochs: 2})
 		},
 		"fedprox": func() (Algorithm, error) {
-			return NewFedProx(FedAvgConfig{Common: common, LocalEpochs: 2})
+			return baselines.NewFedProx(baselines.FedAvgConfig{Common: common, LocalEpochs: 2})
 		},
 		"fedmd": func() (Algorithm, error) {
-			return NewFedMD(FedMDConfig{Common: common, LocalEpochs: 2, DistillEpochs: 2})
+			return baselines.NewFedMD(baselines.FedMDConfig{Common: common, LocalEpochs: 2, DistillEpochs: 2})
 		},
 		"dsfl": func() (Algorithm, error) {
-			return NewDSFL(FedMDConfig{Common: common, LocalEpochs: 2, DistillEpochs: 2})
+			return baselines.NewDSFL(baselines.FedMDConfig{Common: common, LocalEpochs: 2, DistillEpochs: 2})
 		},
 		"feddf": func() (Algorithm, error) {
-			return NewFedDF(FedDFConfig{Common: common, LocalEpochs: 2, ServerEpochs: 2})
+			return baselines.NewFedDF(baselines.FedDFConfig{Common: common, LocalEpochs: 2, ServerEpochs: 2})
 		},
 		"fedet": func() (Algorithm, error) {
-			return NewFedET(FedETConfig{Common: common, LocalEpochs: 2, ServerEpochs: 2})
+			return baselines.NewFedET(baselines.FedETConfig{Common: common, LocalEpochs: 2, ServerEpochs: 2})
 		},
 		"fedproto": func() (Algorithm, error) {
-			return NewFedProto(FedProtoConfig{Common: common, LocalEpochs: 2})
+			return baselines.NewFedProto(baselines.FedProtoConfig{Common: common, LocalEpochs: 2})
 		},
 		"vanillakd": func() (Algorithm, error) {
-			return NewVanillaKD(VanillaKDConfig{Common: common, LocalEpochs: 2, ServerEpochs: 2})
+			return baselines.NewVanillaKD(baselines.VanillaKDConfig{Common: common, LocalEpochs: 2, ServerEpochs: 2})
 		},
 	}
 }

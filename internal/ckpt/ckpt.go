@@ -1,7 +1,7 @@
 // Package ckpt is the checkpoint codec of the repository: a small,
 // self-describing, checksummed binary container of named sections, plus the
 // crash-safe file I/O and checkpoint-directory management the run-state
-// contract (DESIGN.md §8) is built on.
+// contract (DESIGN.md §6) is built on.
 //
 // A checkpoint file is:
 //

@@ -28,7 +28,7 @@ package comm
 //	          round's global params are small, so float32 rounding error on
 //	          the delta is far below float32 rounding of the raw weight
 //
-// Quantization error bounds (documented in DESIGN.md §10): F32/DeltaF32
+// Quantization error bounds (documented in DESIGN.md §4): F32/DeltaF32
 // round each value (or its delta) to the nearest float32, a relative error
 // of at most 2^-24; I8 reconstructs within step/2 + float32 rounding of the
 // row's lo and scale, step = (max-min)/255 per row. Model parameters are

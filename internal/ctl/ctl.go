@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fedpkd/internal/distrib"
 )
 
 // ErrQuit is returned by Gate.Barrier when an operator issued quit: the
@@ -188,33 +190,15 @@ func (g *Gate) State() GateState {
 	return GateState{Paused: g.paused, AtBarrier: g.atBarrier, Finished: g.finished, Round: g.round}
 }
 
-// Status is what ping/status reports: the gate state merged with the
-// service's population snapshot.
+// Status is what ping/status reports: the service's population snapshot
+// (including per-leaf shard health in tree mode), the run length, and the
+// gate state the server fills in.
 type Status struct {
-	Algo       string `json:"algo"`
-	Round      int    `json:"round"`
-	Rounds     int    `json:"rounds"`
-	Paused     bool   `json:"paused"`
-	AtBarrier  bool   `json:"at_barrier"`
-	Finished   bool   `json:"finished"`
-	Registered int    `json:"registered"`
-	Online     int    `json:"online"`
-	Cohort     int    `json:"cohort"`
-	// Shards reports per-leaf aggregator health when the service runs an
-	// aggregator tree (omitted for flat runs), so an operator polling status
-	// can spot a sick leaf: a stalled last_digest_round, climbing retries, or
-	// a growing lost count.
-	Shards []ShardHealth `json:"shards,omitempty"`
-}
-
-// ShardHealth mirrors the service's per-leaf liveness profile (the ctl
-// package cannot import internal/distrib — the dependency runs the other
-// way, so the wire type is declared on both sides of the socket).
-type ShardHealth struct {
-	Shard           int `json:"shard"`
-	LastDigestRound int `json:"last_digest_round"`
-	Retries         int `json:"retries"`
-	Lost            int `json:"lost"`
+	distrib.Status
+	Rounds    int  `json:"rounds"`
+	Paused    bool `json:"paused"`
+	AtBarrier bool `json:"at_barrier"`
+	Finished  bool `json:"finished"`
 }
 
 // Response is the single JSON line answering each command.

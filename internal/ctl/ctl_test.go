@@ -4,9 +4,12 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"fedpkd/internal/distrib"
 )
 
 // drive runs a fake training loop against the gate, recording the rounds it
@@ -95,8 +98,15 @@ func TestGateSaveAfterFinish(t *testing.T) {
 
 func TestServerProtocol(t *testing.T) {
 	g := NewGate(func() (string, error) { return "/tmp/ck", nil })
+	shards := []distrib.ShardHealth{
+		{Shard: 0, LastDigestRound: 2, Retries: 1},
+		{Shard: 1, LastDigestRound: -1, Retries: 3, Lost: 2},
+	}
 	status := func() Status {
-		return Status{Algo: "fedavg", Round: 3, Rounds: 10, Registered: 4, Online: 3, Cohort: 3}
+		return Status{
+			Status: distrib.Status{Algo: "fedavg", Round: 3, Registered: 4, Online: 3, Cohort: 3, Shards: shards},
+			Rounds: 10,
+		}
 	}
 	sock := filepath.Join(t.TempDir(), "ctl.sock")
 	srv, err := Serve(sock, g, status)
@@ -113,8 +123,11 @@ func TestServerProtocol(t *testing.T) {
 	if err != nil || !resp.OK || resp.Status == nil {
 		t.Fatalf("ping: %+v, %v", resp, err)
 	}
-	if !resp.Status.Paused || resp.Status.Algo != "fedavg" || resp.Status.Registered != 4 {
-		t.Fatalf("status = %+v, want paused fedavg with 4 registered", resp.Status)
+	if !resp.Status.Paused || resp.Status.Algo != "fedavg" || resp.Status.Registered != 4 || resp.Status.Rounds != 10 {
+		t.Fatalf("status = %+v, want paused fedavg with 4 registered of 10 rounds", resp.Status)
+	}
+	if !reflect.DeepEqual(resp.Status.Shards, shards) {
+		t.Fatalf("shards = %+v, want %+v", resp.Status.Shards, shards)
 	}
 
 	// Save served by a loop reaching the barrier.

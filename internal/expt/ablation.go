@@ -116,7 +116,7 @@ func RunFig10(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	return res, nil
 }
 
-// RunAblationAggregation is an extra design-choice ablation (DESIGN.md §4):
+// RunAblationAggregation is an extra design-choice ablation (DESIGN.md §1):
 // variance-weighted vs plain-mean logit aggregation inside FedPKD.
 func RunAblationAggregation(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
@@ -141,7 +141,7 @@ func RunAblationAggregation(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	return res, nil
 }
 
-// RunAblationFilterSignal is an extra design-choice ablation (DESIGN.md §4):
+// RunAblationFilterSignal is an extra design-choice ablation (DESIGN.md §1):
 // Algorithm 1's prototype-distance ranking vs a logit-confidence ranking.
 func RunAblationFilterSignal(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{

@@ -88,28 +88,28 @@ func TestBuildAlgorithmAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range append(append([]string{}, AllAlgos...), AlgoKD) {
-		algo, err := BuildAlgorithm(name, env, microScale, 3, false)
+		algo, err := BuildAlgorithmOpts(name, env, microScale, 3, false, AlgoOptions{})
 		if err != nil {
-			t.Errorf("BuildAlgorithm(%s): %v", name, err)
+			t.Errorf("BuildAlgorithmOpts(%s): %v", name, err)
 			continue
 		}
 		if algo.Name() != name {
 			t.Errorf("algorithm name %q, want %q", algo.Name(), name)
 		}
 	}
-	if _, err := BuildAlgorithm("bogus", env, microScale, 3, false); err == nil {
+	if _, err := BuildAlgorithmOpts("bogus", env, microScale, 3, false, AlgoOptions{}); err == nil {
 		t.Error("unknown algorithm should error")
 	}
 	// Weight-transfer methods reject heterogeneous fleets.
 	for _, name := range []string{AlgoFedAvg, AlgoFedProx, AlgoFedDF} {
-		if _, err := BuildAlgorithm(name, env, microScale, 3, true); err == nil {
+		if _, err := BuildAlgorithmOpts(name, env, microScale, 3, true, AlgoOptions{}); err == nil {
 			t.Errorf("%s should reject heterogeneous fleets", name)
 		}
 	}
 	// Hetero-capable methods accept them.
 	for _, name := range HeteroAlgos {
-		if _, err := BuildAlgorithm(name, env, microScale, 3, true); err != nil {
-			t.Errorf("BuildAlgorithm(%s, hetero): %v", name, err)
+		if _, err := BuildAlgorithmOpts(name, env, microScale, 3, true, AlgoOptions{}); err != nil {
+			t.Errorf("BuildAlgorithmOpts(%s, hetero): %v", name, err)
 		}
 	}
 }

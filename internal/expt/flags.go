@@ -30,7 +30,7 @@ type RunFlags struct {
 // a switch (each run continues from its own subdirectory of -checkpoint-dir)
 // instead of a path, and the codec and staleness defaults are left to the
 // engine instead of spelled out. Which experiment honours which flag is
-// tabulated in DESIGN.md §7.
+// tabulated in DESIGN.md §3.
 func BindRunFlags(fs *flag.FlagSet, sweep bool) *RunFlags {
 	f := &RunFlags{alphaDefault: 0.5}
 	codecDefault := comm.CodecFloat64.String()

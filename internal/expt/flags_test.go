@@ -127,7 +127,7 @@ func TestApplyDerivesBufferSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algo, err := BuildAlgorithm(AlgoFedAvg, env, sc, specSeed, false)
+		algo, err := BuildAlgorithmOpts(AlgoFedAvg, env, sc, specSeed, false, AlgoOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

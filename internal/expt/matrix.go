@@ -31,7 +31,7 @@ var AllAlgos = []string{AlgoFedPKD, AlgoFedMD, AlgoDSFL, AlgoFedET, AlgoFedDF, A
 // heterogeneous client models.
 var HeteroAlgos = []string{AlgoFedPKD, AlgoFedMD, AlgoDSFL, AlgoFedET}
 
-// Algorithms lists every name BuildAlgorithm accepts.
+// Algorithms lists every name BuildAlgorithmOpts accepts.
 func Algorithms() []string {
 	return []string{AlgoFedPKD, AlgoFedMD, AlgoDSFL, AlgoFedET, AlgoFedDF, AlgoFedAvg, AlgoFedProx, AlgoFedProto, AlgoKD}
 }
@@ -45,16 +45,11 @@ type AlgoOptions struct {
 	Delta float64
 }
 
-// BuildAlgorithm constructs a named algorithm on an environment with the
-// scale's schedule and the paper-default options. hetero selects the
-// heterogeneous ResNet11/20/29 fleet for the methods that support it.
-func BuildAlgorithm(name string, env *fl.Env, sc Scale, seed uint64, hetero bool) (fl.Algorithm, error) {
-	return BuildAlgorithmOpts(name, env, sc, seed, hetero, AlgoOptions{})
-}
-
-// BuildAlgorithmOpts is BuildAlgorithm with per-algorithm option overrides.
-// Every returned algorithm runs on the shared engine driver, so it can be
-// handed to internal/distrib as-is.
+// BuildAlgorithmOpts constructs a named algorithm on an environment with the
+// scale's schedule and opts' overrides (the zero AlgoOptions keeps the paper
+// defaults). hetero selects the heterogeneous ResNet11/20/29 fleet for the
+// methods that support it. Every returned algorithm runs on the shared
+// engine driver, so it can be handed to internal/distrib as-is.
 func BuildAlgorithmOpts(name string, env *fl.Env, sc Scale, seed uint64, hetero bool, opts AlgoOptions) (fl.Algorithm, error) {
 	common := baselines.CommonConfig{Env: env, Seed: seed}
 	n := env.Cfg.NumClients
@@ -123,7 +118,7 @@ func newRun(name string, task Task, setting Setting, sc Scale, seed uint64, hete
 	if err != nil {
 		return nil, fmt.Errorf("expt: env for %s/%s: %w", task, setting.Label, err)
 	}
-	algo, err := BuildAlgorithm(name, env, sc, seed, hetero)
+	algo, err := BuildAlgorithmOpts(name, env, sc, seed, hetero, AlgoOptions{})
 	if err != nil {
 		return nil, err
 	}

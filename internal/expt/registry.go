@@ -6,7 +6,7 @@ import (
 )
 
 // Runner regenerates one experiment at a scale under a run specification.
-// Which RunSpec fields an experiment honours is tabulated in DESIGN.md §7;
+// Which RunSpec fields an experiment honours is tabulated in DESIGN.md §3;
 // legs an experiment compares by construction override the spec's field.
 type Runner func(sc Scale, seed uint64, spec RunSpec) (*Result, error)
 

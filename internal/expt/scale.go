@@ -41,7 +41,7 @@ type Scale struct {
 
 // Predefined scales.
 var (
-	// Quick is for tests and testing.B benches: seconds per configuration.
+	// Quick is for tests and demos: seconds per configuration.
 	Quick = Scale{
 		Name:       "quick",
 		NumClients: 3,

@@ -43,7 +43,7 @@ type RunSpec struct {
 	// Distrib is the transport side of the run — mode, fault plan, client
 	// and leaf deadlines, quorums, topology. Only runs that go through
 	// internal/distrib read it; which experiment honours which field is
-	// tabulated in DESIGN.md §7.
+	// tabulated in DESIGN.md §3.
 	Distrib distrib.Options
 }
 

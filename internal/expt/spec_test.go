@@ -47,7 +47,7 @@ func handRun(t *testing.T, configure func(*engine.Runner) error) ([]byte, *engin
 	if err != nil {
 		t.Fatal(err)
 	}
-	algo, err := BuildAlgorithm(AlgoFedPKD, env, specScale, specSeed, false)
+	algo, err := BuildAlgorithmOpts(AlgoFedPKD, env, specScale, specSeed, false, AlgoOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // independent of goroutine scheduling and a fixed seed reproduces the exact
 // same fault pattern run after run. That determinism is what makes chaos
 // tests byte-stable: internal/distrib runs under a Plan produce identical
-// fl.History values across runs (see DESIGN.md §9).
+// fl.History values across runs (see DESIGN.md §5).
 package faults
 
 import (

@@ -16,7 +16,7 @@ import (
 // seeded logical clock (ArrivalSchedule), a pure function of (seed, client,
 // version) in the style of internal/faults, so the same seed produces the
 // same flush sequence in-process and over any transport, and async runs are
-// pinned by byte-exact goldens like every other mode. See DESIGN.md §11.
+// pinned by byte-exact goldens like every other mode. See DESIGN.md §3.
 
 // Arrival-schedule salts. Each draw kind has its own stream so changing one
 // knob never shifts another kind's pattern (the internal/faults discipline).

@@ -183,7 +183,7 @@ func (rc *RoundContext) Span(phase string) func() { return rc.r.rec.Span(phase) 
 // per-round history, and the traffic ledger. Run(rounds) executes rounds
 // MORE rounds and returns the cumulative history, so run-10 and
 // run-5/checkpoint/resume/run-5 return identical histories — the resume-
-// equivalence contract (DESIGN.md §8).
+// equivalence contract (DESIGN.md §6).
 type Runner struct {
 	hooks  Hooks
 	cfg    Config
@@ -451,7 +451,7 @@ func (r *Runner) execute(p *Plan) error {
 	}
 
 	// Starts are billed at delivery: a flush member's global was minted at
-	// its dispatch flush but travels with this train order (DESIGN.md §11).
+	// its dispatch flush but travels with this train order (DESIGN.md §3).
 	for _, g := range p.Starts {
 		if n := g.WireBytesIn(r.codec); n > 0 {
 			r.addDownload(n, g.WireBytes())

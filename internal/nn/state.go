@@ -231,7 +231,7 @@ func (t *Tanh) Restore(sd *StateDict, prefix string) error { return nil }
 // Snapshot is a no-op. Dropout's only persistent state is its RNG stream,
 // which math/rand/v2 cannot expose; resume-exact runs must derive dropout
 // randomness from round-scoped streams (no model in the current zoo uses
-// Dropout). See DESIGN.md §8.
+// Dropout). See DESIGN.md §6.
 func (d *Dropout) Snapshot(sd *StateDict, prefix string) {}
 
 // Restore is a no-op; see Snapshot.

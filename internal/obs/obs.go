@@ -587,9 +587,3 @@ func (r *Recorder) Traces() []RoundTrace {
 	copy(out, r.done)
 	return out
 }
-
-// Instrumented is implemented by algorithms that can attach a Recorder
-// (core.FedPKD and every baseline).
-type Instrumented interface {
-	SetRecorder(*Recorder)
-}

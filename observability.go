@@ -7,13 +7,12 @@ import (
 // Observability types, aliased from internal/obs so downstream users import
 // only this package. A Recorder collects per-round phase timings, per-client
 // training durations, wire-byte counters, and parallelism stats; attach one
-// to any algorithm that implements Instrumented:
+// through RunSpec.Recorder:
 //
-//	algo, _ := fedpkd.NewFedPKD(cfg)
 //	rec := fedpkd.NewRecorder(algo.Name())
-//	algo.SetRecorder(rec)
+//	_, _ = fedpkd.Configure(algo, fedpkd.RunSpec{Recorder: rec})
 //	history, _ := algo.Run(rounds)
-//	_ = rec.DumpFiles("results", "fedpkd")
+//	_, _, _ = rec.DumpFiles("results", "fedpkd")
 type (
 	// Recorder collects round-level traces; all methods are safe on a nil
 	// receiver, so instrumented code pays one pointer test when disabled.
@@ -22,8 +21,6 @@ type (
 	RoundTrace = obs.RoundTrace
 	// DebugServer serves pprof and expvar endpoints for a running simulation.
 	DebugServer = obs.DebugServer
-	// Instrumented is implemented by every algorithm that accepts a Recorder.
-	Instrumented = obs.Instrumented
 )
 
 // NewRecorder builds a recorder for the named algorithm.

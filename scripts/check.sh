@@ -67,7 +67,7 @@ fi
 
 # The service's operator control plane must survive its full command cycle —
 # wire registration, pause/ping/save/resume/quit, kill -9, restart from the
-# rolling checkpoint with a different population (DESIGN.md §12).
+# rolling checkpoint with a different population (DESIGN.md §7).
 echo ">> sh scripts/serve_smoke.sh"
 sh scripts/serve_smoke.sh
 
@@ -82,9 +82,12 @@ GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|
 echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties)"
 GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam' ./internal/nn/
 
-# Compile-and-run every kernel benchmark once so perf-path-only code (panel
-# kernels at benchmark shapes, scratch arena reuse) cannot rot unnoticed.
+# Compile-and-run every kernel and training-step benchmark once so
+# perf-path-only code (panel kernels at benchmark shapes, scratch arena reuse,
+# the nn step timers README points to) cannot rot unnoticed.
 echo ">> go test -bench . -benchtime 1x ./internal/tensor/"
 go test -run XXX -bench . -benchtime 1x ./internal/tensor/
+echo ">> go test -bench . -benchtime 1x ./internal/nn/"
+go test -run XXX -bench . -benchtime 1x ./internal/nn/
 
 echo "all checks passed"

@@ -16,21 +16,14 @@ type (
 	// Service is the persistent form of the distributed runtime: a client
 	// registry, live cohort churn, and barrier hooks for the control plane.
 	Service = distrib.Service
-	// ServiceStatus is the service's per-barrier population snapshot.
-	ServiceStatus = distrib.Status
-	// ShardHealth is the per-leaf liveness profile a tree-mode ServiceStatus
-	// carries: last digest round, retry and lost-round counts.
-	ShardHealth = distrib.ShardHealth
 	// AvailabilityTrace is the seeded diurnal connect/disconnect model churn
 	// runs sample their cohorts from.
 	AvailabilityTrace = engine.AvailabilityTrace
 	// ControlGate synchronizes pause/resume/save/quit with round barriers.
 	ControlGate = ctl.Gate
-	// ControlStatus is what the control plane's ping command reports.
+	// ControlStatus is what the control plane's ping command reports: the
+	// service's Status plus the run length and the gate's state.
 	ControlStatus = ctl.Status
-	// ControlShardHealth is the per-leaf health row a tree-mode ControlStatus
-	// carries (the control plane's mirror of ShardHealth).
-	ControlShardHealth = ctl.ShardHealth
 	// ControlResponse is the JSON reply to one control command.
 	ControlResponse = ctl.Response
 	// ControlServer serves the pause/ping/resume/save/quit line protocol
@@ -41,10 +34,6 @@ type (
 // ErrControlQuit is returned from a serve-mode run stopped by an operator's
 // quit command; treat it as a clean shutdown.
 var ErrControlQuit = ctl.ErrQuit
-
-// ErrControlTimeout marks a ControlSend whose per-command deadline expired —
-// the service is hung or unreachable rather than rejecting the command.
-var ErrControlTimeout = ctl.ErrTimeout
 
 // NewService builds a long-lived distributed service for an engine-backed
 // algorithm without running it: the caller wires a control plane to
@@ -70,14 +59,6 @@ func ServeControl(addr string, gate *ControlGate, status func() ControlStatus) (
 // and returns the parsed response — the client side of `-ctl-cmd`.
 func ControlSend(addr, cmd string, timeout time.Duration) (ControlResponse, error) {
 	return ctl.Send(addr, cmd, timeout)
-}
-
-// ParseAvailability parses a CLI availability spec like
-// "period=24,min=0.5,max=0.9,seed=7" into a trace; the empty spec returns
-// nil (no churn). An omitted seed takes defaultSeed, so replays line up with
-// the run seed for free.
-func ParseAvailability(spec string, defaultSeed uint64) (*AvailabilityTrace, error) {
-	return engine.ParseAvailability(spec, defaultSeed)
 }
 
 // ParsePopulation parses a comma-separated id list like "0,2,5" into a

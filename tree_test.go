@@ -183,7 +183,7 @@ func runAsyncChurnTree(t *testing.T) asyncChurnTreeGolden {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := ParseAvailability("period=3,min=0.5,max=0.9,seed=9", 9)
+	trace, err := engine.ParseAvailability("period=3,min=0.5,max=0.9,seed=9", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
