@@ -117,7 +117,9 @@ func (h *fedProtoHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Uplo
 // Digest implements engine.Hooks. The broadcast's prototypes feed the next
 // round's LocalUpdate via the hook state set in Aggregate; there is no
 // digest-time training.
-func (h *fedProtoHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error { return nil }
+func (h *fedProtoHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error {
+	return nil
+}
 
 // Eval implements engine.Hooks. FedProto has no server model, so ServerAcc
 // is -1.

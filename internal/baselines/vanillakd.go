@@ -145,7 +145,9 @@ func (h *vanillaKDHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upl
 }
 
 // Digest implements engine.Hooks; vanilla KD has no broadcast to digest.
-func (h *vanillaKDHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error { return nil }
+func (h *vanillaKDHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error {
+	return nil
+}
 
 // Eval implements engine.Hooks.
 func (h *vanillaKDHooks) Eval() (float64, float64) {

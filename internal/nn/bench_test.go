@@ -10,10 +10,11 @@ import (
 )
 
 // Step benchmarks: the non-GEMM parts of one training step layer by layer at
-// the training shape (batch 32, models.FeatureWidth columns), and a whole
-// server distillation step. nn cannot choose a kernel path — nothing outside
-// internal/tensor can — so each runs on the loops this CPU was given and says
-// which in its name; internal/tensor's BenchmarkRowOps has every loop on both.
+// the training shape (batch 32, models.FeatureWidth columns), a whole client
+// private-training step and a whole server distillation step. nn cannot
+// choose a kernel path — nothing outside internal/tensor can — so each runs on
+// the loops this CPU was given and says which in its name; internal/tensor's
+// BenchmarkRowOps has every loop on every path.
 
 const benchBatch = 32
 
@@ -86,26 +87,64 @@ func BenchmarkDenseBias(b *testing.B) {
 	})
 }
 
+// The step benchmarks' task: 32 input features, 10 classes.
+const inputDim, classes = 32, 10
+
+// stepOperands builds the named model and a batch for it: inputs, labels
+// cycling through the classes, and a random stand-in for the prototypes of
+// those labels.
+func stepOperands(b *testing.B, model string) (net *nn.Network, x, target *tensor.Matrix, labels []int) {
+	rng := stats.NewRNG(1)
+	net, err := models.BuildNamed(rng, model, inputDim, classes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels = make([]int, benchBatch)
+	for i := range labels {
+		labels[i] = i % classes
+	}
+	return net, tensor.Randn(rng, benchBatch, inputDim, 1), tensor.Randn(rng, benchBatch, models.FeatureWidth, 1), labels
+}
+
+// BenchmarkClientStep is one client private-training step as
+// fl.TrainCEWithProto runs it (Eq. 16): ResNet20 on a batch of 32,
+// ForwardSplit, cross-entropy plus ε times the prototype MSE, Backward and
+// the Adam update.
+func BenchmarkClientStep(b *testing.B) {
+	onHostPath(b, func(b *testing.B) {
+		const eps = 0.5 // core.Config's default ε
+		net, x, target, labels := stepOperands(b, "ResNet20")
+		params := net.Params()
+		opt := nn.NewAdam(1e-3)
+		gradLogits := tensor.New(benchBatch, classes)
+		gradFeat := tensor.New(benchBatch, models.FeatureWidth)
+		step := func() {
+			feats, logits := net.ForwardSplit(x)
+			nn.SoftmaxCrossEntropyInto(gradLogits, logits, labels)
+			nn.MSEInto(gradFeat, feats, target)
+			gradFeat.Scale(eps)
+			nn.ZeroGrads(params)
+			net.Backward(gradLogits, gradFeat)
+			opt.Step(params)
+		}
+		step() // first-use buffers and optimizer state
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	})
+}
+
 // BenchmarkServerStep is one full server distillation step as
 // fl.TrainServerPKD runs it: ResNet56 on a batch of 32, ForwardSplit, the KL,
 // cross-entropy and prototype-MSE losses, Backward and the Adam update.
 func BenchmarkServerStep(b *testing.B) {
 	onHostPath(b, func(b *testing.B) {
-		const inputDim, classes, delta = 32, 10, 0.5
-		rng := stats.NewRNG(1)
-		net, err := models.BuildNamed(rng, "ResNet56", inputDim, classes)
-		if err != nil {
-			b.Fatal(err)
-		}
+		const delta = 0.5
+		net, x, target, labels := stepOperands(b, "ResNet56")
 		params := net.Params()
 		opt := nn.NewAdam(1e-3)
-		x := tensor.Randn(rng, benchBatch, inputDim, 1)
-		teacher := tensor.Randn(rng, benchBatch, classes, 1)
-		target := tensor.Randn(rng, benchBatch, models.FeatureWidth, 1)
-		labels := make([]int, benchBatch)
-		for i := range labels {
-			labels[i] = i % classes
-		}
+		teacher := tensor.Randn(stats.NewRNG(2), benchBatch, classes, 1)
 		gradKL, gradCE := tensor.New(benchBatch, classes), tensor.New(benchBatch, classes)
 		gradFeat := tensor.New(benchBatch, models.FeatureWidth)
 		step := func() {

@@ -25,9 +25,9 @@ var benchShapes = [][3]int{
 }
 
 // crossoverShapes straddle minParallelOps (the numbers next to it come from
-// these): the two inference products of an evaluation pass over 300 rows and
-// a longer one, and squares on both sides.
-var crossoverShapes = [][3]int{{300, 32, 48}, {300, 48, 48}, {64, 64, 64}, {128, 128, 128}, {160, 160, 160}, {2000, 48, 48}, {192, 192, 192}, {256, 256, 256}}
+// these): the two inference products of an evaluation pass over 300 rows,
+// longer 48-wide passes, and squares, on both sides.
+var crossoverShapes = [][3]int{{300, 32, 48}, {300, 48, 48}, {64, 64, 64}, {128, 128, 128}, {1200, 48, 48}, {1500, 48, 48}, {160, 160, 160}, {2000, 48, 48}, {192, 192, 192}, {256, 256, 256}}
 
 // benchLayer runs one product of a Dense layer per iteration over every
 // shape. op receives the layer's tensors: x (batch x in), w (in x out),
@@ -50,9 +50,10 @@ func benchLayer(b *testing.B, shapes [][3]int, op func(x, w, dy, y, gw, dx *Matr
 	}
 }
 
-// benchBothPaths runs benchLayer on the simd inner loops (where the CPU has
-// them) and on the pure-Go ones, so one run reports the speedup.
-func benchBothPaths(b *testing.B, op func(x, w, dy, y, gw, dx *Matrix)) {
+// benchEachPath runs benchLayer on every kernel path this CPU has (the pure-Go
+// loops, the simd loops init installed, and the AVX2 ones where those are
+// wider), so one run reports the speedups.
+func benchEachPath(b *testing.B, op func(x, w, dy, y, gw, dx *Matrix)) {
 	for _, path := range kernelPaths {
 		b.Run(path, func(b *testing.B) {
 			useKernelPath(b, path)
@@ -62,15 +63,15 @@ func benchBothPaths(b *testing.B, op func(x, w, dy, y, gw, dx *Matrix)) {
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	benchBothPaths(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
+	benchEachPath(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
 
 func BenchmarkMatMulTN(b *testing.B) {
-	benchBothPaths(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulTNInto(gw, x, dy) })
+	benchEachPath(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulTNInto(gw, x, dy) })
 }
 
 func BenchmarkMatMulNT(b *testing.B) {
-	benchBothPaths(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulNTInto(dx, dy, w) })
+	benchEachPath(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulNTInto(dx, dy, w) })
 }
 
 // BenchmarkMatMulF32 measures the opt-in float32 compute path on the same
@@ -112,7 +113,7 @@ func BenchmarkDenseTrainStep(b *testing.B) {
 	})
 }
 
-// BenchmarkRowOps measures every loop of rowops.go on both paths at the
+// BenchmarkRowOps measures every loop of rowops.go on every path at the
 // training shape, a 32-row batch of models.FeatureWidth = 48 columns (Adam
 // on a 48x48 weight). MB/s counts the block once: 8 bytes per element.
 func BenchmarkRowOps(b *testing.B) {

@@ -69,16 +69,33 @@ func bitsEqual(a, b *Matrix) bool {
 
 // kernelPaths is the suite's kernel-path axis: "generic" is the pure-Go inner
 // loops every platform has, "simd" whatever data-parallel loops package init
-// installed for this CPU.
-var kernelPaths = []string{"generic", "simd"}
+// installed for this CPU, and "avx2" the AVX2 loops where init installed
+// wider ones.
+var kernelPaths = []string{"generic", "simd", "avx2"}
 
 // hostSIMD is what package init installed, captured before any test swaps it
 // (in TestMain: package-level initializers run before init functions).
 var hostSIMD *simdLoops
 
+// avx2Loops is the AVX2 loop set when this CPU runs it but init installed a
+// wider one, else nil; simd_amd64_test.go sets it.
+var avx2Loops *simdLoops
+
 func TestMain(m *testing.M) {
 	hostSIMD = simd
 	os.Exit(m.Run())
+}
+
+// pathLoops returns the loop set of every kernel path this host runs, the
+// pure-Go loops (nil) first.
+func pathLoops() []*simdLoops {
+	loops := []*simdLoops{nil}
+	for _, l := range []*simdLoops{hostSIMD, avx2Loops} {
+		if l != nil {
+			loops = append(loops, l)
+		}
+	}
+	return loops
 }
 
 // useKernelPath selects a kernel path until the test (or benchmark) ends.
@@ -94,6 +111,11 @@ func useKernelPath(tb testing.TB, path string) {
 			tb.Skip("no simd inner loops for this CPU: the generic path is the only one")
 		}
 		simd = hostSIMD
+	case "avx2":
+		if avx2Loops == nil {
+			tb.Skip("init installed the AVX2 loops or none: the simd path covers this CPU")
+		}
+		simd = avx2Loops
 	default:
 		tb.Fatalf("unknown kernel path %q", path)
 	}
@@ -572,10 +594,10 @@ type guardBand struct {
 
 // embed returns a copy of m stored at element offset pre of a fresh array
 // whose other words hold guardWord. An odd pre makes the matrix a sub-slice
-// that is 8- but not 16- or 32-byte aligned, the case unaligned vector loads
-// and stores exist for.
+// that is 8- but not 16-, 32- or 64-byte aligned, the case unaligned vector
+// loads and stores exist for.
 func (g *guards) embed(name string, m *Matrix, pre int) *Matrix {
-	const post = 4 // one vector past the end
+	const post = 8 // one 8-lane vector past the end
 	buf := make([]float64, pre+len(m.Data)+post)
 	for i := range buf {
 		buf[i] = guardWord

@@ -47,9 +47,9 @@ type simdLoops struct {
 }
 
 // simd is the inner-loop set in use; nil selects the pure-Go loops, the only
-// path off amd64 or without AVX2. Set once at package init from what the CPU
-// reports (simd_amd64.go) and never by configuration; tests swap it to run
-// both paths on one host.
+// path off amd64 or without AVX2. Set once at package init to the widest set
+// the CPU reports (simd_amd64.go: avx512 or avx2) and never by configuration;
+// tests swap it to run every path the host has.
 var simd *simdLoops
 
 // gemmNNPanel computes out[lo:hi] = a[lo:hi] * b (zeroing the panel first).

@@ -38,20 +38,26 @@ var (
 // serial), so only speed depends on it. A var, not a const, so tests can
 // force the parallel path for tiny shapes.
 //
-// Re-derived against the AVX2 inner loops (1<<17 dated from kernels that took
-// 3x longer per panel) on the 2-core reference VM, BenchmarkMatMulSerial vs
-// BenchmarkMatMulParallel (two workers), us per product, range of five runs:
+// Re-derived against the AVX-512 inner loops on the 2-vCPU Xeon VM (the AVX2
+// loops, 1.3-1.5x slower per product, had put it at 1<<21),
+// BenchmarkMatMulSerial vs BenchmarkMatMulParallel (two workers), us per
+// product, range of five runs:
 //
-//	64^3        0.26M   20-21     -> 24-26     fan-out loses
-//	300x32x48   0.46M   53-86     -> 49-58     (serial bimodal; 38-47 other days)
-//	300x48x48   0.69M   60-63     -> 68-97     loses: every inference product
-//	128^3       2.1M    182-213   -> 171-181   break-even
-//	160^3       4.1M    325-389   -> 253-264   wins
-//	2000x48x48  4.6M    409-467   -> 313-364   wins
-//	256^3       16.8M   1321-1494 -> 833-916   wins
+//	64^3        0.26M   14-28    -> 17-24    fan-out loses
+//	300x32x48   0.46M   31-54    -> 33-36    (serial bimodal)
+//	300x48x48   0.69M   45-80    -> 59-86    loses: every inference product
+//	128^3       2.1M    123-147  -> 122-141  break-even
+//	1200x48x48  2.8M    177-207  -> 168-195  break-even
+//	1500x48x48  3.5M    221-265  -> 210-257  break-even
+//	160^3       4.1M    207-299  -> 194-244  wins
+//	2000x48x48  4.6M    313-398  -> 257-307  wins
+//	192^3       7.1M    442-542  -> 279-403  wins
+//	256^3       16.8M   841-1044 -> 593-822  wins
 //
-// i.e. parallel ~ serial/1.7 + 60 us there, crossing over near 1.7M.
-var minParallelOps int64 = 1 << 21
+// Seven alternating runs of the three break-even shapes gave medians of
+// 114/123, 182/185 and 234/244 us, so the crossover now lies between 2.1M and
+// 4.1M; 3<<20 sits inside it.
+var minParallelOps int64 = 3 << 20
 
 // SetWorkers sets the kernel fan-out width. n <= 0 restores the default,
 // which tracks GOMAXPROCS. Safe to call at any time, including while kernels

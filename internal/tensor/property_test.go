@@ -87,10 +87,10 @@ func kernelPathsAgree(seed uint64, m, k, n int) error {
 	for _, kernel := range pathCases {
 		a, b := kernel.operands(gen, seed, m, k, n)
 		want := oracle.run(kernel.into, dst, a, b)
-		for _, loops := range []*simdLoops{nil, hostSIMD} {
+		for _, loops := range pathLoops() {
 			if got := (launch{loops, workers}).run(kernel.into, dst, a, b); !bitsEqual(got, want) {
-				return fmt.Errorf("%s %dx%dx%d seed %d, %d workers, loops %v: not bit-identical to the serial pure-Go kernel",
-					kernel.name, m, k, n, seed, workers, loops != nil)
+				return fmt.Errorf("%s %dx%dx%d seed %d, %d workers, %s loops: not bit-identical to the serial pure-Go kernel",
+					kernel.name, m, k, n, seed, workers, loopsName(loops))
 			}
 		}
 	}

@@ -11,7 +11,8 @@ import (
 // cols row-major, or a flat vector — so a layer makes one call, not one per
 // row. Rows are always visited in index order and columns never interact, so
 // every per-column sum keeps one addition order; with simd set the same
-// expressions run four columns per instruction (simdRowOps), bit for bit.
+// expressions run four or eight columns per instruction (simdRowOps), bit for
+// bit.
 // None of them counts into KernelStats.Ops, which stays the matmuls' count.
 
 // simdRowOps are the data-parallel forms of the loops in this file, under

@@ -8,31 +8,31 @@ package tensor
 func adamAVX2(p, m, v, grad *float64, n int, k *AdamCoeffs)
 
 //go:noescape
-func colSumSqAVX2(sum, sumSq, x *float64, rows, cols int)
+func colSumSqAsm(sum, sumSq, x *float64, rows, cols int, wide bool)
 
 //go:noescape
-func bnApplyAVX2(out, xhat, x, mean, invStd, gamma, beta *float64, rows, cols int)
+func bnApplyAsm(out, xhat, x, mean, invStd, gamma, beta *float64, rows, cols int, wide bool)
 
 //go:noescape
-func bnGradSumsAVX2(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma *float64, rows, cols int)
+func bnGradSumsAsm(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma *float64, rows, cols int, wide bool)
 
 //go:noescape
-func bnGradInputAVX2(dx, dout, xhat, gamma, sumD, sumDX, invStd *float64, rows, cols int, m, invM float64)
+func bnGradInputAsm(dx, dout, xhat, gamma, sumD, sumDX, invStd *float64, rows, cols int, m, invM float64, wide bool)
 
 //go:noescape
-func reluAVX2(out, mask, x *float64, n int)
+func reluAsm(out, mask, x *float64, n int, wide bool)
 
 //go:noescape
-func mulAVX2(dst, a, b *float64, n int)
+func mulAsm(dst, a, b *float64, n int, wide bool)
 
 //go:noescape
-func addAVX2(dst, a, b *float64, n int)
+func addAsm(dst, a, b *float64, n int, wide bool)
 
 //go:noescape
-func addRowVecAVX2(m, v *float64, rows, cols int)
+func addRowVecAsm(m, v *float64, rows, cols int, wide bool)
 
 //go:noescape
-func addColSumsAVX2(sums, m *float64, rows, cols int)
+func addColSumsAsm(sums, m *float64, rows, cols int, wide bool)
 
 // base returns the address of s's first value after checking that s holds at
 // least n >= 1 of them.
@@ -41,56 +41,60 @@ func base(s []float64, n int) *float64 {
 	return &s[0]
 }
 
-var avx2RowOps = simdRowOps{
-	adam: func(p, m, v, g []float64, k AdamCoeffs) {
-		n := len(g)
-		adamAVX2(base(p, n), base(m, n), base(v, n), base(g, n), n, &k)
-	},
-	colSumSq: func(sum, sumSq, x []float64, rows int) {
-		cols := len(sum)
-		colSumSqAVX2(base(sum, cols), base(sumSq, cols), base(x, rows*cols), rows, cols)
-	},
-	bnApply: func(out, xhat, x, mean, invStd, gamma, beta []float64, rows int) {
-		cols := len(mean)
-		n := rows * cols
-		var xh *float64
-		if xhat != nil {
-			xh = base(xhat, n)
-		}
-		bnApplyAVX2(base(out, n), xh, base(x, n), base(mean, cols), base(invStd, cols), base(gamma, cols), base(beta, cols), rows, cols)
-	},
-	bnGradSums: func(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma []float64, rows int) {
-		cols := len(gamma)
-		n := rows * cols
-		bnGradSumsAVX2(base(sumD, cols), base(sumDX, cols), base(gGrad, cols), base(bGrad, cols), base(dout, n), base(xhat, n), base(gamma, cols), rows, cols)
-	},
-	bnGradInput: func(dx, dout, xhat, gamma, sumD, sumDX, invStd []float64, rows int, m, invM float64) {
-		cols := len(gamma)
-		n := rows * cols
-		bnGradInputAVX2(base(dx, n), base(dout, n), base(xhat, n), base(gamma, cols), base(sumD, cols), base(sumDX, cols), base(invStd, cols), rows, cols, m, invM)
-	},
-	relu: func(out, mask, x []float64) {
-		n := len(x)
-		var mk *float64
-		if mask != nil {
-			mk = base(mask, n)
-		}
-		reluAVX2(base(out, n), mk, base(x, n), n)
-	},
-	mul: func(dst, a, b []float64) {
-		n := len(dst)
-		mulAVX2(base(dst, n), base(a, n), base(b, n), n)
-	},
-	add: func(dst, a, b []float64) {
-		n := len(dst)
-		addAVX2(base(dst, n), base(a, n), base(b, n), n)
-	},
-	addRowVec: func(m, v []float64, rows int) {
-		cols := len(v)
-		addRowVecAVX2(base(m, rows*cols), base(v, cols), rows, cols)
-	},
-	addColSums: func(sums, m []float64, rows int) {
-		cols := len(sums)
-		addColSumsAVX2(base(sums, cols), base(m, rows*cols), rows, cols)
-	},
+// asmRowOps returns the row ops of the loop set whose 8-lane steps wide
+// turns on. Adam has none: it runs the AVX2 loop in both sets.
+func asmRowOps(wide bool) simdRowOps {
+	return simdRowOps{
+		adam: func(p, m, v, g []float64, k AdamCoeffs) {
+			n := len(g)
+			adamAVX2(base(p, n), base(m, n), base(v, n), base(g, n), n, &k)
+		},
+		colSumSq: func(sum, sumSq, x []float64, rows int) {
+			cols := len(sum)
+			colSumSqAsm(base(sum, cols), base(sumSq, cols), base(x, rows*cols), rows, cols, wide)
+		},
+		bnApply: func(out, xhat, x, mean, invStd, gamma, beta []float64, rows int) {
+			cols := len(mean)
+			n := rows * cols
+			var xh *float64
+			if xhat != nil {
+				xh = base(xhat, n)
+			}
+			bnApplyAsm(base(out, n), xh, base(x, n), base(mean, cols), base(invStd, cols), base(gamma, cols), base(beta, cols), rows, cols, wide)
+		},
+		bnGradSums: func(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma []float64, rows int) {
+			cols := len(gamma)
+			n := rows * cols
+			bnGradSumsAsm(base(sumD, cols), base(sumDX, cols), base(gGrad, cols), base(bGrad, cols), base(dout, n), base(xhat, n), base(gamma, cols), rows, cols, wide)
+		},
+		bnGradInput: func(dx, dout, xhat, gamma, sumD, sumDX, invStd []float64, rows int, m, invM float64) {
+			cols := len(gamma)
+			n := rows * cols
+			bnGradInputAsm(base(dx, n), base(dout, n), base(xhat, n), base(gamma, cols), base(sumD, cols), base(sumDX, cols), base(invStd, cols), rows, cols, m, invM, wide)
+		},
+		relu: func(out, mask, x []float64) {
+			n := len(x)
+			var mk *float64
+			if mask != nil {
+				mk = base(mask, n)
+			}
+			reluAsm(base(out, n), mk, base(x, n), n, wide)
+		},
+		mul: func(dst, a, b []float64) {
+			n := len(dst)
+			mulAsm(base(dst, n), base(a, n), base(b, n), n, wide)
+		},
+		add: func(dst, a, b []float64) {
+			n := len(dst)
+			addAsm(base(dst, n), base(a, n), base(b, n), n, wide)
+		},
+		addRowVec: func(m, v []float64, rows int) {
+			cols := len(v)
+			addRowVecAsm(base(m, rows*cols), base(v, cols), rows, cols, wide)
+		},
+		addColSums: func(sums, m []float64, rows int) {
+			cols := len(sums)
+			addColSumsAsm(base(sums, cols), base(m, rows*cols), rows, cols, wide)
+		},
+	}
 }

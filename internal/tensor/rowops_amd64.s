@@ -1,16 +1,25 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 forms of the loops in rowops.go (rowops_amd64.go has the declarations
-// and the length-pinning wrappers). The rules are simd_amd64.s's: four
-// float64 lanes across columns, every arithmetic operation its own IEEE-exact
-// instruction in the order of the Go expression (never a fused VFMADD*), the
-// cols mod 4 tail the same sequence on one lane (…SD, or the 128-bit integer
-// forms), unaligned loads and stores, no access outside the pinned lengths.
-// Blocks are walked row by row in index order with the per-column
-// accumulators read from and written back to memory on every row, so each
-// column's sum is built in exactly the Go loop's order. Every function needs
-// rows >= 1 and cols (or n) >= 1.
+// The loops of rowops.go in AVX2 and AVX-512 (rowops_amd64.go has the
+// declarations and the length-pinning wrappers). The rules are
+// simd_amd64.s's: float64 lanes across columns, every arithmetic operation
+// its own IEEE-exact instruction in the order of the Go expression (never a
+// fused VFMADD* or an embedded rounding), and steps of falling width with one
+// instruction sequence — 8 lanes (ZMM) over every full 8-vector when wide is
+// set, then 4 (YMM), then 1 (…SD, or the 128-bit integer forms) — unaligned
+// loads and stores, no access outside the pinned lengths. Blocks are walked
+// row by row in index order with the per-column accumulators read from and
+// written back to memory on every row, so each column's sum is built in
+// exactly the Go loop's order. Every function needs rows >= 1 and cols (or n)
+// >= 1.
+//
+// Adam has no 8-lane step: it is bound by VDIVPD and VSQRTPD, whose ZMM forms
+// take as long per element as the YMM ones.
+
+// Every 8-lane step runs while j < R13, which is set to the end of the last
+// full 8-vector of CX columns when wide is set and to 0 otherwise, so a CPU
+// without AVX-512 never reaches a ZMM instruction.
 
 // func adamAVX2(p, m, v, grad *float64, n int, k *AdamCoeffs)
 //
@@ -91,20 +100,38 @@ adamstest:
 	VZEROUPPER
 	RET
 
-// func colSumSqAVX2(sum, sumSq, x *float64, rows, cols int)
+// func colSumSqAsm(sum, sumSq, x *float64, rows, cols int, wide bool)
 //
 //	sum[j] += x[i][j];  sumSq[j] += x[i][j]*x[i][j]
-TEXT ·colSumSqAVX2(SB), NOSPLIT, $0-40
+TEXT ·colSumSqAsm(SB), NOSPLIT, $0-41
 	MOVQ sum+0(FP), DI
 	MOVQ sumSq+8(FP), SI
 	MOVQ x+16(FP), BX
 	MOVQ rows+24(FP), R8
 	MOVQ cols+32(FP), CX
+	MOVBQZX wide+40(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
 
 cssrow:
 	XORQ AX, AX // j
+	JMP  cssztest
+
+csszloop:
+	VMOVUPD (BX)(AX*8), Z0
+	VADDPD  (DI)(AX*8), Z0, Z1
+	VMOVUPD Z1, (DI)(AX*8)
+	VMULPD  Z0, Z0, Z0
+	VADDPD  (SI)(AX*8), Z0, Z0
+	VMOVUPD Z0, (SI)(AX*8)
+	ADDQ    $8, AX
+
+cssztest:
+	CMPQ AX, R13
+	JLT  csszloop
 	JMP  cssvtest
 
 cssvloop:
@@ -139,12 +166,12 @@ cssstest:
 	VZEROUPPER
 	RET
 
-// func bnApplyAVX2(out, xhat, x, mean, invStd, gamma, beta *float64, rows, cols int)
+// func bnApplyAsm(out, xhat, x, mean, invStd, gamma, beta *float64, rows, cols int, wide bool)
 //
 //	xh = (x[i][j] - mean[j])*invStd[j];  out[i][j] = gamma[j]*xh + beta[j]
 //
 // and xhat[i][j] = xh unless xhat is nil.
-TEXT ·bnApplyAVX2(SB), NOSPLIT, $0-72
+TEXT ·bnApplyAsm(SB), NOSPLIT, $0-73
 	MOVQ out+0(FP), DI
 	MOVQ xhat+8(FP), SI
 	MOVQ x+16(FP), BX
@@ -154,11 +181,34 @@ TEXT ·bnApplyAVX2(SB), NOSPLIT, $0-72
 	MOVQ beta+48(FP), R12
 	MOVQ rows+56(FP), R8
 	MOVQ cols+64(FP), CX
+	MOVBQZX wide+72(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
 
 bnarow:
 	XORQ AX, AX
+	JMP  bnaztest
+
+bnazloop:
+	VMOVUPD (BX)(AX*8), Z0
+	VSUBPD  (R9)(AX*8), Z0, Z0 // x - mean
+	VMULPD  (R10)(AX*8), Z0, Z0
+	TESTQ   SI, SI
+	JZ      bnazout
+	VMOVUPD Z0, (SI)(AX*8)
+
+bnazout:
+	VMULPD  (R11)(AX*8), Z0, Z0
+	VADDPD  (R12)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+
+bnaztest:
+	CMPQ AX, R13
+	JLT  bnazloop
 	JMP  bnavtest
 
 bnavloop:
@@ -209,13 +259,13 @@ bnanext:
 	VZEROUPPER
 	RET
 
-// func bnGradSumsAVX2(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma *float64, rows, cols int)
+// func bnGradSumsAsm(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma *float64, rows, cols int, wide bool)
 //
 // With dxhat = dout[i][j]*gamma[j]:
 //
 //	sumD[j] += dxhat;       sumDX[j] += dxhat*xhat[i][j]
 //	bGrad[j] += dout[i][j]; gGrad[j] += dout[i][j]*xhat[i][j]
-TEXT ·bnGradSumsAVX2(SB), NOSPLIT, $0-72
+TEXT ·bnGradSumsAsm(SB), NOSPLIT, $0-73
 	MOVQ sumD+0(FP), DI
 	MOVQ sumDX+8(FP), SI
 	MOVQ gGrad+16(FP), R9
@@ -225,11 +275,36 @@ TEXT ·bnGradSumsAVX2(SB), NOSPLIT, $0-72
 	MOVQ gamma+48(FP), R12
 	MOVQ rows+56(FP), R8
 	MOVQ cols+64(FP), CX
+	MOVBQZX wide+72(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
 
 bgsrow:
 	XORQ AX, AX
+	JMP  bgsztest
+
+bgszloop:
+	VMOVUPD (BX)(AX*8), Z0 // dout
+	VMOVUPD (R11)(AX*8), Z1 // xhat
+	VMULPD  (R12)(AX*8), Z0, Z2 // dxhat
+	VADDPD  (DI)(AX*8), Z2, Z3
+	VMOVUPD Z3, (DI)(AX*8)
+	VMULPD  Z1, Z2, Z2
+	VADDPD  (SI)(AX*8), Z2, Z2
+	VMOVUPD Z2, (SI)(AX*8)
+	VMULPD  Z1, Z0, Z1
+	VADDPD  (R9)(AX*8), Z1, Z1
+	VMOVUPD Z1, (R9)(AX*8)
+	VADDPD  (R10)(AX*8), Z0, Z0
+	VMOVUPD Z0, (R10)(AX*8)
+	ADDQ    $8, AX
+
+bgsztest:
+	CMPQ AX, R13
+	JLT  bgszloop
 	JMP  bgsvtest
 
 bgsvloop:
@@ -279,10 +354,10 @@ bgsstest:
 	VZEROUPPER
 	RET
 
-// func bnGradInputAVX2(dx, dout, xhat, gamma, sumD, sumDX, invStd *float64, rows, cols int, m, invM float64)
+// func bnGradInputAsm(dx, dout, xhat, gamma, sumD, sumDX, invStd *float64, rows, cols int, m, invM float64, wide bool)
 //
 //	dx[i][j] = (((dout[i][j]*gamma[j])*m - sumD[j]) - xhat[i][j]*sumDX[j]) * invStd[j] * invM
-TEXT ·bnGradInputAVX2(SB), NOSPLIT, $0-88
+TEXT ·bnGradInputAsm(SB), NOSPLIT, $0-89
 	MOVQ dx+0(FP), DI
 	MOVQ dout+8(FP), BX
 	MOVQ xhat+16(FP), SI
@@ -294,11 +369,37 @@ TEXT ·bnGradInputAVX2(SB), NOSPLIT, $0-88
 	MOVQ cols+64(FP), CX
 	VBROADCASTSD m+72(FP), Y14
 	VBROADCASTSD invM+80(FP), Y15
+	MOVBQZX wide+88(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
+	TESTQ R13, R13
+	JZ    bgirow
+	VBROADCASTSD X14, Z14
+	VBROADCASTSD X15, Z15
 
 bgirow:
 	XORQ AX, AX
+	JMP  bgiztest
+
+bgizloop:
+	VMOVUPD (BX)(AX*8), Z0
+	VMULPD  (R9)(AX*8), Z0, Z0 // dxhat
+	VMULPD  Z14, Z0, Z0
+	VSUBPD  (R10)(AX*8), Z0, Z0 // dxhat*m - sumD
+	VMOVUPD (SI)(AX*8), Z1
+	VMULPD  (R11)(AX*8), Z1, Z1 // xhat*sumDX
+	VSUBPD  Z1, Z0, Z0 // Z0 - Z1
+	VMULPD  (R12)(AX*8), Z0, Z0
+	VMULPD  Z15, Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+
+bgiztest:
+	CMPQ AX, R13
+	JLT  bgizloop
 	JMP  bgivtest
 
 bgivloop:
@@ -343,12 +444,14 @@ bgistest:
 	VZEROUPPER
 	RET
 
-// func reluAVX2(out, mask, x *float64, n int)
+// func reluAsm(out, mask, x *float64, n int, wide bool)
 //
 // In the integer domain, as reluVal and zeroOne are: out = x with every lane
 // whose sign bit is set (as an int64, below zero) cleared to +0, and unless
 // mask is nil, mask = the bits of 1.0 where out has any bit set, else +0.
-TEXT ·reluAVX2(SB), NOSPLIT, $0-32
+// The 8-lane step has no vector compare: it clears with the sign spread by
+// VPSRAQ, as reluVal does, and picks 1.0 with the opmask VPTESTMQ sets.
+TEXT ·reluAsm(SB), NOSPLIT, $0-33
 	MOVQ  out+0(FP), DI
 	MOVQ  mask+8(FP), SI
 	MOVQ  x+16(FP), BX
@@ -358,9 +461,35 @@ TEXT ·reluAVX2(SB), NOSPLIT, $0-32
 	VMOVQ R9, X13
 	VPBROADCASTQ X13, Y13 // 1.0
 	XORQ  AX, AX
-	MOVQ  CX, DX
-	ANDQ  $-4, DX
-	JMP   reluvtest
+	MOVBQZX wide+32(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
+	TESTQ R13, R13
+	JZ    reluztest
+	VPBROADCASTQ X13, Z13
+	JMP   reluztest
+
+reluzloop:
+	VMOVDQU64   (BX)(AX*8), Z0
+	VPSRAQ      $63, Z0, Z1 // all ones where the sign bit is set
+	VPANDNQ     Z0, Z1, Z0 // x &^ that
+	VMOVDQU64   Z0, (DI)(AX*8)
+	TESTQ       SI, SI
+	JZ          reluznext
+	VPTESTMQ    Z0, Z0, K1 // out != 0
+	VMOVDQU64.Z Z13, K1, Z1 // 1.0 there, +0 elsewhere
+	VMOVDQU64   Z1, (SI)(AX*8)
+
+reluznext:
+	ADDQ $8, AX
+
+reluztest:
+	CMPQ AX, R13
+	JLT  reluzloop
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	JMP  reluvtest
 
 reluvloop:
 	VMOVDQU  (BX)(AX*8), Y0
@@ -401,17 +530,32 @@ relustest:
 	VZEROUPPER
 	RET
 
-// func mulAVX2(dst, a, b *float64, n int)
+// func mulAsm(dst, a, b *float64, n int, wide bool)
 //
 //	dst[i] = a[i]*b[i]
-TEXT ·mulAVX2(SB), NOSPLIT, $0-32
+TEXT ·mulAsm(SB), NOSPLIT, $0-33
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
+	MOVBQZX wide+32(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
+	JMP  mulztest
+
+mulzloop:
+	VMOVUPD (SI)(AX*8), Z0
+	VMULPD  (BX)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+
+mulztest:
+	CMPQ AX, R13
+	JLT  mulzloop
 	JMP  mulvtest
 
 mulvloop:
@@ -437,17 +581,32 @@ mulstest:
 	VZEROUPPER
 	RET
 
-// func addAVX2(dst, a, b *float64, n int)
+// func addAsm(dst, a, b *float64, n int, wide bool)
 //
 //	dst[i] = a[i]+b[i]
-TEXT ·addAVX2(SB), NOSPLIT, $0-32
+TEXT ·addAsm(SB), NOSPLIT, $0-33
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
+	MOVBQZX wide+32(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
+	JMP  addztest
+
+addzloop:
+	VMOVUPD (SI)(AX*8), Z0
+	VADDPD  (BX)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+
+addztest:
+	CMPQ AX, R13
+	JLT  addzloop
 	JMP  addvtest
 
 addvloop:
@@ -473,19 +632,34 @@ addstest:
 	VZEROUPPER
 	RET
 
-// func addRowVecAVX2(m, v *float64, rows, cols int)
+// func addRowVecAsm(m, v *float64, rows, cols int, wide bool)
 //
 //	m[i][j] += v[j]
-TEXT ·addRowVecAVX2(SB), NOSPLIT, $0-32
+TEXT ·addRowVecAsm(SB), NOSPLIT, $0-33
 	MOVQ m+0(FP), DI
 	MOVQ v+8(FP), SI
 	MOVQ rows+16(FP), R8
 	MOVQ cols+24(FP), CX
+	MOVBQZX wide+32(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
 
 arvrow:
 	XORQ AX, AX
+	JMP  arvztest
+
+arvzloop:
+	VMOVUPD (DI)(AX*8), Z0
+	VADDPD  (SI)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+
+arvztest:
+	CMPQ AX, R13
+	JLT  arvzloop
 	JMP  arvvtest
 
 arvvloop:
@@ -514,19 +688,34 @@ arvstest:
 	VZEROUPPER
 	RET
 
-// func addColSumsAVX2(sums, m *float64, rows, cols int)
+// func addColSumsAsm(sums, m *float64, rows, cols int, wide bool)
 //
 //	sums[j] += m[i][j]
-TEXT ·addColSumsAVX2(SB), NOSPLIT, $0-32
+TEXT ·addColSumsAsm(SB), NOSPLIT, $0-33
 	MOVQ sums+0(FP), DI
 	MOVQ m+8(FP), SI
 	MOVQ rows+16(FP), R8
 	MOVQ cols+24(FP), CX
+	MOVBQZX wide+32(FP), R13
+	NEGQ    R13 // all ones when wide
+	ANDQ    CX, R13
+	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
 
 acsrow:
 	XORQ AX, AX
+	JMP  acsztest
+
+acszloop:
+	VMOVUPD (DI)(AX*8), Z0
+	VADDPD  (SI)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+
+acsztest:
+	CMPQ AX, R13
+	JLT  acszloop
 	JMP  acsvtest
 
 acsvloop:

@@ -209,11 +209,11 @@ func rowOpsAgree(seed uint64, rows, cols int) error {
 	old := simd
 	defer func() { simd = old }()
 	gen := operandModes[stats.NewRNG(seed).IntN(len(operandModes))].gen
-	for _, loops := range []*simdLoops{nil, hostSIMD} {
+	for _, loops := range pathLoops() {
 		simd = loops
 		for _, c := range rowOpCases {
 			if err := rowOpAgrees(c, gen, seed, rows, cols, inPlace); err != nil {
-				return err
+				return fmt.Errorf("%s loops: %w", loopsName(loops), err)
 			}
 		}
 	}

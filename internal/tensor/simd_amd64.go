@@ -1,72 +1,93 @@
 package tensor
 
 // Declarations for simd_amd64.s and the run-time choice of kernel path: the
-// AVX2 inner loops are installed when the CPU and the OS both support them,
-// and nothing else (no flag, no environment variable) can select them.
+// widest loop set the CPU and the OS both support is installed at package
+// init, and nothing else (no flag, no environment variable) can select one.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func axpy4AVX2(o, b *float64, n int, a0, a1, a2, a3 float64)
+func axpy4Asm(o, b *float64, n int, a0, a1, a2, a3 float64, wide bool)
 
 //go:noescape
-func axpy4x2AVX2(o, o2, b *float64, n int, a0, a1, a2, a3, c0, c1, c2, c3 float64)
+func axpy4x2Asm(o, o2, b *float64, n int, a0, a1, a2, a3, c0, c1, c2, c3 float64, wide bool)
 
 //go:noescape
-func dotColsAVX2(o *float64, n int, a *float64, k int, bt *float64, stride int)
+func dotColsAsm(o *float64, n int, a *float64, k int, bt *float64, stride int, wide bool)
+
+// loopSets are this architecture's inner-loop sets under the names
+// kernelPath returns; "generic" has none (nil, the pure-Go loops). The two
+// run the same assembly, the avx512 set with its 8-lane steps on.
+var loopSets = map[string]*simdLoops{
+	"avx2":   asmLoops("avx2", false),
+	"avx512": asmLoops("avx512", true),
+}
 
 func init() {
-	if hasAVX2() {
-		simd = &simdLoops{name: "avx2", axpy4: avx2Axpy4, axpy4x2: avx2Axpy4x2, dotCols: avx2DotCols, simdRowOps: avx2RowOps}
-	}
+	simd = loopSets[kernelPath(cpuFeatures())]
 }
 
-// hasAVX2 reports whether AVX2 instructions may be executed: the CPU has AVX
-// and AVX2, and the OS saves the YMM state across context switches (OSXSAVE
-// set and XCR0 enabling both the SSE and the AVX register halves).
-func hasAVX2() bool {
-	const (
-		osxsave = 1 << 27 // leaf 1 ECX
-		avx     = 1 << 28 // leaf 1 ECX
-		avx2    = 1 << 5  // leaf 7 EBX
-		ymmXCR0 = 0b110   // XCR0: XMM and YMM state
-	)
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+// cpuFeatures reads what kernelPath decides on. XCR0 is read only when the OS
+// has enabled XGETBV (OSXSAVE), and leaf 7 only when the CPU has it.
+func cpuFeatures() (maxLeaf, ecx1, ebx7, xcr0 uint32) {
+	maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, ecx1, _ = cpuid(1, 0)
+	if ecx1&osxsave != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	if xcr0, _ := xgetbv0(); xcr0&ymmXCR0 != ymmXCR0 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	return maxLeaf, ecx1, ebx7, xcr0
 }
 
-// The wrappers below are the only callers of the assembly. Each pins every
-// operand to the exact length the assembly reads or writes, so a caller's
-// indexing mistake is a Go bounds panic, never a stray access.
+const (
+	osxsave  = 1 << 27     // leaf 1 ECX: XGETBV enabled by the OS
+	avx      = 1 << 28     // leaf 1 ECX
+	avx2     = 1 << 5      // leaf 7 EBX
+	avx512f  = 1 << 16     // leaf 7 EBX
+	ymmState = 0b110       // XCR0: XMM and YMM state saved
+	zmmState = 0b1110_0000 // XCR0: opmask, ZMM0-15 upper halves and ZMM16-31 saved
+)
 
-func avx2Axpy4(o, b []float64, a0, a1, a2, a3 float64) {
-	n := len(o)
-	b = b[:4*n]
-	axpy4AVX2(&o[0], &b[0], n, a0, a1, a2, a3)
-}
-
-func avx2Axpy4x2(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
-	n := len(o)
-	o2 = o2[:n]
-	b = b[:4*n]
-	axpy4x2AVX2(&o[0], &o2[0], &b[0], n, a0, a1, a2, a3, c0, c1, c2, c3)
-}
-
-func avx2DotCols(o, a, bt []float64, stride int) {
-	n, k := len(o), len(a)
-	if n == 0 || k == 0 || n%4 != 0 || stride < n {
-		panic("tensor: avx2DotCols needs a non-empty a and a positive multiple of 4 columns within the stride")
+// kernelPath names the widest loop set a CPU may run, from the highest basic
+// CPUID leaf, leaf 1's ECX, leaf 7's EBX and XCR0: "avx2" needs AVX and AVX2
+// with the YMM state saved across context switches, "avx512" additionally
+// AVX512F with the opmask and ZMM state saved; otherwise "generic".
+func kernelPath(maxLeaf, ecx1, ebx7, xcr0 uint32) string {
+	switch {
+	case maxLeaf < 7, ecx1&(osxsave|avx) != osxsave|avx, xcr0&ymmState != ymmState, ebx7&avx2 == 0:
+		return "generic"
+	case ebx7&avx512f != 0 && xcr0&zmmState == zmmState:
+		return "avx512"
 	}
-	bt = bt[:(k-1)*stride+n]
-	dotColsAVX2(&o[0], n, &a[0], k, &bt[0], stride)
+	return "avx2"
+}
+
+// asmLoops returns the loop set called name, whose assembly runs its 8-lane
+// AVX-512 steps when wide is set. The wrappers are the only callers of the
+// assembly. Each pins every operand to the exact length the assembly reads or
+// writes, so a caller's indexing mistake is a Go bounds panic, never a stray
+// access.
+func asmLoops(name string, wide bool) *simdLoops {
+	return &simdLoops{
+		name: name,
+		axpy4: func(o, b []float64, a0, a1, a2, a3 float64) {
+			n := len(o)
+			axpy4Asm(&o[0], &b[:4*n][0], n, a0, a1, a2, a3, wide)
+		},
+		axpy4x2: func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
+			n := len(o)
+			axpy4x2Asm(&o[0], &o2[:n][0], &b[:4*n][0], n, a0, a1, a2, a3, c0, c1, c2, c3, wide)
+		},
+		dotCols: func(o, a, bt []float64, stride int) {
+			n, k := len(o), len(a)
+			if n == 0 || k == 0 || n%4 != 0 || stride < n {
+				panic("tensor: dotCols needs a non-empty a and a positive multiple of 4 columns within the stride")
+			}
+			dotColsAsm(&o[0], n, &a[0], k, &bt[:(k-1)*stride+n][0], stride, wide)
+		},
+		simdRowOps: asmRowOps(wide),
+	}
 }

@@ -34,18 +34,23 @@ type KernelStats struct {
 	ScratchGets   int64 `json:"scratch_gets"`
 	ScratchMisses int64 `json:"scratch_misses"`
 	ScratchPuts   int64 `json:"scratch_puts"`
-	// Path names the inner loops the matmul kernels run, chosen once at
-	// start-up from what the CPU supports: "avx2" or "generic" (pure Go). The
-	// two produce identical bits; only timings depend on it.
+	// Path names the inner loops the matmul kernels and row ops run, chosen
+	// once at start-up as the widest set the CPU and OS support: "avx512",
+	// "avx2" or "generic" (pure Go). All three produce identical bits; only
+	// timings depend on it.
 	Path string `json:"path"`
+}
+
+// loopsName is the Path that reports loops.
+func loopsName(loops *simdLoops) string {
+	if loops == nil {
+		return "generic"
+	}
+	return loops.name
 }
 
 // ReadKernelStats returns a snapshot of the process-wide kernel counters.
 func ReadKernelStats() KernelStats {
-	path := "generic"
-	if simd != nil {
-		path = simd.name
-	}
 	return KernelStats{
 		SerialCalls:   statSerialCalls.Load(),
 		ParallelCalls: statParallelCalls.Load(),
@@ -54,6 +59,6 @@ func ReadKernelStats() KernelStats {
 		ScratchGets:   statScratchGets.Load(),
 		ScratchMisses: statScratchMisses.Load(),
 		ScratchPuts:   statScratchPuts.Load(),
-		Path:          path,
+		Path:          loopsName(simd),
 	}
 }

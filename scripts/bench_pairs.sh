@@ -54,7 +54,20 @@ run_side() {
     fi
 }
 
+# kernel_path <dir>: the inner loops (avx512, avx2 or generic) that checkout's
+# tensor package installs on this CPU, as internal/nn's step benchmarks name
+# their sub-benchmark; "unknown" when that checkout's benchmark cannot say.
+kernel_path() {
+    local p
+    p=$( (cd "$1" && GOCACHE="$1/.bench_build/go-cache" GOTOOLCHAIN=local GOPROXY=off \
+        go test -run '^$' -bench '^BenchmarkDenseBias$' -benchtime 1x ./internal/nn/ 2>/dev/null) |
+        sed -n 's|^BenchmarkDenseBias/\([a-z0-9]*\)-.*|\1|p' || true)
+    echo "${p:-unknown}"
+}
+
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1 || true)
 echo "workload $workload, seed $seed, $pairs pairs, parent $parent_ref ($(git -C "$root" rev-parse --short "$parent_ref"))"
+echo "host ${cpu:-unknown CPU}, $(getconf _NPROCESSORS_ONLN) vCPU; kernel path: parent $(kernel_path "$parent"), change $(kernel_path "$root")"
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2 == 1)); then
         run_side parent "$parent" "$i"

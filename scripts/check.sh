@@ -11,14 +11,26 @@ go build ./...
 echo ">> go vet ./..."
 go vet ./...
 
+# Every Go file outside the hidden build directories (.bench_build holds a
+# copy of a parent checkout) must be gofmt-clean; the leg lists any that is
+# not.
+echo ">> gofmt -l"
+unformatted=$(find . -name '*.go' -not -path './.*/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted" >&2
+    echo "FAIL: the files above are not gofmt-clean (gofmt -w them)" >&2
+    exit 1
+fi
+
 echo ">> go test ./..."
 go test ./...
 
 echo ">> go test -race ./..."
 go test -race ./...
 
-# The amd64 legs above run the AVX2 inner loops (internal/tensor/*_amd64.s:
-# the GEMM column loops and the step's row ops) wherever the CPU has them.
+# The amd64 legs above run the widest inner loops the CPU has
+# (internal/tensor/*_amd64.s: the GEMM column loops and the step's row ops,
+# in AVX2 or AVX-512), and the tensor suites compare every narrower set too.
 # 32-bit x86 computes float64 in SSE2 with the same roundings and has no
 # assembly, so the goldens passing there prove the pure-Go loops still
 # reproduce every checked-in byte; vetting for arm64 proves the tree builds
