@@ -157,7 +157,7 @@ func (h *fedDFHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 
 	env := rc.Env()
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainDistill(h.server, nn.NewAdam(h.cfg.Common.LR), env.Splits.Public.X, ensemble, pseudo,
+	fl.TrainServerDistill(h.server, nn.NewAdam(h.cfg.Common.LR), env.Splits.Public.X, ensemble, pseudo,
 		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 1, 1)
 	stopServer()
 

@@ -135,7 +135,7 @@ func (h *fedETHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 	env := rc.Env()
 	publicX := env.Splits.Public.X
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainDistill(h.server, h.serverOpt, publicX, ensemble, pseudo,
+	fl.TrainServerDistill(h.server, h.serverOpt, publicX, ensemble, pseudo,
 		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 0.5, 1)
 	stopServer()
 

@@ -138,7 +138,7 @@ func (h *vanillaKDHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upl
 
 	env := rc.Env()
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainDistill(h.server, h.serverOpt, env.Splits.Public.X, ensemble, pseudo,
+	fl.TrainServerDistill(h.server, h.serverOpt, env.Splits.Public.X, ensemble, pseudo,
 		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 0.5, 1)
 	stopServer()
 	return nil, nil

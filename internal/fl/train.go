@@ -16,7 +16,7 @@ import (
 
 // TrainCE runs plain minibatch cross-entropy training (Eq. 4).
 func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int) {
-	params := net.Params()
+	tr := nn.NewTrainer(net, opt)
 	var x, grad *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
@@ -26,10 +26,7 @@ func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.R
 			logits := net.Forward(x, true)
 			grad = tensor.Ensure(grad, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(grad, logits, labels)
-			nn.ZeroGrads(params)
-			net.Backward(grad, nil)
-			opt.Step(params)
-			obs.AddBatches(1)
+			step(tr, grad, nil)
 		}
 	}
 }
@@ -37,30 +34,26 @@ func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.R
 // TrainCEProx runs FedProx local training: cross-entropy plus the proximal
 // term (mu/2)·‖w − w_global‖². ref is the flattened global weights.
 func TrainCEProx(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int, mu float64, ref []float64) {
-	params := net.Params()
-	var x, grad *tensor.Matrix
-	yb := make([]int, batchSize)
-	for e := 0; e < epochs; e++ {
-		for _, idx := range dataset.Batches(rng, d.Len(), batchSize) {
-			var labels []int
-			x, labels = dataset.GatherInto(x, yb, d, idx)
-			logits := net.Forward(x, true)
-			grad = tensor.Ensure(grad, logits.Rows, logits.Cols)
-			nn.SoftmaxCrossEntropyInto(grad, logits, labels)
-			nn.ZeroGrads(params)
-			net.Backward(grad, nil)
-			// Proximal gradient: mu * (w - w_ref).
-			off := 0
-			for _, p := range params {
-				for i := range p.Value.Data {
-					p.Grad.Data[i] += mu * (p.Value.Data[i] - ref[off+i])
-				}
-				off += len(p.Value.Data)
-			}
-			opt.Step(params)
-			obs.AddBatches(1)
+	TrainCE(net, &proximal{Optimizer: opt, mu: mu, ref: ref}, d, rng, epochs, batchSize)
+}
+
+// proximal is FedProx's update: it adds the proximal gradient mu·(w − ref)
+// to every param's gradient, then steps the wrapped optimizer.
+type proximal struct {
+	nn.Optimizer
+	mu  float64
+	ref []float64
+}
+
+func (p *proximal) Step(params []*nn.Param) {
+	off := 0
+	for _, q := range params {
+		for i := range q.Value.Data {
+			q.Grad.Data[i] += p.mu * (q.Value.Data[i] - p.ref[off+i])
 		}
+		off += len(q.Value.Data)
 	}
+	p.Optimizer.Step(params)
 }
 
 // TrainCEWithProto runs FedPKD client private training for rounds t >= 1
@@ -71,7 +64,7 @@ func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng
 		TrainCE(net, opt, d, rng, epochs, batchSize)
 		return
 	}
-	params := net.Params()
+	tr := nn.NewTrainer(net, opt)
 	var x, gradLogits, target, gradFeat *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
@@ -85,10 +78,7 @@ func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng
 			gradFeat = tensor.Ensure(gradFeat, feats.Rows, feats.Cols)
 			nn.MSEInto(gradFeat, feats, target)
 			gradFeat.Scale(eps)
-			nn.ZeroGrads(params)
-			net.Backward(gradLogits, gradFeat)
-			opt.Step(params)
-			obs.AddBatches(1)
+			step(tr, gradLogits, gradFeat)
 		}
 	}
 }
@@ -99,7 +89,19 @@ func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng
 // X holds the public samples, teacher the row-aligned teacher logits, and
 // pseudo the row-aligned pseudo-labels.
 func TrainDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) {
-	params := net.Params()
+	distill(net, nn.NewTrainer(net, opt), x, teacher, pseudo, rng, epochs, batchSize, gamma, temp)
+}
+
+// TrainServerDistill is TrainDistill for a server model trained in
+// Aggregate, which runs alone: its steps use the lane when it is free, with
+// identical bits (see serverTrainer).
+func TrainServerDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) {
+	tr := serverTrainer(net, opt)
+	defer tr.Release()
+	distill(net, tr, x, teacher, pseudo, rng, epochs, batchSize, gamma, temp)
+}
+
+func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) {
 	var xb, tb, gradKL, gradCE *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
@@ -115,11 +117,7 @@ func TrainDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, 
 			nn.KLDistillInto(gradKL, logits, tb, temp)
 			gradCE = tensor.Ensure(gradCE, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(gradCE, logits, labels)
-			grad := gradKL.Scale(gamma).AddScaled(1-gamma, gradCE)
-			nn.ZeroGrads(params)
-			net.Backward(grad, nil)
-			opt.Step(params)
-			obs.AddBatches(1)
+			step(tr, gradKL.Scale(gamma).AddScaled(1-gamma, gradCE), nil)
 		}
 	}
 }
@@ -128,7 +126,8 @@ func TrainDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, 
 // public subset: δ·(KL + CE) + (1−δ)·MSE(features, prototype of the
 // pseudo-label).
 func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, protos *proto.Set, rng *stats.RNG, epochs, batchSize int, delta, temp float64) {
-	params := net.Params()
+	tr := serverTrainer(net, opt)
+	defer tr.Release()
 	var xb, tb, gradKL, gradCE, target, gradFeat *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
@@ -154,12 +153,26 @@ func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix
 				gradFeat.Scale(1 - delta)
 				dfeat = gradFeat
 			}
-			nn.ZeroGrads(params)
-			net.Backward(gradLogits, dfeat)
-			opt.Step(params)
-			obs.AddBatches(1)
+			step(tr, gradLogits, dfeat)
 		}
 	}
+}
+
+// serverTrainer returns a trainer with the lane attached if it is free.
+// Server training runs in Aggregate, alone, so the lane takes the core the
+// client fan-out would otherwise use; client loops never attach it.
+func serverTrainer(net *nn.Network, opt nn.Optimizer) *nn.Trainer {
+	tr := nn.NewTrainer(net, opt)
+	tr.AttachLane()
+	return tr
+}
+
+// step is the tail every training loop shares: backward, the optimizer
+// update and the gradient reset (on the lane when tr has it), then the batch
+// count.
+func step(tr *nn.Trainer, dlogits, dfeat *tensor.Matrix) {
+	tr.Step(dlogits, dfeat)
+	obs.AddBatches(1)
 }
 
 // Accuracy evaluates a network on a labeled dataset.

@@ -90,3 +90,29 @@ func TestLossIntoVariantsAllocFree(t *testing.T) {
 		t.Errorf("Into-losses allocate %v objects/op with a warm arena, want 0", allocs)
 	}
 }
+
+// TestLaneStepAllocs: a step with the lane attached hands its work off
+// through the fixed ring and allocates nothing.
+func TestLaneStepAllocs(t *testing.T) {
+	noGC(t)
+	r := newLaneRun()
+	if !r.tr.AttachLane() {
+		t.Skip("the lane needs GOMAXPROCS >= 2")
+	}
+	defer r.tr.Release()
+	rng := stats.NewRNG(4)
+	x := tensor.Randn(rng, laneBatch, laneIn, 1)
+	labels := make([]int, laneBatch)
+	grad := tensor.New(laneBatch, laneOut)
+	step := func() {
+		logits := r.net.Forward(x, true)
+		SoftmaxCrossEntropyInto(grad, logits, labels)
+		r.tr.Step(grad, nil)
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("lane-attached train step allocates %v objects/op in steady state, want 0", allocs)
+	}
+}

@@ -41,6 +41,8 @@ type BatchNorm struct {
 	// running statistics (single-sample batch); its backward has no
 	// batch-coupling terms.
 	usedRunning bool
+
+	gate laneGate
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -76,6 +78,7 @@ func ensureFloats(s []float64, n int) []float64 {
 // updates the running statistics; in eval mode it uses the running
 // statistics.
 func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	b.gate.wait()
 	if x.Cols != b.Dim {
 		panic(fmt.Sprintf("nn: BatchNorm got %d features, want %d", x.Cols, b.Dim))
 	}

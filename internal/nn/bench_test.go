@@ -136,14 +136,28 @@ func BenchmarkClientStep(b *testing.B) {
 }
 
 // BenchmarkServerStep is one full server distillation step as
-// fl.TrainServerPKD runs it: ResNet56 on a batch of 32, ForwardSplit, the KL,
-// cross-entropy and prototype-MSE losses, Backward and the Adam update.
-func BenchmarkServerStep(b *testing.B) {
+// fl.TrainServerPKD runs it when the lane is taken: ResNet56 on a batch of
+// 32, ForwardSplit, the KL, cross-entropy and prototype-MSE losses, Backward
+// and the Adam update, all on the calling goroutine.
+func BenchmarkServerStep(b *testing.B) { benchServerStep(b, false) }
+
+// BenchmarkServerStepLane is the same step with the lane attached, as
+// fl.TrainServerPKD runs it when the lane is free: the weight gradients and
+// Adam run on the second core. Its ratio to BenchmarkServerStep is the
+// lane's gain; it is skipped at GOMAXPROCS 1, where the lane never attaches.
+func BenchmarkServerStepLane(b *testing.B) { benchServerStep(b, true) }
+
+func benchServerStep(b *testing.B, lane bool) {
 	onHostPath(b, func(b *testing.B) {
 		const delta = 0.5
 		net, x, target, labels := stepOperands(b, "ResNet56")
-		params := net.Params()
-		opt := nn.NewAdam(1e-3)
+		tr := nn.NewTrainer(net, nn.NewAdam(1e-3))
+		if lane {
+			if !tr.AttachLane() {
+				b.Skip("the lane needs GOMAXPROCS >= 2 and must be free")
+			}
+			defer tr.Release()
+		}
 		teacher := tensor.Randn(stats.NewRNG(2), benchBatch, classes, 1)
 		gradKL, gradCE := tensor.New(benchBatch, classes), tensor.New(benchBatch, classes)
 		gradFeat := tensor.New(benchBatch, models.FeatureWidth)
@@ -154,9 +168,7 @@ func BenchmarkServerStep(b *testing.B) {
 			gradLogits := gradKL.Scale(delta).AddScaled(delta, gradCE)
 			nn.MSEInto(gradFeat, feats, target)
 			gradFeat.Scale(1 - delta)
-			nn.ZeroGrads(params)
-			net.Backward(gradLogits, gradFeat)
-			opt.Step(params)
+			tr.Step(gradLogits, gradFeat)
 		}
 		step() // first-use buffers and optimizer state
 		b.ResetTimer()

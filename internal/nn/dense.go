@@ -23,6 +23,8 @@ type Dense struct {
 	x   *tensor.Matrix // cached input from the last train-mode forward
 	out *tensor.Matrix // persistent forward output buffer
 	dx  *tensor.Matrix // persistent input-gradient buffer
+
+	gate laneGate
 }
 
 var _ Layer = (*Dense)(nil)
@@ -41,6 +43,7 @@ func NewDense(rng *stats.RNG, in, out int) *Dense {
 
 // Forward computes xW + b.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	d.gate.wait()
 	if train {
 		d.x = x
 	} else {
@@ -55,16 +58,26 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // Backward accumulates dW = xᵀ·dout and db = Σrows(dout), and returns
 // dx = dout·Wᵀ. Both products run through the fused/pooled kernels: the
 // weight gradient accumulates in place and the input gradient reuses the
-// layer's buffer.
+// layer's buffer. With a lane attached the gradients go to it, and the
+// caller's product overlaps them.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward called without a train-mode Forward")
 	}
-	tensor.MatMulTNAccInto(d.w.Grad, d.x, dout)
-	tensor.AddColSums(d.b.Grad.Data, dout)
+	if d.gate.l != nil {
+		d.gate.l.post(laneTask{d: d, dout: dout})
+	} else {
+		d.accumulateGrads(dout)
+	}
 	d.dx = tensor.Ensure(d.dx, dout.Rows, d.In)
 	tensor.MatMulNTInto(d.dx, dout, d.w.Value)
 	return d.dx
+}
+
+// accumulateGrads adds xᵀ·dout to dW and dout's column sums to db.
+func (d *Dense) accumulateGrads(dout *tensor.Matrix) {
+	tensor.MatMulTNAccInto(d.w.Grad, d.x, dout)
+	tensor.AddColSums(d.b.Grad.Data, dout)
 }
 
 // Params returns the weight and bias parameters.

@@ -1,0 +1,283 @@
+package nn
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"fedpkd/internal/tensor"
+)
+
+// The lane is one persistent helper goroutine per process that a training
+// step hands its off-critical-path work to (DESIGN.md §2 "The step's second
+// lane"). The calling goroutine keeps the forward pass, the losses and the
+// input-gradient chain; the lane runs each Dense layer's weight and bias
+// gradients during backward, then the Adam update param by param in forward
+// order, overlapping the next batch's forward, and zeroes each gradient
+// right after its update. Every product, sum and Adam expression is the one
+// the inline step runs, in the same order, so both give identical bits.
+//
+// Three rules keep the two goroutines off each other's data:
+//  1. Step joins every gradient task before it returns, so the caller may
+//     overwrite the batch the first layer read. Only Adam overlaps the next
+//     forward.
+//  2. A param-holding layer's Forward waits (laneGate) until the lane's
+//     progress counter shows its params updated, so no layer reads a weight,
+//     a BatchNorm's γ/β or its running statistics (Params too, which Adam
+//     writes) before the update lands.
+//  3. Release drains the lane, so what it wrote is final for Logits,
+//     Features, evaluation and checkpoint snapshots.
+//
+// Handoff is a fixed single-producer ring with atomic head and tail; the
+// lane spins while a trainer is attached and parks when released.
+
+// laneRingSize bounds the tasks in flight; a ResNet56 step posts 57.
+const laneRingSize = 256
+
+// laneTask is a Dense layer's weight and bias gradients from dout, or,
+// when d is nil, one Adam pass over the attached params with coefficients k.
+type laneTask struct {
+	d    *Dense
+	dout *tensor.Matrix
+	k    tensor.AdamCoeffs
+}
+
+type lane struct {
+	held atomic.Bool   // a trainer is attached
+	wake chan struct{} // an attach wakes the parked lane
+	head atomic.Uint64 // tasks posted; only the attached trainer writes it
+	tail atomic.Uint64 // tasks done; only the lane writes it
+	ring [laneRingSize]laneTask
+
+	// updated counts the params the lane has stepped since attach; gates
+	// compare it against base + their position.
+	updated atomic.Int64
+
+	// Set by the attached trainer before its first post, read by the lane.
+	params []*Param
+	states []*adamState
+
+	// base is updated's value at the start of the last Adam pass posted,
+	// −len(params) before the first; only the attached trainer touches it.
+	base int64
+}
+
+var (
+	theLane     = lane{wake: make(chan struct{}, 1)}
+	laneOnce    sync.Once
+	laneStarted atomic.Bool
+)
+
+// acquireLane hands the lane to the caller, or returns nil when it would
+// not help (GOMAXPROCS < 2) or another trainer holds it.
+func acquireLane() *lane {
+	if runtime.GOMAXPROCS(0) < 2 || !theLane.held.CompareAndSwap(false, true) {
+		return nil
+	}
+	laneOnce.Do(func() {
+		laneStarted.Store(true)
+		go theLane.run()
+	})
+	select {
+	case theLane.wake <- struct{}{}:
+	default:
+	}
+	return &theLane
+}
+
+func (l *lane) run() {
+	var done uint64
+	for polls := 1; ; polls++ {
+		if done == l.head.Load() {
+			if !l.held.Load() {
+				<-l.wake
+			} else if polls%64 == 0 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		t := &l.ring[done%laneRingSize]
+		if t.d != nil {
+			t.d.accumulateGrads(t.dout)
+		} else {
+			l.adam(t.k)
+		}
+		t.d, t.dout = nil, nil
+		done++
+		l.tail.Store(done)
+	}
+}
+
+// adam steps every attached param in forward order and zeroes its gradient,
+// publishing progress after each so gated forwards can proceed.
+func (l *lane) adam(k tensor.AdamCoeffs) {
+	for i, p := range l.params {
+		st := l.states[i]
+		tensor.AdamStep(p.Value.Data, st.m.Data, st.v.Data, p.Grad.Data, k)
+		p.Grad.Zero()
+		l.updated.Add(1)
+	}
+}
+
+// spinUntil busy-waits for done. It yields the processor only every 1024
+// polls, so the goroutine it waits on runs even when every P is busy: a
+// yield can move the caller to the other P, away from its cache and its P's
+// scratch-arena matrices.
+func spinUntil(done func() bool) {
+	for polls := 1; !done(); polls++ {
+		if polls%1024 == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+func (l *lane) post(t laneTask) {
+	h := l.head.Load()
+	spinUntil(func() bool { return h-l.tail.Load() < laneRingSize })
+	l.ring[h%laneRingSize] = t
+	l.head.Store(h + 1)
+}
+
+// join waits until the lane has run every task posted.
+func (l *lane) join() {
+	spinUntil(func() bool { return l.tail.Load() == l.head.Load() })
+}
+
+// laneGate holds a param-holding layer's Forward until the lane has stepped
+// that layer's params. The zero value, a layer with no lane, never waits.
+type laneGate struct {
+	l   *lane
+	end int64 // position just past the layer's last param in the attached list
+}
+
+func (g *laneGate) wait() {
+	if g.l == nil {
+		return
+	}
+	target := g.l.base + g.end
+	spinUntil(func() bool { return g.l.updated.Load() >= target })
+}
+
+// bindGates points the gate of every param-holding layer in layer at l (nil
+// unbinds), numbering params as Params lists them from *next. It reports
+// false when a layer with params has no gate.
+func bindGates(layer Layer, l *lane, next *int64) bool {
+	var g *laneGate
+	switch v := layer.(type) {
+	case *Sequential:
+		for _, c := range v.Layers {
+			if !bindGates(c, l, next) {
+				return false
+			}
+		}
+		return true
+	case *Residual:
+		return bindGates(v.Inner, l, next)
+	case *Dense:
+		g = &v.gate
+	case *BatchNorm:
+		g = &v.gate
+	case *LayerNorm:
+		g = &v.gate
+	default:
+		return len(layer.Params()) == 0
+	}
+	*next += int64(len(layer.Params()))
+	*g = laneGate{l: l, end: *next}
+	return true
+}
+
+func bindNetwork(n *Network, l *lane) bool {
+	var next int64
+	return bindGates(n.Body, l, &next) && bindGates(n.Head, l, &next)
+}
+
+// Trainer runs the tail of a training step — backward, optimizer update,
+// gradient reset — for one network and its optimizer. Between steps every
+// gradient is zero. By default each step runs inline; AttachLane moves the
+// weight gradients and the update onto the process's lane, with identical
+// bits. A Trainer, like its network, is for one goroutine.
+type Trainer struct {
+	net    *Network
+	opt    Optimizer
+	params []*Param
+	lane   *lane // non-nil while attached
+	adam   *Adam // opt, while attached
+}
+
+// NewTrainer returns an inline trainer for net and opt. It zeroes every
+// gradient, which is what Step expects between steps.
+func NewTrainer(net *Network, opt Optimizer) *Trainer {
+	params := net.Params()
+	ZeroGrads(params)
+	return &Trainer{net: net, opt: opt, params: params}
+}
+
+// AttachLane tries to move the trainer's off-critical-path work onto the
+// lane and reports whether it did. It does not when GOMAXPROCS < 2, another
+// trainer holds the lane, the optimizer is not Adam, or a layer with params
+// cannot gate its forward; the steps then run inline. Only a caller that
+// leaves a core idle should attach: the lane spins while attached. Pair it
+// with Release.
+func (t *Trainer) AttachLane() bool {
+	adam, ok := t.opt.(*Adam)
+	if !ok {
+		return false
+	}
+	l := acquireLane()
+	if l == nil {
+		return false
+	}
+	if !bindNetwork(t.net, l) {
+		bindNetwork(t.net, nil)
+		l.held.Store(false)
+		return false
+	}
+	l.params = t.params
+	if cap(l.states) < len(t.params) {
+		l.states = make([]*adamState, len(t.params))
+	}
+	l.states = l.states[:len(t.params)]
+	l.updated.Store(0)
+	l.base = -int64(len(t.params))
+	t.lane, t.adam = l, adam
+	return true
+}
+
+// Release drains the lane and detaches it: once it returns, every value,
+// gradient and optimizer state the lane wrote is final. It is a no-op for an
+// inline trainer.
+func (t *Trainer) Release() {
+	l := t.lane
+	if l == nil {
+		return
+	}
+	l.join()
+	bindNetwork(t.net, nil)
+	l.params = nil
+	clear(l.states)
+	t.lane, t.adam = nil, nil
+	l.held.Store(false)
+}
+
+// Step backpropagates dlogits (and dfeat, a feature-boundary gradient, if
+// non-nil; see Network.Backward), applies the optimizer update and zeroes
+// the gradients. With the lane attached the update is still running when
+// Step returns; the next forward waits for it layer by layer.
+func (t *Trainer) Step(dlogits, dfeat *tensor.Matrix) {
+	t.net.Backward(dlogits, dfeat)
+	l := t.lane
+	if l == nil {
+		t.opt.Step(t.params)
+		ZeroGrads(t.params)
+		return
+	}
+	l.join()
+	if l.base < 0 { // first pass: Adam creates its state now, as inline
+		for i, p := range t.params {
+			l.states[i] = t.adam.stateOf(p)
+		}
+	}
+	l.base += int64(len(t.params))
+	l.post(laneTask{k: t.adam.nextCoeffs()})
+}

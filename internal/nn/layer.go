@@ -7,7 +7,11 @@
 // The engine is layer-wise rather than tape-based: every Layer caches what
 // its Backward needs during Forward. A Layer is therefore stateful and NOT
 // safe for concurrent use; in the federated simulation every client owns its
-// own model, which is what makes parallel client training safe.
+// own model, which is what makes parallel client training safe. The one
+// exception is the lane (lane.go): while a Trainer has it attached, a
+// model's weight gradients and updates run on the lane's goroutine, handed
+// off through its ring and gated so the two goroutines never touch the same
+// data at once.
 package nn
 
 import (

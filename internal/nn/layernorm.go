@@ -24,6 +24,8 @@ type LayerNorm struct {
 	xhat  *tensor.Matrix
 	std   []float64 // per-row sqrt(var+eps)
 	ready bool      // a train-mode forward ran last
+
+	gate laneGate
 }
 
 var _ Layer = (*LayerNorm)(nil)
@@ -46,6 +48,7 @@ func NewLayerNorm(dim int) *LayerNorm {
 // Forward normalizes each row to zero mean and unit variance, then applies
 // the affine transform.
 func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	l.gate.wait()
 	if x.Cols != l.Dim {
 		panic(fmt.Sprintf("nn: LayerNorm got %d features, want %d", x.Cols, l.Dim))
 	}

@@ -43,9 +43,7 @@ func (n *Network) Backward(dlogits, dfeatExtra *tensor.Matrix) {
 	dfeat := n.Head.Backward(dlogits)
 	if dfeatExtra != nil {
 		n.dfeat = tensor.Ensure(n.dfeat, dfeat.Rows, dfeat.Cols)
-		for i, v := range dfeat.Data {
-			n.dfeat.Data[i] = v + dfeatExtra.Data[i]
-		}
+		tensor.AddInto(n.dfeat.Data, dfeat.Data, dfeatExtra.Data)
 		dfeat = n.dfeat
 	}
 	n.Body.Backward(dfeat)

@@ -131,12 +131,22 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update with bias correction. The per-step bias
-// corrections go to the element loop (tensor.AdamStep) as reciprocals, so it
-// pays one divide and one sqrt per element instead of three divides.
+// Step applies one Adam update with bias correction.
 func (o *Adam) Step(params []*Param) {
+	k := o.nextCoeffs()
+	for _, p := range params {
+		st := o.stateOf(p)
+		tensor.AdamStep(p.Value.Data, st.m.Data, st.v.Data, p.Grad.Data, k)
+	}
+}
+
+// nextCoeffs advances the step count and returns the step's coefficients.
+// The bias corrections go to the element loop (tensor.AdamStep) as
+// reciprocals, so it pays one divide and one sqrt per element instead of
+// three divides.
+func (o *Adam) nextCoeffs() tensor.AdamCoeffs {
 	o.t++
-	k := tensor.AdamCoeffs{
+	return tensor.AdamCoeffs{
 		B1: o.Beta1, OB1: 1 - o.Beta1,
 		B2: o.Beta2, OB2: 1 - o.Beta2,
 		LR:    o.LR,
@@ -144,17 +154,19 @@ func (o *Adam) Step(params []*Param) {
 		InvC2: 1 / (1 - math.Pow(o.Beta2, float64(o.t))),
 		Eps:   o.Eps,
 	}
-	for _, p := range params {
-		st, ok := o.state[p]
-		if !ok {
-			st = &adamState{
-				m: tensor.New(p.Grad.Rows, p.Grad.Cols),
-				v: tensor.New(p.Grad.Rows, p.Grad.Cols),
-			}
-			o.state[p] = st
+}
+
+// stateOf returns p's moments, zero-filled on first use.
+func (o *Adam) stateOf(p *Param) *adamState {
+	st, ok := o.state[p]
+	if !ok {
+		st = &adamState{
+			m: tensor.New(p.Grad.Rows, p.Grad.Cols),
+			v: tensor.New(p.Grad.Rows, p.Grad.Cols),
 		}
-		tensor.AdamStep(p.Value.Data, st.m.Data, st.v.Data, p.Grad.Data, k)
+		o.state[p] = st
 	}
+	return st
 }
 
 // Snapshot writes the step count and per-param first/second moments. State

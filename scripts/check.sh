@@ -94,6 +94,12 @@ GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|
 echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties)"
 GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam' ./internal/nn/
 
+# The lane (internal/nn/lane.go) must give the inline step's bits with and
+# without a second P: at -cpu 1 it must not even start, at -cpu 2 it runs
+# the weight gradients and Adam on another goroutine, raced and gated.
+echo ">> go test -race -cpu 1,2 -run Lane ./internal/nn/ (lane == inline)"
+go test -race -count=3 -cpu 1,2 -run 'Lane' ./internal/nn/
+
 # Compile-and-run every kernel and training-step benchmark once so
 # perf-path-only code (panel kernels at benchmark shapes, scratch arena reuse,
 # the nn step timers README points to) cannot rot unnoticed.
