@@ -94,7 +94,7 @@ func (h *fedProtoHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engi
 		fl.TrainCEWithProto(h.clients[c], h.opts[c], env.ClientData[c], rng,
 			h.cfg.LocalEpochs, h.cfg.Common.BatchSize, h.global, h.cfg.Epsilon)
 	}
-	return &engine.Payload{Protos: proto.Compute(h.clients[c].Features, env.ClientData[c])}, nil
+	return &engine.Payload{Protos: proto.Compute(h.clients[c].VisitFeatures, env.ClientData[c])}, nil
 }
 
 // Aggregate implements engine.Hooks: average the client prototypes and

@@ -274,7 +274,7 @@ func (h *pkdHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.Pa
 	}
 	return &engine.Payload{
 		Logits: net.Logits(env.Splits.Public.X),
-		Protos: proto.Compute(net.Features, env.ClientData[c]),
+		Protos: proto.Compute(net.VisitFeatures, env.ClientData[c]),
 	}, nil
 }
 

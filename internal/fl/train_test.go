@@ -182,7 +182,7 @@ func TestTrainServerPKDLearns(t *testing.T) {
 	for i := range pseudo {
 		pseudo[i] = stats.Argmax(teacherLogits.Row(i))
 	}
-	protos := proto.Compute(func(m *tensor.Matrix) *tensor.Matrix { return teacher.Features(m) }, env.Splits.Train)
+	protos := proto.Compute(teacher.VisitFeatures, env.Splits.Train)
 
 	before := Accuracy(server, env.Splits.Test)
 	TrainServerPKD(server, nn.NewAdam(0.003), x, teacherLogits, pseudo, protos, stats.NewRNG(9), 15, 32, 0.5, 1)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -88,6 +89,108 @@ func TestLossIntoVariantsAllocFree(t *testing.T) {
 	warm()
 	if allocs := testing.AllocsPerRun(50, warm); allocs != 0 {
 		t.Errorf("Into-losses allocate %v objects/op with a warm arena, want 0", allocs)
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS=1, which
+// would keep every eval-mode walk off the lane.
+func mallocsPerRun(runs uint64, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs
+}
+
+// TestInferAllocs: a steady-state eval-mode walk allocates only its result
+// — a matrix header and its data for Logits and Features, the []int for
+// Predict — both inline and with half its blocks on the lane.
+func TestInferAllocs(t *testing.T) {
+	noGC(t)
+	x := tensor.Randn(stats.NewRNG(6), 300, laneIn, 1)
+	for _, wide := range []bool{false, true} {
+		net := laneNet()
+		if wide {
+			tr := NewTrainer(net, NewAdam(1e-3))
+			if !tr.AttachLane() {
+				t.Log("wide walks skipped: the lane needs GOMAXPROCS >= 2")
+				continue
+			}
+			tr.Release()
+		}
+		for _, c := range []struct {
+			name string
+			walk func()
+			want uint64
+		}{
+			{"Logits", func() { net.Logits(x) }, 2},
+			{"Features", func() { net.Features(x) }, 2},
+			{"Predict", func() { net.Predict(x) }, 1},
+		} {
+			c.walk() // first use sizes the buffers and builds the twin
+			if got := mallocsPerRun(20, c.walk); got != c.want {
+				t.Errorf("%s (wide %v) allocates %d objects per call, want %d", c.name, wide, got, c.want)
+			}
+		}
+		if wide != (net.twin != nil) {
+			t.Errorf("wide %v, but twin built: %v", wide, net.twin != nil)
+		}
+	}
+}
+
+// TestInferBuffersStayBlockSized: after a 300-row Logits, no layer buffer —
+// the network's, or its twin's when the walk went wide — holds more than
+// inferBlock rows, however many rows the walk covered.
+func TestInferBuffersStayBlockSized(t *testing.T) {
+	x := tensor.Randn(stats.NewRNG(7), 300, laneIn, 1)
+	net := laneNet()
+	net.Logits(x)
+	requireBlockSized(t, net)
+	tr := NewTrainer(net, NewAdam(1e-3))
+	if tr.AttachLane() {
+		tr.Release()
+		net.Logits(x)
+		if net.twin == nil {
+			t.Fatal("the walk did not go wide")
+		}
+		requireBlockSized(t, net)
+		requireBlockSized(t, net.twin)
+	}
+}
+
+func requireBlockSized(t *testing.T, net *Network) {
+	t.Helper()
+	var outs []*tensor.Matrix
+	var walk func(l Layer)
+	walk = func(l Layer) {
+		switch v := l.(type) {
+		case *Sequential:
+			for _, c := range v.Layers {
+				walk(c)
+			}
+		case *Residual:
+			walk(v.Inner)
+			outs = append(outs, v.out)
+		case *Dense:
+			outs = append(outs, v.out)
+		case *BatchNorm:
+			outs = append(outs, v.out)
+		case *ReLU:
+			outs = append(outs, v.out)
+		default:
+			t.Fatalf("requireBlockSized does not know %T", l)
+		}
+	}
+	walk(net.Body)
+	walk(net.Head)
+	for i, m := range outs {
+		if m == nil {
+			t.Errorf("layer buffer %d was never written", i)
+		} else if cap(m.Data) > inferBlock*m.Cols {
+			t.Errorf("layer buffer %d holds %d values, more than %d rows of %d", i, cap(m.Data), inferBlock, m.Cols)
+		}
 	}
 }
 

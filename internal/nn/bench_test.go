@@ -147,6 +147,44 @@ func BenchmarkServerStep(b *testing.B) { benchServerStep(b, false) }
 // lane's gain; it is skipped at GOMAXPROCS 1, where the lane never attaches.
 func BenchmarkServerStepLane(b *testing.B) { benchServerStep(b, true) }
 
+// BenchmarkInfer is one eval-mode pass of ResNet56 over 300 rows, the size
+// of the server's filter and test-accuracy forwards: "whole" is
+// Forward(x, false) over the whole batch (what the benchmark's
+// nn.infer_us_per_sample times), "blocked" is Logits in 64-row blocks on
+// the calling goroutine, and "wide" is Logits with the back half of the
+// blocks on the lane, as a server network runs it when the lane is free
+// (skipped at GOMAXPROCS 1).
+func BenchmarkInfer(b *testing.B) {
+	onHostPath(b, func(b *testing.B) {
+		const rows = 300
+		x := tensor.Randn(stats.NewRNG(3), rows, inputDim, 1)
+		for _, mode := range []string{"whole", "blocked", "wide"} {
+			b.Run(mode, func(b *testing.B) {
+				net, err := models.BuildNamed(stats.NewRNG(1), "ResNet56", inputDim, classes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pass := func() { net.Logits(x) }
+				switch mode {
+				case "whole":
+					pass = func() { net.Forward(x, false) }
+				case "wide":
+					tr := nn.NewTrainer(net, nn.NewAdam(1e-3))
+					if !tr.AttachLane() {
+						b.Skip("the lane needs GOMAXPROCS >= 2 and must be free")
+					}
+					tr.Release()
+				}
+				pass() // first-use buffers, and the twin
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+			})
+		}
+	})
+}
+
 func benchServerStep(b *testing.B, lane bool) {
 	onHostPath(b, func(b *testing.B) {
 		const delta = 0.5

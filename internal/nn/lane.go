@@ -28,24 +28,34 @@ import (
 //  3. Release drains the lane, so what it wrote is final for Logits,
 //     Features, evaluation and checkpoint snapshots.
 //
+// Between trainers, an eval-mode walk over a server network may hold the
+// lane for one call (infer.go): it posts one task, the back half of its row
+// blocks on the network's twin, runs the front half, joins and releases.
+//
 // Handoff is a fixed single-producer ring with atomic head and tail; the
-// lane spins while a trainer is attached and parks when released.
+// lane spins while held and parks when released.
 
 // laneRingSize bounds the tasks in flight; a ResNet56 step posts 57.
 const laneRingSize = 256
 
-// laneTask is a Dense layer's weight and bias gradients from dout, or,
-// when d is nil, one Adam pass over the attached params with coefficients k.
+// laneTask is a Dense layer's weight and bias gradients from dout; or, when
+// job is set, rows [lo, hi) of an eval-mode walk run on net, a twin; or,
+// when neither is, one Adam pass over the attached params with
+// coefficients k.
 type laneTask struct {
 	d    *Dense
 	dout *tensor.Matrix
 	k    tensor.AdamCoeffs
+
+	job    *inferJob
+	net    *Network
+	lo, hi int
 }
 
 type lane struct {
-	held atomic.Bool   // a trainer is attached
-	wake chan struct{} // an attach wakes the parked lane
-	head atomic.Uint64 // tasks posted; only the attached trainer writes it
+	held atomic.Bool   // a trainer or an eval-mode walk holds the lane
+	wake chan struct{} // an acquire wakes the parked lane
+	head atomic.Uint64 // tasks posted; only the holder writes it
 	tail atomic.Uint64 // tasks done; only the lane writes it
 	ring [laneRingSize]laneTask
 
@@ -69,7 +79,7 @@ var (
 )
 
 // acquireLane hands the lane to the caller, or returns nil when it would
-// not help (GOMAXPROCS < 2) or another trainer holds it.
+// not help (GOMAXPROCS < 2) or someone else holds it.
 func acquireLane() *lane {
 	if runtime.GOMAXPROCS(0) < 2 || !theLane.held.CompareAndSwap(false, true) {
 		return nil
@@ -97,16 +107,22 @@ func (l *lane) run() {
 			continue
 		}
 		t := &l.ring[done%laneRingSize]
-		if t.d != nil {
+		switch {
+		case t.d != nil:
 			t.d.accumulateGrads(t.dout)
-		} else {
+		case t.job != nil:
+			t.job.run(t.net, t.lo, t.hi)
+		default:
 			l.adam(t.k)
 		}
-		t.d, t.dout = nil, nil
+		*t = laneTask{}
 		done++
 		l.tail.Store(done)
 	}
 }
+
+// release hands the lane back; the holder has joined every task it posted.
+func (l *lane) release() { l.held.Store(false) }
 
 // adam steps every attached param in forward order and zeroes its gradient,
 // publishing progress after each so gated forwards can proceed.
@@ -218,7 +234,8 @@ func NewTrainer(net *Network, opt Optimizer) *Trainer {
 // trainer holds the lane, the optimizer is not Adam, or a layer with params
 // cannot gate its forward; the steps then run inline. Only a caller that
 // leaves a core idle should attach: the lane spins while attached. Pair it
-// with Release.
+// with Release. Once attached, the network's eval-mode forwards may also
+// use the lane whenever it is free (infer.go).
 func (t *Trainer) AttachLane() bool {
 	adam, ok := t.opt.(*Adam)
 	if !ok {
@@ -230,9 +247,10 @@ func (t *Trainer) AttachLane() bool {
 	}
 	if !bindNetwork(t.net, l) {
 		bindNetwork(t.net, nil)
-		l.held.Store(false)
+		l.release()
 		return false
 	}
+	t.net.wide = true
 	l.params = t.params
 	if cap(l.states) < len(t.params) {
 		l.states = make([]*adamState, len(t.params))
@@ -257,7 +275,7 @@ func (t *Trainer) Release() {
 	l.params = nil
 	clear(l.states)
 	t.lane, t.adam = nil, nil
-	l.held.Store(false)
+	l.release()
 }
 
 // Step backpropagates dlogits (and dfeat, a feature-boundary gradient, if

@@ -11,7 +11,9 @@
 // exception is the lane (lane.go): while a Trainer has it attached, a
 // model's weight gradients and updates run on the lane's goroutine, handed
 // off through its ring and gated so the two goroutines never touch the same
-// data at once.
+// data at once; and an eval-mode walk over such a model may run half its
+// row blocks there on a twin (infer.go), which shares the model's params,
+// owns its buffers and never trains.
 package nn
 
 import (
@@ -51,7 +53,8 @@ func newParam(name string, value *tensor.Matrix) *Param {
 // epochs allocate no matrices in steady state. A matrix returned by Forward
 // or Backward is therefore only valid until the next call on the same
 // layer; callers that retain results across forwards (prototype averaging,
-// logit ensembling) must Clone them — Network.Features/Logits do this.
+// logit ensembling) must copy them — Network.Features/Logits return fresh
+// matrices.
 // Snapshot writes the layer's persistent state into sd under hierarchical
 // names rooted at prefix; Restore reads it back. Persistent state is what
 // must survive a process restart for training to continue bit-identically —

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fedpkd/internal/stats"
-	"fedpkd/internal/tensor"
-)
+import "fedpkd/internal/tensor"
 
 // Network is a classifier split into a feature extractor (Body, the paper's
 // middle layer R_ω) and a classifier head. The split is load-bearing:
@@ -15,6 +12,15 @@ type Network struct {
 	Head *Sequential
 
 	dfeat *tensor.Matrix // persistent feature-gradient sum buffer
+
+	// Eval-mode block walks (infer.go). view is the current block's row
+	// view of the input and job the walk in progress, both reused so a walk
+	// allocates only its result; wide is set when a Trainer attaches the
+	// lane, and twin is built on the first wide walk.
+	view tensor.Matrix
+	job  inferJob
+	wide bool
+	twin *Network
 }
 
 // NewNetwork returns a network with the given body and head.
@@ -49,28 +55,36 @@ func (n *Network) Backward(dlogits, dfeatExtra *tensor.Matrix) {
 	n.Body.Backward(dfeat)
 }
 
-// Features returns the eval-mode feature representation of a batch. The
-// result is a fresh matrix (not a layer buffer): callers across the
-// codebase retain feature batches past subsequent forwards.
+// Features returns the eval-mode feature representation of a batch, computed
+// in row blocks (infer.go) with Forward's bits. The result is a fresh matrix
+// (not a layer buffer): callers across the codebase retain feature batches
+// past subsequent forwards.
 func (n *Network) Features(x *tensor.Matrix) *tensor.Matrix {
-	return n.Body.Forward(x, false).Clone()
+	return n.infer(inferJob{x: x, feats: true}).dst
 }
 
-// Logits returns the eval-mode logits of a batch. The result is a fresh
-// matrix (not a layer buffer): ensemble algorithms collect logits from many
-// clients before consuming them, so buffer reuse would corrupt them.
+// VisitFeatures runs the eval-mode feature extractor over x in row blocks
+// and calls visit with each block's features, rows [lo, lo+feats.Rows) of x,
+// in row order — at least once, so a zero-row x still reports the width.
+// feats is a layer buffer, valid only during the call. It never goes wide.
+func (n *Network) VisitFeatures(x *tensor.Matrix, visit func(lo int, feats *tensor.Matrix)) {
+	n.job = inferJob{x: x, feats: true, visit: visit}
+	n.job.run(n, 0, x.Rows)
+	n.job = inferJob{}
+}
+
+// Logits returns the eval-mode logits of a batch, computed in row blocks
+// (infer.go) with Forward's bits. The result is a fresh matrix (not a layer
+// buffer): ensemble algorithms collect logits from many clients before
+// consuming them, so buffer reuse would corrupt them.
 func (n *Network) Logits(x *tensor.Matrix) *tensor.Matrix {
-	return n.Forward(x, false).Clone()
+	return n.infer(inferJob{x: x}).dst
 }
 
-// Predict returns the argmax class per row of a batch.
+// Predict returns the argmax class per row of a batch, argmaxing each row
+// block's logits in place: it allocates only the result.
 func (n *Network) Predict(x *tensor.Matrix) []int {
-	logits := n.Forward(x, false) // consumed immediately; no need for the Logits clone
-	pred := make([]int, logits.Rows)
-	for i := range pred {
-		pred[i] = stats.Argmax(logits.Row(i))
-	}
-	return pred
+	return n.infer(inferJob{x: x, pred: make([]int, x.Rows)}).pred
 }
 
 // Params returns all trainable parameters, body first.

@@ -13,9 +13,12 @@ import (
 )
 
 // FeatureFunc maps a batch of samples to their feature representations —
-// the paper's R_ω. Using a function type keeps this package decoupled from
-// the nn engine.
-type FeatureFunc func(x *tensor.Matrix) *tensor.Matrix
+// the paper's R_ω — and hands them to visit block by block, in row order:
+// feats holds rows [lo, lo+feats.Rows) of x and is valid only during the
+// call. It calls visit at least once, so a zero-row x still reports the
+// width. nn.Network.VisitFeatures is one; using a function type keeps this
+// package decoupled from the nn engine.
+type FeatureFunc func(x *tensor.Matrix, visit func(lo int, feats *tensor.Matrix))
 
 // Set is a collection of per-class prototypes. A class may be absent (a
 // client with no samples of that class sends no prototype for it).
@@ -52,25 +55,28 @@ func (s *Set) Len() int { return len(s.Vectors) }
 
 // Compute derives the local prototypes of a labeled dataset under the given
 // feature function (Eq. 5): for each class present, the mean feature vector
-// of its samples.
+// of its samples. Each class sum takes its rows in dataset order as the
+// blocks stream past, so no feature matrix is ever built.
 func Compute(features FeatureFunc, d *dataset.Dataset) *Set {
 	if !d.Labeled() {
 		panic("proto: Compute requires a labeled dataset")
 	}
-	feats := features(d.X)
-	set := NewSet(d.Classes, feats.Cols)
-	for i := 0; i < feats.Rows; i++ {
-		y := d.Labels[i]
-		vec, ok := set.Vectors[y]
-		if !ok {
-			vec = make([]float64, feats.Cols)
-			set.Vectors[y] = vec
+	var set *Set
+	features(d.X, func(lo int, feats *tensor.Matrix) {
+		if set == nil {
+			set = NewSet(d.Classes, feats.Cols)
 		}
-		for j, v := range feats.Row(i) {
-			vec[j] += v
+		for i := 0; i < feats.Rows; i++ {
+			y := d.Labels[lo+i]
+			vec, ok := set.Vectors[y]
+			if !ok {
+				vec = make([]float64, feats.Cols)
+				set.Vectors[y] = vec
+			}
+			tensor.AddInto(vec, vec, feats.Row(i))
+			set.Counts[y]++
 		}
-		set.Counts[y]++
-	}
+	})
 	for class, vec := range set.Vectors {
 		inv := 1 / float64(set.Counts[class])
 		for j := range vec {

@@ -96,9 +96,11 @@ GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNo
 
 # The lane (internal/nn/lane.go) must give the inline step's bits with and
 # without a second P: at -cpu 1 it must not even start, at -cpu 2 it runs
-# the weight gradients and Adam on another goroutine, raced and gated.
-echo ">> go test -race -cpu 1,2 -run Lane ./internal/nn/ (lane == inline)"
-go test -race -count=3 -cpu 1,2 -run 'Lane' ./internal/nn/
+# the weight gradients and Adam on another goroutine, raced and gated. The
+# eval-mode block walks (infer.go) must give the whole-batch forward's bits
+# inline, wide on the lane's twin, and inline again while the lane is held.
+echo ">> go test -race -cpu 1,2 -run 'Lane|Infer' ./internal/nn/ (lane == inline, blocks == whole batch)"
+go test -race -count=3 -cpu 1,2 -run 'Lane|Infer' ./internal/nn/
 
 # Compile-and-run every kernel and training-step benchmark once so
 # perf-path-only code (panel kernels at benchmark shapes, scratch arena reuse,
