@@ -49,10 +49,10 @@ bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # fuzz runs the decode fuzzers (transport round messages, comm packed
-# sections, and the checkpoint parsers: the ckpt container, histories, state
-# dicts and prototype sets) and the kernel-path fuzzers (simd inner loops ==
-# pure-Go kernels and row ops, bit for bit) for a short budget each; raise
-# FUZZTIME for deeper exploration.
+# sections, and the checkpoint parsers: the ckpt container and its file-name
+# filter, histories, state dicts and prototype sets) and the kernel-path
+# fuzzers (simd inner loops == pure-Go kernels and row ops, bit for bit) for a
+# short budget each; raise FUZZTIME for deeper exploration.
 # The wire decoders start from the checked-in seed corpora under
 # testdata/fuzz/; the checkpoint parsers seed from their own encoders.
 FUZZTIME ?= 30s
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run=XXX -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=XXX -fuzz=FuzzDecodeSection -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -run=XXX -fuzz=FuzzRead -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -run=XXX -fuzz=FuzzParseRoundFileName -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fl/ -run=XXX -fuzz=FuzzDecodeHistory -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/nn/ -run=XXX -fuzz=FuzzDecodeStateDict -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/proto/ -run=XXX -fuzz=FuzzDecodeSet -fuzztime=$(FUZZTIME)

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"fedpkd/internal/ckpt"
+	"fedpkd/internal/core"
+	"fedpkd/internal/fl/engine"
 )
 
 // ckptGoldenRounds is the schedule of the checkpoint-bytes golden: the policy
@@ -117,6 +119,57 @@ func TestCheckpointBytesGolden(t *testing.T) {
 			if got[name][file] != sum {
 				t.Errorf("%s: %s has sha256 %s, golden %s", name, file, got[name][file], sum)
 			}
+		}
+	}
+}
+
+// TestSaveCheckpointSteadyStateAllocs pins the runner's one reused checkpoint
+// buffer: once a save has grown it, the next save of a FedPKD runner
+// allocates under 64 KiB (the best of three saves), a bound that does not
+// grow with the models. Encoding into fresh buffers costs several times the
+// file.
+func TestSaveCheckpointSteadyStateAllocs(t *testing.T) {
+	env := goldenEnv(t)
+	for _, archs := range [][2]string{{"ResNet11", "ResNet20"}, {"ResNet29", "ResNet56"}} {
+		client, server := archs[0], archs[1]
+		algo, err := core.New(core.Config{
+			Env: env, ClientArchs: []string{client, client, client}, ServerArch: server,
+			ClientPrivateEpochs: 1, ClientPublicEpochs: 1, ServerEpochs: 1, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := algo.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		r, err := engine.Of(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path, err := r.SaveCheckpoint(dir) // grows the buffer
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := r.SaveCheckpoint(dir)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s clients, %s server: a %d-byte checkpoint, %d bytes allocated per save", client, server, info.Size(), least)
+		if least >= 64<<10 {
+			t.Errorf("%s clients, %s server: a steady-state save of a %d-byte checkpoint allocated %d bytes, want < 64 KiB",
+				client, server, info.Size(), least)
 		}
 	}
 }

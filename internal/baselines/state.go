@@ -18,9 +18,7 @@ import (
 
 // putFloatsSection writes a flat float64 vector as its own section.
 func putFloatsSection(d *ckpt.Dict, section string, v []float64) {
-	e := ckpt.NewEnc()
-	e.F64s(v)
-	d.Put(section, e.Buf())
+	d.Section(section).F64s(v)
 }
 
 // getFloatsSection reads a vector written by putFloatsSection.
@@ -40,7 +38,7 @@ func getFloatsSection(d *ckpt.Dict, section string) ([]float64, error) {
 // putProtoSection writes a nullable prototype set: no section means nil.
 func putProtoSection(d *ckpt.Dict, section string, s *proto.Set) {
 	if s != nil {
-		d.Put(section, s.Encode())
+		s.Encode(d.Section(section))
 	}
 }
 

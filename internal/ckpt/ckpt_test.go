@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -102,7 +104,7 @@ func TestDecUnderflow(t *testing.T) {
 }
 
 func TestDictRoundTrip(t *testing.T) {
-	d := NewDict()
+	d := NewDict(nil)
 	d.Put("b", []byte("two"))
 	d.Put("a", []byte("one"))
 	d.Put("b", []byte("two-replaced")) // replace keeps position
@@ -128,8 +130,120 @@ func TestDictRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncF64sMatchesPerValue pins the bulk float encoder to the layout of one
+// F64 per value: the same bytes for every length around the 8-value stride
+// and for the values whose bits are easiest to mangle.
+func TestEncF64sMatchesPerValue(t *testing.T) {
+	special := []float64{
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64,
+	}
+	var cases [][]float64
+	for n := 0; n <= 17; n++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i)*1.25 - 3
+		}
+		cases = append(cases, v)
+	}
+	cases = append(cases, special)
+	for _, v := range cases {
+		bulk := NewEnc()
+		bulk.U32(9) // an unaligned start
+		bulk.F64s(v)
+		each := NewEnc()
+		each.U32(9)
+		each.U64(uint64(len(v)))
+		for _, f := range v {
+			each.F64(f)
+		}
+		if !bytes.Equal(bulk.Buf(), each.Buf()) {
+			t.Fatalf("F64s(%v) = %x, per value %x", v, bulk.Buf(), each.Buf())
+		}
+	}
+}
+
+// TestDictSectionsShareOneBuffer builds a dict from encoded sections and
+// copied ones in a reused buffer: the image must equal one built by Put alone
+// in a fresh buffer, a second dict in the same buffer must not grow it, and a
+// dict written once must take more sections and write again.
+func TestDictSectionsShareOneBuffer(t *testing.T) {
+	put := NewDict(nil)
+	put.Put("meta", []byte("m"))
+	put.Put("weights", []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2})
+	put.Put("tail", nil)
+	var want bytes.Buffer
+	if err := Write(&want, put); err != nil {
+		t.Fatal(err)
+	}
+
+	buf := NewEnc()
+	build := func() *Dict {
+		d := NewDict(buf)
+		d.Section("meta").Bytes([]byte("m"))
+		w := d.Section("weights")
+		w.U64(0)
+		w.Bytes([]byte{1, 2})
+		d.Put("tail", nil)
+		return d
+	}
+	for pass := 0; pass < 2; pass++ {
+		before := cap(buf.Buf())
+		var got bytes.Buffer
+		if err := Write(&got, build()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("pass %d: image %x, want %x", pass, got.Bytes(), want.Bytes())
+		}
+		if pass > 0 && cap(buf.Buf()) != before {
+			t.Fatalf("a same-sized image regrew the reused buffer from %d to %d bytes", before, cap(buf.Buf()))
+		}
+	}
+
+	d := build()
+	var first, second bytes.Buffer
+	if err := Write(&first, d); err != nil {
+		t.Fatal(err)
+	}
+	d.Section("late").U32(7)
+	if err := Write(&second, d); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(bytes.NewReader(second.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := back.Names(); len(names) != 4 || names[3] != "late" {
+		t.Fatalf("sections after a write and one more section: %v", names)
+	}
+	if b, _ := back.Get("weights"); !bytes.Equal(b, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2}) {
+		t.Fatalf("weights = %x", b)
+	}
+}
+
+// TestReadRejectsDuplicateSections: a writer never repeats a section name,
+// so a checksum-valid file that does is refused rather than half-applied.
+func TestReadRejectsDuplicateSections(t *testing.T) {
+	d := NewDict(nil)
+	d.Put("a", []byte("one"))
+	d.Put("b", []byte("two"))
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// The header is 12 bytes and section "a" 4+1+8+3; then comes "b"'s
+	// name length and its one-byte name.
+	img[12+(4+1+8+3)+4] = 'a'
+	img = binary.LittleEndian.AppendUint32(img[:len(img)-crc32.Size], crc32.ChecksumIEEE(img[:len(img)-crc32.Size]))
+	if _, err := Read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate section name: err = %v", err)
+	}
+}
+
 func TestWriteDeterministic(t *testing.T) {
-	d := NewDict()
+	d := NewDict(nil)
 	d.Put("x", []byte{9, 8, 7})
 	d.Put("y", []byte("state"))
 	var a, b bytes.Buffer
@@ -145,7 +259,7 @@ func TestWriteDeterministic(t *testing.T) {
 }
 
 func TestReadRejectsTruncation(t *testing.T) {
-	d := NewDict()
+	d := NewDict(nil)
 	d.Put("weights", bytes.Repeat([]byte{0xab}, 256))
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
@@ -161,7 +275,7 @@ func TestReadRejectsTruncation(t *testing.T) {
 }
 
 func TestReadRejectsBitFlips(t *testing.T) {
-	d := NewDict()
+	d := NewDict(nil)
 	d.Put("weights", bytes.Repeat([]byte{0x5c}, 128))
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
@@ -180,7 +294,7 @@ func TestReadRejectsBitFlips(t *testing.T) {
 
 func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, NewDict()); err != nil {
+	if err := Write(&buf, NewDict(nil)); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -224,7 +338,7 @@ func TestAtomicWriteFileKeepsOldOnFailure(t *testing.T) {
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, RoundFileName(3))
-	d := NewDict()
+	d := NewDict(nil)
 	d.Put("s", []byte("hello"))
 	if err := WriteFile(path, d); err != nil {
 		t.Fatal(err)
@@ -242,7 +356,7 @@ func TestParseRoundFileName(t *testing.T) {
 	if r, ok := ParseRoundFileName(RoundFileName(17)); !ok || r != 17 {
 		t.Fatalf("ParseRoundFileName(RoundFileName(17)) = %d, %v", r, ok)
 	}
-	for _, bad := range []string{"ckpt-abc.fpkc", "other-000001.fpkc", "ckpt-000001.json", "ckpt-.fpkc"} {
+	for _, bad := range []string{"ckpt-abc.fpkc", "other-000001.fpkc", "ckpt-000001.json", "ckpt-.fpkc", "ckpt-1.fpkc", "ckpt-+000001.fpkc"} {
 		if _, ok := ParseRoundFileName(bad); ok {
 			t.Fatalf("ParseRoundFileName(%q) accepted", bad)
 		}
@@ -253,7 +367,7 @@ func TestLatestValidFallsBackPastCorruption(t *testing.T) {
 	dir := t.TempDir()
 	write := func(round int, payload string) string {
 		p := filepath.Join(dir, RoundFileName(round))
-		d := NewDict()
+		d := NewDict(nil)
 		d.Put("payload", []byte(payload))
 		if err := WriteFile(p, d); err != nil {
 			t.Fatal(err)

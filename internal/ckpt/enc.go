@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Enc builds a little-endian binary buffer. All state owners in the tree
@@ -31,11 +32,16 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 // F64 appends a float64 as its IEEE-754 bits.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// F64s appends a length-prefixed float64 slice.
+// F64s appends a length-prefixed float64 slice: one grow of the buffer, then
+// the values' bits in place.
 func (e *Enc) F64s(v []float64) {
 	e.U64(uint64(len(v)))
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:n+8*len(v)]
+	out := e.buf[n:]
 	for _, f := range v {
-		e.F64(f)
+		binary.LittleEndian.PutUint64(out, math.Float64bits(f))
+		out = out[8:]
 	}
 }
 

@@ -79,15 +79,16 @@ func RoundFileName(t int) string {
 	return fmt.Sprintf("ckpt-%06d%s", t, FileExt)
 }
 
-// ParseRoundFileName extracts the round number from a RoundFileName-shaped
-// base name, or returns ok=false for unrelated files.
+// ParseRoundFileName extracts the round number from a base name RoundFileName
+// wrote, or returns ok=false for any other file, a near miss such as
+// "ckpt-1.fpkc" or "ckpt-+000001.fpkc" included.
 func ParseRoundFileName(base string) (round int, ok bool) {
 	if !strings.HasPrefix(base, "ckpt-") || !strings.HasSuffix(base, FileExt) {
 		return 0, false
 	}
 	mid := strings.TrimSuffix(strings.TrimPrefix(base, "ckpt-"), FileExt)
 	n, err := strconv.Atoi(mid)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || RoundFileName(n) != base {
 		return 0, false
 	}
 	return n, true

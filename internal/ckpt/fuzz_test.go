@@ -13,7 +13,7 @@ import (
 // fixed readHeapSlack for the reader, the empty dict and error text. The
 // stream is read whole once (io.ReadAll's growth copies included) and the
 // sections alias it; the widest ratio is a section with a one-byte name, 13
-// encoded bytes that cost a name string, a Section and an index entry.
+// encoded bytes that cost a name string, a section entry and an index entry.
 const (
 	maxReadExpansion = 32
 	readHeapSlack    = 4096
@@ -24,12 +24,12 @@ const (
 // replaced by the body's CRC, which takes every input through the section
 // parser.
 func FuzzRead(f *testing.F) {
-	many := NewDict()
+	many := NewDict(nil)
 	for i := 0; i < 40; i++ {
 		many.Put(fmt.Sprint(i), nil)
 	}
-	seeds := []*Dict{NewDict(), many}
-	one := NewDict()
+	seeds := []*Dict{NewDict(nil), many}
+	one := NewDict(nil)
 	one.Put("weights", bytes.Repeat([]byte{0xab}, 64))
 	one.Put("", []byte("x"))
 	seeds = append(seeds, one)
@@ -77,6 +77,28 @@ func checkRead(t *testing.T, data []byte) {
 	if !bytes.Equal(enc.Bytes(), again.Bytes()) {
 		t.Fatalf("dict changed across a re-encode:\n %x\n %x", enc.Bytes(), again.Bytes())
 	}
+}
+
+// FuzzParseRoundFileName holds the checkpoint-directory scan's name filter to
+// its contract: it never panics, and every name it accepts is the one
+// RoundFileName writes for the round it returns, so a directory scan can
+// neither pick up a stray file nor read one round as another.
+func FuzzParseRoundFileName(f *testing.F) {
+	for _, s := range []string{
+		RoundFileName(0), RoundFileName(17), RoundFileName(1234567), "ckpt-1.fpkc", "ckpt-+000001.fpkc",
+		"ckpt--00001.fpkc", "ckpt-.fpkc", "ckpt-000001.fpkc.tmp-42", "other-000001.fpkc", "ckpt-99999999999999999999.fpkc",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, base string) {
+		round, ok := ParseRoundFileName(base)
+		if !ok {
+			return
+		}
+		if round < 0 || RoundFileName(round) != base {
+			t.Fatalf("ParseRoundFileName(%q) accepted round %d, which RoundFileName writes as %q", base, round, RoundFileName(round))
+		}
+	})
 }
 
 // allocated reports the fewest heap bytes any of three runs of fn allocated,

@@ -17,7 +17,7 @@ func (h *pkdHooks) Snapshot(d *ckpt.Dict) error {
 	nn.SnapshotFleetSections(d, "clients", h.clients, h.clientOpts)
 	nn.SnapshotModelSection(d, "server", h.server, h.serverOpt)
 	if h.globalProtos != nil {
-		d.Put("fedpkd.protos", h.globalProtos.Encode())
+		h.globalProtos.Encode(d.Section("fedpkd.protos"))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package distrib
 import (
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"fedpkd/internal/baselines"
+	"fedpkd/internal/ckpt"
 	"fedpkd/internal/comm"
 	"fedpkd/internal/core"
 	"fedpkd/internal/dataset"
@@ -248,6 +250,13 @@ func TestChaosTCPGoroutineLeakFree(t *testing.T) {
 	if _, err := Run(chaosFedAvg(t, env), 2, Options{Mode: ModeTCP}); err != nil {
 		t.Fatal(err)
 	}
+	settleGoroutines(t, before)
+}
+
+// settleGoroutines waits up to five seconds for the goroutine count to fall
+// back to before, and fails if it does not.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		now := runtime.NumGoroutine()
@@ -777,20 +786,6 @@ func TestTreeChaosClientCrashUnderTreeTCPReplay(t *testing.T) {
 // (every leaf loses the root at once), must both unwind every goroutine —
 // demux, leaf workers, receiver pumps, and both fabrics' plumbing.
 func TestTreeChaosGoroutineLeakFree(t *testing.T) {
-	settle := func(before int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			now := runtime.NumGoroutine()
-			if now <= before+2 { // small slack for runtime background goroutines
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("goroutines: %d before run, %d five seconds after", before, now)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	t.Run("clean tree run", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		_, err := Run(chaosFedAvg(t, treeChaosEnv(t)), 2, Options{
@@ -800,7 +795,7 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		settle(before)
+		settleGoroutines(t, before)
 	})
 	t.Run("leaf death mid-service", func(t *testing.T) {
 		before := runtime.NumGoroutine()
@@ -825,8 +820,43 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 			t.Fatal("a run whose upper fabric died should fail")
 		}
 		svc.Close()
-		settle(before)
+		settleGoroutines(t, before)
 	})
+}
+
+// TestServiceQuitJoinsCheckpoint stops a service with a checkpoint on every
+// barrier through a Barrier error, the way an operator's quit does. When Run
+// returns, the last policy write must be joined: the newest file complete, no
+// temp file left, and once the service is closed no goroutine left over.
+func TestServiceQuitJoinsCheckpoint(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	algo := chaosFedAvg(t, chaosEnv(t))
+	algo.SetCheckpointPolicy(dir, 1)
+	quit := errors.New("quit")
+	svc, err := NewService(algo, Options{
+		Barrier: func(round int) error {
+			if round == 2 {
+				return quit
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Run(5); !errors.Is(err, quit) {
+		t.Fatalf("Run = %v, want the barrier's quit", err)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(tmp) != 0 {
+		t.Errorf("temp files left when Run returned: %v", tmp)
+	}
+	fresh := chaosFedAvg(t, chaosEnv(t))
+	if _, err := fresh.ResumeAny(filepath.Join(dir, ckpt.RoundFileName(2))); err != nil {
+		t.Errorf("the last barrier's checkpoint is not complete when Run returns: %v", err)
+	}
+	svc.Close()
+	settleGoroutines(t, before)
 }
 
 // TestTreeChaosOptionsValidation pins the tier option surface: tier knobs

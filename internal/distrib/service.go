@@ -201,16 +201,23 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 }
 
 // Run executes rounds additional rounds (or async flushes) and returns the
-// cumulative history. Call at most once per service.
-func (s *Service) Run(rounds int) (*fl.History, error) {
-	hist := s.runner.History()
+// cumulative history. Call at most once per service. However it returns — a
+// Barrier error such as an operator's quit included — the last policy
+// checkpoint is durable by then, or its write error is part of the returned
+// error.
+func (s *Service) Run(rounds int) (hist *fl.History, err error) {
+	hist = s.runner.History()
 	defer s.rec.Finish()
+	defer func() {
+		if werr := s.runner.WaitCheckpoint(); werr != nil {
+			err = errors.Join(err, werr)
+		}
+	}()
 	if s.opts.WireRegistration {
 		if err := s.registerPopulation(); err != nil {
 			return hist, err
 		}
 	}
-	var err error
 	for i := 0; i < rounds && err == nil; i++ {
 		err = s.runRound()
 	}

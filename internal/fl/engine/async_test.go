@@ -250,7 +250,7 @@ func TestAsyncDeterministicReplay(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("same-seed async runs diverged:\n%s\n%s", j1, j2)
 	}
-	if !bytes.Equal(fl.EncodeHistory(h1), fl.EncodeHistory(h2)) {
+	if !bytes.Equal(encodeHistory(h1), encodeHistory(h2)) {
 		t.Fatal("binary history encodings diverged")
 	}
 
@@ -271,7 +271,7 @@ func TestHistoryCodecRoundTripsFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := fl.DecodeHistory(fl.EncodeHistory(hist))
+	dec, err := fl.DecodeHistory(encodeHistory(hist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestHistoryCodecRoundTripsFlushes(t *testing.T) {
 	if len(syncHist.Flushes) != 0 {
 		t.Fatalf("sync run recorded flushes: %+v", syncHist.Flushes)
 	}
-	sdec, err := fl.DecodeHistory(fl.EncodeHistory(syncHist))
+	sdec, err := fl.DecodeHistory(encodeHistory(syncHist))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,11 +110,10 @@ func decodePayloadCkpt(d *ckpt.Dec) *Payload {
 	return p
 }
 
-// asyncSnapshot encodes the async buffer state, plus the options that shaped
-// it — a resume under different options would replay a different schedule,
-// so the restore validates them.
-func (st *asyncState) asyncSnapshot() []byte {
-	e := ckpt.NewEnc()
+// asyncSnapshot appends the async buffer state to e, plus the options that
+// shaped it — a resume under different options would replay a different
+// schedule, so the restore validates them.
+func (st *asyncState) asyncSnapshot(e *ckpt.Enc) {
 	o := st.opts
 	e.I64(int64(o.BufferSize))
 	e.F64(o.StalenessAlpha)
@@ -137,7 +136,6 @@ func (st *asyncState) asyncSnapshot() []byte {
 		e.I64(int64(st.attempts[c]))
 		encodePayloadCkpt(e, st.dispatched[c])
 	}
-	return e.Buf()
 }
 
 // asyncRestore decodes an asyncSnapshot into st, a fresh state sized for the

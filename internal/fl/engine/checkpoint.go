@@ -30,23 +30,24 @@ func (r *Runner) SetCheckpointPolicy(dir string, every int) {
 	r.ckptEvery = every
 }
 
-// checkpointDict bundles the full run state: engine meta (algorithm
-// identity, seed, fleet size, round counter), cumulative history, per-round
-// ledger traffic, and every hook-owned section.
+// checkpointDict encodes the full run state into the runner's checkpoint
+// buffer: engine meta (algorithm identity, seed, fleet size, round counter),
+// cumulative history, per-round ledger traffic, the async buffer, and every
+// hook-owned section. The dict is a view of that buffer, valid until the next
+// encode; the caller joins any write still using the buffer first.
 func (r *Runner) checkpointDict() (*ckpt.Dict, error) {
-	d := ckpt.NewDict()
+	d := ckpt.NewDict(&r.ckptBuf)
 
-	me := ckpt.NewEnc()
+	me := d.Section(secMeta)
 	me.String(r.hooks.Name())
 	me.U64(r.cfg.Seed)
 	me.U32(uint32(r.cfg.Env.Cfg.NumClients))
 	me.I64(int64(r.round))
-	d.Put(secMeta, me.Buf())
 
-	d.Put(secHistory, fl.EncodeHistory(r.ensureHistory()))
+	fl.EncodeHistory(d.Section(secHistory), r.ensureHistory())
 
 	rounds := r.ledger.Rounds()
-	le := ckpt.NewEnc()
+	le := d.Section(secLedger)
 	le.U32(uint32(len(rounds)))
 	for _, rt := range rounds {
 		le.I64(int64(rt.Round))
@@ -56,10 +57,9 @@ func (r *Runner) checkpointDict() (*ckpt.Dict, error) {
 		le.I64(rt.RawUpload)
 		le.I64(rt.RawDownload)
 	}
-	d.Put(secLedger, le.Buf())
 
 	if r.async != nil {
-		d.Put(secAsync, r.async.asyncSnapshot())
+		r.async.asyncSnapshot(d.Section(secAsync))
 	}
 
 	if err := r.hooks.Snapshot(d); err != nil {
@@ -154,6 +154,9 @@ func (r *Runner) restoreDict(d *ckpt.Dict) error {
 
 // Checkpoint writes the full run state to w in the ckpt container format.
 func (r *Runner) Checkpoint(w io.Writer) error {
+	if err := r.WaitCheckpoint(); err != nil {
+		return err
+	}
 	d, err := r.checkpointDict()
 	if err != nil {
 		return err
@@ -166,6 +169,9 @@ func (r *Runner) Checkpoint(w io.Writer) error {
 // the checkpointed one; the next Run continues bit-identically from the
 // checkpointed round.
 func (r *Runner) Resume(rd io.Reader) error {
+	if err := r.WaitCheckpoint(); err != nil {
+		return err
+	}
 	d, err := ckpt.Read(rd)
 	if err != nil {
 		return err
@@ -173,8 +179,7 @@ func (r *Runner) Resume(rd io.Reader) error {
 	return r.restoreDict(d)
 }
 
-// countingWriter counts bytes for the checkpoint-size expvar without
-// buffering the whole checkpoint in memory.
+// countingWriter counts bytes for the checkpoint-size expvar.
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -186,39 +191,96 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeCheckpoint durably writes d as the file path (temp + fsync + rename,
+// creating the directory if needed) and returns its size. It touches nothing
+// but d and path, so it may run while the next round does.
+func writeCheckpoint(path string, d *ckpt.Dict) (int64, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return 0, fmt.Errorf("engine: create checkpoint dir: %w", err)
+	}
+	cw := &countingWriter{}
+	err := ckpt.AtomicWriteFile(path, func(f *os.File) error {
+		cw.w = f
+		return ckpt.Write(cw, d)
+	})
+	return cw.n, err
+}
+
 // SaveCheckpoint durably writes the run state into dir as the canonical
 // round-numbered file (ckpt-NNNNNN.fpkc for the current round), creating dir
-// if needed, and returns the written path. The write is crash-safe (temp +
-// fsync + rename) and earlier round files are left in place, so the newest
-// previous checkpoint survives until this one is durable. The write is
-// spanned as the obs "checkpoint" phase and published to the checkpoint
-// expvars.
+// if needed, and returns the written path once the file is durable. The write
+// is crash-safe (temp + fsync + rename) and earlier round files are left in
+// place, so the newest previous checkpoint survives until this one is
+// durable. The join of any policy write in flight, the encode and the write
+// are spanned as the obs "checkpoint" phase, and the write is published to
+// the checkpoint expvars.
 func (r *Runner) SaveCheckpoint(dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("engine: create checkpoint dir: %w", err)
+	defer r.rec.Span(obs.PhaseCheckpoint)()
+	if err := r.WaitCheckpoint(); err != nil {
+		return "", err
 	}
 	d, err := r.checkpointDict()
 	if err != nil {
 		return "", err
 	}
 	path := filepath.Join(dir, ckpt.RoundFileName(r.round))
-	stop := r.rec.Span(obs.PhaseCheckpoint)
 	start := time.Now()
-	var written int64
-	err = ckpt.AtomicWriteFile(path, func(f *os.File) error {
-		cw := &countingWriter{w: f}
-		if err := ckpt.Write(cw, d); err != nil {
-			return err
-		}
-		written = cw.n
-		return nil
-	})
-	stop()
+	written, err := writeCheckpoint(path, d)
 	if err != nil {
 		return "", err
 	}
 	obs.RecordCheckpoint(r.round, written, time.Since(start))
 	return path, nil
+}
+
+// ckptWrite is the outcome of a policy checkpoint's background write.
+type ckptWrite struct {
+	round int // the rounds the file covers, as in its name
+	bytes int64
+	took  time.Duration
+	err   error
+}
+
+// checkpointBehind takes the policy checkpoint at a barrier, the one point
+// where the run's state is consistent: it joins the previous write, encodes
+// the state into the runner's buffer, and hands that image to a goroutine
+// that makes it durable while the next round runs. The span covers what the
+// round pays: the join and the encode.
+func (r *Runner) checkpointBehind() error {
+	defer r.rec.Span(obs.PhaseCheckpoint)()
+	if err := r.WaitCheckpoint(); err != nil {
+		return err
+	}
+	d, err := r.checkpointDict()
+	if err != nil {
+		return fmt.Errorf("%s: checkpoint after round %d: %w", r.hooks.Name(), r.round-1, err)
+	}
+	path, round, done := filepath.Join(r.ckptDir, ckpt.RoundFileName(r.round)), r.round, r.ckptDone
+	r.ckptInFlight = true
+	go func() {
+		start := time.Now()
+		n, err := writeCheckpoint(path, d)
+		done <- ckptWrite{round: round, bytes: n, took: time.Since(start), err: err}
+	}()
+	return nil
+}
+
+// WaitCheckpoint joins the policy checkpoint write CompleteRound left in
+// flight, if any: it returns once that file is durable, or with the write's
+// error naming its round. Run, RunUntil, Checkpoint, SaveCheckpoint, Resume,
+// ResumeAny and the next policy checkpoint join it themselves; a driver that
+// calls CompleteRound on its own calls WaitCheckpoint before it returns.
+func (r *Runner) WaitCheckpoint() error {
+	if !r.ckptInFlight {
+		return nil
+	}
+	w := <-r.ckptDone
+	r.ckptInFlight = false
+	if w.err != nil {
+		return fmt.Errorf("%s: checkpoint after round %d: %w", r.hooks.Name(), w.round-1, w.err)
+	}
+	obs.RecordCheckpoint(w.round, w.bytes, w.took)
+	return nil
 }
 
 // ResumeAny restores from path, which may be a checkpoint file or a
@@ -227,6 +289,9 @@ func (r *Runner) SaveCheckpoint(dir string) (string, error) {
 // to surface) — the corruption-recovery contract: a truncated or bit-flipped
 // latest checkpoint must not strand the run.
 func (r *Runner) ResumeAny(path string) (warnings []string, err error) {
+	if err := r.WaitCheckpoint(); err != nil {
+		return nil, err
+	}
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: resume: %w", err)

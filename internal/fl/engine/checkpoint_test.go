@@ -2,13 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"expvar"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fedpkd/internal/ckpt"
 	"fedpkd/internal/fl"
+	"fedpkd/internal/obs"
 )
 
 // toyHooks is a minimal deterministic algorithm: its whole state is one
@@ -57,6 +60,13 @@ func (h *toyHooks) Restore(d *ckpt.Dict) error {
 
 var _ Hooks = (*toyHooks)(nil)
 
+// encodeHistory is fl.EncodeHistory into a fresh encoder.
+func encodeHistory(h *fl.History) []byte {
+	e := ckpt.NewEnc()
+	fl.EncodeHistory(e, h)
+	return e.Buf()
+}
+
 func toyRunner(t *testing.T, name string, seed uint64, clients int) (*Runner, *toyHooks) {
 	t.Helper()
 	h := &toyHooks{name: name}
@@ -98,8 +108,8 @@ func TestRunnerCheckpointResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := fl.EncodeHistory(straightHist)
-	b := fl.EncodeHistory(resumedHist)
+	a := encodeHistory(straightHist)
+	b := encodeHistory(resumedHist)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("straight and resumed histories differ:\n%+v\n%+v", straightHist, resumedHist)
 	}
@@ -250,5 +260,118 @@ func TestAutoCheckpointPolicy(t *testing.T) {
 	}
 	if fresh.CurrentRound() != 4 {
 		t.Fatalf("ResumeAny landed on round %d, want 4", fresh.CurrentRound())
+	}
+}
+
+// TestPolicyWriteFailureSurfacesAtNextJoin makes a policy checkpoint's
+// background write fail — the checkpoint directory is replaced by a file
+// after the first save — and requires the failure back, naming the round
+// whose file was lost: from the next round's CompleteRound, or from Run when
+// that save was the run's last. The failing round itself completes.
+func TestPolicyWriteFailureSurfacesAtNextJoin(t *testing.T) {
+	breakDir := func(t *testing.T) *Runner {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		r, _ := toyRunner(t, "Toy", 7, 2)
+		r.SetCheckpointPolicy(dir, 1)
+		if _, err := r.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ckpt.ReadFile(filepath.Join(dir, ckpt.RoundFileName(1))); err != nil {
+			t.Fatalf("round 0's checkpoint is not complete when Run returns: %v", err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	const lost = "Toy: checkpoint after round 1:"
+
+	t.Run("next CompleteRound", func(t *testing.T) {
+		r := breakDir(t)
+		if err := r.Round(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.CompleteRound(); err != nil {
+			t.Fatalf("the round whose write fails failed itself: %v", err)
+		}
+		if err := r.Round(); err != nil {
+			t.Fatal(err)
+		}
+		err := r.CompleteRound()
+		if err == nil || !strings.Contains(err.Error(), lost) {
+			t.Fatalf("next CompleteRound = %v, want the lost write of round 1", err)
+		}
+		if err := r.WaitCheckpoint(); err != nil {
+			t.Fatalf("the failure was reported twice: %v", err)
+		}
+	})
+	t.Run("Run", func(t *testing.T) {
+		r := breakDir(t)
+		_, err := r.Run(1)
+		if err == nil || !strings.Contains(err.Error(), lost) {
+			t.Fatalf("Run = %v, want the lost write of round 1", err)
+		}
+	})
+}
+
+// TestSaveCheckpointDuringPolicyWrite calls the explicit, synchronous save
+// while a policy write is in flight: it joins that write before it reuses the
+// runner's buffer, and when it returns both files are complete and load.
+func TestSaveCheckpointDuringPolicyWrite(t *testing.T) {
+	policyDir, saveDir := t.TempDir(), t.TempDir()
+	r, _ := toyRunner(t, "Toy", 7, 2)
+	r.SetCheckpointPolicy(policyDir, 1)
+	if err := r.Round(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CompleteRound(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := r.SaveCheckpoint(saveDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(policyDir, ckpt.RoundFileName(1)), saved} {
+		fresh, _ := toyRunner(t, "Toy", 7, 2)
+		if _, err := fresh.ResumeAny(path); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if fresh.CurrentRound() != 1 {
+			t.Fatalf("%s resumed at round %d, want 1", path, fresh.CurrentRound())
+		}
+	}
+}
+
+// TestPolicyCheckpointSpans: a traced policy run records the checkpoint
+// phase on exactly the rounds that saved, and the joined background writes
+// reach the checkpoint expvars by the time Run returns.
+func TestPolicyCheckpointSpans(t *testing.T) {
+	saves := expvar.Get("fedpkd_checkpoints_total").(*expvar.Int)
+	before := saves.Value()
+	r, _ := toyRunner(t, "Toy", 7, 2)
+	rec := obs.NewRecorder("Toy")
+	r.SetRecorder(rec)
+	r.SetCheckpointPolicy(t.TempDir(), 2)
+	if _, err := r.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	traces := rec.Traces()
+	if len(traces) != 5 {
+		t.Fatalf("%d traces, want 5", len(traces))
+	}
+	for _, tr := range traces {
+		ns, spanned := tr.PhaseNS[obs.PhaseCheckpoint]
+		if saved := (tr.Round+1)%2 == 0; spanned != saved || (saved && ns <= 0) {
+			t.Errorf("round %d: checkpoint phase %v (%d ns), want it only on rounds that saved", tr.Round, spanned, ns)
+		}
+	}
+	if got := saves.Value() - before; got != 2 {
+		t.Errorf("%d checkpoint writes published, want 2", got)
+	}
+	if last := expvar.Get("fedpkd_last_checkpoint_round").(*expvar.Int).Value(); last != 4 {
+		t.Errorf("last published checkpoint covers %d rounds, want 4", last)
 	}
 }

@@ -13,6 +13,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -203,6 +204,13 @@ type Runner struct {
 	ckptDir   string
 	ckptEvery int
 
+	// ckptBuf holds every checkpoint this runner encodes, reused and never
+	// shrunk. While ckptInFlight, a policy checkpoint's background write owns
+	// it and will report on ckptDone (checkpoint.go).
+	ckptBuf      ckpt.Enc
+	ckptInFlight bool
+	ckptDone     chan ckptWrite
+
 	// async, when non-nil, makes every planned round a barrier-free buffer
 	// flush (see async.go). Nil is the default synchronous mode.
 	async *asyncState
@@ -221,7 +229,7 @@ func NewRunner(hooks Hooks, cfg Config) (*Runner, error) {
 	if err := cfg.FillDefaults(); err != nil {
 		return nil, err
 	}
-	return &Runner{hooks: hooks, cfg: cfg, ledger: comm.NewLedger()}, nil
+	return &Runner{hooks: hooks, cfg: cfg, ledger: comm.NewLedger(), ckptDone: make(chan ckptWrite, 1)}, nil
 }
 
 // Name implements fl.Algorithm.
@@ -349,19 +357,32 @@ func (r *Runner) ensureHistory() *fl.History {
 
 // Run implements fl.Algorithm: it executes the given number of additional
 // rounds, evaluating and recording history after each, and returns the
-// cumulative history (including rounds restored from a checkpoint).
+// cumulative history (including rounds restored from a checkpoint). It
+// returns only once the last policy checkpoint is durable.
 func (r *Runner) Run(rounds int) (*fl.History, error) {
 	r.ensureHistory()
-	for i := 0; i < rounds; i++ {
-		if err := r.Round(); err != nil {
-			return r.hist, fmt.Errorf("%s: round %d: %w", r.hooks.Name(), r.round-1, err)
-		}
-		if err := r.CompleteRound(); err != nil {
-			return r.hist, err
-		}
+	err := r.run(rounds)
+	if werr := r.WaitCheckpoint(); werr != nil {
+		err = errors.Join(err, werr)
+	}
+	if err != nil {
+		return r.hist, err
 	}
 	r.rec.Finish()
 	return r.hist, nil
+}
+
+// run plays the rounds, stopping at the first error.
+func (r *Runner) run(rounds int) error {
+	for i := 0; i < rounds; i++ {
+		if err := r.Round(); err != nil {
+			return fmt.Errorf("%s: round %d: %w", r.hooks.Name(), r.round-1, err)
+		}
+		if err := r.CompleteRound(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunUntil runs rounds until the run has completed total rounds — the
@@ -369,7 +390,11 @@ func (r *Runner) Run(rounds int) (*fl.History, error) {
 // RunUntil(10) runs exactly the 5 remaining rounds.
 func (r *Runner) RunUntil(total int) (*fl.History, error) {
 	if total < r.round {
-		return nil, fmt.Errorf("%s: RunUntil(%d) but %d rounds already completed", r.hooks.Name(), total, r.round)
+		err := fmt.Errorf("%s: RunUntil(%d) but %d rounds already completed", r.hooks.Name(), total, r.round)
+		if werr := r.WaitCheckpoint(); werr != nil {
+			err = errors.Join(err, werr)
+		}
+		return nil, err
 	}
 	return r.Run(total - r.round)
 }
@@ -386,9 +411,12 @@ func (r *Runner) BeginRound() int {
 
 // CompleteRound evaluates the just-executed round, appends its metrics to
 // the cumulative history, and — when an auto-checkpoint policy is set —
-// writes a durable checkpoint at the configured cadence. A checkpoint write
-// failure fails the round: continuing would silently void the durability
-// the policy asked for.
+// takes a checkpoint at the configured cadence: it encodes the state here
+// and returns while the file is written and synced, so the newest policy
+// file becomes durable during the next round. A write failure fails the
+// next CompleteRound, or whichever call joins the write first (see
+// WaitCheckpoint): continuing would silently void the durability the policy
+// asked for.
 func (r *Runner) CompleteRound() error {
 	r.ensureHistory()
 	stopEval := r.rec.Span(obs.PhaseEval)
@@ -401,9 +429,7 @@ func (r *Runner) CompleteRound() error {
 	})
 	stopEval()
 	if r.ckptDir != "" && r.ckptEvery > 0 && r.round%r.ckptEvery == 0 {
-		if _, err := r.SaveCheckpoint(r.ckptDir); err != nil {
-			return fmt.Errorf("%s: checkpoint after round %d: %w", r.hooks.Name(), r.round-1, err)
-		}
+		return r.checkpointBehind()
 	}
 	return nil
 }

@@ -6,12 +6,11 @@ import (
 	"fedpkd/internal/ckpt"
 )
 
-// EncodeHistory serializes a history to the ckpt binary form. Accuracies are
-// stored as raw IEEE-754 bits, so a decoded history is bit-identical to the
-// original — the engine's checkpoint "history" section uses this, and the
+// EncodeHistory appends a history to e in the ckpt binary form. Accuracies
+// are stored as raw IEEE-754 bits, so a decoded history is bit-identical to
+// the original — the engine's checkpoint "history" section uses this, and the
 // resume-equivalence guarantee depends on the exactness.
-func EncodeHistory(h *History) []byte {
-	e := ckpt.NewEnc()
+func EncodeHistory(e *ckpt.Enc, h *History) {
 	e.String(h.Algo)
 	e.String(h.Dataset)
 	e.String(h.Setting)
@@ -42,7 +41,6 @@ func EncodeHistory(h *History) []byte {
 			encodeInts(e, f.Staleness)
 		}
 	}
-	return e.Buf()
 }
 
 // encodeInts writes a u32 count and then each int as an int64.

@@ -5,14 +5,23 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"fedpkd/internal/ckpt"
 )
+
+// encodeHistory is EncodeHistory into a fresh encoder.
+func encodeHistory(h *History) []byte {
+	e := ckpt.NewEnc()
+	EncodeHistory(e, h)
+	return e.Buf()
+}
 
 func TestHistoryCodecRoundTrip(t *testing.T) {
 	h := &History{Algo: "FedPKD", Dataset: "SynthC10", Setting: "dirichlet(α=0.5)"}
 	h.Add(RoundMetrics{Round: 0, ServerAcc: 0.1234567891234, ClientAcc: -1, CumulativeMB: 1.25})
 	h.Add(RoundMetrics{Round: 1, ServerAcc: math.Nextafter(0.5, 1), ClientAcc: 0.25, CumulativeMB: 2.5})
 
-	got, err := DecodeHistory(EncodeHistory(h))
+	got, err := DecodeHistory(encodeHistory(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func TestHistoryCodecCarriesDegradedRounds(t *testing.T) {
 	h.AddDegraded(DegradedRound{Round: 0, Cohort: 2, Expected: 3, Missing: []int{1}})
 	h.AddDegraded(DegradedRound{Round: 4, Cohort: 1, Expected: 3, Missing: []int{0, 2}})
 
-	got, err := DecodeHistory(EncodeHistory(h))
+	got, err := DecodeHistory(encodeHistory(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func TestHistoryCodecCarriesDegradedRounds(t *testing.T) {
 	// (JSON goldens rely on the field staying nil/omitted).
 	clean := &History{Algo: "x"}
 	clean.Add(RoundMetrics{Round: 0})
-	rt, err := DecodeHistory(EncodeHistory(clean))
+	rt, err := DecodeHistory(encodeHistory(clean))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +88,12 @@ const maxHistoryExpansion = 16
 func FuzzDecodeHistory(f *testing.F) {
 	h := &History{Algo: "FedPKD", Dataset: "SynthC10", Setting: "iid"}
 	h.Add(RoundMetrics{Round: 0, ServerAcc: 0.5, ClientAcc: -1, CumulativeMB: 1})
-	f.Add(EncodeHistory(h))
+	f.Add(encodeHistory(h))
 	h.AddDegraded(DegradedRound{Round: 0, Cohort: 2, Expected: 3, Missing: []int{1}})
-	f.Add(EncodeHistory(h))
+	f.Add(encodeHistory(h))
 	h.Flushes = []AsyncFlush{{Flush: 0, Clock: 40, Contributors: []int{0, 2}, Staleness: []int{0, 1}}, {Flush: 1, Clock: 41}}
-	f.Add(EncodeHistory(h))
-	if _, err := DecodeHistory(EncodeHistory(h)); err != nil { // first-use allocations
+	f.Add(encodeHistory(h))
+	if _, err := DecodeHistory(encodeHistory(h)); err != nil { // first-use allocations
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -95,12 +104,12 @@ func FuzzDecodeHistory(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := EncodeHistory(h)
+		enc := encodeHistory(h)
 		back, err := DecodeHistory(enc)
 		if err != nil {
 			t.Fatalf("re-encoded history rejected: %v", err)
 		}
-		if again := EncodeHistory(back); !bytes.Equal(again, enc) {
+		if again := encodeHistory(back); !bytes.Equal(again, enc) {
 			t.Fatalf("history changed across a re-encode:\n %x\n %x", enc, again)
 		}
 	})
@@ -109,7 +118,7 @@ func FuzzDecodeHistory(f *testing.F) {
 func TestDecodeHistoryRejectsTruncation(t *testing.T) {
 	h := &History{Algo: "x"}
 	h.Add(RoundMetrics{Round: 0})
-	enc := EncodeHistory(h)
+	enc := encodeHistory(h)
 	for _, cut := range []int{0, 2, len(enc) - 1} {
 		if _, err := DecodeHistory(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)

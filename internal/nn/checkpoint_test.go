@@ -24,7 +24,7 @@ func checkpointNet(seed uint64) *Network {
 // saveModel encodes net as the "model" section of a checkpoint container.
 func saveModel(t *testing.T, net *Network) []byte {
 	t.Helper()
-	d := ckpt.NewDict()
+	d := ckpt.NewDict(nil)
 	SnapshotModelSection(d, "model", net, nil)
 	var buf bytes.Buffer
 	if err := ckpt.Write(&buf, d); err != nil {
@@ -63,7 +63,7 @@ func TestCheckpointFileRoundtrip(t *testing.T) {
 	src := checkpointNet(4)
 	dst := checkpointNet(5)
 	path := filepath.Join(t.TempDir(), ckpt.RoundFileName(1))
-	d := ckpt.NewDict()
+	d := ckpt.NewDict(nil)
 	SnapshotModelSection(d, "model", src, nil)
 	if err := ckpt.WriteFile(path, d); err != nil {
 		t.Fatal(err)

@@ -41,8 +41,10 @@ const (
 	PhaseServerTrain = "server_train"
 	// PhaseEval is end-of-round evaluation on the test sets.
 	PhaseEval = "eval"
-	// PhaseCheckpoint is the durable write of a run-state checkpoint, so
-	// traces show what checkpointing costs a round.
+	// PhaseCheckpoint is what a run-state checkpoint costs the round that
+	// takes it: any wait on the previous write and the encode, plus the
+	// durable write itself when the save is synchronous, so traces show
+	// what checkpointing costs a round.
 	PhaseCheckpoint = "checkpoint"
 	// PhaseLeafReduce is a leaf aggregator's share of a hierarchical round:
 	// fanning the shard's round framing and reducing its uploads into the

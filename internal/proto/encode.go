@@ -7,18 +7,17 @@ import (
 	"fedpkd/internal/ckpt"
 )
 
-// Encode serializes the set deterministically: classes are written in
+// Encode appends the set to e deterministically: classes are written in
 // ascending order regardless of map iteration order, so identical sets
 // always produce identical bytes — the property the engine's resume-
 // equivalence goldens rely on. The cost follows the prototypes held, not
 // Classes.
-func (s *Set) Encode() []byte {
+func (s *Set) Encode(e *ckpt.Enc) {
 	classes := make([]int, 0, len(s.Vectors))
 	for class := range s.Vectors {
 		classes = append(classes, class)
 	}
 	sort.Ints(classes)
-	e := ckpt.NewEnc()
 	e.U32(uint32(s.Classes))
 	e.U32(uint32(s.Dim))
 	e.U32(uint32(len(classes)))
@@ -27,7 +26,6 @@ func (s *Set) Encode() []byte {
 		e.I64(int64(s.Counts[class]))
 		e.F64s(s.Vectors[class])
 	}
-	return e.Buf()
 }
 
 // DecodeSet parses a set from its Encode form.

@@ -4,7 +4,16 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"fedpkd/internal/ckpt"
 )
+
+// encodeSet is Set.Encode into a fresh encoder.
+func encodeSet(s *Set) []byte {
+	e := ckpt.NewEnc()
+	s.Encode(e)
+	return e.Buf()
+}
 
 func TestSetEncodeDecodeRoundTrip(t *testing.T) {
 	s := NewSet(5, 3)
@@ -13,7 +22,7 @@ func TestSetEncodeDecodeRoundTrip(t *testing.T) {
 	s.Vectors[3] = []float64{-0.5, 0, 4.25}
 	s.Counts[3] = 2
 
-	got, err := DecodeSet(s.Encode())
+	got, err := DecodeSet(encodeSet(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func TestSetEncodeDeterministic(t *testing.T) {
 	b.Vectors[2] = []float64{1, 1}
 	b.Counts[2] = 1
 
-	if !bytes.Equal(a.Encode(), b.Encode()) {
+	if !bytes.Equal(encodeSet(a), encodeSet(b)) {
 		t.Fatal("insertion order leaked into the encoding")
 	}
 }
@@ -71,9 +80,9 @@ func FuzzDecodeSet(f *testing.F) {
 	s.Counts[0] = 7
 	s.Vectors[3] = []float64{-0.5, 0, 4.25}
 	s.Counts[3] = 2
-	f.Add(s.Encode())
-	f.Add(NewSet(10, 0).Encode())
-	if _, err := DecodeSet(s.Encode()); err != nil { // first-use allocations
+	f.Add(encodeSet(s))
+	f.Add(encodeSet(NewSet(10, 0)))
+	if _, err := DecodeSet(encodeSet(s)); err != nil { // first-use allocations
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -84,12 +93,12 @@ func FuzzDecodeSet(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := s.Encode()
+		enc := encodeSet(s)
 		back, err := DecodeSet(enc)
 		if err != nil {
 			t.Fatalf("re-encoded set rejected: %v", err)
 		}
-		if again := back.Encode(); !bytes.Equal(again, enc) {
+		if again := encodeSet(back); !bytes.Equal(again, enc) {
 			t.Fatalf("set changed across a re-encode:\n %x\n %x", enc, again)
 		}
 	})
@@ -99,7 +108,7 @@ func TestDecodeSetRejectsCorruption(t *testing.T) {
 	s := NewSet(3, 2)
 	s.Vectors[1] = []float64{1, 2}
 	s.Counts[1] = 4
-	enc := s.Encode()
+	enc := encodeSet(s)
 	if _, err := DecodeSet(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated set accepted")
 	}
