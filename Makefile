@@ -50,7 +50,8 @@ bench-pairs:
 
 # fuzz runs the decode fuzzers (transport round messages, comm packed
 # sections, and the checkpoint parsers: the ckpt container and its file-name
-# filter, histories, state dicts and prototype sets) and the kernel-path
+# filter, histories, state dicts and prototype sets), the operator-facing
+# spec parsers (-chaos, -availability, -population) and the kernel-path
 # fuzzers (simd inner loops == pure-Go kernels and row ops, bit for bit) for a
 # short budget each; raise FUZZTIME for deeper exploration.
 # The wire decoders start from the checked-in seed corpora under
@@ -64,5 +65,8 @@ fuzz:
 	$(GO) test ./internal/fl/ -run=XXX -fuzz=FuzzDecodeHistory -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/nn/ -run=XXX -fuzz=FuzzDecodeStateDict -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/proto/ -run=XXX -fuzz=FuzzDecodeSet -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/faults/ -run=XXX -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fl/engine/ -run=XXX -fuzz=FuzzParseAvailability -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/distrib/ -run=XXX -fuzz=FuzzParsePopulation -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzKernelPaths -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzRowOps -fuzztime=$(FUZZTIME)

@@ -23,7 +23,6 @@ import (
 
 	"fedpkd/internal/expt"
 	"fedpkd/internal/obs"
-	"fedpkd/internal/tensor"
 )
 
 func main() {
@@ -44,12 +43,10 @@ func run(args []string) error {
 		targetC10 = fs.Float64("target-c10", expt.DefaultTargetC10, "table1 accuracy target for SynthC10")
 		targetC1h = fs.Float64("target-c100", expt.DefaultTargetC100, "table1 accuracy target for SynthC100")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-		workers   = fs.Int("workers", 0, "tensor-kernel worker fan-out; 0 tracks GOMAXPROCS (results are bit-identical at any width)")
 		runFlags  = expt.BindRunFlags(fs, true)
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
-	tensor.SetWorkers(*workers)
 	spec, err := runFlags.Spec(*seed)
 	if err != nil {
 		return err

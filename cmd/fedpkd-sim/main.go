@@ -53,7 +53,6 @@ func run(args []string) error {
 		traceDir  = fs.String("trace-dir", "results", "directory for round-trace JSONL/CSV output (empty disables tracing)")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
 		progress  = fs.Bool("progress", true, "print a per-round progress line to stderr (requires tracing)")
-		workers   = fs.Int("workers", 0, "tensor-kernel worker fan-out; 0 tracks GOMAXPROCS (results are bit-identical at any width)")
 		serveMode = fs.Bool("serve", false, "run as a long-lived service with an operator control plane (requires -distributed, -checkpoint-dir, -ctl-addr)")
 		ctlAddr   = fs.String("ctl-addr", "", "control-plane socket: a unix socket path (contains /) or a TCP host:port")
 		ctlCmd    = fs.String("ctl-cmd", "", "send one command (pause, ping, status, resume, save, quit) to the service at -ctl-addr and exit")
@@ -105,8 +104,6 @@ func run(args []string) error {
 	if *distMode == "" && (dist.Faults != nil || dist.ClientTimeout != 0 || dist.MinQuorum != 0) {
 		return fmt.Errorf("-chaos, -client-timeout, and -min-quorum require -distributed")
 	}
-
-	fedpkd.SetKernelWorkers(*workers)
 
 	if *debugAddr != "" {
 		dbg, err := fedpkd.StartDebugServer(*debugAddr)

@@ -25,20 +25,24 @@ var codeSpan = regexp.MustCompile("`([^`]+)`")
 // or engine.meta) do not match.
 var docName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?$`)
 
-// moduleDecls maps each non-main package name of this module to the names its
-// non-test files declare: types, funcs, vars and consts as "Name", and
-// methods, struct fields and interface methods as "Type.Member".
-func moduleDecls(t *testing.T) map[string]map[string]bool {
+// moduleFile is one parsed non-test Go file of this module or of bench/.
+type moduleFile struct {
+	dir string // package directory, slash-separated, relative to the repo root
+	f   *ast.File
+}
+
+// parseModule parses every non-test Go file of this module and of the bench/
+// module inside it, resolving identifiers within each file.
+func parseModule(t *testing.T) (*token.FileSet, []moduleFile) {
 	t.Helper()
-	decls := map[string]map[string]bool{}
 	fset := token.NewFileSet()
+	var files []moduleFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "bench" || name == "testdata") {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -46,20 +50,38 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		pkg := f.Name.Name
-		if pkg == "main" {
-			return nil
+		files = append(files, moduleFile{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// moduleDecls maps each non-main package name of this module to the names its
+// non-test files declare: types, funcs, vars and consts as "Name", and
+// methods, struct fields and interface methods as "Type.Member". bench/
+// keeps its own frozen docs and module, so it is out of scope.
+func moduleDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	_, files := parseModule(t)
+	for _, mf := range files {
+		pkg := mf.f.Name.Name
+		if pkg == "main" || mf.dir == "bench" || strings.HasPrefix(mf.dir, "bench/") {
+			continue
 		}
 		names := decls[pkg]
 		if names == nil {
 			names = map[string]bool{}
 			decls[pkg] = names
 		}
-		for _, decl := range f.Decls {
+		for _, decl := range mf.f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
@@ -83,18 +105,21 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return decls
 }
 
-// recvName returns the type name of a method receiver (T or *T).
+// recvName returns the type name of a method receiver (T, *T, or either
+// with type parameters).
 func recvName(e ast.Expr) string {
 	if s, ok := e.(*ast.StarExpr); ok {
 		e = s.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
 	}
 	if id, ok := e.(*ast.Ident); ok {
 		return id.Name

@@ -5,7 +5,9 @@ import (
 
 	"fedpkd/internal/dataset"
 	"fedpkd/internal/fl"
+	"fedpkd/internal/kd"
 	"fedpkd/internal/models"
+	"fedpkd/internal/tensor"
 )
 
 func tinyEnv(t *testing.T) *fl.Env {
@@ -52,7 +54,7 @@ func TestFedAvgLearnsAndAccounts(t *testing.T) {
 		t.Errorf("FedAvg client accuracy %v", hist.FinalClientAcc())
 	}
 	// Traffic: 3 rounds × 3 clients × 2 directions × model size.
-	wantBytes := int64(3 * 3 * 2 * 4 * f.GlobalModel().ParamCount())
+	wantBytes := int64(3 * 3 * 2 * 4 * f.h.evalNet.ParamCount())
 	if f.Ledger().TotalBytes() != wantBytes {
 		t.Errorf("FedAvg traffic %d, want %d", f.Ledger().TotalBytes(), wantBytes)
 	}
@@ -196,8 +198,13 @@ func TestVanillaKDLearns(t *testing.T) {
 	if hist.FinalServerAcc() < 0.25 {
 		t.Errorf("KD server accuracy %v", hist.FinalServerAcc())
 	}
-	agg := f.AggregatedLogits()
-	if agg.Rows != env.Splits.Public.Len() {
+	// The clients' equally averaged public-set logits, the quantity whose
+	// quality Figs. 2-3 measure, cover the public set.
+	clientLogits := make([]*tensor.Matrix, len(f.h.clients))
+	for c, net := range f.h.clients {
+		clientLogits[c] = net.Logits(env.Splits.Public.X)
+	}
+	if agg := kd.AggregateMean(clientLogits); agg.Rows != env.Splits.Public.Len() {
 		t.Errorf("aggregated logits rows = %d", agg.Rows)
 	}
 }

@@ -89,9 +89,6 @@ func NewFedProx(cfg FedAvgConfig) (*FedAvg, error) {
 	return NewFedAvg(cfg)
 }
 
-// GlobalModel returns a network holding the current global weights.
-func (f *FedAvg) GlobalModel() *nn.Network { return f.h.evalNet }
-
 // fedAvgHooks implements engine.Hooks. global is the only cross-client
 // state: replaced in Aggregate, read by the next round's GlobalState.
 type fedAvgHooks struct {

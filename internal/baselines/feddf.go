@@ -83,9 +83,6 @@ func NewFedDF(cfg FedDFConfig) (*FedDF, error) {
 	return &FedDF{Runner: runner, h: h}, nil
 }
 
-// Server returns the fused server model.
-func (f *FedDF) Server() *nn.Network { return f.h.server }
-
 // fedDFHooks implements engine.Hooks. server and global are cross-client
 // state: written in Aggregate, read by the next round's GlobalState and
 // LocalUpdate.

@@ -83,9 +83,6 @@ func NewFedET(cfg FedETConfig) (*FedET, error) {
 	return &FedET{Runner: runner, h: h}, nil
 }
 
-// Server returns the large server model.
-func (f *FedET) Server() *nn.Network { return f.h.server }
-
 // fedETHooks implements engine.Hooks. server state is written in Aggregate
 // only.
 type fedETHooks struct {

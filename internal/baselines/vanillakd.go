@@ -82,20 +82,6 @@ func NewVanillaKD(cfg VanillaKDConfig) (*VanillaKD, error) {
 	return &VanillaKD{Runner: runner, h: h}, nil
 }
 
-// Server returns the server model.
-func (f *VanillaKD) Server() *nn.Network { return f.h.server }
-
-// AggregatedLogits returns the current round's equally averaged client
-// logits on the public set — the quantity whose quality Figs. 2-3 measure.
-func (f *VanillaKD) AggregatedLogits() *tensor.Matrix {
-	publicX := f.h.cfg.Common.Env.Splits.Public.X
-	clientLogits := make([]*tensor.Matrix, len(f.h.clients))
-	for c, net := range f.h.clients {
-		clientLogits[c] = net.Logits(publicX)
-	}
-	return kd.AggregateMean(clientLogits)
-}
-
 // vanillaKDHooks implements engine.Hooks. server state is written in
 // Aggregate only.
 type vanillaKDHooks struct {

@@ -335,12 +335,18 @@ func TestAtomicWriteFileKeepsOldOnFailure(t *testing.T) {
 	}
 }
 
+// writeFile writes d as a checkpoint file at path the way the engine does:
+// Write inside AtomicWriteFile.
+func writeFile(path string, d *Dict) error {
+	return AtomicWriteFile(path, func(f *os.File) error { return Write(f, d) })
+}
+
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, RoundFileName(3))
 	d := NewDict(nil)
 	d.Put("s", []byte("hello"))
-	if err := WriteFile(path, d); err != nil {
+	if err := writeFile(path, d); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
@@ -369,7 +375,7 @@ func TestLatestValidFallsBackPastCorruption(t *testing.T) {
 		p := filepath.Join(dir, RoundFileName(round))
 		d := NewDict(nil)
 		d.Put("payload", []byte(payload))
-		if err := WriteFile(p, d); err != nil {
+		if err := writeFile(p, d); err != nil {
 			t.Fatal(err)
 		}
 		return p

@@ -53,13 +53,6 @@ func AtomicWriteFile(path string, write func(f *os.File) error) error {
 	return nil
 }
 
-// WriteFile atomically writes the dict as a checkpoint file at path.
-func WriteFile(path string, d *Dict) error {
-	return AtomicWriteFile(path, func(f *os.File) error {
-		return Write(f, d)
-	})
-}
-
 // ReadFile parses the checkpoint file at path.
 func ReadFile(path string) (*Dict, error) {
 	b, err := os.ReadFile(path)

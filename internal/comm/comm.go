@@ -1,15 +1,10 @@
 // Package comm models the communication cost of federated learning: the
 // wire size of every message kind the algorithms exchange (model updates,
-// logits, prototypes), a thread-safe per-round ledger, and a link model that
-// converts bytes into transfer-time estimates. The paper's Fig. 3 and
-// Table I are computed from these measurements.
+// logits, prototypes) and a thread-safe per-round ledger. The paper's Fig. 3
+// and Table I are computed from these measurements.
 package comm
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "sync"
 
 // BytesPerValue is the wire width of one scalar. Models and knowledge are
 // transferred as float32, matching the paper's accounting (a ResNet20
@@ -23,12 +18,6 @@ const MB = 1e6
 // LogitsBytes returns the wire size of per-sample logits for a public set.
 func LogitsBytes(samples, classes int) int {
 	return samples * classes * BytesPerValue
-}
-
-// PrototypeBytes returns the wire size of numPrototypes feature-space
-// prototypes (one per class actually present).
-func PrototypeBytes(numPrototypes, featureDim int) int {
-	return numPrototypes * featureDim * BytesPerValue
 }
 
 // ModelBytes returns the wire size of a model update with paramCount scalar
@@ -322,46 +311,4 @@ func (l *Ledger) TotalBytes() int64 {
 // TotalMB returns all traffic in megabytes.
 func (l *Ledger) TotalMB() float64 {
 	return float64(l.TotalBytes()) / MB
-}
-
-// CumulativeMBByRound returns, for each recorded round, the total MB
-// transferred up to and including that round.
-func (l *Ledger) CumulativeMBByRound() []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]float64, len(l.rounds))
-	var cum int64
-	for i, r := range l.rounds {
-		cum += r.Total()
-		out[i] = float64(cum) / MB
-	}
-	return out
-}
-
-// LinkModel estimates wall-clock transfer times for a client uplink and
-// downlink — used to translate traffic into the waiting time that motivates
-// the paper's communication-efficiency claims.
-type LinkModel struct {
-	// UplinkMbps and DownlinkMbps are link capacities in megabits/second.
-	UplinkMbps, DownlinkMbps float64
-	// Latency is the one-way network latency added per transfer.
-	Latency time.Duration
-}
-
-// UploadTime returns the estimated time to push bytes upstream.
-func (m LinkModel) UploadTime(bytes int64) time.Duration {
-	return m.transferTime(bytes, m.UplinkMbps)
-}
-
-// DownloadTime returns the estimated time to pull bytes downstream.
-func (m LinkModel) DownloadTime(bytes int64) time.Duration {
-	return m.transferTime(bytes, m.DownlinkMbps)
-}
-
-func (m LinkModel) transferTime(bytes int64, mbps float64) time.Duration {
-	if mbps <= 0 {
-		panic(fmt.Sprintf("comm: non-positive link rate %v", mbps))
-	}
-	seconds := float64(bytes*8) / (mbps * 1e6)
-	return m.Latency + time.Duration(seconds*float64(time.Second))
 }

@@ -3,15 +3,11 @@ package comm
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestWireSizes(t *testing.T) {
 	if got := LogitsBytes(5000, 10); got != 200000 {
 		t.Errorf("LogitsBytes(5000,10) = %d, want 200000", got)
-	}
-	if got := PrototypeBytes(10, 48); got != 1920 {
-		t.Errorf("PrototypeBytes(10,48) = %d, want 1920", got)
 	}
 	if got := ModelBytes(127754); got != 511016 {
 		t.Errorf("ModelBytes = %d", got)
@@ -42,9 +38,8 @@ func TestLedgerAccumulates(t *testing.T) {
 	if l.TotalMB() != 350/MB {
 		t.Errorf("TotalMB = %v", l.TotalMB())
 	}
-	cum := l.CumulativeMBByRound()
-	if cum[0] != 150/MB || cum[1] != 350/MB {
-		t.Errorf("CumulativeMBByRound = %v", cum)
+	if rounds[0].Total() != 150 || rounds[1].Total() != 200 {
+		t.Errorf("round totals = %d, %d, want 150, 200", rounds[0].Total(), rounds[1].Total())
 	}
 }
 
@@ -136,24 +131,42 @@ func TestLedgerConcurrent(t *testing.T) {
 	}
 }
 
+// TestLinkModel: the ledger prices traffic in decimal megabytes, as the
+// paper's figures do, and neither the raw-equivalent nor the tier columns
+// enter the total.
 func TestLinkModel(t *testing.T) {
-	m := LinkModel{UplinkMbps: 8, DownlinkMbps: 80, Latency: 10 * time.Millisecond}
-	// 1 MB at 8 Mbps = 1 second (+latency).
-	if got := m.UploadTime(1e6); got != time.Second+10*time.Millisecond {
-		t.Errorf("UploadTime = %v", got)
+	l := NewLedger()
+	l.StartRound(0)
+	l.AddUploadRaw(500_000, 2_000_000)
+	l.AddDownload(500_000)
+	l.AddTierUp(300)
+	l.AddTierDown(700)
+	if got := l.TotalMB(); got != 1 {
+		t.Errorf("TotalMB = %v, want 1", got)
 	}
-	if got := m.DownloadTime(1e6); got != 100*time.Millisecond+10*time.Millisecond {
-		t.Errorf("DownloadTime = %v", got)
+	r := l.Rounds()[0]
+	if r.RawUpload != 2_000_000 || r.TierUp != 300 || r.TierDown != 700 {
+		t.Errorf("side columns = %+v", r)
 	}
 }
 
+// TestLinkModelBadRatePanics: tier traffic before StartRound panics like
+// client traffic does, and the ledger stays usable after the panic.
 func TestLinkModelBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-rate link should panic")
-		}
+	l := NewLedger()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddTierUp before StartRound should panic")
+			}
+		}()
+		l.AddTierUp(1)
 	}()
-	LinkModel{}.UploadTime(1)
+	l.StartRound(0) // would deadlock if the panic had kept the lock
+	l.AddTierUp(1)
+	if l.Rounds()[0].TierUp != 1 {
+		t.Error("tier bytes after the recovered panic were not recorded")
+	}
 }
 
 func TestRoundTrafficTotal(t *testing.T) {

@@ -225,9 +225,6 @@ func New(cfg Config) (*FedPKD, error) {
 	return &FedPKD{Runner: runner, h: h}, nil
 }
 
-// Server returns the trained server model.
-func (f *FedPKD) Server() *nn.Network { return f.h.server }
-
 // Clients returns the client models.
 func (f *FedPKD) Clients() []*nn.Network { return f.h.clients }
 

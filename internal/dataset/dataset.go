@@ -95,16 +95,6 @@ func Batches(rng *stats.RNG, n, batchSize int) [][]int {
 	return batches
 }
 
-// Gather copies the given rows of d into a batch matrix and label slice
-// (labels nil when d is unlabeled).
-func Gather(d *Dataset, idx []int) (*tensor.Matrix, []int) {
-	var labels []int
-	if d.Labels != nil {
-		labels = make([]int, len(idx))
-	}
-	return GatherInto(nil, labels, d, idx)
-}
-
 // GatherInto copies the given rows of d into dst, reusing its backing
 // storage when it is large enough (dst may be nil). Labels land in dstLabels
 // when d is labeled; dstLabels must then have len(idx) capacity. It returns

@@ -102,19 +102,21 @@ func TestBatchesBadSizePanics(t *testing.T) {
 	Batches(stats.NewRNG(1), 10, 0)
 }
 
+// TestGather drives GatherInto from nil workspaces: it sizes the batch,
+// copies the rows and labels, and returns nil labels for unlabeled data.
 func TestGather(t *testing.T) {
 	d := tinyDataset(8, 3, 2)
-	x, labels := Gather(d, []int{2, 4})
+	x, labels := GatherInto(nil, make([]int, 2), d, []int{2, 4})
 	if x.Rows != 2 || x.Cols != 3 {
-		t.Fatalf("Gather shape %dx%d", x.Rows, x.Cols)
+		t.Fatalf("GatherInto shape %dx%d", x.Rows, x.Cols)
 	}
-	if labels[0] != d.Labels[2] || labels[1] != d.Labels[4] {
-		t.Error("Gather labels wrong")
+	if x.At(1, 0) != d.X.At(4, 0) || labels[0] != d.Labels[2] || labels[1] != d.Labels[4] {
+		t.Error("GatherInto rows or labels wrong")
 	}
 	u := d.WithoutLabels()
-	_, noLabels := Gather(u, []int{0})
+	_, noLabels := GatherInto(nil, nil, u, []int{0})
 	if noLabels != nil {
-		t.Error("Gather on unlabeled data must return nil labels")
+		t.Error("GatherInto on unlabeled data must return nil labels")
 	}
 }
 

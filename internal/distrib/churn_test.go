@@ -9,6 +9,7 @@ import (
 	"fedpkd/internal/baselines"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
+	"fedpkd/internal/transport"
 )
 
 // churnTestTrace derives an availability trace usable over an n-client fleet
@@ -156,7 +157,7 @@ func TestServiceLeaveMidRun(t *testing.T) {
 			if round == 1 {
 				// The goodbye travels client 2's own connection and is queued
 				// during round 1's collect; round 2 runs without it.
-				return svc.Leave(2)
+				return svc.sendRegistration(2, transport.KindGoodbye)
 			}
 			return nil
 		},
@@ -172,7 +173,7 @@ func TestServiceLeaveMidRun(t *testing.T) {
 	if got := len(hist.Rounds); got != 3 {
 		t.Fatalf("completed %d rounds, want 3", got)
 	}
-	if svc.Registry().Has(2) {
+	if svc.reg.Has(2) {
 		t.Fatal("client 2 still registered after goodbye")
 	}
 	if st := svc.Status(); st.Registered != 2 {
@@ -267,7 +268,7 @@ func TestAsyncPreRoundQuorumAbortKeepsCountersInStep(t *testing.T) {
 			if flush == 1 {
 				// Queued during flush 1's collect, applied at flush 2's barrier:
 				// flush 2 then plans a single contributor.
-				return svc.Leave(1)
+				return svc.sendRegistration(1, transport.KindGoodbye)
 			}
 			return nil
 		},

@@ -66,3 +66,23 @@ func TestParsePopulationOnlyBlanks(t *testing.T) {
 		t.Fatalf("got %v (nil=%v), want an empty non-nil list", ids, ids == nil)
 	}
 }
+
+// FuzzParsePopulation holds the population parser to its contract on
+// arbitrary text and fleet sizes: it never panics, and every population it
+// accepts lies in [0, n), ascending, with no duplicates.
+func FuzzParsePopulation(f *testing.F) {
+	for _, s := range []string{" 4,0 , 2,, 1 ,3", "0,1,1", "-1", "5", "x", "+3", "0x1", "9223372036854775807", ","} {
+		f.Add(s, uint8(5))
+	}
+	f.Fuzz(func(t *testing.T, spec string, n uint8) {
+		ids, err := ParsePopulation(spec, int(n))
+		if err != nil {
+			return
+		}
+		for i, id := range ids {
+			if id < 0 || id >= int(n) || (i > 0 && id <= ids[i-1]) {
+				t.Fatalf("ParsePopulation(%q, %d) = %v: out of range, unsorted or duplicated", spec, n, ids)
+			}
+		}
+	})
+}

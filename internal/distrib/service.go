@@ -352,12 +352,6 @@ func (s *Service) Join(id int) error {
 	return s.sendRegistration(id, transport.KindHello)
 }
 
-// Leave deregisters client id: the goodbye takes effect at the next round
-// barrier, after which the client is no longer scheduled into cohorts.
-func (s *Service) Leave(id int) error {
-	return s.sendRegistration(id, transport.KindGoodbye)
-}
-
 func (s *Service) sendRegistration(id int, kind transport.Kind) error {
 	p := s.peers[id]
 	if p == nil {
@@ -490,9 +484,6 @@ func (s *Service) setStatus(t int) {
 	s.status = st
 	s.mu.Unlock()
 }
-
-// Registry exposes the live registry (tests and the control plane).
-func (s *Service) Registry() *Registry { return s.reg }
 
 func (s *Service) closeTransport() {
 	s.trOnce.Do(func() {

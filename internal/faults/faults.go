@@ -181,7 +181,7 @@ func (p *Plan) Validate() error {
 		{"TierDropProb", p.TierDropProb}, {"TierDelayProb", p.TierDelayProb}, {"TierDupProb", p.TierDupProb},
 		{"TierCorruptProb", p.TierCorruptProb}, {"TierSendFailProb", p.TierSendFailProb}, {"LeafCrashProb", p.LeafCrashProb},
 	} {
-		if f.v < 0 || f.v >= 1 {
+		if !(f.v >= 0 && f.v < 1) { // NaN fails too
 			return fmt.Errorf("faults: %s must be in [0,1), got %v", f.name, f.v)
 		}
 	}
@@ -564,13 +564,17 @@ func (b Backoff) Delay(attempt int, rng *stats.RNG) time.Duration {
 // into a Plan seeded with seed. Tier-plane keys (tierdrop, tierdelay,
 // tierdup, tiercorrupt, tiersendfail, leafcrash) target the aggregator
 // tree's leaf→root links. Keys may appear in any order; unknown keys are an
-// error. An empty spec returns nil (no chaos).
+// error. An empty spec returns nil (no chaos); "none", what String prints
+// for a plan that sets nothing, returns such a plan.
 func ParsePlan(spec string, seed uint64) (*Plan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
 	}
 	p := &Plan{Seed: seed}
+	if spec == "none" {
+		return p, nil
+	}
 	fields := map[string]*float64{
 		"drop": &p.DropProb, "delay": &p.DelayProb, "dup": &p.DupProb,
 		"corrupt": &p.CorruptProb, "sendfail": &p.SendFailProb, "crash": &p.CrashProb,
@@ -613,9 +617,10 @@ func ParsePlan(spec string, seed uint64) (*Plan, error) {
 	return p, nil
 }
 
-// String renders the plan compactly for logs and experiment tables.
+// String renders the plan compactly for logs and experiment tables, in
+// ParsePlan's syntax: the nonzero keys, or "none" when no key is set.
 func (p *Plan) String() string {
-	if !p.Enabled() {
+	if p == nil {
 		return "none"
 	}
 	var parts []string
@@ -636,5 +641,11 @@ func (p *Plan) String() string {
 	add("tiercorrupt", p.TierCorruptProb)
 	add("tiersendfail", p.TierSendFailProb)
 	add("leafcrash", p.LeafCrashProb)
+	if p.MaxDelay > 0 {
+		parts = append(parts, "maxdelay="+p.MaxDelay.String())
+	}
+	if len(parts) == 0 {
+		return "none"
+	}
 	return strings.Join(parts, ",")
 }

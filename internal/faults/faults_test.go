@@ -327,6 +327,35 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
+// FuzzParsePlan holds the chaos-spec parser to its contract on arbitrary
+// text: it never panics, and every plan it accepts is valid and re-parses
+// from its String to an equal plan.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"drop=0.1, crash=0.2,dup=0.05,corrupt=0.01,delay=0.3,sendfail=0.1,maxdelay=5ms",
+		"tierdrop=0.1,tierdelay=0.2,tierdup=0.05,tiercorrupt=0.01,tiersendfail=0.1,leafcrash=0.3",
+		"DROP=1e-3", "drop=0", "maxdelay=1h2m3.5s", "none", "drop=NaN", "drop=-0", "delay=0.5,maxdelay=-1ms", "drop=0.1,,crash=0.2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec, 9)
+		if err != nil || p == nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan(%q) accepted an invalid plan: %v", spec, err)
+		}
+		back, err := ParsePlan(p.String(), 9)
+		if err != nil || back == nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not re-parse: %v", spec, p.String(), err)
+		}
+		if *back != *p {
+			t.Fatalf("ParsePlan(%q) = %+v, but its String %q re-parses to %+v", spec, *p, p.String(), *back)
+		}
+	})
+}
+
 // TestBackoffDelayEdgeCases pins the Delay contract at the boundaries of the
 // attempt range: a below-range attempt clamps to the first retry instead of
 // shifting by a negative count, and huge attempts saturate at Max rather

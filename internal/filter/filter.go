@@ -59,27 +59,3 @@ func Select(features *tensor.Matrix, pseudoLabels []int, protos *proto.Set, rati
 	sort.Ints(selected)
 	return selected
 }
-
-// Stats summarizes one filtering pass, for experiment reporting.
-type Stats struct {
-	// Total is the public-set size before filtering.
-	Total int
-	// Kept is the number of samples selected.
-	Kept int
-	// PerClassKept maps pseudo-class -> samples kept.
-	PerClassKept map[int]int
-}
-
-// SelectWithStats is Select plus a summary of what was kept.
-func SelectWithStats(features *tensor.Matrix, pseudoLabels []int, protos *proto.Set, ratio float64) ([]int, Stats) {
-	selected := Select(features, pseudoLabels, protos, ratio)
-	st := Stats{
-		Total:        len(pseudoLabels),
-		Kept:         len(selected),
-		PerClassKept: make(map[int]int),
-	}
-	for _, i := range selected {
-		st.PerClassKept[pseudoLabels[i]]++
-	}
-	return selected, st
-}

@@ -84,15 +84,14 @@ func TestSelectRowMismatchPanics(t *testing.T) {
 	Select(tensor.New(2, 2), []int{0}, protoAtOrigin(), 0.5)
 }
 
+// TestSelectWithStats: with ratio 0.5, Select keeps the half of a class
+// nearest its prototype.
 func TestSelectWithStats(t *testing.T) {
-	features := tensor.FromRows([][]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}})
+	features := tensor.FromRows([][]float64{{3, 0}, {1, 0}, {2, 0}, {0, 0}})
 	pseudo := []int{0, 0, 0, 0}
-	selected, st := SelectWithStats(features, pseudo, protoAtOrigin(), 0.5)
-	if st.Total != 4 || st.Kept != 2 || st.PerClassKept[0] != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-	if len(selected) != 2 {
-		t.Errorf("selected = %v", selected)
+	selected := Select(features, pseudo, protoAtOrigin(), 0.5)
+	if len(selected) != 2 || selected[0] != 1 || selected[1] != 3 {
+		t.Errorf("selected = %v, want [1 3]", selected)
 	}
 }
 

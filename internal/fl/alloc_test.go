@@ -43,7 +43,7 @@ func TestTrainCESteadyStateMatrixAllocs(t *testing.T) {
 		rng := stats.NewRNG(99)
 		net := allocTestNet(rng)
 		d := allocTestData(rng, 64)
-		opt := nn.NewSGD(0.05, 0.9)
+		opt := nn.NewAdam(0.05)
 		before := tensor.ReadKernelStats().MatrixAllocs
 		TrainCE(net, opt, d, rng, epochs, 16)
 		return tensor.ReadKernelStats().MatrixAllocs - before
@@ -75,7 +75,7 @@ func TestTrainDistillSteadyStateMatrixAllocs(t *testing.T) {
 		for i := range pseudo {
 			pseudo[i] = i % 4
 		}
-		opt := nn.NewSGD(0.05, 0.9)
+		opt := nn.NewAdam(0.05)
 		before := tensor.ReadKernelStats().MatrixAllocs
 		TrainDistill(net, opt, x, teacher, pseudo, rng, epochs, 16, 0.5, 2)
 		return tensor.ReadKernelStats().MatrixAllocs - before

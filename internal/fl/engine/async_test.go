@@ -312,12 +312,12 @@ func TestAsyncCheckpointResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
+	if err := checkpointTo(first, &buf); err != nil {
 		t.Fatal(err)
 	}
 
 	resumed, _ := asyncToyRunner(t, 7)
-	if err := resumed.Resume(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := resumeFrom(resumed, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := resumed.History().FinalClock(), first.History().FinalClock(); got != want || got == 0 {
@@ -343,7 +343,7 @@ func TestAsyncCheckpointModeAndOptionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var asyncCkpt bytes.Buffer
-	if err := asyncSrc.Checkpoint(&asyncCkpt); err != nil {
+	if err := checkpointTo(asyncSrc, &asyncCkpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -352,18 +352,18 @@ func TestAsyncCheckpointModeAndOptionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var syncCkpt bytes.Buffer
-	if err := syncSrc.Checkpoint(&syncCkpt); err != nil {
+	if err := checkpointTo(syncSrc, &syncCkpt); err != nil {
 		t.Fatal(err)
 	}
 
 	// Async checkpoint into a sync runner: refused.
 	syncR, _ := toyRunner(t, "Toy", 7, 4)
-	if err := syncR.Resume(bytes.NewReader(asyncCkpt.Bytes())); err == nil {
+	if err := resumeFrom(syncR, bytes.NewReader(asyncCkpt.Bytes())); err == nil {
 		t.Error("async checkpoint accepted by a synchronous runner")
 	}
 	// Sync checkpoint into an async runner: refused.
 	asyncR, _ := asyncToyRunner(t, 7)
-	if err := asyncR.Resume(bytes.NewReader(syncCkpt.Bytes())); err == nil {
+	if err := resumeFrom(asyncR, bytes.NewReader(syncCkpt.Bytes())); err == nil {
 		t.Error("sync checkpoint accepted by an async runner")
 	}
 	// Async checkpoint under different async options: refused, not applied.
@@ -372,7 +372,7 @@ func TestAsyncCheckpointModeAndOptionMismatch(t *testing.T) {
 		Schedule: ArrivalSchedule{Seed: 7, StragglerFrac: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := diff.Resume(bytes.NewReader(asyncCkpt.Bytes())); err == nil {
+	if err := resumeFrom(diff, bytes.NewReader(asyncCkpt.Bytes())); err == nil {
 		t.Error("async checkpoint accepted under different buffer size")
 	}
 	if diff.CurrentRound() != 0 {

@@ -62,10 +62,10 @@ func (a AvailabilityTrace) Validate() error {
 	if a.Period < 1 {
 		return fmt.Errorf("engine: AvailabilityTrace Period must be >= 1, got %d", a.Period)
 	}
-	if a.MinDuty <= 0 || a.MinDuty > 1 {
+	if !(a.MinDuty > 0 && a.MinDuty <= 1) { // NaN fails too
 		return fmt.Errorf("engine: AvailabilityTrace MinDuty must be in (0,1], got %v", a.MinDuty)
 	}
-	if a.MaxDuty < a.MinDuty || a.MaxDuty > 1 {
+	if !(a.MaxDuty >= a.MinDuty && a.MaxDuty <= 1) {
 		return fmt.Errorf("engine: AvailabilityTrace MaxDuty %v outside [MinDuty=%v, 1]", a.MaxDuty, a.MinDuty)
 	}
 	return nil

@@ -81,6 +81,29 @@ func TestAvailabilityTraceValidate(t *testing.T) {
 	}
 }
 
+// FuzzParseAvailability holds the availability-spec parser to its contract
+// on arbitrary text: it never panics, every trace it accepts has a period
+// of at least one round and duties in (0, 1], and the trace answers Online
+// for any client and round.
+func FuzzParseAvailability(f *testing.F) {
+	for _, s := range []string{"period=24,min=0.5,max=0.9,seed=7", "period=6", "min=1,max=1", "period=0", "min=NaN", "max=nan", "period=-3", ",,seed=18446744073709551615", "min=0.9,max=0.5"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tr, err := ParseAvailability(spec, 42)
+		if err != nil || tr == nil {
+			return
+		}
+		d := tr.WithDefaults()
+		if d.Period < 1 || !(d.MinDuty > 0 && d.MinDuty <= d.MaxDuty && d.MaxDuty <= 1) {
+			t.Fatalf("ParseAvailability(%q) accepted %+v", spec, d)
+		}
+		for c := 0; c < 4; c++ {
+			tr.Online(c, c*d.Period+1)
+		}
+	})
+}
+
 func TestParseAvailability(t *testing.T) {
 	tr, err := ParseAvailability("period=12,min=0.4,max=0.8,seed=7", 42)
 	if err != nil {

@@ -152,33 +152,6 @@ func (r *Runner) restoreDict(d *ckpt.Dict) error {
 	return nil
 }
 
-// Checkpoint writes the full run state to w in the ckpt container format.
-func (r *Runner) Checkpoint(w io.Writer) error {
-	if err := r.WaitCheckpoint(); err != nil {
-		return err
-	}
-	d, err := r.checkpointDict()
-	if err != nil {
-		return err
-	}
-	return ckpt.Write(w, d)
-}
-
-// Resume restores the full run state from a Checkpoint stream. The runner
-// must have been built with the same algorithm, config, and environment as
-// the checkpointed one; the next Run continues bit-identically from the
-// checkpointed round.
-func (r *Runner) Resume(rd io.Reader) error {
-	if err := r.WaitCheckpoint(); err != nil {
-		return err
-	}
-	d, err := ckpt.Read(rd)
-	if err != nil {
-		return err
-	}
-	return r.restoreDict(d)
-}
-
 // countingWriter counts bytes for the checkpoint-size expvar.
 type countingWriter struct {
 	w io.Writer

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"expvar"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,32 @@ import (
 	"fedpkd/internal/fl"
 	"fedpkd/internal/obs"
 )
+
+// checkpointTo writes r's full run state to w in the ckpt container
+// format, the bytes SaveCheckpoint puts in a file.
+func checkpointTo(r *Runner, w io.Writer) error {
+	if err := r.WaitCheckpoint(); err != nil {
+		return err
+	}
+	d, err := r.checkpointDict()
+	if err != nil {
+		return err
+	}
+	return ckpt.Write(w, d)
+}
+
+// resumeFrom restores r's full run state from a checkpointTo stream, as
+// ResumeAny does from a file.
+func resumeFrom(r *Runner, rd io.Reader) error {
+	if err := r.WaitCheckpoint(); err != nil {
+		return err
+	}
+	d, err := ckpt.Read(rd)
+	if err != nil {
+		return err
+	}
+	return r.restoreDict(d)
+}
 
 // toyHooks is a minimal deterministic algorithm: its whole state is one
 // counter bumped by the surviving upload count each round. Small enough to
@@ -89,12 +116,12 @@ func TestRunnerCheckpointResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := firstR.Checkpoint(&buf); err != nil {
+	if err := checkpointTo(firstR, &buf); err != nil {
 		t.Fatal(err)
 	}
 
 	resumedR, resumedH := toyRunner(t, "Toy", 7, 3)
-	if err := resumedR.Resume(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := resumeFrom(resumedR, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if resumedR.CurrentRound() != 2 {
@@ -124,7 +151,7 @@ func TestRunnerResumeValidatesIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := src.Checkpoint(&buf); err != nil {
+	if err := checkpointTo(src, &buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,7 +167,7 @@ func TestRunnerResumeValidatesIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r, _ := toyRunner(t, tc.name, tc.seed, tc.n)
-		if err := r.Resume(bytes.NewReader(buf.Bytes())); err == nil {
+		if err := resumeFrom(r, bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("mismatched %s accepted", tc.label)
 		}
 	}
@@ -164,7 +191,7 @@ func TestRunnerResumeFailsWithoutPartialApply(t *testing.T) {
 	}
 
 	r, h := toyRunner(t, "Toy", 7, 3)
-	if err := r.Resume(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := resumeFrom(r, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("corrupt hook section accepted")
 	}
 	if r.CurrentRound() != 0 || h.counter != 0 || len(r.History().Rounds) != 0 {
@@ -226,7 +253,7 @@ func TestRunnerResumeRejectsImplausibleCounts(t *testing.T) {
 		r := runner()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err = r.Resume(bytes.NewReader(buf.Bytes()))
+		err = resumeFrom(r, bytes.NewReader(buf.Bytes()))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: a count of 0xFFFFFFFF was accepted", tc.label)

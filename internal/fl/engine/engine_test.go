@@ -54,13 +54,13 @@ func TestWireBytes(t *testing.T) {
 		{"logits", &Payload{Logits: logits}, comm.LogitsBytes(4, 10)},
 		{"local logits are free", &Payload{Logits: logits, LogitsLocal: true}, 0},
 		{"indices", &Payload{Indices: []int{1, 2, 3}}, comm.SampleIndexBytes(3)},
-		{"protos", &Payload{Protos: ps}, comm.PrototypeBytes(ps.Len(), ps.Dim)},
+		{"protos", &Payload{Protos: ps}, ps.Len() * ps.Dim * comm.BytesPerValue},
 		{"params", &Payload{Params: make([]float64, 7)}, comm.ModelBytes(7)},
 		{"counted params", &Payload{ParamsCounted: 7}, comm.ModelBytes(7)},
 		{"params win over counted", &Payload{Params: make([]float64, 7), ParamsCounted: 99}, comm.ModelBytes(7)},
 		{"metadata is free", &Payload{NumSamples: 123}, 0},
 		{"composite", &Payload{Logits: logits, Indices: []int{0, 1}, Protos: ps},
-			comm.LogitsBytes(4, 10) + comm.SampleIndexBytes(2) + comm.PrototypeBytes(ps.Len(), ps.Dim)},
+			comm.LogitsBytes(4, 10) + comm.SampleIndexBytes(2) + ps.Len()*ps.Dim*comm.BytesPerValue},
 	}
 	for _, tc := range cases {
 		if got := tc.p.WireBytes(); got != tc.want {

@@ -120,28 +120,6 @@ func (h *History) FinalClientAcc() float64 {
 	return h.Rounds[len(h.Rounds)-1].ClientAcc
 }
 
-// BestServerAcc returns the maximum server accuracy across rounds.
-func (h *History) BestServerAcc() float64 {
-	best := -1.0
-	for _, r := range h.Rounds {
-		if r.ServerAcc > best {
-			best = r.ServerAcc
-		}
-	}
-	return best
-}
-
-// BestClientAcc returns the maximum mean client accuracy across rounds.
-func (h *History) BestClientAcc() float64 {
-	best := -1.0
-	for _, r := range h.Rounds {
-		if r.ClientAcc > best {
-			best = r.ClientAcc
-		}
-	}
-	return best
-}
-
 // MBToServerAcc returns the cumulative traffic at the first round whose
 // server accuracy reaches target, and whether the target was ever reached —
 // the Table I communication-efficiency metric.

@@ -18,9 +18,6 @@ func TestHistoryFinals(t *testing.T) {
 	if h.FinalServerAcc() != 0.55 || h.FinalClientAcc() != 0.65 {
 		t.Errorf("finals = %v, %v", h.FinalServerAcc(), h.FinalClientAcc())
 	}
-	if h.BestServerAcc() != 0.6 || h.BestClientAcc() != 0.65 {
-		t.Errorf("bests = %v, %v", h.BestServerAcc(), h.BestClientAcc())
-	}
 	if h.TotalMB() != 3 {
 		t.Errorf("TotalMB = %v", h.TotalMB())
 	}

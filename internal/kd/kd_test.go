@@ -56,6 +56,17 @@ func TestAggregateVarianceWeightedMatchesPaperWeights(t *testing.T) {
 	}
 }
 
+// entropy is the Shannon entropy (nats) of a probability vector.
+func entropy(p []float64) float64 {
+	var h float64
+	for _, v := range p {
+		if v > 0 {
+			h -= v * math.Log(v)
+		}
+	}
+	return h
+}
+
 func TestAggregateERASharpens(t *testing.T) {
 	a := tensor.FromRows([][]float64{{1, 0, 0}})
 	b := tensor.FromRows([][]float64{{1.2, 0.1, 0}})
@@ -64,8 +75,8 @@ func TestAggregateERASharpens(t *testing.T) {
 
 	meanProbs := stats.Softmax(mean.Row(0), nil)
 	eraProbs := stats.Softmax(era.Row(0), nil)
-	if stats.Entropy(eraProbs) >= stats.Entropy(meanProbs) {
-		t.Errorf("ERA should reduce entropy: %v vs %v", stats.Entropy(eraProbs), stats.Entropy(meanProbs))
+	if entropy(eraProbs) >= entropy(meanProbs) {
+		t.Errorf("ERA should reduce entropy: %v vs %v", entropy(eraProbs), entropy(meanProbs))
 	}
 	if stats.Argmax(eraProbs) != stats.Argmax(meanProbs) {
 		t.Error("ERA must not change the consensus argmax")

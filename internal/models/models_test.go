@@ -49,7 +49,7 @@ func TestBuildForwardShapes(t *testing.T) {
 			t.Errorf("%s logits shape %dx%d, want 5x7", name, logits.Rows, logits.Cols)
 		}
 		spec, _ := Lookup(name)
-		if got := net.FeatureDim(16); got != spec.Hidden {
+		if got := net.Features(x).Cols; got != spec.Hidden {
 			t.Errorf("%s feature dim %d, want %d", name, got, spec.Hidden)
 		}
 	}
@@ -71,9 +71,10 @@ func TestBuildTrainable(t *testing.T) {
 		x.Set(i, 0, x.At(i, 0)+float64(labels[i])*3)
 	}
 	opt := nn.NewAdam(0.01)
+	grad := tensor.New(len(labels), 3)
 	for epoch := 0; epoch < 100; epoch++ {
 		logits := net.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
+		nn.SoftmaxCrossEntropyInto(grad, logits, labels)
 		nn.ZeroGrads(net.Params())
 		net.Backward(grad, nil)
 		opt.Step(net.Params())

@@ -47,7 +47,7 @@ func TestNetworkSteadyStateAllocs(t *testing.T) {
 	noGC(t)
 	rng := stats.NewRNG(2)
 	net := NewNetwork("alloc-test",
-		NewSequential(NewDense(rng, 20, 24), NewReLU(), NewDense(rng, 24, 12), NewTanh()),
+		NewSequential(NewDense(rng, 20, 24), NewReLU(), NewDense(rng, 24, 12), NewLayerNorm(12)),
 		NewSequential(NewDense(rng, 12, 5)),
 	)
 	params := net.Params()

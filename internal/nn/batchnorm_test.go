@@ -67,8 +67,8 @@ func TestBatchNormGradients(t *testing.T) {
 	rng := stats.NewRNG(3)
 	bn := NewBatchNorm(3)
 	// Non-trivial gamma/beta so their gradients are exercised.
-	bn.gamma.Value.SetRow(0, []float64{1.5, 0.5, 2})
-	bn.beta.Value.SetRow(0, []float64{0.1, -0.2, 0.3})
+	copy(bn.gamma.Value.Row(0), []float64{1.5, 0.5, 2})
+	copy(bn.beta.Value.Row(0), []float64{0.1, -0.2, 0.3})
 	x := tensor.Randn(rng, 6, 3, 1)
 
 	loss := func() float64 {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,7 +66,7 @@ func TestCheckpointFileRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ckpt.RoundFileName(1))
 	d := ckpt.NewDict(nil)
 	SnapshotModelSection(d, "model", src, nil)
-	if err := ckpt.WriteFile(path, d); err != nil {
+	if err := ckpt.AtomicWriteFile(path, func(f *os.File) error { return ckpt.Write(f, d) }); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ckpt.ReadFile(path)

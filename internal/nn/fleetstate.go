@@ -88,7 +88,7 @@ func (w *stateWriter) layer(l Layer) {
 		w.params(v.Params())
 	case *LayerNorm:
 		w.params(v.Params())
-	case *ReLU, *LeakyReLU, *Tanh, *Dropout:
+	case *ReLU:
 	default:
 		panic(fmt.Sprintf("nn: SnapshotModelSection does not know layer type %T", l))
 	}
@@ -125,19 +125,6 @@ func (w *stateWriter) optimizer(o Optimizer, params []*Param) {
 				w.tensor(st.v)
 			}
 		}
-	case *SGD:
-		for i, p := range params {
-			if vel, ok := v.velocity[p]; ok {
-				w.name = w.name[:mark]
-				w.index(".v", i)
-				w.tensor(vel)
-			}
-		}
-	case *Scheduled:
-		w.name = append(w.name, ".step"...)
-		w.int(int64(v.step))
-		w.name = append(w.name[:mark], ".inner"...)
-		w.optimizer(v.inner, params)
 	default:
 		panic(fmt.Sprintf("nn: SnapshotModelSection does not know optimizer type %T", o))
 	}

@@ -127,8 +127,8 @@ func outCols(l Layer, in int) int {
 // of its own, or nil when a layer has no twin. A twin never trains: its
 // layers have no lane gate, and the lane runs only eval-mode blocks on it
 // while n's trainer, if any, is released. Hyperparameters (BatchNorm and
-// LayerNorm Eps, LeakyReLU Alpha) are copied at build; params are shared, so
-// SetFlatParams, Restore and training all reach the twin.
+// LayerNorm Eps) are copied at build; params are shared, so SetFlatParams,
+// Restore and training all reach the twin.
 func (n *Network) newTwin() *Network {
 	body, head := twinOf(n.Body), twinOf(n.Head)
 	if body == nil || head == nil {
@@ -160,12 +160,6 @@ func twinOf(l Layer) Layer {
 		return &LayerNorm{Dim: v.Dim, Eps: v.Eps, gamma: v.gamma, beta: v.beta}
 	case *ReLU:
 		return NewReLU()
-	case *LeakyReLU:
-		return NewLeakyReLU(v.Alpha)
-	case *Tanh:
-		return NewTanh()
-	case *Dropout:
-		return &Dropout{Rate: v.Rate, rng: v.rng}
 	}
 	return nil
 }

@@ -197,8 +197,8 @@ func TestLaneContention(t *testing.T) {
 // TestLaneNeedsAdamAndGates: the lane runs only Adam, and only for networks
 // whose every param-holding layer can gate its forward on it.
 func TestLaneNeedsAdamAndGates(t *testing.T) {
-	if NewTrainer(laneNet(), NewSGD(0.1, 0.9)).AttachLane() {
-		t.Error("the lane attached to an SGD trainer")
+	if NewTrainer(laneNet(), &wrappedAdam{NewAdam(1e-3)}).AttachLane() {
+		t.Error("the lane attached to a trainer whose optimizer only wraps Adam")
 	}
 	alien := NewNetwork("alien", NewSequential(paramLayer{NewDense(stats.NewRNG(1), 2, 2)}), NewSequential())
 	if NewTrainer(alien, NewAdam(1e-3)).AttachLane() {
@@ -211,3 +211,7 @@ func TestLaneNeedsAdamAndGates(t *testing.T) {
 
 // paramLayer is a param-holding layer the lane does not know.
 type paramLayer struct{ Layer }
+
+// wrappedAdam is a non-Adam optimizer of the shape FedProx's proximal update
+// has: it embeds an Adam and would adjust the gradients before stepping it.
+type wrappedAdam struct{ Optimizer }

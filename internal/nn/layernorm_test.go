@@ -30,8 +30,8 @@ func TestLayerNormNormalizesRows(t *testing.T) {
 func TestLayerNormGradients(t *testing.T) {
 	rng := stats.NewRNG(2)
 	ln := NewLayerNorm(4)
-	ln.gamma.Value.SetRow(0, []float64{1.5, 0.5, 2, 0.8})
-	ln.beta.Value.SetRow(0, []float64{0.1, -0.2, 0.3, 0})
+	copy(ln.gamma.Value.Row(0), []float64{1.5, 0.5, 2, 0.8})
+	copy(ln.beta.Value.Row(0), []float64{0.1, -0.2, 0.3, 0})
 	x := tensor.Randn(rng, 5, 4, 1)
 	checkLayerGradients(t, ln, x, 1e-5)
 }
@@ -43,9 +43,9 @@ func TestLayerNormStatelessAcrossBatches(t *testing.T) {
 	ln := NewLayerNorm(6)
 	a := tensor.Randn(rng, 1, 6, 1)
 	batch := tensor.New(3, 6)
-	batch.SetRow(0, a.Row(0))
-	batch.SetRow(1, tensor.Randn(rng, 1, 6, 5).Row(0))
-	batch.SetRow(2, tensor.Randn(rng, 1, 6, 5).Row(0))
+	copy(batch.Row(0), a.Row(0))
+	copy(batch.Row(1), tensor.Randn(rng, 1, 6, 5).Row(0))
+	copy(batch.Row(2), tensor.Randn(rng, 1, 6, 5).Row(0))
 
 	solo := ln.Forward(a, false)
 	inBatch := ln.Forward(batch, false)
@@ -63,96 +63,4 @@ func TestLayerNormBackwardWithoutForwardPanics(t *testing.T) {
 		}
 	}()
 	NewLayerNorm(2).Backward(tensor.New(1, 2))
-}
-
-func TestSchedules(t *testing.T) {
-	c := ConstantSchedule{Base: 0.1}
-	if c.LR(0) != 0.1 || c.LR(1000) != 0.1 {
-		t.Error("constant schedule moved")
-	}
-	s := StepSchedule{Base: 1, Gamma: 0.1, Every: 10}
-	if s.LR(0) != 1 || s.LR(9) != 1 {
-		t.Error("step schedule decayed early")
-	}
-	if math.Abs(s.LR(10)-0.1) > 1e-12 || math.Abs(s.LR(25)-0.01) > 1e-12 {
-		t.Errorf("step schedule wrong: %v %v", s.LR(10), s.LR(25))
-	}
-	cos := CosineSchedule{Base: 1, Floor: 0.1, Period: 100}
-	if cos.LR(0) != 1 {
-		t.Errorf("cosine start = %v", cos.LR(0))
-	}
-	if cos.LR(100) != 0.1 || cos.LR(500) != 0.1 {
-		t.Error("cosine must hold the floor after the period")
-	}
-	mid := cos.LR(50)
-	if mid <= 0.1 || mid >= 1 {
-		t.Errorf("cosine midpoint = %v", mid)
-	}
-	for step := 1; step < 100; step++ {
-		if cos.LR(step) > cos.LR(step-1) {
-			t.Fatal("cosine schedule must be monotone decreasing")
-		}
-	}
-}
-
-func TestScheduledOptimizer(t *testing.T) {
-	p := quadParam(0)
-	inner := NewSGD(1, 0) // base LR replaced by the schedule
-	sched, err := NewScheduled(inner, StepSchedule{Base: 0.1, Gamma: 0.5, Every: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Grad.Data[0] = 1
-	sched.Step([]*Param{p}) // lr 0.1
-	if math.Abs(p.Value.Data[0]+0.1) > 1e-12 {
-		t.Errorf("first step moved by %v, want 0.1", p.Value.Data[0])
-	}
-	p.Grad.Data[0] = 1
-	sched.Step([]*Param{p}) // lr 0.05
-	if math.Abs(p.Value.Data[0]+0.15) > 1e-12 {
-		t.Errorf("second step total = %v, want -0.15", p.Value.Data[0])
-	}
-}
-
-func TestScheduledRejectsUnknownOptimizer(t *testing.T) {
-	if _, err := NewScheduled(fakeOpt{}, ConstantSchedule{Base: 1}); err == nil {
-		t.Error("unknown optimizer type should error")
-	}
-}
-
-type fakeOpt struct{}
-
-func (fakeOpt) Step([]*Param)                              {}
-func (fakeOpt) Snapshot(*StateDict, string, []*Param)      {}
-func (fakeOpt) Restore(*StateDict, string, []*Param) error { return nil }
-
-func TestClipGradNorm(t *testing.T) {
-	p := quadParam(0)
-	p.Grad.Data[0] = 30
-	q := quadParam(0)
-	q.Grad.Data[0] = 40
-	params := []*Param{p, q}
-
-	norm := ClipGradNorm(params, 5) // norm is 50 -> scale 0.1
-	if math.Abs(norm-50) > 1e-12 {
-		t.Errorf("pre-clip norm = %v, want 50", norm)
-	}
-	if math.Abs(p.Grad.Data[0]-3) > 1e-12 || math.Abs(q.Grad.Data[0]-4) > 1e-12 {
-		t.Errorf("clipped grads = %v, %v, want 3, 4", p.Grad.Data[0], q.Grad.Data[0])
-	}
-
-	// Below the threshold: untouched.
-	norm = ClipGradNorm(params, 100)
-	if math.Abs(norm-5) > 1e-12 || p.Grad.Data[0] != 3 {
-		t.Error("clip below threshold must be a no-op")
-	}
-}
-
-func TestClipGradNormBadMaxPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	ClipGradNorm(nil, 0)
 }

@@ -8,22 +8,9 @@ import (
 	"fedpkd/internal/tensor"
 )
 
-// Loss functions come in two forms: the original allocating form (returns a
-// fresh gradient matrix) and an Into form that writes dL/dlogits into a
-// caller-owned buffer. Training loops use the Into forms so steady-state
-// epochs allocate no matrices; row-sized softmax workspaces come from the
-// tensor scratch arena.
-
-// SoftmaxCrossEntropy returns the mean cross-entropy between softmax(logits)
-// and integer labels, plus dL/dlogits (already divided by the batch size).
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
-	grad := tensor.New(logits.Rows, logits.Cols)
-	loss := SoftmaxCrossEntropyInto(grad, logits, labels)
-	return loss, grad
-}
-
-// SoftmaxCrossEntropyInto writes dL/dlogits into grad (which must already
-// have the logits' shape) and returns the loss.
+// SoftmaxCrossEntropyInto returns the mean cross-entropy between
+// softmax(logits) and integer labels, and writes dL/dlogits (already divided
+// by the batch size) into grad, which must already have the logits' shape.
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Matrix, labels []int) float64 {
 	if logits.Rows != len(labels) {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy got %d logit rows for %d labels", logits.Rows, len(labels)))
@@ -55,19 +42,12 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Matrix, labels []int) float64 
 	return loss * inv
 }
 
-// KLDistill returns the temperature-scaled distillation loss
-// T² · mean_i KL(softmax(teacher_i/T) ‖ softmax(student_i/T)) and
-// dL/d(studentLogits). The T² factor keeps gradient magnitudes comparable
-// across temperatures (Hinton et al., 2015). The paper's Eqs. (11) and (15)
-// use T = 1.
-func KLDistill(studentLogits, teacherLogits *tensor.Matrix, temp float64) (float64, *tensor.Matrix) {
-	grad := tensor.New(studentLogits.Rows, studentLogits.Cols)
-	loss := KLDistillInto(grad, studentLogits, teacherLogits, temp)
-	return loss, grad
-}
-
-// KLDistillInto writes dL/d(studentLogits) into grad (which must already
-// have the student logits' shape) and returns the loss.
+// KLDistillInto returns the temperature-scaled distillation loss
+// T² · mean_i KL(softmax(teacher_i/T) ‖ softmax(student_i/T)) and writes
+// dL/d(studentLogits) into grad, which must already have the student logits'
+// shape. The T² factor keeps gradient magnitudes comparable across
+// temperatures (Hinton et al., 2015). The paper's Eqs. (11) and (15) use
+// T = 1.
 func KLDistillInto(grad, studentLogits, teacherLogits *tensor.Matrix, temp float64) float64 {
 	if studentLogits.Rows != teacherLogits.Rows || studentLogits.Cols != teacherLogits.Cols {
 		panic(fmt.Sprintf("nn: KLDistill shape mismatch %dx%d vs %dx%d",
@@ -106,16 +86,9 @@ func KLDistillInto(grad, studentLogits, teacherLogits *tensor.Matrix, temp float
 	return loss * temp * temp * inv
 }
 
-// MSE returns the mean-squared error between pred and target (mean over all
-// elements) plus dL/dpred.
-func MSE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	grad := tensor.New(pred.Rows, pred.Cols)
-	loss := MSEInto(grad, pred, target)
-	return loss, grad
-}
-
-// MSEInto writes dL/dpred into grad (which must already have pred's shape)
-// and returns the loss.
+// MSEInto returns the mean-squared error between pred and target (mean over
+// all elements) and writes dL/dpred into grad, which must already have
+// pred's shape.
 func MSEInto(grad, pred, target *tensor.Matrix) float64 {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
 		panic(fmt.Sprintf("nn: MSE shape mismatch %dx%d vs %dx%d", pred.Rows, pred.Cols, target.Rows, target.Cols))

@@ -94,9 +94,3 @@ func (n *Network) Params() []*Param {
 
 // ParamCount returns the number of scalar parameters in the network.
 func (n *Network) ParamCount() int { return ParamCount(n.Params()) }
-
-// FeatureDim returns the width of the feature space by probing the body with
-// a single zero sample of the given input dimension.
-func (n *Network) FeatureDim(inputDim int) int {
-	return n.Body.Forward(tensor.New(1, inputDim), false).Cols
-}

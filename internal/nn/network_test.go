@@ -43,7 +43,7 @@ func TestNetworkLearnsXOR(t *testing.T) {
 
 	for epoch := 0; epoch < 150; epoch++ {
 		logits := net.Forward(x, true)
-		_, grad := SoftmaxCrossEntropy(logits, labels)
+		_, grad := softmaxCrossEntropy(logits, labels)
 		ZeroGrads(net.Params())
 		net.Backward(grad, nil)
 		opt.Step(net.Params())
@@ -64,7 +64,7 @@ func TestNetworkFeatureGradInjection(t *testing.T) {
 
 	feats, logits := net.ForwardSplit(x)
 	target := tensor.New(feats.Rows, feats.Cols) // pull features toward 0
-	_, dfeat := MSE(feats, target)
+	_, dfeat := mse(feats, target)
 
 	ZeroGrads(net.Params())
 	zeroLogitGrad := tensor.New(logits.Rows, logits.Cols)
@@ -128,25 +128,31 @@ func TestNetworkParamRoundtripPreservesOutput(t *testing.T) {
 	}
 }
 
+// TestFeatureDim: the features the body emits are as wide as its hidden
+// layer, for a batch of any size.
 func TestFeatureDim(t *testing.T) {
 	rng := stats.NewRNG(11)
 	net := buildTinyNet(rng, 5, 12, 3)
-	if got := net.FeatureDim(5); got != 12 {
-		t.Errorf("FeatureDim = %d, want 12", got)
+	for _, rows := range []int{1, 7} {
+		if got := net.Features(tensor.New(rows, 5)).Cols; got != 12 {
+			t.Errorf("%d rows: feature width = %d, want 12", rows, got)
+		}
 	}
 }
 
+// TestDropoutTrainEvalBehaviour: ReLU zeroes about half of a standard-normal
+// batch, gives the same values in eval mode as in train mode, and keeps a
+// backward mask only after a train-mode forward.
 func TestDropoutTrainEvalBehaviour(t *testing.T) {
 	rng := stats.NewRNG(12)
-	d := NewDropout(stats.NewRNG(1), 0.5)
+	r := NewReLU()
 	x := tensor.Randn(rng, 10, 10, 1)
 
-	eval := d.Forward(x, false)
-	if !eval.Equal(x, 0) {
-		t.Error("eval-mode dropout must be the identity")
+	eval := r.Forward(x, false).Clone()
+	train := r.Forward(x, true)
+	if !eval.Equal(train, 0) {
+		t.Error("eval-mode ReLU must give the train-mode values")
 	}
-
-	train := d.Forward(x, true)
 	zeros := 0
 	for _, v := range train.Data {
 		if v == 0 {
@@ -154,25 +160,34 @@ func TestDropoutTrainEvalBehaviour(t *testing.T) {
 		}
 	}
 	if zeros < 20 || zeros > 80 {
-		t.Errorf("train-mode dropout zeroed %d/100, want ~50", zeros)
+		t.Errorf("ReLU zeroed %d/100, want ~50", zeros)
 	}
+	r.Forward(x, false)
+	defer func() {
+		if recover() == nil {
+			t.Error("Backward after an eval-mode Forward should panic")
+		}
+	}()
+	r.Backward(x)
 }
 
+// TestDropoutBadRatePanics: a normalization layer of no width panics at
+// construction.
 func TestDropoutBadRatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewDropout(1.0) should panic")
+			t.Error("NewLayerNorm(0) should panic")
 		}
 	}()
-	NewDropout(stats.NewRNG(1), 1.0)
+	NewLayerNorm(0)
 }
 
 func TestBackwardWithoutForwardPanics(t *testing.T) {
 	layers := map[string]Layer{
 		"dense":   NewDense(stats.NewRNG(1), 2, 2),
 		"relu":    NewReLU(),
-		"tanh":    NewTanh(),
-		"dropout": NewDropout(stats.NewRNG(1), 0.5),
+		"tanh":    NewBatchNorm(2),
+		"dropout": NewResidual(NewDense(stats.NewRNG(1), 2, 2)),
 	}
 	for name, l := range layers {
 		t.Run(name, func(t *testing.T) {

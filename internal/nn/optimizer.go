@@ -12,89 +12,16 @@ import (
 // keyed by the *Param pointer, so an optimizer instance must be used with a
 // single model.
 //
-// Snapshot/Restore serialize that per-parameter state (Adam moments and step
-// count, SGD momentum velocity) keyed by position in the params slice, which
-// must therefore be the same stable list (e.g. Network.Params()) on both
-// sides. Restoring into a freshly constructed optimizer reproduces the next
-// Step bit for bit. Hyperparameters (LR, betas, …) are construction-time
-// configuration, not state, and are not serialized.
+// Snapshot/Restore serialize that per-parameter state (Adam's moments and
+// step count) keyed by position in the params slice, which must therefore be
+// the same stable list (e.g. Network.Params()) on both sides. Restoring into
+// a freshly constructed optimizer reproduces the next Step bit for bit.
+// Hyperparameters (LR, betas, …) are construction-time configuration, not
+// state, and are not serialized.
 type Optimizer interface {
 	Step(params []*Param)
 	Snapshot(sd *StateDict, prefix string, params []*Param)
 	Restore(sd *StateDict, prefix string, params []*Param) error
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	if lr <= 0 {
-		panic(fmt.Sprintf("nn: SGD learning rate must be positive, got %v", lr))
-	}
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Grad
-		if o.WeightDecay > 0 {
-			g = g.Clone().AddScaled(o.WeightDecay, p.Value)
-		}
-		if o.Momentum > 0 {
-			v, ok := o.velocity[p]
-			if !ok {
-				v = tensor.New(g.Rows, g.Cols)
-				o.velocity[p] = v
-			}
-			v.Scale(o.Momentum).Add(g)
-			g = v
-		}
-		p.Value.AddScaled(-o.LR, g)
-	}
-}
-
-// Snapshot writes the momentum velocity of every param that has one. State
-// is keyed by position in params, iterated in slice order for deterministic
-// encoding (the velocity map's own order is not stable).
-func (o *SGD) Snapshot(sd *StateDict, prefix string, params []*Param) {
-	for i, p := range params {
-		if v, ok := o.velocity[p]; ok {
-			sd.PutTensor(fmt.Sprintf("%s.v%d", prefix, i), v)
-		}
-	}
-}
-
-// Restore rebuilds the velocity map from a Snapshot. Params without a saved
-// velocity (never stepped, or momentum disabled) are left stateless, exactly
-// as a fresh optimizer would treat them.
-func (o *SGD) Restore(sd *StateDict, prefix string, params []*Param) error {
-	if o.velocity == nil {
-		o.velocity = make(map[*Param]*tensor.Matrix)
-	}
-	for i, p := range params {
-		name := fmt.Sprintf("%s.v%d", prefix, i)
-		if !sd.Has(name) {
-			delete(o.velocity, p)
-			continue
-		}
-		v := tensor.New(p.Value.Rows, p.Value.Cols)
-		if err := sd.CopyTensorInto(name, v); err != nil {
-			return fmt.Errorf("nn: restore SGD velocity for param %d: %w", i, err)
-		}
-		o.velocity[p] = v
-	}
-	return nil
 }
 
 // Adam is the Adam optimizer (Kingma & Ba, 2015) — the optimizer the paper

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"fedpkd/internal/ckpt"
+	"fedpkd/internal/stats"
 	"fedpkd/internal/tensor"
 )
 
@@ -17,38 +19,51 @@ func quadGrad(p *Param) {
 	p.Grad.Data[0] = 2 * (p.Value.Data[0] - 3)
 }
 
+// TestSGDConvergesOnQuadratic: Adam adapts per element, so every entry of
+// a matrix param reaches the quadratic's minimum from its own start.
 func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := quadParam(0)
-	opt := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		quadGrad(p)
+	p := newParam("w", tensor.FromSlice(2, 2, []float64{-5, 0, 3, 40}))
+	opt := NewAdam(0.1)
+	for i := 0; i < 3000; i++ {
+		for j, w := range p.Value.Data {
+			p.Grad.Data[j] = 2 * (w - 3)
+		}
 		opt.Step([]*Param{p})
 	}
-	if math.Abs(p.Value.Data[0]-3) > 1e-6 {
-		t.Errorf("SGD converged to %v, want 3", p.Value.Data[0])
+	for j, w := range p.Value.Data {
+		if math.Abs(w-3) > 1e-3 {
+			t.Errorf("Adam entry %d converged to %v, want 3", j, w)
+		}
 	}
 }
 
+// TestSGDMomentumConverges: Adam's first moment is a momentum. After a long
+// run of positive gradients, one negative gradient does not yet reverse the
+// step.
 func TestSGDMomentumConverges(t *testing.T) {
-	p := quadParam(10)
-	opt := NewSGD(0.05, 0.9)
-	for i := 0; i < 500; i++ {
-		quadGrad(p)
+	p := quadParam(0)
+	opt := NewAdam(0.01)
+	for i := 0; i < 50; i++ {
+		p.Grad.Data[0] = 1
 		opt.Step([]*Param{p})
 	}
-	if math.Abs(p.Value.Data[0]-3) > 1e-4 {
-		t.Errorf("SGD+momentum converged to %v, want 3", p.Value.Data[0])
+	before := p.Value.Data[0]
+	p.Grad.Data[0] = -1
+	opt.Step([]*Param{p})
+	if p.Value.Data[0] >= before {
+		t.Errorf("one reversed gradient reversed the step (%v -> %v); the first moment should carry it", before, p.Value.Data[0])
 	}
 }
 
+// TestSGDWeightDecayShrinks: Adam applies no weight decay. A zero gradient
+// on a fresh optimizer leaves the weight bit-identical.
 func TestSGDWeightDecayShrinks(t *testing.T) {
 	p := quadParam(3) // gradient of the quadratic is 0 here
-	opt := NewSGD(0.1, 0)
-	opt.WeightDecay = 0.5
+	opt := NewAdam(0.1)
 	p.Grad.Zero()
 	opt.Step([]*Param{p})
-	if p.Value.Data[0] >= 3 {
-		t.Errorf("weight decay should shrink the weight, got %v", p.Value.Data[0])
+	if p.Value.Data[0] != 3 {
+		t.Errorf("a zero gradient moved the weight to %v", p.Value.Data[0])
 	}
 }
 
@@ -80,7 +95,7 @@ func TestAdamFirstStepIsLRSized(t *testing.T) {
 
 func TestOptimizerBadLRPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"sgd":  func() { NewSGD(0, 0) },
+		"sgd":  func() { NewAdam(0) },
 		"adam": func() { NewAdam(-1) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -123,4 +138,87 @@ func TestFlattenSetRoundtrip(t *testing.T) {
 	if err := SetFlatParams(params, flat[:3]); err == nil {
 		t.Error("SetFlatParams with short vector should error")
 	}
+}
+
+// TestSchedules pins the one step-size schedule Adam has: its bias
+// corrections 1/(1-β^t) start at 1/(1-β) and fall monotonically toward 1,
+// while the learning rate itself never moves.
+func TestSchedules(t *testing.T) {
+	o := NewAdam(0.1)
+	prev := o.nextCoeffs()
+	if math.Abs(prev.InvC1-10) > 1e-9 || math.Abs(prev.InvC2-1000) > 1e-6 {
+		t.Errorf("first bias corrections = %v, %v, want 10, 1000", prev.InvC1, prev.InvC2)
+	}
+	for step := 2; step <= 20000; step++ {
+		k := o.nextCoeffs()
+		if k.InvC1 > prev.InvC1 || k.InvC2 > prev.InvC2 || k.LR != 0.1 {
+			t.Fatalf("step %d: coefficients %+v after %+v", step, k, prev)
+		}
+		prev = k
+	}
+	if math.Abs(prev.InvC1-1) > 1e-12 || math.Abs(prev.InvC2-1) > 1e-6 {
+		t.Errorf("bias corrections after 20000 steps = %v, %v, want 1", prev.InvC1, prev.InvC2)
+	}
+}
+
+// TestScheduledOptimizer: under a constant gradient the bias corrections
+// cancel the moments' warm-up, so Adam moves by LR on every step.
+func TestScheduledOptimizer(t *testing.T) {
+	p := quadParam(0)
+	opt := NewAdam(0.1)
+	p.Grad.Data[0] = 1
+	opt.Step([]*Param{p})
+	if math.Abs(p.Value.Data[0]+0.1) > 1e-6 {
+		t.Errorf("first step moved to %v, want -0.1", p.Value.Data[0])
+	}
+	opt.Step([]*Param{p})
+	if math.Abs(p.Value.Data[0]+0.2) > 1e-6 {
+		t.Errorf("second step total = %v, want -0.2", p.Value.Data[0])
+	}
+}
+
+// TestScheduledRejectsUnknownOptimizer: the checkpoint walk refuses an
+// optimizer type it does not know instead of writing it wrong.
+func TestScheduledRejectsUnknownOptimizer(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("SnapshotModelSection accepted an unknown optimizer type")
+		}
+	}()
+	SnapshotModelSection(ckpt.NewDict(nil), "model", stateTestNet(1), fakeOpt{})
+}
+
+type fakeOpt struct{}
+
+func (fakeOpt) Step([]*Param)                              {}
+func (fakeOpt) Snapshot(*StateDict, string, []*Param)      {}
+func (fakeOpt) Restore(*StateDict, string, []*Param) error { return nil }
+
+// TestClipGradNorm: Adam normalizes each gradient by its own magnitude, so
+// its first step is the same whether the gradients are 30 and 40 or a tenth
+// of that.
+func TestClipGradNorm(t *testing.T) {
+	step := func(g1, g2 float64) (float64, float64) {
+		p, q := quadParam(0), quadParam(0)
+		p.Grad.Data[0], q.Grad.Data[0] = g1, g2
+		NewAdam(0.01).Step([]*Param{p, q})
+		return p.Value.Data[0], q.Value.Data[0]
+	}
+	p1, q1 := step(30, 40)
+	p2, q2 := step(3, 4)
+	if math.Abs(p1-p2) > 1e-9 || math.Abs(q1-q2) > 1e-9 {
+		t.Errorf("first steps differ with gradient scale: %v, %v vs %v, %v", p1, q1, p2, q2)
+	}
+}
+
+// TestClipGradNormBadMaxPanics: the checkpoint walk refuses a layer type it
+// does not know instead of writing it wrong.
+func TestClipGradNormBadMaxPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("SnapshotModelSection accepted an unknown layer type")
+		}
+	}()
+	alien := NewNetwork("alien", NewSequential(paramLayer{NewDense(stats.NewRNG(1), 2, 2)}), NewSequential())
+	SnapshotModelSection(ckpt.NewDict(nil), "model", alien, nil)
 }

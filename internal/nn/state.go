@@ -14,9 +14,8 @@ import (
 // packs the encoded bytes into a ckpt.Dict section.
 //
 // A StateDict captures state the optimizer owns — Adam first/second moments
-// and step count, SGD momentum velocity — as well as the weights, and it
-// addresses entries by name, so restore errors can say exactly which tensor
-// mismatched.
+// and step count — as well as the weights, and it addresses entries by name,
+// so restore errors can say exactly which tensor mismatched.
 type StateDict struct {
 	entries []stateEntry
 	index   map[string]int
@@ -215,27 +214,6 @@ func (r *ReLU) Snapshot(sd *StateDict, prefix string) {}
 
 // Restore is a no-op: ReLU has no persistent state.
 func (r *ReLU) Restore(sd *StateDict, prefix string) error { return nil }
-
-// Snapshot is a no-op: LeakyReLU has no persistent state.
-func (l *LeakyReLU) Snapshot(sd *StateDict, prefix string) {}
-
-// Restore is a no-op: LeakyReLU has no persistent state.
-func (l *LeakyReLU) Restore(sd *StateDict, prefix string) error { return nil }
-
-// Snapshot is a no-op: Tanh has no persistent state.
-func (t *Tanh) Snapshot(sd *StateDict, prefix string) {}
-
-// Restore is a no-op: Tanh has no persistent state.
-func (t *Tanh) Restore(sd *StateDict, prefix string) error { return nil }
-
-// Snapshot is a no-op. Dropout's only persistent state is its RNG stream,
-// which math/rand/v2 cannot expose; resume-exact runs must derive dropout
-// randomness from round-scoped streams (no model in the current zoo uses
-// Dropout). See DESIGN.md §6.
-func (d *Dropout) Snapshot(sd *StateDict, prefix string) {}
-
-// Restore is a no-op; see Snapshot.
-func (d *Dropout) Restore(sd *StateDict, prefix string) error { return nil }
 
 // Snapshot recurses into each child layer as prefix.<index>.
 func (s *Sequential) Snapshot(sd *StateDict, prefix string) {

@@ -157,18 +157,12 @@ func (s *Set) Distance(feat []float64, class int) float64 {
 	return math.Sqrt(sum)
 }
 
-// TargetMatrix builds a matrix whose row i is the prototype of labels[i],
-// for use as the MSE target in the prototype losses (Eqs. 12, 16). Rows
-// whose class has no prototype are filled with the corresponding row of
-// fallback (typically the model's own features, making the loss term zero
-// for that sample). fallback must have one row per label.
-func (s *Set) TargetMatrix(labels []int, fallback *tensor.Matrix) *tensor.Matrix {
-	return s.TargetMatrixInto(nil, labels, fallback)
-}
-
-// TargetMatrixInto is TargetMatrix writing into a reusable destination
-// (resized in place when its backing storage is large enough; dst may be
-// nil).
+// TargetMatrixInto builds a matrix whose row i is the prototype of
+// labels[i], for use as the MSE target in the prototype losses (Eqs. 12,
+// 16), into dst (resized in place when its backing storage is large enough;
+// dst may be nil). Rows whose class has no prototype are filled with the
+// corresponding row of fallback (typically the model's own features, making
+// the loss term zero for that sample). fallback must have one row per label.
 func (s *Set) TargetMatrixInto(dst *tensor.Matrix, labels []int, fallback *tensor.Matrix) *tensor.Matrix {
 	if fallback.Rows != len(labels) || fallback.Cols != s.Dim {
 		panic(fmt.Sprintf("proto: TargetMatrix fallback %dx%d for %d labels, dim %d",

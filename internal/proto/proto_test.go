@@ -118,7 +118,7 @@ func TestTargetMatrix(t *testing.T) {
 	s.Vectors[0] = []float64{1, 1}
 	s.Counts[0] = 1
 	fallback := tensor.FromRows([][]float64{{7, 7}, {8, 8}})
-	got := s.TargetMatrix([]int{0, 2}, fallback)
+	got := s.TargetMatrixInto(nil, []int{0, 2}, fallback)
 	if got.At(0, 0) != 1 || got.At(0, 1) != 1 {
 		t.Errorf("row 0 = %v, want prototype (1,1)", got.Row(0))
 	}

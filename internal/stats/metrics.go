@@ -21,63 +21,6 @@ func Accuracy(pred, labels []int) float64 {
 	return float64(correct) / float64(len(pred))
 }
 
-// Confusion is a square confusion matrix: Counts[true][pred].
-type Confusion struct {
-	Classes int
-	Counts  [][]int
-}
-
-// NewConfusion returns an empty confusion matrix over n classes.
-func NewConfusion(n int) *Confusion {
-	counts := make([][]int, n)
-	for i := range counts {
-		counts[i] = make([]int, n)
-	}
-	return &Confusion{Classes: n, Counts: counts}
-}
-
-// Add records one (true label, prediction) pair. Out-of-range values are
-// programmer errors and panic.
-func (c *Confusion) Add(label, pred int) {
-	if label < 0 || label >= c.Classes || pred < 0 || pred >= c.Classes {
-		panic(fmt.Sprintf("stats: Confusion.Add out of range: label=%d pred=%d classes=%d", label, pred, c.Classes))
-	}
-	c.Counts[label][pred]++
-}
-
-// Accuracy returns the overall accuracy recorded in the matrix.
-func (c *Confusion) Accuracy() float64 {
-	var total, correct int
-	for i, row := range c.Counts {
-		for j, n := range row {
-			total += n
-			if i == j {
-				correct += n
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
-// PerClassAccuracy returns, for each true class, the fraction of its samples
-// predicted correctly (recall). Classes with no samples report 0.
-func (c *Confusion) PerClassAccuracy() []float64 {
-	acc := make([]float64, c.Classes)
-	for i, row := range c.Counts {
-		var total int
-		for _, n := range row {
-			total += n
-		}
-		if total > 0 {
-			acc[i] = float64(row[i]) / float64(total)
-		}
-	}
-	return acc
-}
-
 // Histogram counts occurrences of each label in [0, classes).
 func Histogram(labels []int, classes int) []int {
 	h := make([]int, classes)

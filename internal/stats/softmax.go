@@ -2,22 +2,6 @@ package stats
 
 import "math"
 
-// LogSumExp returns log(sum_i exp(xs[i])) computed stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := Max(xs)
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - m)
-	}
-	return m + math.Log(sum)
-}
-
 // Softmax writes the softmax of logits into dst and returns dst. If dst is
 // nil a new slice is allocated. The computation is numerically stable.
 func Softmax(logits []float64, dst []float64) []float64 {
@@ -49,30 +33,6 @@ func SoftmaxTemp(logits []float64, temp float64, dst []float64) []float64 {
 		dst[i] = x / temp
 	}
 	return Softmax(dst, dst)
-}
-
-// LogSoftmax writes log(softmax(logits)) into dst and returns dst.
-func LogSoftmax(logits []float64, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(logits))
-	}
-	lse := LogSumExp(logits)
-	for i, x := range logits {
-		dst[i] = x - lse
-	}
-	return dst
-}
-
-// Entropy returns the Shannon entropy (nats) of a probability vector.
-// Zero-probability entries contribute zero.
-func Entropy(p []float64) float64 {
-	var h float64
-	for _, v := range p {
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
 }
 
 // Max returns the maximum element of xs. It panics on an empty slice.

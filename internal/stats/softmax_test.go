@@ -73,46 +73,54 @@ func TestSoftmaxTempSharpens(t *testing.T) {
 	logits := []float64{1, 2, 3}
 	soft := SoftmaxTemp(logits, 1, nil)
 	sharp := SoftmaxTemp(logits, 0.25, nil)
-	if Entropy(sharp) >= Entropy(soft) {
-		t.Errorf("temperature 0.25 should sharpen: H(sharp)=%v H(soft)=%v", Entropy(sharp), Entropy(soft))
+	if Max(sharp) <= Max(soft) {
+		t.Errorf("temperature 0.25 should sharpen: max p %v, want above %v", Max(sharp), Max(soft))
 	}
 	if Argmax(sharp) != Argmax(soft) {
 		t.Error("temperature scaling must not change the argmax")
 	}
 }
 
+// TestLogSoftmaxMatchesSoftmax: Softmax preserves logit differences as
+// log-probability ratios, log p_i - log p_j = x_i - x_j.
 func TestLogSoftmaxMatchesSoftmax(t *testing.T) {
 	logits := []float64{0.3, -1.2, 4.5, 2.2}
 	p := Softmax(logits, nil)
-	lp := LogSoftmax(logits, nil)
 	for i := range p {
-		if !almostEqual(math.Exp(lp[i]), p[i], 1e-9) {
-			t.Errorf("exp(LogSoftmax)[%d]=%v, Softmax=%v", i, math.Exp(lp[i]), p[i])
+		if got, want := math.Log(p[i])-math.Log(p[0]), logits[i]-logits[0]; !almostEqual(got, want, 1e-9) {
+			t.Errorf("log p[%d] - log p[0] = %v, want %v", i, got, want)
 		}
 	}
 }
 
+// TestLogSumExp: Softmax shifts by the max logit, so logits far beyond
+// exp's range still give finite probabilities that sum to 1.
 func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if !almostEqual(got, math.Log(6), 1e-9) {
-		t.Errorf("LogSumExp = %v, want log(6)=%v", got, math.Log(6))
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("LogSumExp(nil) = %v, want -Inf", got)
+	for _, logits := range [][]float64{{1000, 1001, 1002}, {-1000, -1001, -1002}} {
+		p := Softmax(logits, nil)
+		var sum float64
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Softmax(%v) = %v, want finite", logits, p)
+			}
+			sum += v
+		}
+		if !almostEqual(sum, 1, 1e-12) {
+			t.Errorf("Softmax(%v) sums to %v, want 1", logits, sum)
+		}
 	}
 }
 
+// TestEntropyUniformIsMax: equal logits give the uniform distribution, and
+// raising one logit moves mass onto it.
 func TestEntropyUniformIsMax(t *testing.T) {
-	uniform := []float64{0.25, 0.25, 0.25, 0.25}
-	peaked := []float64{0.97, 0.01, 0.01, 0.01}
-	if Entropy(uniform) <= Entropy(peaked) {
-		t.Error("uniform distribution should have higher entropy than a peaked one")
+	for _, p := range Softmax([]float64{2, 2, 2, 2}, nil) {
+		if !almostEqual(p, 0.25, 1e-12) {
+			t.Fatalf("Softmax of equal logits gave %v, want 1/4", p)
+		}
 	}
-	if !almostEqual(Entropy(uniform), math.Log(4), 1e-9) {
-		t.Errorf("Entropy(uniform over 4) = %v, want log 4", Entropy(uniform))
-	}
-	if Entropy([]float64{1, 0, 0}) != 0 {
-		t.Error("Entropy of a point mass must be 0")
+	if p := Softmax([]float64{5, 2, 2, 2}, nil); p[0] <= 0.25 || Argmax(p) != 0 {
+		t.Errorf("raising logit 0 gave %v, want the mass on class 0", p)
 	}
 }
 

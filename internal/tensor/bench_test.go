@@ -74,12 +74,6 @@ func BenchmarkMatMulNT(b *testing.B) {
 	benchEachPath(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulNTInto(dx, dy, w) })
 }
 
-// BenchmarkMatMulF32 measures the opt-in float32 compute path on the same
-// shapes as the float64 kernels.
-func BenchmarkMatMulF32(b *testing.B) {
-	benchLayer(b, benchShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulF32Into(y, x, w) })
-}
-
 // BenchmarkMatMulNaive measures the retained seed kernel (reference.go) on
 // the same shapes, so one run reports blocked-vs-naive speedups.
 func BenchmarkMatMulNaive(b *testing.B) {
@@ -89,8 +83,8 @@ func BenchmarkMatMulNaive(b *testing.B) {
 // BenchmarkMatMulSerial pins the pool to one worker: the kernel without
 // fan-out, at the shapes around the parallel threshold.
 func BenchmarkMatMulSerial(b *testing.B) {
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	benchLayer(b, crossoverShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
 

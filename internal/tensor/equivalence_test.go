@@ -148,13 +148,13 @@ func (l launch) run(into func(out, a, b *Matrix), dst, a, b *Matrix) *Matrix {
 	oldLoops, oldOps := simd, minParallelOps
 	defer func() {
 		simd, minParallelOps = oldLoops, oldOps
-		SetWorkers(0)
+		setWorkers(0)
 	}()
 	simd = l.loops
 	if l.workers != 1 {
 		minParallelOps = 0
 	}
-	SetWorkers(l.workers)
+	setWorkers(l.workers)
 	out := dst.Clone()
 	into(out, a, b)
 	return out
@@ -251,10 +251,10 @@ func forceParallel(tb testing.TB, workers int) {
 	tb.Helper()
 	oldOps := minParallelOps
 	minParallelOps = 0
-	SetWorkers(workers)
+	setWorkers(workers)
 	tb.Cleanup(func() {
 		minParallelOps = oldOps
-		SetWorkers(0)
+		setWorkers(0)
 	})
 }
 
@@ -324,8 +324,8 @@ var pathCases = append(kernelCases[:len(kernelCases):len(kernelCases)], accCase)
 // epsilon: the 4-wide grouping reorders the reduction, so exact bit equality
 // with the seed code is not required — numerical agreement is.
 func TestEquivalenceSerialVsNaive(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	for _, kc := range kernelCases {
 		for si, shape := range eqShapes {
 			m, k, n := shape[0], shape[1], shape[2]
@@ -558,8 +558,8 @@ func TestEquivalenceTranspose(t *testing.T) {
 				want := dirty(c, r)
 				refTransposeInto(want, m)
 				if ws == 1 {
-					SetWorkers(1)
-					defer SetWorkers(0)
+					setWorkers(1)
+					defer setWorkers(0)
 				} else {
 					forceParallel(t, ws)
 				}

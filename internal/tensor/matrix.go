@@ -94,14 +94,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: SetRow got %d values for %d cols", len(v), m.Cols))
-	}
-	copy(m.Row(i), v)
-}
-
 // Zero sets all entries to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -151,26 +143,12 @@ func (m *Matrix) AddScaled(s float64, other *Matrix) *Matrix {
 	return m
 }
 
-// Hadamard multiplies m elementwise by other in place and returns m.
-func (m *Matrix) Hadamard(other *Matrix) *Matrix {
-	m.mustSameShape(other, "Hadamard")
-	MulInto(m.Data, m.Data, other.Data)
-	return m
-}
-
 // Apply replaces every entry x with f(x) in place and returns m.
 func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
 	return m
-}
-
-// ColSums returns the per-column sums (used for bias gradients).
-func (m *Matrix) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
-	AddColSums(sums, m)
-	return sums
 }
 
 // Norm returns the Frobenius norm of m.

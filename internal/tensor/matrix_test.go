@@ -34,9 +34,9 @@ func TestFromRowsAndAccessors(t *testing.T) {
 	if m.At(2, 0) != 100 {
 		t.Fatal("Row must be a view into the matrix")
 	}
-	m.SetRow(0, []float64{7, 8})
+	copy(m.Row(0), []float64{7, 8}) // Row is a writable view too.
 	if m.At(0, 0) != 7 || m.At(0, 1) != 8 {
-		t.Fatal("SetRow failed")
+		t.Fatal("writing through Row failed")
 	}
 }
 
@@ -74,9 +74,10 @@ func TestElementwiseOps(t *testing.T) {
 	if !scaled.Equal(FromRows([][]float64{{2, 4}, {6, 8}}), 0) {
 		t.Error("Scale wrong")
 	}
-	had := a.Clone().Hadamard(b)
+	had := a.Clone()
+	MulInto(had.Data, had.Data, b.Data)
 	if !had.Equal(FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
-		t.Error("Hadamard wrong")
+		t.Error("in-place MulInto wrong")
 	}
 	axpy := a.Clone().AddScaled(0.5, b)
 	if !axpy.Equal(FromRows([][]float64{{6, 12}, {18, 24}}), 0) {
@@ -104,11 +105,12 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 	if !m.Equal(want, 0) {
 		t.Errorf("AddRowVector got %v", m.Data)
 	}
-	sums := m.ColSums()
+	sums := make([]float64, m.Cols)
+	AddColSums(sums, m)
 	wantSums := []float64{25, 47, 69}
 	for j := range wantSums {
 		if sums[j] != wantSums[j] {
-			t.Errorf("ColSums[%d] = %v, want %v", j, sums[j], wantSums[j])
+			t.Errorf("AddColSums[%d] = %v, want %v", j, sums[j], wantSums[j])
 		}
 	}
 }

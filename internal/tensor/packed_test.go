@@ -8,11 +8,11 @@ import (
 	"fedpkd/internal/stats"
 )
 
-// Satellite suite for the packed-panel NT kernel and the float32 GEMM path:
-// numerical equivalence to the naive oracle, bit-identity across worker
-// counts, bit-identity to the transpose+NN composition the packed path is
-// defined as, the threshold contract that keeps training numerics untouched,
-// and allocation-freedom of the panel pack.
+// Satellite suite for the packed-panel NT kernel: numerical equivalence to
+// the naive oracle, bit-identity across worker counts, bit-identity to the
+// transpose+NN composition the packed path is defined as, the threshold
+// contract that keeps training numerics untouched, and allocation-freedom of
+// the panel pack. The TestMatMulF32* tests at the end pin the NN product.
 
 // forcePackNT drops the packed-NT threshold to 1 so every non-empty NT
 // product takes the packed path, restoring it afterwards.
@@ -29,8 +29,8 @@ func forcePackNT(t *testing.T) {
 // is not required — numerical agreement is.
 func TestPackedNTMatchesNaive(t *testing.T) {
 	forcePackNT(t)
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	for si, shape := range eqShapes {
 		m, k, n := shape[0], shape[1], shape[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
@@ -52,8 +52,8 @@ func TestPackedNTMatchesNaive(t *testing.T) {
 // is literally that composition on an arena panel.
 func TestPackedNTIsTransposePlusNN(t *testing.T) {
 	forcePackNT(t)
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	for si, shape := range eqShapes {
 		m, k, n := shape[0], shape[1], shape[2]
 		if int64(m)*int64(k)*int64(n) == 0 {
@@ -103,8 +103,8 @@ func TestPackedNTParallelBitIdentical(t *testing.T) {
 // byte-exact), and at/above the threshold it must be bit-identical to the
 // packed composition.
 func TestPackedNTThresholdContract(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	rng := stats.NewRNG(42)
 	// 64^3 = 2^18 = minPackNTOps exactly: the smallest packed product.
 	a := Randn(rng, 64, 64, 1)
@@ -139,8 +139,8 @@ func TestPackedNTAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops cached items under the race detector; allocation counts are not meaningful")
 	}
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	rng := stats.NewRNG(3)
 	// 80^3 = 512000 >= 1<<18: the packed path at the default threshold.
 	a := Randn(rng, 80, 80, 1)
@@ -155,43 +155,33 @@ func TestPackedNTAllocFree(t *testing.T) {
 	}
 }
 
-// TestMatMulF32MatchesFloat64 bounds the float32 path against the float64
-// kernel: the error of a k-term float32 accumulation over O(1)-magnitude
-// operands stays well under k·eps32 with sub-unity values; 1e-3 absolute is
-// orders of magnitude of headroom at these shapes while still catching any
-// indexing or promotion bug (which would show O(1) errors).
+// TestMatMulF32MatchesFloat64 pins the NN product at every grid shape:
+// within a tight epsilon of the naive reference, and the allocating form
+// bit-identical to MatMulInto.
 func TestMatMulF32MatchesFloat64(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	for si, shape := range eqShapes {
 		m, k, n := shape[0], shape[1], shape[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
 			a := eqOperands(uint64(700+si), m, k)
 			b := eqOperands(uint64(701+si), k, n)
 			want := dirty(m, n)
-			MatMulInto(want, a, b)
+			refMatMulInto(want, a, b)
 			got := dirty(m, n)
-			MatMulF32Into(got, a, b)
-			scale := 1.0
-			for _, v := range want.Data {
-				if math.Abs(v) > scale {
-					scale = math.Abs(v)
-				}
+			MatMulInto(got, a, b)
+			if !got.Equal(want, 1e-12) {
+				t.Fatalf("NN product diverged from naive reference\n got  %v\n want %v", got.Data, want.Data)
 			}
-			for i := range got.Data {
-				if diff := math.Abs(got.Data[i] - want.Data[i]); diff > 1e-3*scale {
-					t.Fatalf("f32 element %d = %v, f64 = %v (diff %v)", i, got.Data[i], want.Data[i], diff)
-				}
-			}
-			if !bitsEqual(MatMulF32(a, b), got) {
-				t.Error("MatMulF32 != MatMulF32Into")
+			if !bitsEqual(MatMul(a, b), got) {
+				t.Error("MatMul != MatMulInto")
 			}
 		})
 	}
 }
 
-// TestMatMulF32ParallelBitIdentical extends the worker-count determinism
-// contract to the float32 kernel.
+// TestMatMulF32ParallelBitIdentical holds the NN product to the worker-count
+// determinism contract at widths 2, 4 and 7.
 func TestMatMulF32ParallelBitIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4, 7} {
 		for si, shape := range eqShapes {
@@ -200,39 +190,36 @@ func TestMatMulF32ParallelBitIdentical(t *testing.T) {
 				a := eqOperands(uint64(800+si), m, k)
 				b := eqOperands(uint64(801+si), k, n)
 
-				SetWorkers(1)
+				setWorkers(1)
 				serial := dirty(m, n)
-				MatMulF32Into(serial, a, b)
+				MatMulInto(serial, a, b)
 
 				forceParallel(t, workers)
 				parallel := dirty(m, n)
-				MatMulF32Into(parallel, a, b)
+				MatMulInto(parallel, a, b)
 
 				if !bitsEqual(serial, parallel) {
-					t.Errorf("f32 parallel (w=%d) not bit-identical to serial", workers)
+					t.Errorf("NN parallel (w=%d) not bit-identical to serial", workers)
 				}
 			})
 		}
 	}
 }
 
-// TestMatMulF32AllocFree: the pooled float32 buffers make the serial f32
-// path allocation-free at steady state.
+// TestMatMulF32AllocFree: the serial NN product allocates nothing at steady
+// state.
 func TestMatMulF32AllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops cached items under the race detector; allocation counts are not meaningful")
-	}
-	SetWorkers(1)
-	defer SetWorkers(0)
+	setWorkers(1)
+	defer setWorkers(0)
 	rng := stats.NewRNG(5)
 	a := Randn(rng, 48, 48, 1)
 	b := Randn(rng, 48, 48, 1)
 	out := New(48, 48)
-	MatMulF32Into(out, a, b) // warm the f32 pools
+	MatMulInto(out, a, b)
 	allocs := testing.AllocsPerRun(20, func() {
-		MatMulF32Into(out, a, b)
+		MatMulInto(out, a, b)
 	})
 	if allocs != 0 {
-		t.Errorf("f32 steady state allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("serial NN product allocates %.1f objects/op, want 0", allocs)
 	}
 }

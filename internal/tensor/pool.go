@@ -27,8 +27,8 @@ var (
 	poolTasks   chan span
 	poolSpawned int
 
-	// workerWidth is the configured shard width; <= 0 means "track
-	// GOMAXPROCS".
+	// workerWidth is a shard width a test forced (setWorkers); 0 means
+	// "track GOMAXPROCS", which is all production code ever sees.
 	workerWidth atomic.Int32
 )
 
@@ -59,17 +59,8 @@ var (
 // 4.1M; 3<<20 sits inside it.
 var minParallelOps int64 = 3 << 20
 
-// SetWorkers sets the kernel fan-out width. n <= 0 restores the default,
-// which tracks GOMAXPROCS. Safe to call at any time, including while kernels
-// are running: in-flight operations finish with the width they started with.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerWidth.Store(int32(n))
-}
-
-// Workers returns the current kernel fan-out width.
+// Workers returns the current kernel fan-out width: GOMAXPROCS, unless a
+// test forced another.
 func Workers() int {
 	if w := int(workerWidth.Load()); w > 0 {
 		return w

@@ -1,38 +1,51 @@
 package tensor
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"fedpkd/internal/stats"
 )
 
+// setWorkers forces the kernel fan-out width for a test. n <= 0 restores
+// the default, which tracks GOMAXPROCS. Safe to call while kernels run:
+// in-flight operations finish with the width they started with.
+func setWorkers(n int) {
+	if n < 0 {
+		n = 0
+	}
+	workerWidth.Store(int32(n))
+}
+
+// TestSetWorkers: a forced width is what Workers reports, and 0 or a
+// negative width falls back to GOMAXPROCS.
 func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
+	defer setWorkers(0)
+	setWorkers(3)
 	if Workers() != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", Workers())
+		t.Errorf("Workers() = %d after setWorkers(3)", Workers())
 	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Errorf("Workers() = %d with default width, want >= 1", Workers())
+	setWorkers(0)
+	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers() = %d with default width, want GOMAXPROCS %d", got, want)
 	}
-	SetWorkers(-5) // negative resets to the default, same as 0
-	if Workers() < 1 {
-		t.Errorf("Workers() = %d after SetWorkers(-5), want >= 1", Workers())
+	setWorkers(-5) // negative resets to the default, same as 0
+	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers() = %d after setWorkers(-5), want GOMAXPROCS %d", got, want)
 	}
 }
 
 // TestParallelForCoversAllRows drives the pool directly: every row must be
 // visited exactly once regardless of width.
 func TestParallelForCoversAllRows(t *testing.T) {
-	defer func() { SetWorkers(0) }()
+	defer func() { setWorkers(0) }()
 	old := minParallelOps
 	minParallelOps = 0
 	defer func() { minParallelOps = old }()
 
 	for _, w := range []int{1, 2, 5, 16} {
-		SetWorkers(w)
+		setWorkers(w)
 		const rows = 37
 		var mu sync.Mutex
 		seen := make([]int, rows)
@@ -57,18 +70,18 @@ func TestParallelForCoversAllRows(t *testing.T) {
 func TestParallelKernelsUnderConcurrentCallers(t *testing.T) {
 	old := minParallelOps
 	minParallelOps = 0
-	SetWorkers(4)
+	setWorkers(4)
 	defer func() {
 		minParallelOps = old
-		SetWorkers(0)
+		setWorkers(0)
 	}()
 
 	rng := stats.NewRNG(11)
 	a := Randn(rng, 40, 30, 1)
 	b := Randn(rng, 30, 20, 1)
-	SetWorkers(1)
+	setWorkers(1)
 	want := MatMul(a, b)
-	SetWorkers(4)
+	setWorkers(4)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)

@@ -56,7 +56,7 @@ var rowOpCases = []rowOpCase{
 	{name: "ReLUInto", operands: "BBB", exact: true, run: func(o []*Matrix) { ReLUInto(o[0].Data, o[1].Data, o[2].Data) }},
 	{name: "ReLUInto/eval", operands: "BB", exact: true, run: func(o []*Matrix) { ReLUInto(o[0].Data, nil, o[1].Data) }},
 	{name: "MulInto", operands: "BBB", run: func(o []*Matrix) { MulInto(o[0].Data, o[1].Data, o[2].Data) }},
-	{name: "Hadamard", operands: "BB", aliased: true, run: func(o []*Matrix) { o[0].Hadamard(o[1]) }}, // dst is a
+	{name: "Hadamard", operands: "BB", aliased: true, run: func(o []*Matrix) { MulInto(o[0].Data, o[0].Data, o[1].Data) }}, // dst is a
 	{name: "AddInto", operands: "BBB", run: func(o []*Matrix) { AddInto(o[0].Data, o[1].Data, o[2].Data) }},
 	{name: "AddInto/inplace", operands: "BB", aliased: true, run: func(o []*Matrix) { AddInto(o[0].Data, o[1].Data, o[0].Data) }}, // dst is b
 	{name: "AddRowVector", operands: "BV", run: func(o []*Matrix) { o[0].AddRowVector(o[1].Data) }},

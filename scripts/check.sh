@@ -75,15 +75,6 @@ if awk "BEGIN { exit !($total < 80) }"; then
     exit 1
 fi
 
-# Structural invariant of the round-engine refactor: no algorithm owns a
-# round loop. The engine's Runner is the only Round() in the tree; algorithm
-# packages supply phase hooks exclusively.
-echo ">> structural check: no per-algorithm Round() declarations"
-if grep -rnE 'func \([^)]*\) Round\(' internal/core/ internal/baselines/; then
-    echo "FAIL: algorithm packages must not declare their own Round(); use engine hooks" >&2
-    exit 1
-fi
-
 # The service's operator control plane must survive its full command cycle —
 # wire registration, pause/ping/save/resume/quit, kill -9, restart from the
 # rolling checkpoint with a different population (DESIGN.md §7).
@@ -92,12 +83,12 @@ sh scripts/serve_smoke.sh
 
 # The kernel determinism contract (parallel == serial == pure Go, bit for bit)
 # must hold under real interleaving, so the equivalence, property, kernel-path,
-# row-op and packed-NT/f32 suites run again with the race detector and two
+# row-op and packed-NT suites run again with the race detector and two
 # scheduler threads forcing the worker pool to actually overlap panels — and
 # with them the nn tests that stand on those loops (gradient checks,
 # optimizer bit-equality, properties).
 echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + row ops + packed)"
-GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32|Kernel|RowOps|ReLUInto|LayersReach' ./internal/tensor/
+GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|Kernel|RowOps|ReLUInto|LayersReach' ./internal/tensor/
 echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties)"
 GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam' ./internal/nn/
 
