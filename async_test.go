@@ -39,25 +39,10 @@ func TestGoldenAsyncHistories(t *testing.T) {
 	for _, name := range []string{"fedpkd", "fedavg"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			algo, err := builds[name]()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Configure(algo, RunSpec{Async: asyncGoldenOpts()}); err != nil {
-				t.Fatal(err)
-			}
-			hist, err := algo.Run(asyncGoldenFlushes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hist, got := runGolden(t, builds[name], &RunSpec{Async: asyncGoldenOpts()}, asyncGoldenFlushes)
 			if len(hist.Flushes) != asyncGoldenFlushes {
 				t.Fatalf("flush records = %d, want %d", len(hist.Flushes), asyncGoldenFlushes)
 			}
-			got, err := json.MarshalIndent(hist, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
 			path := filepath.Join("testdata", "goldens", name+"_async.json")
 			if *updateGoldens {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -118,25 +103,7 @@ func TestAsyncSameSeedReplay(t *testing.T) {
 // int8 golden: FedPKD under the float32 wire codec at the golden seed,
 // history and compressed-ledger totals byte-for-byte.
 func TestGoldenFedPKDFloat32(t *testing.T) {
-	env := goldenEnv(t)
-	algo, err := NewFedPKD(Config{
-		Env: env, ClientPrivateEpochs: 3, ClientPublicEpochs: 2, ServerEpochs: 4, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Configure(algo, RunSpec{Codec: "float32"}); err != nil {
-		t.Fatal(err)
-	}
-	hist, err := algo.Run(goldenRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.MarshalIndent(hist, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+	_, got := runGolden(t, goldenAlgos(goldenEnv(t))["fedpkd"], &RunSpec{Codec: "float32"}, goldenRounds)
 	path := filepath.Join("testdata", "goldens", "fedpkd_float32.json")
 	if *updateGoldens {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

@@ -80,6 +80,31 @@ func goldenAlgos(env *Env) map[string]func() (Algorithm, error) {
 // present) paths of every algorithm.
 const goldenRounds = 2
 
+// runGolden builds an algorithm, configures it with spec unless spec is nil,
+// runs it for rounds rounds and returns its history, both as a value and as
+// the bytes a golden file holds.
+func runGolden(t *testing.T, build func() (Algorithm, error), spec *RunSpec, rounds int) (*History, []byte) {
+	t.Helper()
+	algo, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec != nil {
+		if _, err := Configure(algo, *spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist, err := algo.Run(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(hist, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hist, append(got, '\n')
+}
+
 // TestGoldenHistories runs each algorithm at a fixed seed and compares its
 // serialized history — accuracy trajectory and cumulative ledger MB, which
 // encodes the exact byte accounting — byte-for-byte against the committed
@@ -89,19 +114,7 @@ func TestGoldenHistories(t *testing.T) {
 	for name, build := range goldenAlgos(env) {
 		name, build := name, build
 		t.Run(name, func(t *testing.T) {
-			algo, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hist, err := algo.Run(goldenRounds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.MarshalIndent(hist, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
+			_, got := runGolden(t, build, nil, goldenRounds)
 			path := filepath.Join("testdata", "goldens", name+".json")
 			if *updateGoldens {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -133,22 +146,7 @@ func TestGoldenHistoriesExplicitFloat64Codec(t *testing.T) {
 	for name, build := range goldenAlgos(env) {
 		name, build := name, build
 		t.Run(name, func(t *testing.T) {
-			algo, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Configure(algo, RunSpec{Codec: "float64raw"}); err != nil {
-				t.Fatal(err)
-			}
-			hist, err := algo.Run(goldenRounds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.MarshalIndent(hist, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
+			_, got := runGolden(t, build, &RunSpec{Codec: "float64raw"}, goldenRounds)
 			want, err := os.ReadFile(filepath.Join("testdata", "goldens", name+".json"))
 			if err != nil {
 				t.Fatal(err)
@@ -166,25 +164,7 @@ func TestGoldenHistoriesExplicitFloat64Codec(t *testing.T) {
 // any change to the quantization grid, the delta coding, or the pricing
 // formulas moves this golden.
 func TestGoldenFedPKDInt8(t *testing.T) {
-	env := goldenEnv(t)
-	algo, err := NewFedPKD(Config{
-		Env: env, ClientPrivateEpochs: 3, ClientPublicEpochs: 2, ServerEpochs: 4, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Configure(algo, RunSpec{Codec: "int8"}); err != nil {
-		t.Fatal(err)
-	}
-	hist, err := algo.Run(goldenRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.MarshalIndent(hist, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+	_, got := runGolden(t, goldenAlgos(goldenEnv(t))["fedpkd"], &RunSpec{Codec: "int8"}, goldenRounds)
 	path := filepath.Join("testdata", "goldens", "fedpkd_int8.json")
 	if *updateGoldens {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

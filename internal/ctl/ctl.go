@@ -14,10 +14,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"fedpkd/internal/distrib"
@@ -225,8 +227,10 @@ type Server struct {
 const saveTimeout = 30 * time.Second
 
 // Serve starts the control listener. Addresses containing a path separator
-// are unix sockets (any stale socket file is replaced); anything else is a
-// TCP address like 127.0.0.1:7070.
+// are unix sockets; anything else is a TCP address like 127.0.0.1:7070. A
+// stale socket file at the path (one that refuses connections, as a killed
+// service leaves it) is replaced; anything else there — a live service's
+// socket, a regular file — makes Serve fail and stays untouched.
 func Serve(addr string, gate *Gate, status func() Status) (*Server, error) {
 	var (
 		ln   net.Listener
@@ -234,7 +238,9 @@ func Serve(addr string, gate *Gate, status func() Status) (*Server, error) {
 		unix = strings.ContainsRune(addr, '/')
 	)
 	if unix {
-		os.Remove(addr)
+		if err := removeStaleSocket(addr); err != nil {
+			return nil, err
+		}
 		ln, err = net.Listen("unix", addr)
 	} else {
 		ln, err = net.Listen("tcp", addr)
@@ -246,6 +252,34 @@ func Serve(addr string, gate *Gate, status func() Status) (*Server, error) {
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// removeStaleSocket clears path for a unix listener: nothing there is fine,
+// and a socket that refuses connections is removed. Anything else is an
+// error naming the conflict.
+func removeStaleSocket(path string) error {
+	fi, err := os.Lstat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("ctl: listen %s: %w", path, err)
+	}
+	if fi.Mode().Type() != fs.ModeSocket {
+		return fmt.Errorf("ctl: listen %s: a file that is not a socket is in the way", path)
+	}
+	conn, err := net.DialTimeout("unix", path, time.Second)
+	if err == nil {
+		conn.Close()
+		return fmt.Errorf("ctl: listen %s: another service is listening on this socket", path)
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		return fmt.Errorf("ctl: listen %s: cannot tell whether the socket is stale: %w", path, err)
+	}
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("ctl: remove stale socket %s: %w", path, err)
+	}
+	return nil
 }
 
 // Addr returns the listener's address (useful with ":0" TCP listeners).

@@ -3,6 +3,7 @@ package ctl
 import (
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -157,6 +158,64 @@ func TestServerProtocol(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("loop did not observe quit")
 	}
+}
+
+// TestServeReplacesOnlyStaleSockets: Serve clears a unix-socket address only
+// of a socket nobody listens on. A regular file there survives and so does a
+// live service's socket; in both cases Serve fails.
+func TestServeReplacesOnlyStaleSockets(t *testing.T) {
+	dir := t.TempDir()
+	g := NewGate(nil)
+	status := func() Status { return Status{} }
+
+	t.Run("regular file", func(t *testing.T) {
+		path := filepath.Join(dir, "results.csv")
+		const content = "round,acc\n0,0.5\n"
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if srv, err := Serve(path, g, status); err == nil {
+			srv.Close()
+			t.Fatal("Serve listened over a regular file")
+		}
+		if b, err := os.ReadFile(path); err != nil || string(b) != content {
+			t.Fatalf("the file at the address changed: %q, %v", b, err)
+		}
+	})
+
+	t.Run("live socket", func(t *testing.T) {
+		sock := filepath.Join(dir, "live.sock")
+		live, err := Serve(sock, g, status)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer live.Close()
+		if srv, err := Serve(sock, g, status); err == nil {
+			srv.Close()
+			t.Fatal("a second service took over a live service's socket")
+		}
+		if resp, err := Send(sock, "ping", 2*time.Second); err != nil || !resp.OK {
+			t.Fatalf("the live service stopped answering: %+v, %v", resp, err)
+		}
+	})
+
+	t.Run("stale socket", func(t *testing.T) {
+		sock := filepath.Join(dir, "stale.sock")
+		ln, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.(*net.UnixListener).SetUnlinkOnClose(false)
+		ln.Close() // the socket file stays, as a killed service leaves it
+		srv, err := Serve(sock, g, status)
+		if err != nil {
+			t.Fatalf("Serve refused a stale socket: %v", err)
+		}
+		defer srv.Close()
+		if resp, err := Send(sock, "ping", 2*time.Second); err != nil || !resp.OK {
+			t.Fatalf("ping over the replaced socket: %+v, %v", resp, err)
+		}
+	})
 }
 
 // TestSendTimeout pins the per-command deadline: a server that accepts the

@@ -11,8 +11,8 @@ import (
 )
 
 // Workers returns the fan-out width ForEachClient uses for n clients:
-// bounded by GOMAXPROCS — what the scheduler runs at once, as tensor.Workers
-// tracks; bodies beyond it could only time-slice — and at least 1. Exported
+// bounded by GOMAXPROCS — what the scheduler runs at once; bodies beyond it
+// could only time-slice — and at least 1. Exported
 // so instrumentation can report the parallelism a round actually ran with.
 func Workers(n int) int {
 	w := runtime.GOMAXPROCS(0)

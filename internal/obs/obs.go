@@ -195,10 +195,13 @@ type RoundTrace struct {
 	Workers int `json:"workers"`
 	// Kernel* fields are deltas of the tensor compute layer's process-wide
 	// counters over this round (like Batches, concurrent runs in one process
-	// share them): scalar multiply-adds executed, kernel launches that fanned
-	// out across the worker pool vs. ran serially, matrices allocated, and
-	// scratch-arena misses. A steady-state round should show
-	// KernelMatrixAllocs and KernelScratchMisses near zero.
+	// share them): scalar multiply-adds executed, kernel launches (each on
+	// its caller's goroutine), matrices allocated, and scratch-arena misses.
+	// A steady-state round should show KernelMatrixAllocs and
+	// KernelScratchMisses near zero. KernelParallelCalls is always 0: the
+	// tensor layer has no worker pool. It remains only because the benchmark
+	// harness (bench/run.go) reads it, and goes when the harness stops
+	// reading it; JSONL omits it and the CSV column prints 0.
 	KernelOps           int64 `json:"kernel_ops,omitempty"`
 	KernelParallelCalls int64 `json:"kernel_parallel_calls,omitempty"`
 	KernelSerialCalls   int64 `json:"kernel_serial_calls,omitempty"`
@@ -379,7 +382,6 @@ func (r *Recorder) closeLocked() (RoundTrace, func(RoundTrace), bool) {
 	r.cur.Batches = BatchesTotal() - r.batchMark
 	ks := tensor.ReadKernelStats()
 	r.cur.KernelOps = ks.Ops - r.kernelMark.Ops
-	r.cur.KernelParallelCalls = ks.ParallelCalls - r.kernelMark.ParallelCalls
 	r.cur.KernelSerialCalls = ks.SerialCalls - r.kernelMark.SerialCalls
 	r.cur.KernelMatrixAllocs = ks.MatrixAllocs - r.kernelMark.MatrixAllocs
 	r.cur.KernelScratchMisses = ks.ScratchMisses - r.kernelMark.ScratchMisses

@@ -13,7 +13,7 @@ import (
 // hit (models.FeatureWidth = 48, batch 32, 32 inputs, 10 classes) and between
 // them reach every tail of the simd loops: out = 10 leaves n mod 4 = 2,
 // batch 18 leaves TN a k mod 4 = 2 tail and an odd count of row pairs. The
-// squares are stress points; 128 and 256 take the packed NT path.
+// squares are stress points.
 var benchShapes = [][3]int{
 	{32, 48, 48}, // hidden layer, full batch
 	{32, 32, 48}, // input layer
@@ -23,11 +23,6 @@ var benchShapes = [][3]int{
 	{128, 128, 128},
 	{256, 256, 256},
 }
-
-// crossoverShapes straddle minParallelOps (the numbers next to it come from
-// these): the two inference products of an evaluation pass over 300 rows,
-// longer 48-wide passes, and squares, on both sides.
-var crossoverShapes = [][3]int{{300, 32, 48}, {300, 48, 48}, {64, 64, 64}, {128, 128, 128}, {1200, 48, 48}, {1500, 48, 48}, {160, 160, 160}, {2000, 48, 48}, {192, 192, 192}, {256, 256, 256}}
 
 // benchLayer runs one product of a Dense layer per iteration over every
 // shape. op receives the layer's tensors: x (batch x in), w (in x out),
@@ -78,22 +73,6 @@ func BenchmarkMatMulNT(b *testing.B) {
 // the same shapes, so one run reports blocked-vs-naive speedups.
 func BenchmarkMatMulNaive(b *testing.B) {
 	benchLayer(b, benchShapes, func(x, w, dy, y, gw, dx *Matrix) { refMatMulInto(y, x, w) })
-}
-
-// BenchmarkMatMulSerial pins the pool to one worker: the kernel without
-// fan-out, at the shapes around the parallel threshold.
-func BenchmarkMatMulSerial(b *testing.B) {
-	setWorkers(1)
-	defer setWorkers(0)
-	benchLayer(b, crossoverShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
-}
-
-// BenchmarkMatMulParallel fans the same shapes out two ways with the
-// threshold dropped, so Serial vs Parallel brackets where minParallelOps
-// belongs; on a 1-CPU host it measures the fan-out overhead ceiling.
-func BenchmarkMatMulParallel(b *testing.B) {
-	forceParallel(b, 2)
-	benchLayer(b, crossoverShapes, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
 
 // BenchmarkDenseTrainStep measures the allocation-free Dense-equivalent hot

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"fedpkd/internal/stats"
 )
 
-// The equivalence suite: blocked/parallel kernels must be BIT-IDENTICAL to
-// a single-threaded whole-range launch of the pure-Go kernel at every worker
-// count and on every kernel path (the simd inner loops included) — that is
-// the invariant the fixed-seed determinism tests of internal/core and
-// internal/baselines, and every golden, stand on — and numerically equal
-// (tight epsilon) to the retained naive serial references from the seed,
-// whose reduction grouping differs.
+// The equivalence suite: the blocked kernels must be BIT-IDENTICAL to the
+// pure-Go kernel on every kernel path (the simd inner loops included) and
+// under any number of concurrent callers — that is the invariant the
+// fixed-seed determinism tests of internal/core and internal/baselines, and
+// every golden, stand on — and numerically equal (tight epsilon) to the
+// retained naive serial references from the seed, whose reduction grouping
+// differs.
 
 // eqShapes spans the shapes the ISSUE calls out: scalars, row/column
 // vectors, tall-skinny, wide-short, non-tile-multiples (including k crossing
@@ -131,33 +132,45 @@ func onEachPath(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// launch is one way to run a kernel: which inner loops, how many workers
-// (anything but one forces the fan-out however small the shape; zero is the
-// GOMAXPROCS default).
-type launch struct {
-	loops   *simdLoops
-	workers int
+// runCallers issues into(out, a, b) from callers goroutines at once on the
+// given inner loops, as fl.ForEachClient's clients issue products: they share
+// a, b and the scratch arena, and each writes its own out, starting as a copy
+// of dst. It returns every caller's result.
+func runCallers(loops *simdLoops, callers int, into func(out, a, b *Matrix), dst, a, b *Matrix) []*Matrix {
+	old := simd
+	defer func() { simd = old }()
+	simd = loops
+	outs := make([]*Matrix, callers)
+	start := make(chan struct{}) // released at once, so the calls overlap
+	var wg sync.WaitGroup
+	for i := range outs {
+		outs[i] = dst.Clone()
+		wg.Add(1)
+		go func(out *Matrix) {
+			defer wg.Done()
+			<-start
+			into(out, a, b)
+		}(outs[i])
+	}
+	close(start)
+	wg.Wait()
+	return outs
 }
 
-// oracle is the launch every other one must match bit for bit: the pure-Go
-// loops over one whole-range panel.
-var oracle = launch{nil, 1}
+// oracle is the result every kernel path and every concurrent caller must
+// match bit for bit: one caller on the pure-Go loops.
+func oracle(into func(out, a, b *Matrix), dst, a, b *Matrix) *Matrix {
+	return runCallers(nil, 1, into, dst, a, b)[0]
+}
 
-// run returns into(out, a, b) under l, with out starting as a copy of dst.
-func (l launch) run(into func(out, a, b *Matrix), dst, a, b *Matrix) *Matrix {
-	oldLoops, oldOps := simd, minParallelOps
-	defer func() {
-		simd, minParallelOps = oldLoops, oldOps
-		setWorkers(0)
-	}()
-	simd = l.loops
-	if l.workers != 1 {
-		minParallelOps = 0
+// checkCallers fails t unless every caller's result has want's bits.
+func checkCallers(t *testing.T, want *Matrix, got []*Matrix) {
+	t.Helper()
+	for i, g := range got {
+		if !bitsEqual(g, want) {
+			t.Errorf("caller %d of %d: not bit-identical to the reference\n got  %v\n want %v", i, len(got), g.Data, want.Data)
+		}
 	}
-	setWorkers(l.workers)
-	out := dst.Clone()
-	into(out, a, b)
-	return out
 }
 
 // The grid the kernel paths are compared over: row counts around a full batch
@@ -224,7 +237,7 @@ var operandModes = []struct {
 
 // checkGrid requires kernel kc, started from non-zero destination contents,
 // to give the oracle's bits on every grid shape under the current kernel
-// path, both serially and fanned out across three workers.
+// path.
 func checkGrid(t *testing.T, kc kernelCase, gen func(seed uint64, rows, cols int) *Matrix) {
 	loops := simd
 	for _, m := range gridM {
@@ -233,29 +246,14 @@ func checkGrid(t *testing.T, kc kernelCase, gen func(seed uint64, rows, cols int
 				seed := uint64(m*100000 + k*100 + n)
 				a, b := kc.operands(gen, seed, m, k, n)
 				dst := eqOperands(seed+2, m, n)
-				want := oracle.run(kc.into, dst, a, b)
-				for _, workers := range []int{1, 3} {
-					if got := (launch{loops, workers}).run(kc.into, dst, a, b); !bitsEqual(got, want) {
-						t.Fatalf("%dx%dx%d, %d workers: not bit-identical to the serial pure-Go kernel\n got  %v\n want %v",
-							m, k, n, workers, got.Data, want.Data)
-					}
+				want := oracle(kc.into, dst, a, b)
+				if got := runCallers(loops, 1, kc.into, dst, a, b)[0]; !bitsEqual(got, want) {
+					t.Fatalf("%dx%dx%d: not bit-identical to the pure-Go kernel\n got  %v\n want %v",
+						m, k, n, got.Data, want.Data)
 				}
 			}
 		}
 	}
-}
-
-// forceParallel forces the pool path for arbitrarily small shapes and
-// restores the threshold and worker width afterwards.
-func forceParallel(tb testing.TB, workers int) {
-	tb.Helper()
-	oldOps := minParallelOps
-	minParallelOps = 0
-	setWorkers(workers)
-	tb.Cleanup(func() {
-		minParallelOps = oldOps
-		setWorkers(0)
-	})
 }
 
 // dirty returns a shape-matched destination full of garbage, so the tests
@@ -319,13 +317,11 @@ var accCase = kernelCase{
 // pathCases are the entry points the kernel-path comparisons cover.
 var pathCases = append(kernelCases[:len(kernelCases):len(kernelCases)], accCase)
 
-// TestEquivalenceSerialVsNaive checks the blocked kernels (single worker,
-// whole-range panel) against the retained naive references with a tight
-// epsilon: the 4-wide grouping reorders the reduction, so exact bit equality
-// with the seed code is not required — numerical agreement is.
+// TestEquivalenceSerialVsNaive checks the blocked kernels against the
+// retained naive references with a tight epsilon: the 4-wide grouping
+// reorders the reduction, so exact bit equality with the seed code is not
+// required — numerical agreement is.
 func TestEquivalenceSerialVsNaive(t *testing.T) {
-	setWorkers(1)
-	defer setWorkers(0)
 	for _, kc := range kernelCases {
 		for si, shape := range eqShapes {
 			m, k, n := shape[0], shape[1], shape[2]
@@ -347,25 +343,22 @@ func TestEquivalenceSerialVsNaive(t *testing.T) {
 }
 
 // TestEquivalenceParallelBitIdentical is the load-bearing determinism test:
-// for every kernel, shape, worker count and kernel path, the pooled parallel
-// launch must be bit-identical to the serial (one-panel) launch of the
-// pure-Go kernel. The grid subtests repeat that over every tail of the simd
-// loops and over operands built to stress them.
+// for every kernel, shape and kernel path, w goroutines issuing the same
+// product at once — sharing its operands and the scratch arena, as
+// concurrent clients do — must each get the pure-Go oracle's bits. The grid
+// subtests repeat the path comparison over every tail of the simd loops and
+// over operands built to stress them.
 func TestEquivalenceParallelBitIdentical(t *testing.T) {
-	for _, workers := range []int{2, 3, 4, 7} {
+	for _, callers := range []int{2, 3, 4, 7} {
 		for _, kc := range kernelCases {
 			for si, shape := range eqShapes {
 				m, k, n := shape[0], shape[1], shape[2]
-				t.Run(fmt.Sprintf("w%d/%s/%dx%dx%d", workers, kc.name, m, k, n), func(t *testing.T) {
+				t.Run(fmt.Sprintf("w%d/%s/%dx%dx%d", callers, kc.name, m, k, n), func(t *testing.T) {
 					a, b := kc.operands(eqOperands, uint64(200+si), m, k, n)
 					dst := dirty(kc.outShape(m, k, n))
-					serial := oracle.run(kc.into, dst, a, b)
+					want := oracle(kc.into, dst, a, b)
 					onEachPath(t, func(t *testing.T) {
-						parallel := launch{simd, workers}.run(kc.into, dst, a, b)
-						if !bitsEqual(serial, parallel) {
-							t.Errorf("parallel result (w=%d) not bit-identical to serial\n serial   %v\n parallel %v",
-								workers, serial.Data, parallel.Data)
-						}
+						checkCallers(t, want, runCallers(simd, callers, kc.into, dst, a, b))
 					})
 				})
 			}
@@ -381,8 +374,9 @@ func TestEquivalenceParallelBitIdentical(t *testing.T) {
 }
 
 // TestEquivalenceAccIntoBitIdentical covers the fused accumulate kernel: on
-// every kernel path, serial and parallel MatMulTNAccInto must agree bitwise
-// with the serial pure-Go kernel, which must equal out0 + aᵀb within epsilon.
+// every kernel path, one caller and four concurrent callers of
+// MatMulTNAccInto must agree bitwise with the pure-Go kernel, which must
+// equal out0 + aᵀb within epsilon.
 func TestEquivalenceAccIntoBitIdentical(t *testing.T) {
 	for si, shape := range eqShapes {
 		m, k, n := shape[0], shape[1], shape[2]
@@ -391,7 +385,7 @@ func TestEquivalenceAccIntoBitIdentical(t *testing.T) {
 			b := eqOperands(uint64(301+si), k, n)
 			init := eqOperands(uint64(302+si), m, n)
 
-			serial := oracle.run(MatMulTNAccInto, init, a, b)
+			serial := oracle(MatMulTNAccInto, init, a, b)
 			want := dirty(m, n)
 			refMatMulTNInto(want, a, b)
 			want.Add(init)
@@ -399,10 +393,8 @@ func TestEquivalenceAccIntoBitIdentical(t *testing.T) {
 				t.Errorf("acc kernel diverged from init + aᵀb\n got  %v\n want %v", serial.Data, want.Data)
 			}
 			onEachPath(t, func(t *testing.T) {
-				for _, workers := range []int{1, 4} {
-					if got := (launch{simd, workers}).run(MatMulTNAccInto, init, a, b); !bitsEqual(serial, got) {
-						t.Errorf("acc kernel, %d workers: not bit-identical to serial", workers)
-					}
+				for _, callers := range []int{1, 4} {
+					checkCallers(t, serial, runCallers(simd, callers, MatMulTNAccInto, init, a, b))
 				}
 			})
 		})
@@ -546,28 +538,20 @@ func TestEquivalenceNonIntoMatchesInto(t *testing.T) {
 	}
 }
 
-// TestEquivalenceTranspose checks the blocked (and parallel) transpose
-// against the seed's strided walk — a pure permutation, so exact equality.
+// TestEquivalenceTranspose checks the blocked transpose, from one caller and
+// from four at once, against the seed's strided walk — a pure permutation,
+// so exact equality.
 func TestEquivalenceTranspose(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {33, 65}, {70, 3}, {0, 4}, {4, 0}, {64, 64}}
-	for _, ws := range []int{1, 4} {
+	transposeInto := func(out, m, _ *Matrix) { TransposeInto(out, m) }
+	for _, callers := range []int{1, 4} {
 		for _, shape := range shapes {
 			r, c := shape[0], shape[1]
-			t.Run(fmt.Sprintf("w%d/%dx%d", ws, r, c), func(t *testing.T) {
+			t.Run(fmt.Sprintf("w%d/%dx%d", callers, r, c), func(t *testing.T) {
 				m := eqOperands(uint64(10*r+c), r, c)
 				want := dirty(c, r)
 				refTransposeInto(want, m)
-				if ws == 1 {
-					setWorkers(1)
-					defer setWorkers(0)
-				} else {
-					forceParallel(t, ws)
-				}
-				got := dirty(c, r)
-				TransposeInto(got, m)
-				if !bitsEqual(got, want) {
-					t.Errorf("blocked transpose diverged\n got  %v\n want %v", got.Data, want.Data)
-				}
+				checkCallers(t, want, runCallers(simd, callers, transposeInto, dirty(c, r), m, nil))
 				if !bitsEqual(Transpose(m), want) {
 					t.Errorf("Transpose wrapper diverged")
 				}
@@ -635,9 +619,9 @@ func TestKernelGuardBands(t *testing.T) {
 			var bt *Matrix
 			if simd != nil && len(b.Data) > 0 {
 				bt = g.embed("bt", New(b.Cols, b.Rows), 7)
-				transposePanel(bt, b, 0, bt.Rows)
+				transposePanel(bt, b)
 			}
-			gemmNTPanel(out, a, b, bt, 0, out.Rows)
+			gemmNTPanel(out, a, b, bt)
 		}
 		for _, kernel := range append(pathCases[:len(pathCases):len(pathCases)], ntPanel) {
 			for _, m := range gridM {
@@ -646,7 +630,7 @@ func TestKernelGuardBands(t *testing.T) {
 						seed := uint64(m*100000 + k*100 + n)
 						a, b := kernel.operands(eqOperands, seed, m, k, n)
 						dst := eqOperands(seed+2, m, n)
-						want := oracle.run(kernel.into, dst, a, b)
+						want := oracle(kernel.into, dst, a, b)
 						g.bands = g.bands[:0] // only the run below is under guard
 						out := g.embed("out", dst, 5)
 						kernel.into(out, g.embed("a", a, 3), g.embed("b", b, 1))

@@ -1,23 +1,23 @@
 package tensor
 
-// Cache-blocked matmul kernels. Each kernel computes a contiguous panel
-// [lo, hi) of output rows, which is the unit the worker pool shards; panels
-// partition the output, so no element is ever written by two workers.
+// Cache-blocked matmul kernels. Each computes its whole output on the
+// calling goroutine; callers that run at once (concurrent clients, the nn
+// lane) each write their own output.
 //
 // Determinism contract: for every output element the reduction over k runs
-// in one fixed order — ascending k, grouped 4-wide with a sequential tail —
-// that does not depend on the panel boundaries, the tile sizes, or the
-// worker count. Serial (one whole-range panel) and parallel (many panels)
-// launches therefore produce bit-identical results; equivalence_test.go
-// locks this down across shapes and worker counts.
+// in one fixed order — ascending k, grouped 4-wide with a sequential tail
+// (NN, TN), dotSplit2's (even + odd) + tail (NT) — that does not depend on
+// the tile sizes, the operand sizes or the inner-loop path.
+// equivalence_test.go locks this down across shapes, paths and concurrent
+// callers.
 //
 // Blocking parameters. The NN kernel tiles the reduction dimension so a
 // kTileNN x n panel of b stays cache-resident while it is reused by every
-// row of the output panel. The NT kernel tiles b's rows so a jTileNT x k
-// panel of b is reused across the whole output panel. The TN kernel keeps
-// the output panel itself hot (it is weight-gradient-shaped, i.e. small)
-// and streams a and b exactly once. The transpose walks 32x32 tiles so both
-// the source rows and the destination columns stay within a few cache lines.
+// output row. The NT kernel tiles b's rows so a jTileNT x k panel of b is
+// reused across every output row. The TN kernel keeps the output itself hot
+// (it is weight-gradient-shaped, i.e. small) and streams a and b exactly
+// once. The transpose walks 32x32 tiles so both the source rows and the
+// destination columns stay within a few cache lines.
 const (
 	kTileNN = 256 // k-rows of b per NN pass
 	jTileNT = 64  // rows of b per NT pass
@@ -52,17 +52,18 @@ type simdLoops struct {
 // tests swap it to run every path the host has.
 var simd *simdLoops
 
-// gemmNNPanel computes out[lo:hi] = a[lo:hi] * b (zeroing the panel first).
-// The 4-wide k grouping halves traffic on the output row; an all-zero group
-// (common for post-ReLU activations) is skipped entirely. Output rows are
+// gemmNNPanel computes out = a * b (zeroing out first). The 4-wide k
+// grouping halves traffic on the output row; an all-zero group (common for
+// post-ReLU activations) is skipped entirely. Output rows are
 // register-blocked in pairs so each loaded group of four b rows feeds two
 // output rows; each row keeps its own skip decision and its own k-ascending
 // accumulation expression, so the result is bit-identical to the unpaired
 // walk (the determinism contract above).
-func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
+func gemmNNPanel(out, a, b *Matrix) {
 	n := b.Cols
 	kDim := a.Cols
-	for i := lo; i < hi; i++ {
+	rows := out.Rows
+	for i := 0; i < rows; i++ {
 		orow := out.Row(i)
 		for j := range orow {
 			orow[j] = 0
@@ -76,8 +77,8 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 		if kEnd > kDim {
 			kEnd = kDim
 		}
-		i := lo
-		for ; i+1 < hi; i += 2 {
+		i := 0
+		for ; i+1 < rows; i += 2 {
 			// The [:kDim] / [:n] reslices pin lengths the prove pass can see,
 			// eliminating bounds checks in the inner loops.
 			arow := a.Row(i)[:kDim]
@@ -148,7 +149,7 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 				}
 			}
 		}
-		for ; i < hi; i++ {
+		for ; i < rows; i++ {
 			arow := a.Row(i)[:kDim]
 			orow := out.Row(i)[:n]
 			k := kk
@@ -183,16 +184,15 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// gemmTNPanel computes out[lo:hi] (+)= aᵀ*b over the panel of out rows
-// [lo, hi), i.e. columns lo..hi of a. When acc is false the panel is zeroed
+// gemmTNPanel computes out (+)= aᵀ*b. When acc is false out is zeroed
 // first; when true the products accumulate into the existing contents
 // (fused weight-gradient accumulation: Grad += xᵀ·dy without a temporary).
-func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
+func gemmTNPanel(out, a, b *Matrix, acc bool) {
 	n := b.Cols
 	kDim := a.Rows
 	m := a.Cols
 	if !acc {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			orow := out.Row(i)
 			for j := range orow {
 				orow[j] = 0
@@ -216,8 +216,8 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 		// Output rows in register-blocked pairs: one pass over the four b
 		// rows feeds both. Skip decisions and accumulation expressions stay
 		// per-row, so results are bit-identical to the unpaired walk.
-		i := lo
-		for ; i+1 < hi; i += 2 {
+		i := 0
+		for ; i+1 < m; i += 2 {
 			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
 			c0, c1, c2, c3 := ar0[i+1], ar1[i+1], ar2[i+1], ar3[i+1]
 			zA := a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0
@@ -255,7 +255,7 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 				}
 			}
 		}
-		for ; i < hi; i++ {
+		for ; i < m; i++ {
 			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
@@ -273,7 +273,7 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 	for ; k < kDim; k++ {
 		arow := a.Data[k*m:][:m]
 		brow := b.Data[k*n:][:n]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			av := arow[i]
 			if av == 0 {
 				continue
@@ -306,26 +306,27 @@ func dotSplit2(arow, brow []float64) float64 {
 	return (s0 + s1) + tail
 }
 
-// gemmNTPanel computes out[lo:hi] = a[lo:hi] * bᵀ. Each element is an
-// independent dot product (see dotSplit2 for the fixed reduction shape).
+// gemmNTPanel computes out = a * bᵀ. Each element is an independent dot
+// product (see dotSplit2 for the fixed reduction shape).
 // The core walks 2x2 blocks — two output rows against two rows of b — so
 // each streamed pair of operand values feeds four dot products, doubling
 // flops per load; the j tiling keeps a jTileNT x k panel of b resident
-// across the output panel.
+// across the output rows.
 //
 // With bt, a packed bᵀ (simd only; nil otherwise), each row's columns go
 // through simd.dotCols in multiples of four, lanes across j, and only the
 // up-to-three columns left in a tile fall to the Go loops below.
-func gemmNTPanel(out, a, b, bt *Matrix, lo, hi int) {
+func gemmNTPanel(out, a, b, bt *Matrix) {
 	kDim := a.Cols
 	nOut := b.Rows
+	rows := out.Rows
 	for jj := 0; jj < nOut; jj += jTileNT {
 		jEnd := jj + jTileNT
 		if jEnd > nOut {
 			jEnd = nOut
 		}
-		i := lo
-		for ; i+1 < hi; i += 2 {
+		i := 0
+		for ; i+1 < rows; i += 2 {
 			arow := a.Row(i)[:kDim]
 			arow2 := a.Row(i + 1)[:kDim]
 			orow := out.Row(i)[:nOut]
@@ -373,7 +374,7 @@ func gemmNTPanel(out, a, b, bt *Matrix, lo, hi int) {
 				orow2[j] = dotSplit2(arow2, brow)
 			}
 		}
-		for ; i < hi; i++ {
+		for ; i < rows; i++ {
 			arow := a.Row(i)[:kDim]
 			orow := out.Row(i)[:nOut]
 			j := jj
@@ -388,14 +389,13 @@ func gemmNTPanel(out, a, b, bt *Matrix, lo, hi int) {
 	}
 }
 
-// transposePanel writes out rows [lo, hi) of the transpose (columns lo..hi
-// of m) in trTile x trTile blocks, replacing the seed's full-stride column
-// walk that thrashed cache on tall matrices.
-func transposePanel(out, m *Matrix, lo, hi int) {
-	for jj := lo; jj < hi; jj += trTile {
+// transposePanel writes out = mᵀ in trTile x trTile blocks, replacing the
+// seed's full-stride column walk that thrashed cache on tall matrices.
+func transposePanel(out, m *Matrix) {
+	for jj := 0; jj < m.Cols; jj += trTile {
 		jEnd := jj + trTile
-		if jEnd > hi {
-			jEnd = hi
+		if jEnd > m.Cols {
+			jEnd = m.Cols
 		}
 		for ii := 0; ii < m.Rows; ii += trTile {
 			iEnd := ii + trTile

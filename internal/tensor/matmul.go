@@ -11,9 +11,8 @@ import "fmt"
 //	MatMulNT / MatMulNTInto    out = a · bᵀ      input gradients (dy·Wᵀ)
 //	MatMulTNAccInto            out += aᵀ · b     fused gradient accumulation
 //
-// All of them dispatch through the shared worker pool (pool.go) above a work
-// threshold and run on the calling goroutine below it; results are
-// bit-identical either way (see kernels.go for the determinism contract).
+// Each runs whole on the calling goroutine, through one kernel per
+// orientation (see kernels.go for the determinism contract).
 
 // MatMul returns a*b. Shapes: (m x k) * (k x n) -> (m x n).
 func MatMul(a, b *Matrix) *Matrix {
@@ -33,15 +32,8 @@ func MatMulInto(out, a, b *Matrix) {
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulInto", out, a, b)
-	ops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-	// Serial calls skip parallelFor entirely so the hot path builds no
-	// closure — steady-state small kernels are allocation-free.
-	if !useParallel(out.Rows, ops) {
-		gemmNNPanel(out, a, b, 0, out.Rows)
-		noteSerial(ops)
-		return
-	}
-	parallelFor(out.Rows, ops, func(lo, hi int) { gemmNNPanel(out, a, b, lo, hi) })
+	gemmNNPanel(out, a, b)
+	noteSerial(int64(a.Rows) * int64(a.Cols) * int64(b.Cols))
 }
 
 // MatMulTN returns aᵀ*b. Shapes: (k x m)ᵀ * (k x n) -> (m x n). Used for
@@ -73,13 +65,8 @@ func matMulTNInto(out, a, b *Matrix, acc bool) {
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulTNInto", out, a, b)
-	ops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-	if !useParallel(out.Rows, ops) {
-		gemmTNPanel(out, a, b, 0, out.Rows, acc)
-		noteSerial(ops)
-		return
-	}
-	parallelFor(out.Rows, ops, func(lo, hi int) { gemmTNPanel(out, a, b, lo, hi, acc) })
+	gemmTNPanel(out, a, b, acc)
+	noteSerial(int64(a.Rows) * int64(a.Cols) * int64(b.Cols))
 }
 
 // MatMulNT returns a*bᵀ. Shapes: (m x k) * (n x k)ᵀ -> (m x n). Used for
@@ -101,23 +88,23 @@ func MatMulNTInto(out, a, b *Matrix) {
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulNTInto", out, a, b)
-	ops := int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
-	if ops >= minPackNTOps {
-		matMulNTPacked(out, a, b, ops)
-		return
-	}
-	// The simd dot loops run lanes across b's rows, so they need bᵀ: packed
-	// once per call, before any fan-out, into pooled scratch. Assigned once
-	// so the parallel closure captures it by value and the serial path stays
-	// allocation-free.
 	bt := packTForSIMD(b)
-	if !useParallel(out.Rows, ops) {
-		gemmNTPanel(out, a, b, bt, 0, out.Rows)
-		noteSerial(ops)
-	} else {
-		parallelFor(out.Rows, ops, func(lo, hi int) { gemmNTPanel(out, a, b, bt, lo, hi) })
-	}
+	gemmNTPanel(out, a, b, bt)
 	Release(bt)
+	noteSerial(int64(a.Rows) * int64(a.Cols) * int64(b.Rows))
+}
+
+// packTForSIMD returns bᵀ in an arena scratch matrix for the simd dot loops,
+// which run lanes across b's rows; the caller Releases it. The Go loops read
+// b itself and get nil (as does an empty b, which leaves the simd loops
+// nothing to do). The reduction order per element is dotSplit2's either way.
+func packTForSIMD(b *Matrix) *Matrix {
+	if simd == nil || len(b.Data) == 0 {
+		return nil
+	}
+	bt := GetScratch(b.Cols, b.Rows)
+	transposePanel(bt, b)
+	return bt
 }
 
 // Transpose returns a new matrix that is m transposed.
@@ -135,15 +122,9 @@ func TransposeInto(out, m *Matrix) {
 			out.Rows, out.Cols, m.Rows, m.Cols))
 	}
 	mustNotAlias("TransposeInto", out, m, m)
-	// A transpose is pure data movement; one element copied per "op" makes
-	// the threshold comparable to the matmul kernels' multiply-adds.
-	ops := int64(m.Rows) * int64(m.Cols)
-	if !useParallel(out.Rows, ops) {
-		transposePanel(out, m, 0, out.Rows)
-		noteSerial(ops)
-		return
-	}
-	parallelFor(out.Rows, ops, func(lo, hi int) { transposePanel(out, m, lo, hi) })
+	transposePanel(out, m)
+	// A transpose is pure data movement: one op per element copied.
+	noteSerial(int64(m.Rows) * int64(m.Cols))
 }
 
 // sharesStorage reports whether two matrices are backed by the same array

@@ -8,80 +8,43 @@ import (
 	"fedpkd/internal/stats"
 )
 
-// setWorkers forces the kernel fan-out width for a test. n <= 0 restores
-// the default, which tracks GOMAXPROCS. Safe to call while kernels run:
-// in-flight operations finish with the width they started with.
-func setWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerWidth.Store(int32(n))
-}
-
-// TestSetWorkers: a forced width is what Workers reports, and 0 or a
-// negative width falls back to GOMAXPROCS.
+// TestSetWorkers: kernels start no goroutine. A 256³ product, far larger
+// than any training or inference product, runs on its caller, so the
+// goroutine count does not rise across it.
 func TestSetWorkers(t *testing.T) {
-	defer setWorkers(0)
-	setWorkers(3)
-	if Workers() != 3 {
-		t.Errorf("Workers() = %d after setWorkers(3)", Workers())
-	}
-	setWorkers(0)
-	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("Workers() = %d with default width, want GOMAXPROCS %d", got, want)
-	}
-	setWorkers(-5) // negative resets to the default, same as 0
-	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("Workers() = %d after setWorkers(-5), want GOMAXPROCS %d", got, want)
+	rng := stats.NewRNG(9)
+	a, b, out := Randn(rng, 256, 256, 1), Randn(rng, 256, 256, 1), New(256, 256)
+	before := runtime.NumGoroutine()
+	MatMulInto(out, a, b)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after a 256³ MatMul, %d before it", after, before)
 	}
 }
 
-// TestParallelForCoversAllRows drives the pool directly: every row must be
-// visited exactly once regardless of width.
+// TestParallelForCoversAllRows: a 37-row product of every orientation fully
+// overwrites a dirty destination.
 func TestParallelForCoversAllRows(t *testing.T) {
-	defer func() { setWorkers(0) }()
-	old := minParallelOps
-	minParallelOps = 0
-	defer func() { minParallelOps = old }()
-
-	for _, w := range []int{1, 2, 5, 16} {
-		setWorkers(w)
-		const rows = 37
-		var mu sync.Mutex
-		seen := make([]int, rows)
-		parallelFor(rows, 1<<20, func(lo, hi int) {
-			mu.Lock()
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-			mu.Unlock()
-		})
-		for i, n := range seen {
-			if n != 1 {
-				t.Fatalf("w=%d: row %d visited %d times", w, i, n)
-			}
+	const rows, k, n = 37, 19, 23
+	for _, kc := range kernelCases {
+		a, b := kc.operands(eqOperands, 37, rows, k, n)
+		want := dirty(rows, n)
+		kc.ref(want, a, b)
+		got := dirty(rows, n)
+		kc.into(got, a, b)
+		if !got.Equal(want, 1e-12) {
+			t.Errorf("%s: the %d-row product left stale elements\n got  %v\n want %v", kc.name, rows, got.Data, want.Data)
 		}
 	}
 }
 
 // TestParallelKernelsUnderConcurrentCallers mimics fl.ForEachClient: many
-// goroutines launching pooled kernels at once must neither deadlock nor
-// cross results.
+// goroutines launching kernels at once must neither deadlock nor cross
+// results.
 func TestParallelKernelsUnderConcurrentCallers(t *testing.T) {
-	old := minParallelOps
-	minParallelOps = 0
-	setWorkers(4)
-	defer func() {
-		minParallelOps = old
-		setWorkers(0)
-	}()
-
 	rng := stats.NewRNG(11)
 	a := Randn(rng, 40, 30, 1)
 	b := Randn(rng, 30, 20, 1)
-	setWorkers(1)
 	want := MatMul(a, b)
-	setWorkers(4)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -93,7 +56,7 @@ func TestParallelKernelsUnderConcurrentCallers(t *testing.T) {
 			for iter := 0; iter < 25; iter++ {
 				MatMulInto(out, a, b)
 				if !bitsEqual(out, want) {
-					errs <- "concurrent pooled MatMul diverged"
+					errs <- "concurrent MatMul diverged"
 					return
 				}
 			}

@@ -77,20 +77,22 @@ func TestPropertyDoubleTranspose(t *testing.T) {
 
 // kernelPathsAgree is the property behind TestPropertyKernelPathsBitIdentical
 // and FuzzKernelPaths: with the operand family, the destination contents and
-// the worker count drawn from seed, every kernel gives the oracle's bits on
-// every kernel path this host has.
+// the number of concurrent callers drawn from seed, every kernel gives the
+// oracle's bits on every kernel path this host has.
 func kernelPathsAgree(seed uint64, m, k, n int) error {
 	rng := stats.NewRNG(seed)
 	gen := operandModes[rng.IntN(len(operandModes))].gen
-	workers := 1 + rng.IntN(4)
+	callers := 1 + rng.IntN(4)
 	dst := eqOperands(seed+2, m, n)
 	for _, kernel := range pathCases {
 		a, b := kernel.operands(gen, seed, m, k, n)
-		want := oracle.run(kernel.into, dst, a, b)
+		want := oracle(kernel.into, dst, a, b)
 		for _, loops := range pathLoops() {
-			if got := (launch{loops, workers}).run(kernel.into, dst, a, b); !bitsEqual(got, want) {
-				return fmt.Errorf("%s %dx%dx%d seed %d, %d workers, %s loops: not bit-identical to the serial pure-Go kernel",
-					kernel.name, m, k, n, seed, workers, loopsName(loops))
+			for i, got := range runCallers(loops, callers, kernel.into, dst, a, b) {
+				if !bitsEqual(got, want) {
+					return fmt.Errorf("%s %dx%dx%d seed %d, caller %d of %d, %s loops: not bit-identical to the pure-Go kernel",
+						kernel.name, m, k, n, seed, i, callers, loopsName(loops))
+				}
 			}
 		}
 	}

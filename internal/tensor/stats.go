@@ -8,7 +8,6 @@ import "sync/atomic"
 // monotonically increasing; consumers take deltas.
 var (
 	statSerialCalls   atomic.Int64
-	statParallelCalls atomic.Int64
 	statOps           atomic.Int64
 	statMatrixAllocs  atomic.Int64
 	statScratchGets   atomic.Int64
@@ -16,13 +15,18 @@ var (
 	statScratchPuts   atomic.Int64
 )
 
+// noteSerial records one kernel call of ops multiply-adds (for a transpose,
+// elements moved).
+func noteSerial(ops int64) {
+	statSerialCalls.Add(1)
+	statOps.Add(ops)
+}
+
 // KernelStats is a snapshot of the compute-layer counters.
 type KernelStats struct {
-	// SerialCalls counts kernel launches that ran on the calling goroutine
-	// (work below the parallel threshold, or Workers() == 1).
+	// SerialCalls counts kernel launches; every one runs on the calling
+	// goroutine.
 	SerialCalls int64 `json:"serial_calls"`
-	// ParallelCalls counts kernel launches sharded across the worker pool.
-	ParallelCalls int64 `json:"parallel_calls"`
 	// Ops counts multiply-add operations issued by the matmul kernels.
 	Ops int64 `json:"ops"`
 	// MatrixAllocs counts fresh matrix allocations (tensor.New and friends).
@@ -53,7 +57,6 @@ func loopsName(loops *simdLoops) string {
 func ReadKernelStats() KernelStats {
 	return KernelStats{
 		SerialCalls:   statSerialCalls.Load(),
-		ParallelCalls: statParallelCalls.Load(),
 		Ops:           statOps.Load(),
 		MatrixAllocs:  statMatrixAllocs.Load(),
 		ScratchGets:   statScratchGets.Load(),

@@ -81,16 +81,23 @@ fi
 echo ">> sh scripts/serve_smoke.sh"
 sh scripts/serve_smoke.sh
 
-# The kernel determinism contract (parallel == serial == pure Go, bit for bit)
-# must hold under real interleaving, so the equivalence, property, kernel-path,
-# row-op and packed-NT suites run again with the race detector and two
-# scheduler threads forcing the worker pool to actually overlap panels — and
-# with them the nn tests that stand on those loops (gradient checks,
-# optimizer bit-equality, properties).
-echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + row ops + packed)"
+# The kernel determinism contract (every path == pure Go, bit for bit, from
+# any number of concurrent callers) must hold under real interleaving, so the
+# equivalence, property, kernel-path, row-op and NT suites run again with the
+# race detector and two scheduler threads — and with them the nn tests that
+# stand on those loops (gradient checks, optimizer bit-equality, properties).
+echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + row ops + NT)"
 GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|Kernel|RowOps|ReLUInto|LayersReach' ./internal/tensor/
 echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties)"
 GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam' ./internal/nn/
+
+# Every product runs on its caller, so the kernels' only concurrency is their
+# callers': fl.ForEachClient's clients and the nn lane issue products at once,
+# sharing operands, the scratch arena and the bᵀ packs the simd dot loops
+# read. These suites issue each product from several goroutines at once;
+# -cpu 1,2,4 varies how many of them truly overlap.
+echo ">> go test -race -cpu 1,2,4 ./internal/tensor/ (concurrent callers)"
+go test -race -count=1 -cpu 1,2,4 -run 'ParallelBitIdentical|ConcurrentCallers|ScratchArenaConcurrent' ./internal/tensor/
 
 # The lane (internal/nn/lane.go) must give the inline step's bits with and
 # without a second P: at -cpu 1 it must not even start, at -cpu 2 it runs
