@@ -39,7 +39,7 @@ func TestFedAvgDeterministic(t *testing.T) {
 	}
 }
 
-// TestBaselineRecorderMatchesLedger asserts the recorder mirrors the
+// TestBaselineRecorderMatchesLedger asserts the recorder copies the
 // ledger's per-round byte accounting for a baseline algorithm too.
 func TestBaselineRecorderMatchesLedger(t *testing.T) {
 	env := tinyEnv(t)

@@ -1,7 +1,9 @@
 // Package comm models the communication cost of federated learning: the
 // wire size of every message kind the algorithms exchange (model updates,
-// logits, prototypes) and a thread-safe per-round ledger. The paper's Fig. 3
-// and Table I are computed from these measurements.
+// logits, prototypes), the payload codecs that set those sizes on the wire,
+// and a thread-safe per-round ledger — the run's one byte counter, which
+// calls nothing outside this package. The paper's Fig. 3 and Table I, and
+// the byte columns of every round trace, are computed from it.
 package comm
 
 import "sync"
@@ -66,51 +68,14 @@ type RoundTraffic struct {
 // Total returns upload + download + control.
 func (r RoundTraffic) Total() int64 { return r.Upload + r.Download + r.Control }
 
-// Observer receives ledger events as they are recorded — the hook the
-// observability layer (internal/obs) uses to mirror byte accounting into
-// round traces without the ledger depending on it. Implementations must be
-// safe for concurrent use; callbacks run outside the ledger's lock.
-type Observer interface {
-	// RoundStarted fires when a new round's accounting begins.
-	RoundStarted(round int)
-	// UploadedBytes fires for every client→server recording.
-	UploadedBytes(bytes int)
-	// DownloadedBytes fires for every server→client recording.
-	DownloadedBytes(bytes int)
-	// ControlBytes fires for every control-plane recording.
-	ControlBytes(bytes int)
-}
-
-// RawObserver is an optional extension of Observer: when a compressing
-// codec is active, observers implementing it also see the
-// uncompressed-equivalent bytes of every transfer (the UploadedBytes /
-// DownloadedBytes callbacks still fire with the wire bytes).
-type RawObserver interface {
-	// UploadedRawBytes fires alongside UploadedBytes with the raw-equivalent
-	// size of the same transfer.
-	UploadedRawBytes(raw int)
-	// DownloadedRawBytes fires alongside DownloadedBytes with the
-	// raw-equivalent size of the same transfer.
-	DownloadedRawBytes(raw int)
-}
-
-// TierObserver is an optional extension of Observer: when a run executes
-// over an aggregator tree, observers implementing it also see the backhaul
-// bytes moving between tiers (shard digests up, shard assignments down).
-type TierObserver interface {
-	// TierUpBytes fires for every leaf→root recording.
-	TierUpBytes(bytes int)
-	// TierDownBytes fires for every root→leaf recording.
-	TierDownBytes(bytes int)
-}
-
 // Ledger accumulates traffic measurements across rounds. It is safe for
 // concurrent use: parallel clients record their uploads simultaneously.
-// The zero value is NOT ready to use; call NewLedger.
+// It is the run's only byte counter: round traces (internal/obs) copy a
+// round's row from it when the round closes. The zero value is NOT ready to
+// use; call NewLedger.
 type Ledger struct {
 	mu     sync.Mutex
 	rounds []RoundTraffic
-	obs    Observer
 }
 
 // NewLedger returns an empty ledger.
@@ -118,73 +83,54 @@ func NewLedger() *Ledger {
 	return &Ledger{}
 }
 
-// SetObserver attaches an observer notified of every subsequent recording
-// (nil detaches). Attach before StartRound so the observer sees whole
-// rounds.
-func (l *Ledger) SetObserver(o Observer) {
-	l.mu.Lock()
-	l.obs = o
-	l.mu.Unlock()
-}
-
 // StartRound begins accounting for the given round number.
 func (l *Ledger) StartRound(round int) {
 	l.mu.Lock()
 	l.rounds = append(l.rounds, RoundTraffic{Round: round})
-	o := l.obs
 	l.mu.Unlock()
-	if o != nil {
-		o.RoundStarted(round)
-	}
 }
 
 // AddUpload records client→server traffic in the current round.
 func (l *Ledger) AddUpload(bytes int) {
-	if o := l.add(bytes, dirUpload); o != nil {
-		o.UploadedBytes(bytes)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.mustCurrent().Upload += int64(bytes)
 }
 
 // AddDownload records server→client traffic in the current round.
 func (l *Ledger) AddDownload(bytes int) {
-	if o := l.add(bytes, dirDownload); o != nil {
-		o.DownloadedBytes(bytes)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.mustCurrent().Download += int64(bytes)
 }
 
 // AddControl records control-plane traffic (payload-free round framing,
 // reconnect handshakes) in the current round.
 func (l *Ledger) AddControl(bytes int) {
-	if o := l.add(bytes, dirControl); o != nil {
-		o.ControlBytes(bytes)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.mustCurrent().Control += int64(bytes)
 }
 
 // AddUploadRaw records client→server traffic of wire bytes on the wire that
 // a float64raw encoding would have priced at raw bytes — the pair a
 // compressing codec reports so compression ratios stay auditable per round.
 func (l *Ledger) AddUploadRaw(wire, raw int) {
-	o := l.addRaw(wire, raw, dirUpload)
-	if o == nil {
-		return
-	}
-	o.UploadedBytes(wire)
-	if ro, ok := o.(RawObserver); ok {
-		ro.UploadedRawBytes(raw)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cur := l.mustCurrent()
+	cur.Upload += int64(wire)
+	cur.RawUpload += int64(raw)
 }
 
 // AddDownloadRaw records server→client traffic with its raw-equivalent
 // size, like AddUploadRaw.
 func (l *Ledger) AddDownloadRaw(wire, raw int) {
-	o := l.addRaw(wire, raw, dirDownload)
-	if o == nil {
-		return
-	}
-	o.DownloadedBytes(wire)
-	if ro, ok := o.(RawObserver); ok {
-		ro.DownloadedRawBytes(raw)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cur := l.mustCurrent()
+	cur.Download += int64(wire)
+	cur.RawDownload += int64(raw)
 }
 
 // AddTierUp records leaf→root backhaul (a shard digest) in the current
@@ -192,85 +138,22 @@ func (l *Ledger) AddDownloadRaw(wire, raw int) {
 // additional wire a hierarchy spends, reported next to — not inside — the
 // client-plane totals.
 func (l *Ledger) AddTierUp(bytes int) {
-	o := l.addTier(bytes, dirTierUp)
-	if o == nil {
-		return
-	}
-	if to, ok := o.(TierObserver); ok {
-		to.TierUpBytes(bytes)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.mustCurrent().TierUp += int64(bytes)
 }
 
 // AddTierDown records root→leaf backhaul (a shard assignment or shard end)
 // in the current round's tier columns, like AddTierUp.
 func (l *Ledger) AddTierDown(bytes int) {
-	o := l.addTier(bytes, dirTierDown)
-	if o == nil {
-		return
-	}
-	if to, ok := o.(TierObserver); ok {
-		to.TierDownBytes(bytes)
-	}
-}
-
-type direction int
-
-const (
-	dirUpload direction = iota
-	dirDownload
-	dirControl
-	dirTierUp
-	dirTierDown
-)
-
-// add records the bytes under the lock and returns the observer to notify
-// (deferred unlock keeps the ledger usable if mustCurrent panics).
-func (l *Ledger) add(bytes int, dir direction) Observer {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch dir {
-	case dirUpload:
-		l.mustCurrent().Upload += int64(bytes)
-	case dirDownload:
-		l.mustCurrent().Download += int64(bytes)
-	case dirControl:
-		l.mustCurrent().Control += int64(bytes)
-	}
-	return l.obs
+	l.mustCurrent().TierDown += int64(bytes)
 }
 
-// addRaw records wire bytes in the directional total and raw bytes in the
-// matching raw-equivalent column, returning the observer to notify.
-func (l *Ledger) addRaw(wire, raw int, dir direction) Observer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur := l.mustCurrent()
-	switch dir {
-	case dirUpload:
-		cur.Upload += int64(wire)
-		cur.RawUpload += int64(raw)
-	case dirDownload:
-		cur.Download += int64(wire)
-		cur.RawDownload += int64(raw)
-	}
-	return l.obs
-}
-
-// addTier records backhaul bytes in the matching tier column, returning the
-// observer to notify.
-func (l *Ledger) addTier(bytes int, dir direction) Observer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur := l.mustCurrent()
-	switch dir {
-	case dirTierUp:
-		cur.TierUp += int64(bytes)
-	case dirTierDown:
-		cur.TierDown += int64(bytes)
-	}
-	return l.obs
-}
-
+// mustCurrent returns the open round's row. Callers hold l.mu and release it
+// in a defer, so the panic before the first StartRound leaves the ledger
+// usable.
 func (l *Ledger) mustCurrent() *RoundTraffic {
 	if len(l.rounds) == 0 {
 		panic("comm: ledger used before StartRound")
@@ -286,6 +169,20 @@ func (l *Ledger) Restore(rounds []RoundTraffic) {
 	defer l.mu.Unlock()
 	l.rounds = make([]RoundTraffic, len(rounds))
 	copy(l.rounds, rounds)
+}
+
+// Row returns the newest record of the given round and whether one exists.
+// It scans back from the newest row, so reading the round just played costs
+// one step however long the run has been.
+func (l *Ledger) Row(round int) (RoundTraffic, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.rounds) - 1; i >= 0; i-- {
+		if l.rounds[i].Round == round {
+			return l.rounds[i], true
+		}
+	}
+	return RoundTraffic{}, false
 }
 
 // Rounds returns a copy of the per-round traffic records.

@@ -43,64 +43,58 @@ func TestLedgerAccumulates(t *testing.T) {
 	}
 }
 
-// recordingObserver captures ledger notifications for assertions.
-type recordingObserver struct {
-	mu                      sync.Mutex
-	rounds                  []int
-	uploads, downs, control int64
-}
-
-func (o *recordingObserver) RoundStarted(round int) {
-	o.mu.Lock()
-	o.rounds = append(o.rounds, round)
-	o.mu.Unlock()
-}
-
-func (o *recordingObserver) UploadedBytes(b int) {
-	o.mu.Lock()
-	o.uploads += int64(b)
-	o.mu.Unlock()
-}
-
-func (o *recordingObserver) DownloadedBytes(b int) {
-	o.mu.Lock()
-	o.downs += int64(b)
-	o.mu.Unlock()
-}
-
-func (o *recordingObserver) ControlBytes(b int) {
-	o.mu.Lock()
-	o.control += int64(b)
-	o.mu.Unlock()
-}
-
+// TestLedgerObserverMirrorsTraffic: the per-round rows are the only byte
+// count a run keeps (round traces copy them), so each row must hold exactly
+// its round's traffic, and Row must read the newest record of a round —
+// after a Restore rewinds the run, too — without disturbing the rest.
 func TestLedgerObserverMirrorsTraffic(t *testing.T) {
 	l := NewLedger()
-	obs := &recordingObserver{}
-	l.SetObserver(obs)
+	if _, ok := l.Row(0); ok {
+		t.Error("Row(0) on an empty ledger reported a row")
+	}
 	l.StartRound(0)
 	l.AddUpload(100)
 	l.AddDownload(40)
 	l.StartRound(1)
 	l.AddUpload(60)
 	l.AddControl(17)
+	l.AddUploadRaw(5, 20)
+	l.AddDownloadRaw(3, 12)
+	l.AddTierUp(9)
+	l.AddTierDown(11)
 
-	if want := []int{0, 1}; len(obs.rounds) != 2 || obs.rounds[0] != want[0] || obs.rounds[1] != want[1] {
-		t.Errorf("observed rounds = %v, want %v", obs.rounds, want)
+	want := []RoundTraffic{
+		{Round: 0, Upload: 100, Download: 40},
+		{Round: 1, Upload: 65, Download: 3, Control: 17, RawUpload: 20, RawDownload: 12, TierUp: 9, TierDown: 11},
 	}
-	if obs.uploads != 160 || obs.downs != 40 || obs.control != 17 {
-		t.Errorf("observed bytes = %d/%d/%d, want 160/40/17", obs.uploads, obs.downs, obs.control)
+	rows := l.Rounds()
+	if len(rows) != len(want) {
+		t.Fatalf("Rounds len = %d, want %d", len(rows), len(want))
 	}
-	// Observer totals must match the ledger's own accounting.
-	if obs.uploads+obs.downs+obs.control != l.TotalBytes() {
-		t.Errorf("observer total %d != ledger total %d", obs.uploads+obs.downs+obs.control, l.TotalBytes())
+	var total int64
+	for i, w := range want {
+		if rows[i] != w {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], w)
+		}
+		if got, ok := l.Row(w.Round); !ok || got != w {
+			t.Errorf("Row(%d) = %+v, %v, want %+v", w.Round, got, ok, w)
+		}
+		total += rows[i].Total()
+	}
+	if total != l.TotalBytes() {
+		t.Errorf("row totals %d != ledger total %d", total, l.TotalBytes())
+	}
+	if _, ok := l.Row(2); ok {
+		t.Error("Row(2) reported a round that never started")
 	}
 
-	// Detach: further traffic must not notify.
-	l.SetObserver(nil)
-	l.AddUpload(999)
-	if obs.uploads != 160 {
-		t.Errorf("detached observer still notified: %d", obs.uploads)
+	// A resume rewinds to round 0's end and replays round 1: Row reads the
+	// replayed round, not a stale copy.
+	l.Restore(rows[:1])
+	l.StartRound(1)
+	l.AddUpload(7)
+	if got, _ := l.Row(1); got != (RoundTraffic{Round: 1, Upload: 7}) {
+		t.Errorf("Row(1) after the replay = %+v, want only the replayed upload", got)
 	}
 }
 

@@ -867,15 +867,19 @@ type muxConn struct {
 	inbox chan recvResult
 	done  chan struct{}
 	once  sync.Once
+	// registered holds a token after a register the waiter has not yet
+	// counted, so waitRegistered recounts only when the count may have grown.
+	registered chan struct{}
 }
 
 var _ transport.Conn = (*muxConn)(nil)
 
 func newMuxConn(n int) *muxConn {
 	return &muxConn{
-		conns: make(map[int]transport.Conn, n),
-		inbox: make(chan recvResult, n+4),
-		done:  make(chan struct{}),
+		conns:      make(map[int]transport.Conn, n),
+		inbox:      make(chan recvResult, n+4),
+		done:       make(chan struct{}),
+		registered: make(chan struct{}, 1),
 	}
 }
 
@@ -886,6 +890,10 @@ func (m *muxConn) register(id int, conn transport.Conn) {
 	old := m.conns[id]
 	m.conns[id] = conn
 	m.mu.Unlock()
+	select {
+	case m.registered <- struct{}{}:
+	default: // a token is already pending; the waiter will recount
+	}
 	if old != nil {
 		old.Close()
 	}
@@ -956,9 +964,11 @@ func (m *muxConn) Close() error {
 	return nil
 }
 
-// waitRegistered blocks until n clients have completed the join handshake.
+// waitRegistered blocks until n clients have completed the join handshake,
+// recounting after each register.
 func (m *muxConn) waitRegistered(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	expired := time.NewTimer(timeout)
+	defer expired.Stop()
 	for {
 		m.mu.Lock()
 		got := len(m.conns)
@@ -966,9 +976,10 @@ func (m *muxConn) waitRegistered(n int, timeout time.Duration) error {
 		if got >= n {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-m.registered:
+		case <-expired.C:
 			return fmt.Errorf("distrib: only %d of %d clients joined within %v", got, n, timeout)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -2,7 +2,11 @@ package distrib
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"fedpkd/internal/transport"
 )
 
 // TestParsePopulationEmpty pins the legacy default: the empty spec means the
@@ -85,4 +89,32 @@ func FuzzParsePopulation(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMuxWaitRegistered: the join wait returns as soon as the n-th register
+// lands, and a wait that never sees it fails naming how many did join.
+func TestMuxWaitRegistered(t *testing.T) {
+	bus := transport.NewBus(3, 0)
+	defer bus.Close()
+	m := newMuxConn(3)
+	defer m.Close()
+
+	done := make(chan error, 1)
+	go func() { done <- m.waitRegistered(3, 10*time.Second) }()
+	for id := 0; id < 3; id++ {
+		select {
+		case err := <-done:
+			t.Fatalf("wait returned (%v) with %d of 3 registered", err, id)
+		default:
+		}
+		m.register(id, bus.ClientConn(id))
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("wait after the third register: %v", err)
+	}
+
+	err := m.waitRegistered(4, 10*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "only 3 of 4 clients joined") {
+		t.Fatalf("wait for a fourth client = %v, want the join count", err)
+	}
 }

@@ -83,7 +83,7 @@ func TestRunOneHonoursSpec(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("int8 spec history diverged from a hand-configured runner:\n got: %s\nwant: %s", got, want)
 		}
-		// The recorder mirrors the spec run's ledger round by round.
+		// The recorder's traces carry the spec run's ledger rows round by round.
 		traces, ledger := rec.Traces(), hand.Ledger().Rounds()
 		if len(traces) != len(ledger) {
 			t.Fatalf("%d traces, %d ledger rounds", len(traces), len(ledger))

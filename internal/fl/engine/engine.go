@@ -251,17 +251,13 @@ func (r *Runner) Ledger() *comm.Ledger { return r.ledger }
 func (r *Runner) Engine() *Runner { return r }
 
 // SetRecorder attaches an observability recorder: round phases and
-// per-client training times are spanned, and the ledger's byte accounting
-// is mirrored into the recorder's traces. Attach before the first Round;
-// nil detaches.
+// per-client training times are spanned, and each round's trace copies its
+// ledger row when it closes (the recorder is bound to this runner's
+// ledger). Attach before the first Round; nil detaches.
 func (r *Runner) SetRecorder(rec *obs.Recorder) {
 	r.rec = rec
-	if rec == nil {
-		r.ledger.SetObserver(nil)
-		return
-	}
 	rec.SetCodec(r.codec.String())
-	r.ledger.SetObserver(rec)
+	rec.Bind(r.ledger)
 }
 
 // Recorder returns the attached recorder, or nil. internal/distrib reads it
@@ -399,13 +395,15 @@ func (r *Runner) RunUntil(total int) (*fl.History, error) {
 	return r.Run(total - r.round)
 }
 
-// BeginRound opens the next round's accounting and returns its index.
+// BeginRound opens the next round's accounting — its ledger row, then its
+// trace, which closes the previous one — and returns its index.
 // internal/distrib drives rounds itself, pairing BeginRound with
 // CompleteRound around its transport fan-out.
 func (r *Runner) BeginRound() int {
 	t := r.round
 	r.round++
 	r.ledger.StartRound(t)
+	r.rec.RoundStarted(t)
 	return t
 }
 

@@ -3,16 +3,17 @@
 // accuracy-vs-communication figures (Figs. 3-5) raise but the History alone
 // cannot: where a round spends its wall time (per-client local training,
 // server aggregation and distillation, evaluation) and where its bytes
-// accrue (fed by internal/comm's ledger observer hook).
+// accrue (copied from the round's internal/comm ledger row when its trace
+// closes; the ledger is the run's one byte counter).
 //
 // The package is dependency-light by design — stdlib plus internal/tensor
-// (for kernel counters; tensor imports nothing of ours, so the graph stays
-// acyclic) — and every layer (internal/fl, internal/core,
-// internal/baselines, internal/distrib) can import it without cycles. All
-// Recorder methods are safe on a nil receiver,
-// so instrumented call-sites cost one pointer test when observability is
-// disabled, and safe for concurrent use, so fl.ForEachClient workers can
-// record without coordination.
+// (for kernel counters) and internal/comm (for the ledger rows); neither
+// imports anything of ours that imports obs, so the graph stays acyclic —
+// and every layer (internal/fl, internal/core, internal/baselines,
+// internal/distrib) can import it without cycles. All Recorder methods are
+// safe on a nil receiver, so instrumented call-sites cost one pointer test
+// when observability is disabled, and safe for concurrent use, so
+// fl.ForEachClient workers can record without coordination.
 package obs
 
 import (
@@ -21,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"fedpkd/internal/comm"
 	"fedpkd/internal/tensor"
 )
 
@@ -169,11 +171,13 @@ type RoundTrace struct {
 	Round int `json:"round"`
 	// WallNS is the round's wall-clock span in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
-	// UploadBytes and DownloadBytes mirror the comm ledger's accounting for
-	// this round (client→server and server→client respectively).
+	// UploadBytes and DownloadBytes are the comm ledger's accounting for
+	// this round (client→server and server→client respectively). Like every
+	// byte column below, they are copied from the round's ledger row when
+	// the trace closes.
 	UploadBytes   int64 `json:"upload_bytes"`
 	DownloadBytes int64 `json:"download_bytes"`
-	// ControlBytes mirrors the ledger's control-plane category: payload-free
+	// ControlBytes is the ledger's control-plane category: payload-free
 	// round framing and reconnect handshakes. Zero for in-process runs.
 	ControlBytes int64 `json:"control_bytes,omitempty"`
 	// Codec names the wire codec the run negotiated, when it is not the
@@ -183,7 +187,7 @@ type RoundTrace struct {
 	Codec            string `json:"codec,omitempty"`
 	UploadRawBytes   int64  `json:"upload_raw_bytes,omitempty"`
 	DownloadRawBytes int64  `json:"download_raw_bytes,omitempty"`
-	// TierUpBytes and TierDownBytes mirror the ledger's aggregator-tree
+	// TierUpBytes and TierDownBytes are the ledger's aggregator-tree
 	// backhaul columns (leaf→root digests, root→leaf assignments). Zero —
 	// and omitted, so legacy trace schemas are unchanged — for flat runs.
 	TierUpBytes   int64 `json:"tier_up_bytes,omitempty"`
@@ -298,15 +302,15 @@ type Robustness struct {
 // TotalBytes returns upload + download + control bytes.
 func (t RoundTrace) TotalBytes() int64 { return t.UploadBytes + t.DownloadBytes + t.ControlBytes }
 
-// Recorder collects RoundTraces for one algorithm run. It implements
-// internal/comm's Ledger observer contract (RoundStarted, UploadedBytes,
-// DownloadedBytes), so attaching it to a ledger wires byte accounting for
-// free. All methods are nil-receiver-safe no-ops and safe for concurrent
-// use from parallel client workers.
+// Recorder collects RoundTraces for one algorithm run. Its traces take their
+// byte columns from the run's ledger (see Bind). All methods are
+// nil-receiver-safe no-ops and safe for concurrent use from parallel client
+// workers.
 type Recorder struct {
 	mu         sync.Mutex
 	algo       string
 	codec      string
+	ledger     *comm.Ledger
 	open       bool
 	cur        RoundTrace
 	start      time.Time
@@ -333,8 +337,20 @@ func (r *Recorder) OnRoundEnd(fn func(RoundTrace)) {
 	r.mu.Unlock()
 }
 
-// RoundStarted closes any open round and begins a new trace. It is the
-// comm.Observer round hook: ledger.StartRound drives it.
+// Bind names the ledger whose rows the recorder's traces copy their byte
+// columns from: a trace closing takes its round's row. An unbound recorder's
+// traces carry no bytes.
+func (r *Recorder) Bind(l *comm.Ledger) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.ledger = l
+	r.mu.Unlock()
+}
+
+// RoundStarted closes any open round and begins a new trace. The engine
+// calls it right after the bound ledger opens the round's row.
 func (r *Recorder) RoundStarted(round int) {
 	if r == nil {
 		return
@@ -378,6 +394,13 @@ func (r *Recorder) closeLocked() (RoundTrace, func(RoundTrace), bool) {
 	if !r.open {
 		return RoundTrace{}, nil, false
 	}
+	if r.ledger != nil {
+		if row, ok := r.ledger.Row(r.cur.Round); ok {
+			r.cur.UploadBytes, r.cur.DownloadBytes, r.cur.ControlBytes = row.Upload, row.Download, row.Control
+			r.cur.UploadRawBytes, r.cur.DownloadRawBytes = row.RawUpload, row.RawDownload
+			r.cur.TierUpBytes, r.cur.TierDownBytes = row.TierUp, row.TierDown
+		}
+	}
 	r.cur.WallNS = int64(time.Since(r.start))
 	r.cur.Batches = BatchesTotal() - r.batchMark
 	ks := tensor.ReadKernelStats()
@@ -388,36 +411,6 @@ func (r *Recorder) closeLocked() (RoundTrace, func(RoundTrace), bool) {
 	r.done = append(r.done, r.cur)
 	r.open = false
 	return r.cur, r.onRound, true
-}
-
-// UploadedBytes records client→server traffic (comm.Observer hook).
-func (r *Recorder) UploadedBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.UploadBytes += int64(n)
-	r.mu.Unlock()
-}
-
-// DownloadedBytes records server→client traffic (comm.Observer hook).
-func (r *Recorder) DownloadedBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.DownloadBytes += int64(n)
-	r.mu.Unlock()
-}
-
-// ControlBytes records control-plane traffic (comm.Observer hook).
-func (r *Recorder) ControlBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.ControlBytes += int64(n)
-	r.mu.Unlock()
 }
 
 // SetCodec labels subsequent traces with the run's wire codec. Pass the
@@ -434,50 +427,6 @@ func (r *Recorder) SetCodec(codec string) {
 	r.mu.Lock()
 	r.codec = codec
 	r.cur.Codec = codec
-	r.mu.Unlock()
-}
-
-// UploadedRawBytes records the raw-equivalent size of a compressed upload
-// (comm.RawObserver hook).
-func (r *Recorder) UploadedRawBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.UploadRawBytes += int64(n)
-	r.mu.Unlock()
-}
-
-// DownloadedRawBytes records the raw-equivalent size of a compressed
-// download (comm.RawObserver hook).
-func (r *Recorder) DownloadedRawBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.DownloadRawBytes += int64(n)
-	r.mu.Unlock()
-}
-
-// TierUpBytes records leaf→root aggregator-tree backhaul
-// (comm.TierObserver hook).
-func (r *Recorder) TierUpBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.TierUpBytes += int64(n)
-	r.mu.Unlock()
-}
-
-// TierDownBytes records root→leaf aggregator-tree backhaul
-// (comm.TierObserver hook).
-func (r *Recorder) TierDownBytes(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cur.TierDownBytes += int64(n)
 	r.mu.Unlock()
 }
 

@@ -13,13 +13,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fedpkd/internal/comm"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
+	l := comm.NewLedger()
+	r.Bind(l)
+	l.StartRound(0)
 	r.RoundStarted(0)
-	r.UploadedBytes(10)
-	r.DownloadedBytes(10)
+	l.AddUpload(10)
+	l.AddDownload(10)
+	r.SetCodec("int8")
 	r.SetWorkers(4)
 	r.Span(PhaseServerTrain)()
 	r.ClientSpan(3)()
@@ -30,26 +36,37 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
+// startRound opens round t the way the engine does: the ledger's row first,
+// then the trace, which closes the previous one.
+func startRound(l *comm.Ledger, r *Recorder, t int) {
+	l.StartRound(t)
+	r.RoundStarted(t)
+}
+
 func TestRecorderRoundLifecycle(t *testing.T) {
 	r := NewRecorder("TestAlgo")
+	l := comm.NewLedger()
+	r.Bind(l)
 	var ended []RoundTrace
 	r.OnRoundEnd(func(tr RoundTrace) { ended = append(ended, tr) })
 
-	r.RoundStarted(0)
+	startRound(l, r, 0)
 	r.SetWorkers(3)
-	r.UploadedBytes(100)
-	r.UploadedBytes(50)
-	r.DownloadedBytes(70)
+	l.AddUpload(100)
+	l.AddUpload(50)
+	l.AddDownload(70)
 	stop := r.ClientSpan(1)
 	time.Sleep(time.Millisecond)
 	stop()
 	r.Span(PhaseEval)()
 	AddBatches(5)
 
-	r.RoundStarted(1) // closes round 0
-	r.UploadedBytes(7)
+	startRound(l, r, 1) // closes round 0
+	l.AddUpload(7)
+	l.AddTierUp(4)
 	r.Finish()
-	r.Finish() // idempotent
+	r.Finish()      // idempotent
+	l.AddUpload(99) // billed after the close: the closed trace keeps its copy
 
 	traces := r.Traces()
 	if len(traces) != 2 {
@@ -80,8 +97,8 @@ func TestRecorderRoundLifecycle(t *testing.T) {
 	if _, ok := r0.PhaseNS[PhaseEval]; !ok {
 		t.Error("eval phase missing")
 	}
-	if traces[1].UploadBytes != 7 {
-		t.Errorf("round 1 upload = %d, want 7", traces[1].UploadBytes)
+	if traces[1].UploadBytes != 7 || traces[1].TierUpBytes != 4 {
+		t.Errorf("round 1 upload/tier up = %d/%d, want 7/4", traces[1].UploadBytes, traces[1].TierUpBytes)
 	}
 	if len(ended) != 2 {
 		t.Errorf("OnRoundEnd fired %d times, want 2", len(ended))
@@ -89,28 +106,42 @@ func TestRecorderRoundLifecycle(t *testing.T) {
 }
 
 // TestRecorderConcurrent exercises the recorder the way ForEachClient
-// workers do; run with -race to verify the locking.
+// workers, leaves and TCP accept goroutines do: spans and ledger bills from
+// many goroutines while the round closes and the next one opens, which reads
+// the ledger under the recorder's lock. Run with -race to verify the locking.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder("race")
-	r.RoundStarted(0)
+	l := comm.NewLedger()
+	r.Bind(l)
+	startRound(l, r, 0)
 	var wg sync.WaitGroup
 	for c := 0; c < 32; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			stop := r.ClientSpan(c)
-			r.UploadedBytes(10)
-			r.DownloadedBytes(5)
+			l.AddUpload(10)
+			l.AddDownload(5)
 			stop()
 			r.Span(PhaseClientPublic)()
 			AddBatches(1)
 		}(c)
 	}
 	wg.Wait()
-	r.Finish()
-	tr := r.Traces()[0]
+	// Round 1 bills while it closes (a late control envelope racing Finish):
+	// whatever the close copies must be one consistent ledger row.
+	startRound(l, r, 1)
+	wg.Add(2)
+	go func() { defer wg.Done(); l.AddControl(3) }()
+	go func() { defer wg.Done(); r.Finish() }()
+	wg.Wait()
+	traces := r.Traces()
+	tr := traces[0]
 	if tr.UploadBytes != 320 || tr.DownloadBytes != 160 {
 		t.Errorf("bytes = %d/%d, want 320/160", tr.UploadBytes, tr.DownloadBytes)
+	}
+	if c := traces[1].ControlBytes; c != 0 && c != 3 {
+		t.Errorf("round 1 control = %d, want 0 or 3", c)
 	}
 	if len(tr.ClientTrainNS) != 32 {
 		t.Errorf("client spans = %d, want 32", len(tr.ClientTrainNS))
@@ -170,8 +201,10 @@ func TestWriteCSVStableColumns(t *testing.T) {
 func TestDumpFiles(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRecorder("dump")
-	r.RoundStarted(0)
-	r.UploadedBytes(1)
+	l := comm.NewLedger()
+	r.Bind(l)
+	startRound(l, r, 0)
+	l.AddUpload(1)
 	jsonl, csvPath, err := r.DumpFiles(dir, "dump_seed1")
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +216,14 @@ func TestDumpFiles(t *testing.T) {
 		if filepath.Dir(p) != dir {
 			t.Errorf("output %s not under %s", p, dir)
 		}
+	}
+	// DumpFiles closes the open round, so the file holds its ledger bytes.
+	b, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"upload_bytes":1,`) {
+		t.Errorf("trace file lacks the round's ledger upload: %s", b)
 	}
 }
 

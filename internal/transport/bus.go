@@ -67,7 +67,7 @@ type busConn struct {
 
 var _ Conn = (*busConn)(nil)
 
-func (c *busConn) Send(e *Envelope) error {
+func (c *busConn) Send(e *Envelope) (err error) {
 	if err := checkPayloadSize(e); err != nil {
 		return err
 	}
@@ -80,7 +80,9 @@ func (c *busConn) Send(e *Envelope) error {
 	defer func() {
 		// A concurrent Close can close the channel mid-send; surface that as
 		// an error rather than a crash.
-		recover() //nolint:errcheck // intentional: send-on-closed-channel race
+		if recover() != nil {
+			err = fmt.Errorf("transport: bus closed during send")
+		}
 	}()
 	if c.isServer {
 		if e.To < 0 || e.To >= len(c.bus.toClients) {

@@ -91,6 +91,17 @@ func TestBusCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestBusSendRacingCloseErrors: a send that passed the closed-flag check
+// and then hit a channel Close had already shut must report failure, not a
+// delivery. Closing the channel with the flag unset stands in for that race.
+func TestBusSendRacingCloseErrors(t *testing.T) {
+	bus := NewBus(1, 1)
+	close(bus.toServer)
+	if err := bus.ClientConn(0).Send(&Envelope{}); err == nil {
+		t.Error("Send into a channel closed mid-send reported success")
+	}
+}
+
 func TestBusBadClientPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -30,10 +30,12 @@ go test -race ./...
 
 # A policy checkpoint is encoded at the barrier and written by a goroutine
 # that overlaps the next round; every save, resume and return joins it first.
-# Repeated runs under the race detector give that handoff the interleavings
-# one pass might miss.
-echo ">> go test -race -count=5 -run 'Checkpoint|Resume' (the background checkpoint write and its joins)"
-go test -race -count=5 -run 'Checkpoint|Resume' ./internal/fl/engine ./internal/distrib .
+# A round trace closing reads the ledger under the recorder's lock while
+# client workers, leaves and TCP accept goroutines bill that ledger
+# (TestTraceBytesAreLedgerRows). Repeated runs under the race detector give
+# both handoffs the interleavings one pass might miss.
+echo ">> go test -race -count=5 -run 'Checkpoint|Resume|TraceBytes' (the background checkpoint write and its joins; trace close vs. ledger billing)"
+go test -race -count=5 -run 'Checkpoint|Resume|TraceBytes' ./internal/fl/engine ./internal/distrib .
 
 # The amd64 legs above run the widest inner loops the CPU has
 # (internal/tensor/*_amd64.s: the GEMM column loops and the step's row ops,
