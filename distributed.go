@@ -10,15 +10,13 @@ type (
 	// DistributedMode selects the wire (bus or TCP).
 	DistributedMode = distrib.Mode
 	// DistributedOptions parameterizes the failure-tolerant distributed
-	// runtime: straggler deadline, minimum quorum, fault plan, retry policy.
+	// runtime: straggler deadline, minimum quorum, fault plan, tree shape.
 	DistributedOptions = distrib.Options
 	// FaultPlan is a deterministic seed-driven chaos plan injected beneath
 	// the distributed protocol.
 	FaultPlan = faults.Plan
 	// FaultStats accumulates injected-fault counters across a run.
 	FaultStats = faults.Stats
-	// RetryBackoff configures the clients' upload retry schedule.
-	RetryBackoff = faults.Backoff
 	// Topology shapes the aggregator tree a distributed run reduces
 	// through: Shards > 1 enables two-tier reduction (leaf aggregators
 	// over contiguous client-id ranges, a root merging shard digests).

@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"fmt"
-
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/models"
@@ -155,55 +153,6 @@ func (h *fedAvgHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload
 
 // Digest implements engine.Hooks; FedAvg has no broadcast to digest.
 func (h *fedAvgHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error { return nil }
-
-var _ engine.CompactReducer = (*fedAvgHooks)(nil)
-
-// CompactReduce implements engine.CompactReducer: the sample-weighted sum of
-// Eq. 1 is associative, so a leaf aggregator folds each upload into a
-// running Sum/Weight pair and retains nothing per client. The fold mirrors
-// Aggregate's arithmetic exactly; only the summation order differs (arrival
-// order at the leaf instead of client-id order), which is why compact mode
-// is tolerance-equivalent rather than bit-identical.
-func (h *fedAvgHooks) CompactReduce(p *engine.Partial, u engine.Upload) error {
-	if len(u.Payload.Params) != len(h.global) {
-		return fmt.Errorf("%s: client %d uploaded %d params, model has %d", h.name, u.Client, len(u.Payload.Params), len(h.global))
-	}
-	if p.Sum == nil {
-		p.Sum = &engine.Payload{Params: make([]float64, len(h.global))}
-	}
-	w := float64(u.Payload.NumSamples)
-	for i, v := range u.Payload.Params {
-		p.Sum.Params[i] += w * v
-	}
-	p.Weight += w
-	return nil
-}
-
-// MergeCompact implements engine.CompactReducer: combine the per-shard sums
-// and divide by the total weight — the tree form of Aggregate, including
-// its hook-state updates (the new global and the refreshed eval net).
-func (h *fedAvgHooks) MergeCompact(rc *engine.RoundContext, parts []*engine.Partial) (*engine.Payload, error) {
-	defer rc.Span(obs.PhaseAggregate)()
-	next := make([]float64, len(h.global))
-	var totalSamples float64
-	for _, p := range parts {
-		if p == nil || p.Sum == nil {
-			continue
-		}
-		for i, v := range p.Sum.Params {
-			next[i] += v
-		}
-		totalSamples += p.Weight
-	}
-	if totalSamples == 0 {
-		return nil, fmt.Errorf("%s: compact merge saw zero total sample weight", h.name)
-	}
-	for i := range next {
-		next[i] /= totalSamples
-	}
-	h.global = next
-	return nil, nn.SetFlatParams(h.evalNet.Params(), h.global)
-}
 
 // Eval implements engine.Hooks.
 func (h *fedAvgHooks) Eval() (float64, float64) {

@@ -45,9 +45,8 @@ type plane struct {
 	// tier: its links are infrastructure) instead of ending the round with an
 	// error the round close still carries to every peer (the client plane).
 	fatal bool
-	// retry and seed shape send's backoff schedule.
-	retry faults.Backoff
-	seed  uint64
+	// seed keys send's backoff jitter.
+	seed uint64
 
 	// retries counts send's; timeouts the children a collect awaited until its
 	// deadline (the trace also lists the client plane's by id).
@@ -56,10 +55,10 @@ type plane struct {
 
 // newPlanes derives both planes from the run's options.
 func newPlanes(o *Options) (clients, tier *plane) {
-	clients = &plane{name: "client", timeout: o.ClientTimeout, retry: o.Retry,
+	clients = &plane{name: "client", timeout: o.ClientTimeout,
 		strict:  o.ClientTimeout <= 0 && !o.Faults.Enabled(),
 		crashes: o.Faults.CrashesAt}
-	tier = &plane{name: "tier", timeout: o.LeafTimeout, retry: o.Retry,
+	tier = &plane{name: "tier", timeout: o.LeafTimeout,
 		strict:  o.LeafTimeout <= 0 && !o.Faults.TierEnabled(),
 		crashes: o.Faults.LeafCrashesAt, writeOff: true, fatal: true}
 	if o.Faults != nil {
@@ -86,12 +85,13 @@ func (pl *plane) reject(class *atomic.Int64, err error) error {
 }
 
 // send runs try(1), try(2), … until one succeeds, retrying injected
-// transient failures with deterministic exponential backoff (never in strict
-// mode, and at most the retry budget). The jitter stream is keyed by (seed,
-// label); callers pass a label from a band disjoint from every other RNG
-// consumer, so retry schedules never perturb training draws.
+// transient failures with deterministic exponential backoff on the
+// faults.Backoff defaults (never in strict mode, and at most its attempts).
+// The jitter stream is keyed by (seed, label); callers pass a label from a
+// band disjoint from every other RNG consumer, so retry schedules never
+// perturb training draws.
 func (pl *plane) send(label uint64, try func(attempt int) error) error {
-	b := pl.retry.WithDefaults()
+	b := faults.Backoff{}.WithDefaults()
 	var rng *stats.RNG
 	for attempt := 1; ; attempt++ {
 		err := try(attempt)

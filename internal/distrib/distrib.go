@@ -19,12 +19,12 @@
 // round (stragglers and crashed clients are simply left out of the
 // aggregate), a faults.Plan injects deterministic chaos beneath the
 // protocol, MinQuorum aborts rounds that heard from too few clients, and
-// Retry gives clients bounded exponential backoff on transient send
-// failures. Partial rounds are recorded in fl.History.Degraded and in the
-// per-round obs Robustness trace, so degradation is measurable rather than
-// silent. Because every fault draw is a pure function of the plan seed and
-// the message coordinates, two tolerant runs with the same seed accept the
-// same uploads in the same rounds and produce identical histories.
+// clients retry transient send failures with bounded exponential backoff.
+// Partial rounds are recorded in fl.History.Degraded and in the per-round
+// obs Robustness trace, so degradation is measurable rather than silent.
+// Because every fault draw is a pure function of the plan seed and the
+// message coordinates, two tolerant runs with the same seed accept the same
+// uploads in the same rounds and produce identical histories.
 package distrib
 
 import (
@@ -101,9 +101,6 @@ type Options struct {
 	// every client connection. Lossy plans require a positive
 	// ClientTimeout.
 	Faults *faults.Plan
-	// Retry configures the clients' upload backoff on transient send
-	// failures; zero fields take the faults.Backoff defaults.
-	Retry faults.Backoff
 	// FaultStats, when non-nil, accumulates the run's injected-fault
 	// counters for the caller to inspect.
 	FaultStats *faults.Stats

@@ -12,11 +12,10 @@ import (
 // assignment from the root, fans the round-opening envelopes to its cohort
 // slice (the exact bytes the root encoded, billed exactly as the flat server
 // bills), collects the shard's uploads through the demultiplexed inbox with
-// the same validation ladder the flat server runs, stream-reduces them into
-// an engine.Partial, digests the reduction upward, and fans the root's
+// the same validation ladder the flat server runs, inserts them into an
+// engine.Partial, digests the reduction upward, and fans the root's
 // round-close back down. The leaf retains no per-client state beyond the
-// partial: exact mode holds the shard's surviving uploads (O(shard)),
-// compact mode a single running sum (O(1)).
+// partial, which holds the shard's surviving uploads.
 
 // leafWorker serves rounds for one shard until its start channel closes,
 // reporting one result per round on the tree's done channel — the leaf-tier
@@ -73,21 +72,15 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		return frame{sa.Start, sa.HasGlobal, sa.StartRaw}
 	})
 
-	part, perr := runner.NewPartial(shard, sa.Compact)
-	if perr != nil && fatal == nil {
-		fatal = perr
-	}
-
+	part := engine.NewExactPartial(shard)
 	var report *roundReport
 	var roundErr error
 	if fatal == nil {
-		// Collect and stream-reduce into the partial (exact partials sort on
-		// insert, so the digest does not depend on arrival order). On a
-		// strict-mode fan failure above this is skipped — clients that never
-		// saw RoundStart will not upload, and strict collection has no
-		// deadline to save us.
-		sink := func(u engine.Upload) error { return runner.PartialReduce(part, u) }
-		rungs := s.uploadLadder(roundNoun(runner.Async() != nil), assignRef(sa), sink)
+		// Collect into the partial (it sorts on insert, so the digest does
+		// not depend on arrival order). On a strict-mode fan failure above
+		// this is skipped — clients that never saw RoundStart will not
+		// upload, and strict collection has no deadline to save us.
+		rungs := s.uploadLadder(roundNoun(runner.Async() != nil), assignRef(sa), part.Insert)
 		report, roundErr, fatal = newCollector(s.clients, rx, t, cohort, rungs).collect()
 	}
 	if report == nil {
@@ -182,18 +175,6 @@ func buildDigest(t, shard int, part *engine.Partial, report *roundReport, digest
 	d := &transport.ShardDigest{Round: t, Shard: shard, Heard: report.cohort, Missing: report.missing}
 	if digestErr != nil {
 		d.Err = digestErr.Error()
-		return d
-	}
-	if part == nil {
-		return d
-	}
-	if part.Compact {
-		if part.Sum != nil {
-			d.HasSum = true
-			d.Sum = transport.PayloadToWire(part.Sum)
-		}
-		d.Weight = part.Weight
-		d.Count = part.Count
 		return d
 	}
 	d.Uploads = make([]transport.ShardUpload, len(part.Uploads))

@@ -76,14 +76,13 @@ func (r *root) shardCohorts(cohort []int) [][]int {
 // uploads — the computation the flat server performs.
 func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	t, runner := plan.Round, r.runner
-	compact := r.opts.Topology.Compact
 	shards := len(r.children)
 
 	shared := plan.shared
 	cohorts := r.shardCohorts(plan.Cohort)
 	for i, members := range cohorts {
 		sa := transport.ShardAssign{
-			Round: t, Shard: i, Compact: compact,
+			Round: t, Shard: i,
 			Start: shared.bytes, HasGlobal: shared.knowledge, StartRaw: shared.raw, Ref: shared.ref,
 			Clients: make([]transport.ClientStart, len(members)),
 		}
@@ -120,9 +119,7 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	}
 	var bcast *engine.Payload
 	if roundErr == nil && count > 0 {
-		if compact {
-			bcast, roundErr = runner.MergeCompact(runner.Context(t), parts)
-		} else if uploads, merr := runner.MergePartials(parts); merr != nil {
+		if uploads, merr := engine.MergeExact(parts); merr != nil {
 			roundErr = merr
 		} else {
 			report.contributed(uploads)
@@ -214,7 +211,7 @@ func (r *root) health() []ShardHealth {
 // mergeDigests folds the shard digests into engine partials plus the
 // round's merged membership report (Σ heard, concatenated missing — already
 // ascending because shards are ascending contiguous ranges). A lost shard
-// contributes a nil partial (engine.MergeExact and MergeCompact skip them)
+// contributes a nil partial (engine.MergeExact skips them)
 // and its whole cohort slice to missing, so a degraded tree round reports
 // exactly the clients the merge never saw. The first shard-order Err becomes
 // the round error with its text intact, so the round close a tree run fans
@@ -239,27 +236,11 @@ func (r *root) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int, l
 			}
 			continue
 		}
-		if r.opts.Topology.Compact {
-			p := &engine.Partial{Shard: i, Compact: true, Weight: d.Weight, Count: d.Count}
-			if d.HasSum {
-				sum, perr := d.Sum.ToPayload()
-				if perr != nil {
-					if roundErr == nil {
-						roundErr = perr
-					}
-					continue
-				}
-				p.Sum = sum
-			}
-			parts[i] = p
-			count += d.Count
-			continue
-		}
 		p := engine.NewExactPartial(i)
 		for _, su := range d.Uploads {
 			pay, perr := su.Payload.ToPayload()
 			if perr == nil {
-				perr = r.runner.PartialReduce(p, engine.Upload{Client: su.Client, Payload: pay})
+				perr = p.Insert(engine.Upload{Client: su.Client, Payload: pay})
 			}
 			if perr != nil {
 				if roundErr == nil {

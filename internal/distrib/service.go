@@ -116,14 +116,6 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 	if p := runner.Config().ClientDropProb; p != 0 {
 		return nil, fmt.Errorf("distrib: ClientDropProb %v unsupported: distributed runs lose clients through Options.Faults", p)
 	}
-	if opts.Topology.Compact {
-		if runner.Async() != nil {
-			return nil, fmt.Errorf("distrib: compact tree reduction is incompatible with asynchronous flushes: staleness weighting needs per-client uploads at the root")
-		}
-		if _, ok := runner.CompactReducer(); !ok {
-			return nil, fmt.Errorf("distrib: %s does not implement engine.CompactReducer; compact tree reduction needs a streaming fold", runner.Name())
-		}
-	}
 	// A nil Options.Recorder keeps whatever recorder the runner already has.
 	if opts.Recorder != nil {
 		runner.SetRecorder(opts.Recorder)

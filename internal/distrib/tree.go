@@ -9,8 +9,9 @@ import (
 // Aggregator-tree plumbing. With Options.Topology enabled the service splits
 // the flat server's receive path into two composable roles: leaf aggregators
 // (one goroutine per shard, see leaf.go) that own contiguous client id
-// ranges and stream-reduce their shard's uploads, and a root (root.go) that
-// merges shard digests only and never holds per-client state. The client
+// ranges and reduce their shard's uploads into sorted partials, and a root
+// (root.go) that merges shard digests only and never holds per-client
+// connections. The client
 // fabric is unchanged — every client still talks to the same fan-in endpoint
 // — so the split is invisible on the client side: a demultiplexer goroutine
 // routes each inbound envelope to its owning leaf by shard, and the leaves

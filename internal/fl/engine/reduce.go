@@ -8,63 +8,32 @@ import (
 // Associative-reduction contract for hierarchical aggregation. A flat server
 // feeds Hooks.Aggregate the round's uploads sorted by client id; an
 // aggregator tree instead reduces each shard into a Partial at its leaf and
-// merges the partials at the root. Two reduction modes exist:
-//
-//   - Exact (the generic fallback, derived from today's Aggregate): a leaf
-//     keeps its shard's uploads sorted by client id, and MergeExact
-//     concatenates shards in ascending shard order. Because shards partition
-//     the id space into contiguous ranges, the concatenation IS the globally
-//     sorted upload list — the root's Aggregate sees bit-for-bit the slice a
-//     flat server would have built, so every algorithm is tree-ready with no
-//     new code and the goldens keep pinning behaviour.
-//
-//   - Compact (opt-in per algorithm via CompactReducer): a leaf folds each
-//     upload into a running sum as it arrives and retains nothing per
-//     client, so leaf memory is O(1) in shard size. Floating-point addition
-//     is not associative, so compact mode trades bit-replay for memory: its
-//     result matches the flat fold to ~1e-9 relative error, not byte-for-
-//     byte, and the equivalence goldens pin the exact mode only.
+// merges the partials at the root. A leaf keeps its shard's uploads sorted
+// by client id, and MergeExact concatenates shards in ascending shard order.
+// Because shards partition the id space into contiguous ranges, the
+// concatenation IS the globally sorted upload list — the root's Aggregate
+// sees bit-for-bit the slice a flat server would have built, so every
+// algorithm is tree-ready with no new code and the goldens keep pinning
+// behaviour.
 type Partial struct {
 	// Shard is the contiguous id-range index this partial reduces
 	// (Topology.ShardOf order).
 	Shard int
-	// Uploads is the exact-mode state: the shard's surviving uploads, kept
-	// sorted by client id.
+	// Uploads holds the shard's surviving uploads, kept sorted by client id.
 	Uploads []Upload
-	// Compact marks a hook-folded partial; Sum/Weight are owned by the
-	// algorithm's CompactReducer and Count tracks the folded upload count.
-	Compact bool
-	Sum     *Payload
-	Weight  float64
-	Count   int
 }
 
-// CompactReducer is the optional hook surface for algorithms whose
-// Aggregate is a weighted sum and can therefore stream-reduce without
-// per-client retention. CompactReduce folds one upload into the partial's
-// Sum/Weight; MergeCompact combines the per-shard sums into the round's
-// broadcast exactly as Aggregate would have (including any hook state
-// updates), so a compact tree round is a drop-in replacement for a flat
-// round up to float summation order.
-type CompactReducer interface {
-	CompactReduce(p *Partial, u Upload) error
-	MergeCompact(rc *RoundContext, parts []*Partial) (*Payload, error)
-}
-
-// NewExactPartial returns an empty exact-mode partial for one shard. It is
+// NewExactPartial returns an empty partial for one shard. It is
 // runner-free so scale harnesses can drive the reduction contract for
 // populations far larger than any constructible fleet.
 func NewExactPartial(shard int) *Partial {
 	return &Partial{Shard: shard}
 }
 
-// Insert folds one upload into an exact partial, keeping the shard's
-// uploads sorted by client id. A duplicate client id is rejected — the
-// transport's dedup runs first, so a duplicate here is a harness bug.
+// Insert folds one upload into a partial, keeping the shard's uploads
+// sorted by client id. A duplicate client id is rejected — the transport's
+// dedup runs first, so a duplicate here is a harness bug.
 func (p *Partial) Insert(u Upload) error {
-	if p.Compact {
-		return fmt.Errorf("engine: Insert on a compact partial (shard %d)", p.Shard)
-	}
 	i := sort.Search(len(p.Uploads), func(i int) bool { return p.Uploads[i].Client >= u.Client })
 	if i < len(p.Uploads) && p.Uploads[i].Client == u.Client {
 		return fmt.Errorf("engine: duplicate client %d in shard %d partial", u.Client, p.Shard)
@@ -75,7 +44,7 @@ func (p *Partial) Insert(u Upload) error {
 	return nil
 }
 
-// MergeExact concatenates exact partials into the flat sorted upload list.
+// MergeExact concatenates partials into the flat sorted upload list.
 // It validates the tree invariant instead of re-sorting: partials must
 // arrive in ascending shard order and their client ranges must be disjoint
 // and ascending across the shard boundary, which is exactly what contiguous
@@ -88,9 +57,6 @@ func MergeExact(parts []*Partial) ([]Upload, error) {
 	for _, p := range parts {
 		if p == nil {
 			continue
-		}
-		if p.Compact {
-			return nil, fmt.Errorf("engine: MergeExact over compact partial (shard %d)", p.Shard)
 		}
 		if p.Shard <= lastShard {
 			return nil, fmt.Errorf("engine: partials out of shard order (%d after %d)", p.Shard, lastShard)
@@ -113,59 +79,4 @@ func MergeExact(parts []*Partial) ([]Upload, error) {
 		}
 	}
 	return merged, nil
-}
-
-// CompactReducer returns the algorithm's compact-reduction hooks when it
-// implements them.
-func (r *Runner) CompactReducer() (CompactReducer, bool) {
-	cr, ok := r.hooks.(CompactReducer)
-	return cr, ok
-}
-
-// NewPartial returns an empty partial for one shard in the requested mode.
-// Compact mode requires the algorithm to implement CompactReducer.
-func (r *Runner) NewPartial(shard int, compact bool) (*Partial, error) {
-	if !compact {
-		return NewExactPartial(shard), nil
-	}
-	if _, ok := r.CompactReducer(); !ok {
-		return nil, fmt.Errorf("engine: %s does not implement CompactReducer; compact tree reduction needs a streaming fold", r.hooks.Name())
-	}
-	return &Partial{Shard: shard, Compact: true}, nil
-}
-
-// PartialReduce folds one upload into a partial: the leaf-side half of the
-// reduction contract. Exact partials take a sorted insert; compact partials
-// dispatch to the algorithm's CompactReduce and count the contribution.
-func (r *Runner) PartialReduce(p *Partial, u Upload) error {
-	if !p.Compact {
-		return p.Insert(u)
-	}
-	cr, ok := r.CompactReducer()
-	if !ok {
-		return fmt.Errorf("engine: %s does not implement CompactReducer", r.hooks.Name())
-	}
-	if err := cr.CompactReduce(p, u); err != nil {
-		return err
-	}
-	p.Count++
-	return nil
-}
-
-// MergePartials is the root-side half for exact partials: the generic
-// fallback that recovers the flat sorted upload list (see MergeExact). The
-// caller feeds the result to Hooks.Aggregate exactly as a flat server
-// would.
-func (r *Runner) MergePartials(parts []*Partial) ([]Upload, error) {
-	return MergeExact(parts)
-}
-
-// MergeCompact is the root-side half for compact partials: the algorithm's
-// MergeCompact combines the per-shard sums into the round's broadcast.
-func (r *Runner) MergeCompact(rc *RoundContext, parts []*Partial) (*Payload, error) {
-	cr, ok := r.CompactReducer()
-	if !ok {
-		return nil, fmt.Errorf("engine: %s does not implement CompactReducer", r.hooks.Name())
-	}
-	return cr.MergeCompact(rc, parts)
 }

@@ -65,16 +65,13 @@ func TestPartialInsertRejectsDuplicates(t *testing.T) {
 	if err := p.Insert(u); err == nil {
 		t.Fatal("duplicate client accepted")
 	}
-	if err := (&Partial{Shard: 0, Compact: true}).Insert(u); err == nil {
-		t.Fatal("Insert on a compact partial accepted")
-	}
 }
 
 // TestMergeExactValidatesTreeInvariant pins MergeExact's refusal to repair
-// broken shard structure: partials out of shard order, client ranges that
-// interleave across shards, and compact partials are all errors — the merge
-// validates the contiguous-range invariant instead of re-sorting, because
-// re-sorting would mask a mis-sharded tree.
+// broken shard structure: partials out of shard order and client ranges that
+// interleave across shards are errors — the merge validates the
+// contiguous-range invariant instead of re-sorting, because re-sorting would
+// mask a mis-sharded tree.
 func TestMergeExactValidatesTreeInvariant(t *testing.T) {
 	mk := func(shard int, clients ...int) *Partial {
 		p := NewExactPartial(shard)
@@ -91,9 +88,6 @@ func TestMergeExactValidatesTreeInvariant(t *testing.T) {
 	}
 	if _, err := MergeExact([]*Partial{mk(0, 0, 5), mk(1, 3, 7)}); err == nil {
 		t.Fatal("interleaved client ranges accepted")
-	}
-	if _, err := MergeExact([]*Partial{mk(0, 0), {Shard: 1, Compact: true}}); err == nil {
-		t.Fatal("compact partial accepted by the exact merge")
 	}
 
 	// Nil partials (skipped shards) and empty partials are fine.

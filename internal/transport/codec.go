@@ -338,10 +338,6 @@ func putString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func putFloat(b []byte, x float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-}
-
 func putFloats(b []byte, v []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	if len(v) == 0 {
@@ -520,18 +516,6 @@ func (r *reader) string() string {
 	s := string(r.b[r.off : r.off+n])
 	r.off += n
 	return s
-}
-
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b)-r.off < 8 {
-		r.fail(fmt.Errorf("%w: float64 runs off the end", ErrTruncated))
-		return 0
-	}
-	r.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off-8:]))
 }
 
 func (r *reader) floats() []float64 {
@@ -746,7 +730,7 @@ func (sa *ShardAssign) size() int {
 func (sa *ShardAssign) put(b []byte) []byte {
 	b = putInt(b, sa.Round)
 	b = putInt(b, sa.Shard)
-	b = putFlags(b, sa.Compact, sa.HasGlobal)
+	b = putFlags(b, sa.HasGlobal)
 	b = putInt(b, sa.StartRaw)
 	b = putBytes(b, sa.Start)
 	b = putFloats(b, sa.Ref)
@@ -760,8 +744,7 @@ func (sa *ShardAssign) put(b []byte) []byte {
 func (sa *ShardAssign) get(r *reader) {
 	sa.Round = r.int()
 	sa.Shard = r.int()
-	f := r.flags(2)
-	sa.Compact, sa.HasGlobal = f&1 != 0, f&2 != 0
+	sa.HasGlobal = r.flags(1) != 0
 	sa.StartRaw = r.int()
 	sa.Start = r.bytes()
 	sa.Ref = r.floats()
@@ -783,8 +766,8 @@ func (su *ShardUpload) get(r *reader) {
 }
 
 func (sd *ShardDigest) size() int {
-	n := intLen(sd.Round) + intLen(sd.Shard) + 1 + uvarintLen(uint64(len(sd.Uploads))) +
-		sd.Sum.size() + 8 + intLen(sd.Count) + intLen(sd.Heard) + intsLen(sd.Missing) + bytesLen(len(sd.Err))
+	n := intLen(sd.Round) + intLen(sd.Shard) + uvarintLen(uint64(len(sd.Uploads))) +
+		intLen(sd.Heard) + intsLen(sd.Missing) + bytesLen(len(sd.Err))
 	for i := range sd.Uploads {
 		n += sd.Uploads[i].size()
 	}
@@ -794,14 +777,10 @@ func (sd *ShardDigest) size() int {
 func (sd *ShardDigest) put(b []byte) []byte {
 	b = putInt(b, sd.Round)
 	b = putInt(b, sd.Shard)
-	b = putFlags(b, sd.HasSum)
 	b = binary.AppendUvarint(b, uint64(len(sd.Uploads)))
 	for i := range sd.Uploads {
 		b = sd.Uploads[i].put(b)
 	}
-	b = sd.Sum.put(b)
-	b = putFloat(b, sd.Weight)
-	b = putInt(b, sd.Count)
 	b = putInt(b, sd.Heard)
 	b = putInts(b, sd.Missing)
 	return putString(b, sd.Err)
@@ -810,16 +789,12 @@ func (sd *ShardDigest) put(b []byte) []byte {
 func (sd *ShardDigest) get(r *reader) {
 	sd.Round = r.int()
 	sd.Shard = r.int()
-	sd.HasSum = r.flags(1) != 0
 	if n := r.count(shardUploadMin); n > 0 {
 		sd.Uploads = make([]ShardUpload, n)
 		for i := range sd.Uploads {
 			sd.Uploads[i].get(r)
 		}
 	}
-	sd.Sum.get(r)
-	sd.Weight = r.float()
-	sd.Count = r.int()
 	sd.Heard = r.int()
 	sd.Missing = r.ints()
 	sd.Err = r.string()

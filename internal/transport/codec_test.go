@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fedpkd/internal/comm"
@@ -59,7 +60,7 @@ func codecMessages(t testing.TB, c comm.Codec) []any {
 		RoundUpload{Round: 3, Client: 9, Err: "local update: diverged", HasPayload: true, Payload: w},
 		re,
 		ShardAssign{
-			Round: 3, Shard: 1, Compact: true,
+			Round: 3, Shard: 1,
 			Start: start, HasGlobal: true, StartRaw: 4096, Ref: ref,
 			Clients: []ClientStart{
 				{Client: 4},
@@ -69,8 +70,7 @@ func codecMessages(t testing.TB, c comm.Codec) []any {
 		ShardDigest{
 			Round: 3, Shard: 1,
 			Uploads: []ShardUpload{{Client: 4, Payload: raw}, {Client: 6, Payload: raw}},
-			HasSum:  true, Sum: raw, Weight: 17.5, Count: 2,
-			Heard: 2, Missing: []int{5, 7}, Err: "shard quorum",
+			Heard:   2, Missing: []int{5, 7}, Err: "shard quorum",
 		},
 		ShardEnd{Round: 3, Shard: 1, End: end, HasBroadcast: true, EndRaw: 2048},
 		w,
@@ -151,7 +151,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		{RoundEnd{Broadcast: emptyW}, RoundEnd{}},
 		{ShardAssign{Start: []byte{}, Ref: []float64{}, Clients: []ClientStart{}}, ShardAssign{}},
 		{ShardAssign{Clients: []ClientStart{{Start: []byte{}, Ref: []float64{}}}}, ShardAssign{Clients: []ClientStart{{}}}},
-		{ShardDigest{Uploads: []ShardUpload{}, Sum: emptyW, Missing: []int{}}, ShardDigest{}},
+		{ShardDigest{Uploads: []ShardUpload{}, Missing: []int{}}, ShardDigest{}},
 		{ShardEnd{End: []byte{}}, ShardEnd{}},
 	}
 	for _, e := range empties {
@@ -174,7 +174,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		RoundUpload{Round: math.MinInt64, Client: math.MaxInt64, HasPayload: true, Payload: extremeW},
 		RoundEnd{Round: -1, Broadcast: extremeW, Codec: 255},
 		ShardAssign{Round: math.MaxInt64, Shard: math.MinInt64, StartRaw: math.MaxInt64, Clients: []ClientStart{{Client: math.MinInt64, StartRaw: math.MaxInt64}}},
-		ShardDigest{Round: math.MinInt64, Uploads: []ShardUpload{{Client: math.MaxInt64, Payload: extremeW}}, Weight: math.Inf(-1), Count: math.MinInt64, Heard: math.MaxInt64, Missing: []int{math.MinInt64, math.MaxInt64}},
+		ShardDigest{Round: math.MinInt64, Uploads: []ShardUpload{{Client: math.MaxInt64, Payload: extremeW}}, Heard: math.MaxInt64, Missing: []int{math.MinInt64, math.MaxInt64}},
 		ShardEnd{Round: math.MaxInt64, Shard: math.MaxInt64, EndRaw: math.MinInt64, End: []byte{0}},
 	}
 	for _, msg := range extremes {
@@ -472,26 +472,35 @@ func TestCodecAllocs(t *testing.T) {
 
 // TestDecodeChecksLengthsBeforeAllocating feeds Decode correctly framed
 // bodies whose counts promise far more than the message holds. Each must
-// fail as truncated without the count ever sizing an allocation.
+// fail as truncated on that count, without the count ever sizing an
+// allocation. The bodies are written with the codec's own field writers, so
+// the fields ahead of each count move with the layout.
 func TestDecodeChecksLengthsBeforeAllocating(t *testing.T) {
-	huge := binary.AppendUvarint(nil, 1<<40)
-	payloadPrefix := []byte{0, 0, 0, 0} // flags, codec, rows, cols: up to the Logits count
+	const hugeCount = 1 << 40
+	huge := binary.AppendUvarint(nil, hugeCount)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	zero := putInt(nil, 0)
+	// A WirePayload up to its Logits count: flags, codec, rows, cols.
+	payloadPrefix := join(putFlags(nil, false, false, false), []byte{0}, zero, zero)
+	// A ShardAssign or ShardEnd up to its raw size: round, shard, flags, raw.
+	framingPrefix := join(zero, zero, putFlags(nil, false), zero)
 	cases := []struct {
 		name   string
 		tag    byte
 		body   []byte
+		count  int // the count that must fail
 		target any
 	}{
-		{"float vector", tagWirePayload, append(append([]byte(nil), payloadPrefix...), huge...), &WirePayload{}},
-		{"int32 vector", tagWirePayload, append(append(append([]byte(nil), payloadPrefix...), 0), huge...), &WirePayload{}},
-		{"string", tagRoundEnd, append([]byte{0}, huge...), &RoundEnd{}},
-		{"byte section", tagShardEnd, append([]byte{0, 0, 0, 0}, huge...), &ShardEnd{}},
-		{"nested clients", tagShardAssign, append([]byte{0, 0, 0, 0, 0, 0}, huge...), &ShardAssign{}},
-		{"nested uploads", tagShardDigest, append([]byte{0, 0, 0}, huge...), &ShardDigest{}},
+		{"float vector", tagWirePayload, join(payloadPrefix, huge), hugeCount, &WirePayload{}},
+		{"int32 vector", tagWirePayload, join(payloadPrefix, putFloats(nil, nil), huge), hugeCount, &WirePayload{}},
+		{"string", tagRoundEnd, join(zero, huge), hugeCount, &RoundEnd{}},
+		{"byte section", tagShardEnd, join(framingPrefix, huge), hugeCount, &ShardEnd{}},
+		{"nested clients", tagShardAssign, join(framingPrefix, putBytes(nil, nil), putFloats(nil, nil), huge), hugeCount, &ShardAssign{}},
+		{"nested uploads", tagShardDigest, join(zero, zero, huge), hugeCount, &ShardDigest{}},
 		// A count the remaining bytes could hold as single bytes but not as
 		// 8-byte words or whole nested structs.
-		{"float vector, plausible count", tagWirePayload, append(append(append([]byte(nil), payloadPrefix...), 100, 8), make([]byte, 99)...), &WirePayload{}},
-		{"nested uploads, plausible count", tagShardDigest, append([]byte{0, 0, 0, 100}, make([]byte, 100)...), &ShardDigest{}},
+		{"float vector, plausible count", tagWirePayload, join(payloadPrefix, binary.AppendUvarint(nil, 100), []byte{8}, make([]byte, 99)), 100, &WirePayload{}},
+		{"nested uploads, plausible count", tagShardDigest, join(zero, zero, binary.AppendUvarint(nil, 100), make([]byte, 100)), 100, &ShardDigest{}},
 	}
 	for _, tc := range cases {
 		data := framed(tc.tag, tc.body)
@@ -500,8 +509,8 @@ func TestDecodeChecksLengthsBeforeAllocating(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		err := Decode(data, tc.target)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: Decode = %v, want ErrTruncated", tc.name, err)
+		if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), fmt.Sprintf("%v: %d ", ErrTruncated, tc.count)) {
+			t.Errorf("%s: Decode = %v, want ErrTruncated on the count %d", tc.name, err, tc.count)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
 			t.Errorf("%s: rejected decode of %d bytes allocated %d bytes", tc.name, len(data), grew)

@@ -205,9 +205,6 @@ func fuzzAll(t *testing.T, data []byte) {
 		for i := range m.Uploads {
 			ws = append(ws, &m.Uploads[i].Payload)
 		}
-		if m.HasSum {
-			ws = append(ws, &m.Sum)
-		}
 		return ws
 	}, (*ShardDigest).Validate)
 	fuzzOne(t, data, func(*ShardEnd) []*WirePayload { return nil }, (*ShardEnd).Validate)

@@ -46,8 +46,7 @@ const (
 	// the delta references their uploads decode against.
 	KindShardAssign
 	// KindShardDigest carries a leaf's reduced shard — its surviving uploads
-	// (exact mode) or streaming sum (compact mode) plus the shard's
-	// membership report — upward (leaf → root).
+	// plus the shard's membership report — upward (leaf → root).
 	KindShardDigest
 	// KindShardEnd closes a shard's round (root → leaf), carrying the
 	// encoded RoundEnd the leaf fans to its clients.

@@ -43,9 +43,6 @@ type ShardAssign struct {
 	// leaf.
 	Round int
 	Shard int
-	// Compact asks the leaf to stream-fold uploads through the algorithm's
-	// CompactReducer instead of retaining them.
-	Compact bool
 	// Start is the shared encoded RoundStart payload (sync rounds);
 	// HasGlobal/StartRaw are its billing facts; Ref is the shared upload
 	// delta reference. Per-client overrides live in Clients.
@@ -78,30 +75,22 @@ func (sa *ShardAssign) Validate() error {
 	return nil
 }
 
-// ShardUpload is one surviving upload forwarded inside an exact-mode
-// digest: the client id and its decoded payload re-encoded float64raw.
+// ShardUpload is one surviving upload forwarded inside a digest: the client
+// id and its decoded payload re-encoded float64raw.
 type ShardUpload struct {
 	Client  int
 	Payload WirePayload
 }
 
-// ShardDigest is the leaf→root half of a round: the shard's reduction plus
-// its membership report. Exact mode fills Uploads (sorted by client id);
-// compact mode fills Sum/Weight/Count. Err carries a shard-level round
-// error (a client-reported hook failure, a strict-mode protocol violation)
-// for the root to surface in the round's RoundEnd.
+// ShardDigest is the leaf→root half of a round: the shard's surviving
+// uploads, sorted by client id, plus its membership report. Err carries a
+// shard-level round error (a client-reported hook failure, a strict-mode
+// protocol violation) for the root to surface in the round's RoundEnd.
 type ShardDigest struct {
 	Round int
 	Shard int
-	// Uploads is the exact-mode payload: the shard's surviving uploads in
-	// ascending client order.
+	// Uploads is the shard's surviving uploads in ascending client order.
 	Uploads []ShardUpload
-	// HasSum marks a compact digest; Sum is the shard's running sum, Weight
-	// and Count its folded weight and contribution count.
-	HasSum bool
-	Sum    WirePayload
-	Weight float64
-	Count  int
 	// Heard is the number of distinct shard members whose uploads arrived in
 	// time; Missing lists the rest, ascending.
 	Heard   int
@@ -135,17 +124,6 @@ func (sd *ShardDigest) Validate() error {
 		last = su.Client
 		if err := su.Payload.Validate(); err != nil {
 			return fmt.Errorf("transport: shard digest client %d: %w", su.Client, err)
-		}
-	}
-	if sd.HasSum {
-		if len(sd.Uploads) > 0 {
-			return fmt.Errorf("transport: shard digest carries both uploads and a compact sum")
-		}
-		if sd.Count < 0 || sd.Count > maxWireDim {
-			return fmt.Errorf("transport: shard digest count %d out of range", sd.Count)
-		}
-		if err := sd.Sum.Validate(); err != nil {
-			return fmt.Errorf("transport: shard digest sum: %w", err)
 		}
 	}
 	return nil

@@ -416,3 +416,109 @@ func TestAlgorithmsDeclareNoRound(t *testing.T) {
 		}
 	}
 }
+
+// unsetAllowlist names the exported struct fields under internal/ that no
+// non-test code writes on purpose, each with why it stays.
+var unsetAllowlist = map[string]string{
+	"internal/distrib.Options.FaultStats":         "caller-supplied sink for injected-fault counters, which the chaos tests set and read",
+	"internal/obs.RoundTrace.KernelParallelCalls": "always 0 since kernels run on their caller; the frozen bench/ still reads it",
+}
+
+// fieldWrites returns the field names non-test code writes: a key in a
+// composite literal, the target of an assignment or ++/--, or an operand of
+// &. A positional composite literal writes nothing here; key it.
+func fieldWrites(files []moduleFile) map[string]bool {
+	written := map[string]bool{}
+	sel := func(e ast.Expr) {
+		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[s.Sel.Name] = true
+		}
+	}
+	for _, mf := range files {
+		ast.Inspect(mf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							written[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					sel(e)
+				}
+			case *ast.IncDecStmt:
+				sel(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					sel(n.X)
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
+// TestNoUnsetFields fails on an exported struct field under internal/ that
+// no non-test code in the module (bench/ included) writes: a setting no
+// caller can reach is a knob with one legal value, and its zero is the only
+// behaviour the code ever runs. Delete the field, or add it to
+// unsetAllowlist with why it stays.
+//
+// Writes match by field name alone, so a field of the same name written on
+// any other struct hides an unset one — the blind spot this gate shares with
+// TestNoOrphanDecls's methods.
+func TestNoUnsetFields(t *testing.T) {
+	fset, files := parseModule(t)
+	type field struct {
+		key, name string
+		pos       token.Pos
+	}
+	var fields []field
+	for _, mf := range files {
+		if !strings.HasPrefix(mf.dir, "internal/") {
+			continue
+		}
+		for _, d := range mf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts := s.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, n := range f.Names {
+						if n.IsExported() {
+							fields = append(fields, field{mf.dir + "." + ts.Name.Name + "." + n.Name, n.Name, n.Pos()})
+						}
+					}
+				}
+			}
+		}
+	}
+	written := fieldWrites(files)
+	used := map[string]bool{}
+	for _, f := range fields {
+		if written[f.name] {
+			continue
+		}
+		if _, ok := unsetAllowlist[f.key]; ok {
+			used[f.key] = true
+			continue
+		}
+		pos := fset.Position(f.pos)
+		t.Errorf("%s:%d: field %s is written by no non-test code", pos.Filename, pos.Line, f.key)
+	}
+	for entry := range unsetAllowlist {
+		if !used[entry] {
+			t.Errorf("unsetAllowlist entry %q is written or gone; drop it", entry)
+		}
+	}
+}

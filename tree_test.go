@@ -2,7 +2,6 @@ package fedpkd
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +15,6 @@ import (
 // History's cumulative MB reports) and the aggregator-tree backhaul.
 type treeRunResult struct {
 	histJSON   []byte
-	hist       *History
 	totalBytes int64
 	tierUp     int64
 	tierDown   int64
@@ -45,7 +43,7 @@ func treeRun(t *testing.T, name string, mode DistributedMode, topo Topology) tre
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := treeRunResult{histJSON: j, hist: hist, totalBytes: r.Ledger().TotalBytes()}
+	res := treeRunResult{histJSON: j, totalBytes: r.Ledger().TotalBytes()}
 	for _, rt := range r.Ledger().Rounds() {
 		res.tierUp += rt.TierUp
 		res.tierDown += rt.TierDown
@@ -89,29 +87,36 @@ func TestTreeMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestTreeCompactFedAvgTolerance pins the compact-reduction tradeoff:
-// FedAvg's streaming fold reorders float additions, so a compact tree run
-// matches the flat run to tolerance, not bit-for-bit — accuracies within
-// 1e-9 per round, client-plane traffic identical (the protocol and payload
-// shapes don't change, only the summation order).
+// TestTreeCompactFedAvgTolerance pins the tree's one reduction where
+// staleness weighting runs at the root: FedAvg with async flushes through a
+// 2-shard tree, on bus and TCP, must reproduce the flat async run's history
+// byte for byte — no tolerance. (The id predates the removal of the compact
+// fold, which refused async runs and matched flat only to 1e-9.)
 func TestTreeCompactFedAvgTolerance(t *testing.T) {
-	flat := treeRun(t, "fedavg", ModeBus, Topology{})
-	compact := treeRun(t, "fedavg", ModeBus, Topology{Shards: 2, Compact: true})
-	if len(compact.hist.Rounds) != len(flat.hist.Rounds) {
-		t.Fatalf("round counts diverged: %d vs %d", len(compact.hist.Rounds), len(flat.hist.Rounds))
-	}
-	for i, fr := range flat.hist.Rounds {
-		cr := compact.hist.Rounds[i]
-		if math.Abs(cr.ServerAcc-fr.ServerAcc) > 1e-9 || math.Abs(cr.ClientAcc-fr.ClientAcc) > 1e-9 {
-			t.Errorf("round %d accuracies diverged past tolerance: (%v,%v) vs (%v,%v)",
-				fr.Round, cr.ServerAcc, cr.ClientAcc, fr.ServerAcc, fr.ClientAcc)
+	run := func(mode DistributedMode, topo Topology) []byte {
+		t.Helper()
+		algo, err := goldenAlgos(goldenEnv(t))["fedavg"]()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cr.CumulativeMB != fr.CumulativeMB {
-			t.Errorf("round %d client-plane MB diverged: %v vs %v", fr.Round, cr.CumulativeMB, fr.CumulativeMB)
+		if _, err := Configure(algo, RunSpec{Async: asyncGoldenOpts()}); err != nil {
+			t.Fatal(err)
 		}
+		hist, err := RunDistributed(algo, asyncGoldenFlushes, DistributedOptions{Mode: mode, Topology: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := json.Marshal(hist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
 	}
-	if compact.tierUp == 0 || compact.tierUp >= treeRun(t, "fedavg", ModeBus, Topology{Shards: 2}).tierUp {
-		t.Errorf("compact digests (tier up %d) are not smaller than exact digests", compact.tierUp)
+	flat := run(ModeBus, Topology{})
+	for _, mode := range []DistributedMode{ModeBus, ModeTCP} {
+		if tree := run(mode, Topology{Shards: 2}); string(tree) != string(flat) {
+			t.Errorf("%s async tree history diverged from flat:\n got: %s\nwant: %s", mode, tree, flat)
+		}
 	}
 }
 
@@ -125,21 +130,14 @@ func TestTopologyValidation(t *testing.T) {
 		name    string
 		algo    string
 		opts    DistributedOptions
-		async   bool
 		wantSub string
 	}{
 		{"more shards than clients", "fedavg",
-			DistributedOptions{Topology: Topology{Shards: 4}}, false, "non-empty id range"},
+			DistributedOptions{Topology: Topology{Shards: 4}}, "non-empty id range"},
 		{"negative shards", "fedavg",
-			DistributedOptions{Topology: Topology{Shards: -1}}, false, "negative shard count"},
-		{"compact without tree", "fedavg",
-			DistributedOptions{Topology: Topology{Compact: true}}, false, "needs an aggregator tree"},
-		{"compact without CompactReducer", "fedpkd",
-			DistributedOptions{Topology: Topology{Shards: 2, Compact: true}}, false, "CompactReducer"},
-		{"compact with async", "fedavg",
-			DistributedOptions{Topology: Topology{Shards: 2, Compact: true}}, true, "asynchronous flushes"},
+			DistributedOptions{Topology: Topology{Shards: -1}}, "negative shard count"},
 		{"tree with wire registration", "fedavg",
-			DistributedOptions{Topology: Topology{Shards: 2}, WireRegistration: true}, false, "demultiplexer"},
+			DistributedOptions{Topology: Topology{Shards: 2}, WireRegistration: true}, "demultiplexer"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -147,11 +145,6 @@ func TestTopologyValidation(t *testing.T) {
 			algo, err := builds[tc.algo]()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if tc.async {
-				if _, err := Configure(algo, RunSpec{Async: asyncGoldenOpts()}); err != nil {
-					t.Fatal(err)
-				}
 			}
 			_, err = RunDistributed(algo, goldenRounds, tc.opts)
 			if err == nil {
