@@ -51,9 +51,10 @@ bench-pairs:
 # fuzz runs the decode fuzzers (transport round messages, comm packed
 # sections, and the checkpoint parsers: the ckpt container and its file-name
 # filter, histories, state dicts and prototype sets), the operator-facing
-# spec parsers (-chaos, -availability, -population) and the kernel-path
-# fuzzers (simd inner loops == pure-Go kernels and row ops, bit for bit) for a
-# short budget each; raise FUZZTIME for deeper exploration.
+# spec parsers (-chaos, -availability, -population), the control socket's
+# command line, and the kernel-path fuzzers (simd inner loops == pure-Go
+# kernels and row ops, bit for bit) for a short budget each; raise FUZZTIME
+# for deeper exploration.
 # The wire decoders start from the checked-in seed corpora under
 # testdata/fuzz/; the checkpoint parsers seed from their own encoders.
 FUZZTIME ?= 30s
@@ -68,5 +69,6 @@ fuzz:
 	$(GO) test ./internal/faults/ -run=XXX -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fl/engine/ -run=XXX -fuzz=FuzzParseAvailability -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/distrib/ -run=XXX -fuzz=FuzzParsePopulation -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ctl/ -run=XXX -fuzz=FuzzServeConn -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzKernelPaths -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run=XXX -fuzz=FuzzRowOps -fuzztime=$(FUZZTIME)

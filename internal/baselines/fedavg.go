@@ -119,11 +119,11 @@ func (h *fedAvgHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine
 	}
 	rng := rc.LocalRNG(c)
 	if h.cfg.Mu > 0 {
-		fl.TrainCEProx(h.clients[c], h.opts[c], env.ClientData[c], rng,
-			h.cfg.LocalEpochs, h.cfg.Common.BatchSize, h.cfg.Mu, global.Params)
+		rc.AddBatches(fl.TrainCEProx(h.clients[c], h.opts[c], env.ClientData[c], rng,
+			h.cfg.LocalEpochs, h.cfg.Common.BatchSize, h.cfg.Mu, global.Params))
 	} else {
-		fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rng,
-			h.cfg.LocalEpochs, h.cfg.Common.BatchSize)
+		rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rng,
+			h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	}
 	return &engine.Payload{
 		Params:     nn.FlattenParams(h.clients[c].Params()),

@@ -114,8 +114,8 @@ func (h *fedDFHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.
 	if err := nn.SetFlatParams(h.clients[c].Params(), global.Params); err != nil {
 		return nil, err
 	}
-	fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
-		h.cfg.LocalEpochs, h.cfg.Common.BatchSize)
+	rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
+		h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	return &engine.Payload{
 		Params:      nn.FlattenParams(h.clients[c].Params()),
 		Logits:      h.clients[c].Logits(env.Splits.Public.X),
@@ -154,8 +154,8 @@ func (h *fedDFHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 
 	env := rc.Env()
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainServerDistill(h.server, nn.NewAdam(h.cfg.Common.LR), env.Splits.Public.X, ensemble, pseudo,
-		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 1, 1)
+	rc.AddBatches(fl.TrainServerDistill(h.server, nn.NewAdam(h.cfg.Common.LR), env.Splits.Public.X, ensemble, pseudo,
+		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 1, 1))
 	stopServer()
 
 	h.global = nn.FlattenParams(h.server.Params())

@@ -108,8 +108,8 @@ func (h *fedETHooks) GlobalState(round int) *engine.Payload { return nil }
 // materializing the vector: the simulation's server never reads it).
 func (h *fedETHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.Payload) (*engine.Payload, error) {
 	env := rc.Env()
-	fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
-		h.cfg.LocalEpochs, h.cfg.Common.BatchSize)
+	rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
+		h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	return &engine.Payload{
 		Logits:        h.clients[c].Logits(env.Splits.Public.X),
 		ParamsCounted: h.clients[c].ParamCount(),
@@ -132,8 +132,8 @@ func (h *fedETHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 	env := rc.Env()
 	publicX := env.Splits.Public.X
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainServerDistill(h.server, h.serverOpt, publicX, ensemble, pseudo,
-		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 0.5, 1)
+	rc.AddBatches(fl.TrainServerDistill(h.server, h.serverOpt, publicX, ensemble, pseudo,
+		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 0.5, 1))
 	stopServer()
 
 	return &engine.Payload{Logits: h.server.Logits(publicX)}, nil
@@ -144,8 +144,8 @@ func (h *fedETHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 func (h *fedETHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error {
 	env := rc.Env()
 	serverPseudo := kd.PseudoLabels(bcast.Logits)
-	fl.TrainDistill(h.clients[c], h.opts[c], env.Splits.Public.X, bcast.Logits, serverPseudo,
-		rc.DigestRNG(c), 5, h.cfg.Common.BatchSize, 0.5, 1)
+	rc.AddBatches(fl.TrainDistill(h.clients[c], h.opts[c], env.Splits.Public.X, bcast.Logits, serverPseudo,
+		rc.DigestRNG(c), 5, h.cfg.Common.BatchSize, 0.5, 1))
 	return nil
 }
 

@@ -106,8 +106,8 @@ func (h *fedMDHooks) GlobalState(round int) *engine.Payload { return nil }
 // logits as the upload.
 func (h *fedMDHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.Payload) (*engine.Payload, error) {
 	env := rc.Env()
-	fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
-		h.cfg.LocalEpochs, h.cfg.Common.BatchSize)
+	rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
+		h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	return &engine.Payload{Logits: h.clients[c].Logits(env.Splits.Public.X)}, nil
 }
 
@@ -133,8 +133,8 @@ func (h *fedMDHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 func (h *fedMDHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error {
 	env := rc.Env()
 	pseudo := kd.PseudoLabels(bcast.Logits)
-	fl.TrainDistill(h.clients[c], h.opts[c], env.Splits.Public.X, bcast.Logits, pseudo,
-		rc.DigestRNG(c), h.cfg.DistillEpochs, h.cfg.Common.BatchSize, 1, 1)
+	rc.AddBatches(fl.TrainDistill(h.clients[c], h.opts[c], env.Splits.Public.X, bcast.Logits, pseudo,
+		rc.DigestRNG(c), h.cfg.DistillEpochs, h.cfg.Common.BatchSize, 1, 1))
 	return nil
 }
 

@@ -89,10 +89,10 @@ func (h *fedProtoHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engi
 	env := rc.Env()
 	rng := rc.LocalRNG(c)
 	if rc.Round() == 0 || h.global == nil {
-		fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rng, h.cfg.LocalEpochs, h.cfg.Common.BatchSize)
+		rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rng, h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	} else {
-		fl.TrainCEWithProto(h.clients[c], h.opts[c], env.ClientData[c], rng,
-			h.cfg.LocalEpochs, h.cfg.Common.BatchSize, h.global, h.cfg.Epsilon)
+		rc.AddBatches(fl.TrainCEWithProto(h.clients[c], h.opts[c], env.ClientData[c], rng,
+			h.cfg.LocalEpochs, h.cfg.Common.BatchSize, h.global, h.cfg.Epsilon))
 	}
 	return &engine.Payload{Protos: proto.Compute(h.clients[c].VisitFeatures, env.ClientData[c])}, nil
 }

@@ -104,8 +104,8 @@ func (h *vanillaKDHooks) GlobalState(round int) *engine.Payload { return nil }
 // logits as the upload.
 func (h *vanillaKDHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.Payload) (*engine.Payload, error) {
 	env := rc.Env()
-	fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
-		h.cfg.LocalEpochs, h.cfg.Common.BatchSize)
+	rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
+		h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	return &engine.Payload{Logits: h.clients[c].Logits(env.Splits.Public.X)}, nil
 }
 
@@ -124,8 +124,8 @@ func (h *vanillaKDHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upl
 
 	env := rc.Env()
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainServerDistill(h.server, h.serverOpt, env.Splits.Public.X, ensemble, pseudo,
-		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 0.5, 1)
+	rc.AddBatches(fl.TrainServerDistill(h.server, h.serverOpt, env.Splits.Public.X, ensemble, pseudo,
+		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 0.5, 1))
 	stopServer()
 	return nil, nil
 }

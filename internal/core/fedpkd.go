@@ -264,10 +264,10 @@ func (h *pkdHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.Pa
 	rng := rc.LocalRNG(c)
 	net := h.clients[c]
 	if rc.Round() == 0 || h.globalProtos == nil || h.cfg.DisablePrototypes {
-		fl.TrainCE(net, h.clientOpts[c], env.ClientData[c], rng, h.cfg.ClientPrivateEpochs, h.cfg.BatchSize)
+		rc.AddBatches(fl.TrainCE(net, h.clientOpts[c], env.ClientData[c], rng, h.cfg.ClientPrivateEpochs, h.cfg.BatchSize))
 	} else {
-		fl.TrainCEWithProto(net, h.clientOpts[c], env.ClientData[c], rng,
-			h.cfg.ClientPrivateEpochs, h.cfg.BatchSize, h.globalProtos, h.cfg.Epsilon)
+		rc.AddBatches(fl.TrainCEWithProto(net, h.clientOpts[c], env.ClientData[c], rng,
+			h.cfg.ClientPrivateEpochs, h.cfg.BatchSize, h.globalProtos, h.cfg.Epsilon))
 	}
 	return &engine.Payload{
 		Logits: net.Logits(env.Splits.Public.X),
@@ -323,8 +323,8 @@ func (h *pkdHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (
 		serverProtos = nil
 	}
 	stopServer := rc.Span(obs.PhaseServerTrain)
-	fl.TrainServerPKD(h.server, h.serverOpt, subsetX, subsetTeacher, subsetPseudo, serverProtos,
-		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.BatchSize, h.cfg.Delta, h.cfg.Temperature)
+	rc.AddBatches(fl.TrainServerPKD(h.server, h.serverOpt, subsetX, subsetTeacher, subsetPseudo, serverProtos,
+		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.BatchSize, h.cfg.Delta, h.cfg.Temperature))
 	stopServer()
 
 	return &engine.Payload{
@@ -341,8 +341,8 @@ func (h *pkdHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload)
 	env := rc.Env()
 	subsetX := dataset.GatherRows(env.Splits.Public.X, bcast.Indices)
 	serverPseudo := kd.PseudoLabels(bcast.Logits)
-	fl.TrainDistill(h.clients[c], h.clientOpts[c], subsetX, bcast.Logits, serverPseudo,
-		rc.DigestRNG(c), h.cfg.ClientPublicEpochs, h.cfg.BatchSize, h.cfg.Gamma, h.cfg.Temperature)
+	rc.AddBatches(fl.TrainDistill(h.clients[c], h.clientOpts[c], subsetX, bcast.Logits, serverPseudo,
+		rc.DigestRNG(c), h.cfg.ClientPublicEpochs, h.cfg.BatchSize, h.cfg.Gamma, h.cfg.Temperature))
 	return nil
 }
 

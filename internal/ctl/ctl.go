@@ -363,8 +363,12 @@ func (s *Server) dispatch(cmd string) Response {
 
 // Send dials the control socket, issues one command, and returns the parsed
 // response — the client half used by `fedpkd-sim -ctl-cmd` and the smoke
-// test.
+// test. A command spanning more than one line is refused before dialing: the
+// server would run every line and Send would read only the first reply.
 func Send(addr, cmd string, timeout time.Duration) (Response, error) {
+	if strings.ContainsAny(cmd, "\r\n") {
+		return Response{}, fmt.Errorf("ctl: command %q is more than one line; send one command per call", cmd)
+	}
 	network := "tcp"
 	if strings.ContainsRune(addr, '/') {
 		network = "unix"

@@ -116,6 +116,18 @@ func TestServerProtocol(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// Two lines are two commands to the server, and Send reads one reply: it
+	// must refuse the call rather than quit the service behind the ping.
+	if resp, err := Send(sock, "ping\nquit", 2*time.Second); err == nil {
+		t.Fatalf("a two-line command was sent: %+v", resp)
+	}
+	if _, err := Send(sock, "ping\r", 2*time.Second); err == nil {
+		t.Fatal("a command with a carriage return was sent")
+	}
+	if err := g.Barrier(0); err != nil {
+		t.Fatalf("barrier after the refused command: %v", err)
+	}
+
 	resp, err := Send(sock, "pause", 2*time.Second)
 	if err != nil || !resp.OK {
 		t.Fatalf("pause: %+v, %v", resp, err)

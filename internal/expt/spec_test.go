@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,29 +156,72 @@ func TestRunOneHonoursSpec(t *testing.T) {
 // TestSpecsRunConcurrently runs two differently configured runs at once. With
 // run configuration in package globals this could not be written: the second
 // Set* call would have reconfigured the first run. Under -race it is also the
-// gate that no such shared state remains.
+// gate that no such shared state remains. Each run is traced, and its traces
+// must match its serial twin's too, apart from what measures time and the
+// tensor layer's process-wide kernel counters: a run's batches are its own.
 func TestSpecsRunConcurrently(t *testing.T) {
 	specs := []RunSpec{{Codec: "int8"}, {Async: specAsync()}}
-	serial := make([][]byte, len(specs))
-	for i, spec := range specs {
-		serial[i] = specRunOne(t, specScale, spec)
+	type run struct{ hist, traces []byte }
+	runSpec := func(spec RunSpec) run {
+		rec := obs.NewRecorder(AlgoFedPKD)
+		spec.Recorder = rec
+		hist := specRunOne(t, specScale, spec)
+		return run{hist, ownTraceFields(t, rec.Traces())}
 	}
-	if bytes.Equal(serial[0], serial[1]) {
+	serial := make([]run, len(specs))
+	for i, spec := range specs {
+		serial[i] = runSpec(spec)
+	}
+	if bytes.Equal(serial[0].hist, serial[1].hist) {
 		t.Fatal("the two specs produce the same history; the test would prove nothing")
 	}
-	parallel := make([][]byte, len(specs))
+	parallel := make([]run, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
 		go func(i int, spec RunSpec) {
 			defer wg.Done()
-			parallel[i] = specRunOne(t, specScale, spec)
+			parallel[i] = runSpec(spec)
 		}(i, spec)
 	}
 	wg.Wait()
 	for i := range specs {
-		if !bytes.Equal(parallel[i], serial[i]) {
+		if !bytes.Equal(parallel[i].hist, serial[i].hist) {
 			t.Errorf("spec %d: concurrent run diverged from its serial twin", i)
 		}
+		if !bytes.Equal(parallel[i].traces, serial[i].traces) {
+			t.Errorf("spec %d: concurrent run's traces diverged from its serial twin's:\n got: %s\nwant: %s",
+				i, parallel[i].traces, serial[i].traces)
+		}
 	}
+}
+
+// ownTraceFields renders traces as JSON without the fields a rerun cannot
+// reproduce: wall time, every *_ns column, and the kernel_* deltas of the
+// tensor layer's process-wide counters.
+func ownTraceFields(t *testing.T, traces []obs.RoundTrace) []byte {
+	t.Helper()
+	if len(traces) == 0 || traces[0].Batches == 0 {
+		t.Errorf("the run's traces count no batches: %+v", traces)
+	}
+	raw, err := json.Marshal(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		for k := range row {
+			if strings.HasSuffix(k, "_ns") || strings.HasPrefix(k, "kernel_") {
+				delete(row, k)
+			}
+		}
+	}
+	out, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

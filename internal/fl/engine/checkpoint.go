@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"fedpkd/internal/ckpt"
 	"fedpkd/internal/comm"
@@ -152,31 +150,14 @@ func (r *Runner) restoreDict(d *ckpt.Dict) error {
 	return nil
 }
 
-// countingWriter counts bytes for the checkpoint-size expvar.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // writeCheckpoint durably writes d as the file path (temp + fsync + rename,
-// creating the directory if needed) and returns its size. It touches nothing
-// but d and path, so it may run while the next round does.
-func writeCheckpoint(path string, d *ckpt.Dict) (int64, error) {
+// creating the directory if needed). It touches nothing but d and path, so it
+// may run while the next round does.
+func writeCheckpoint(path string, d *ckpt.Dict) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, fmt.Errorf("engine: create checkpoint dir: %w", err)
+		return fmt.Errorf("engine: create checkpoint dir: %w", err)
 	}
-	cw := &countingWriter{}
-	err := ckpt.AtomicWriteFile(path, func(f *os.File) error {
-		cw.w = f
-		return ckpt.Write(cw, d)
-	})
-	return cw.n, err
+	return ckpt.AtomicWriteFile(path, func(f *os.File) error { return ckpt.Write(f, d) })
 }
 
 // SaveCheckpoint durably writes the run state into dir as the canonical
@@ -185,8 +166,7 @@ func writeCheckpoint(path string, d *ckpt.Dict) (int64, error) {
 // is crash-safe (temp + fsync + rename) and earlier round files are left in
 // place, so the newest previous checkpoint survives until this one is
 // durable. The join of any policy write in flight, the encode and the write
-// are spanned as the obs "checkpoint" phase, and the write is published to
-// the checkpoint expvars.
+// are spanned as the obs "checkpoint" phase.
 func (r *Runner) SaveCheckpoint(dir string) (string, error) {
 	defer r.rec.Span(obs.PhaseCheckpoint)()
 	if err := r.WaitCheckpoint(); err != nil {
@@ -197,20 +177,15 @@ func (r *Runner) SaveCheckpoint(dir string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, ckpt.RoundFileName(r.round))
-	start := time.Now()
-	written, err := writeCheckpoint(path, d)
-	if err != nil {
+	if err := writeCheckpoint(path, d); err != nil {
 		return "", err
 	}
-	obs.RecordCheckpoint(r.round, written, time.Since(start))
 	return path, nil
 }
 
 // ckptWrite is the outcome of a policy checkpoint's background write.
 type ckptWrite struct {
 	round int // the rounds the file covers, as in its name
-	bytes int64
-	took  time.Duration
 	err   error
 }
 
@@ -230,11 +205,7 @@ func (r *Runner) checkpointBehind() error {
 	}
 	path, round, done := filepath.Join(r.ckptDir, ckpt.RoundFileName(r.round)), r.round, r.ckptDone
 	r.ckptInFlight = true
-	go func() {
-		start := time.Now()
-		n, err := writeCheckpoint(path, d)
-		done <- ckptWrite{round: round, bytes: n, took: time.Since(start), err: err}
-	}()
+	go func() { done <- ckptWrite{round: round, err: writeCheckpoint(path, d)} }()
 	return nil
 }
 
@@ -252,7 +223,6 @@ func (r *Runner) WaitCheckpoint() error {
 	if w.err != nil {
 		return fmt.Errorf("%s: checkpoint after round %d: %w", r.hooks.Name(), w.round-1, w.err)
 	}
-	obs.RecordCheckpoint(w.round, w.bytes, w.took)
 	return nil
 }
 

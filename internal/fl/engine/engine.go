@@ -176,6 +176,10 @@ func (rc *RoundContext) ServerRNG() *stats.RNG {
 // Nil-recorder-safe, like the Recorder itself.
 func (rc *RoundContext) Span(phase string) func() { return rc.r.rec.Span(phase) }
 
+// AddBatches adds a training call's minibatch steps to this run's trace of
+// the round. Nil-recorder-safe; hooks call it once per fl.Train* call.
+func (rc *RoundContext) AddBatches(n int) { rc.r.rec.AddBatches(n) }
+
 // Runner drives an algorithm's hooks through communication rounds. It
 // implements fl.Algorithm; algorithm types embed *Runner so Run, Round,
 // Name, Ledger, and SetRecorder are their public API.

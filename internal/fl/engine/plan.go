@@ -140,5 +140,4 @@ func (p *Plan) Commit(contributors []int) {
 		Clock:     p.Clock,
 		Staleness: append([]int(nil), staleness...),
 	})
-	obs.RecordAsyncFlush(len(contributors), staleness)
 }

@@ -5,9 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
-
-	"fedpkd/internal/obs"
 )
 
 // Workers returns the fan-out width ForEachClient uses for n clients:
@@ -44,13 +41,8 @@ func ForEachClient(n int, fn func(c int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			obs.WorkerStarted()
-			defer obs.WorkerDone()
 			for c := range jobs {
-				start := time.Now()
-				err := runClient(c, fn)
-				obs.AddWorkerBusy(time.Since(start))
-				if err != nil {
+				if err := runClient(c, fn); err != nil {
 					errOnce.Do(func() { firstErr = err })
 				}
 			}

@@ -3,7 +3,6 @@ package fl
 import (
 	"fedpkd/internal/dataset"
 	"fedpkd/internal/nn"
-	"fedpkd/internal/obs"
 	"fedpkd/internal/proto"
 	"fedpkd/internal/stats"
 	"fedpkd/internal/tensor"
@@ -12,10 +11,11 @@ import (
 // The training loops own small per-call workspaces (batch matrices, label
 // slices, gradient buffers) that are resized in place across minibatches,
 // so together with the layers' persistent buffers a steady-state epoch
-// performs zero matrix allocations.
+// performs zero matrix allocations. Each returns the number of minibatch
+// steps it took, which the round hooks add to the run's trace.
 
 // TrainCE runs plain minibatch cross-entropy training (Eq. 4).
-func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int) {
+func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int) (steps int) {
 	tr := nn.NewTrainer(net, opt)
 	var x, grad *tensor.Matrix
 	yb := make([]int, batchSize)
@@ -26,15 +26,17 @@ func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.R
 			logits := net.Forward(x, true)
 			grad = tensor.Ensure(grad, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(grad, logits, labels)
-			step(tr, grad, nil)
+			tr.Step(grad, nil)
+			steps++
 		}
 	}
+	return steps
 }
 
 // TrainCEProx runs FedProx local training: cross-entropy plus the proximal
 // term (mu/2)·‖w − w_global‖². ref is the flattened global weights.
-func TrainCEProx(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int, mu float64, ref []float64) {
-	TrainCE(net, &proximal{Optimizer: opt, mu: mu, ref: ref}, d, rng, epochs, batchSize)
+func TrainCEProx(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int, mu float64, ref []float64) int {
+	return TrainCE(net, &proximal{Optimizer: opt, mu: mu, ref: ref}, d, rng, epochs, batchSize)
 }
 
 // proximal is FedProx's update: it adds the proximal gradient mu·(w − ref)
@@ -59,10 +61,9 @@ func (p *proximal) Step(params []*nn.Param) {
 // TrainCEWithProto runs FedPKD client private training for rounds t >= 1
 // (Eq. 16): cross-entropy on local data plus ε·MSE between the sample's
 // features and the global prototype of its true class.
-func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int, protos *proto.Set, eps float64) {
+func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int, protos *proto.Set, eps float64) (steps int) {
 	if protos == nil || protos.Len() == 0 || eps == 0 {
-		TrainCE(net, opt, d, rng, epochs, batchSize)
-		return
+		return TrainCE(net, opt, d, rng, epochs, batchSize)
 	}
 	tr := nn.NewTrainer(net, opt)
 	var x, gradLogits, target, gradFeat *tensor.Matrix
@@ -78,9 +79,11 @@ func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng
 			gradFeat = tensor.Ensure(gradFeat, feats.Rows, feats.Cols)
 			nn.MSEInto(gradFeat, feats, target)
 			gradFeat.Scale(eps)
-			step(tr, gradLogits, gradFeat)
+			tr.Step(gradLogits, gradFeat)
+			steps++
 		}
 	}
+	return steps
 }
 
 // TrainDistill runs distillation training on (a subset of) the public set
@@ -88,20 +91,20 @@ func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng
 // gamma·KL(student ‖ teacher logits) + (1−gamma)·CE(student, pseudo-labels).
 // X holds the public samples, teacher the row-aligned teacher logits, and
 // pseudo the row-aligned pseudo-labels.
-func TrainDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) {
-	distill(net, nn.NewTrainer(net, opt), x, teacher, pseudo, rng, epochs, batchSize, gamma, temp)
+func TrainDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) int {
+	return distill(net, nn.NewTrainer(net, opt), x, teacher, pseudo, rng, epochs, batchSize, gamma, temp)
 }
 
 // TrainServerDistill is TrainDistill for a server model trained in
 // Aggregate, which runs alone: its steps use the lane when it is free, with
 // identical bits (see serverTrainer).
-func TrainServerDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) {
+func TrainServerDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) int {
 	tr := serverTrainer(net, opt)
 	defer tr.Release()
-	distill(net, tr, x, teacher, pseudo, rng, epochs, batchSize, gamma, temp)
+	return distill(net, tr, x, teacher, pseudo, rng, epochs, batchSize, gamma, temp)
 }
 
-func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) {
+func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) (steps int) {
 	var xb, tb, gradKL, gradCE *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
@@ -117,15 +120,17 @@ func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo 
 			nn.KLDistillInto(gradKL, logits, tb, temp)
 			gradCE = tensor.Ensure(gradCE, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(gradCE, logits, labels)
-			step(tr, gradKL.Scale(gamma).AddScaled(1-gamma, gradCE), nil)
+			tr.Step(gradKL.Scale(gamma).AddScaled(1-gamma, gradCE), nil)
+			steps++
 		}
 	}
+	return steps
 }
 
 // TrainServerPKD runs the FedPKD server update (Eqs. 11-13) on the filtered
 // public subset: δ·(KL + CE) + (1−δ)·MSE(features, prototype of the
 // pseudo-label).
-func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, protos *proto.Set, rng *stats.RNG, epochs, batchSize int, delta, temp float64) {
+func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, protos *proto.Set, rng *stats.RNG, epochs, batchSize int, delta, temp float64) (steps int) {
 	tr := serverTrainer(net, opt)
 	defer tr.Release()
 	var xb, tb, gradKL, gradCE, target, gradFeat *tensor.Matrix
@@ -153,9 +158,11 @@ func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix
 				gradFeat.Scale(1 - delta)
 				dfeat = gradFeat
 			}
-			step(tr, gradLogits, dfeat)
+			tr.Step(gradLogits, dfeat)
+			steps++
 		}
 	}
+	return steps
 }
 
 // serverTrainer returns a trainer with the lane attached if it is free.
@@ -165,14 +172,6 @@ func serverTrainer(net *nn.Network, opt nn.Optimizer) *nn.Trainer {
 	tr := nn.NewTrainer(net, opt)
 	tr.AttachLane()
 	return tr
-}
-
-// step is the tail every training loop shares: backward, the optimizer
-// update and the gradient reset (on the lane when tr has it), then the batch
-// count.
-func step(tr *nn.Trainer, dlogits, dfeat *tensor.Matrix) {
-	tr.Step(dlogits, dfeat)
-	obs.AddBatches(1)
 }
 
 // Accuracy evaluates a network on a labeled dataset.

@@ -71,11 +71,20 @@ func trainEnv(t *testing.T) (*Env, *nn.Network) {
 	return env, net
 }
 
+// checkSteps asserts a training call's returned step count: one step per
+// minibatch, the last one short, in every epoch.
+func checkSteps(t *testing.T, name string, got, epochs, samples, batchSize int) {
+	t.Helper()
+	if want := epochs * ((samples + batchSize - 1) / batchSize); got != want {
+		t.Errorf("%s took %d steps, want %d", name, got, want)
+	}
+}
+
 func TestTrainCEImprovesAccuracy(t *testing.T) {
 	env, net := trainEnv(t)
 	d := env.Splits.Train
 	before := Accuracy(net, env.Splits.Test)
-	TrainCE(net, nn.NewAdam(0.003), d, stats.NewRNG(2), 10, 32)
+	checkSteps(t, "TrainCE", TrainCE(net, nn.NewAdam(0.003), d, stats.NewRNG(2), 10, 32), 10, d.Len(), 32)
 	after := Accuracy(net, env.Splits.Test)
 	if after <= before+0.2 {
 		t.Errorf("TrainCE accuracy %v -> %v, want substantial improvement", before, after)
@@ -92,7 +101,7 @@ func TestTrainCEProxStaysNearReference(t *testing.T) {
 	d := env.ClientData[0]
 	// netA trains free; netB trains with a strong proximal pull to refCopy.
 	TrainCE(netA, nn.NewAdam(0.003), d, stats.NewRNG(3), 5, 32)
-	TrainCEProx(netB, nn.NewAdam(0.003), d, stats.NewRNG(3), 5, 32, 50, refCopy)
+	checkSteps(t, "TrainCEProx", TrainCEProx(netB, nn.NewAdam(0.003), d, stats.NewRNG(3), 5, 32, 50, refCopy), 5, d.Len(), 32)
 
 	distance := func(params []*nn.Param) float64 {
 		flat := nn.FlattenParams(params)
@@ -132,7 +141,7 @@ func TestTrainCEWithProtoPullsFeatures(t *testing.T) {
 		return sum / float64(feats.Rows)
 	}
 	before := meanFeatureDistance()
-	TrainCEWithProto(net, nn.NewAdam(0.003), d, stats.NewRNG(4), 5, 32, protos, 10)
+	checkSteps(t, "TrainCEWithProto", TrainCEWithProto(net, nn.NewAdam(0.003), d, stats.NewRNG(4), 5, 32, protos, 10), 5, d.Len(), 32)
 	after := meanFeatureDistance()
 	if after >= before {
 		t.Errorf("prototype loss should shrink feature distance: %v -> %v", before, after)
@@ -142,7 +151,8 @@ func TestTrainCEWithProtoPullsFeatures(t *testing.T) {
 func TestTrainCEWithProtoNilFallsBack(t *testing.T) {
 	env, net := trainEnv(t)
 	before := Accuracy(net, env.Splits.Test)
-	TrainCEWithProto(net, nn.NewAdam(0.003), env.Splits.Train, stats.NewRNG(5), 5, 32, nil, 0.5)
+	steps := TrainCEWithProto(net, nn.NewAdam(0.003), env.Splits.Train, stats.NewRNG(5), 5, 32, nil, 0.5)
+	checkSteps(t, "TrainCEWithProto", steps, 5, env.Splits.Train.Len(), 32)
 	if Accuracy(net, env.Splits.Test) <= before {
 		t.Error("nil prototypes must fall back to plain CE training")
 	}
@@ -164,7 +174,8 @@ func TestTrainDistillMatchesTeacher(t *testing.T) {
 		return stats.Accuracy(student.Predict(x), pseudo)
 	}
 	before := agreement()
-	TrainDistill(student, nn.NewAdam(0.003), x, teacherLogits, pseudo, stats.NewRNG(7), 15, 32, 0.5, 1)
+	steps := TrainDistill(student, nn.NewAdam(0.003), x, teacherLogits, pseudo, stats.NewRNG(7), 15, 32, 0.5, 1)
+	checkSteps(t, "TrainDistill", steps, 15, x.Rows, 32)
 	after := agreement()
 	if after <= before || after < 0.7 {
 		t.Errorf("distillation agreement %v -> %v, want strong convergence to teacher", before, after)
@@ -185,7 +196,8 @@ func TestTrainServerPKDLearns(t *testing.T) {
 	protos := proto.Compute(teacher.VisitFeatures, env.Splits.Train)
 
 	before := Accuracy(server, env.Splits.Test)
-	TrainServerPKD(server, nn.NewAdam(0.003), x, teacherLogits, pseudo, protos, stats.NewRNG(9), 15, 32, 0.5, 1)
+	steps := TrainServerPKD(server, nn.NewAdam(0.003), x, teacherLogits, pseudo, protos, stats.NewRNG(9), 15, 32, 0.5, 1)
+	checkSteps(t, "TrainServerPKD", steps, 15, x.Rows, 32)
 	after := Accuracy(server, env.Splits.Test)
 	if after <= before {
 		t.Errorf("server PKD training accuracy %v -> %v", before, after)

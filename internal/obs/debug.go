@@ -10,8 +10,9 @@ import (
 )
 
 // DebugServer is a live diagnostics endpoint: net/http/pprof profiles under
-// /debug/pprof/ and the expvar counters under /debug/vars. It runs on its
-// own mux so importing this package never touches http.DefaultServeMux.
+// /debug/pprof/ and expvar under /debug/vars (the runtime's memstats and
+// fedpkd_kernel_stats). It runs on its own mux so importing this package
+// never touches http.DefaultServeMux.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server

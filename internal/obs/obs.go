@@ -9,11 +9,16 @@
 // The package is dependency-light by design — stdlib plus internal/tensor
 // (for kernel counters) and internal/comm (for the ledger rows); neither
 // imports anything of ours that imports obs, so the graph stays acyclic —
-// and every layer (internal/fl, internal/core, internal/baselines,
-// internal/distrib) can import it without cycles. All Recorder methods are
-// safe on a nil receiver, so instrumented call-sites cost one pointer test
-// when observability is disabled, and safe for concurrent use, so
-// fl.ForEachClient workers can record without coordination.
+// and the round layers (internal/fl/engine, internal/core,
+// internal/baselines, internal/distrib) import it without cycles. The
+// training loops of internal/fl do not: they return their step counts, and
+// the round hooks add them to their own run's trace. The package holds no
+// process state; a run's numbers live in its Recorder, and the one expvar it
+// publishes, fedpkd_kernel_stats, reads the tensor layer's counters when
+// asked. All Recorder methods are safe on a nil receiver, so instrumented
+// call-sites cost one pointer test when observability is disabled, and safe
+// for concurrent use, so fl.ForEachClient workers can record without
+// coordination.
 package obs
 
 import (
@@ -59,108 +64,16 @@ const (
 	PhaseRootMerge = "root_merge"
 )
 
-// Process-wide counters, published via expvar so the -debug-addr endpoint
-// exposes them at /debug/vars. They aggregate across every run in the
-// process; per-round attribution lives in the Recorder.
-var (
-	batchesTotal  = expvar.NewInt("fedpkd_batches_total")
-	workerBusyNS  = expvar.NewInt("fedpkd_worker_busy_ns")
-	activeWorkers = expvar.NewInt("fedpkd_active_workers")
-	roundsTotal   = expvar.NewInt("fedpkd_rounds_total")
-
-	// Checkpoint counters: the round the latest durable checkpoint covers,
-	// cumulative bytes written, cumulative write time, and write count —
-	// enough to read checkpoint cost and cadence off /debug/vars.
-	lastCheckpointRound = expvar.NewInt("fedpkd_last_checkpoint_round")
-	checkpointBytes     = expvar.NewInt("fedpkd_checkpoint_bytes_total")
-	checkpointWriteNS   = expvar.NewInt("fedpkd_checkpoint_write_ns_total")
-	checkpointsTotal    = expvar.NewInt("fedpkd_checkpoints_total")
-
-	// Robustness counters: cumulative faults injected by the chaos layer,
-	// stale/duplicate envelopes the server discarded, client retries, and
-	// rounds that closed with a partial cohort. They aggregate across runs in
-	// the process; per-round attribution lives in RoundTrace.Robustness.
-	faultsInjectedTotal = expvar.NewInt("fedpkd_faults_injected_total")
-	staleDroppedTotal   = expvar.NewInt("fedpkd_stale_dropped_total")
-	retriesTotal        = expvar.NewInt("fedpkd_retries_total")
-	partialRoundsTotal  = expvar.NewInt("fedpkd_partial_rounds_total")
-
-	// Async counters: buffer flushes completed, cumulative buffer occupancy
-	// (contributors aggregated), cumulative and maximum contribution
-	// staleness. Mean occupancy and mean staleness read directly off
-	// /debug/vars as the ratios occupancy/flushes and staleness/flushes.
-	asyncFlushesTotal   = expvar.NewInt("fedpkd_async_flushes_total")
-	asyncOccupancyTotal = expvar.NewInt("fedpkd_async_occupancy_total")
-	asyncStalenessTotal = expvar.NewInt("fedpkd_async_staleness_total")
-	asyncStalenessMax   = expvar.NewInt("fedpkd_async_staleness_max")
-
-	// Registry/churn counters: the currently registered population (gauge),
-	// cumulative joins and leaves applied at round barriers. Per-round
-	// attribution lives in RoundTrace.Churn.
-	registrySize        = expvar.NewInt("fedpkd_registry_size")
-	registryJoinsTotal  = expvar.NewInt("fedpkd_registry_joins_total")
-	registryLeavesTotal = expvar.NewInt("fedpkd_registry_leaves_total")
-)
-
-// AddFaultsInjected bumps the process-wide injected-fault counter.
-func AddFaultsInjected(n int64) { faultsInjectedTotal.Add(n) }
-
-// AddStaleDropped bumps the process-wide stale/duplicate-discard counter.
-func AddStaleDropped(n int64) { staleDroppedTotal.Add(n) }
-
-// AddRetries bumps the process-wide client-retry counter.
-func AddRetries(n int64) { retriesTotal.Add(n) }
-
-// AddPartialRound counts one round that closed with a partial cohort.
-func AddPartialRound() { partialRoundsTotal.Add(1) }
-
-// RecordAsyncFlush publishes one async buffer flush: its occupancy (uploads
-// aggregated) and the staleness of each contribution.
-func RecordAsyncFlush(occupancy int, staleness []int) {
-	asyncFlushesTotal.Add(1)
-	asyncOccupancyTotal.Add(int64(occupancy))
-	for _, s := range staleness {
-		asyncStalenessTotal.Add(int64(s))
-		// expvar.Int has no CAS; a concurrent larger max can win the race,
-		// which only ever leaves the gauge at a legitimate observed value.
-		if int64(s) > asyncStalenessMax.Value() {
-			asyncStalenessMax.Set(int64(s))
-		}
-	}
-}
-
 func init() {
 	// Live kernel/arena counters from the tensor compute layer, exported as
-	// one JSON object at /debug/vars alongside the round counters.
+	// one JSON object at /debug/vars. They are process-wide by nature: every
+	// run in the process issues products through the same kernels. What a
+	// run measures lives in its Recorder's traces.
 	expvar.Publish("fedpkd_kernel_stats", expvar.Func(func() any {
 		s := tensor.ReadKernelStats()
 		b, _ := json.Marshal(s)
 		return json.RawMessage(b)
 	}))
-}
-
-// AddBatches counts minibatches processed by the training loops.
-func AddBatches(n int) { batchesTotal.Add(int64(n)) }
-
-// BatchesTotal returns the process-wide minibatch count.
-func BatchesTotal() int64 { return batchesTotal.Value() }
-
-// WorkerStarted marks one fan-out worker goroutine as active.
-func WorkerStarted() { activeWorkers.Add(1) }
-
-// WorkerDone marks one fan-out worker goroutine as parked.
-func WorkerDone() { activeWorkers.Add(-1) }
-
-// AddWorkerBusy accumulates time a fan-out worker spent inside a client job.
-func AddWorkerBusy(d time.Duration) { workerBusyNS.Add(int64(d)) }
-
-// RecordCheckpoint publishes one durable checkpoint write: the round it
-// covers, its encoded size, and how long the write took.
-func RecordCheckpoint(round int, bytes int64, d time.Duration) {
-	lastCheckpointRound.Set(int64(round))
-	checkpointBytes.Add(bytes)
-	checkpointWriteNS.Add(int64(d))
-	checkpointsTotal.Add(1)
 }
 
 // RoundTrace is the observed cost profile of one communication round.
@@ -192,14 +105,16 @@ type RoundTrace struct {
 	// and omitted, so legacy trace schemas are unchanged — for flat runs.
 	TierUpBytes   int64 `json:"tier_up_bytes,omitempty"`
 	TierDownBytes int64 `json:"tier_down_bytes,omitempty"`
-	// Batches is the number of minibatches processed during the round
-	// (process-wide counter delta; concurrent runs in one process share it).
+	// Batches is the number of minibatches this run's training loops
+	// stepped during the round, client and server alike: each training call
+	// adds its step count through the engine's RoundContext, so concurrent
+	// runs in one process never count each other's.
 	Batches int64 `json:"batches"`
 	// Workers is the size of the parallel client fan-out this round.
 	Workers int `json:"workers"`
 	// Kernel* fields are deltas of the tensor compute layer's process-wide
-	// counters over this round (like Batches, concurrent runs in one process
-	// share them): scalar multiply-adds executed, kernel launches (each on
+	// counters over this round (unlike Batches, concurrent runs in one
+	// process share them): scalar multiply-adds executed, kernel launches (each on
 	// its caller's goroutine), matrices allocated, and scratch-arena misses.
 	// A steady-state round should show KernelMatrixAllocs and
 	// KernelScratchMisses near zero. KernelParallelCalls is always 0: the
@@ -314,7 +229,6 @@ type Recorder struct {
 	open       bool
 	cur        RoundTrace
 	start      time.Time
-	batchMark  int64
 	kernelMark tensor.KernelStats
 	done       []RoundTrace
 	onRound    func(RoundTrace)
@@ -359,7 +273,6 @@ func (r *Recorder) RoundStarted(round int) {
 	closed, cb, ok := r.closeLocked()
 	r.open = true
 	r.start = time.Now()
-	r.batchMark = BatchesTotal()
 	r.kernelMark = tensor.ReadKernelStats()
 	r.cur = RoundTrace{
 		Algo:          r.algo,
@@ -369,7 +282,6 @@ func (r *Recorder) RoundStarted(round int) {
 		PhaseNS:       make(map[string]int64),
 	}
 	r.mu.Unlock()
-	roundsTotal.Add(1)
 	if ok && cb != nil {
 		cb(closed)
 	}
@@ -402,7 +314,6 @@ func (r *Recorder) closeLocked() (RoundTrace, func(RoundTrace), bool) {
 		}
 	}
 	r.cur.WallNS = int64(time.Since(r.start))
-	r.cur.Batches = BatchesTotal() - r.batchMark
 	ks := tensor.ReadKernelStats()
 	r.cur.KernelOps = ks.Ops - r.kernelMark.Ops
 	r.cur.KernelSerialCalls = ks.SerialCalls - r.kernelMark.SerialCalls
@@ -431,8 +342,8 @@ func (r *Recorder) SetCodec(codec string) {
 }
 
 // SetRobustness attaches the round's failure-tolerance profile to the open
-// trace and feeds the process-wide robustness counters. Call once per round,
-// before the next RoundStarted/Finish closes the trace.
+// trace. Call once per round, before the next RoundStarted/Finish closes the
+// trace.
 func (r *Recorder) SetRobustness(rb Robustness) {
 	if r == nil {
 		return
@@ -440,12 +351,6 @@ func (r *Recorder) SetRobustness(rb Robustness) {
 	r.mu.Lock()
 	r.cur.Robustness = &rb
 	r.mu.Unlock()
-	AddStaleDropped(int64(rb.StaleDropped + rb.DupDropped + rb.CorruptDropped))
-	AddRetries(int64(rb.Retries))
-	AddFaultsInjected(rb.FaultsInjected)
-	if rb.Cohort < rb.Expected {
-		AddPartialRound()
-	}
 }
 
 // SetAsync attaches the round's async buffer-flush profile to the open
@@ -459,9 +364,8 @@ func (r *Recorder) SetAsync(a AsyncTrace) {
 	r.mu.Unlock()
 }
 
-// SetChurn attaches the round's population profile to the open trace and
-// feeds the process-wide registry counters. Call once per round, before the
-// next RoundStarted/Finish closes the trace.
+// SetChurn attaches the round's population profile to the open trace. Call
+// once per round, before the next RoundStarted/Finish closes the trace.
 func (r *Recorder) SetChurn(c Churn) {
 	if r == nil {
 		return
@@ -469,9 +373,20 @@ func (r *Recorder) SetChurn(c Churn) {
 	r.mu.Lock()
 	r.cur.Churn = &c
 	r.mu.Unlock()
-	registrySize.Set(int64(c.Registered))
-	registryJoinsTotal.Add(int64(c.Joins))
-	registryLeavesTotal.Add(int64(c.Leaves))
+}
+
+// AddBatches adds n minibatches to the open round's count: a training
+// call's step count, added once per call. A no-op before the first round
+// and after Finish.
+func (r *Recorder) AddBatches(n int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if r.open {
+		r.cur.Batches += int64(n)
+	}
+	r.mu.Unlock()
 }
 
 // SetWorkers records the parallel fan-out width of the current round.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -29,6 +28,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.SetWorkers(4)
 	r.Span(PhaseServerTrain)()
 	r.ClientSpan(3)()
+	r.AddBatches(2)
 	r.OnRoundEnd(func(RoundTrace) {})
 	r.Finish()
 	if got := r.Traces(); got != nil {
@@ -59,7 +59,8 @@ func TestRecorderRoundLifecycle(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	stop()
 	r.Span(PhaseEval)()
-	AddBatches(5)
+	r.AddBatches(2)
+	r.AddBatches(3)
 
 	startRound(l, r, 1) // closes round 0
 	l.AddUpload(7)
@@ -67,6 +68,7 @@ func TestRecorderRoundLifecycle(t *testing.T) {
 	r.Finish()
 	r.Finish()      // idempotent
 	l.AddUpload(99) // billed after the close: the closed trace keeps its copy
+	r.AddBatches(9) // likewise: no round is open to count it
 
 	traces := r.Traces()
 	if len(traces) != 2 {
@@ -82,8 +84,8 @@ func TestRecorderRoundLifecycle(t *testing.T) {
 	if r0.Workers != 3 {
 		t.Errorf("round 0 workers = %d, want 3", r0.Workers)
 	}
-	if r0.Batches < 5 {
-		t.Errorf("round 0 batches = %d, want >= 5", r0.Batches)
+	if r0.Batches != 5 {
+		t.Errorf("round 0 batches = %d, want 5", r0.Batches)
 	}
 	if r0.WallNS <= 0 {
 		t.Errorf("round 0 wall = %d, want > 0", r0.WallNS)
@@ -96,6 +98,9 @@ func TestRecorderRoundLifecycle(t *testing.T) {
 	}
 	if _, ok := r0.PhaseNS[PhaseEval]; !ok {
 		t.Error("eval phase missing")
+	}
+	if traces[1].Batches != 0 {
+		t.Errorf("round 1 batches = %d, want 0", traces[1].Batches)
 	}
 	if traces[1].UploadBytes != 7 || traces[1].TierUpBytes != 4 {
 		t.Errorf("round 1 upload/tier up = %d/%d, want 7/4", traces[1].UploadBytes, traces[1].TierUpBytes)
@@ -124,7 +129,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			l.AddDownload(5)
 			stop()
 			r.Span(PhaseClientPublic)()
-			AddBatches(1)
+			r.AddBatches(1)
 		}(c)
 	}
 	wg.Wait()
@@ -142,6 +147,9 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if c := traces[1].ControlBytes; c != 0 && c != 3 {
 		t.Errorf("round 1 control = %d, want 0 or 3", c)
+	}
+	if tr.Batches != 32 {
+		t.Errorf("batches = %d, want 32", tr.Batches)
 	}
 	if len(tr.ClientTrainNS) != 32 {
 		t.Errorf("client spans = %d, want 32", len(tr.ClientTrainNS))
@@ -239,6 +247,9 @@ func TestProgressLine(t *testing.T) {
 	}
 }
 
+// TestDebugServerServesVarsAndPprof: the debug endpoint serves pprof and
+// expvar, and the one fedpkd_ var it publishes is the tensor layer's
+// process-wide kernel counters. Everything a run measures lives in its trace.
 func TestDebugServerServesVarsAndPprof(t *testing.T) {
 	srv, err := StartDebugServer("127.0.0.1:0")
 	if err != nil {
@@ -255,21 +266,39 @@ func TestDebugServerServesVarsAndPprof(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d", path, resp.StatusCode)
 		}
-		if path == "/debug/vars" && !strings.Contains(string(body), "fedpkd_batches_total") {
-			t.Errorf("/debug/vars missing fedpkd_batches_total: %s", body)
+		if path != "/debug/vars" {
+			continue
+		}
+		var vars map[string]json.RawMessage
+		if err := json.Unmarshal(body, &vars); err != nil {
+			t.Fatalf("/debug/vars is not a JSON object: %v", err)
+		}
+		var ours []string
+		for k := range vars {
+			if strings.HasPrefix(k, "fedpkd_") {
+				ours = append(ours, k)
+			}
+		}
+		if len(ours) != 1 || ours[0] != "fedpkd_kernel_stats" {
+			t.Errorf("/debug/vars publishes %v, want only fedpkd_kernel_stats", ours)
 		}
 	}
 }
 
+// TestGlobalCounters pins that a run's counts are its own: batches added to
+// one recorder leave a second one, open on the same round at the same time,
+// at zero.
 func TestGlobalCounters(t *testing.T) {
-	before := BatchesTotal()
-	AddBatches(3)
-	if got := BatchesTotal() - before; got != 3 {
-		t.Errorf("batch counter delta = %d, want 3", got)
+	a, b := NewRecorder("a"), NewRecorder("b")
+	a.RoundStarted(0)
+	b.RoundStarted(0)
+	a.AddBatches(3)
+	a.Finish()
+	b.Finish()
+	if got := a.Traces()[0].Batches; got != 3 {
+		t.Errorf("recorder a counted %d batches, want 3", got)
 	}
-	WorkerStarted()
-	WorkerDone()
-	AddWorkerBusy(time.Millisecond)
-	// Smoke only: gauges are process-global and shared with other tests.
-	_ = fmt.Sprintf("%d", BatchesTotal())
+	if got := b.Traces()[0].Batches; got != 0 {
+		t.Errorf("recorder b counted %d batches, want 0: it saw a's", got)
+	}
 }
