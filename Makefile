@@ -48,8 +48,9 @@ PAIRS ?= 10
 bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
-# fuzz runs the decode fuzzers (transport round messages, comm packed
-# sections, and the checkpoint parsers: the ckpt container and its file-name
+# fuzz runs the decode fuzzers (transport round messages and their
+# no-aliasing premise — a decoded message shares no byte with its input, so a
+# receiver may release the buffer it read — comm packed sections, and the checkpoint parsers: the ckpt container and its file-name
 # filter, histories, state dicts and prototype sets), the operator-facing
 # spec parsers (-chaos, -availability, -population), the control socket's
 # command line, and the kernel-path fuzzers (simd inner loops == pure-Go
@@ -59,7 +60,8 @@ bench-pairs:
 # testdata/fuzz/; the checkpoint parsers seed from their own encoders.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/transport/ -run=XXX -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport/ -run=XXX -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport/ -run=XXX -fuzz=FuzzDecodeDoesNotAlias -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=XXX -fuzz=FuzzDecodeSection -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -run=XXX -fuzz=FuzzRead -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -run=XXX -fuzz=FuzzParseRoundFileName -fuzztime=$(FUZZTIME)

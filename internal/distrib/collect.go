@@ -119,7 +119,9 @@ const (
 
 // ladder adjudicates one inbound envelope, rung by rung: it consumes control
 // traffic, calls reject or rejectFrom at the rung that fails, or calls accept
-// for the child the envelope settles.
+// for the child the envelope settles. A ladder releases the envelope's buffer
+// as soon as it has decoded the payload; collect releases whatever a ladder
+// returns without getting that far.
 type ladder func(c *collector, e *transport.Envelope)
 
 // collector gathers one round's contributions from one inbox under one
@@ -218,6 +220,7 @@ func (c *collector) collect() (report *roundReport, roundErr, err error) {
 			return nil, nil, fmt.Errorf("distrib: %s plane recv: %w", pl.name, rerr)
 		}
 		c.ladder(c, e)
+		e.Release()
 	}
 	if c.fatal != nil {
 		return nil, nil, c.fatal
@@ -276,7 +279,10 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 			return
 		}
 		var ru transport.RoundUpload
-		if derr := transport.Decode(e.Payload, &ru); derr != nil {
+		derr := transport.Decode(e.Payload, &ru)
+		wire := e.WireSize()
+		e.Release() // Decode copied everything it keeps
+		if derr != nil {
 			c.reject(&pl.corrupt, derr)
 			return
 		}
@@ -328,12 +334,12 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 			return
 		}
 		if codec == comm.CodecFloat64 {
-			ledger.AddUpload(e.WireSize())
+			ledger.AddUpload(wire)
 		} else {
 			raw := rawWireSize(
 				transport.RoundUpload{Round: ru.Round, Client: ru.Client, HasPayload: true, Payload: transport.PayloadToWire(p)},
-				e.WireSize())
-			ledger.AddUploadRaw(e.WireSize(), raw)
+				wire)
+			ledger.AddUploadRaw(wire, raw)
 		}
 		if serr := sink(engine.Upload{Client: ru.Client, Payload: p}); serr != nil {
 			c.roundErr = serr

@@ -247,6 +247,15 @@ func (p *roundPlan) start(c int) planStart {
 // ref returns the delta reference client c's upload decodes against.
 func (p *roundPlan) ref(c int) []float64 { return p.start(c).ref }
 
+// release returns the plan's encoded starts to the transport's free list,
+// once the last of them has been sent.
+func (p *roundPlan) release() {
+	p.shared.release()
+	for _, o := range p.override {
+		o.release()
+	}
+}
+
 // flush reports whether the plan is an async buffer flush (it carries
 // staleness weights).
 func (p *roundPlan) flush() bool { return p.Weights != nil }
@@ -354,7 +363,9 @@ func (s *Service) recordRobustness(plan *roundPlan, rp *roundReport, injected in
 func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 	t, cohort := plan.Round, plan.Cohort
 	start := func(i int) frame { return plan.start(cohort[i]).frame }
-	if err := s.fanFraming(transport.KindRoundStart, t, cohort, start); err != nil {
+	err := s.fanFraming(transport.KindRoundStart, t, cohort, start)
+	plan.release()
+	if err != nil {
 		return nil, err
 	}
 
@@ -385,7 +396,9 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 	if fatal != nil {
 		return report, fatal
 	}
-	if err := s.fanFraming(transport.KindRoundEnd, t, cohort, func(int) frame { return end }); err != nil && roundErr == nil {
+	err = s.fanFraming(transport.KindRoundEnd, t, cohort, func(int) frame { return end })
+	end.release()
+	if err != nil && roundErr == nil {
 		return report, err
 	}
 	return report, roundErr
@@ -398,13 +411,15 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 // outcomes would make traffic totals depend on crash timing, breaking the
 // same-seed-same-history guarantee. The first send failure is returned when
 // the client plane is strict; a tolerant plane's deadline covers the gap.
+// Send borrows its envelope, so one envelope carries every member's copy.
 func (s *Service) fanFraming(kind transport.Kind, t int, cohort []int, msg func(i int) frame) error {
 	ledger := s.runner.Ledger()
 	coded := s.runner.Codec() != comm.CodecFloat64
 	var first error
+	e := &transport.Envelope{Kind: kind, From: -1, Round: t}
 	for i, c := range cohort {
 		f := msg(i)
-		e := &transport.Envelope{Kind: kind, From: -1, To: c, Round: t, Payload: f.bytes}
+		e.To, e.Payload = c, f.bytes
 		err := s.tr.server.Send(e)
 		billFraming(ledger, f.knowledge, coded, e.WireSize(), f.raw)
 		if err != nil && s.clients.strict && first == nil {
@@ -424,12 +439,27 @@ func (rp *roundReport) contributed(uploads []engine.Upload) {
 // frame is one encoded round-framing message (a RoundStart or RoundEnd
 // payload) with its billing facts: whether it carries knowledge (a global, a
 // broadcast) rather than control only, and its raw-equivalent envelope size
-// under a compressing codec.
+// under a compressing codec. A frame encoded here holds its bytes in a
+// transport free-list buffer, owned by enc until release; a leaf's frames
+// are bytes it decoded out of the root's messages and own nothing.
 type frame struct {
 	bytes     []byte
 	knowledge bool
 	raw       int
+	enc       *transport.Envelope
 }
+
+// encodeFrame encodes msg into a buffer from the transport's free list.
+func encodeFrame(msg any) (frame, error) {
+	enc := &transport.Envelope{}
+	if err := enc.Encode(msg); err != nil {
+		return frame{}, err
+	}
+	return frame{bytes: enc.Payload, enc: enc}, nil
+}
+
+// release returns f's buffer to the free list after its last Send.
+func (f frame) release() { f.enc.Release() }
 
 // encodeRoundStart encodes one round-opening message carrying global (which
 // must already be codec-applied), once per plan: the flat server fans the
@@ -440,10 +470,11 @@ func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (frame, e
 		return frame{}, err
 	}
 	msg := transport.RoundStart{Round: t, HasGlobal: global != nil, Global: gw, Codec: uint8(codec)}
-	ws := frame{knowledge: msg.HasGlobal}
-	if ws.bytes, err = transport.Encode(msg); err != nil {
+	ws, err := encodeFrame(msg)
+	if err != nil {
 		return frame{}, err
 	}
+	ws.knowledge = msg.HasGlobal
 	if codec != comm.CodecFloat64 && msg.HasGlobal {
 		ws.raw = rawWireSize(
 			transport.RoundStart{Round: t, HasGlobal: true, Global: transport.PayloadToWire(global)},
@@ -474,18 +505,18 @@ func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr erro
 		re.Broadcast = transport.WirePayload{}
 		re.Err = roundErr.Error()
 	}
-	payload, err := transport.Encode(re)
+	end, err := encodeFrame(re)
 	if err != nil {
 		if roundErr != nil {
 			return frame{}, roundErr, roundErr
 		}
 		return frame{}, nil, err
 	}
-	end = frame{bytes: payload, knowledge: re.HasBroadcast}
+	end.knowledge = re.HasBroadcast
 	if codec != comm.CodecFloat64 && re.HasBroadcast {
 		end.raw = rawWireSize(
 			transport.RoundEnd{Round: t, HasBroadcast: true, Broadcast: transport.PayloadToWire(bcast)},
-			(&transport.Envelope{Payload: payload}).WireSize())
+			(&transport.Envelope{Payload: end.bytes}).WireSize())
 	}
 	return end, roundErr, nil
 }
@@ -622,10 +653,11 @@ func (p *clientPeer) round(t int) error {
 			return fmt.Errorf("client %d recv: %w", p.id, err)
 		}
 		ok, gerr := p.gate(t, e)
-		if gerr != nil {
-			return gerr
-		}
 		if !ok {
+			e.Release()
+			if gerr != nil {
+				return gerr
+			}
 			continue
 		}
 		if e.Kind == transport.KindRoundEnd {
@@ -636,6 +668,7 @@ func (p *clientPeer) round(t int) error {
 		}
 		var startMsg transport.RoundStart
 		derr := transport.Decode(e.Payload, &startMsg)
+		e.Release()
 		if derr == nil {
 			derr = startMsg.Validate()
 		}
@@ -696,17 +729,19 @@ func (p *clientPeer) round(t int) error {
 			return fmt.Errorf("client %d recv: %w", p.id, err)
 		}
 		ok, gerr := p.gate(t, e)
-		if gerr != nil {
+		if !ok {
+			e.Release()
+			if gerr == nil {
+				continue
+			}
 			if roundErr != nil {
 				return roundErr
 			}
 			return gerr
 		}
-		if !ok {
-			continue
-		}
 		if e.Kind != transport.KindRoundEnd {
 			// A duplicated RoundStart after the upload.
+			e.Release()
 			if err := pl.reject(&pl.stale, fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)); err != nil {
 				return err
 			}
@@ -717,6 +752,7 @@ func (p *clientPeer) round(t int) error {
 
 	var re transport.RoundEnd
 	err := transport.Decode(endEnv.Payload, &re)
+	endEnv.Release()
 	if err == nil {
 		err = re.Validate()
 	}
@@ -746,20 +782,23 @@ func (p *clientPeer) round(t int) error {
 }
 
 // sendUpload encodes and sends one RoundUpload, retrying transient failures
-// on the client plane's backoff schedule.
+// on the client plane's backoff schedule. The frame goes back to the
+// transport's free list after the last attempt: Send only borrows it.
 func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload) error {
-	payload, err := transport.Encode(ru)
-	if err != nil {
+	e := &transport.Envelope{Kind: transport.KindUpload, From: p.id, To: -1, Round: t}
+	if err := e.Encode(ru); err != nil {
 		return err
 	}
-	e := &transport.Envelope{Kind: transport.KindUpload, From: p.id, To: -1, Round: t, Payload: payload}
+	defer e.Release()
 	return p.pl.send(uint64(t)*1000+600+uint64(p.id), func(int) error { return p.conn.Send(e) })
 }
 
 // receiver pumps a Conn into a channel so callers can apply deadlines to
 // Recv. stop() detaches the pump; the pump also exits when the conn errors
 // (including the close a worker issues on shutdown), so no goroutine is left
-// blocked on a channel send.
+// blocked on a channel send. The pump reads ahead of its caller: each
+// envelope it hands over is the caller's to Release, and one it still holds
+// when it exits it releases itself.
 type receiver struct {
 	ch   chan recvResult
 	done chan struct{}
@@ -784,6 +823,7 @@ func newReceiver(conn transport.Conn) *receiver {
 			select {
 			case r.ch <- recvResult{e, err}:
 			case <-r.done:
+				e.Release()
 				return
 			}
 			if err != nil {
@@ -828,10 +868,11 @@ func (r *receiver) recv(timeout time.Duration) (*transport.Envelope, error) {
 func (r *receiver) drain() {
 	for {
 		select {
-		case _, ok := <-r.ch:
+		case res, ok := <-r.ch:
 			if !ok {
 				return
 			}
+			res.e.Release()
 		default:
 			return
 		}
@@ -913,6 +954,7 @@ func (m *muxConn) pump(id int, conn transport.Conn) {
 			return
 		}
 		if !m.deliver(recvResult{e, nil}) {
+			e.Release()
 			return
 		}
 	}

@@ -67,9 +67,9 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 	// per-client retained globals for an async flush.
 	fatal := s.fanFraming(transport.KindRoundStart, t, cohort, func(i int) frame {
 		if cs := sa.Clients[i]; cs.Start != nil {
-			return frame{cs.Start, cs.HasGlobal, cs.StartRaw}
+			return frame{bytes: cs.Start, knowledge: cs.HasGlobal, raw: cs.StartRaw}
 		}
-		return frame{sa.Start, sa.HasGlobal, sa.StartRaw}
+		return frame{bytes: sa.Start, knowledge: sa.HasGlobal, raw: sa.StartRaw}
 	})
 
 	part := engine.NewExactPartial(shard)
@@ -103,15 +103,16 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		// locally built error close so the shard's clients unpark.
 		re := transport.RoundEnd{Round: t, Codec: uint8(runner.Codec()),
 			Err: fmt.Sprintf("distrib: leaf %d lost the root: %v", shard, seErr)}
-		end.bytes, _ = transport.Encode(re)
+		end, _ = encodeFrame(re)
 		if fatal == nil {
 			fatal = seErr
 		}
 	} else {
-		end = frame{se.End, se.HasBroadcast, se.EndRaw}
+		end = frame{bytes: se.End, knowledge: se.HasBroadcast, raw: se.EndRaw}
 	}
 	if end.bytes != nil {
 		sendErr := s.fanFraming(transport.KindRoundEnd, t, cohort, func(int) frame { return end })
+		end.release()
 		if fatal == nil && roundErr == nil {
 			fatal = sendErr
 		}
@@ -139,6 +140,7 @@ func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver
 			// upper transport): surface it like any other dead-link failure.
 			return fmt.Errorf("distrib: leaf %d await close: %w", shard, err)
 		}
+		e.Release()
 		if e.Kind == transport.KindShardEnd && e.Round == t {
 			break
 		}
@@ -193,11 +195,9 @@ func buildDigest(t, shard int, part *engine.Partial, report *roundReport, digest
 // only happen when the fabric is tearing down, and then the root's collect
 // errors on its own.
 func (s *Service) sendDigest(t, shard int, d *transport.ShardDigest) {
-	payload, err := transport.Encode(d)
-	if err != nil {
-		payload = nil
-	}
-	env := &transport.Envelope{Kind: transport.KindShardDigest, From: shard, To: -1, Round: t, Payload: payload}
+	env := &transport.Envelope{Kind: transport.KindShardDigest, From: shard, To: -1, Round: t}
+	_ = env.Encode(d) // on failure the payload stays empty
+	defer env.Release()
 	_ = s.tier.send(uint64(t)*1000+800+uint64(shard), func(attempt int) error {
 		if attempt > 1 {
 			s.root.note(shard, func(h *ShardHealth) { h.Retries++ })
@@ -218,9 +218,12 @@ func awaitAssign(shard, t int, up transport.Conn) (*transport.ShardAssign, error
 	}
 	sa := &transport.ShardAssign{}
 	if e.Kind != transport.KindShardAssign || e.Round != t {
+		e.Release()
 		return sa, fmt.Errorf("distrib: leaf %d got kind %v round %d awaiting round %d's assignment", shard, e.Kind, e.Round, t)
 	}
-	if derr := transport.Decode(e.Payload, sa); derr != nil {
+	derr := transport.Decode(e.Payload, sa)
+	e.Release()
+	if derr != nil {
 		return sa, derr
 	}
 	if verr := sa.Validate(); verr != nil {
@@ -240,10 +243,13 @@ func awaitShardEnd(shard, t int, up transport.Conn) (*transport.ShardEnd, error)
 		return nil, fmt.Errorf("distrib: leaf %d await close: %w", shard, err)
 	}
 	if e.Kind != transport.KindShardEnd || e.Round != t {
+		e.Release()
 		return nil, fmt.Errorf("distrib: leaf %d got kind %v round %d awaiting round %d's close", shard, e.Kind, e.Round, t)
 	}
 	var se transport.ShardEnd
-	if derr := transport.Decode(e.Payload, &se); derr != nil {
+	derr := transport.Decode(e.Payload, &se)
+	e.Release()
+	if derr != nil {
 		return nil, derr
 	}
 	if verr := se.Validate(); verr != nil {

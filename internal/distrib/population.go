@@ -168,5 +168,6 @@ func dialAndJoin(addr string, id int) (transport.Conn, error) {
 		if e.Kind == transport.KindHello && e.To == id {
 			return conn, nil
 		}
+		e.Release()
 	}
 }

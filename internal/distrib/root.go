@@ -78,24 +78,11 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	t, runner := plan.Round, r.runner
 	shards := len(r.children)
 
-	shared := plan.shared
 	cohorts := r.shardCohorts(plan.Cohort)
-	for i, members := range cohorts {
-		sa := transport.ShardAssign{
-			Round: t, Shard: i,
-			Start: shared.bytes, HasGlobal: shared.knowledge, StartRaw: shared.raw, Ref: shared.ref,
-			Clients: make([]transport.ClientStart, len(members)),
-		}
-		for j, c := range members {
-			cs := transport.ClientStart{Client: c}
-			if o, ok := plan.override[c]; ok {
-				cs.Start, cs.HasGlobal, cs.StartRaw, cs.Ref = o.bytes, o.knowledge, o.raw, o.ref
-			}
-			sa.Clients[j] = cs
-		}
-		if err := r.sendDown(transport.KindShardAssign, i, t, &sa); err != nil {
-			return nil, err
-		}
+	err := r.assign(plan, cohorts)
+	plan.release()
+	if err != nil {
+		return nil, err
 	}
 
 	digests := make([]*transport.ShardDigest, shards)
@@ -132,6 +119,7 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	}
 	// Every leaf gets the encoded round close with its billing facts, so each
 	// can close its shard exactly as the flat server would have.
+	defer end.release()
 	for i := range r.children {
 		se := transport.ShardEnd{Round: t, Shard: i, End: end.bytes, HasBroadcast: end.knowledge, EndRaw: end.raw}
 		if err := r.sendDown(transport.KindShardEnd, i, t, se); err != nil {
@@ -141,14 +129,38 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	return report, roundErr
 }
 
+// assign sends every leaf its shard's assignment: the plan's shared start,
+// and each member's override where it has one.
+func (r *root) assign(plan *roundPlan, cohorts [][]int) error {
+	shared := plan.shared
+	for i, members := range cohorts {
+		sa := transport.ShardAssign{
+			Round: plan.Round, Shard: i,
+			Start: shared.bytes, HasGlobal: shared.knowledge, StartRaw: shared.raw, Ref: shared.ref,
+			Clients: make([]transport.ClientStart, len(members)),
+		}
+		for j, c := range members {
+			cs := transport.ClientStart{Client: c}
+			if o, ok := plan.override[c]; ok {
+				cs.Start, cs.HasGlobal, cs.StartRaw, cs.Ref = o.bytes, o.knowledge, o.raw, o.ref
+			}
+			sa.Clients[j] = cs
+		}
+		if err := r.sendDown(transport.KindShardAssign, i, plan.Round, &sa); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // sendDown ships one round-framing message (an assignment or a close) to a
 // leaf and bills the tier backhaul.
 func (r *root) sendDown(kind transport.Kind, shard, t int, msg any) error {
-	payload, err := transport.Encode(msg)
-	if err != nil {
+	env := &transport.Envelope{Kind: kind, From: -1, To: shard, Round: t}
+	if err := env.Encode(msg); err != nil {
 		return err
 	}
-	env := &transport.Envelope{Kind: kind, From: -1, To: shard, Round: t, Payload: payload}
+	defer env.Release()
 	if err := r.send(env); err != nil {
 		return fmt.Errorf("distrib: root send %v to shard %d: %w", kind, shard, err)
 	}
@@ -168,7 +180,9 @@ func (r *root) digestLadder(digests []*transport.ShardDigest) ladder {
 			return
 		}
 		var d transport.ShardDigest
-		if derr := transport.Decode(e.Payload, &d); derr != nil {
+		derr := transport.Decode(e.Payload, &d)
+		e.Release()
+		if derr != nil {
 			c.rejectFrom(e.From, &pl.corrupt, derr)
 			return
 		}

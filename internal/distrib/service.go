@@ -398,6 +398,7 @@ func (s *Service) registerPopulation() error {
 		}
 		// Anything else arriving before the first round is leftover traffic;
 		// round gating would discard it anyway.
+		e.Release()
 	}
 	return nil
 }
@@ -439,6 +440,7 @@ func (s *Service) drainRegistrationChan(ch chan recvResult) {
 			case transport.KindGoodbye:
 				s.reg.QueueLeave(res.e.From)
 			}
+			res.e.Release()
 		default:
 			return
 		}

@@ -90,7 +90,9 @@ func (s *Service) demux() {
 		if res.e.From >= 0 && res.e.From < s.n {
 			shard = ShardOf(res.e.From, s.n, tree.topo.Shards)
 		}
-		tree.leafRx[shard].push(res)
+		if !tree.leafRx[shard].push(res) {
+			res.e.Release()
+		}
 	}
 }
 

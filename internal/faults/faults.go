@@ -458,6 +458,7 @@ func (c *Conn) Recv() (*transport.Envelope, error) {
 		attempt := c.nextRecv(e)
 		if p.DropProb > 0 && p.roll(saltRecvDrop, c.peer, e.Kind, e.Round, attempt) < p.DropProb {
 			c.stats.count(clientPlane, dropFault)
+			e.Release()
 			continue
 		}
 		if p.DelayProb > 0 && p.roll(saltRecvDelay, c.peer, e.Kind, e.Round, attempt) < p.DelayProb {
@@ -487,7 +488,8 @@ func (c *Conn) delayFor(salt uint64, e *transport.Envelope, attempt int) time.Du
 // corruptEnvelope returns a copy of e with a deterministic sprinkle of
 // payload bytes flipped, positioned by the given salt's stream. The header
 // (kind, peers, round) is left intact so the receiver can still attribute
-// the garbage to its sender.
+// the garbage to its sender. The copy owns no transport buffer: e keeps its
+// own, which its sender releases.
 func corruptEnvelope(p *Plan, salt uint64, peer int, e *transport.Envelope, attempt int) *transport.Envelope {
 	payload := append([]byte(nil), e.Payload...)
 	rng := stats.Split(p.Seed, stats.Mix(salt, uint64(peer)+1, uint64(e.Kind), uint64(int64(e.Round))+2, uint64(attempt)+3))
@@ -496,9 +498,7 @@ func corruptEnvelope(p *Plan, salt uint64, peer int, e *transport.Envelope, atte
 		pos := rng.IntN(len(payload))
 		payload[pos] ^= byte(1 + rng.IntN(255))
 	}
-	out := *e
-	out.Payload = payload
-	return &out
+	return &transport.Envelope{Kind: e.Kind, From: e.From, To: e.To, Round: e.Round, Payload: payload}
 }
 
 // Backoff is a bounded exponential retry schedule with deterministic

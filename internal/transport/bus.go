@@ -8,7 +8,8 @@ import (
 
 // Bus is an in-memory transport connecting one server endpoint with n client
 // endpoints. It mirrors the TCP transport's semantics (ordered delivery,
-// EOF after close) without sockets, for tests and fast local runs.
+// EOF after close, Send borrowing its envelope) without sockets, for tests
+// and fast local runs.
 type Bus struct {
 	toServer  chan *Envelope
 	toClients []chan *Envelope
@@ -67,6 +68,9 @@ type busConn struct {
 
 var _ Conn = (*busConn)(nil)
 
+// Send delivers a copy of e: the receiver gets an envelope of its own, in a
+// free-list buffer, because Send only borrows e — the sender may send the same
+// envelope twice or release its buffer the moment Send returns.
 func (c *busConn) Send(e *Envelope) (err error) {
 	if err := checkPayloadSize(e); err != nil {
 		return err
@@ -77,21 +81,24 @@ func (c *busConn) Send(e *Envelope) (err error) {
 	if closed {
 		return fmt.Errorf("transport: bus is closed")
 	}
-	defer func() {
-		// A concurrent Close can close the channel mid-send; surface that as
-		// an error rather than a crash.
-		if recover() != nil {
-			err = fmt.Errorf("transport: bus closed during send")
-		}
-	}()
+	ch := c.bus.toServer
 	if c.isServer {
 		if e.To < 0 || e.To >= len(c.bus.toClients) {
 			return fmt.Errorf("transport: server send to unknown client %d", e.To)
 		}
-		c.bus.toClients[e.To] <- e
-		return nil
+		ch = c.bus.toClients[e.To]
 	}
-	c.bus.toServer <- e
+	out := &Envelope{Kind: e.Kind, From: e.From, To: e.To, Round: e.Round}
+	out.copyFrom(e.Payload)
+	defer func() {
+		// A concurrent Close can close the channel mid-send; surface that as
+		// an error rather than a crash.
+		if recover() != nil {
+			out.Release()
+			err = fmt.Errorf("transport: bus closed during send")
+		}
+	}()
+	ch <- out
 	return nil
 }
 

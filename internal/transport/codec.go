@@ -85,53 +85,62 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // pointer, into a single freshly allocated buffer of exactly EncodedSize
 // bytes. Float vectors are written straight from the message's slices, so a
 // WirePayload may alias the engine payload it was built from.
+// Envelope.Encode writes the same bytes into a buffer from the transport's
+// free list instead.
 //
 // The three entry points switch on the concrete type and call its methods
 // directly, a value argument by recursing on its address: a call through an
 // interface or a type parameter would move every message to the heap.
-func Encode(v any) ([]byte, error) {
+func Encode(v any) ([]byte, error) { return encode(v, newFrame) }
+
+// newFrame is Encode's buffer source: a new buffer, used at its final size.
+func newFrame(n int) []byte { return make([]byte, n) }
+
+// encode is Encode with the buffer taken from alloc, which returns a buffer
+// of length n.
+func encode(v any, alloc func(n int) []byte) ([]byte, error) {
 	switch m := v.(type) {
 	case RoundStart:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case RoundUpload:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case RoundEnd:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case ShardAssign:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case ShardDigest:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case ShardEnd:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case WirePayload:
-		return Encode(&m)
+		return encode(&m, alloc)
 	case *RoundStart:
 		if m != nil {
-			return seal(m.put(frame(tagRoundStart, m.size()))), nil
+			return seal(m.put(frame(alloc, tagRoundStart, m.size()))), nil
 		}
 	case *RoundUpload:
 		if m != nil {
-			return seal(m.put(frame(tagRoundUpload, m.size()))), nil
+			return seal(m.put(frame(alloc, tagRoundUpload, m.size()))), nil
 		}
 	case *RoundEnd:
 		if m != nil {
-			return seal(m.put(frame(tagRoundEnd, m.size()))), nil
+			return seal(m.put(frame(alloc, tagRoundEnd, m.size()))), nil
 		}
 	case *ShardAssign:
 		if m != nil {
-			return seal(m.put(frame(tagShardAssign, m.size()))), nil
+			return seal(m.put(frame(alloc, tagShardAssign, m.size()))), nil
 		}
 	case *ShardDigest:
 		if m != nil {
-			return seal(m.put(frame(tagShardDigest, m.size()))), nil
+			return seal(m.put(frame(alloc, tagShardDigest, m.size()))), nil
 		}
 	case *ShardEnd:
 		if m != nil {
-			return seal(m.put(frame(tagShardEnd, m.size()))), nil
+			return seal(m.put(frame(alloc, tagShardEnd, m.size()))), nil
 		}
 	case *WirePayload:
 		if m != nil {
-			return seal(m.put(frame(tagWirePayload, m.size()))), nil
+			return seal(m.put(frame(alloc, tagWirePayload, m.size()))), nil
 		}
 	}
 	return nil, unknownMessage("encode", v)
@@ -261,9 +270,10 @@ func unknownMessage(op string, v any) error {
 	return fmt.Errorf("%w: %s %v", ErrUnknownMessage, op, reflect.TypeOf(v))
 }
 
-// frame allocates a message's one buffer and writes its two opening bytes.
-func frame(tag byte, body int) []byte {
-	return append(make([]byte, 0, frameOverhead+body), formatVersion, tag)
+// frame takes a message's one buffer from alloc and writes its two opening
+// bytes.
+func frame(alloc func(n int) []byte, tag byte, body int) []byte {
+	return append(alloc(frameOverhead + body)[:0], formatVersion, tag)
 }
 
 // seal appends the CRC-32C of everything written so far.

@@ -233,6 +233,82 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzDecodeDoesNotAlias holds Decode to the premise envelope reuse stands
+// on: a decoded message shares no byte with its input. For every input Decode
+// accepts as any message type, the input is overwritten with 0xAA after the
+// decode, and Encode of the decoded message must still reproduce the input's
+// original bytes. A receiver may therefore Release an envelope the moment it
+// has decoded it. Inputs are tried verbatim and resealed, as in FuzzDecode,
+// whose checked-in corpus seeds this fuzzer.
+func FuzzDecodeDoesNotAlias(f *testing.F) {
+	for _, b := range checkedInCorpus(f, "FuzzDecode") {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeAliasesNothing(t, data)
+		if len(data) >= frameOverhead {
+			decodeAliasesNothing(t, seal(append([]byte(nil), data[:len(data)-4]...)))
+		}
+	})
+}
+
+// decodeAliasesNothing runs one input through all seven message types.
+func decodeAliasesNothing(t *testing.T, data []byte) {
+	noAlias[RoundStart](t, data)
+	noAlias[RoundUpload](t, data)
+	noAlias[RoundEnd](t, data)
+	noAlias[ShardAssign](t, data)
+	noAlias[ShardDigest](t, data)
+	noAlias[ShardEnd](t, data)
+	noAlias[WirePayload](t, data)
+}
+
+func noAlias[T any](t *testing.T, data []byte) {
+	t.Helper()
+	in := append([]byte(nil), data...)
+	var v T
+	if Decode(in, &v) != nil {
+		return
+	}
+	for i := range in {
+		in[i] = 0xAA
+	}
+	enc, err := Encode(&v)
+	if err != nil {
+		t.Fatalf("re-encode %T: %v", v, err)
+	}
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("%T changed when its input was overwritten: it aliases the input\n in  %x\n out %x", v, data, enc)
+	}
+}
+
+// checkedInCorpus reads the seed files under testdata/fuzz/<name>, each one
+// []byte value in the go test fuzz v1 format.
+func checkedInCorpus(t testing.TB, name string) [][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", name, "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in corpus for %s: %v", name, err)
+	}
+	var out [][]byte
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		if body, ok = strings.CutSuffix(body, ")\n"); !ok {
+			t.Fatalf("%s: not a single []byte corpus entry", path)
+		}
+		v, err := strconv.Unquote(body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, []byte(v))
+	}
+	return out
+}
+
 func TestDecodeRoundTrip(t *testing.T) {
 	seeds := seedCorpus(t)
 

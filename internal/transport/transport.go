@@ -80,13 +80,17 @@ func (k Kind) String() string {
 }
 
 // Envelope is the unit of transfer: a typed, round-stamped payload between
-// two peers. Peer -1 denotes the server.
+// two peers. Peer -1 denotes the server. An envelope from Recv or
+// Envelope.Encode owns the free-list buffer its payload lives in until
+// Release (frames.go); one built by hand owns nothing.
 type Envelope struct {
 	Kind    Kind
 	From    int
 	To      int
 	Round   int
 	Payload []byte
+
+	buf []byte // the free-list buffer Payload lives in; nil when none is owned
 }
 
 // WireSize returns the envelope's size on the wire (header + payload),
@@ -119,10 +123,13 @@ func checkPayloadSize(e *Envelope) error {
 
 // Conn is a bidirectional, ordered envelope stream.
 type Conn interface {
-	// Send transmits one envelope.
+	// Send transmits one envelope. It borrows e and e.Payload for the length
+	// of the call only: the caller may send e again, change it or Release it
+	// once Send returns.
 	Send(e *Envelope) error
 	// Recv blocks until the next envelope arrives, returning io.EOF after
-	// the peer closes.
+	// the peer closes. The envelope owns its payload buffer until the caller
+	// Releases it.
 	Recv() (*Envelope, error)
 	// Close releases the connection; subsequent Sends fail.
 	Close() error
@@ -137,7 +144,8 @@ func putHeader(hdr *[EnvelopeHeaderSize]byte, e *Envelope) {
 	binary.BigEndian.PutUint32(hdr[13:17], uint32(len(e.Payload)))
 }
 
-// readEnvelope deserializes one envelope from r, using hdr as header scratch.
+// readEnvelope deserializes one envelope from r, using hdr as header scratch,
+// into a payload buffer from the free list.
 func readEnvelope(r io.Reader, hdr *[EnvelopeHeaderSize]byte) (*Envelope, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -149,8 +157,9 @@ func readEnvelope(r io.Reader, hdr *[EnvelopeHeaderSize]byte) (*Envelope, error)
 	if n > maxPayload {
 		return nil, fmt.Errorf("%w: length prefix %d, limit %d", ErrPayloadTooLarge, n, maxPayload)
 	}
-	payload := make([]byte, n)
+	payload := getFrame(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
+		putFrame(payload)
 		return nil, fmt.Errorf("transport: read payload: %w", err)
 	}
 	return &Envelope{
@@ -159,5 +168,6 @@ func readEnvelope(r io.Reader, hdr *[EnvelopeHeaderSize]byte) (*Envelope, error)
 		To:      int(int32(binary.BigEndian.Uint32(hdr[5:9]))),
 		Round:   int(int32(binary.BigEndian.Uint32(hdr[9:13]))),
 		Payload: payload,
+		buf:     payload,
 	}, nil
 }

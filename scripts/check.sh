@@ -37,6 +37,17 @@ go test -race ./...
 echo ">> go test -race -count=5 -run 'Checkpoint|Resume|TraceBytes' (the background checkpoint write and its joins; trace close vs. ledger billing)"
 go test -race -count=5 -run 'Checkpoint|Resume|TraceBytes' ./internal/fl/engine ./internal/distrib .
 
+# Transport buffers move between goroutines: Send borrows its envelope, a Recv
+# envelope owns its free-list buffer until Release. Four handoffs race here —
+# the receiver pump reading the next frame ahead of its caller, the collect
+# loop and its ladders releasing a buffer right after Decode, the fan-out
+# sending one borrowed envelope to every member, and the bus copying each send
+# into a buffer for its receiver. Repeated runs under the race detector give
+# them the interleavings one pass might miss; the allocation gate in the same
+# leg fails on a missed Release.
+echo ">> go test -race -count=5 -run 'Borrow|Release|Alloc' (transport buffer handoffs: pump read-ahead, collect loop, fan-out, bus copy)"
+go test -race -count=5 -run 'Borrow|Release|Alloc' ./internal/transport ./internal/distrib
+
 # The amd64 legs above run the widest inner loops the CPU has
 # (internal/tensor/*_amd64.s: the GEMM column loops and the step's row ops,
 # in AVX2 or AVX-512), and the tensor suites compare every narrower set too.
