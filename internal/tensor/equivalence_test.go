@@ -175,31 +175,42 @@ func checkCallers(t *testing.T, want *Matrix, got []*Matrix) {
 
 // The grid the kernel paths are compared over: row counts around a full batch
 // and the pairing edge, reductions across every 4-group and 2-split tail up
-// to one past kTileNN, widths across every lane tail and the 16-column block.
+// to one past kTileNN, widths across every lane tail and around one and two
+// 16-column tiles.
 var (
 	gridM = []int{1, 2, 3, 31, 32, 33}
 	gridK = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 18, 32, 47, 48, 49, 257}
-	gridN = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 47, 48, 49}
+	gridN = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 47, 48, 49}
 )
 
 // reluOperands is a post-ReLU activation pattern aimed at the paired kernels'
 // skip decisions: over row pairs (A, C) and 4-groups of columns, a quarter of
 // the groups are all-zero in A only, a quarter in C only, a quarter in both.
 func reluOperands(seed uint64, rows, cols int) *Matrix {
-	m := Randn(stats.NewRNG(seed), rows, cols, 1)
+	return zeroGroups(Randn(stats.NewRNG(seed), rows, cols, 1), false)
+}
+
+// zeroGroups writes reluOperands' pattern of zeros into m: +0, or, when
+// signed, -0 wherever i+j is odd.
+func zeroGroups(m *Matrix, signed bool) *Matrix {
+	rows, cols := m.Rows, m.Cols
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
+			zero := 0.0
+			if signed && (i+j)%2 == 1 {
+				zero = math.Copysign(0, -1)
+			}
 			switch (i/2 + j/4) % 4 {
 			case 1:
 				if i%2 == 0 {
-					m.Data[i*cols+j] = 0
+					m.Data[i*cols+j] = zero
 				}
 			case 2:
 				if i%2 == 1 {
-					m.Data[i*cols+j] = 0
+					m.Data[i*cols+j] = zero
 				}
 			case 3:
-				m.Data[i*cols+j] = 0
+				m.Data[i*cols+j] = zero
 			}
 		}
 	}
@@ -225,33 +236,63 @@ func specialOperands(seed uint64, rows, cols int) *Matrix {
 	return m
 }
 
-// operandModes are the operand families the path comparison runs over.
-var operandModes = []struct {
-	name string
-	gen  func(seed uint64, rows, cols int) *Matrix
-}{
-	{"dense", eqOperands},
-	{"relu", reluOperands},
-	{"special", specialOperands},
+// skipOperands is the family the zero skips answer to: reluOperands' all-zero
+// groups, half of their zeros -0, set in specialOperands' values. As a, b
+// and a MatMulTNAccInto destination, it puts skipped groups and tail rows
+// against ±Inf and NaN in b, whose zero products would add a NaN, and
+// against -0 in the destination, which adding a +0 would turn into +0.
+func skipOperands(seed uint64, rows, cols int) *Matrix {
+	return zeroGroups(specialOperands(seed, rows, cols), true)
 }
 
-// checkGrid requires kernel kc, started from non-zero destination contents,
-// to give the oracle's bits on every grid shape under the current kernel
-// path.
-func checkGrid(t *testing.T, kc kernelCase, gen func(seed uint64, rows, cols int) *Matrix) {
-	loops := simd
+// operandMode is an operand family the path comparison runs over: gen
+// builds the operands, dst the destination's starting contents (the
+// accumulate kernel adds to them).
+type operandMode struct {
+	name     string
+	gen, dst func(seed uint64, rows, cols int) *Matrix
+}
+
+var operandModes = []operandMode{
+	{"dense", eqOperands, eqOperands},
+	{"relu", reluOperands, eqOperands},
+	{"special", specialOperands, eqOperands},
+	{"skip", skipOperands, skipOperands},
+}
+
+// gridCase is one grid shape's operands and destination, and the oracle's
+// result for them.
+type gridCase struct {
+	m, k, n         int
+	a, b, dst, want *Matrix
+}
+
+// gridCases builds kernel kc's grid from mode, with the oracle's result for
+// every shape, once for all the kernel paths to be compared against it.
+func gridCases(kc kernelCase, mode operandMode) []gridCase {
+	var cases []gridCase
 	for _, m := range gridM {
 		for _, k := range gridK {
 			for _, n := range gridN {
 				seed := uint64(m*100000 + k*100 + n)
-				a, b := kc.operands(gen, seed, m, k, n)
-				dst := eqOperands(seed+2, m, n)
-				want := oracle(kc.into, dst, a, b)
-				if got := runCallers(loops, 1, kc.into, dst, a, b)[0]; !bitsEqual(got, want) {
-					t.Fatalf("%dx%dx%d: not bit-identical to the pure-Go kernel\n got  %v\n want %v",
-						m, k, n, got.Data, want.Data)
-				}
+				a, b := kc.operands(mode.gen, seed, m, k, n)
+				dst := mode.dst(seed+2, m, n)
+				cases = append(cases, gridCase{m, k, n, a, b, dst, oracle(kc.into, dst, a, b)})
 			}
+		}
+	}
+	return cases
+}
+
+// checkGrid requires kernel kc, started from each case's destination
+// contents, to give the oracle's bits on every grid shape under the current
+// kernel path.
+func checkGrid(t *testing.T, kc kernelCase, cases []gridCase) {
+	loops := simd
+	for _, c := range cases {
+		if got := runCallers(loops, 1, kc.into, c.dst, c.a, c.b)[0]; !bitsEqual(got, c.want) {
+			t.Fatalf("%dx%dx%d: not bit-identical to the pure-Go kernel\n got  %v\n want %v",
+				c.m, c.k, c.n, got.Data, c.want.Data)
 		}
 	}
 }
@@ -367,7 +408,8 @@ func TestEquivalenceParallelBitIdentical(t *testing.T) {
 	for _, kc := range kernelCases {
 		for _, mode := range operandModes {
 			t.Run(fmt.Sprintf("grid/%s/%s", kc.name, mode.name), func(t *testing.T) {
-				onEachPath(t, func(t *testing.T) { checkGrid(t, kc, mode.gen) })
+				cases := gridCases(kc, mode)
+				onEachPath(t, func(t *testing.T) { checkGrid(t, kc, cases) })
 			})
 		}
 	}
@@ -401,22 +443,19 @@ func TestEquivalenceAccIntoBitIdentical(t *testing.T) {
 	}
 	for _, mode := range operandModes {
 		t.Run("grid/"+mode.name, func(t *testing.T) {
-			onEachPath(t, func(t *testing.T) { checkGrid(t, accCase, mode.gen) })
+			cases := gridCases(accCase, mode)
+			onEachPath(t, func(t *testing.T) { checkGrid(t, accCase, cases) })
 		})
 	}
 }
 
 // countedLoops returns loops with every entry wrapped to count its calls into
-// calls, under the name of its field (both axpy forms under "axpy4").
+// calls, under the name of its field.
 func countedLoops(loops *simdLoops, calls map[string]int) *simdLoops {
 	c := *loops
-	c.axpy4 = func(o, b []float64, a0, a1, a2, a3 float64) {
-		calls["axpy4"]++
-		loops.axpy4(o, b, a0, a1, a2, a3)
-	}
-	c.axpy4x2 = func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
-		calls["axpy4"]++
-		loops.axpy4x2(o, o2, b, a0, a1, a2, a3, c0, c1, c2, c3)
+	c.tile = func(o, o2, a, a2, b []float64, k, step int, load bool) {
+		calls["tile"]++
+		loops.tile(o, o2, a, a2, b, k, step, load)
 	}
 	c.dotCols = func(o, a, bt []float64, stride int) {
 		calls["dotCols"]++
@@ -490,8 +529,9 @@ func TestKernelPathReported(t *testing.T) {
 			run  func()
 			loop string
 		}{
-			{"MatMulInto", func() { MatMulInto(New(5, 8), x, w) }, "axpy4"},
-			{"MatMulTNInto", func() { MatMulTNInto(New(8, 8), x, dy) }, "axpy4"},
+			{"MatMulInto", func() { MatMulInto(New(5, 8), x, w) }, "tile"},
+			{"MatMulTNInto", func() { MatMulTNInto(New(8, 8), x, dy) }, "tile"},
+			{"MatMulTNAccInto", func() { MatMulTNAccInto(New(8, 8), x, dy) }, "tile"},
 			{"MatMulNTInto", func() { MatMulNTInto(New(5, 8), dy, w) }, "dotCols"},
 			{"AdamStep", func() { AdamStep(v(), v(), v(), v(), testAdam) }, "adam"},
 			{"AddColSumSq", func() { AddColSumSq(v(), v(), x) }, "colSumSq"},

@@ -17,28 +17,34 @@ package tensor
 // reused across every output row. The TN kernel keeps the output itself hot
 // (it is weight-gradient-shaped, i.e. small) and streams a and b exactly
 // once. The transpose walks 32x32 tiles so both the source rows and the
-// destination columns stay within a few cache lines.
+// destination columns stay within a few cache lines. NN's and TN's simd
+// path needs neither: its tile holds two output rows in registers over the
+// whole reduction (simdLoops.tile).
 const (
 	kTileNN = 256 // k-rows of b per NN pass
 	jTileNT = 64  // rows of b per NT pass
 	trTile  = 32  // transpose tile edge
 )
 
-// simdLoops are data-parallel forms of the kernels' innermost "for every
-// output column j" loops. Lanes run across columns, which never interact, and
-// every multiply and add stays a separate IEEE-exact operation (no fused
-// multiply-add), so each element sees exactly the roundings of the Go loop it
-// replaces: the determinism contract holds bit for bit across kernel paths,
-// and the Go loops are the oracle equivalence_test.go compares against.
-// Tiling, row pairing, zero-group skips and k-tails stay in Go.
+// simdLoops are data-parallel forms of the kernels' inner loops. Lanes run
+// across output columns, which never interact, and every multiply and add
+// stays a separate IEEE-exact operation (no fused multiply-add), so each
+// element sees exactly the roundings of the Go loop it replaces: the
+// determinism contract holds bit for bit across kernel paths, and the Go
+// loops are the oracle equivalence_test.go compares against.
 type simdLoops struct {
 	name string // what KernelStats.Path reports
-	// axpy4: o[j] += ((a0*b[j] + a1*b[n+j]) + a2*b[2n+j]) + a3*b[3n+j] for
-	// j < n = len(o); b is four consecutive rows of n.
-	axpy4 func(o, b []float64, a0, a1, a2, a3 float64)
-	// axpy4x2 is axpy4 for two output rows in one pass over b: o takes the a
-	// coefficients, o2 the c coefficients.
-	axpy4x2 func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64)
+	// tile is NN's and TN's whole reduction for one output row o of n =
+	// len(o) columns, and a second row o2 when o2 is not nil:
+	//
+	//	o[j] (+)= Σ_r a[r*step] * b[r*n+j]   for r < k, j < n
+	//
+	// summed in the contract's order (each ascending 4-group as one
+	// expression, then the k%4 tail row by row) with gemmNNPanel's zero
+	// skips: a row skips a group whose four coefficients are all zero, and
+	// a tail row whose coefficient is. o2 takes a2 the same way. load keeps
+	// o's contents as the start (MatMulTNAccInto); otherwise o starts at +0.
+	tile func(o, o2, a, a2, b []float64, k, step int, load bool)
 	// dotCols: o[j] = dotSplit2(a, column j of bt) for j < len(o), a positive
 	// multiple of 4; bt is a packed bᵀ whose rows are stride apart.
 	dotCols func(o, a, bt []float64, stride int)
@@ -58,11 +64,16 @@ var simd *simdLoops
 // register-blocked in pairs so each loaded group of four b rows feeds two
 // output rows; each row keeps its own skip decision and its own k-ascending
 // accumulation expression, so the result is bit-identical to the unpaired
-// walk (the determinism contract above).
+// walk (the determinism contract above). The simd tile does the same walk
+// with each row pair's outputs held in registers across the whole reduction.
 func gemmNNPanel(out, a, b *Matrix) {
 	n := b.Cols
 	kDim := a.Cols
 	rows := out.Rows
+	if simd != nil {
+		tileRows(out, a.Data, b.Data, kDim, kDim, 1, false)
+		return
+	}
 	for i := 0; i < rows; i++ {
 		orow := out.Row(i)
 		for j := range orow {
@@ -92,17 +103,6 @@ func gemmNNPanel(out, a, b *Matrix) {
 				zA := a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0
 				zC := c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0
 				if zA && zC {
-					continue
-				}
-				if simd != nil {
-					switch b4 := b.Data[k*n:][:4*n]; {
-					case zA:
-						simd.axpy4(orow2, b4, c0, c1, c2, c3)
-					case zC:
-						simd.axpy4(orow, b4, a0, a1, a2, a3)
-					default:
-						simd.axpy4x2(orow, orow2, b4, a0, a1, a2, a3, c0, c1, c2, c3)
-					}
 					continue
 				}
 				b0 := b.Data[k*n:][:n]
@@ -158,10 +158,6 @@ func gemmNNPanel(out, a, b *Matrix) {
 				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
-				if simd != nil {
-					simd.axpy4(orow, b.Data[k*n:][:4*n], a0, a1, a2, a3)
-					continue
-				}
 				b0 := b.Data[k*n:][:n]
 				b1 := b.Data[(k+1)*n:][:n]
 				b2 := b.Data[(k+2)*n:][:n]
@@ -187,10 +183,16 @@ func gemmNNPanel(out, a, b *Matrix) {
 // gemmTNPanel computes out (+)= aᵀ*b. When acc is false out is zeroed
 // first; when true the products accumulate into the existing contents
 // (fused weight-gradient accumulation: Grad += xᵀ·dy without a temporary).
+// Output row i reduces over column i of a, so the simd tile walks it as NN
+// walks a row of a, m words apart instead of one.
 func gemmTNPanel(out, a, b *Matrix, acc bool) {
 	n := b.Cols
 	kDim := a.Rows
 	m := a.Cols
+	if simd != nil {
+		tileRows(out, a.Data, b.Data, kDim, 1, m, acc)
+		return
+	}
 	if !acc {
 		for i := 0; i < m; i++ {
 			orow := out.Row(i)
@@ -212,7 +214,6 @@ func gemmTNPanel(out, a, b *Matrix, acc bool) {
 		br1 := b.Data[(k+1)*n:][:n]
 		br2 := b.Data[(k+2)*n:][:n]
 		br3 := b.Data[(k+3)*n:][:n]
-		b4 := b.Data[k*n:][:4*n] // the same four rows, as the simd loops take them
 		// Output rows in register-blocked pairs: one pass over the four b
 		// rows feeds both. Skip decisions and accumulation expressions stay
 		// per-row, so results are bit-identical to the unpaired walk.
@@ -227,17 +228,6 @@ func gemmTNPanel(out, a, b *Matrix, acc bool) {
 			}
 			orow := out.Row(i)[:n]
 			orow2 := out.Row(i + 1)[:n]
-			if simd != nil {
-				switch {
-				case zA:
-					simd.axpy4(orow2, b4, c0, c1, c2, c3)
-				case zC:
-					simd.axpy4(orow, b4, a0, a1, a2, a3)
-				default:
-					simd.axpy4x2(orow, orow2, b4, a0, a1, a2, a3, c0, c1, c2, c3)
-				}
-				continue
-			}
 			switch {
 			case zA:
 				for j, v0 := range br0 {
@@ -261,10 +251,6 @@ func gemmTNPanel(out, a, b *Matrix, acc bool) {
 				continue
 			}
 			orow := out.Row(i)[:n]
-			if simd != nil {
-				simd.axpy4(orow, b4, a0, a1, a2, a3)
-				continue
-			}
 			for j, v0 := range br0 {
 				orow[j] += a0*v0 + a1*br1[j] + a2*br2[j] + a3*br3[j]
 			}
@@ -283,6 +269,23 @@ func gemmTNPanel(out, a, b *Matrix, acc bool) {
 				orow[j] += av * bv
 			}
 		}
+	}
+}
+
+// tileRows runs simd.tile over out's rows two at a time, the last one alone
+// when their count is odd. Row i's reduction coefficients start at
+// a[i*rowStep] and lie step apart.
+func tileRows(out *Matrix, a, b []float64, kDim, rowStep, step int, load bool) {
+	if kDim == 0 {
+		rowStep = 0 // a may be empty, and the tile reads none of it
+	}
+	rows := out.Rows
+	for i := 0; i < rows; i += 2 {
+		var o2, a2 []float64
+		if i+1 < rows {
+			o2, a2 = out.Row(i+1), a[(i+1)*rowStep:]
+		}
+		simd.tile(out.Row(i), o2, a[i*rowStep:], a2, b, kDim, step, load)
 	}
 }
 
@@ -391,21 +394,32 @@ func gemmNTPanel(out, a, b, bt *Matrix) {
 
 // transposePanel writes out = mᵀ in trTile x trTile blocks, replacing the
 // seed's full-stride column walk that thrashed cache on tall matrices.
+// Within a block it walks four source rows at once, so each destination
+// row gets four adjacent words per visit; the slices are pinned to the
+// block's width so the compiler drops the bounds checks on the source.
 func transposePanel(out, m *Matrix) {
-	for jj := 0; jj < m.Cols; jj += trTile {
-		jEnd := jj + trTile
-		if jEnd > m.Cols {
-			jEnd = m.Cols
-		}
-		for ii := 0; ii < m.Rows; ii += trTile {
-			iEnd := ii + trTile
-			if iEnd > m.Rows {
-				iEnd = m.Rows
+	rows, cols := m.Rows, m.Cols
+	for jj := 0; jj < cols; jj += trTile {
+		jEnd := min(jj+trTile, cols)
+		for ii := 0; ii < rows; ii += trTile {
+			iEnd := min(ii+trTile, rows)
+			i := ii
+			for ; i+3 < iEnd; i += 4 {
+				r0 := m.Data[i*cols+jj : i*cols+jEnd]
+				r1 := m.Data[(i+1)*cols+jj:][:len(r0)]
+				r2 := m.Data[(i+2)*cols+jj:][:len(r0)]
+				r3 := m.Data[(i+3)*cols+jj:][:len(r0)]
+				dst := out.Data[jj*rows+i:]
+				for j, v := range r0 {
+					d := dst[j*rows : j*rows+4]
+					d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+				}
 			}
-			for i := ii; i < iEnd; i++ {
-				row := m.Row(i)
-				for j := jj; j < jEnd; j++ {
-					out.Data[j*m.Rows+i] = row[j]
+			for ; i < iEnd; i++ {
+				row := m.Data[i*cols+jj : i*cols+jEnd]
+				dst := out.Data[jj*rows+i:]
+				for j, v := range row {
+					dst[j*rows] = v
 				}
 			}
 		}

@@ -81,11 +81,11 @@ func TestPropertyDoubleTranspose(t *testing.T) {
 // oracle's bits on every kernel path this host has.
 func kernelPathsAgree(seed uint64, m, k, n int) error {
 	rng := stats.NewRNG(seed)
-	gen := operandModes[rng.IntN(len(operandModes))].gen
+	mode := operandModes[rng.IntN(len(operandModes))]
 	callers := 1 + rng.IntN(4)
-	dst := eqOperands(seed+2, m, n)
+	dst := mode.dst(seed+2, m, n)
 	for _, kernel := range pathCases {
-		a, b := kernel.operands(gen, seed, m, k, n)
+		a, b := kernel.operands(mode.gen, seed, m, k, n)
 		want := oracle(kernel.into, dst, a, b)
 		for _, loops := range pathLoops() {
 			for i, got := range runCallers(loops, callers, kernel.into, dst, a, b) {
@@ -124,6 +124,8 @@ func FuzzKernelPaths(f *testing.F) {
 	f.Add(uint64(1), uint8(32), uint16(48), uint8(48))
 	f.Add(uint64(2), uint8(18), uint16(257), uint8(10))
 	f.Add(uint64(3), uint8(3), uint16(0), uint8(5))
+	f.Add(uint64(4), uint8(33), uint16(47), uint8(17)) // an odd row count: the one-row tile
+	f.Add(uint64(5), uint8(1), uint16(6), uint8(17))   // one 16-column tile and one column
 	f.Fuzz(func(t *testing.T, seed uint64, m uint8, k uint16, n uint8) {
 		if err := kernelPathsAgree(seed, int(m%48), int(k%300), int(n%80)); err != nil {
 			t.Fatal(err)

@@ -8,10 +8,7 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func axpy4Asm(o, b *float64, n int, a0, a1, a2, a3 float64, wide bool)
-
-//go:noescape
-func axpy4x2Asm(o, o2, b *float64, n int, a0, a1, a2, a3, c0, c1, c2, c3 float64, wide bool)
+func gemmTileAsm(o, o2, a, a2, b *float64, n, k, step int, load, wide bool)
 
 //go:noescape
 func dotColsAsm(o *float64, n int, a *float64, k int, bt *float64, stride int, wide bool)
@@ -73,13 +70,22 @@ func kernelPath(maxLeaf, ecx1, ebx7, xcr0 uint32) string {
 func asmLoops(name string, wide bool) *simdLoops {
 	return &simdLoops{
 		name: name,
-		axpy4: func(o, b []float64, a0, a1, a2, a3 float64) {
+		tile: func(o, o2, a, a2, b []float64, k, step int, load bool) {
 			n := len(o)
-			axpy4Asm(&o[0], &b[:4*n][0], n, a0, a1, a2, a3, wide)
-		},
-		axpy4x2: func(o, o2, b []float64, a0, a1, a2, a3, c0, c1, c2, c3 float64) {
-			n := len(o)
-			axpy4x2Asm(&o[0], &o2[:n][0], &b[:4*n][0], n, a0, a1, a2, a3, c0, c1, c2, c3, wide)
+			if n == 0 {
+				return
+			}
+			var p2 *float64 // nil: the one-row form, which reads a2 but never o2
+			if o2 != nil {
+				p2 = base(o2, n)
+			} else {
+				a2 = a
+			}
+			var pa, pa2, pb *float64 // left nil when k == 0: the tile reads none of them
+			if k > 0 {
+				pa, pa2, pb = base(a, (k-1)*step+1), base(a2, (k-1)*step+1), base(b, k*n)
+			}
+			gemmTileAsm(&o[0], p2, pa, pa2, pb, n, k, step, load, wide)
 		},
 		dotCols: func(o, a, bt []float64, stride int) {
 			n, k := len(o), len(a)

@@ -1,20 +1,16 @@
 #include "textflag.h"
 
-// The GEMM kernels' innermost column loops in AVX2 and AVX-512 (simd_amd64.go
-// has the declarations, kernels.go the contract). Float64 lanes run across
-// output columns, so each lane performs exactly the scalar code's sequence of
+// The GEMM kernels' inner loops in AVX2 and AVX-512 (simd_amd64.go has the
+// declarations, kernels.go the contract). Float64 lanes run across output
+// columns, so each lane performs exactly the scalar code's sequence of
 // roundings: every multiply and every add is its own IEEE-exact instruction
 // (VMULPD/VADDPD, never a fused VFMADD* or an embedded rounding).
 //
-// Each loop walks the columns in steps of falling width, all with the same
-// instruction sequence: when wide is set, an 8-lane AVX-512 step (ZMM) covers
-// every full 8-vector; then a 4-lane AVX2 step (YMM) covers every full
-// 4-vector left, and a 1-lane step (VMULSD/VADDSD) the rest. Only the avx512
-// set passes wide, and only on a CPU with AVX512F whose OS saves the opmask
-// and ZMM state. No step uses an opmask: an output row is loaded again by the
-// next call right after it is stored, and a masked store would stall that
-// load instead of forwarding to it. Loads and stores are unaligned; no
-// function touches memory outside the lengths its Go wrapper pinned.
+// Only the avx512 set passes wide, and only on a CPU with AVX512F whose OS
+// saves the opmask and ZMM state. Loads and stores are unaligned; the tile
+// masks its column tails (an opmask on AVX-512, VMASKMOVPD on AVX2), and a
+// masked-off lane is never read or written, so no function touches memory
+// outside the lengths its Go wrapper pinned.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -35,214 +31,430 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpy4Asm(o, b *float64, n int, a0, a1, a2, a3 float64, wide bool)
+// tailMask is eight all-ones words then eight zero words: the eight words
+// from 8-c on enable the first c lanes of two YMM vectors (VMASKMOVPD reads
+// each word's sign bit).
+DATA tailMask<>+0(SB)/8, $-1
+DATA tailMask<>+8(SB)/8, $-1
+DATA tailMask<>+16(SB)/8, $-1
+DATA tailMask<>+24(SB)/8, $-1
+DATA tailMask<>+32(SB)/8, $-1
+DATA tailMask<>+40(SB)/8, $-1
+DATA tailMask<>+48(SB)/8, $-1
+DATA tailMask<>+56(SB)/8, $-1
+GLOBL tailMask<>(SB), RODATA|NOPTR, $128
+
+// The tile's register use: AX, BX row 0's and row 1's coefficient at the
+// current k; CX, DX the coefficient step and three steps, in bytes; R8 b's
+// row k at the tile's first column; R9, R10 one and three rows of b, in
+// bytes; R11 the k counter; R12, R13 row 0's and row 1's skip flags; SI the
+// tile's first column; DI -1 when there is a row 1, else 0.
+
+// GROUPFLAGS sets R12 (R13) to zero when row 0's (row 1's) next four
+// coefficients are all ±0, and nonzero otherwise: the OR of their words,
+// shifted left by one to drop the sign. Row 1's is forced to zero in the
+// one-row form.
+#define GROUPFLAGS \
+	MOVQ (AX), R12; \
+	ORQ  (AX)(CX*1), R12; \
+	ORQ  (AX)(CX*2), R12; \
+	ORQ  (AX)(DX*1), R12; \
+	SHLQ $1, R12; \
+	MOVQ (BX), R13; \
+	ORQ  (BX)(CX*1), R13; \
+	ORQ  (BX)(CX*2), R13; \
+	ORQ  (BX)(DX*1), R13; \
+	SHLQ $1, R13; \
+	ANDQ DI, R13
+
+// TAILFLAGS is GROUPFLAGS for one coefficient.
+#define TAILFLAGS \
+	MOVQ (AX), R12; \
+	SHLQ $1, R12; \
+	MOVQ (BX), R13; \
+	SHLQ $1, R13; \
+	ANDQ DI, R13
+
+// ZGROUP adds one row's 4-group, with its coefficients at coef, to its
+// accumulators acc0 and acc1; Z0-Z7 hold the group's b rows, two vectors
+// each.
+#define ZGROUP(coef, acc0, acc1) \
+	VBROADCASTSD (coef), Z8; \
+	VBROADCASTSD (coef)(CX*1), Z9; \
+	VBROADCASTSD (coef)(CX*2), Z10; \
+	VBROADCASTSD (coef)(DX*1), Z11; \
+	VMULPD Z0, Z8, Z20; \
+	VMULPD Z1, Z8, Z21; \
+	VMULPD Z2, Z9, Z22; \
+	VMULPD Z3, Z9, Z23; \
+	VADDPD Z22, Z20, Z20; \
+	VADDPD Z23, Z21, Z21; \
+	VMULPD Z4, Z10, Z22; \
+	VMULPD Z5, Z10, Z23; \
+	VADDPD Z22, Z20, Z20; \
+	VADDPD Z23, Z21, Z21; \
+	VMULPD Z6, Z11, Z22; \
+	VMULPD Z7, Z11, Z23; \
+	VADDPD Z22, Z20, Z20; \
+	VADDPD Z23, Z21, Z21; \
+	VADDPD Z20, acc0, acc0; \
+	VADDPD Z21, acc1, acc1
+
+// ZTAIL is ZGROUP for one tail row of b, held in Z0 and Z1.
+#define ZTAIL(coef, acc0, acc1) \
+	VBROADCASTSD (coef), Z8; \
+	VMULPD Z0, Z8, Z20; \
+	VMULPD Z1, Z8, Z21; \
+	VADDPD Z20, acc0, acc0; \
+	VADDPD Z21, acc1, acc1
+
+// LDU and LDM load the four words of b at addr into dst, on a full YMM tile
+// and on the last, partial one: LDM reads only the lanes mask enables.
+#define LDU(addr, mask, dst) VMOVUPD addr, dst
+#define LDM(addr, mask, dst) VMASKMOVPD addr, mask, dst
+
+// YGROUP adds one row's 4-group, with its coefficients at coef, to its
+// accumulators acc0 and acc1, loading b with LD.
+#define YGROUP(coef, acc0, acc1, LD) \
+	VBROADCASTSD (coef), Y4; \
+	VBROADCASTSD (coef)(CX*1), Y5; \
+	VBROADCASTSD (coef)(CX*2), Y6; \
+	VBROADCASTSD (coef)(DX*1), Y7; \
+	LD((R8), Y14, Y8); \
+	LD(32(R8), Y15, Y9); \
+	VMULPD Y8, Y4, Y8; \
+	VMULPD Y9, Y4, Y9; \
+	LD((R8)(R9*1), Y14, Y10); \
+	LD(32(R8)(R9*1), Y15, Y11); \
+	VMULPD Y10, Y5, Y10; \
+	VMULPD Y11, Y5, Y11; \
+	VADDPD Y10, Y8, Y8; \
+	VADDPD Y11, Y9, Y9; \
+	LD((R8)(R9*2), Y14, Y10); \
+	LD(32(R8)(R9*2), Y15, Y11); \
+	VMULPD Y10, Y6, Y10; \
+	VMULPD Y11, Y6, Y11; \
+	VADDPD Y10, Y8, Y8; \
+	VADDPD Y11, Y9, Y9; \
+	LD((R8)(R10*1), Y14, Y10); \
+	LD(32(R8)(R10*1), Y15, Y11); \
+	VMULPD Y10, Y7, Y10; \
+	VMULPD Y11, Y7, Y11; \
+	VADDPD Y10, Y8, Y8; \
+	VADDPD Y11, Y9, Y9; \
+	VADDPD Y8, acc0, acc0; \
+	VADDPD Y9, acc1, acc1
+
+// YTAIL is YGROUP for one tail row of b.
+#define YTAIL(coef, acc0, acc1, LD) \
+	VBROADCASTSD (coef), Y4; \
+	LD((R8), Y14, Y8); \
+	LD(32(R8), Y15, Y9); \
+	VMULPD Y8, Y4, Y8; \
+	VMULPD Y9, Y4, Y9; \
+	VADDPD Y8, acc0, acc0; \
+	VADDPD Y9, acc1, acc1
+
+// NEXTGROUP and NEXTROW step the coefficients and b past four rows and
+// past one.
+#define NEXTGROUP \
+	LEAQ (AX)(CX*4), AX; \
+	LEAQ (BX)(CX*4), BX; \
+	LEAQ (R8)(R9*4), R8
+
+#define NEXTROW \
+	ADDQ CX, AX; \
+	ADDQ CX, BX; \
+	ADDQ R9, R8
+
+// TILESTART points AX, BX and R8 at the tile's k = 0 and CX, DX at the
+// coefficient step.
+#define TILESTART \
+	MOVQ step+56(FP), CX; \
+	SHLQ $3, CX; \
+	LEAQ (CX)(CX*2), DX; \
+	MOVQ a+16(FP), AX; \
+	MOVQ a2+24(FP), BX; \
+	MOVQ b+32(FP), R8; \
+	LEAQ (R8)(SI*8), R8
+
+// func gemmTileAsm(o, o2, a, a2, b *float64, n, k, step int, load, wide bool)
 //
-//	o[j] += ((a0*b[j] + a1*b[n+j]) + a2*b[2n+j]) + a3*b[3n+j]   for j < n
-TEXT ·axpy4Asm(SB), NOSPLIT, $0-57
-	MOVQ o+0(FP), DI
-	MOVQ b+8(FP), BX
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a0+24(FP), Y8
-	VBROADCASTSD a1+32(FP), Y9
-	VBROADCASTSD a2+40(FP), Y10
-	VBROADCASTSD a3+48(FP), Y11
-	LEAQ (BX)(CX*8), R10 // b row 1
-	LEAQ (R10)(CX*8), R11 // b row 2
-	LEAQ (R11)(CX*8), R12 // b row 3
-	XORQ AX, AX // j
-	CMPB wide+56(FP), $0
-	JEQ  a4ymm
-	VBROADCASTSD X8, Z8
-	VBROADCASTSD X9, Z9
-	VBROADCASTSD X10, Z10
-	VBROADCASTSD X11, Z11
-	MOVQ CX, DX
-	ANDQ $-8, DX // last j a full 8-vector starts below
-	JMP  a4ztest
+//	o[j] += ((a[r]*b[r,j] + a[r+1]*b[r+1,j]) + a[r+2]*b[r+2,j]) + a[r+3]*b[r+3,j]   each group r = 0, 4, … < k&^3
+//	o[j] += a[r]*b[r,j]                                                             each tail row r = k&^3, …, k-1
+//
+// for j < n, in that order, where a[r] is the word r*step after a and b[r,j]
+// the word r*n+j after b. o starts from its contents when load is set, else
+// from +0. A group whose four coefficients are all ±0, and a tail row whose
+// coefficient is, is skipped: nothing, not even a zero, is added for it. o2
+// takes a2 the same way. A nil o2 is the one-row form: row 1's skip flags
+// are forced to zero, so row 1 is never computed, loaded or stored, but a2
+// must still be readable. NN passes step 1 and a row of a; TN passes step m
+// and a column of a.
+//
+// The columns go in tiles of 16 (four ZMM accumulators, two per row) when
+// wide, else of 8 (four YMM). A tile runs the whole reduction in registers,
+// so its outputs are loaded and stored once. On AVX-512 opmasks K1 and K2
+// enable the tile's columns, all of them but on the last tile; on AVX2 a
+// full tile loads plainly and the last, partial one through VMASKMOVPD with
+// the masks in Y14 and Y15.
+TEXT ·gemmTileAsm(SB), NOSPLIT, $0-66
+	MOVQ n+40(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ o2+8(FP), DI
+	NEGQ DI
+	SBBQ DI, DI
+	XORQ SI, SI
+	CMPB wide+65(FP), $0
+	JEQ  ytile
 
-a4zloop:
-	VMULPD (BX)(AX*8), Z8, Z4
-	VMULPD (R10)(AX*8), Z9, Z5
-	VADDPD Z5, Z4, Z4
-	VMULPD (R11)(AX*8), Z10, Z5
-	VADDPD Z5, Z4, Z4
-	VMULPD (R12)(AX*8), Z11, Z5
-	VADDPD Z5, Z4, Z4
-	VADDPD (DI)(AX*8), Z4, Z4
-	VMOVUPD Z4, (DI)(AX*8)
-	ADDQ $8, AX
+ztile:
+	// K1 and K2 enable the tile's min(n-j, 16) columns.
+	MOVQ    n+40(FP), CX
+	SUBQ    SI, CX
+	MOVQ    $16, R11
+	CMPQ    CX, R11
+	CMOVQGT R11, CX
+	MOVL    $1, R11
+	SHLQ    CX, R11
+	DECQ    R11
+	KMOVW   R11, K1
+	SHRQ    $8, R11
+	KMOVW   R11, K2
+	TILESTART
+	CMPB    load+64(FP), $0
+	JNE     zload
+	VPXORQ  Z16, Z16, Z16
+	VPXORQ  Z17, Z17, Z17
+	VPXORQ  Z18, Z18, Z18
+	VPXORQ  Z19, Z19, Z19
+	JMP     zgroups
 
-a4ztest:
-	CMPQ AX, DX
-	JLT  a4zloop
+zload:
+	MOVQ      o+0(FP), R12
+	VMOVUPD.Z (R12)(SI*8), K1, Z16
+	VMOVUPD.Z 64(R12)(SI*8), K2, Z17
+	TESTQ     DI, DI
+	JZ        zgroups
+	MOVQ      o2+8(FP), R12
+	VMOVUPD.Z (R12)(SI*8), K1, Z18
+	VMOVUPD.Z 64(R12)(SI*8), K2, Z19
 
-a4ymm:
-	MOVQ CX, DX
-	ANDQ $-4, DX // last j a full 4-vector starts below
-	JMP  a4vtest
+zgroups:
+	MOVQ k+48(FP), R11
+	SHRQ $2, R11
+	JZ   ztail
 
-a4vloop:
-	VMULPD (BX)(AX*8), Y8, Y4
-	VMULPD (R10)(AX*8), Y9, Y5
-	VADDPD Y5, Y4, Y4
-	VMULPD (R11)(AX*8), Y10, Y5
-	VADDPD Y5, Y4, Y4
-	VMULPD (R12)(AX*8), Y11, Y5
-	VADDPD Y5, Y4, Y4
-	VADDPD (DI)(AX*8), Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
+zgroup:
+	GROUPFLAGS
+	TESTQ R12, R12
+	JNZ   zgload
+	TESTQ R13, R13
+	JZ    zgnext
 
-a4vtest:
-	CMPQ AX, DX
-	JLT  a4vloop
-	JMP  a4stest
+zgload:
+	VMOVUPD.Z (R8), K1, Z0
+	VMOVUPD.Z 64(R8), K2, Z1
+	VMOVUPD.Z (R8)(R9*1), K1, Z2
+	VMOVUPD.Z 64(R8)(R9*1), K2, Z3
+	VMOVUPD.Z (R8)(R9*2), K1, Z4
+	VMOVUPD.Z 64(R8)(R9*2), K2, Z5
+	VMOVUPD.Z (R8)(R10*1), K1, Z6
+	VMOVUPD.Z 64(R8)(R10*1), K2, Z7
+	TESTQ     R12, R12
+	JZ        zgrow1
+	ZGROUP(AX, Z16, Z17)
 
-a4sloop:
-	VMULSD (BX)(AX*8), X8, X4
-	VMULSD (R10)(AX*8), X9, X5
-	VADDSD X5, X4, X4
-	VMULSD (R11)(AX*8), X10, X5
-	VADDSD X5, X4, X4
-	VMULSD (R12)(AX*8), X11, X5
-	VADDSD X5, X4, X4
-	VADDSD (DI)(AX*8), X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ AX
+zgrow1:
+	TESTQ R13, R13
+	JZ    zgnext
+	ZGROUP(BX, Z18, Z19)
 
-a4stest:
-	CMPQ AX, CX
-	JLT  a4sloop
+zgnext:
+	NEXTGROUP
+	DECQ R11
+	JNZ  zgroup
+
+ztail:
+	MOVQ k+48(FP), R11
+	ANDQ $3, R11
+	JZ   zstore
+
+ztrow:
+	TAILFLAGS
+	TESTQ R12, R12
+	JNZ   ztload
+	TESTQ R13, R13
+	JZ    ztnext
+
+ztload:
+	VMOVUPD.Z (R8), K1, Z0
+	VMOVUPD.Z 64(R8), K2, Z1
+	TESTQ     R12, R12
+	JZ        ztrow1
+	ZTAIL(AX, Z16, Z17)
+
+ztrow1:
+	TESTQ R13, R13
+	JZ    ztnext
+	ZTAIL(BX, Z18, Z19)
+
+ztnext:
+	NEXTROW
+	DECQ R11
+	JNZ  ztrow
+
+zstore:
+	MOVQ    o+0(FP), R12
+	VMOVUPD Z16, K1, (R12)(SI*8)
+	VMOVUPD Z17, K2, 64(R12)(SI*8)
+	TESTQ   DI, DI
+	JZ      znext
+	MOVQ    o2+8(FP), R12
+	VMOVUPD Z18, K1, (R12)(SI*8)
+	VMOVUPD Z19, K2, 64(R12)(SI*8)
+
+znext:
+	ADDQ $16, SI
+	CMPQ SI, n+40(FP)
+	JLT  ztile
 	VZEROUPPER
 	RET
 
-// func axpy4x2Asm(o, o2, b *float64, n int, a0, a1, a2, a3, c0, c1, c2, c3 float64, wide bool)
-//
-// axpy4 for two output rows over one pass of the four b rows: o takes the a
-// coefficients, o2 the c coefficients.
-TEXT ·axpy4x2Asm(SB), NOSPLIT, $0-97
-	MOVQ o+0(FP), DI
-	MOVQ o2+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD a0+32(FP), Y8
-	VBROADCASTSD a1+40(FP), Y9
-	VBROADCASTSD a2+48(FP), Y10
-	VBROADCASTSD a3+56(FP), Y11
-	VBROADCASTSD c0+64(FP), Y12
-	VBROADCASTSD c1+72(FP), Y13
-	VBROADCASTSD c2+80(FP), Y14
-	VBROADCASTSD c3+88(FP), Y15
-	LEAQ (BX)(CX*8), R10
-	LEAQ (R10)(CX*8), R11
-	LEAQ (R11)(CX*8), R12
-	XORQ AX, AX
-	CMPB wide+96(FP), $0
-	JEQ  a8ymm
-	VBROADCASTSD X8, Z8
-	VBROADCASTSD X9, Z9
-	VBROADCASTSD X10, Z10
-	VBROADCASTSD X11, Z11
-	VBROADCASTSD X12, Z12
-	VBROADCASTSD X13, Z13
-	VBROADCASTSD X14, Z14
-	VBROADCASTSD X15, Z15
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JMP  a8ztest
+ytile:
+	// Y14 and Y15 enable the tile's min(n-j, 8) columns.
+	MOVQ    n+40(FP), CX
+	SUBQ    SI, CX
+	MOVQ    $8, R11
+	CMPQ    CX, R11
+	CMOVQGT R11, CX
+	NEGQ    CX
+	LEAQ    tailMask<>+64(SB), R11
+	VMOVDQU (R11)(CX*8), Y14
+	VMOVDQU 32(R11)(CX*8), Y15
+	TILESTART
+	CMPB    load+64(FP), $0
+	JNE     yload
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	JMP     ygroups
 
-a8zloop:
-	VMOVUPD (BX)(AX*8), Z0
-	VMOVUPD (R10)(AX*8), Z1
-	VMOVUPD (R11)(AX*8), Z2
-	VMOVUPD (R12)(AX*8), Z3
-	VMULPD Z0, Z8, Z4
-	VMULPD Z1, Z9, Z5
-	VADDPD Z5, Z4, Z4
-	VMULPD Z2, Z10, Z5
-	VADDPD Z5, Z4, Z4
-	VMULPD Z3, Z11, Z5
-	VADDPD Z5, Z4, Z4
-	VADDPD (DI)(AX*8), Z4, Z4
-	VMOVUPD Z4, (DI)(AX*8)
-	VMULPD Z0, Z12, Z6
-	VMULPD Z1, Z13, Z7
-	VADDPD Z7, Z6, Z6
-	VMULPD Z2, Z14, Z7
-	VADDPD Z7, Z6, Z6
-	VMULPD Z3, Z15, Z7
-	VADDPD Z7, Z6, Z6
-	VADDPD (SI)(AX*8), Z6, Z6
-	VMOVUPD Z6, (SI)(AX*8)
-	ADDQ $8, AX
+yload:
+	MOVQ       o+0(FP), R12
+	VMASKMOVPD (R12)(SI*8), Y14, Y0
+	VMASKMOVPD 32(R12)(SI*8), Y15, Y1
+	TESTQ      DI, DI
+	JZ         ygroups
+	MOVQ       o2+8(FP), R12
+	VMASKMOVPD (R12)(SI*8), Y14, Y2
+	VMASKMOVPD 32(R12)(SI*8), Y15, Y3
 
-a8ztest:
-	CMPQ AX, DX
-	JLT  a8zloop
+ygroups:
+	MOVQ n+40(FP), R12
+	SUBQ SI, R12
+	CMPQ R12, $8
+	JLT  ymgroups
+	MOVQ k+48(FP), R11
+	SHRQ $2, R11
+	JZ   yftail
 
-a8ymm:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	JMP  a8vtest
+yfgroup:
+	GROUPFLAGS
+	TESTQ R12, R12
+	JZ    yfrow1
+	YGROUP(AX, Y0, Y1, LDU)
 
-a8vloop:
-	VMOVUPD (BX)(AX*8), Y0
-	VMOVUPD (R10)(AX*8), Y1
-	VMOVUPD (R11)(AX*8), Y2
-	VMOVUPD (R12)(AX*8), Y3
-	VMULPD Y0, Y8, Y4
-	VMULPD Y1, Y9, Y5
-	VADDPD Y5, Y4, Y4
-	VMULPD Y2, Y10, Y5
-	VADDPD Y5, Y4, Y4
-	VMULPD Y3, Y11, Y5
-	VADDPD Y5, Y4, Y4
-	VADDPD (DI)(AX*8), Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	VMULPD Y0, Y12, Y6
-	VMULPD Y1, Y13, Y7
-	VADDPD Y7, Y6, Y6
-	VMULPD Y2, Y14, Y7
-	VADDPD Y7, Y6, Y6
-	VMULPD Y3, Y15, Y7
-	VADDPD Y7, Y6, Y6
-	VADDPD (SI)(AX*8), Y6, Y6
-	VMOVUPD Y6, (SI)(AX*8)
-	ADDQ $4, AX
+yfrow1:
+	TESTQ R13, R13
+	JZ    yfnext
+	YGROUP(BX, Y2, Y3, LDU)
 
-a8vtest:
-	CMPQ AX, DX
-	JLT  a8vloop
-	JMP  a8stest
+yfnext:
+	NEXTGROUP
+	DECQ R11
+	JNZ  yfgroup
 
-a8sloop:
-	VMOVSD (BX)(AX*8), X0
-	VMOVSD (R10)(AX*8), X1
-	VMOVSD (R11)(AX*8), X2
-	VMOVSD (R12)(AX*8), X3
-	VMULSD X0, X8, X4
-	VMULSD X1, X9, X5
-	VADDSD X5, X4, X4
-	VMULSD X2, X10, X5
-	VADDSD X5, X4, X4
-	VMULSD X3, X11, X5
-	VADDSD X5, X4, X4
-	VADDSD (DI)(AX*8), X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	VMULSD X0, X12, X6
-	VMULSD X1, X13, X7
-	VADDSD X7, X6, X6
-	VMULSD X2, X14, X7
-	VADDSD X7, X6, X6
-	VMULSD X3, X15, X7
-	VADDSD X7, X6, X6
-	VADDSD (SI)(AX*8), X6, X6
-	VMOVSD X6, (SI)(AX*8)
-	INCQ AX
+yftail:
+	MOVQ k+48(FP), R11
+	ANDQ $3, R11
+	JZ   ystore
 
-a8stest:
-	CMPQ AX, CX
-	JLT  a8sloop
+yftrow:
+	TAILFLAGS
+	TESTQ R12, R12
+	JZ    yftrow1
+	YTAIL(AX, Y0, Y1, LDU)
+
+yftrow1:
+	TESTQ R13, R13
+	JZ    yftnext
+	YTAIL(BX, Y2, Y3, LDU)
+
+yftnext:
+	NEXTROW
+	DECQ R11
+	JNZ  yftrow
+	JMP  ystore
+
+ymgroups:
+	MOVQ k+48(FP), R11
+	SHRQ $2, R11
+	JZ   ymtail
+
+ymgroup:
+	GROUPFLAGS
+	TESTQ R12, R12
+	JZ    ymrow1
+	YGROUP(AX, Y0, Y1, LDM)
+
+ymrow1:
+	TESTQ R13, R13
+	JZ    ymnext
+	YGROUP(BX, Y2, Y3, LDM)
+
+ymnext:
+	NEXTGROUP
+	DECQ R11
+	JNZ  ymgroup
+
+ymtail:
+	MOVQ k+48(FP), R11
+	ANDQ $3, R11
+	JZ   ystore
+
+ymtrow:
+	TAILFLAGS
+	TESTQ R12, R12
+	JZ    ymtrow1
+	YTAIL(AX, Y0, Y1, LDM)
+
+ymtrow1:
+	TESTQ R13, R13
+	JZ    ymtnext
+	YTAIL(BX, Y2, Y3, LDM)
+
+ymtnext:
+	NEXTROW
+	DECQ R11
+	JNZ  ymtrow
+
+ystore:
+	MOVQ       o+0(FP), R12
+	VMASKMOVPD Y0, Y14, (R12)(SI*8)
+	VMASKMOVPD Y1, Y15, 32(R12)(SI*8)
+	TESTQ      DI, DI
+	JZ         ynext
+	MOVQ       o2+8(FP), R12
+	VMASKMOVPD Y2, Y14, (R12)(SI*8)
+	VMASKMOVPD Y3, Y15, 32(R12)(SI*8)
+
+ynext:
+	ADDQ $8, SI
+	CMPQ SI, n+40(FP)
+	JLT  ytile
 	VZEROUPPER
 	RET
 
