@@ -159,9 +159,13 @@ func synthUpload(c int, vec []float64) (weight float64) {
 
 // retainedHeap measures the heap bytes build's result keeps alive: HeapAlloc
 // delta across the build with a full GC on both sides, so transient garbage
-// does not count.
+// does not count. The first side takes two collections: a sync.Pool (the
+// tensor scratch arena) survives one in its victim cache, and a victim still
+// live at the first reading would be freed by the closing collection, inside
+// the window, and cancel the build's own bytes.
 func retainedHeap(build func() (any, error)) (int64, error) {
 	var m0, m1 runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	v, err := build()

@@ -7,12 +7,12 @@ import "fedpkd/internal/tensor"
 // allocation-free training hot path. The returned matrices obey the
 // engine-wide buffer contract: valid until the next call on the same layer.
 
-// ReLU is the rectified linear activation max(0, x).
+// ReLU is the rectified linear activation max(0, x). It keeps no mask: its
+// backward pass reads which outputs are nonzero from the output itself. In a
+// Sequential, the layer before it may write that output (a BatchNorm's or a
+// Residual's sweep, rectifying as it goes; see Sequential.Forward).
 type ReLU struct {
-	// mask holds 1.0 where the last train-mode input was > 0 and 0.0
-	// elsewhere, so the backward pass is one branch-free multiply.
-	mask  []float64
-	ready bool // mask is valid (a train-mode forward ran last)
+	ready bool // out holds a train-mode forward's output
 	out   *tensor.Matrix
 	dx    *tensor.Matrix
 }
@@ -24,24 +24,28 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies max(0, x) elementwise.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	r.out = tensor.Ensure(r.out, x.Rows, x.Cols)
-	var mask []float64
-	if train {
-		r.mask = ensureFloats(r.mask, len(x.Data))
-		mask = r.mask
-	}
-	tensor.ReLUInto(r.out.Data, mask, x.Data)
+	out := r.output(x.Rows, x.Cols, train)
+	tensor.ReLUInto(out.Data, x.Data)
+	return out
+}
+
+// output sizes the layer's output buffer for a forward of the given shape,
+// which the caller then fills: Forward, or the fused sweep of the layer
+// before.
+func (r *ReLU) output(rows, cols int, train bool) *tensor.Matrix {
+	r.out = tensor.Ensure(r.out, rows, cols)
 	r.ready = train
 	return r.out
 }
 
-// Backward zeroes gradients where the forward input was non-positive.
+// Backward passes the gradient where the forward output is nonzero and
+// zeroes it where the output is +0 (a non-positive input).
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if !r.ready {
 		panic("nn: ReLU.Backward called without a train-mode Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, dout.Rows, dout.Cols)
-	tensor.MulInto(r.dx.Data, dout.Data, r.mask)
+	tensor.ReLUGradInto(r.dx.Data, dout.Data, r.out.Data)
 	return r.dx
 }
 

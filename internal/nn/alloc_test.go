@@ -142,7 +142,10 @@ func TestInferAllocs(t *testing.T) {
 
 // TestInferBuffersStayBlockSized: after a 300-row Logits, no layer buffer —
 // the network's, or its twin's when the walk went wide — holds more than
-// inferBlock rows, however many rows the walk covered.
+// inferBlock rows, however many rows the walk covered; and the output of a
+// Dense→BatchNorm group or a Residual that a ReLU follows, which the fused
+// sweep writes into the ReLU's buffer instead (Sequential.Forward), is never
+// allocated.
 func TestInferBuffersStayBlockSized(t *testing.T) {
 	x := tensor.Randn(stats.NewRNG(7), 300, laneIn, 1)
 	net := laneNet()
@@ -163,28 +166,43 @@ func TestInferBuffersStayBlockSized(t *testing.T) {
 func requireBlockSized(t *testing.T, net *Network) {
 	t.Helper()
 	var outs []*tensor.Matrix
-	var walk func(l Layer)
-	walk = func(l Layer) {
+	var walk func(l Layer, fused bool)
+	// fusedOut takes the output buffer of a layer whose ReLU successor, when
+	// fused, owns the output instead.
+	fusedOut := func(l Layer, out *tensor.Matrix, fused bool) {
+		switch {
+		case !fused:
+			outs = append(outs, out)
+		case out != nil:
+			t.Errorf("%T before a ReLU allocated its own output (%d values)", l, cap(out.Data))
+		}
+	}
+	walk = func(l Layer, fused bool) {
 		switch v := l.(type) {
 		case *Sequential:
-			for _, c := range v.Layers {
-				walk(c)
+			for i, c := range v.Layers {
+				_, relu := layerAt(v.Layers, i+1).(*ReLU)
+				if _, bn := c.(*BatchNorm); bn && i > 0 {
+					_, dense := v.Layers[i-1].(*Dense)
+					relu = relu && dense
+				}
+				walk(c, relu)
 			}
 		case *Residual:
-			walk(v.Inner)
-			outs = append(outs, v.out)
+			walk(v.Inner, false)
+			fusedOut(v, v.out, fused)
 		case *Dense:
 			outs = append(outs, v.out)
 		case *BatchNorm:
-			outs = append(outs, v.out)
+			fusedOut(v, v.out, fused)
 		case *ReLU:
 			outs = append(outs, v.out)
 		default:
 			t.Fatalf("requireBlockSized does not know %T", l)
 		}
 	}
-	walk(net.Body)
-	walk(net.Head)
+	walk(net.Body, false)
+	walk(net.Head, false)
 	for i, m := range outs {
 		if m == nil {
 			t.Errorf("layer buffer %d was never written", i)

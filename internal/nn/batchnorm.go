@@ -27,7 +27,9 @@ type BatchNorm struct {
 	gamma, beta             *Param
 	runningMean, runningVar *Param
 
-	// Persistent buffers and cached train-mode state for backward.
+	// Persistent buffers and cached train-mode state for backward. out
+	// stays nil while a ReLU follows in a Sequential, which takes the
+	// output instead.
 	out    *tensor.Matrix
 	dx     *tensor.Matrix
 	xhat   *tensor.Matrix
@@ -78,12 +80,27 @@ func ensureFloats(s []float64, n int) []float64 {
 // updates the running statistics; in eval mode it uses the running
 // statistics.
 func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	return b.forward(x, nil, nil, train)
+}
+
+// forward is Forward with its neighbours in a Sequential folded into its
+// sweeps (Sequential.Forward). A non-nil bias is the bias of the Dense layer
+// whose product x is: the train-mode statistics sweep adds it to x in place
+// first, and otherwise the apply sweep adds it as it reads x. A non-nil relu
+// is the ReLU after this layer: the apply sweep rectifies and writes into
+// its output, and this layer's own out is neither written nor allocated.
+func (b *BatchNorm) forward(x *tensor.Matrix, bias []float64, relu *ReLU, train bool) *tensor.Matrix {
 	b.gate.wait()
 	if x.Cols != b.Dim {
 		panic(fmt.Sprintf("nn: BatchNorm got %d features, want %d", x.Cols, b.Dim))
 	}
-	b.out = tensor.Ensure(b.out, x.Rows, x.Cols)
-	out := b.out
+	var out *tensor.Matrix
+	if relu != nil {
+		out = relu.output(x.Rows, x.Cols, train)
+	} else {
+		b.out = tensor.Ensure(b.out, x.Rows, x.Cols)
+		out = b.out
+	}
 	gamma, beta := b.gamma.Value.Data, b.beta.Value.Data
 	if !train || x.Rows == 1 {
 		// Eval — or a degenerate single-sample train batch, which has no
@@ -102,7 +119,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			b.xhat = tensor.Ensure(b.xhat, x.Rows, x.Cols)
 			xhat = b.xhat
 		}
-		tensor.BatchNormApply(out, xhat, x, rm, invStd, gamma, beta)
+		tensor.BatchNormApply(out, xhat, x, bias, rm, invStd, gamma, beta, relu != nil)
 		return out
 	}
 	b.ready = true
@@ -120,7 +137,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		mean[j] = 0
 		variance[j] = 0
 	}
-	tensor.AddColSumSq(mean, variance, x)
+	tensor.AddColSumSq(mean, variance, x, bias)
 	for j := range mean {
 		mu := mean[j] * invBatch
 		mean[j] = mu
@@ -137,7 +154,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for j := 0; j < b.Dim; j++ {
 		invStd[j] = 1 / math.Sqrt(variance[j]+b.Eps)
 	}
-	tensor.BatchNormApply(out, b.xhat, x, mean, invStd, gamma, beta)
+	tensor.BatchNormApply(out, b.xhat, x, nil, mean, invStd, gamma, beta, relu != nil)
 	// Exponential running statistics.
 	om, mom := 1-b.Momentum, b.Momentum
 	rm, rv := b.runningMean.Value.Data, b.runningVar.Value.Data

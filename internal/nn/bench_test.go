@@ -10,11 +10,12 @@ import (
 )
 
 // Step benchmarks: the non-GEMM parts of one training step layer by layer at
-// the training shape (batch 32, models.FeatureWidth columns), a whole client
-// private-training step and a whole server distillation step. nn cannot
-// choose a kernel path — nothing outside internal/tensor can — so each runs on
-// the loops this CPU was given and says which in its name; internal/tensor's
-// BenchmarkRowOps has every loop on every path.
+// the training shape (batch 32, models.FeatureWidth columns), one residual
+// block as the zoo runs it (its layer groups fused; see Sequential.Forward),
+// a whole client private-training step and a whole server distillation
+// step. nn cannot choose a kernel path — nothing outside internal/tensor can
+// — so each runs on the loops this CPU was given and says which in its name;
+// internal/tensor's BenchmarkRowOps has every loop on every path.
 
 const benchBatch = 32
 
@@ -45,7 +46,9 @@ func BenchmarkAdamStep(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchNormTrain is a train-mode BatchNorm forward and backward.
+// BenchmarkBatchNormTrain is a train-mode BatchNorm forward and backward on
+// its own, unfused (the zoo runs every BatchNorm fused with its neighbours:
+// BenchmarkBlockTrain).
 func BenchmarkBatchNormTrain(b *testing.B) {
 	onHostPath(b, func(b *testing.B) {
 		_, x, dout := benchOperands()
@@ -58,8 +61,8 @@ func BenchmarkBatchNormTrain(b *testing.B) {
 	})
 }
 
-// BenchmarkReLUTrain is a train-mode ReLU forward (value and mask) and
-// backward.
+// BenchmarkReLUTrain is a train-mode ReLU forward and backward on its own,
+// unfused; the backward reads the forward's output, not a mask.
 func BenchmarkReLUTrain(b *testing.B) {
 	onHostPath(b, func(b *testing.B) {
 		_, x, dout := benchOperands()
@@ -87,6 +90,50 @@ func BenchmarkDenseBias(b *testing.B) {
 	})
 }
 
+// blockOperands is one residual block of the zoo at the training width,
+// Residual(Dense→BatchNorm→ReLU→Dense→BatchNorm)→ReLU, whose Sequentials
+// fuse every group they hold, and a batch of rows for it.
+func blockOperands(rows int) (block *nn.Sequential, x, dout *tensor.Matrix) {
+	rng := stats.NewRNG(1)
+	w := models.FeatureWidth
+	block = nn.NewSequential(nn.NewResidual(nn.NewSequential(
+		nn.NewDense(rng, w, w), nn.NewBatchNorm(w), nn.NewReLU(),
+		nn.NewDense(rng, w, w), nn.NewBatchNorm(w),
+	)), nn.NewReLU())
+	return block, tensor.Randn(rng, rows, w, 1), tensor.Randn(rng, rows, w, 0.1)
+}
+
+// BenchmarkBlockTrain is one residual block's train-mode forward and
+// backward at batch 32: both products of each Dense, the fused
+// bias/statistics, BatchNorm/ReLU and residual/ReLU sweeps, and the
+// backward's BatchNorm sweeps and mask-free ReLU gradients.
+func BenchmarkBlockTrain(b *testing.B) {
+	onHostPath(b, func(b *testing.B) {
+		block, x, dout := blockOperands(benchBatch)
+		block.Forward(x, true) // first-use buffers
+		block.Backward(dout)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			block.Forward(x, true)
+			block.Backward(dout)
+		}
+	})
+}
+
+// BenchmarkBlockInfer is one residual block's eval-mode forward over one
+// 64-row inference block (infer.go): the bias folds into the BatchNorm apply
+// sweep, which rectifies as it goes.
+func BenchmarkBlockInfer(b *testing.B) {
+	onHostPath(b, func(b *testing.B) {
+		block, x, _ := blockOperands(64)
+		block.Forward(x, false)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			block.Forward(x, false)
+		}
+	})
+}
+
 // The step benchmarks' task: 32 input features, 10 classes.
 const inputDim, classes = 32, 10
 
@@ -109,7 +156,7 @@ func stepOperands(b *testing.B, model string) (net *nn.Network, x, target *tenso
 // BenchmarkClientStep is one client private-training step as
 // fl.TrainCEWithProto runs it (Eq. 16): ResNet20 on a batch of 32,
 // ForwardSplit, cross-entropy plus ε times the prototype MSE, Backward and
-// the Adam update.
+// the Adam update, which leaves the gradients zero for the next step.
 func BenchmarkClientStep(b *testing.B) {
 	onHostPath(b, func(b *testing.B) {
 		const eps = 0.5 // core.Config's default ε
@@ -123,7 +170,6 @@ func BenchmarkClientStep(b *testing.B) {
 			nn.SoftmaxCrossEntropyInto(gradLogits, logits, labels)
 			nn.MSEInto(gradFeat, feats, target)
 			gradFeat.Scale(eps)
-			nn.ZeroGrads(params)
 			net.Backward(gradLogits, gradFeat)
 			opt.Step(params)
 		}

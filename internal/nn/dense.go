@@ -43,6 +43,13 @@ func NewDense(rng *stats.RNG, in, out int) *Dense {
 
 // Forward computes xW + b.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	return d.product(x, train).AddRowVector(d.b.Value.Data)
+}
+
+// product computes xW without the bias, into the layer's output buffer.
+// Forward adds the bias next; in a Dense→BatchNorm group (Sequential.Forward)
+// the BatchNorm's sweep adds it instead.
+func (d *Dense) product(x *tensor.Matrix, train bool) *tensor.Matrix {
 	d.gate.wait()
 	if train {
 		d.x = x
@@ -51,7 +58,6 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	}
 	d.out = tensor.Ensure(d.out, x.Rows, d.Out)
 	tensor.MatMulInto(d.out, x, d.w.Value)
-	d.out.AddRowVector(d.b.Value.Data)
 	return d.out
 }
 

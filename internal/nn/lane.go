@@ -13,8 +13,8 @@ import (
 // lane"). The calling goroutine keeps the forward pass, the losses and the
 // input-gradient chain; the lane runs each Dense layer's weight and bias
 // gradients during backward, then the Adam update param by param in forward
-// order, overlapping the next batch's forward, and zeroes each gradient
-// right after its update. Every product, sum and Adam expression is the one
+// order, overlapping the next batch's forward; the update leaves each
+// gradient zero (Optimizer). Every product, sum and Adam expression is the one
 // the inline step runs, in the same order, so both give identical bits.
 //
 // Three rules keep the two goroutines off each other's data:
@@ -124,13 +124,12 @@ func (l *lane) run() {
 // release hands the lane back; the holder has joined every task it posted.
 func (l *lane) release() { l.held.Store(false) }
 
-// adam steps every attached param in forward order and zeroes its gradient,
-// publishing progress after each so gated forwards can proceed.
+// adam steps every attached param in forward order, which zeroes its
+// gradient, publishing progress after each so gated forwards can proceed.
 func (l *lane) adam(k tensor.AdamCoeffs) {
 	for i, p := range l.params {
 		st := l.states[i]
 		tensor.AdamStep(p.Value.Data, st.m.Data, st.v.Data, p.Grad.Data, k)
-		p.Grad.Zero()
 		l.updated.Add(1)
 	}
 }
@@ -208,11 +207,12 @@ func bindNetwork(n *Network, l *lane) bool {
 	return bindGates(n.Body, l, &next) && bindGates(n.Head, l, &next)
 }
 
-// Trainer runs the tail of a training step — backward, optimizer update,
-// gradient reset — for one network and its optimizer. Between steps every
-// gradient is zero. By default each step runs inline; AttachLane moves the
-// weight gradients and the update onto the process's lane, with identical
-// bits. A Trainer, like its network, is for one goroutine.
+// Trainer runs the tail of a training step — backward, then the optimizer
+// update, which leaves the gradients zero — for one network and its
+// optimizer. Between steps every gradient is zero. By default each step runs
+// inline; AttachLane moves the weight gradients and the update onto the
+// process's lane, with identical bits. A Trainer, like its network, is for
+// one goroutine.
 type Trainer struct {
 	net    *Network
 	opt    Optimizer
@@ -222,7 +222,8 @@ type Trainer struct {
 }
 
 // NewTrainer returns an inline trainer for net and opt. It zeroes every
-// gradient, which is what Step expects between steps.
+// gradient, which is what Step expects between steps; each Step's update
+// then leaves them zero again.
 func NewTrainer(net *Network, opt Optimizer) *Trainer {
 	params := net.Params()
 	ZeroGrads(params)
@@ -279,15 +280,14 @@ func (t *Trainer) Release() {
 }
 
 // Step backpropagates dlogits (and dfeat, a feature-boundary gradient, if
-// non-nil; see Network.Backward), applies the optimizer update and zeroes
-// the gradients. With the lane attached the update is still running when
-// Step returns; the next forward waits for it layer by layer.
+// non-nil; see Network.Backward) and applies the optimizer update, which
+// zeroes the gradients. With the lane attached the update is still running
+// when Step returns; the next forward waits for it layer by layer.
 func (t *Trainer) Step(dlogits, dfeat *tensor.Matrix) {
 	t.net.Backward(dlogits, dfeat)
 	l := t.lane
 	if l == nil {
 		t.opt.Step(t.params)
-		ZeroGrads(t.params)
 		return
 	}
 	l.join()

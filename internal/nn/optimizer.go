@@ -8,7 +8,8 @@ import (
 )
 
 // Optimizer applies one update step to a parameter list using the gradients
-// accumulated in each Param.Grad. Implementations keep per-parameter state
+// accumulated in each Param.Grad, and consumes them: Step leaves every
+// gradient zero, ready for the next backward pass. Implementations keep per-parameter state
 // keyed by the *Param pointer, so an optimizer instance must be used with a
 // single model.
 //
@@ -58,7 +59,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update with bias correction.
+// Step applies one Adam update with bias correction and zeroes each
+// gradient in the same sweep (tensor.AdamStep).
 func (o *Adam) Step(params []*Param) {
 	k := o.nextCoeffs()
 	for _, p := range params {

@@ -162,18 +162,21 @@ func TestSchedules(t *testing.T) {
 }
 
 // TestScheduledOptimizer: under a constant gradient the bias corrections
-// cancel the moments' warm-up, so Adam moves by LR on every step.
+// cancel the moments' warm-up, so Adam moves by LR on every step. Each Step
+// consumes its gradient, leaving it +0 for the next backward pass to
+// accumulate into, so the gradient is set again before every step.
 func TestScheduledOptimizer(t *testing.T) {
 	p := quadParam(0)
 	opt := NewAdam(0.1)
-	p.Grad.Data[0] = 1
-	opt.Step([]*Param{p})
-	if math.Abs(p.Value.Data[0]+0.1) > 1e-6 {
-		t.Errorf("first step moved to %v, want -0.1", p.Value.Data[0])
-	}
-	opt.Step([]*Param{p})
-	if math.Abs(p.Value.Data[0]+0.2) > 1e-6 {
-		t.Errorf("second step total = %v, want -0.2", p.Value.Data[0])
+	for step, want := range []float64{-0.1, -0.2} {
+		p.Grad.Data[0] = 1
+		opt.Step([]*Param{p})
+		if math.Abs(p.Value.Data[0]-want) > 1e-6 {
+			t.Errorf("step %d: total moved to %v, want %v", step+1, p.Value.Data[0], want)
+		}
+		if g := p.Grad.Data[0]; math.Float64bits(g) != 0 {
+			t.Errorf("step %d left the gradient at %v, want +0", step+1, g)
+		}
 	}
 }
 

@@ -14,12 +14,51 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the layers front to back.
+// Forward runs the layers front to back, each adjacent group below as one
+// sweep per pass over the block instead of one per layer:
+//
+//   - Dense→BatchNorm: the Dense bias broadcast folds into the BatchNorm's
+//     statistics sweep (train) or its apply sweep (eval, one-row batches).
+//     When a ReLU follows, the apply sweep rectifies and writes the ReLU's
+//     output.
+//   - Residual→ReLU: the skip add rectifies and writes the ReLU's output.
+//
+// Every element sees the expressions of the layers run one at a time, in
+// their order, so the result has their bits; each layer keeps the state its
+// Backward reads, and a layer whose output a fused sweep skips never
+// allocates it.
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	ls := s.Layers
+	for i := 0; i < len(ls); i++ {
+		switch l := ls[i].(type) {
+		case *Dense:
+			if bn, ok := layerAt(ls, i+1).(*BatchNorm); ok {
+				relu, _ := layerAt(ls, i+2).(*ReLU)
+				x = bn.forward(l.product(x, train), l.b.Value.Data, relu, train)
+				i++
+				if relu != nil {
+					i++
+				}
+				continue
+			}
+		case *Residual:
+			if relu, ok := layerAt(ls, i+1).(*ReLU); ok {
+				x = l.forward(x, relu, train)
+				i++
+				continue
+			}
+		}
+		x = ls[i].Forward(x, train)
 	}
 	return x
+}
+
+// layerAt returns ls[i], or nil past the end.
+func layerAt(ls []Layer, i int) Layer {
+	if i < len(ls) {
+		return ls[i]
+	}
+	return nil
 }
 
 // Backward runs the layers back to front.
@@ -40,9 +79,10 @@ func (s *Sequential) Params() []*Param {
 }
 
 // Residual wraps an inner layer F with an identity skip connection:
-// y = x + F(x). The inner layer must preserve width. The skip sums land in
+// y = F(x) + x. The inner layer must preserve width. The skip sums land in
 // persistent buffers (the inner layer's output may be its own reused
-// buffer, so the sum cannot be formed in place).
+// buffer, so the sum cannot be formed in place); out stays nil while a ReLU
+// follows in a Sequential, whose output the sum goes to instead.
 type Residual struct {
 	Inner Layer
 
@@ -55,11 +95,22 @@ var _ Layer = (*Residual)(nil)
 // NewResidual returns a residual wrapper around inner.
 func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
-// Forward computes x + Inner(x).
+// Forward computes Inner(x) + x.
 func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := r.Inner.Forward(x, train)
-	r.out = tensor.Ensure(r.out, out.Rows, out.Cols)
-	tensor.AddInto(r.out.Data, out.Data, x.Data)
+	return r.forward(x, nil, train)
+}
+
+// forward is Forward with, when relu is not nil, the ReLU after it folded
+// in: the rectified sum goes to the ReLU's output (Sequential.Forward).
+func (r *Residual) forward(x *tensor.Matrix, relu *ReLU, train bool) *tensor.Matrix {
+	inner := r.Inner.Forward(x, train)
+	if relu != nil {
+		out := relu.output(inner.Rows, inner.Cols, train)
+		tensor.AddReLUInto(out.Data, inner.Data, x.Data)
+		return out
+	}
+	r.out = tensor.Ensure(r.out, inner.Rows, inner.Cols)
+	tensor.AddInto(r.out.Data, inner.Data, x.Data)
 	return r.out
 }
 

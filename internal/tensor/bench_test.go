@@ -115,16 +115,21 @@ func BenchmarkRowOps(b *testing.B) {
 }
 
 // BenchmarkTranspose measures the bᵀ pack MatMulNTInto makes of a Dense
-// weight (in x out) on every step. MB/s counts the block once.
+// weight (in x out) on every step, on every path. MB/s counts the block once.
 func BenchmarkTranspose(b *testing.B) {
-	for _, s := range [][2]int{{48, 48}, {32, 48}, {48, 10}} {
-		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
-			m := Randn(stats.NewRNG(1), s[0], s[1], 1)
-			out := New(s[1], s[0])
-			b.SetBytes(int64(s[0] * s[1] * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				transposePanel(out, m)
+	for _, path := range kernelPaths {
+		b.Run(path, func(b *testing.B) {
+			useKernelPath(b, path)
+			for _, s := range [][2]int{{48, 48}, {32, 48}, {48, 10}} {
+				b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+					m := Randn(stats.NewRNG(1), s[0], s[1], 1)
+					out := New(s[1], s[0])
+					b.SetBytes(int64(s[0] * s[1] * 8))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						transposePanel(out, m)
+					}
+				})
 			}
 		})
 	}

@@ -461,17 +461,25 @@ func countedLoops(loops *simdLoops, calls map[string]int) *simdLoops {
 		calls["dotCols"]++
 		loops.dotCols(o, a, bt, stride)
 	}
+	c.transpose = func(out, m []float64, rows, cols int) (int, int) {
+		calls["transpose"]++
+		return loops.transpose(out, m, rows, cols)
+	}
 	c.adam = func(p, m, v, g []float64, k AdamCoeffs) {
 		calls["adam"]++
 		loops.adam(p, m, v, g, k)
 	}
-	c.colSumSq = func(sum, sumSq, x []float64, rows int) {
-		calls["colSumSq"]++
-		loops.colSumSq(sum, sumSq, x, rows)
+	c.colSumSq = func(sum, sumSq, x, bias []float64, rows int) {
+		calls[withBias("colSumSq", bias)]++
+		loops.colSumSq(sum, sumSq, x, bias, rows)
 	}
-	c.bnApply = func(out, xhat, x, mean, invStd, gamma, beta []float64, rows int) {
-		calls["bnApply"]++
-		loops.bnApply(out, xhat, x, mean, invStd, gamma, beta, rows)
+	c.bnApply = func(out, xhat, x, bias, mean, invStd, gamma, beta []float64, rows int, relu bool) {
+		name := withBias("bnApply", bias)
+		if relu {
+			name += "+relu"
+		}
+		calls[name]++
+		loops.bnApply(out, xhat, x, bias, mean, invStd, gamma, beta, rows, relu)
 	}
 	c.bnGradSums = func(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma []float64, rows int) {
 		calls["bnGradSums"]++
@@ -481,17 +489,21 @@ func countedLoops(loops *simdLoops, calls map[string]int) *simdLoops {
 		calls["bnGradInput"]++
 		loops.bnGradInput(dx, dout, xhat, gamma, sumD, sumDX, invStd, rows, m, invM)
 	}
-	c.relu = func(out, mask, x []float64) {
+	c.relu = func(out, x []float64) {
 		calls["relu"]++
-		loops.relu(out, mask, x)
+		loops.relu(out, x)
 	}
-	c.mul = func(dst, a, b []float64) {
-		calls["mul"]++
-		loops.mul(dst, a, b)
+	c.reluGrad = func(dx, dout, y []float64) {
+		calls["reluGrad"]++
+		loops.reluGrad(dx, dout, y)
 	}
-	c.add = func(dst, a, b []float64) {
-		calls["add"]++
-		loops.add(dst, a, b)
+	c.add = func(dst, a, b []float64, relu bool) {
+		if relu {
+			calls["add+relu"]++
+		} else {
+			calls["add"]++
+		}
+		loops.add(dst, a, b, relu)
 	}
 	c.addRowVec = func(m, v []float64, rows int) {
 		calls["addRowVec"]++
@@ -502,6 +514,14 @@ func countedLoops(loops *simdLoops, calls map[string]int) *simdLoops {
 		loops.addColSums(sums, m, rows)
 	}
 	return &c
+}
+
+// withBias names a loop's fused form, name+"+bias", when it got a bias.
+func withBias(name string, bias []float64) string {
+	if bias != nil {
+		return name + "+bias"
+	}
+	return name
 }
 
 // TestKernelPathReported: KernelStats.Path names the inner loops in use, and
@@ -533,14 +553,20 @@ func TestKernelPathReported(t *testing.T) {
 			{"MatMulTNInto", func() { MatMulTNInto(New(8, 8), x, dy) }, "tile"},
 			{"MatMulTNAccInto", func() { MatMulTNAccInto(New(8, 8), x, dy) }, "tile"},
 			{"MatMulNTInto", func() { MatMulNTInto(New(5, 8), dy, w) }, "dotCols"},
+			{"MatMulNTInto/pack", func() { MatMulNTInto(New(5, 8), dy, w) }, "transpose"},
+			{"TransposeInto", func() { TransposeInto(New(8, 8), w) }, "transpose"},
 			{"AdamStep", func() { AdamStep(v(), v(), v(), v(), testAdam) }, "adam"},
-			{"AddColSumSq", func() { AddColSumSq(v(), v(), x) }, "colSumSq"},
-			{"BatchNormApply", func() { BatchNormApply(New(5, 8), nil, x, v(), v(), v(), v()) }, "bnApply"},
+			{"AddColSumSq", func() { AddColSumSq(v(), v(), x, nil) }, "colSumSq"},
+			{"AddColSumSq/bias", func() { AddColSumSq(v(), v(), x, v()) }, "colSumSq+bias"},
+			{"BatchNormApply", func() { BatchNormApply(New(5, 8), nil, x, nil, v(), v(), v(), v(), false) }, "bnApply"},
+			{"BatchNormApply/relu", func() { BatchNormApply(New(5, 8), New(5, 8), x, nil, v(), v(), v(), v(), true) }, "bnApply+relu"},
+			{"BatchNormApply/bias/relu", func() { BatchNormApply(New(5, 8), nil, x, v(), v(), v(), v(), v(), true) }, "bnApply+bias+relu"},
 			{"BatchNormGradSums", func() { BatchNormGradSums(v(), v(), v(), v(), dy, x, v()) }, "bnGradSums"},
 			{"BatchNormGradInput", func() { BatchNormGradInput(New(5, 8), dy, x, v(), v(), v(), v()) }, "bnGradInput"},
-			{"ReLUInto", func() { ReLUInto(v(), nil, v()) }, "relu"},
-			{"MulInto", func() { MulInto(v(), v(), v()) }, "mul"},
+			{"ReLUInto", func() { ReLUInto(v(), v()) }, "relu"},
+			{"ReLUGradInto", func() { ReLUGradInto(v(), v(), v()) }, "reluGrad"},
 			{"AddInto", func() { AddInto(v(), v(), v()) }, "add"},
+			{"AddReLUInto", func() { AddReLUInto(v(), v(), v()) }, "add+relu"},
 			{"AddRowVector", func() { New(5, 8).AddRowVector(v()) }, "addRowVec"},
 			{"AddColSums", func() { AddColSums(v(), x) }, "addColSums"},
 		} {
@@ -578,11 +604,15 @@ func TestEquivalenceNonIntoMatchesInto(t *testing.T) {
 	}
 }
 
-// TestEquivalenceTranspose checks the blocked transpose, from one caller and
-// from four at once, against the seed's strided walk — a pure permutation,
-// so exact equality.
+// TestEquivalenceTranspose checks the blocked transpose on every kernel path,
+// from one caller and from four at once, against the seed's strided walk — a
+// pure permutation, so exact equality. The shapes sit on both sides of the
+// register blocks' edges, 4 (avx2) and 8 (avx512), and include the Dense
+// weights whose bᵀ pack MatMulNTInto makes on every step.
 func TestEquivalenceTranspose(t *testing.T) {
-	shapes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {33, 65}, {70, 3}, {0, 4}, {4, 0}, {64, 64}}
+	shapes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {33, 65}, {70, 3}, {0, 4}, {4, 0}, {64, 64},
+		{3, 4}, {4, 4}, {5, 5}, {7, 7}, {8, 8}, {9, 9}, {15, 15}, {16, 16}, {17, 17},
+		{7, 16}, {16, 9}, {8, 17}, {15, 8}, {48, 48}, {48, 10}, {10, 48}, {32, 48}}
 	transposeInto := func(out, m, _ *Matrix) { TransposeInto(out, m) }
 	for _, callers := range []int{1, 4} {
 		for _, shape := range shapes {
@@ -591,7 +621,15 @@ func TestEquivalenceTranspose(t *testing.T) {
 				m := eqOperands(uint64(10*r+c), r, c)
 				want := dirty(c, r)
 				refTransposeInto(want, m)
-				checkCallers(t, want, runCallers(simd, callers, transposeInto, dirty(c, r), m, nil))
+				for _, loops := range pathLoops() {
+					got := runCallers(loops, callers, transposeInto, dirty(c, r), m, nil)
+					for i, g := range got {
+						if !exactBitsEqual(g, want) {
+							t.Errorf("%s loops, caller %d of %d: not the strided walk's bits\n got  %v\n want %v",
+								loopsName(loops), i, callers, g.Data, want.Data)
+						}
+					}
+				}
 				if !bitsEqual(Transpose(m), want) {
 					t.Errorf("Transpose wrapper diverged")
 				}

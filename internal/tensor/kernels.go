@@ -16,8 +16,9 @@ package tensor
 // output row. The NT kernel tiles b's rows so a jTileNT x k panel of b is
 // reused across every output row. The TN kernel keeps the output itself hot
 // (it is weight-gradient-shaped, i.e. small) and streams a and b exactly
-// once. The transpose walks 32x32 tiles so both the source rows and the
-// destination columns stay within a few cache lines. NN's and TN's simd
+// once. The transpose's Go walk covers 32x32 tiles so both the source rows
+// and the destination columns stay within a few cache lines; its simd form
+// moves 8x8 or 4x4 blocks through registers, which need no tiling. NN's and TN's simd
 // path needs neither: its tile holds two output rows in registers over the
 // whole reduction (simdLoops.tile).
 const (
@@ -48,6 +49,10 @@ type simdLoops struct {
 	// dotCols: o[j] = dotSplit2(a, column j of bt) for j < len(o), a positive
 	// multiple of 4; bt is a packed bᵀ whose rows are stride apart.
 	dotCols func(o, a, bt []float64, stride int)
+	// transpose writes out = mᵀ for the first r rows and c columns of the
+	// rows x cols block m, the largest multiples of its register block edge
+	// (8 or 4), and returns r and c; transposePanel does the rest.
+	transpose func(out, m []float64, rows, cols int) (r, c int)
 	// The step's per-element loops outside the products (rowops.go).
 	simdRowOps
 }
@@ -392,17 +397,32 @@ func gemmNTPanel(out, a, b, bt *Matrix) {
 	}
 }
 
-// transposePanel writes out = mᵀ in trTile x trTile blocks, replacing the
-// seed's full-stride column walk that thrashed cache on tall matrices.
-// Within a block it walks four source rows at once, so each destination
-// row gets four adjacent words per visit; the slices are pinned to the
-// block's width so the compiler drops the bounds checks on the source.
+// transposePanel writes out = mᵀ. The simd path moves whole register blocks
+// (simdLoops.transpose) and leaves the edges, the last rows and columns that
+// fill no block, to transposeRect, which is all the generic path runs.
 func transposePanel(out, m *Matrix) {
 	rows, cols := m.Rows, m.Cols
-	for jj := 0; jj < cols; jj += trTile {
-		jEnd := min(jj+trTile, cols)
-		for ii := 0; ii < rows; ii += trTile {
-			iEnd := min(ii+trTile, rows)
+	if simd == nil || len(m.Data) == 0 {
+		transposeRect(out, m, 0, rows, 0, cols)
+		return
+	}
+	r, c := simd.transpose(out.Data, m.Data, rows, cols)
+	transposeRect(out, m, 0, r, c, cols)
+	transposeRect(out, m, r, rows, 0, cols)
+}
+
+// transposeRect writes out = mᵀ for rows [i0, i1) and columns [j0, j1) of
+// m in trTile x trTile blocks, replacing the seed's full-stride column walk
+// that thrashed cache on tall matrices. Within a block it walks four source
+// rows at once, so each destination row gets four adjacent words per visit;
+// the slices are pinned to the block's width so the compiler drops the
+// bounds checks on the source.
+func transposeRect(out, m *Matrix, i0, i1, j0, j1 int) {
+	rows, cols := m.Rows, m.Cols
+	for jj := j0; jj < j1; jj += trTile {
+		jEnd := min(jj+trTile, j1)
+		for ii := i0; ii < i1; ii += trTile {
+			iEnd := min(ii+trTile, i1)
 			i := ii
 			for ; i+3 < iEnd; i += 4 {
 				r0 := m.Data[i*cols+jj : i*cols+jEnd]

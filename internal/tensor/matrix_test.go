@@ -74,10 +74,10 @@ func TestElementwiseOps(t *testing.T) {
 	if !scaled.Equal(FromRows([][]float64{{2, 4}, {6, 8}}), 0) {
 		t.Error("Scale wrong")
 	}
-	had := a.Clone()
-	MulInto(had.Data, had.Data, b.Data)
-	if !had.Equal(FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
-		t.Error("in-place MulInto wrong")
+	masked := b.Clone()
+	ReLUGradInto(masked.Data, masked.Data, []float64{1, 0, 0.5, math.Copysign(0, -1)})
+	if !masked.Equal(FromRows([][]float64{{10, 0}, {30, 40}}), 0) {
+		t.Errorf("in-place ReLUGradInto wrong: %v", masked.Data)
 	}
 	axpy := a.Clone().AddScaled(0.5, b)
 	if !axpy.Equal(FromRows([][]float64{{6, 12}, {18, 24}}), 0) {

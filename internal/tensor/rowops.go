@@ -6,13 +6,17 @@ import (
 )
 
 // The per-element loops of one training step outside the matrix products:
-// the Adam update, BatchNorm's sweeps, ReLU, the bias broadcast and its
-// gradient, the residual add. Each works on a whole contiguous block — rows x
-// cols row-major, or a flat vector — so a layer makes one call, not one per
-// row. Rows are always visited in index order and columns never interact, so
-// every per-column sum keeps one addition order; with simd set the same
-// expressions run four or eight columns per instruction (simdRowOps), bit for
-// bit.
+// the Adam update, BatchNorm's sweeps, ReLU and its gradient, the bias
+// broadcast and its gradient, the residual add. Each works on a whole
+// contiguous block — rows x cols row-major, or a flat vector — so a layer
+// makes one call, not one per row. Several take optional operands (a nil
+// bias, a relu flag) that fold the next layer's sweep into theirs, so a
+// Dense→BatchNorm→ReLU or Residual→ReLU group reads and writes each element
+// once per sweep instead of once per layer; every element still sees the
+// unfused layers' expressions in their order. Rows are always visited in
+// index order and columns never interact, so every per-column sum keeps one
+// addition order; with simd set the same expressions run four or eight
+// columns per instruction (simdRowOps), bit for bit.
 // None of them counts into KernelStats.Ops, which stays the matmuls' count.
 
 // simdRowOps are the data-parallel forms of the loops in this file, under
@@ -22,13 +26,13 @@ import (
 // per-column operands.
 type simdRowOps struct {
 	adam        func(p, m, v, g []float64, k AdamCoeffs)
-	colSumSq    func(sum, sumSq, x []float64, rows int)
-	bnApply     func(out, xhat, x, mean, invStd, gamma, beta []float64, rows int) // xhat may be nil
+	colSumSq    func(sum, sumSq, x, bias []float64, rows int)                                      // bias may be nil
+	bnApply     func(out, xhat, x, bias, mean, invStd, gamma, beta []float64, rows int, relu bool) // xhat, bias may be nil
 	bnGradSums  func(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma []float64, rows int)
 	bnGradInput func(dx, dout, xhat, gamma, sumD, sumDX, invStd []float64, rows int, m, invM float64)
-	relu        func(out, mask, x []float64) // mask may be nil
-	mul         func(dst, a, b []float64)
-	add         func(dst, a, b []float64)
+	relu        func(out, x []float64)
+	reluGrad    func(dx, dout, y []float64)
+	add         func(dst, a, b []float64, relu bool)
 	addRowVec   func(m, v []float64, rows int)
 	addColSums  func(sums, m []float64, rows int)
 }
@@ -50,11 +54,13 @@ type AdamCoeffs struct {
 	Eps          float64
 }
 
-// AdamStep updates a parameter p and its moments m, v from the gradient g:
+// AdamStep updates a parameter p and its moments m, v from the gradient g,
+// and consumes g: it stores +0 into each gradient word once it has read it.
 //
 //	m = B1*m + OB1*g
 //	v = B2*v + (OB2*g)*g
 //	p = p - (LR*(m*InvC1)) / (sqrt(v*InvC2) + Eps)
+//	g = +0
 func AdamStep(p, m, v, g []float64, k AdamCoeffs) {
 	n := len(g)
 	mustLen("AdamStep", "p", len(p), n)
@@ -72,25 +78,37 @@ func AdamStep(p, m, v, g []float64, k AdamCoeffs) {
 		vi := k.B2*v[i] + k.OB2*gi*gi
 		m[i] = mi
 		v[i] = vi
+		g[i] = 0
 		p[i] -= k.LR * (mi * k.InvC1) / (math.Sqrt(vi*k.InvC2) + k.Eps)
 	}
 }
 
 // AddColSumSq accumulates x's per-column sums and sums of squares:
 // sum[j] += x[i][j] and sumSq[j] += x[i][j]*x[i][j], rows ascending
-// (BatchNorm's batch statistics).
-func AddColSumSq(sum, sumSq []float64, x *Matrix) {
+// (BatchNorm's batch statistics). A non-nil bias is first added to x in
+// place, x[i][j] += bias[j], in the same sweep: the Dense bias broadcast of
+// a Dense→BatchNorm group, whose statistics see the biased values.
+func AddColSumSq(sum, sumSq []float64, x *Matrix, bias []float64) {
 	mustLen("AddColSumSq", "sum", len(sum), x.Cols)
 	mustLen("AddColSumSq", "sumSq", len(sumSq), x.Cols)
+	if bias != nil {
+		mustLen("AddColSumSq", "bias", len(bias), x.Cols)
+	}
 	if len(x.Data) == 0 {
 		return
 	}
 	if simd != nil {
-		simd.colSumSq(sum, sumSq, x.Data, x.Rows)
+		simd.colSumSq(sum, sumSq, x.Data, bias, x.Rows)
 		return
 	}
 	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
+		row := x.Row(i)
+		if bias != nil {
+			for j, b := range bias {
+				row[j] += b
+			}
+		}
+		for j, v := range row {
 			sum[j] += v
 			sumSq[j] += v * v
 		}
@@ -99,11 +117,17 @@ func AddColSumSq(sum, sumSq []float64, x *Matrix) {
 
 // BatchNormApply normalizes x with per-column statistics and applies the
 // affine map: xhat = (x - mean[j])*invStd[j], out = gamma[j]*xhat + beta[j].
-// A nil xhat is the eval form, which keeps no normalized copy.
-func BatchNormApply(out, xhat, x *Matrix, mean, invStd, gamma, beta []float64) {
+// A nil xhat is the eval form, which keeps no normalized copy. Two
+// neighbours fold in: a non-nil bias is added first, x + bias[j] standing
+// for x (a Dense layer's bias, when x is its product), and relu rectifies
+// out as ReLUInto does (a ReLU after the BatchNorm). x is only read.
+func BatchNormApply(out, xhat, x *Matrix, bias, mean, invStd, gamma, beta []float64, relu bool) {
 	x.mustSameShape(out, "BatchNormApply")
 	if xhat != nil {
 		x.mustSameShape(xhat, "BatchNormApply")
+	}
+	if bias != nil {
+		mustLen("BatchNormApply", "bias", len(bias), x.Cols)
 	}
 	for _, v := range [][]float64{mean, invStd, gamma, beta} {
 		mustLen("BatchNormApply", "a per-column operand", len(v), x.Cols)
@@ -111,29 +135,31 @@ func BatchNormApply(out, xhat, x *Matrix, mean, invStd, gamma, beta []float64) {
 	if len(x.Data) == 0 {
 		return
 	}
+	var xh []float64
+	if xhat != nil {
+		xh = xhat.Data
+	}
 	if simd != nil {
-		var xh []float64
-		if xhat != nil {
-			xh = xhat.Data
-		}
-		simd.bnApply(out.Data, xh, x.Data, mean, invStd, gamma, beta, x.Rows)
+		simd.bnApply(out.Data, xh, x.Data, bias, mean, invStd, gamma, beta, x.Rows, relu)
 		return
 	}
+	cols := x.Cols
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		orow := out.Row(i)
-		if xhat != nil {
-			xrow := xhat.Row(i)
-			for j, v := range row {
-				xh := (v - mean[j]) * invStd[j]
-				xrow[j] = xh
-				orow[j] = gamma[j]*xh + beta[j]
+		for j, v := range row {
+			if bias != nil {
+				v += bias[j]
 			}
-		} else {
-			for j, v := range row {
-				xh := (v - mean[j]) * invStd[j]
-				orow[j] = gamma[j]*xh + beta[j]
+			h := (v - mean[j]) * invStd[j]
+			if xh != nil {
+				xh[i*cols+j] = h
 			}
+			y := gamma[j]*h + beta[j]
+			if relu {
+				y = reluVal(y)
+			}
+			orow[j] = y
 		}
 	}
 }
@@ -216,60 +242,63 @@ func zeroOne(nonNeg float64) float64 {
 	return float64((u | -u) >> 63 & 1)
 }
 
-// ReLUInto writes out = max(0, x) and, unless mask is nil (the eval form),
-// mask = 1.0 where out is nonzero and 0.0 elsewhere. Both are decided on the
-// bit pattern: any input with the sign bit set, -0 and negative-signed NaN
-// included, gives +0 and mask 0.
-func ReLUInto(out, mask, x []float64) {
+// ReLUInto writes out = max(0, x), decided on the bit pattern: any input
+// with the sign bit set, -0 and negative-signed NaN included, gives +0.
+func ReLUInto(out, x []float64) {
 	mustLen("ReLUInto", "out", len(out), len(x))
-	if mask != nil {
-		mustLen("ReLUInto", "mask", len(mask), len(x))
-	}
 	if len(x) == 0 {
 		return
 	}
 	if simd != nil {
-		simd.relu(out, mask, x)
+		simd.relu(out, x)
 		return
 	}
-	if mask != nil {
-		for i, v := range x {
-			y := reluVal(v)
-			out[i] = y
-			mask[i] = zeroOne(y)
-		}
-	} else {
-		for i, v := range x {
-			out[i] = reluVal(v)
-		}
+	for i, v := range x {
+		out[i] = reluVal(v)
 	}
 }
 
-// MulInto writes dst[i] = a[i]*b[i]. dst may be a or b themselves.
-func MulInto(dst, a, b []float64) {
-	mustLen("MulInto", "a", len(a), len(dst))
-	mustLen("MulInto", "b", len(b), len(dst))
-	if len(dst) == 0 {
+// ReLUGradInto is ReLU's backward pass from its own output y:
+// dx = dout*1.0 where y has any bit set and dout*(+0) where y is +0, the
+// factor zeroOne(y) decided on y's bits in the same sweep, so the layer keeps
+// no mask. dx may be dout itself.
+func ReLUGradInto(dx, dout, y []float64) {
+	mustLen("ReLUGradInto", "dout", len(dout), len(dx))
+	mustLen("ReLUGradInto", "y", len(y), len(dx))
+	if len(dx) == 0 {
 		return
 	}
 	if simd != nil {
-		simd.mul(dst, a, b)
+		simd.reluGrad(dx, dout, y)
 		return
 	}
-	for i, v := range a {
-		dst[i] = v * b[i]
+	for i, d := range dout {
+		dx[i] = d * zeroOne(y[i])
 	}
 }
 
 // AddInto writes dst[i] = a[i]+b[i]. dst may be a or b themselves.
-func AddInto(dst, a, b []float64) {
-	mustLen("AddInto", "a", len(a), len(dst))
-	mustLen("AddInto", "b", len(b), len(dst))
+func AddInto(dst, a, b []float64) { addInto("AddInto", dst, a, b, false) }
+
+// AddReLUInto writes dst[i] = max(0, a[i]+b[i]), the sum rectified as
+// ReLUInto does: a residual add and the ReLU after it in one sweep. dst may
+// be a or b themselves.
+func AddReLUInto(dst, a, b []float64) { addInto("AddReLUInto", dst, a, b, true) }
+
+func addInto(op string, dst, a, b []float64, relu bool) {
+	mustLen(op, "a", len(a), len(dst))
+	mustLen(op, "b", len(b), len(dst))
 	if len(dst) == 0 {
 		return
 	}
 	if simd != nil {
-		simd.add(dst, a, b)
+		simd.add(dst, a, b, relu)
+		return
+	}
+	if relu {
+		for i, v := range a {
+			dst[i] = reluVal(v + b[i])
+		}
 		return
 	}
 	for i, v := range a {

@@ -8,10 +8,10 @@ package tensor
 func adamAVX2(p, m, v, grad *float64, n int, k *AdamCoeffs)
 
 //go:noescape
-func colSumSqAsm(sum, sumSq, x *float64, rows, cols int, wide bool)
+func colSumSqAsm(sum, sumSq, x, bias *float64, rows, cols int, wide bool)
 
 //go:noescape
-func bnApplyAsm(out, xhat, x, mean, invStd, gamma, beta *float64, rows, cols int, wide bool)
+func bnApplyAsm(out, xhat, x, bias, mean, invStd, gamma, beta *float64, rows, cols int, relu, wide bool)
 
 //go:noescape
 func bnGradSumsAsm(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma *float64, rows, cols int, wide bool)
@@ -20,13 +20,13 @@ func bnGradSumsAsm(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma *float64, rows, 
 func bnGradInputAsm(dx, dout, xhat, gamma, sumD, sumDX, invStd *float64, rows, cols int, m, invM float64, wide bool)
 
 //go:noescape
-func reluAsm(out, mask, x *float64, n int, wide bool)
+func reluAsm(out, x *float64, n int, wide bool)
 
 //go:noescape
-func mulAsm(dst, a, b *float64, n int, wide bool)
+func reluGradAsm(dx, dout, y *float64, n int, wide bool)
 
 //go:noescape
-func addAsm(dst, a, b *float64, n int, wide bool)
+func addAsm(dst, a, b *float64, n int, relu, wide bool)
 
 //go:noescape
 func addRowVecAsm(m, v *float64, rows, cols int, wide bool)
@@ -41,6 +41,14 @@ func base(s []float64, n int) *float64 {
 	return &s[0]
 }
 
+// baseOrNil is base for an optional operand: nil stays nil.
+func baseOrNil(s []float64, n int) *float64 {
+	if s == nil {
+		return nil
+	}
+	return base(s, n)
+}
+
 // asmRowOps returns the row ops of the loop set whose 8-lane steps wide
 // turns on. Adam has none: it runs the AVX2 loop in both sets.
 func asmRowOps(wide bool) simdRowOps {
@@ -49,18 +57,15 @@ func asmRowOps(wide bool) simdRowOps {
 			n := len(g)
 			adamAVX2(base(p, n), base(m, n), base(v, n), base(g, n), n, &k)
 		},
-		colSumSq: func(sum, sumSq, x []float64, rows int) {
+		colSumSq: func(sum, sumSq, x, bias []float64, rows int) {
 			cols := len(sum)
-			colSumSqAsm(base(sum, cols), base(sumSq, cols), base(x, rows*cols), rows, cols, wide)
+			colSumSqAsm(base(sum, cols), base(sumSq, cols), base(x, rows*cols), baseOrNil(bias, cols), rows, cols, wide)
 		},
-		bnApply: func(out, xhat, x, mean, invStd, gamma, beta []float64, rows int) {
+		bnApply: func(out, xhat, x, bias, mean, invStd, gamma, beta []float64, rows int, relu bool) {
 			cols := len(mean)
 			n := rows * cols
-			var xh *float64
-			if xhat != nil {
-				xh = base(xhat, n)
-			}
-			bnApplyAsm(base(out, n), xh, base(x, n), base(mean, cols), base(invStd, cols), base(gamma, cols), base(beta, cols), rows, cols, wide)
+			bnApplyAsm(base(out, n), baseOrNil(xhat, n), base(x, n), baseOrNil(bias, cols),
+				base(mean, cols), base(invStd, cols), base(gamma, cols), base(beta, cols), rows, cols, relu, wide)
 		},
 		bnGradSums: func(sumD, sumDX, gGrad, bGrad, dout, xhat, gamma []float64, rows int) {
 			cols := len(gamma)
@@ -72,21 +77,17 @@ func asmRowOps(wide bool) simdRowOps {
 			n := rows * cols
 			bnGradInputAsm(base(dx, n), base(dout, n), base(xhat, n), base(gamma, cols), base(sumD, cols), base(sumDX, cols), base(invStd, cols), rows, cols, m, invM, wide)
 		},
-		relu: func(out, mask, x []float64) {
+		relu: func(out, x []float64) {
 			n := len(x)
-			var mk *float64
-			if mask != nil {
-				mk = base(mask, n)
-			}
-			reluAsm(base(out, n), mk, base(x, n), n, wide)
+			reluAsm(base(out, n), base(x, n), n, wide)
 		},
-		mul: func(dst, a, b []float64) {
-			n := len(dst)
-			mulAsm(base(dst, n), base(a, n), base(b, n), n, wide)
+		reluGrad: func(dx, dout, y []float64) {
+			n := len(dx)
+			reluGradAsm(base(dx, n), base(dout, n), base(y, n), n, wide)
 		},
-		add: func(dst, a, b []float64) {
+		add: func(dst, a, b []float64, relu bool) {
 			n := len(dst)
-			addAsm(base(dst, n), base(a, n), base(b, n), n, wide)
+			addAsm(base(dst, n), base(a, n), base(b, n), n, relu, wide)
 		},
 		addRowVec: func(m, v []float64, rows int) {
 			cols := len(v)

@@ -24,7 +24,10 @@
 // func adamAVX2(p, m, v, grad *float64, n int, k *AdamCoeffs)
 //
 //	m = B1*m + OB1*g;  v = B2*v + (OB2*g)*g
-//	p = p - (LR*(m*InvC1)) / (sqrt(v*InvC2) + Eps)
+//	p = p - (LR*(m*InvC1)) / (sqrt(v*InvC2) + Eps);  g = +0
+//
+// The gradient's +0 store issues right after its load, in the shadow of the
+// VDIVPD and VSQRTPD that bound the loop.
 TEXT ·adamAVX2(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
 	MOVQ m+8(FP), SI
@@ -40,6 +43,7 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-48
 	VBROADCASTSD AdamCoeffs_InvC1(R9), Y13
 	VBROADCASTSD AdamCoeffs_InvC2(R9), Y14
 	VBROADCASTSD AdamCoeffs_Eps(R9), Y15
+	VXORPD Y7, Y7, Y7 // +0
 	XORQ AX, AX
 	MOVQ CX, DX
 	ANDQ $-4, DX // last index a full vector starts below
@@ -47,6 +51,7 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-48
 
 adamvloop:
 	VMOVUPD (R8)(AX*8), Y0 // g
+	VMOVUPD Y7, (R8)(AX*8) // g = +0
 	VMULPD  (SI)(AX*8), Y8, Y1
 	VMULPD  Y0, Y9, Y2
 	VADDPD  Y2, Y1, Y1 // m
@@ -74,6 +79,7 @@ adamvtest:
 
 adamsloop:
 	VMOVSD  (R8)(AX*8), X0
+	VMOVSD  X7, (R8)(AX*8)
 	VMULSD  (SI)(AX*8), X8, X1
 	VMULSD  X0, X9, X2
 	VADDSD  X2, X1, X1
@@ -100,16 +106,17 @@ adamstest:
 	VZEROUPPER
 	RET
 
-// func colSumSqAsm(sum, sumSq, x *float64, rows, cols int, wide bool)
+// func colSumSqAsm(sum, sumSq, x, bias *float64, rows, cols int, wide bool)
 //
-//	sum[j] += x[i][j];  sumSq[j] += x[i][j]*x[i][j]
-TEXT ·colSumSqAsm(SB), NOSPLIT, $0-41
+//	x[i][j] += bias[j] (unless bias is nil);  sum[j] += x[i][j];  sumSq[j] += x[i][j]*x[i][j]
+TEXT ·colSumSqAsm(SB), NOSPLIT, $0-49
 	MOVQ sum+0(FP), DI
 	MOVQ sumSq+8(FP), SI
 	MOVQ x+16(FP), BX
-	MOVQ rows+24(FP), R8
-	MOVQ cols+32(FP), CX
-	MOVBQZX wide+40(FP), R13
+	MOVQ bias+24(FP), R9
+	MOVQ rows+32(FP), R8
+	MOVQ cols+40(FP), CX
+	MOVBQZX wide+48(FP), R13
 	NEGQ    R13 // all ones when wide
 	ANDQ    CX, R13
 	ANDQ    $-8, R13 // where the 8-lane step ends
@@ -122,6 +129,12 @@ cssrow:
 
 csszloop:
 	VMOVUPD (BX)(AX*8), Z0
+	TESTQ   R9, R9
+	JZ      csszsum
+	VADDPD  (R9)(AX*8), Z0, Z0 // x + bias
+	VMOVUPD Z0, (BX)(AX*8)
+
+csszsum:
 	VADDPD  (DI)(AX*8), Z0, Z1
 	VMOVUPD Z1, (DI)(AX*8)
 	VMULPD  Z0, Z0, Z0
@@ -136,6 +149,12 @@ cssztest:
 
 cssvloop:
 	VMOVUPD (BX)(AX*8), Y0
+	TESTQ   R9, R9
+	JZ      cssvsum
+	VADDPD  (R9)(AX*8), Y0, Y0
+	VMOVUPD Y0, (BX)(AX*8)
+
+cssvsum:
 	VADDPD  (DI)(AX*8), Y0, Y1
 	VMOVUPD Y1, (DI)(AX*8)
 	VMULPD  Y0, Y0, Y0
@@ -150,6 +169,12 @@ cssvtest:
 
 csssloop:
 	VMOVSD (BX)(AX*8), X0
+	TESTQ  R9, R9
+	JZ     cssssum
+	VADDSD (R9)(AX*8), X0, X0
+	VMOVSD X0, (BX)(AX*8)
+
+cssssum:
 	VADDSD (DI)(AX*8), X0, X1
 	VMOVSD X1, (DI)(AX*8)
 	VMULSD X0, X0, X0
@@ -166,27 +191,32 @@ cssstest:
 	VZEROUPPER
 	RET
 
-// func bnApplyAsm(out, xhat, x, mean, invStd, gamma, beta *float64, rows, cols int, wide bool)
+// func bnApplyAsm(out, xhat, x, bias, mean, invStd, gamma, beta *float64, rows, cols int, relu, wide bool)
 //
-//	xh = (x[i][j] - mean[j])*invStd[j];  out[i][j] = gamma[j]*xh + beta[j]
+//	t = x[i][j] + bias[j] (x[i][j] when bias is nil)
+//	xh = (t - mean[j])*invStd[j];  y = gamma[j]*xh + beta[j]
+//	out[i][j] = y, or with relu y's bits &^ its sign spread, as in reluAsm
 //
-// and xhat[i][j] = xh unless xhat is nil.
-TEXT ·bnApplyAsm(SB), NOSPLIT, $0-73
+// and xhat[i][j] = xh unless xhat is nil. Every register but BP and R14 is
+// taken, so relu is tested in its argument slot.
+TEXT ·bnApplyAsm(SB), NOSPLIT, $0-82
 	MOVQ out+0(FP), DI
 	MOVQ xhat+8(FP), SI
 	MOVQ x+16(FP), BX
-	MOVQ mean+24(FP), R9
-	MOVQ invStd+32(FP), R10
-	MOVQ gamma+40(FP), R11
-	MOVQ beta+48(FP), R12
-	MOVQ rows+56(FP), R8
-	MOVQ cols+64(FP), CX
-	MOVBQZX wide+72(FP), R13
+	MOVQ bias+24(FP), R15
+	MOVQ mean+32(FP), R9
+	MOVQ invStd+40(FP), R10
+	MOVQ gamma+48(FP), R11
+	MOVQ beta+56(FP), R12
+	MOVQ rows+64(FP), R8
+	MOVQ cols+72(FP), CX
+	MOVBQZX wide+81(FP), R13
 	NEGQ    R13 // all ones when wide
 	ANDQ    CX, R13
 	ANDQ    $-8, R13 // where the 8-lane step ends
-	MOVQ CX, DX
-	ANDQ $-4, DX
+	MOVQ  CX, DX
+	ANDQ  $-4, DX
+	VPXOR Y12, Y12, Y12 // zero
 
 bnarow:
 	XORQ AX, AX
@@ -194,7 +224,12 @@ bnarow:
 
 bnazloop:
 	VMOVUPD (BX)(AX*8), Z0
-	VSUBPD  (R9)(AX*8), Z0, Z0 // x - mean
+	TESTQ   R15, R15
+	JZ      bnaznorm
+	VADDPD  (R15)(AX*8), Z0, Z0 // x + bias
+
+bnaznorm:
+	VSUBPD  (R9)(AX*8), Z0, Z0 // - mean
 	VMULPD  (R10)(AX*8), Z0, Z0
 	TESTQ   SI, SI
 	JZ      bnazout
@@ -203,6 +238,12 @@ bnazloop:
 bnazout:
 	VMULPD  (R11)(AX*8), Z0, Z0
 	VADDPD  (R12)(AX*8), Z0, Z0
+	CMPB    relu+80(FP), $0
+	JEQ     bnazstore
+	VPSRAQ  $63, Z0, Z1 // all ones where the sign bit is set
+	VPANDNQ Z0, Z1, Z0 // y &^ that
+
+bnazstore:
 	VMOVUPD Z0, (DI)(AX*8)
 	ADDQ    $8, AX
 
@@ -213,15 +254,26 @@ bnaztest:
 
 bnavloop:
 	VMOVUPD (BX)(AX*8), Y0
-	VSUBPD  (R9)(AX*8), Y0, Y0 // x - mean
+	TESTQ   R15, R15
+	JZ      bnavnorm
+	VADDPD  (R15)(AX*8), Y0, Y0 // x + bias
+
+bnavnorm:
+	VSUBPD  (R9)(AX*8), Y0, Y0 // - mean
 	VMULPD  (R10)(AX*8), Y0, Y0
 	TESTQ   SI, SI
 	JZ      bnavout
 	VMOVUPD Y0, (SI)(AX*8)
 
 bnavout:
-	VMULPD  (R11)(AX*8), Y0, Y0
-	VADDPD  (R12)(AX*8), Y0, Y0
+	VMULPD   (R11)(AX*8), Y0, Y0
+	VADDPD   (R12)(AX*8), Y0, Y0
+	CMPB     relu+80(FP), $0
+	JEQ      bnavstore
+	VPCMPGTQ Y0, Y12, Y1 // 0 > y: the sign bit is set
+	VPANDN   Y0, Y1, Y0 // y &^ that
+
+bnavstore:
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ    $4, AX
 
@@ -232,6 +284,11 @@ bnavtest:
 
 bnasloop:
 	VMOVSD (BX)(AX*8), X0
+	TESTQ  R15, R15
+	JZ     bnasnorm
+	VADDSD (R15)(AX*8), X0, X0
+
+bnasnorm:
 	VSUBSD (R9)(AX*8), X0, X0
 	VMULSD (R10)(AX*8), X0, X0
 	TESTQ  SI, SI
@@ -239,8 +296,14 @@ bnasloop:
 	VMOVSD X0, (SI)(AX*8)
 
 bnasout:
-	VMULSD (R11)(AX*8), X0, X0
-	VADDSD (R12)(AX*8), X0, X0
+	VMULSD   (R11)(AX*8), X0, X0
+	VADDSD   (R12)(AX*8), X0, X0
+	CMPB     relu+80(FP), $0
+	JEQ      bnasstore
+	VPCMPGTQ X0, X12, X1
+	VPANDN   X0, X1, X0
+
+bnasstore:
 	VMOVSD X0, (DI)(AX*8)
 	INCQ   AX
 
@@ -444,51 +507,35 @@ bgistest:
 	VZEROUPPER
 	RET
 
-// func reluAsm(out, mask, x *float64, n int, wide bool)
+// func reluAsm(out, x *float64, n int, wide bool)
 //
-// In the integer domain, as reluVal and zeroOne are: out = x with every lane
-// whose sign bit is set (as an int64, below zero) cleared to +0, and unless
-// mask is nil, mask = the bits of 1.0 where out has any bit set, else +0.
-// The 8-lane step has no vector compare: it clears with the sign spread by
-// VPSRAQ, as reluVal does, and picks 1.0 with the opmask VPTESTMQ sets.
-TEXT ·reluAsm(SB), NOSPLIT, $0-33
+// In the integer domain, as reluVal is: out = x with every lane whose sign
+// bit is set (as an int64, below zero) cleared to +0. The 8-lane step has no
+// vector compare: it clears with the sign spread by VPSRAQ, as reluVal does.
+TEXT ·reluAsm(SB), NOSPLIT, $0-25
 	MOVQ  out+0(FP), DI
-	MOVQ  mask+8(FP), SI
-	MOVQ  x+16(FP), BX
-	MOVQ  n+24(FP), CX
+	MOVQ  x+8(FP), BX
+	MOVQ  n+16(FP), CX
 	VPXOR Y12, Y12, Y12 // zero
-	MOVQ  $0x3FF0000000000000, R9
-	VMOVQ R9, X13
-	VPBROADCASTQ X13, Y13 // 1.0
 	XORQ  AX, AX
-	MOVBQZX wide+32(FP), R13
+	MOVBQZX wide+24(FP), R13
 	NEGQ    R13 // all ones when wide
 	ANDQ    CX, R13
 	ANDQ    $-8, R13 // where the 8-lane step ends
-	TESTQ R13, R13
-	JZ    reluztest
-	VPBROADCASTQ X13, Z13
-	JMP   reluztest
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	JMP  reluztest
 
 reluzloop:
-	VMOVDQU64   (BX)(AX*8), Z0
-	VPSRAQ      $63, Z0, Z1 // all ones where the sign bit is set
-	VPANDNQ     Z0, Z1, Z0 // x &^ that
-	VMOVDQU64   Z0, (DI)(AX*8)
-	TESTQ       SI, SI
-	JZ          reluznext
-	VPTESTMQ    Z0, Z0, K1 // out != 0
-	VMOVDQU64.Z Z13, K1, Z1 // 1.0 there, +0 elsewhere
-	VMOVDQU64   Z1, (SI)(AX*8)
-
-reluznext:
-	ADDQ $8, AX
+	VMOVDQU64 (BX)(AX*8), Z0
+	VPSRAQ    $63, Z0, Z1 // all ones where the sign bit is set
+	VPANDNQ   Z0, Z1, Z0 // x &^ that
+	VMOVDQU64 Z0, (DI)(AX*8)
+	ADDQ      $8, AX
 
 reluztest:
 	CMPQ AX, R13
 	JLT  reluzloop
-	MOVQ CX, DX
-	ANDQ $-4, DX
 	JMP  reluvtest
 
 reluvloop:
@@ -496,14 +543,7 @@ reluvloop:
 	VPCMPGTQ Y0, Y12, Y1 // 0 > x: the sign bit is set
 	VPANDN   Y0, Y1, Y0 // x &^ that
 	VMOVDQU  Y0, (DI)(AX*8)
-	TESTQ    SI, SI
-	JZ       reluvnext
-	VPCMPEQQ Y0, Y12, Y1 // out == 0
-	VPANDN   Y13, Y1, Y1 // 1.0 &^ that
-	VMOVDQU  Y1, (SI)(AX*8)
-
-reluvnext:
-	ADDQ $4, AX
+	ADDQ     $4, AX
 
 reluvtest:
 	CMPQ AX, DX
@@ -515,14 +555,7 @@ relusloop:
 	VPCMPGTQ X0, X12, X1
 	VPANDN   X0, X1, X0
 	VMOVQ    X0, (DI)(AX*8)
-	TESTQ    SI, SI
-	JZ       relusnext
-	VPCMPEQQ X0, X12, X1
-	VPANDN   X13, X1, X1
-	VMOVQ    X1, (SI)(AX*8)
-
-relusnext:
-	INCQ AX
+	INCQ     AX
 
 relustest:
 	CMPQ AX, CX
@@ -530,67 +563,88 @@ relustest:
 	VZEROUPPER
 	RET
 
-// func mulAsm(dst, a, b *float64, n int, wide bool)
+// func reluGradAsm(dx, dout, y *float64, n int, wide bool)
 //
-//	dst[i] = a[i]*b[i]
-TEXT ·mulAsm(SB), NOSPLIT, $0-33
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
+//	dx[i] = dout[i] * (1.0 where y[i] has any bit set, else +0)
+//
+// The factor is zeroOne(y), built in a register from y's bits: on the 8-lane
+// step with the opmask VPTESTMQ sets, below it with VPCMPEQQ against zero.
+TEXT ·reluGradAsm(SB), NOSPLIT, $0-33
+	MOVQ  dx+0(FP), DI
+	MOVQ  dout+8(FP), SI
+	MOVQ  y+16(FP), BX
+	MOVQ  n+24(FP), CX
+	VPXOR Y12, Y12, Y12 // zero
+	MOVQ  $0x3FF0000000000000, R9
+	VMOVQ R9, X13
+	VPBROADCASTQ X13, Y13 // 1.0
+	XORQ  AX, AX
 	MOVBQZX wide+32(FP), R13
 	NEGQ    R13 // all ones when wide
 	ANDQ    CX, R13
 	ANDQ    $-8, R13 // where the 8-lane step ends
 	MOVQ CX, DX
 	ANDQ $-4, DX
-	JMP  mulztest
+	TESTQ R13, R13
+	JZ    rgztest
+	VPBROADCASTQ X13, Z13
+	JMP   rgztest
 
-mulzloop:
-	VMOVUPD (SI)(AX*8), Z0
-	VMULPD  (BX)(AX*8), Z0, Z0
-	VMOVUPD Z0, (DI)(AX*8)
-	ADDQ    $8, AX
+rgzloop:
+	VMOVDQU64   (BX)(AX*8), Z1
+	VPTESTMQ    Z1, Z1, K1 // y != 0
+	VMOVDQU64.Z Z13, K1, Z1 // 1.0 there, +0 elsewhere
+	VMOVUPD     (SI)(AX*8), Z0
+	VMULPD      Z1, Z0, Z0 // dout * that
+	VMOVUPD     Z0, (DI)(AX*8)
+	ADDQ        $8, AX
 
-mulztest:
+rgztest:
 	CMPQ AX, R13
-	JLT  mulzloop
-	JMP  mulvtest
+	JLT  rgzloop
+	JMP  rgvtest
 
-mulvloop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  (BX)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
+rgvloop:
+	VMOVDQU  (BX)(AX*8), Y1
+	VPCMPEQQ Y1, Y12, Y1 // y == 0
+	VPANDN   Y13, Y1, Y1 // 1.0 &^ that
+	VMOVUPD  (SI)(AX*8), Y0
+	VMULPD   Y1, Y0, Y0
+	VMOVUPD  Y0, (DI)(AX*8)
+	ADDQ     $4, AX
 
-mulvtest:
+rgvtest:
 	CMPQ AX, DX
-	JLT  mulvloop
-	JMP  mulstest
+	JLT  rgvloop
+	JMP  rgstest
 
-mulsloop:
-	VMOVSD (SI)(AX*8), X0
-	VMULSD (BX)(AX*8), X0, X0
-	VMOVSD X0, (DI)(AX*8)
-	INCQ   AX
+rgsloop:
+	VMOVQ    (BX)(AX*8), X1
+	VPCMPEQQ X1, X12, X1
+	VPANDN   X13, X1, X1
+	VMOVSD   (SI)(AX*8), X0
+	VMULSD   X1, X0, X0
+	VMOVSD   X0, (DI)(AX*8)
+	INCQ     AX
 
-mulstest:
+rgstest:
 	CMPQ AX, CX
-	JLT  mulsloop
+	JLT  rgsloop
 	VZEROUPPER
 	RET
 
-// func addAsm(dst, a, b *float64, n int, wide bool)
+// func addAsm(dst, a, b *float64, n int, relu, wide bool)
 //
-//	dst[i] = a[i]+b[i]
-TEXT ·addAsm(SB), NOSPLIT, $0-33
+//	dst[i] = a[i]+b[i], or with relu that sum's bits &^ its sign spread
+TEXT ·addAsm(SB), NOSPLIT, $0-34
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
 	MOVQ n+24(FP), CX
+	MOVBQZX relu+32(FP), R9
+	VPXOR Y12, Y12, Y12 // zero
 	XORQ AX, AX
-	MOVBQZX wide+32(FP), R13
+	MOVBQZX wide+33(FP), R13
 	NEGQ    R13 // all ones when wide
 	ANDQ    CX, R13
 	ANDQ    $-8, R13 // where the 8-lane step ends
@@ -601,6 +655,12 @@ TEXT ·addAsm(SB), NOSPLIT, $0-33
 addzloop:
 	VMOVUPD (SI)(AX*8), Z0
 	VADDPD  (BX)(AX*8), Z0, Z0
+	TESTQ   R9, R9
+	JZ      addzstore
+	VPSRAQ  $63, Z0, Z1
+	VPANDNQ Z0, Z1, Z0
+
+addzstore:
 	VMOVUPD Z0, (DI)(AX*8)
 	ADDQ    $8, AX
 
@@ -610,8 +670,14 @@ addztest:
 	JMP  addvtest
 
 addvloop:
-	VMOVUPD (SI)(AX*8), Y0
-	VADDPD  (BX)(AX*8), Y0, Y0
+	VMOVUPD  (SI)(AX*8), Y0
+	VADDPD   (BX)(AX*8), Y0, Y0
+	TESTQ    R9, R9
+	JZ       addvstore
+	VPCMPGTQ Y0, Y12, Y1
+	VPANDN   Y0, Y1, Y0
+
+addvstore:
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ    $4, AX
 
@@ -621,8 +687,14 @@ addvtest:
 	JMP  addstest
 
 addsloop:
-	VMOVSD (SI)(AX*8), X0
-	VADDSD (BX)(AX*8), X0, X0
+	VMOVSD   (SI)(AX*8), X0
+	VADDSD   (BX)(AX*8), X0, X0
+	TESTQ    R9, R9
+	JZ       addsstore
+	VPCMPGTQ X0, X12, X1
+	VPANDN   X0, X1, X0
+
+addsstore:
 	VMOVSD X0, (DI)(AX*8)
 	INCQ   AX
 

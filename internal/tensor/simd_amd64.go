@@ -13,6 +13,9 @@ func gemmTileAsm(o, o2, a, a2, b *float64, n, k, step int, load, wide bool)
 //go:noescape
 func dotColsAsm(o *float64, n int, a *float64, k int, bt *float64, stride int, wide bool)
 
+//go:noescape
+func transposeAsm(out, m *float64, rows, cols int, wide bool)
+
 // loopSets are this architecture's inner-loop sets under the names
 // kernelPath returns; "generic" has none (nil, the pure-Go loops). The two
 // run the same assembly, the avx512 set with its 8-lane steps on.
@@ -93,6 +96,18 @@ func asmLoops(name string, wide bool) *simdLoops {
 				panic("tensor: dotCols needs a non-empty a and a positive multiple of 4 columns within the stride")
 			}
 			dotColsAsm(&o[0], n, &a[0], k, &bt[:(k-1)*stride+n][0], stride, wide)
+		},
+		transpose: func(out, m []float64, rows, cols int) (int, int) {
+			edge := 4
+			if wide {
+				edge = 8
+			}
+			r, c := rows&^(edge-1), cols&^(edge-1)
+			if r > 0 && c > 0 {
+				n := rows * cols
+				transposeAsm(base(out, n), base(m, n), rows, cols, wide)
+			}
+			return r, c
 		},
 		simdRowOps: asmRowOps(wide),
 	}

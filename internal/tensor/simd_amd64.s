@@ -719,3 +719,164 @@ d4test:
 	JGE  d4block
 	VZEROUPPER
 	RET
+
+// func transposeAsm(out, m *float64, rows, cols int, wide bool)
+//
+// out = mᵀ over the blocks that fit whole: the first rows&^7 rows and
+// cols&^7 columns of m in 8x8 blocks when wide is set, else the first
+// rows&^3 and cols&^3 in 4x4 blocks; transposePanel's Go loop does the edges.
+// A block is loaded row by row, transposed in registers and stored column
+// by column. The 8x8 block: VUNPCKLPD/VUNPCKHPD interleave row pairs,
+// VSHUFF64X2 $0x88/$0xDD gathers the even and the odd 128-bit lanes of two
+// of those, and a second VSHUFF64X2 stage does the same across row quads.
+// The 4x4 block: the same interleave, then VPERM2F128 joins low or high
+// halves. Pure data movement: every value keeps its bits.
+TEXT ·transposeAsm(SB), NOSPLIT, $0-33
+	MOVQ    out+0(FP), DI
+	MOVQ    m+8(FP), SI
+	MOVQ    rows+16(FP), R8
+	MOVQ    cols+24(FP), CX
+	LEAQ    (CX*8), R10 // source row stride in bytes
+	LEAQ    (R8*8), R11 // destination row stride in bytes
+	MOVBQZX wide+32(FP), AX
+	TESTQ   AX, AX
+	JZ      tr4
+
+	ANDQ $-8, R8 // rows in whole blocks
+	ANDQ $-8, CX // columns in whole blocks
+	XORQ BX, BX // i
+
+tr8row:
+	XORQ DX, DX // j
+
+tr8col:
+	// R9 = &m[i][j], R12 = &out[j][i]
+	MOVQ BX, R9
+	IMULQ R10, R9
+	LEAQ (SI)(R9*1), R9
+	LEAQ (R9)(DX*8), R9
+	MOVQ DX, R12
+	IMULQ R11, R12
+	LEAQ (DI)(R12*1), R12
+	LEAQ (R12)(BX*8), R12
+	MOVQ R9, R13
+	VMOVUPD (R13), Z0
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z1
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z2
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z3
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z4
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z5
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z6
+	ADDQ    R10, R13
+	VMOVUPD (R13), Z7
+
+	VUNPCKLPD Z1, Z0, Z8 // r0[0] r1[0] r0[2] r1[2] r0[4] r1[4] r0[6] r1[6]
+	VUNPCKHPD Z1, Z0, Z9 // r0[1] r1[1] r0[3] r1[3] ...
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+
+	VSHUFF64X2 $0x88, Z10, Z8, Z16 // rows 0-3 of columns 0 and 4
+	VSHUFF64X2 $0x88, Z11, Z9, Z17 // columns 1 and 5
+	VSHUFF64X2 $0xDD, Z10, Z8, Z18 // columns 2 and 6
+	VSHUFF64X2 $0xDD, Z11, Z9, Z19 // columns 3 and 7
+	VSHUFF64X2 $0x88, Z14, Z12, Z20 // rows 4-7, likewise
+	VSHUFF64X2 $0x88, Z15, Z13, Z21
+	VSHUFF64X2 $0xDD, Z14, Z12, Z22
+	VSHUFF64X2 $0xDD, Z15, Z13, Z23
+
+	VSHUFF64X2 $0x88, Z20, Z16, Z0 // column 0
+	VSHUFF64X2 $0x88, Z21, Z17, Z1
+	VSHUFF64X2 $0x88, Z22, Z18, Z2
+	VSHUFF64X2 $0x88, Z23, Z19, Z3
+	VSHUFF64X2 $0xDD, Z20, Z16, Z4 // column 4
+	VSHUFF64X2 $0xDD, Z21, Z17, Z5
+	VSHUFF64X2 $0xDD, Z22, Z18, Z6
+	VSHUFF64X2 $0xDD, Z23, Z19, Z7
+
+	VMOVUPD Z0, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z1, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z2, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z3, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z4, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z5, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z6, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z7, (R12)
+
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JLT  tr8col
+	ADDQ $8, BX
+	CMPQ BX, R8
+	JLT  tr8row
+	VZEROUPPER
+	RET
+
+tr4:
+	ANDQ $-4, R8
+	ANDQ $-4, CX
+	XORQ BX, BX
+
+tr4row:
+	XORQ DX, DX
+
+tr4col:
+	MOVQ BX, R9
+	IMULQ R10, R9
+	LEAQ (SI)(R9*1), R9
+	LEAQ (R9)(DX*8), R9
+	MOVQ DX, R12
+	IMULQ R11, R12
+	LEAQ (DI)(R12*1), R12
+	LEAQ (R12)(BX*8), R12
+	MOVQ R9, R13
+	VMOVUPD (R13), Y0
+	ADDQ    R10, R13
+	VMOVUPD (R13), Y1
+	ADDQ    R10, R13
+	VMOVUPD (R13), Y2
+	ADDQ    R10, R13
+	VMOVUPD (R13), Y3
+
+	VUNPCKLPD Y1, Y0, Y4 // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD Y1, Y0, Y5 // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD Y3, Y2, Y6
+	VUNPCKHPD Y3, Y2, Y7
+
+	VPERM2F128 $0x20, Y6, Y4, Y0 // column 0: the low halves
+	VPERM2F128 $0x20, Y7, Y5, Y1 // column 1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // column 2: the high halves
+	VPERM2F128 $0x31, Y7, Y5, Y3 // column 3
+
+	VMOVUPD Y0, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Y1, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Y2, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Y3, (R12)
+
+	ADDQ $4, DX
+	CMPQ DX, CX
+	JLT  tr4col
+	ADDQ $4, BX
+	CMPQ BX, R8
+	JLT  tr4row
+	VZEROUPPER
+	RET

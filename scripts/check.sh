@@ -57,6 +57,12 @@ go test -race -count=5 -run 'Borrow|Release|Alloc' ./internal/transport ./intern
 # without the assembly.
 echo ">> GOARCH=386 go test -run Golden . (pure-Go loops against the goldens)"
 GOARCH=386 go test -count=1 -run Golden .
+# internal/nn cannot pick a kernel path, so on amd64 its fusion oracle
+# (fused_test.go: fused layer groups == the leaf-by-leaf walk) sees only the
+# assembly. Under GOARCH=386 the same tests drive the fused sweeps' pure-Go
+# forms, which are the assembly's oracle.
+echo ">> GOARCH=386 go test -run Fused ./internal/nn/ (the fused sweeps' pure-Go forms against the leaf walk)"
+GOARCH=386 go test -count=1 -run Fused ./internal/nn/
 echo ">> GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
@@ -99,8 +105,8 @@ sh scripts/serve_smoke.sh
 # equivalence, property, kernel-path, row-op and NT suites run again with the
 # race detector and two scheduler threads — and with them the nn tests that
 # stand on those loops (gradient checks, optimizer bit-equality, properties).
-echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + row ops + NT)"
-GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|Kernel|RowOps|ReLUInto|LayersReach' ./internal/tensor/
+echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + kernel paths + row ops + NT + transpose)"
+GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|Kernel|RowOps|ReLUInto|LayersReach|Transpose' ./internal/tensor/
 
 # NN's and TN's column tails, zero-group skips and one-row form live in the
 # assembly tile (internal/tensor/simd_amd64.s), where the likely defect is a
@@ -108,8 +114,15 @@ GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|
 # and caller counts against the pure-Go oracle for a bounded time.
 echo ">> go test -fuzz=FuzzKernelPaths -fuzztime=20s ./internal/tensor/ (shapes the grid does not list)"
 go test -run XXX -fuzz=FuzzKernelPaths -fuzztime=20s ./internal/tensor/
-echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties)"
-GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam' ./internal/nn/
+# The step's fused sweeps — bias with BatchNorm's statistics, BatchNorm's
+# apply with the ReLU after it, the residual add with its ReLU, the mask-free
+# ReLU gradient, Adam clearing its gradient — live in assembly
+# (internal/tensor/rowops_amd64.s) behind optional operands and flags, so the
+# fuzzer picks block shapes and operand families for FuzzRowOps the same way.
+echo ">> go test -fuzz=FuzzRowOps -fuzztime=20s ./internal/tensor/ (row-op shapes the grid does not list)"
+go test -run XXX -fuzz=FuzzRowOps -fuzztime=20s ./internal/tensor/
+echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties + fused groups)"
+GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam|Fused' ./internal/nn/
 
 # Every product runs on its caller, so the kernels' only concurrency is their
 # callers': fl.ForEachClient's clients and the nn lane issue products at once,
