@@ -15,8 +15,6 @@ type (
 	// FaultPlan is a deterministic seed-driven chaos plan injected beneath
 	// the distributed protocol.
 	FaultPlan = faults.Plan
-	// FaultStats accumulates injected-fault counters across a run.
-	FaultStats = faults.Stats
 	// Topology shapes the aggregator tree a distributed run reduces
 	// through: Shards > 1 enables two-tier reduction (leaf aggregators
 	// over contiguous client-id ranges, a root merging shard digests).

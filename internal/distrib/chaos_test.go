@@ -109,6 +109,17 @@ func TestChaosFedPKDDeterministicPartialRounds(t *testing.T) {
 	}
 }
 
+// runFaults is Run that also returns the service's injected-fault counters.
+func runFaults(algo fl.Algorithm, rounds int, opts Options) (*fl.History, faults.Snapshot, error) {
+	s, err := NewService(algo, opts)
+	if err != nil {
+		return nil, faults.Snapshot{}, err
+	}
+	defer s.Close()
+	hist, err := s.Run(rounds)
+	return hist, s.fstats.Snapshot(), err
+}
+
 // replayLegs runs leg(0) and leg(1) — two independent same-seed runs — at the
 // same time, so the deadlines they sleep out overlap, and returns both
 // histories. Runs that agree byte for byte while interleaving are a stronger
@@ -139,13 +150,11 @@ func replayLegs(t *testing.T, leg func(i int) (*fl.History, error)) (h1, h2 *fl.
 // drop their TCP connection and redial through the join handshake, and the
 // run still completes every round.
 func TestChaosTCPCrashRestart(t *testing.T) {
-	var fs faults.Stats
 	env := chaosEnv(t)
-	hist, err := Run(chaosFedAvg(t, env), 3, Options{
+	hist, fs, err := runFaults(chaosFedAvg(t, env), 3, Options{
 		Mode:          ModeTCP,
 		ClientTimeout: chaosTimeout,
 		Faults:        &faults.Plan{Seed: 7, CrashProb: 0.3},
-		FaultStats:    &fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +162,7 @@ func TestChaosTCPCrashRestart(t *testing.T) {
 	if hist.Len() != 3 {
 		t.Fatalf("history rounds = %d, want 3", hist.Len())
 	}
-	if fs.Snapshot().Crashes == 0 {
+	if fs.Crashes == 0 {
 		t.Fatal("no crashes injected; this plan+seed is known to crash clients")
 	}
 	if hist.DegradedCount() == 0 {
@@ -165,13 +174,11 @@ func TestChaosTCPCrashRestart(t *testing.T) {
 // only transient send failures injected (no message loss), retries keep the
 // protocol whole and the run completes.
 func TestChaosRetrySendFailures(t *testing.T) {
-	var fs faults.Stats
 	env := chaosEnv(t)
-	hist, err := Run(chaosFedAvg(t, env), 3, Options{
+	hist, fs, err := runFaults(chaosFedAvg(t, env), 3, Options{
 		Mode:          ModeBus,
 		ClientTimeout: chaosTimeout,
 		Faults:        &faults.Plan{Seed: 5, SendFailProb: 0.5},
-		FaultStats:    &fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +186,7 @@ func TestChaosRetrySendFailures(t *testing.T) {
 	if hist.Len() != 3 {
 		t.Fatalf("history rounds = %d, want 3", hist.Len())
 	}
-	if fs.Snapshot().SendFails == 0 {
+	if fs.SendFails == 0 {
 		t.Fatal("no send failures injected; this plan+seed is known to inject them")
 	}
 }
@@ -286,7 +293,7 @@ func TestChaosCorruptionRun(t *testing.T) {
 		t.Run(codec.String(), func(t *testing.T) {
 			t.Parallel()
 			var algos [2]fl.Algorithm
-			var fs [2]faults.Stats
+			var fs [2]faults.Snapshot
 			var recs [2]*obs.Recorder
 			for i := range algos {
 				env := chaosEnv(t)
@@ -306,17 +313,17 @@ func TestChaosCorruptionRun(t *testing.T) {
 				}
 				recs[i] = obs.NewRecorder("chaos")
 			}
-			h1, h2 := replayLegs(t, func(i int) (*fl.History, error) {
-				return Run(algos[i], rounds, Options{
+			h1, h2 := replayLegs(t, func(i int) (hist *fl.History, err error) {
+				hist, fs[i], err = runFaults(algos[i], rounds, Options{
 					Mode:          ModeBus,
 					ClientTimeout: chaosTimeout,
 					Faults:        plan,
-					FaultStats:    &fs[i],
 					Recorder:      recs[i],
 				})
+				return hist, err
 			})
 			for i := range algos {
-				injected := fs[i].Snapshot().Corrupts
+				injected := fs[i].Corrupts
 				if injected == 0 {
 					t.Fatal("no corruption injected; this plan+seed is known to corrupt payloads")
 				}
@@ -472,14 +479,12 @@ func findTierPlan(t *testing.T, seed uint64, mk func(s uint64) *faults.Plan, ok 
 // returns the history plus the run's tier ledger totals and fault counters.
 func runTreeChaos(t *testing.T, mode Mode, plan *faults.Plan, opts Options) (*fl.History, int64, int64, faults.Snapshot) {
 	t.Helper()
-	var fs faults.Stats
 	rec := obs.NewRecorder("FedAvg")
 	opts.Mode = mode
 	opts.Recorder = rec
 	opts.Faults = plan
-	opts.FaultStats = &fs
 	opts.Topology = Topology{Shards: treeChaosShards}
-	hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, opts)
+	hist, fs, err := runFaults(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +493,7 @@ func runTreeChaos(t *testing.T, mode Mode, plan *faults.Plan, opts Options) (*fl
 		up += tr.TierUpBytes
 		down += tr.TierDownBytes
 	}
-	return hist, up, down, fs.Snapshot()
+	return hist, up, down, fs
 }
 
 // TestTreeChaosLeafCrashDeterministicReplay is the tier acceptance scenario
@@ -647,21 +652,19 @@ func TestTreeChaosDigestDropTimesOutShard(t *testing.T) {
 			return pr.drops == 1 && lost == 1 // exactly one burn keeps the test fast
 		})
 	rec := obs.NewRecorder("FedAvg")
-	var fs faults.Stats
-	hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+	hist, fs, err := runFaults(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 		Mode:          ModeBus,
 		Recorder:      rec,
 		ClientTimeout: chaosTimeout,
 		LeafTimeout:   500 * time.Millisecond,
 		Faults:        plan,
-		FaultStats:    &fs,
 		Topology:      Topology{Shards: treeChaosShards},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Snapshot().TierDrops != 1 {
-		t.Fatalf("tier drops = %d, want 1", fs.Snapshot().TierDrops)
+	if fs.TierDrops != 1 {
+		t.Fatalf("tier drops = %d, want 1", fs.TierDrops)
 	}
 	if hist.DegradedCount() != 1 || len(hist.Degraded[0].LostShards) != 1 {
 		t.Fatalf("degraded = %+v, want one round losing one shard", hist.Degraded)
@@ -753,18 +756,16 @@ func TestTreeChaosZeroPlanTolerantMatchesStrict(t *testing.T) {
 func TestTreeChaosClientCrashUnderTreeTCPReplay(t *testing.T) {
 	plan := &faults.Plan{Seed: 7, CrashProb: 0.3}
 	run := func() *fl.History {
-		var fs faults.Stats
-		hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		hist, fs, err := runFaults(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeTCP,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
-			FaultStats:    &fs,
 			Topology:      Topology{Shards: treeChaosShards},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.Snapshot().Crashes == 0 {
+		if fs.Crashes == 0 {
 			t.Fatal("no crashes injected; this plan+seed is known to crash clients")
 		}
 		return hist
@@ -784,7 +785,8 @@ func TestTreeChaosClientCrashUnderTreeTCPReplay(t *testing.T) {
 // TestTreeChaosGoroutineLeakFree extends the leak contract to the tree: a
 // finished tree run over TCP, and a run whose upper fabric dies mid-service
 // (every leaf loses the root at once), must both unwind every goroutine —
-// demux, leaf workers, receiver pumps, and both fabrics' plumbing.
+// leaf workers, client receiver pumps, both fabrics' fan-in pumps and their
+// accept loops.
 func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 	t.Run("clean tree run", func(t *testing.T) {
 		before := runtime.NumGoroutine()

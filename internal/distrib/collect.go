@@ -130,7 +130,7 @@ type ladder func(c *collector, e *transport.Envelope)
 // one reject are here; what a valid envelope looks like is the ladder's.
 type collector struct {
 	pl *plane
-	rx *receiver
+	rx inbox
 	// t is the round (or flush) index; children the ids this inbox awaits,
 	// ascending.
 	t        int
@@ -144,7 +144,7 @@ type collector struct {
 	roundErr, fatal error
 }
 
-func newCollector(pl *plane, rx *receiver, t int, children []int, l ladder) *collector {
+func newCollector(pl *plane, rx inbox, t int, children []int, l ladder) *collector {
 	c := &collector{pl: pl, rx: rx, t: t, children: children, ladder: l, state: make(map[int]childState, len(children))}
 	for _, id := range children {
 		if pl.crashes(id, t) {
@@ -253,12 +253,7 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 	n, reg, codec, ledger := s.n, s.reg, s.runner.Codec(), s.runner.Ledger()
 	return func(c *collector, e *transport.Envelope) {
 		pl := c.pl
-		if e.Kind == transport.KindHello || e.Kind == transport.KindGoodbye {
-			if e.Kind == transport.KindHello {
-				reg.QueueJoin(e.From)
-			} else {
-				reg.QueueLeave(e.From)
-			}
+		if s.register(e) {
 			ledger.AddControl(e.WireSize())
 			return
 		}

@@ -123,11 +123,11 @@ func (h *ladderRun) valid(client int) transport.RoundUpload {
 // directly, and the round index.
 type digestRun struct {
 	t     *testing.T
-	rx    *receiver
+	rx    inbox
 	round int
 }
 
-func (h *digestRun) envelope(e *transport.Envelope) { h.rx.push(recvResult{e: e}) }
+func (h *digestRun) envelope(e *transport.Envelope) { h.rx <- recvResult{e: e} }
 
 // digest delivers d as leaf `from`'s digest, stamped with the current round.
 func (h *digestRun) digest(from int, d transport.ShardDigest) {
@@ -239,7 +239,7 @@ func TestCollectorLadder(t *testing.T) {
 		{name: "peer gone", wantFatal: "client plane recv",
 			// A dead connection is not a dead client: the tolerant client plane
 			// skips the report and still accepts the peer's upload.
-			send: func(h *ladderRun) { h.rx.push(recvResult{err: &peerGoneError{id: 0, err: io.EOF}}) }},
+			send: func(h *ladderRun) { h.rx.inbox <- recvResult{err: &peerGoneError{id: 0, err: io.EOF}} }},
 		{name: "mid-round hello and goodbye",
 			send: func(h *ladderRun) {
 				h.envelope(3, &transport.Envelope{Kind: transport.KindHello, From: 3, To: -1, Round: -1})
@@ -302,7 +302,7 @@ func TestCollectorLadder(t *testing.T) {
 					s := &Service{runner: runner, n: ladderUniverse, reg: reg}
 					rungs := s.uploadLadder("round", plan.ref, func(u engine.Upload) error { sunk = append(sunk, u); return nil })
 					controlBefore := lastControl(ledger)
-					report, roundErr, err := newCollector(pl, rx, round, ladderCohort, rungs).collect()
+					report, roundErr, err := newCollector(pl, rx.inbox, round, ladderCohort, rungs).collect()
 					if strict && row.wantFatal != "" {
 						if err == nil || !strings.Contains(err.Error(), row.wantFatal) {
 							t.Fatalf("err = %v, want a run-aborting %q", err, row.wantFatal)
@@ -409,12 +409,12 @@ func TestCollectorLadder(t *testing.T) {
 				h.digest(2, transport.ShardDigest{Round: h.round, Shard: 2})
 			}},
 		{name: "peer gone", wantFatal: "tier plane recv", lost: []int{1}, settled: []int{1},
-			send: func(h *digestRun) { h.rx.push(recvResult{err: &peerGoneError{id: 1, err: io.EOF}}) }},
+			send: func(h *digestRun) { h.rx <- recvResult{err: &peerGoneError{id: 1, err: io.EOF}} }},
 		{name: "written-off shard", class: "dup", wantFatal: "tier plane recv", lost: []int{1}, settled: []int{1},
 			// A leaf whose link died is not re-admitted by a digest that still
 			// trickles in.
 			send: func(h *digestRun) {
-				h.rx.push(recvResult{err: &peerGoneError{id: 1, err: io.EOF}})
+				h.rx <- recvResult{err: &peerGoneError{id: 1, err: io.EOF}}
 				h.digest(1, transport.ShardDigest{Round: h.round, Shard: 1})
 			}},
 	}
@@ -425,7 +425,7 @@ func TestCollectorLadder(t *testing.T) {
 				mode = "strict"
 			}
 			t.Run("digest/"+row.name+"/"+mode, func(t *testing.T) {
-				h := &digestRun{t: t, rx: newChanReceiver(16), round: round}
+				h := &digestRun{t: t, rx: make(inbox, 16), round: round}
 				row.send(h)
 				for shard := 0; shard < shards; shard++ {
 					if !slices.Contains(row.settled, shard) {
@@ -491,7 +491,7 @@ func TestCollectLiveness(t *testing.T) {
 		}
 		t.Run(name+"/deadline", func(t *testing.T) {
 			pl := pick(&Options{ClientTimeout: 20 * time.Millisecond, LeafTimeout: 20 * time.Millisecond})
-			report, roundErr, err := newCollector(pl, newChanReceiver(1), 0, []int{0, 1}, noLadder).collect()
+			report, roundErr, err := newCollector(pl, make(inbox, 1), 0, []int{0, 1}, noLadder).collect()
 			if err != nil || roundErr != nil {
 				t.Fatalf("err = %v, roundErr = %v, want neither", err, roundErr)
 			}
@@ -500,13 +500,13 @@ func TestCollectLiveness(t *testing.T) {
 			}
 		})
 		t.Run(name+"/strict ends with the fabric", func(t *testing.T) {
-			rx := newChanReceiver(1)
+			rx := make(inbox, 1)
 			done := make(chan error, 1)
 			go func() {
 				_, _, err := newCollector(pick(&Options{}), rx, 0, []int{0, 1}, noLadder).collect()
 				done <- err
 			}()
-			close(rx.ch) // what demux and a dying conn's pump do
+			close(rx) // what a fabric's teardown does once its pumps exit
 			select {
 			case err := <-done:
 				if !errors.Is(err, io.EOF) {

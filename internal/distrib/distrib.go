@@ -101,9 +101,6 @@ type Options struct {
 	// every client connection. Lossy plans require a positive
 	// ClientTimeout.
 	Faults *faults.Plan
-	// FaultStats, when non-nil, accumulates the run's injected-fault
-	// counters for the caller to inspect.
-	FaultStats *faults.Stats
 	// Population lists the client ids registered before the first round; nil
 	// registers the whole fleet up front (the legacy fixed-cohort behavior).
 	// Clients outside the initial population may still register mid-run via
@@ -153,7 +150,7 @@ func (o *Options) validate(n int) error {
 		return err
 	}
 	if o.Topology.Enabled() && o.WireRegistration {
-		return fmt.Errorf("distrib: WireRegistration is not supported with an aggregator tree: wire registration reads the fan-in socket the tree's demultiplexer owns")
+		return fmt.Errorf("distrib: WireRegistration is not supported with an aggregator tree: wire registration awaits every hello in one inbox, and a tree routes each to its client's leaf")
 	}
 	if o.LeafTimeout < 0 {
 		return fmt.Errorf("distrib: LeafTimeout must be >= 0, got %v", o.LeafTimeout)
@@ -374,7 +371,7 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 		uploads = append(uploads, u)
 		return nil
 	})
-	report, roundErr, err := newCollector(s.clients, s.srx, t, cohort, rungs).collect()
+	report, roundErr, err := newCollector(s.clients, s.inboxes[0], t, cohort, rungs).collect()
 	if err != nil {
 		return report, err
 	}
@@ -420,7 +417,7 @@ func (s *Service) fanFraming(kind transport.Kind, t int, cohort []int, msg func(
 	for i, c := range cohort {
 		f := msg(i)
 		e.To, e.Payload = c, f.bytes
-		err := s.tr.server.Send(e)
+		err := s.tr.send(e)
 		billFraming(ledger, f.knowledge, coded, e.WireSize(), f.raw)
 		if err != nil && s.clients.strict && first == nil {
 			first = err
@@ -573,7 +570,7 @@ type clientPeer struct {
 // gating.
 func (p *clientPeer) restart() error {
 	if p.redial == nil {
-		p.rx.drain()
+		p.rx.drain(nil)
 		return nil
 	}
 	p.rx.stop()
@@ -793,17 +790,10 @@ func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload) error {
 	return p.pl.send(uint64(t)*1000+600+uint64(p.id), func(int) error { return p.conn.Send(e) })
 }
 
-// receiver pumps a Conn into a channel so callers can apply deadlines to
-// Recv. stop() detaches the pump; the pump also exits when the conn errors
-// (including the close a worker issues on shutdown), so no goroutine is left
-// blocked on a channel send. The pump reads ahead of its caller: each
-// envelope it hands over is the caller's to Release, and one it still holds
-// when it exits it releases itself.
-type receiver struct {
-	ch   chan recvResult
-	done chan struct{}
-	once sync.Once
-}
+// inbox is one consumer's queue of arrivals — the flat server's, a leaf's,
+// the root's, or a client worker's — read with a deadline. Each envelope in
+// it is the reader's to Release.
+type inbox chan recvResult
 
 type recvResult struct {
 	e   *transport.Envelope
@@ -814,36 +804,11 @@ type recvResult struct {
 // tolerant mode, never surfaced to callers of the package.
 var errRecvTimeout = errors.New("distrib: recv timeout")
 
-func newReceiver(conn transport.Conn) *receiver {
-	r := &receiver{ch: make(chan recvResult, 4), done: make(chan struct{})}
-	go func() {
-		defer close(r.ch)
-		for {
-			e, err := conn.Recv()
-			select {
-			case r.ch <- recvResult{e, err}:
-			case <-r.done:
-				e.Release()
-				return
-			}
-			if err != nil {
-				// One peer's dead connection does not end a mux stream — the
-				// other peers are still talking and the dead one may redial.
-				var gone *peerGoneError
-				if !errors.As(err, &gone) {
-					return
-				}
-			}
-		}
-	}()
-	return r
-}
-
-// recv returns the next envelope, waiting at most timeout (forever when
-// timeout <= 0). A stopped or exhausted receiver reports io.EOF.
-func (r *receiver) recv(timeout time.Duration) (*transport.Envelope, error) {
+// recv returns the next arrival, waiting at most timeout (forever when
+// timeout <= 0). A closed inbox reports io.EOF.
+func (in inbox) recv(timeout time.Duration) (*transport.Envelope, error) {
 	if timeout <= 0 {
-		res, ok := <-r.ch
+		res, ok := <-in
 		if !ok {
 			return nil, io.EOF
 		}
@@ -852,7 +817,7 @@ func (r *receiver) recv(timeout time.Duration) (*transport.Envelope, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case res, ok := <-r.ch:
+	case res, ok := <-in:
 		if !ok {
 			return nil, io.EOF
 		}
@@ -862,15 +827,18 @@ func (r *receiver) recv(timeout time.Duration) (*transport.Envelope, error) {
 	}
 }
 
-// drain discards everything currently buffered without blocking — the
-// bus-mode crash semantics (a restarted process has an empty inbox). Late
-// arrivals are caught by round gating instead.
-func (r *receiver) drain() {
+// drain discards everything currently buffered without blocking, showing
+// each envelope to seen (when non-nil) first. A restarted process has an
+// empty inbox; late arrivals are caught by round gating instead.
+func (in inbox) drain(seen func(*transport.Envelope)) {
 	for {
 		select {
-		case res, ok := <-r.ch:
+		case res, ok := <-in:
 			if !ok {
 				return
+			}
+			if seen != nil && res.e != nil {
+				seen(res.e)
 			}
 			res.e.Release()
 		default:
@@ -879,7 +847,102 @@ func (r *receiver) drain() {
 	}
 }
 
+// receiver is a client worker's inbox and the pump that feeds it from the
+// worker's conn. stop() detaches the pump; the pump also exits when the conn
+// errors (including the close a worker issues on shutdown), so no goroutine
+// is left blocked on a channel send. The pump reads ahead of its caller and
+// releases an envelope it still holds when it exits.
+type receiver struct {
+	inbox
+	done chan struct{}
+	once sync.Once
+}
+
+func newReceiver(conn transport.Conn) *receiver {
+	r := &receiver{inbox: make(inbox, 4), done: make(chan struct{})}
+	go func() {
+		defer close(r.inbox)
+		for {
+			e, err := conn.Recv()
+			select {
+			case r.inbox <- recvResult{e, err}:
+			case <-r.done:
+				e.Release()
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return r
+}
+
 func (r *receiver) stop() { r.once.Do(func() { close(r.done) }) }
+
+// fanIn is a fabric's aggregator end: the goroutines that read its
+// connections (the bus's server endpoint, or one per client socket) and push
+// each arrival straight into the inbox route names for its sender. A pump
+// hands each envelope to the inbox's owner and releases one it still holds
+// when the fabric stops. stop closes the inboxes only after every pump has
+// exited, so no pump sends on a closed channel and every consumer then reads
+// io.EOF.
+type fanIn struct {
+	route   func(from int) inbox
+	inboxes []inbox
+	done    chan struct{}
+	pumps   sync.WaitGroup
+	once    sync.Once
+}
+
+// deliver hands r to in unless the fabric stops first.
+func (f *fanIn) deliver(in inbox, r recvResult) bool {
+	select {
+	case in <- r:
+		return true
+	case <-f.done:
+		return false
+	}
+}
+
+// pump reads conn until it fails, delivering each envelope by its sender,
+// then reports the failure to lost. The caller has counted it in f.pumps.
+func (f *fanIn) pump(conn transport.Conn, lost func(error)) {
+	defer f.pumps.Done()
+	for {
+		e, err := conn.Recv()
+		if err != nil {
+			lost(err)
+			return
+		}
+		if !f.deliver(f.route(e.From), recvResult{e, nil}) {
+			e.Release()
+			return
+		}
+	}
+}
+
+// fail delivers a terminal fabric error to every inbox: each consumer's
+// collect must observe the fabric dying.
+func (f *fanIn) fail(err error) {
+	for _, in := range f.inboxes {
+		if !f.deliver(in, recvResult{nil, err}) {
+			return
+		}
+	}
+}
+
+// stop ends delivery after the fabric's connections are closed: it waits
+// for every pump to exit, then closes the inboxes. Idempotent.
+func (f *fanIn) stop() {
+	f.once.Do(func() {
+		close(f.done)
+		f.pumps.Wait()
+		for _, in := range f.inboxes {
+			close(in)
+		}
+	})
+}
 
 // peerGoneError reports that one peer's connection to a fan-in died. A strict
 // plane aborts on it; a tolerant one applies its writeOff policy (collect.go).
@@ -894,82 +957,51 @@ func (p *peerGoneError) Error() string {
 
 func (p *peerGoneError) Unwrap() error { return p.err }
 
-// muxConn fans per-client server connections into one Conn: Recv pulls from
-// all peers, Send routes by Envelope.To. Registrations are dynamic —
-// acceptLoop rebinds a client id to a fresh conn when it redials, closing
-// the old one. Pump goroutines deliver through a select on the done channel,
-// so Close never strands a pump blocked on the inbox.
+// muxConn is the TCP fabric's aggregator end: it routes sends over the
+// per-client server connections by Envelope.To and runs one fan-in pump per
+// connection. Registrations are dynamic — acceptLoop rebinds a client id to a
+// fresh conn when it redials, closing the old one.
 type muxConn struct {
-	mu    sync.Mutex
-	conns map[int]transport.Conn
-	inbox chan recvResult
-	done  chan struct{}
-	once  sync.Once
-	// registered holds a token after a register the waiter has not yet
-	// counted, so waitRegistered recounts only when the count may have grown.
-	registered chan struct{}
-}
-
-var _ transport.Conn = (*muxConn)(nil)
-
-func newMuxConn(n int) *muxConn {
-	return &muxConn{
-		conns:      make(map[int]transport.Conn, n),
-		inbox:      make(chan recvResult, n+4),
-		done:       make(chan struct{}),
-		registered: make(chan struct{}, 1),
-	}
+	in     *fanIn
+	mu     sync.Mutex
+	conns  map[int]transport.Conn
+	closed bool
 }
 
 // register binds id to conn (replacing and closing any previous conn) and
-// starts its pump.
+// starts its pump; after close it refuses the conn.
 func (m *muxConn) register(id int, conn transport.Conn) {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		conn.Close()
+		return
+	}
 	old := m.conns[id]
 	m.conns[id] = conn
+	m.in.pumps.Add(1)
 	m.mu.Unlock()
-	select {
-	case m.registered <- struct{}{}:
-	default: // a token is already pending; the waiter will recount
-	}
 	if old != nil {
 		old.Close()
 	}
-	go m.pump(id, conn)
+	go m.in.pump(conn, func(err error) { m.lost(id, conn, err) })
 }
 
-func (m *muxConn) pump(id int, conn transport.Conn) {
-	for {
-		e, err := conn.Recv()
-		if err != nil {
-			m.mu.Lock()
-			current := m.conns[id] == conn
-			if current {
-				delete(m.conns, id)
-			}
-			m.mu.Unlock()
-			if current {
-				m.deliver(recvResult{nil, &peerGoneError{id, err}})
-			}
-			return
-		}
-		if !m.deliver(recvResult{e, nil}) {
-			e.Release()
-			return
-		}
+// lost reports a dead connection as its peer's loss, unless a redial already
+// replaced it or the fabric is closing.
+func (m *muxConn) lost(id int, conn transport.Conn, err error) {
+	m.mu.Lock()
+	current := m.conns[id] == conn
+	if current {
+		delete(m.conns, id)
+	}
+	m.mu.Unlock()
+	if current {
+		m.in.deliver(m.in.route(id), recvResult{nil, &peerGoneError{id, err}})
 	}
 }
 
-func (m *muxConn) deliver(r recvResult) bool {
-	select {
-	case m.inbox <- r:
-		return true
-	case <-m.done:
-		return false
-	}
-}
-
-func (m *muxConn) Send(e *transport.Envelope) error {
+func (m *muxConn) send(e *transport.Envelope) error {
 	m.mu.Lock()
 	conn := m.conns[e.To]
 	m.mu.Unlock()
@@ -979,46 +1011,18 @@ func (m *muxConn) Send(e *transport.Envelope) error {
 	return conn.Send(e)
 }
 
-func (m *muxConn) Recv() (*transport.Envelope, error) {
-	select {
-	case r := <-m.inbox:
-		return r.e, r.err
-	case <-m.done:
-		return nil, io.EOF
-	}
-}
-
-func (m *muxConn) Close() error {
-	m.once.Do(func() { close(m.done) })
+// close refuses further registrations and closes every registered conn,
+// which ends its pump without a peer-loss report.
+func (m *muxConn) close() {
 	m.mu.Lock()
+	m.closed = true
 	conns := make([]transport.Conn, 0, len(m.conns))
-	for id, c := range m.conns {
+	for _, c := range m.conns {
 		conns = append(conns, c)
-		delete(m.conns, id)
 	}
+	clear(m.conns)
 	m.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
-	}
-	return nil
-}
-
-// waitRegistered blocks until n clients have completed the join handshake,
-// recounting after each register.
-func (m *muxConn) waitRegistered(n int, timeout time.Duration) error {
-	expired := time.NewTimer(timeout)
-	defer expired.Stop()
-	for {
-		m.mu.Lock()
-		got := len(m.conns)
-		m.mu.Unlock()
-		if got >= n {
-			return nil
-		}
-		select {
-		case <-m.registered:
-		case <-expired.C:
-			return fmt.Errorf("distrib: only %d of %d clients joined within %v", got, n, timeout)
-		}
 	}
 }

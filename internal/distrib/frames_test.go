@@ -29,24 +29,23 @@ func TestReleasedFramesKeepRunsExact(t *testing.T) {
 		{"tcp-tree", ModeTCP, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(plan *faults.Plan, fs *faults.Stats) *fl.History {
-				opts := Options{Mode: tc.mode, Faults: plan, FaultStats: fs, Topology: Topology{Shards: tc.shards}}
-				hist, err := Run(chaosFedAvg(t, chaosEnv(t)), 2, opts)
+			run := func(plan *faults.Plan) (*fl.History, faults.Snapshot) {
+				opts := Options{Mode: tc.mode, Faults: plan, Topology: Topology{Shards: tc.shards}}
+				hist, fs, err := runFaults(chaosFedAvg(t, chaosEnv(t)), 2, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return hist
+				return hist, fs
 			}
 			plan := &faults.Plan{Seed: 5, DupProb: 0.9}
 			if tc.shards > 0 {
 				plan.TierDupProb = 0.9
 			}
-			var fs faults.Stats
-			dup := run(plan, &fs)
-			if fs.Snapshot().Dups == 0 {
+			dup, fs := run(plan)
+			if fs.Dups == 0 {
 				t.Fatal("the plan duplicated nothing")
 			}
-			if clean := run(nil, nil); !reflect.DeepEqual(dup, clean) {
+			if clean, _ := run(nil); !reflect.DeepEqual(dup, clean) {
 				t.Fatalf("duplicated traffic changed the run:\n%+v\nvs\n%+v", dup, clean)
 			}
 		})

@@ -11,10 +11,10 @@ import (
 // Leaf aggregator: one shard's server. Each round the leaf receives a shard
 // assignment from the root, fans the round-opening envelopes to its cohort
 // slice (the exact bytes the root encoded, billed exactly as the flat server
-// bills), collects the shard's uploads through the demultiplexed inbox with
-// the same validation ladder the flat server runs, inserts them into an
-// engine.Partial, digests the reduction upward, and fans the root's
-// round-close back down. The leaf retains no per-client state beyond the
+// bills), collects the shard's uploads from its own inbox — which the client
+// fabric's pumps feed directly — with the same validation ladder the flat
+// server runs, inserts them into an engine.Partial, digests the reduction
+// upward, and fans the root's round-close back down. The leaf retains no per-client state beyond the
 // partial, which holds the shard's surviving uploads.
 
 // leafWorker serves rounds for one shard until its start channel closes,
@@ -22,7 +22,7 @@ import (
 // mirror of clientPeer.work.
 func (s *Service) leafWorker(shard int, start <-chan int) {
 	up := s.tree.leafUp[shard]
-	rx := s.tree.leafRx[shard]
+	rx := s.inboxes[shard]
 	for t := range start {
 		s.tree.leafDone <- s.leafRound(shard, t, up, rx)
 	}
@@ -37,7 +37,7 @@ func (s *Service) leafWorker(shard int, start <-chan int) {
 // the root's never arrived), so no client parks forever. Failures before the
 // assignment arrives mean the upper fabric is dead, in which case the root's
 // collect fails too and the service tears the transports down.
-func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error {
+func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 	if s.tier.crashes(shard, t) {
 		s.fstats.CountLeafCrash()
 		return s.leafCrashRestart(shard, t, up, rx)
@@ -132,7 +132,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 // inbox buffered — the restarted-process semantics clientPeer.restart gives
 // the bus — and rejoins at the next round, where the collector re-collects
 // the shard's uploads through the usual validation ladder.
-func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver) error {
+func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx inbox) error {
 	for {
 		e, err := up.Recv()
 		if err != nil {
@@ -147,7 +147,7 @@ func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver
 		// The round's assignment (and any stale tier traffic) is consumed
 		// without action — a crashed leaf serves nobody.
 	}
-	rx.drain()
+	rx.drain(nil)
 	return nil
 }
 

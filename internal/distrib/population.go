@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"fedpkd/internal/transport"
 )
@@ -51,59 +50,72 @@ func ParsePopulation(spec string, n int) ([]int, error) {
 	return out, nil
 }
 
-// transportParts is a built transport: the server's fan-in conn, one conn
-// per client, an optional reconnect hook, and the teardown.
+// transportParts is a built transport: the aggregator end's send (routed by
+// Envelope.To), one conn per client, an optional reconnect hook, and the
+// teardown.
 type transportParts struct {
-	server  transport.Conn
+	send    func(*transport.Envelope) error
 	clients []transport.Conn
 	redial  func(id int) (transport.Conn, error)
 	cleanup func()
 }
 
-// buildTransport wires one server conn and n client conns. billControl is
+// clientEnd decorates each client-side conn buildTransport returns. Tests
+// replace it to observe the bytes clients send and receive.
+var clientEnd = func(c transport.Conn) transport.Conn { return c }
+
+// buildTransport wires one aggregator end and n client conns. Every arrival
+// at the aggregator end goes straight into the inbox route names for its
+// sender; teardown closes the inboxes once nothing feeds them. billControl is
 // invoked with the wire size of reconnect handshakes so mid-run rejoins are
 // accounted as control traffic.
-func buildTransport(mode Mode, n int, billControl func(int)) (*transportParts, error) {
+func buildTransport(mode Mode, n int, inboxes []inbox, route func(from int) inbox, billControl func(int)) (*transportParts, error) {
+	in := &fanIn{route: route, inboxes: inboxes, done: make(chan struct{})}
+	conns := make([]transport.Conn, n)
 	switch mode {
 	case ModeBus:
 		bus := transport.NewBus(n, n*2)
-		conns := make([]transport.Conn, n)
 		for c := range conns {
-			conns[c] = bus.ClientConn(c)
+			conns[c] = clientEnd(bus.ClientConn(c))
 		}
-		return &transportParts{server: bus.ServerConn(), clients: conns, cleanup: bus.Close}, nil
+		server := bus.ServerConn()
+		in.pumps.Add(1)
+		go in.pump(server, in.fail)
+		cleanup := func() {
+			bus.Close()
+			in.stop()
+		}
+		return &transportParts{send: server.Send, clients: conns, cleanup: cleanup}, nil
 	case ModeTCP:
 		srv, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		mux := newMuxConn(n)
+		mux := &muxConn{in: in, conns: make(map[int]transport.Conn, n)}
 		go acceptLoop(srv, mux, n, billControl)
-		conns := make([]transport.Conn, n)
+		cleanup := func() {
+			mux.close()
+			for _, c := range conns {
+				if c != nil {
+					c.Close()
+				}
+			}
+			srv.Close()
+			in.stop()
+		}
+		// acceptLoop registers a conn before it acks, so once the last dial
+		// returns every client is registered.
 		for c := range conns {
 			conn, err := dialAndJoin(srv.Addr(), c)
 			if err != nil {
-				mux.Close()
-				srv.Close()
+				cleanup()
 				return nil, err
 			}
-			conns[c] = conn
-		}
-		if err := mux.waitRegistered(n, 10*time.Second); err != nil {
-			mux.Close()
-			srv.Close()
-			return nil, err
+			conns[c] = clientEnd(conn)
 		}
 		addr := srv.Addr()
-		cleanup := func() {
-			mux.Close()
-			for _, c := range conns {
-				c.Close()
-			}
-			srv.Close()
-		}
 		return &transportParts{
-			server:  mux,
+			send:    mux.send,
 			clients: conns,
 			redial:  func(id int) (transport.Conn, error) { return dialAndJoin(addr, id) },
 			cleanup: cleanup,
@@ -121,7 +133,7 @@ func buildTransport(mode Mode, n int, billControl func(int)) (*transportParts, e
 //
 // Attaching is transport plumbing, not registration: the hello consumed here
 // only binds the socket to an id. A client registers with the *service* by
-// sending a second hello on the established conn, which the mux pump
+// sending a second hello on the established conn, which the conn's pump
 // delivers to the server's inbox like any other envelope.
 func acceptLoop(srv *transport.Server, mux *muxConn, n int, billControl func(int)) {
 	for {

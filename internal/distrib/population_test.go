@@ -2,9 +2,7 @@ package distrib
 
 import (
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
 	"fedpkd/internal/transport"
 )
@@ -91,30 +89,30 @@ func FuzzParsePopulation(f *testing.F) {
 	})
 }
 
-// TestMuxWaitRegistered: the join wait returns as soon as the n-th register
-// lands, and a wait that never sees it fails naming how many did join.
+// TestMuxWaitRegistered: acceptLoop registers a conn before it acks the
+// attach, and a dial returns only after the ack, so the moment
+// buildTransport(ModeTCP, …) returns every client id has a registered conn —
+// a send to each succeeds and arrives, with no join wait in between.
 func TestMuxWaitRegistered(t *testing.T) {
-	bus := transport.NewBus(3, 0)
-	defer bus.Close()
-	m := newMuxConn(3)
-	defer m.Close()
-
-	done := make(chan error, 1)
-	go func() { done <- m.waitRegistered(3, 10*time.Second) }()
-	for id := 0; id < 3; id++ {
-		select {
-		case err := <-done:
-			t.Fatalf("wait returned (%v) with %d of 3 registered", err, id)
-		default:
+	const n = 4
+	for range 10 {
+		in := make(inbox, n+4)
+		tp, err := buildTransport(ModeTCP, n, []inbox{in}, func(int) inbox { return in }, func(int) {})
+		if err != nil {
+			t.Fatal(err)
 		}
-		m.register(id, bus.ClientConn(id))
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("wait after the third register: %v", err)
-	}
-
-	err := m.waitRegistered(4, 10*time.Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "only 3 of 4 clients joined") {
-		t.Fatalf("wait for a fourth client = %v, want the join count", err)
+		for id := range n {
+			if err := tp.send(&transport.Envelope{Kind: transport.KindControl, From: -1, To: id}); err != nil {
+				t.Fatalf("send to client %d as the fabric came up: %v", id, err)
+			}
+		}
+		for id, c := range tp.clients {
+			e, err := c.Recv()
+			if err != nil || e.To != id {
+				t.Fatalf("client %d: recv = %+v, %v; want the send addressed to it", id, e, err)
+			}
+			e.Release()
+		}
+		tp.cleanup()
 	}
 }

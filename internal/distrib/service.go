@@ -33,7 +33,9 @@ type Service struct {
 	dynamic bool
 	rec     *obs.Recorder
 	tr      *transportParts
-	srx     *receiver
+	// inboxes are the client plane's: one per shard, the flat server's alone
+	// when there is no tree. Service.inbox routes every arrival to one.
+	inboxes []inbox
 	reg     *Registry
 	peers   map[int]*clientPeer
 	start   map[int]chan int
@@ -129,6 +131,7 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 		peers:   make(map[int]*clientPeer),
 		start:   make(map[int]chan int),
 		done:    make(chan error, n),
+		fstats:  &faults.Stats{},
 	}
 	s.clients, s.tier = newPlanes(&s.opts)
 	ledger := runner.Ledger()
@@ -141,7 +144,17 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 			ledger.AddControl(bytes)
 		}
 	}
-	if s.tr, err = buildTransport(opts.Mode, n, billControl); err != nil {
+	// An inbox must absorb a full fleet's uploads (a leaf's, its shard's twice
+	// over) plus tolerant-mode stragglers and registration traffic.
+	s.inboxes = make([]inbox, max(1, opts.Topology.Shards))
+	for i := range s.inboxes {
+		buf := n + 4
+		if opts.Topology.Enabled() {
+			buf = max(buf, 2*(n/len(s.inboxes)+1)+16)
+		}
+		s.inboxes[i] = make(inbox, buf)
+	}
+	if s.tr, err = buildTransport(opts.Mode, n, s.inboxes, s.inbox, billControl); err != nil {
 		return nil, err
 	}
 
@@ -156,10 +169,6 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 	}
 
 	runner.SetHistoryLabelSuffix("(distributed)")
-	s.fstats = opts.FaultStats
-	if s.fstats == nil {
-		s.fstats = &faults.Stats{}
-	}
 
 	// One worker per universe id, registered or not: a client that joins
 	// mid-run already has its endpoint parked on the start channel, the
@@ -180,11 +189,9 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 		s.start[c] = make(chan int, 1)
 		go p.work(s.start[c], s.done)
 	}
-	s.srx = newReceiver(s.tr.server)
 	if opts.Topology.Enabled() {
 		if err := s.setupTree(); err != nil {
-			s.srx.stop()
-			s.tr.cleanup()
+			s.Close()
 			return nil, err
 		}
 	}
@@ -214,7 +221,7 @@ func (s *Service) Run(rounds int) (hist *fl.History, err error) {
 		err = s.runRound()
 	}
 	// Shutdown drain (see drainRegistrations): registrations still queued in
-	// the receiver must not be lost on quit.
+	// the inboxes must not be lost on quit.
 	s.drainRegistrations()
 	return hist, err
 }
@@ -380,21 +387,15 @@ func (s *Service) registerPopulation() error {
 		if wait <= 0 {
 			return fmt.Errorf("distrib: only %d of %d clients registered within 10s", len(joined), len(pop))
 		}
-		e, err := s.srx.recv(wait)
+		e, err := s.inboxes[0].recv(wait)
 		if errors.Is(err, errRecvTimeout) {
 			continue
 		}
 		if err != nil {
 			return fmt.Errorf("distrib: await registrations: %w", err)
 		}
-		switch e.Kind {
-		case transport.KindHello:
-			s.reg.QueueJoin(e.From)
-			if e.From >= 0 && e.From < s.n {
-				joined[e.From] = true
-			}
-		case transport.KindGoodbye:
-			s.reg.QueueLeave(e.From)
+		if s.register(e) && e.Kind == transport.KindHello && e.From >= 0 && e.From < s.n {
+			joined[e.From] = true
 		}
 		// Anything else arriving before the first round is leftover traffic;
 		// round gating would discard it anyway.
@@ -403,48 +404,40 @@ func (s *Service) registerPopulation() error {
 	return nil
 }
 
-// drainRegistrations empties whatever the server receiver already buffered,
-// keeping only registration messages, then folds them in — the shutdown
-// drain: a hello that reached the server before quit is reflected in the
-// final status (and in the registry a save would capture) instead of being
-// dropped with the receiver. Non-blocking.
-func (s *Service) drainRegistrations() {
-	// In tree mode the demultiplexer owns the server receiver, so inbound
-	// registrations may sit either there (not yet routed) or in a leaf's
-	// inbox; drain both planes.
-	chans := []chan recvResult{s.srx.ch}
-	if s.tree != nil {
-		for _, lr := range s.tree.leafRx {
-			chans = append(chans, lr.ch)
-		}
+// register queues e's join or leave into the registry, applied at the next
+// barrier, and reports whether e was registration traffic at all.
+func (s *Service) register(e *transport.Envelope) bool {
+	switch e.Kind {
+	case transport.KindHello:
+		s.reg.QueueJoin(e.From)
+	case transport.KindGoodbye:
+		s.reg.QueueLeave(e.From)
+	default:
+		return false
 	}
-	for _, ch := range chans {
-		s.drainRegistrationChan(ch)
-	}
-	s.applyFinal()
+	return true
 }
 
-func (s *Service) drainRegistrationChan(ch chan recvResult) {
-	for {
-		select {
-		case res, ok := <-ch:
-			if !ok {
-				return
-			}
-			if res.err != nil || res.e == nil {
-				continue
-			}
-			switch res.e.Kind {
-			case transport.KindHello:
-				s.reg.QueueJoin(res.e.From)
-			case transport.KindGoodbye:
-				s.reg.QueueLeave(res.e.From)
-			}
-			res.e.Release()
-		default:
-			return
-		}
+// inbox picks the client-plane inbox an arrival from id from lands in: its
+// shard's, or the first for an id no shard owns, so an unattributable
+// envelope is adjudicated exactly once. A flat server is the one-shard case.
+func (s *Service) inbox(from int) inbox {
+	if from < 0 || from >= s.n {
+		return s.inboxes[0]
 	}
+	return s.inboxes[ShardOf(from, s.n, len(s.inboxes))]
+}
+
+// drainRegistrations empties whatever the inboxes already buffered, keeping
+// only registration messages, then folds them in — the shutdown drain: a
+// hello that reached the server before quit is reflected in the final status
+// (and in the registry a save would capture) instead of being dropped with
+// the inbox. Non-blocking.
+func (s *Service) drainRegistrations() {
+	for _, in := range s.inboxes {
+		in.drain(func(e *transport.Envelope) { s.register(e) })
+	}
+	s.applyFinal()
 }
 
 func (s *Service) applyFinal() {
@@ -497,10 +490,6 @@ func (s *Service) Close() {
 		}
 		for _, ch := range s.leafStart {
 			close(ch)
-		}
-		s.srx.stop()
-		if s.tree != nil {
-			s.tree.rootRx.stop()
 		}
 	})
 	s.closeTransport()

@@ -420,7 +420,6 @@ func TestAlgorithmsDeclareNoRound(t *testing.T) {
 // unsetAllowlist names the exported struct fields under internal/ that no
 // non-test code writes on purpose, each with why it stays.
 var unsetAllowlist = map[string]string{
-	"internal/distrib.Options.FaultStats":         "caller-supplied sink for injected-fault counters, which the chaos tests set and read",
 	"internal/obs.RoundTrace.KernelParallelCalls": "always 0 since kernels run on their caller; the frozen bench/ still reads it",
 }
 

@@ -39,14 +39,25 @@ go test -race -count=5 -run 'Checkpoint|Resume|TraceBytes' ./internal/fl/engine 
 
 # Transport buffers move between goroutines: Send borrows its envelope, a Recv
 # envelope owns its free-list buffer until Release. Four handoffs race here —
-# the receiver pump reading the next frame ahead of its caller, the collect
-# loop and its ladders releasing a buffer right after Decode, the fan-out
-# sending one borrowed envelope to every member, and the bus copying each send
-# into a buffer for its receiver. Repeated runs under the race detector give
-# them the interleavings one pass might miss; the allocation gate in the same
-# leg fails on a missed Release.
+# a pump reading the next frame ahead of its consumer and pushing it straight
+# into that consumer's inbox (there is no relay pump between a conn and its
+# collector), the collect loop and its ladders releasing a buffer right after
+# Decode, the fan-out sending one borrowed envelope to every member, and the
+# bus copying each send into a buffer for its receiver. Repeated runs under
+# the race detector give them the interleavings one pass might miss; the
+# allocation gate in the same leg fails on a missed Release.
 echo ">> go test -race -count=5 -run 'Borrow|Release|Alloc' (transport buffer handoffs: pump read-ahead, collect loop, fan-out, bus copy)"
 go test -race -count=5 -run 'Borrow|Release|Alloc' ./internal/transport ./internal/distrib
+
+# Every connection's pump pushes into the inbox of the collector that consumes
+# it, so an inbox has several producers and is closed only after every one of
+# them has exited; a pump that sent on a closed inbox would panic, and one
+# that never exits leaks. The leak, goroutine-count, mux, liveness,
+# registration and ledger-is-wire tests build and tear down every fabric
+# shape; repeated runs under the race detector vary the teardown
+# interleavings.
+echo ">> go test -race -count=5 -run 'Leak|Goroutine|Mux|Liveness|Registration|LedgerIsWire' ./internal/distrib (inboxes close after their pumps exit)"
+go test -race -count=5 -run 'Leak|Goroutine|Mux|Liveness|Registration|LedgerIsWire' ./internal/distrib
 
 # The amd64 legs above run the widest inner loops the CPU has
 # (internal/tensor/*_amd64.s: the GEMM column loops and the step's row ops,

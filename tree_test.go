@@ -57,7 +57,7 @@ func treeRun(t *testing.T, name string, mode DistributedMode, topo Topology) tre
 // flat single-server run at equal config. The tree may add only the
 // separately-billed tier columns (which must be nonzero — a tree that moves
 // no tier traffic is not a tree). scripts/check.sh runs this suite under
-// -race, so the demultiplexer, the leaf workers, and the root collect are
+// -race, so the fan-in pumps, the leaf workers, and the root collect are
 // also checked for data races.
 func TestTreeMatchesFlat(t *testing.T) {
 	for name := range goldenAlgos(goldenEnv(t)) {
@@ -137,7 +137,7 @@ func TestTopologyValidation(t *testing.T) {
 		{"negative shards", "fedavg",
 			DistributedOptions{Topology: Topology{Shards: -1}}, "negative shard count"},
 		{"tree with wire registration", "fedavg",
-			DistributedOptions{Topology: Topology{Shards: 2}, WireRegistration: true}, "demultiplexer"},
+			DistributedOptions{Topology: Topology{Shards: 2}, WireRegistration: true}, "awaits every hello in one inbox"},
 	}
 	for _, tc := range cases {
 		tc := tc
