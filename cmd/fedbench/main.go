@@ -6,8 +6,10 @@
 //	fedbench -exp all -scale quick
 //	fedbench -list
 //
-// Each experiment prints the same rows/series the paper reports and, with
-// -out, also writes CSV files. The run-configuration flags (-codec, -async,
+// Each experiment prints the rows/series the paper reports and one line per
+// claim decided on them; -out also writes CSV and markdown tables and one
+// scorecard.md. fedbench exits non-zero when an experiment fails, or, after
+// all output is written, when a claim is violated (ids on stderr). The run-configuration flags (-codec, -async,
 // -availability, -checkpoint-dir, -chaos, -shards, ...) fill one expt.RunSpec
 // handed to every experiment; DESIGN.md §3 tabulates which experiment
 // honours which.
@@ -40,8 +42,6 @@ func run(args []string) error {
 		seed      = fs.Uint64("seed", 42, "experiment seed")
 		outDir    = fs.String("out", "", "directory for CSV output (optional)")
 		list      = fs.Bool("list", false, "list experiment ids and exit")
-		targetC10 = fs.Float64("target-c10", expt.DefaultTargetC10, "table1 accuracy target for SynthC10")
-		targetC1h = fs.Float64("target-c100", expt.DefaultTargetC100, "table1 accuracy target for SynthC100")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
 		runFlags  = expt.BindRunFlags(fs, true)
 	)
@@ -77,43 +77,50 @@ func run(args []string) error {
 	if *expID == "all" {
 		ids = expt.ExperimentIDs()
 	}
+	var results []*expt.Result
+	var violated []string
 	for _, id := range ids {
 		start := time.Now()
-		var res *expt.Result
-		if id == "table1" {
-			res, err = expt.RunTable1(sc, *seed, spec, *targetC10, *targetC1h)
-		} else {
-			res, err = expt.Run(id, sc, *seed, spec)
-		}
+		res, err := expt.Run(id, sc, *seed, spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Println(res.Table())
+		for _, c := range res.Claims {
+			fmt.Println(c)
+		}
 		fmt.Printf("(%s completed in %s at scale %s)\n\n", id, time.Since(start).Round(time.Millisecond), sc.Name)
 		if *outDir != "" {
-			if err := writeCSVs(*outDir, res); err != nil {
+			if err := writeFiles(*outDir, res.ID+".csv", res.CSV(), res.ID+".md", res.Markdown(),
+				res.ID+"_series.csv", res.SeriesCSV()); err != nil {
 				return err
 			}
 		}
+		results = append(results, res)
+		violated = append(violated, res.Violations()...)
+	}
+	if *outDir != "" {
+		if err := writeFiles(*outDir, "scorecard.md", expt.Scorecard(sc.Name, results)); err != nil {
+			return err
+		}
+	}
+	if len(violated) > 0 {
+		return fmt.Errorf("claims violated: %s", strings.Join(violated, ", "))
 	}
 	return nil
 }
 
-func writeCSVs(dir string, res *expt.Result) error {
+// writeFiles writes name/content pairs into dir, skipping empty contents.
+func writeFiles(dir string, nameContent ...string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create output dir: %w", err)
 	}
-	path := filepath.Join(dir, res.ID+".csv")
-	if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	mdPath := filepath.Join(dir, res.ID+".md")
-	if err := os.WriteFile(mdPath, []byte(res.Markdown()), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", mdPath, err)
-	}
-	if s := res.SeriesCSV(); s != "" {
-		path := filepath.Join(dir, res.ID+"_series.csv")
-		if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+	for i := 0; i < len(nameContent); i += 2 {
+		if nameContent[i+1] == "" {
+			continue
+		}
+		path := filepath.Join(dir, nameContent[i])
+		if err := os.WriteFile(path, []byte(nameContent[i+1]), 0o644); err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
 		}
 	}

@@ -26,13 +26,14 @@ func TestRunRejects(t *testing.T) {
 }
 
 // TestRunWritesResults regenerates the cheapest experiment end to end under a
-// non-default spec and checks the -out files.
+// non-default spec and checks the -out files; run returning nil means none of
+// fig2's claims was violated.
 func TestRunWritesResults(t *testing.T) {
 	out := t.TempDir()
 	if err := run(strings.Fields("-exp fig2 -scale quick -codec int8 -shards 2 -out " + out)); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fig2.csv", "fig2.md"} {
+	for _, name := range []string{"fig2.csv", "fig2.md", "scorecard.md"} {
 		if b, err := os.ReadFile(filepath.Join(out, name)); err != nil || len(b) == 0 {
 			t.Errorf("%s: %d bytes, %v", name, len(b), err)
 		}

@@ -1,167 +1,95 @@
 package expt
 
 import (
-	"fmt"
-
 	"fedpkd/internal/core"
 	"fedpkd/internal/models"
 )
 
-// runFedPKDVariant runs FedPKD with a config mutation under a task/setting.
-func runFedPKDVariant(task Task, setting Setting, sc Scale, seed uint64, mutate func(*core.Config)) (float64, float64, error) {
-	env, err := NewEnv(task, setting, sc, seed)
-	if err != nil {
-		return 0, 0, err
+// variant is one FedPKD configuration of a sweep: its table label (text, or
+// a number the sweep's column renders) and the change it makes to the
+// paper's defaults.
+type variant struct {
+	label  any
+	mutate func(*core.Config)
+}
+
+// fedPKDSweep runs FedPKD once per variant on every highly non-IID setting
+// of both tasks, one (dataset, setting, <col>, S_acc) row per run.
+func fedPKDSweep(id, title string, col Col, sc Scale, seed uint64, variants []variant) (*Result, error) {
+	res := &Result{ID: id, Title: title, Cols: []Col{{"dataset", Text}, {"setting", Text}, col, {"S_acc", Acc}}}
+	for _, task := range []Task{TaskC10, TaskC100} {
+		for _, setting := range SettingsFor(task, sc, true) {
+			for _, v := range variants {
+				env, err := NewEnv(task, setting, sc, seed)
+				if err != nil {
+					return nil, err
+				}
+				cfg := fedPKDConfig(env, sc, seed, models.HomogeneousFleet(env.Cfg.NumClients))
+				v.mutate(&cfg)
+				f, err := core.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				hist, err := f.Run(sc.Rounds)
+				if err != nil {
+					return nil, err
+				}
+				res.AddRow(string(task), setting.Label, v.label, hist.FinalServerAcc())
+			}
+		}
 	}
-	cfg := core.Config{
-		Env:                 env,
-		ClientArchs:         models.HomogeneousFleet(env.Cfg.NumClients),
-		ClientPrivateEpochs: sc.PKDPrivateEpochs,
-		ClientPublicEpochs:  sc.PKDPublicEpochs,
-		ServerEpochs:        sc.PKDServerEpochs,
-		Seed:                seed,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	f, err := core.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	hist, err := f.Run(sc.Rounds)
-	if err != nil {
-		return 0, 0, err
-	}
-	return hist.FinalServerAcc(), hist.FinalClientAcc(), nil
+	return decided(res), nil
 }
 
 // RunFig8 reproduces the ablation Fig. 8: FedPKD vs FedPKD without
 // prototypes ("w/o Pro") vs FedPKD without data filtering ("w/o D.F."),
 // highly non-IID settings.
 func RunFig8(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
-	res := &Result{
-		ID:     "fig8",
-		Title:  "Ablations under highly non-IID settings",
-		Header: []string{"dataset", "setting", "variant", "S_acc"},
-	}
-	variants := []struct {
-		name   string
-		mutate func(*core.Config)
-	}{
-		{"FedPKD", nil},
+	return fedPKDSweep("fig8", "Ablations under highly non-IID settings", Col{"variant", Text}, sc, seed, []variant{
+		{"FedPKD", func(*core.Config) {}},
 		{"w/o Pro", func(c *core.Config) { c.DisablePrototypes = true }},
 		{"w/o D.F.", func(c *core.Config) { c.DisableFiltering = true }},
-	}
-	for _, task := range []Task{TaskC10, TaskC100} {
-		for _, setting := range SettingsFor(task, sc, true) {
-			for _, v := range variants {
-				sAcc, _, err := runFedPKDVariant(task, setting, sc, seed, v.mutate)
-				if err != nil {
-					return nil, err
-				}
-				res.AddRow(string(task), setting.Label, v.name, pct(sAcc))
-			}
-		}
-	}
-	return res, nil
+	})
 }
 
 // RunFig9 reproduces Fig. 9: server accuracy as the select ratio θ varies,
 // highly non-IID settings.
 func RunFig9(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
-	res := &Result{
-		ID:     "fig9",
-		Title:  "Server accuracy vs select ratio θ, highly non-IID",
-		Header: []string{"dataset", "setting", "theta", "S_acc"},
+	var vs []variant
+	for _, theta := range []float64{0.3, 0.5, 0.7, 1.0} {
+		vs = append(vs, variant{theta, func(c *core.Config) { c.SelectRatio = theta }})
 	}
-	for _, task := range []Task{TaskC10, TaskC100} {
-		for _, setting := range SettingsFor(task, sc, true) {
-			for _, theta := range []float64{0.3, 0.5, 0.7, 1.0} {
-				theta := theta
-				sAcc, _, err := runFedPKDVariant(task, setting, sc, seed, func(c *core.Config) {
-					c.SelectRatio = theta
-				})
-				if err != nil {
-					return nil, err
-				}
-				res.AddRow(string(task), setting.Label, fmt.Sprintf("%.0f%%", theta*100), pct(sAcc))
-			}
-		}
-	}
-	return res, nil
+	return fedPKDSweep("fig9", "Server accuracy vs select ratio θ, highly non-IID", Col{"theta", Pct0}, sc, seed, vs)
 }
 
 // RunFig10 reproduces Fig. 10: server accuracy as the loss mix δ varies,
 // highly non-IID settings.
 func RunFig10(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
-	res := &Result{
-		ID:     "fig10",
-		Title:  "Server accuracy vs loss mix δ, highly non-IID",
-		Header: []string{"dataset", "setting", "delta", "S_acc"},
+	var vs []variant
+	for _, delta := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		vs = append(vs, variant{delta, func(c *core.Config) { c.Delta = delta }})
 	}
-	for _, task := range []Task{TaskC10, TaskC100} {
-		for _, setting := range SettingsFor(task, sc, true) {
-			for _, delta := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-				delta := delta
-				sAcc, _, err := runFedPKDVariant(task, setting, sc, seed, func(c *core.Config) {
-					c.Delta = delta
-				})
-				if err != nil {
-					return nil, err
-				}
-				res.AddRow(string(task), setting.Label, fmt.Sprintf("%.1f", delta), pct(sAcc))
-			}
-		}
-	}
-	return res, nil
+	return fedPKDSweep("fig10", "Server accuracy vs loss mix δ, highly non-IID", Col{"delta", Dec1}, sc, seed, vs)
 }
 
 // RunAblationAggregation is an extra design-choice ablation (DESIGN.md §1):
 // variance-weighted vs plain-mean logit aggregation inside FedPKD.
 func RunAblationAggregation(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
-	res := &Result{
-		ID:     "ablation-aggregation",
-		Title:  "FedPKD logit aggregation: variance-weighted vs mean, highly non-IID",
-		Header: []string{"dataset", "setting", "aggregation", "S_acc"},
+	var vs []variant
+	for _, agg := range []core.Aggregation{core.AggregationVariance, core.AggregationMean} {
+		vs = append(vs, variant{string(agg), func(c *core.Config) { c.Aggregation = agg }})
 	}
-	for _, task := range []Task{TaskC10, TaskC100} {
-		for _, setting := range SettingsFor(task, sc, true) {
-			for _, agg := range []core.Aggregation{core.AggregationVariance, core.AggregationMean} {
-				agg := agg
-				sAcc, _, err := runFedPKDVariant(task, setting, sc, seed, func(c *core.Config) {
-					c.Aggregation = agg
-				})
-				if err != nil {
-					return nil, err
-				}
-				res.AddRow(string(task), setting.Label, string(agg), pct(sAcc))
-			}
-		}
-	}
-	return res, nil
+	return fedPKDSweep("ablation-aggregation", "FedPKD logit aggregation: variance-weighted vs mean, highly non-IID",
+		Col{"aggregation", Text}, sc, seed, vs)
 }
 
 // RunAblationFilterSignal is an extra design-choice ablation (DESIGN.md §1):
 // Algorithm 1's prototype-distance ranking vs a logit-confidence ranking.
 func RunAblationFilterSignal(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
-	res := &Result{
-		ID:     "ablation-filter-signal",
-		Title:  "FedPKD filter signal: prototype distance vs logit confidence, highly non-IID",
-		Header: []string{"dataset", "setting", "signal", "S_acc"},
+	var vs []variant
+	for _, sig := range []core.FilterSignal{core.FilterByPrototype, core.FilterByConfidence} {
+		vs = append(vs, variant{string(sig), func(c *core.Config) { c.FilterSignal = sig }})
 	}
-	for _, task := range []Task{TaskC10, TaskC100} {
-		for _, setting := range SettingsFor(task, sc, true) {
-			for _, sig := range []core.FilterSignal{core.FilterByPrototype, core.FilterByConfidence} {
-				sig := sig
-				sAcc, _, err := runFedPKDVariant(task, setting, sc, seed, func(c *core.Config) {
-					c.FilterSignal = sig
-				})
-				if err != nil {
-					return nil, err
-				}
-				res.AddRow(string(task), setting.Label, string(sig), pct(sAcc))
-			}
-		}
-	}
-	return res, nil
+	return fedPKDSweep("ablation-filter-signal", "FedPKD filter signal: prototype distance vs logit confidence, highly non-IID",
+		Col{"signal", Text}, sc, seed, vs)
 }

@@ -37,7 +37,8 @@ func asyncSchedule(seed uint64, n int) engine.ArrivalSchedule {
 // number of client updates — the FedBuff accounting. At equal client work
 // the async leg aggregates more often (K < n contributors per flush), so its
 // server sees more distillation steps; its accuracy may exceed the sync
-// leg's, never trail it materially. The experiment is self-checking:
+// leg's, never trail it materially. Two contracts ride on the table as
+// claims:
 //
 //   - Fidelity: over a small seed ensemble, the async leg's mean final
 //     server accuracy must not trail the sync leg's by more than 1pp —
@@ -49,9 +50,10 @@ func asyncSchedule(seed uint64, n int) engine.ArrivalSchedule {
 //     over rounds of the slowest client's delay) at the base seed.
 func RunAsync(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "async",
-		Title:  "FedPKD sync barrier vs async buffered flushes under a 30% straggler model, α=0.5",
-		Header: []string{"mode", "rounds", "S_acc", "C_acc", "mean_S_acc", "r@90%", "MB", "sim_clock", "speedup"},
+		ID:    "async",
+		Title: "FedPKD sync barrier vs async buffered flushes under a 30% straggler model, α=0.5",
+		Cols: []Col{{"mode", Text}, {"rounds", Count}, {"S_acc", Acc}, {"C_acc", Acc}, {"mean_S_acc", Acc},
+			{"r@90%", Count}, {"MB", MB}, {"sim_clock", Count}, {"speedup", Ratio}},
 	}
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 	n := sc.NumClients
@@ -100,46 +102,36 @@ func RunAsync(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	}
 	asyncClock := histA.FinalClock()
 
-	// Contract 1: async must not trade the straggler wait for accuracy.
-	if meanS-meanA > 0.01 {
-		return nil, fmt.Errorf("expt: async mean final server accuracy %.2f%% trails sync %.2f%% past the 1pp budget (%d seeds)",
-			meanA*100, meanS*100, fidelitySeeds)
-	}
-	// Contract 2: dodging the barrier must actually cut simulated wall-clock.
-	if asyncClock == 0 || asyncClock >= syncClock {
-		return nil, fmt.Errorf("expt: async simulated wall-clock %d ticks did not beat the sync barrier's %d",
-			asyncClock, syncClock)
-	}
-
 	// Rounds-to-accuracy at a common target both legs can reach: 90% of the
 	// sync leg's final accuracy.
 	target := 0.9 * histS.FinalServerAcc()
-	atTarget := func(h *fl.History) string {
+	atTarget := func(h *fl.History) float64 {
 		if r, ok := h.RoundsToServerAcc(target); ok {
-			return fmt.Sprintf("%d", r+1)
+			return float64(r + 1)
 		}
-		return "not reached"
+		return NotReached
 	}
 
-	speedup := float64(syncClock) / float64(asyncClock)
-	res.AddRow("sync", fmt.Sprintf("%d", sc.Rounds),
-		pct(histS.FinalServerAcc()), pct(histS.FinalClientAcc()), pct(meanS),
-		atTarget(histS), mb(histS.TotalMB()),
-		fmt.Sprintf("%d", syncClock), "1.00x")
-	res.AddRow("async", fmt.Sprintf("%d", flushes),
-		pct(histA.FinalServerAcc()), pct(histA.FinalClientAcc()), pct(meanA),
-		atTarget(histA), mb(histA.TotalMB()),
-		fmt.Sprintf("%d", asyncClock), fmt.Sprintf("%.2fx", speedup))
+	res.AddRow("sync", sc.Rounds,
+		histS.FinalServerAcc(), histS.FinalClientAcc(), meanS,
+		atTarget(histS), histS.TotalMB(), syncClock, 1.0)
+	res.AddRow("async", flushes,
+		histA.FinalServerAcc(), histA.FinalClientAcc(), meanA,
+		atTarget(histA), histA.TotalMB(), asyncClock, float64(syncClock)/float64(asyncClock))
+	// Async must not trade the straggler wait for accuracy, and dodging the
+	// barrier must actually cut simulated wall-clock.
+	res.Claims = append(res.Claims, asyncFidelity(meanS, meanA), asyncLatency(syncClock, asyncClock))
 
-	sAcc := make([]float64, 0, histS.Len())
-	for _, rm := range histS.Rounds {
-		sAcc = append(sAcc, rm.ServerAcc)
-	}
-	aAcc := make([]float64, 0, histA.Len())
-	for _, rm := range histA.Rounds {
-		aAcc = append(aAcc, rm.ServerAcc)
-	}
-	res.AddSeries("sync_S_acc", sAcc)
-	res.AddSeries("async_S_acc", aAcc)
+	res.AddSeries("sync_S_acc", serverAccs(histS))
+	res.AddSeries("async_S_acc", serverAccs(histA))
 	return res, nil
+}
+
+// serverAccs is a history's per-round server accuracy.
+func serverAccs(h *fl.History) []float64 {
+	accs := make([]float64, 0, h.Len())
+	for _, rm := range h.Rounds {
+		accs = append(accs, rm.ServerAcc)
+	}
+	return accs
 }

@@ -24,9 +24,9 @@ func RunFig7(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 // runComparison runs an algorithm set over the evaluation grid.
 func runComparison(id, title string, algos []string, sc Scale, seed uint64, spec RunSpec, hetero, highOnly bool) (*Result, error) {
 	res := &Result{
-		ID:     id,
-		Title:  title,
-		Header: []string{"dataset", "setting", "algorithm", "S_acc", "C_acc"},
+		ID:    id,
+		Title: title,
+		Cols:  []Col{{"dataset", Text}, {"setting", Text}, {"algorithm", Text}, {"S_acc", Acc}, {"C_acc", Acc}},
 	}
 	for _, task := range []Task{TaskC10, TaskC100} {
 		for _, setting := range SettingsFor(task, sc, highOnly) {
@@ -35,11 +35,11 @@ func runComparison(id, title string, algos []string, sc Scale, seed uint64, spec
 				if err != nil {
 					return nil, err
 				}
-				res.AddRow(string(task), setting.Label, algo, pct(hist.FinalServerAcc()), pct(hist.FinalClientAcc()))
+				res.AddRow(string(task), setting.Label, algo, hist.FinalServerAcc(), hist.FinalClientAcc())
 			}
 		}
 	}
-	return res, nil
+	return decided(res), nil
 }
 
 // RunFig6 reproduces Fig. 6: accuracy-vs-round curves for all algorithms in
@@ -47,9 +47,9 @@ func runComparison(id, title string, algos []string, sc Scale, seed uint64, spec
 // the table reports the final values.
 func RunFig6(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "fig6",
-		Title:  "Accuracy vs communication round, highly non-IID settings",
-		Header: []string{"dataset", "setting", "algorithm", "final_S_acc", "final_C_acc"},
+		ID:    "fig6",
+		Title: "Accuracy vs communication round, highly non-IID settings",
+		Cols:  []Col{{"dataset", Text}, {"setting", Text}, {"algorithm", Text}, {"final_S_acc", Acc}, {"final_C_acc", Acc}},
 	}
 	for _, task := range []Task{TaskC10, TaskC100} {
 		for _, setting := range SettingsFor(task, sc, true) {
@@ -58,7 +58,7 @@ func RunFig6(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				key := fmt.Sprintf("%s/%s/%s", task, setting.Label, algo)
+				key := string(task) + "/" + setting.Label + "/" + algo
 				sAcc := make([]float64, hist.Len())
 				cAcc := make([]float64, hist.Len())
 				for i, r := range hist.Rounds {
@@ -67,23 +67,28 @@ func RunFig6(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 				}
 				res.AddSeries(key+"/S_acc", sAcc)
 				res.AddSeries(key+"/C_acc", cAcc)
-				res.AddRow(string(task), setting.Label, algo, pct(hist.FinalServerAcc()), pct(hist.FinalClientAcc()))
+				res.AddRow(string(task), setting.Label, algo, hist.FinalServerAcc(), hist.FinalClientAcc())
 			}
 		}
 	}
-	return res, nil
+	return decided(res), nil
 }
 
 // RunTable1 reproduces Table I: communication overhead (MB) to reach the
-// target accuracy in the weakly non-IID settings. Targets scale with the
-// synthetic tasks' attainable bands (paper: 60% C10 / 25% C100 on real
-// CIFAR).
-func RunTable1(sc Scale, seed uint64, spec RunSpec, targetC10, targetC100 float64) (*Result, error) {
+// target accuracy in the weakly non-IID settings, at DefaultTargetC10 and
+// DefaultTargetC100 (the paper's 60% C10 / 25% C100 on real CIFAR, scaled
+// to the synthetic tasks' attainable bands).
+func RunTable1(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
+	return runTable1(sc, seed, spec, DefaultTargetC10, DefaultTargetC100)
+}
+
+// runTable1 is RunTable1 at the given targets.
+func runTable1(sc Scale, seed uint64, spec RunSpec, targetC10, targetC100 float64) (*Result, error) {
 	res := &Result{
 		ID: "table1",
 		Title: fmt.Sprintf("Communication overhead (MB) to reach target accuracy (C10: %.0f%%, C100: %.0f%%), weakly non-IID",
 			targetC10*100, targetC100*100),
-		Header: []string{"dataset", "setting", "algorithm", "MB_to_C_acc", "MB_to_S_acc"},
+		Cols: []Col{{"dataset", Text}, {"setting", Text}, {"algorithm", Text}, {"MB_to_C_acc", MB}, {"MB_to_S_acc", MB}},
 	}
 	for _, task := range []Task{TaskC10, TaskC100} {
 		target := targetC10
@@ -96,26 +101,26 @@ func RunTable1(sc Scale, seed uint64, spec RunSpec, targetC10, targetC100 float6
 				if err != nil {
 					return nil, err
 				}
-				cCell, sCell := "N/A", "N/A"
-				if hist.FinalClientAcc() >= 0 {
-					if v, ok := hist.MBToClientAcc(target); ok {
-						cCell = mb(v)
-					} else {
-						cCell = "not reached"
-					}
-				}
-				if hist.FinalServerAcc() >= 0 {
-					if v, ok := hist.MBToServerAcc(target); ok {
-						sCell = mb(v)
-					} else {
-						sCell = "not reached"
-					}
-				}
-				res.AddRow(string(task), setting.Label, algo, cCell, sCell)
+				res.AddRow(string(task), setting.Label, algo,
+					mbTo(hist.FinalClientAcc(), hist.MBToClientAcc, target),
+					mbTo(hist.FinalServerAcc(), hist.MBToServerAcc, target))
 			}
 		}
 	}
-	return res, nil
+	return decided(res), nil
+}
+
+// mbTo is a Table I cell: the MB reach reports to the target, NA for a
+// model the method lacks (negative final accuracy), else NotReached.
+func mbTo(final float64, reach func(float64) (float64, bool), target float64) float64 {
+	v, ok := reach(target)
+	switch {
+	case final < 0:
+		return NA
+	case !ok:
+		return NotReached
+	}
+	return v
 }
 
 // weaklyNonIID returns the k-high and α=0.5 settings of the grid.

@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"fmt"
-
 	"fedpkd/internal/comm"
 	"fedpkd/internal/distrib"
 	"fedpkd/internal/fl"
@@ -13,8 +11,7 @@ import (
 // each payload codec, run twice per codec — once in-process (the ledger is
 // the codec's predicted analytic byte count, Payload.WireBytesIn) and once
 // over the distributed bus transport (the ledger is real encoded wire
-// bytes). The experiment is self-checking; it returns an error rather than a
-// table when the codec layer breaks its contracts:
+// bytes). The codec layer's contracts ride on the table as claims:
 //
 //   - Equivalence: for every codec the two legs must follow bit-identical
 //     accuracy trajectories — the wire decode is the same decode(encode(x))
@@ -32,9 +29,10 @@ import (
 //     bit-identical.
 func RunCompression(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "compression",
-		Title:  "FedPKD payload wire codecs: predicted vs real bytes, α=0.5",
-		Header: []string{"codec", "S_acc", "C_acc", "pred_up_MB", "wire_up_MB", "raw_up_MB", "wire_ratio"},
+		ID:    "compression",
+		Title: "FedPKD payload wire codecs: predicted vs real bytes, α=0.5",
+		Cols: []Col{{"codec", Text}, {"S_acc", Acc}, {"C_acc", Acc},
+			{"pred_up_MB", MB3}, {"wire_up_MB", MB3}, {"raw_up_MB", MB3}, {"wire_ratio", Ratio}},
 	}
 	setting := Setting{Label: "α=0.5", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.5}}
 
@@ -83,52 +81,34 @@ func RunCompression(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 		}
 		wire := sum(rD, dHist)
 
-		// Contract 1: predicted (in-process) and shipped (wire) trajectories
-		// are the same trajectory, bit for bit.
-		if inHist.Len() != dHist.Len() {
-			return nil, fmt.Errorf("expt: codec %s: in-process ran %d rounds, wire %d", c, inHist.Len(), dHist.Len())
-		}
-		for i := range inHist.Rounds {
+		// Predicted (in-process) and shipped (wire) trajectories are the
+		// same trajectory, bit for bit.
+		same := true
+		for i := 0; i < inHist.Len() && i < dHist.Len(); i++ {
 			ip, w := inHist.Rounds[i], dHist.Rounds[i]
-			if ip.ServerAcc != w.ServerAcc || ip.ClientAcc != w.ClientAcc {
-				return nil, fmt.Errorf("expt: codec %s: round %d diverged between predicted and wire legs: (%v,%v) vs (%v,%v)",
-					c, i, ip.ServerAcc, ip.ClientAcc, w.ServerAcc, w.ClientAcc)
-			}
+			same = same && ip.ServerAcc == w.ServerAcc && ip.ClientAcc == w.ClientAcc
 		}
-		// The compressing codecs must also account their float64 equivalent.
-		if c != comm.CodecFloat64 && wire.rawUpload == 0 {
-			return nil, fmt.Errorf("expt: codec %s: raw-equivalent upload bytes not recorded", c)
-		}
+		res.Claims = append(res.Claims, compressionRounds(c, inHist.Len(), dHist.Len()), compressionTrajectory(c, same))
 
-		ratio := "1.00x"
+		ratio := 1.0
 		switch c {
 		case comm.CodecFloat64:
 			f64Wire = wire
 			meanAccF64 = meanAcc
 		default:
-			r := float64(f64Wire.upload) / float64(wire.upload)
-			ratio = fmt.Sprintf("%.2fx", r)
-			// Contract 2: int8 is the codec the paper-style accounting leans
-			// on — it must deliver >= 4x on real wire bytes.
-			if c == comm.CodecInt8 && r < 4 {
-				return nil, fmt.Errorf("expt: int8 upload compression %.2fx on the wire, need >= 4x (f64 %d B, int8 %d B)",
-					r, f64Wire.upload, wire.upload)
+			// The compressing codecs must also account their float64
+			// equivalent, and must not cost accuracy.
+			ratio = float64(f64Wire.upload) / float64(wire.upload)
+			res.Claims = append(res.Claims, compressionRawRecorded(c, wire.rawUpload))
+			// int8 is the codec the paper-style accounting leans on: it must
+			// deliver >= 4x on real wire bytes.
+			if c == comm.CodecInt8 {
+				res.Claims = append(res.Claims, compressionRatio(ratio))
 			}
-			// Contract 3: compression must not cost accuracy — at most 0.5pp
-			// of mean final server accuracy across the seed ensemble.
-			if meanAcc < meanAccF64-0.005 {
-				return nil, fmt.Errorf("expt: codec %s lost %.2fpp mean server accuracy over %d seeds, budget is 0.5pp",
-					c, (meanAccF64-meanAcc)*100, fidelitySeeds)
-			}
+			res.Claims = append(res.Claims, compressionFidelity(c, meanAcc, meanAccF64))
 		}
-		res.AddRow(c.String(),
-			pct(dHist.FinalServerAcc()), pct(dHist.FinalClientAcc()),
-			mbBytes(inproc.upload), mbBytes(wire.upload), mbBytes(wire.rawUpload), ratio)
+		res.AddRow(c.String(), dHist.FinalServerAcc(), dHist.FinalClientAcc(),
+			float64(inproc.upload)/1e6, float64(wire.upload)/1e6, float64(wire.rawUpload)/1e6, ratio)
 	}
 	return res, nil
-}
-
-// mbBytes formats a byte count as megabytes.
-func mbBytes(b int64) string {
-	return fmt.Sprintf("%.3f", float64(b)/1e6)
 }

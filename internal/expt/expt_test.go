@@ -116,12 +116,12 @@ func TestBuildAlgorithmAll(t *testing.T) {
 
 func TestResultRendering(t *testing.T) {
 	r := &Result{
-		ID:     "test",
-		Title:  "demo",
-		Header: []string{"a", "bb"},
+		ID:    "test",
+		Title: "demo",
+		Cols:  []Col{{"a", Text}, {"bb", Count}},
 	}
-	r.AddRow("1", "2")
-	r.AddRow("333", "4")
+	r.AddRow("1", 2)
+	r.AddRow("333", int64(4))
 	table := r.Table()
 	for _, want := range []string{"test", "demo", "333"} {
 		if !strings.Contains(table, want) {
@@ -147,12 +147,25 @@ func TestResultRendering(t *testing.T) {
 	}
 }
 
+// TestPctAndMB pins how each column kind renders a number, and how every
+// numeric kind renders the absences.
 func TestPctAndMB(t *testing.T) {
-	if pct(0.5) != "50.00%" || pct(-1) != "N/A" {
-		t.Error("pct formatting wrong")
+	for _, c := range []struct {
+		kind Kind
+		v    float64
+		want string
+	}{
+		{Acc, 0.5, "50.00%"}, {Acc, -1, "N/A"}, {MB, 1.234, "1.23"}, {MB, NA, "N/A"},
+		{MB3, 0.037512, "0.038"}, {Count, 952, "952"}, {Ratio, 4.6666, "4.67x"},
+		{Dec1, 2, "2.0"}, {Pct0, 0.3, "30%"}, {Count, NotReached, "not reached"},
+		{MB, NotReached, "not reached"}, {Count, None, "-"},
+	} {
+		if got := (Cell{Num: c.v}).render(c.kind); got != c.want {
+			t.Errorf("kind %d renders %v as %q, want %q", c.kind, c.v, got, c.want)
+		}
 	}
-	if mb(1.234) != "1.23" {
-		t.Error("mb formatting wrong")
+	if got := (Cell{Text: "overall"}).render(Acc); got != "overall" {
+		t.Errorf("a text cell renders as %q", got)
 	}
 }
 
@@ -192,6 +205,7 @@ func TestRunFig2Micro(t *testing.T) {
 	if len(res.Rows) != 11 {
 		t.Fatalf("fig2 rows = %d, want 11", len(res.Rows))
 	}
+	checkClaims(t, res)
 }
 
 func TestRunFig1Micro(t *testing.T) {
@@ -203,6 +217,7 @@ func TestRunFig1Micro(t *testing.T) {
 	if len(res.Rows) != 8 {
 		t.Fatalf("fig1 rows = %d, want 8", len(res.Rows))
 	}
+	checkClaims(t, res)
 }
 
 func TestRunFailuresMicro(t *testing.T) {
@@ -214,7 +229,7 @@ func TestRunFailuresMicro(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("failures rows = %d, want 4", len(res.Rows))
 	}
-	if res.Rows[0][1] != "none" {
-		t.Fatalf("baseline faults label = %q, want none", res.Rows[0][1])
+	if res.Rows[0][1].Text != "none" {
+		t.Fatalf("baseline faults label = %q, want none", res.Rows[0][1].Text)
 	}
 }

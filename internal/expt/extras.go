@@ -15,9 +15,9 @@ import (
 // setting.
 func RunAblationNormalization(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "ablation-normalization",
-		Title:  "BatchNorm vs LayerNorm under weight averaging, α=0.1",
-		Header: []string{"dataset", "algorithm", "norm", "S_acc"},
+		ID:    "ablation-normalization",
+		Title: "BatchNorm vs LayerNorm under weight averaging, α=0.1",
+		Cols:  []Col{{"dataset", Text}, {"algorithm", Text}, {"norm", Text}, {"S_acc", Acc}},
 	}
 	setting := Setting{Label: "α=0.1", Partition: fl.PartitionConfig{Kind: fl.PartitionDirichlet, Alpha: 0.1}}
 	for _, task := range []Task{TaskC10} {
@@ -40,13 +40,9 @@ func RunAblationNormalization(sc Scale, seed uint64, _ RunSpec) (*Result, error)
 			for i := range archs {
 				archs[i] = norm.client
 			}
-			pkd, err := core.New(core.Config{
-				Env: env, ClientArchs: archs, ServerArch: norm.server,
-				ClientPrivateEpochs: sc.PKDPrivateEpochs,
-				ClientPublicEpochs:  sc.PKDPublicEpochs,
-				ServerEpochs:        sc.PKDServerEpochs,
-				Seed:                seed,
-			})
+			cfg := fedPKDConfig(env, sc, seed, archs)
+			cfg.ServerArch = norm.server
+			pkd, err := core.New(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +51,7 @@ func RunAblationNormalization(sc Scale, seed uint64, _ RunSpec) (*Result, error)
 				if err != nil {
 					return nil, err
 				}
-				res.AddRow(string(task), algo.Name(), norm.label, pct(hist.FinalServerAcc()))
+				res.AddRow(string(task), algo.Name(), norm.label, hist.FinalServerAcc())
 			}
 		}
 	}
@@ -68,9 +64,9 @@ func RunAblationNormalization(sc Scale, seed uint64, _ RunSpec) (*Result, error)
 // non-IID settings, on the client-accuracy metric all three support.
 func RunExtraFedProto(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "extra-fedproto",
-		Title:  "Dual knowledge vs prototype-only (FedProto) vs logit-only (FedMD), highly non-IID",
-		Header: []string{"dataset", "setting", "algorithm", "C_acc", "total_MB"},
+		ID:    "extra-fedproto",
+		Title: "Dual knowledge vs prototype-only (FedProto) vs logit-only (FedMD), highly non-IID",
+		Cols:  []Col{{"dataset", Text}, {"setting", Text}, {"algorithm", Text}, {"C_acc", Acc}, {"total_MB", MB}},
 	}
 	for _, task := range []Task{TaskC10, TaskC100} {
 		for _, setting := range SettingsFor(task, sc, true) {
@@ -80,36 +76,24 @@ func RunExtraFedProto(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 			}
 			common := baselines.CommonConfig{Env: env, Seed: seed}
 
-			algos := make([]fl.Algorithm, 0, 3)
-			pkd, err := core.New(core.Config{
-				Env:                 env,
-				ClientArchs:         models.HomogeneousFleet(env.Cfg.NumClients),
-				ClientPrivateEpochs: sc.PKDPrivateEpochs,
-				ClientPublicEpochs:  sc.PKDPublicEpochs,
-				ServerEpochs:        sc.PKDServerEpochs,
-				Seed:                seed,
-			})
+			pkd, err := core.New(fedPKDConfig(env, sc, seed, models.HomogeneousFleet(env.Cfg.NumClients)))
 			if err != nil {
 				return nil, err
 			}
-			algos = append(algos, pkd)
 			fp, err := baselines.NewFedProto(baselines.FedProtoConfig{Common: common, LocalEpochs: sc.LocalEpochs})
 			if err != nil {
 				return nil, err
 			}
-			algos = append(algos, fp)
 			md, err := baselines.NewFedMD(baselines.FedMDConfig{Common: common, LocalEpochs: sc.LocalEpochs, DistillEpochs: sc.DistillEpochs})
 			if err != nil {
 				return nil, err
 			}
-			algos = append(algos, md)
-
-			for _, algo := range algos {
+			for _, algo := range []fl.Algorithm{pkd, fp, md} {
 				hist, err := algo.Run(sc.Rounds)
 				if err != nil {
 					return nil, err
 				}
-				res.AddRow(string(task), setting.Label, algo.Name(), pct(hist.FinalClientAcc()), mb(hist.TotalMB()))
+				res.AddRow(string(task), setting.Label, algo.Name(), hist.FinalClientAcc(), hist.TotalMB())
 			}
 		}
 	}

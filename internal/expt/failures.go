@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"strconv"
 	"time"
 
 	"fedpkd/internal/distrib"
@@ -27,9 +26,10 @@ import (
 // makes rounds below it abort, and Topology reduces through a tree.
 func RunFailures(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "failures",
-		Title:  "Distributed FedPKD under deterministic fault injection, α=0.5",
-		Header: []string{"dataset", "faults", "S_acc", "C_acc", "partial_rounds", "total_MB"},
+		ID:    "failures",
+		Title: "Distributed FedPKD under deterministic fault injection, α=0.5",
+		Cols: []Col{{"dataset", Text}, {"faults", Text}, {"S_acc", Acc}, {"C_acc", Acc},
+			{"partial_rounds", Count}, {"total_MB", MB}},
 	}
 	plans := []*faults.Plan{
 		nil,
@@ -62,8 +62,7 @@ func RunFailures(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 			return nil, err
 		}
 		res.AddRow(string(task), plan.String(),
-			pct(hist.FinalServerAcc()), pct(hist.FinalClientAcc()),
-			strconv.Itoa(hist.DegradedCount()), mb(hist.TotalMB()))
+			hist.FinalServerAcc(), hist.FinalClientAcc(), hist.DegradedCount(), hist.TotalMB())
 	}
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 
@@ -59,16 +61,9 @@ func BuildAlgorithmOpts(name string, env *fl.Env, sc Scale, seed uint64, hetero 
 	}
 	switch name {
 	case AlgoFedPKD:
-		return core.New(core.Config{
-			Env:                 env,
-			ClientArchs:         clientArchs,
-			ClientPrivateEpochs: sc.PKDPrivateEpochs,
-			ClientPublicEpochs:  sc.PKDPublicEpochs,
-			ServerEpochs:        sc.PKDServerEpochs,
-			SelectRatio:         opts.Theta,
-			Delta:               opts.Delta,
-			Seed:                seed,
-		})
+		cfg := fedPKDConfig(env, sc, seed, clientArchs)
+		cfg.SelectRatio, cfg.Delta = opts.Theta, opts.Delta
+		return core.New(cfg)
 	case AlgoFedMD:
 		return baselines.NewFedMD(baselines.FedMDConfig{
 			Common: common, LocalEpochs: sc.LocalEpochs, DistillEpochs: sc.DistillEpochs, Archs: clientArchs,
@@ -111,6 +106,20 @@ func BuildAlgorithmOpts(name string, env *fl.Env, sc Scale, seed uint64, hetero 
 	}
 }
 
+// fedPKDConfig is FedPKD on env with the given client fleet at the scale's
+// schedule and the paper's defaults: the one place the harness fills a
+// core.Config.
+func fedPKDConfig(env *fl.Env, sc Scale, seed uint64, clientArchs []string) core.Config {
+	return core.Config{
+		Env:                 env,
+		ClientArchs:         clientArchs,
+		ClientPrivateEpochs: sc.PKDPrivateEpochs,
+		ClientPublicEpochs:  sc.PKDPublicEpochs,
+		ServerEpochs:        sc.PKDServerEpochs,
+		Seed:                seed,
+	}
+}
+
 // newRun materializes an environment, builds one algorithm on it and applies
 // the spec: a configured run, not yet started.
 func newRun(name string, task Task, setting Setting, sc Scale, seed uint64, hetero bool, spec RunSpec) (*engine.Runner, error) {
@@ -132,7 +141,7 @@ func newRun(name string, task Task, setting Setting, sc Scale, seed uint64, hete
 	return engine.Of(algo)
 }
 
-// fidelitySeeds sizes the seed ensemble the self-checking experiments
+// fidelitySeeds sizes the seed ensemble the contract-claiming experiments
 // (async, churn, compression) check their accuracy budgets on: one run cannot
 // resolve a budget of a few pp at the reduced scales.
 const fidelitySeeds = 5
@@ -159,6 +168,16 @@ func seedEnsemble(seed uint64, legs ...func(s uint64) (*fl.History, error)) (mea
 		mean[i] /= fidelitySeeds
 	}
 	return mean, base, nil
+}
+
+// sameHistory reports whether two histories marshal to the same JSON bytes.
+func sameHistory(a, b *fl.History) (bool, error) {
+	ja, err := json.Marshal(a)
+	if err != nil {
+		return false, err
+	}
+	jb, err := json.Marshal(b)
+	return bytes.Equal(ja, jb), err
 }
 
 // RunOne runs one algorithm over the scale's round budget under the spec's

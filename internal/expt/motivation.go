@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"fmt"
-
 	"fedpkd/internal/comm"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/kd"
@@ -17,9 +15,9 @@ import (
 // settings, on both tasks.
 func RunFig1(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	res := &Result{
-		ID:     "fig1",
-		Title:  "Server accuracy: FedAvg vs plain KD, IID vs non-IID (α=0.3)",
-		Header: []string{"dataset", "setting", "algorithm", "S_acc"},
+		ID:    "fig1",
+		Title: "Server accuracy: FedAvg vs plain KD, IID vs non-IID (α=0.3)",
+		Cols:  []Col{{"dataset", Text}, {"setting", Text}, {"algorithm", Text}, {"S_acc", Acc}},
 	}
 	settings := []Setting{
 		{Label: "IID", Partition: fl.PartitionConfig{Kind: fl.PartitionIID}},
@@ -32,11 +30,11 @@ func RunFig1(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				res.AddRow(string(task), setting.Label, algo, pct(hist.FinalServerAcc()))
+				res.AddRow(string(task), setting.Label, algo, hist.FinalServerAcc())
 			}
 		}
 	}
-	return res, nil
+	return decided(res), nil
 }
 
 // RunFig2 reproduces Fig. 2: two clients trained on disjoint class halves;
@@ -92,18 +90,18 @@ func RunFig2(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 	aggPerLabel := kd.PerLabelAccuracy(aggregated, trueLabels, env.Classes())
 
 	res := &Result{
-		ID:     "fig2",
-		Title:  "Per-label logit accuracy of class-split clients and their equal average",
-		Header: []string{"label", "client1_acc", "client2_acc", "aggregated_acc"},
+		ID:    "fig2",
+		Title: "Per-label logit accuracy of class-split clients and their equal average",
+		Cols:  []Col{{"label", Count}, {"client1_acc", Acc}, {"client2_acc", Acc}, {"aggregated_acc", Acc}},
 	}
 	for label := 0; label < env.Classes(); label++ {
-		res.AddRow(fmt.Sprintf("%d", label), pct(perLabel[0][label]), pct(perLabel[1][label]), pct(aggPerLabel[label]))
+		res.AddRow(label, perLabel[0][label], perLabel[1][label], aggPerLabel[label])
 	}
 	res.AddRow("overall",
-		pct(kd.LogitsAccuracy(clientLogits[0], trueLabels)),
-		pct(kd.LogitsAccuracy(clientLogits[1], trueLabels)),
-		pct(kd.LogitsAccuracy(aggregated, trueLabels)))
-	return res, nil
+		kd.LogitsAccuracy(clientLogits[0], trueLabels),
+		kd.LogitsAccuracy(clientLogits[1], trueLabels),
+		kd.LogitsAccuracy(aggregated, trueLabels))
+	return decided(res), nil
 }
 
 // RunFig3 reproduces Fig. 3: plain-KD server accuracy and per-client
@@ -112,9 +110,10 @@ func RunFig2(sc Scale, seed uint64, _ RunSpec) (*Result, error) {
 func RunFig3(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 	task := TaskC10
 	res := &Result{
-		ID:     "fig3",
-		Title:  "Plain-KD server accuracy and per-client traffic vs public-set size",
-		Header: []string{"public_size", "S_acc", "logits_MB_per_client_per_round", "model_update_MB"},
+		ID:    "fig3",
+		Title: "Plain-KD server accuracy and per-client traffic vs public-set size",
+		Cols: []Col{{"public_size", Count}, {"S_acc", Acc},
+			{"logits_MB_per_client_per_round", MB}, {"model_update_MB", MB}},
 	}
 	// Reference: one ResNet20 model update.
 	refNet, err := models.BuildNamed(stats.NewRNG(1), "ResNet20", task.Spec(seed).InputDim, task.Classes())
@@ -132,8 +131,14 @@ func RunFig3(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		logitsMB := float64(comm.LogitsBytes(publicSize, task.Classes())) / comm.MB
-		res.AddRow(fmt.Sprintf("%d", publicSize), pct(hist.FinalServerAcc()), mb(logitsMB), mb(modelMB))
+		res.AddRow(publicSize, hist.FinalServerAcc(), fig3LogitsMB(publicSize, task.Classes()), modelMB)
 	}
-	return res, nil
+	return decided(res), nil
+}
+
+// fig3LogitsMB is Fig. 3's per-client logit traffic for one round: the
+// float32 analytic size of the public set's logit block, whatever codec the
+// run ships it under, so it compares with the float32 model-update line.
+func fig3LogitsMB(publicSize, classes int) float64 {
+	return float64(comm.LogitsBytes(publicSize, classes)) / comm.MB
 }

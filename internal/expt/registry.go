@@ -18,19 +18,16 @@ const (
 	DefaultTargetC100 = 0.15
 )
 
-// Runners returns the registry of experiment ids to runners. Table I uses
-// the default targets; use RunTable1 directly for custom targets.
+// Runners returns the registry of experiment ids to runners.
 func Runners() map[string]Runner {
 	return map[string]Runner{
-		"fig1": RunFig1,
-		"fig2": RunFig2,
-		"fig3": RunFig3,
-		"fig5": RunFig5,
-		"fig6": RunFig6,
-		"fig7": RunFig7,
-		"table1": func(sc Scale, seed uint64, spec RunSpec) (*Result, error) {
-			return RunTable1(sc, seed, spec, DefaultTargetC10, DefaultTargetC100)
-		},
+		"fig1":                   RunFig1,
+		"fig2":                   RunFig2,
+		"fig3":                   RunFig3,
+		"fig5":                   RunFig5,
+		"fig6":                   RunFig6,
+		"fig7":                   RunFig7,
+		"table1":                 RunTable1,
 		"fig8":                   RunFig8,
 		"fig9":                   RunFig9,
 		"fig10":                  RunFig10,

@@ -22,16 +22,17 @@ func TestRunFig5MicroStructure(t *testing.T) {
 	}
 	perAlgo := map[string]int{}
 	for _, row := range res.Rows {
-		perAlgo[row[2]]++
+		algo := row[2].Text
+		perAlgo[algo]++
 		// FedMD/DS-FL have no server model; FedDF reports no client metric.
-		switch row[2] {
+		switch algo {
 		case AlgoFedMD, AlgoDSFL:
-			if row[3] != "N/A" {
-				t.Errorf("%s must report N/A server accuracy, got %s", row[2], row[3])
+			if row[3].Num >= 0 {
+				t.Errorf("%s must report no server accuracy, got %v", algo, row[3].Num)
 			}
 		case AlgoFedDF:
-			if row[4] != "N/A" {
-				t.Errorf("FedDF must report N/A client accuracy, got %s", row[4])
+			if row[4].Num >= 0 {
+				t.Errorf("FedDF must report no client accuracy, got %v", row[4].Num)
 			}
 		}
 	}
@@ -40,13 +41,14 @@ func TestRunFig5MicroStructure(t *testing.T) {
 			t.Errorf("%s appears %d times, want 8", algo, perAlgo[algo])
 		}
 	}
+	checkClaims(t, res)
 }
 
 func TestRunTable1MicroStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro table1 still trains dozens of models")
 	}
-	res, err := RunTable1(microScale, 3, RunSpec{}, 0.01, 0.001)
+	res, err := runTable1(microScale, 3, RunSpec{}, 0.01, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +57,13 @@ func TestRunTable1MicroStructure(t *testing.T) {
 		t.Fatalf("table1 rows = %d, want 28", len(res.Rows))
 	}
 	// With near-zero targets, algorithms with the metric must report a
-	// number, not "not reached".
+	// number, not NotReached.
 	for _, row := range res.Rows {
-		if row[4] == "not reached" && row[2] != AlgoFedMD && row[2] != AlgoDSFL {
-			t.Errorf("%s did not reach a ~0 target: %v", row[2], row)
+		if row[4].Num == NotReached && row[2].Text != AlgoFedMD && row[2].Text != AlgoDSFL {
+			t.Errorf("%s did not reach a ~0 target: %v", row[2].Text, row)
 		}
 	}
+	checkClaims(t, res)
 }
 
 func TestRunFig8MicroStructure(t *testing.T) {
@@ -77,13 +80,14 @@ func TestRunFig8MicroStructure(t *testing.T) {
 	}
 	variants := map[string]bool{}
 	for _, row := range res.Rows {
-		variants[row[2]] = true
+		variants[row[2].Text] = true
 	}
 	for _, want := range []string{"FedPKD", "w/o Pro", "w/o D.F."} {
 		if !variants[want] {
 			t.Errorf("missing ablation variant %q", want)
 		}
 	}
+	checkClaims(t, res)
 }
 
 func TestRunExtraFedProtoMicro(t *testing.T) {
@@ -108,15 +112,19 @@ func TestRunCompressionMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per codec; the runner's own contracts (predicted-vs-wire
+	// One row per codec; the runner's contracts (predicted-vs-wire
 	// bit-equivalence, int8 >= 4x upload compression, 0.5pp accuracy
-	// budget) have already passed if err is nil.
+	// budget) are claims, and none may be violated.
 	if len(res.Rows) != 3 {
 		t.Fatalf("compression rows = %d, want 3", len(res.Rows))
 	}
+	checkClaims(t, res)
+	if v := res.Violations(); len(v) > 0 {
+		t.Errorf("contract claims violated: %v", v)
+	}
 	codecs := map[string]bool{}
 	for _, row := range res.Rows {
-		codecs[row[0]] = true
+		codecs[row[0].Text] = true
 	}
 	for _, want := range []string{"float64raw", "float32", "int8"} {
 		if !codecs[want] {
@@ -125,8 +133,8 @@ func TestRunCompressionMicro(t *testing.T) {
 	}
 	// float64raw must not report raw-equivalent bytes (it IS the raw form).
 	for _, row := range res.Rows {
-		if row[0] == "float64raw" && row[5] != "0.000" {
-			t.Errorf("float64raw raw_up_MB = %s, want 0.000", row[5])
+		if row[0].Text == "float64raw" && row[5].Num != 0 {
+			t.Errorf("float64raw raw_up_MB = %v, want 0", row[5].Num)
 		}
 	}
 }
@@ -156,17 +164,21 @@ func TestRunAsyncMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two rows (sync, async); the runner's own contracts (1pp ensemble
-	// fidelity budget, async wall-clock < sync barrier wall-clock) have
-	// already passed if err is nil.
+	// Two rows (sync, async); the runner's contracts (1pp ensemble
+	// fidelity budget, async wall-clock < sync barrier wall-clock) are
+	// claims, and none may be violated.
 	if len(res.Rows) != 2 {
 		t.Fatalf("async rows = %d, want 2", len(res.Rows))
 	}
-	if res.Rows[0][0] != "sync" || res.Rows[1][0] != "async" {
-		t.Fatalf("async row modes = %s/%s", res.Rows[0][0], res.Rows[1][0])
+	checkClaims(t, res)
+	if v := res.Violations(); len(v) > 0 {
+		t.Errorf("contract claims violated: %v", v)
 	}
-	if res.Rows[1][8] == "1.00x" {
-		t.Errorf("async speedup column reads %s, expected a real speedup", res.Rows[1][8])
+	if res.Rows[0][0].Text != "sync" || res.Rows[1][0].Text != "async" {
+		t.Fatalf("async row modes = %s/%s", res.Rows[0][0].Text, res.Rows[1][0].Text)
+	}
+	if res.Rows[1][8].Num <= 1 {
+		t.Errorf("async speedup column reads %v, expected a real speedup", res.Rows[1][8].Num)
 	}
 	if len(res.Series["async_S_acc"]) == 0 || len(res.Series["sync_S_acc"]) == 0 {
 		t.Error("missing accuracy series")

@@ -22,8 +22,18 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo ">> go test ./..."
-go test ./...
+# go test -json keeps every test's elapsed time in test-times.jsonl (git-
+# ignored); the summary prints what plain go test would, then the tests
+# slower than 2 s, for information only. Any failing test or build fails the
+# leg.
+echo ">> go test ./... (per-test times in test-times.jsonl)"
+status=0
+go test -json ./... > test-times.jsonl || status=$?
+awk -f scripts/testtimes.awk test-times.jsonl test-times.jsonl
+if [ "$status" -ne 0 ]; then
+    echo "FAIL: go test ./... exited $status" >&2
+    exit "$status"
+fi
 
 echo ">> go test -race ./..."
 go test -race ./...
