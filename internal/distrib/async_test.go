@@ -119,7 +119,7 @@ func TestAsyncChaosDeterministicPartialFlushes(t *testing.T) {
 		if err := r.SetAsync(asyncTestOpts()); err != nil {
 			t.Fatal(err)
 		}
-		hist, err := Run(algo, flushes, Options{
+		hist, _, err := runFaults(t, algo, flushes, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,

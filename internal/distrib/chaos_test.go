@@ -5,7 +5,6 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -22,10 +21,10 @@ import (
 	"fedpkd/internal/transport"
 )
 
-// chaosEnv is a deliberately small environment: chaos runs burn wall-clock
-// on straggler deadlines, so training itself must be cheap enough that a
-// generous ClientTimeout never misclassifies a healthy client as a
-// straggler (which would break run-to-run determinism).
+// chaosEnv is a deliberately small environment, so that a chaos run costs
+// little more than its protocol traffic. Over TCP, on the OS clock, training
+// must also stay cheap enough that chaosTimeout never misclassifies a healthy
+// client as a straggler.
 func chaosEnv(t *testing.T) *fl.Env {
 	t.Helper()
 	spec := dataset.SynthC10(23)
@@ -70,9 +69,11 @@ func chaosFedPKD(t *testing.T, env *fl.Env) *core.FedPKD {
 	return f
 }
 
-// chaosTimeout is generous relative to a round of chaosEnv training (tens of
-// milliseconds even under the race detector), so only injected faults — never
-// scheduling noise — decide which uploads miss the deadline.
+// chaosTimeout is every chaos test's deadline. On the bus its size decides
+// nothing: the virtual clock fires a deadline only once no awaited envelope
+// can still arrive, so only injected faults decide which uploads miss it.
+// Over TCP, on the OS clock, it is generous relative to a round of chaosEnv
+// training (tens of milliseconds even under the race detector).
 const chaosTimeout = 2 * time.Second
 
 // TestChaosFedPKDDeterministicPartialRounds is the acceptance scenario:
@@ -80,61 +81,51 @@ const chaosTimeout = 2 * time.Second
 // completes every round with partial cohorts, and the same seed yields the
 // same history — degraded rounds included — across two independent runs.
 func TestChaosFedPKDDeterministicPartialRounds(t *testing.T) {
-	t.Parallel() // sleeps out deadlines; overlaps TestChaosCorruptionRun's
 	plan := &faults.Plan{Seed: 42, CrashProb: 0.2, DropProb: 0.1}
 	const rounds = 3
 	algos := [2]fl.Algorithm{chaosFedPKD(t, chaosEnv(t)), chaosFedPKD(t, chaosEnv(t))}
-	h1, h2 := replayLegs(t, func(i int) (*fl.History, error) {
-		return Run(algos[i], rounds, Options{
-			Mode:          ModeBus,
-			ClientTimeout: chaosTimeout,
-			Faults:        plan,
-		})
+	h, _, _ := replayLegs(t, algos, rounds, Options{
+		Mode:          ModeBus,
+		ClientTimeout: chaosTimeout,
+		Faults:        plan,
 	})
-	if h1.Len() != rounds {
-		t.Fatalf("history rounds = %d, want %d (chaos must not abort the run)", h1.Len(), rounds)
+	if h.Len() != rounds {
+		t.Fatalf("history rounds = %d, want %d (chaos must not abort the run)", h.Len(), rounds)
 	}
-	if h1.DegradedCount() == 0 {
-		t.Fatal("no degraded rounds recorded; this plan+seed is known to crash clients")
+	// Which clients each round missed is the plan's doing alone — round 0
+	// crashes clients 0 and 1 and loses client 2's traffic, rounds 1 and 2
+	// drop envelopes — and a deadline that fired before an upload could
+	// arrive would add to them.
+	want := []fl.DegradedRound{
+		{Round: 0, Cohort: 0, Expected: 3, Missing: []int{0, 1, 2}},
+		{Round: 1, Cohort: 1, Expected: 3, Missing: []int{0, 1}},
+		{Round: 2, Cohort: 2, Expected: 3, Missing: []int{0}},
 	}
-	for _, d := range h1.Degraded {
-		if d.Cohort >= d.Expected || d.Cohort+len(d.Missing) != d.Expected {
-			t.Fatalf("inconsistent degraded record %+v", d)
-		}
-	}
-	j1, _ := json.Marshal(h1)
-	j2, _ := json.Marshal(h2)
-	if string(j1) != string(j2) {
-		t.Fatalf("same-seed chaos runs diverged:\n%s\nvs\n%s", j1, j2)
+	if !reflect.DeepEqual(h.Degraded, want) {
+		t.Fatalf("degraded rounds = %+v, want %+v", h.Degraded, want)
 	}
 }
 
-// runFaults is Run that also returns the service's injected-fault counters.
-func runFaults(algo fl.Algorithm, rounds int, opts Options) (*fl.History, faults.Snapshot, error) {
-	s, err := NewService(algo, opts)
-	if err != nil {
-		return nil, faults.Snapshot{}, err
-	}
-	defer s.Close()
-	hist, err := s.Run(rounds)
-	return hist, s.fstats.Snapshot(), err
-}
-
-// replayLegs runs leg(0) and leg(1) — two independent same-seed runs — at the
-// same time, so the deadlines they sleep out overlap, and returns both
-// histories. Runs that agree byte for byte while interleaving are a stronger
-// determinism check than runs taken in turn. A leg's failure is reported from
-// the calling test goroutine.
-func replayLegs(t *testing.T, leg func(i int) (*fl.History, error)) (h1, h2 *fl.History) {
+// replayLegs runs algos[0] and algos[1] under opts — two independent
+// same-seed runs — at the same time, and fails unless their histories and
+// their per-round Robustness records agree. Runs that agree byte for byte
+// while interleaving are a stronger determinism check than runs taken in
+// turn. It returns the history and each leg's fault counters and recorder.
+func replayLegs(t *testing.T, algos [2]fl.Algorithm, rounds int, opts Options) (*fl.History, [2]faults.Snapshot, [2]*obs.Recorder) {
 	t.Helper()
 	var hists [2]*fl.History
+	var fs [2]faults.Snapshot
+	var recs [2]*obs.Recorder
 	var errs [2]error
 	var wg sync.WaitGroup
 	for i := range hists {
+		recs[i] = obs.NewRecorder("chaos")
+		o := opts
+		o.Recorder = recs[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hists[i], errs[i] = leg(i)
+			hists[i], fs[i], errs[i] = runFaults(t, algos[i], rounds, o)
 		}()
 	}
 	wg.Wait()
@@ -143,7 +134,26 @@ func replayLegs(t *testing.T, leg func(i int) (*fl.History, error)) (h1, h2 *fl.
 			t.Fatalf("leg %d: %v", i, err)
 		}
 	}
-	return hists[0], hists[1]
+	j1, _ := json.Marshal(hists[0])
+	j2, _ := json.Marshal(hists[1])
+	if string(j1) != string(j2) {
+		t.Fatalf("same-seed runs diverged:\n%s\nvs\n%s", j1, j2)
+	}
+	r1, _ := json.Marshal(robustness(recs[0]))
+	r2, _ := json.Marshal(robustness(recs[1]))
+	if string(r1) != string(r2) {
+		t.Fatalf("same-seed runs recorded different robustness:\n%s\nvs\n%s", r1, r2)
+	}
+	return hists[0], fs, recs
+}
+
+// robustness returns the Robustness record of every round rec traced.
+func robustness(rec *obs.Recorder) []*obs.Robustness {
+	var out []*obs.Robustness
+	for _, tr := range rec.Traces() {
+		out = append(out, tr.Robustness)
+	}
+	return out
 }
 
 // TestChaosTCPCrashRestart drives the full reconnect path: crashed clients
@@ -151,7 +161,7 @@ func replayLegs(t *testing.T, leg func(i int) (*fl.History, error)) (h1, h2 *fl.
 // run still completes every round.
 func TestChaosTCPCrashRestart(t *testing.T) {
 	env := chaosEnv(t)
-	hist, fs, err := runFaults(chaosFedAvg(t, env), 3, Options{
+	hist, fs, err := runFaults(t, chaosFedAvg(t, env), 3, Options{
 		Mode:          ModeTCP,
 		ClientTimeout: chaosTimeout,
 		Faults:        &faults.Plan{Seed: 7, CrashProb: 0.3},
@@ -175,7 +185,7 @@ func TestChaosTCPCrashRestart(t *testing.T) {
 // protocol whole and the run completes.
 func TestChaosRetrySendFailures(t *testing.T) {
 	env := chaosEnv(t)
-	hist, fs, err := runFaults(chaosFedAvg(t, env), 3, Options{
+	hist, fs, err := runFaults(t, chaosFedAvg(t, env), 3, Options{
 		Mode:          ModeBus,
 		ClientTimeout: chaosTimeout,
 		Faults:        &faults.Plan{Seed: 5, SendFailProb: 0.5},
@@ -195,7 +205,7 @@ func TestChaosRetrySendFailures(t *testing.T) {
 // on the tolerant machinery (a finite deadline) without any faults must not
 // change a single byte of the history relative to the strict runtime.
 func TestChaosZeroPlanMatchesStrict(t *testing.T) {
-	tolerant, err := Run(chaosFedAvg(t, chaosEnv(t)), 2, Options{
+	tolerant, _, err := runFaults(t, chaosFedAvg(t, chaosEnv(t)), 2, Options{
 		Mode:          ModeBus,
 		ClientTimeout: 10 * time.Second,
 	})
@@ -219,7 +229,7 @@ func TestChaosZeroPlanMatchesStrict(t *testing.T) {
 // aggregating a rump cohort.
 func TestChaosQuorumAbort(t *testing.T) {
 	env := chaosEnv(t)
-	_, err := Run(chaosFedAvg(t, env), 6, Options{
+	_, _, err := runFaults(t, chaosFedAvg(t, env), 6, Options{
 		Mode:          ModeBus,
 		ClientTimeout: chaosTimeout,
 		MinQuorum:     3,
@@ -252,29 +262,12 @@ func TestChaosOptionsValidation(t *testing.T) {
 // TestChaosTCPGoroutineLeakFree pins the mux fix: a finished TCP run must
 // not leave receiver pumps or accept handlers blocked forever.
 func TestChaosTCPGoroutineLeakFree(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := moduleGoroutines(nil)
 	env := chaosEnv(t)
 	if _, err := Run(chaosFedAvg(t, env), 2, Options{Mode: ModeTCP}); err != nil {
 		t.Fatal(err)
 	}
-	settleGoroutines(t, before)
-}
-
-// settleGoroutines waits up to five seconds for the goroutine count to fall
-// back to before, and fails if it does not.
-func settleGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		now := runtime.NumGoroutine()
-		if now <= before+2 { // small slack for runtime background goroutines
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before run, %d five seconds after", before, now)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	settleGoroutines(t, before, 0)
 }
 
 // TestChaosCorruptionRun is the run-level half of the corruption contract:
@@ -286,15 +279,11 @@ func settleGoroutines(t *testing.T, before int) {
 // float64raw (no packed sections, so the message checksum is the only guard)
 // as under int8.
 func TestChaosCorruptionRun(t *testing.T) {
-	t.Parallel()
 	plan := &faults.Plan{Seed: 31, CorruptProb: 0.3}
 	const rounds = 3
 	for _, codec := range []comm.Codec{comm.CodecFloat64, comm.CodecInt8} {
 		t.Run(codec.String(), func(t *testing.T) {
-			t.Parallel()
 			var algos [2]fl.Algorithm
-			var fs [2]faults.Snapshot
-			var recs [2]*obs.Recorder
 			for i := range algos {
 				env := chaosEnv(t)
 				// Raw parameter uploads are nearly all float bytes — where a
@@ -311,16 +300,11 @@ func TestChaosCorruptionRun(t *testing.T) {
 				if err := r.SetCodec(codec); err != nil {
 					t.Fatal(err)
 				}
-				recs[i] = obs.NewRecorder("chaos")
 			}
-			h1, h2 := replayLegs(t, func(i int) (hist *fl.History, err error) {
-				hist, fs[i], err = runFaults(algos[i], rounds, Options{
-					Mode:          ModeBus,
-					ClientTimeout: chaosTimeout,
-					Faults:        plan,
-					Recorder:      recs[i],
-				})
-				return hist, err
+			h, fs, recs := replayLegs(t, algos, rounds, Options{
+				Mode:          ModeBus,
+				ClientTimeout: chaosTimeout,
+				Faults:        plan,
 			})
 			for i := range algos {
 				injected := fs[i].Corrupts
@@ -328,22 +312,15 @@ func TestChaosCorruptionRun(t *testing.T) {
 					t.Fatal("no corruption injected; this plan+seed is known to corrupt payloads")
 				}
 				var dropped int64
-				for _, tr := range recs[i].Traces() {
-					if tr.Robustness != nil {
-						dropped += int64(tr.Robustness.CorruptDropped)
-					}
+				for _, r := range robustness(recs[i]) {
+					dropped += int64(r.CorruptDropped)
 				}
 				if dropped != injected {
 					t.Fatalf("%d payloads corrupted, %d dropped as corrupt: the rest were aggregated", injected, dropped)
 				}
 			}
-			if h1.Len() != rounds {
-				t.Fatalf("history rounds = %d, want %d (corrupt payloads must not abort the run)", h1.Len(), rounds)
-			}
-			j1, _ := json.Marshal(h1)
-			j2, _ := json.Marshal(h2)
-			if string(j1) != string(j2) {
-				t.Fatalf("same-seed corruption runs diverged:\n%s\nvs\n%s", j1, j2)
+			if h.Len() != rounds {
+				t.Fatalf("history rounds = %d, want %d (corrupt payloads must not abort the run)", h.Len(), rounds)
 			}
 		})
 	}
@@ -433,7 +410,7 @@ func probeTierPlan(plan *faults.Plan) tierProbe {
 	for shard := 0; shard < treeChaosShards; shard++ {
 		var fs faults.Stats
 		sink := &tierSink{}
-		up := faults.WrapTier(sink, plan, shard, &fs)
+		up := faults.WrapTier(sink, plan, shard, &fs, faults.OSClock)
 		for round := 0; round < treeChaosRounds; round++ {
 			payload := []byte("digest-probe-payload-0123456789abcdef")
 			env := &transport.Envelope{Kind: transport.KindShardDigest, From: shard, To: -1, Round: round, Payload: payload}
@@ -484,7 +461,7 @@ func runTreeChaos(t *testing.T, mode Mode, plan *faults.Plan, opts Options) (*fl
 	opts.Recorder = rec
 	opts.Faults = plan
 	opts.Topology = Topology{Shards: treeChaosShards}
-	hist, fs, err := runFaults(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, opts)
+	hist, fs, err := runFaults(t, chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,14 +626,14 @@ func TestTreeChaosDigestDropTimesOutShard(t *testing.T) {
 				}
 				lost += pr.lostRounds[r]
 			}
-			return pr.drops == 1 && lost == 1 // exactly one burn keeps the test fast
+			return pr.drops == 1 && lost == 1 // one lost digest: one leaf timeout to count
 		})
 	rec := obs.NewRecorder("FedAvg")
-	hist, fs, err := runFaults(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+	hist, fs, err := runFaults(t, chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 		Mode:          ModeBus,
 		Recorder:      rec,
 		ClientTimeout: chaosTimeout,
-		LeafTimeout:   500 * time.Millisecond,
+		LeafTimeout:   chaosTimeout,
 		Faults:        plan,
 		Topology:      Topology{Shards: treeChaosShards},
 	})
@@ -687,7 +664,7 @@ func TestTreeChaosDigestDropTimesOutShard(t *testing.T) {
 func TestTreeChaosShardQuorumAbort(t *testing.T) {
 	t.Run("pre-round fail-fast", func(t *testing.T) {
 		plan, _ := findLeafCrashPlan(t, 42, true) // a leaf dies in round 0
-		hist, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		hist, _, err := runFaults(t, chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			LeafTimeout:   chaosTimeout,
@@ -708,7 +685,7 @@ func TestTreeChaosShardQuorumAbort(t *testing.T) {
 		plan := findTierPlan(t, 1,
 			func(s uint64) *faults.Plan { return &faults.Plan{Seed: s, TierCorruptProb: 0.999} },
 			func(pr tierProbe) bool { return pr.survivors[0] == 0 })
-		_, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		_, _, err := runFaults(t, chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeBus,
 			ClientTimeout: chaosTimeout,
 			LeafTimeout:   chaosTimeout,
@@ -726,7 +703,7 @@ func TestTreeChaosShardQuorumAbort(t *testing.T) {
 // contract: arming the tolerant tier machinery (a finite LeafTimeout) with no
 // fault plan must not change a byte of the tree history.
 func TestTreeChaosZeroPlanTolerantMatchesStrict(t *testing.T) {
-	tolerant, err := Run(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+	tolerant, _, err := runFaults(t, chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 		Mode:        ModeBus,
 		LeafTimeout: 10 * time.Second,
 		Topology:    Topology{Shards: treeChaosShards},
@@ -756,7 +733,7 @@ func TestTreeChaosZeroPlanTolerantMatchesStrict(t *testing.T) {
 func TestTreeChaosClientCrashUnderTreeTCPReplay(t *testing.T) {
 	plan := &faults.Plan{Seed: 7, CrashProb: 0.3}
 	run := func() *fl.History {
-		hist, fs, err := runFaults(chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
+		hist, fs, err := runFaults(t, chaosFedAvg(t, treeChaosEnv(t)), treeChaosRounds, Options{
 			Mode:          ModeTCP,
 			ClientTimeout: chaosTimeout,
 			Faults:        plan,
@@ -789,7 +766,7 @@ func TestTreeChaosClientCrashUnderTreeTCPReplay(t *testing.T) {
 // accept loops.
 func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 	t.Run("clean tree run", func(t *testing.T) {
-		before := runtime.NumGoroutine()
+		before := moduleGoroutines(nil)
 		_, err := Run(chaosFedAvg(t, treeChaosEnv(t)), 2, Options{
 			Mode:     ModeTCP,
 			Topology: Topology{Shards: treeChaosShards},
@@ -797,12 +774,12 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		settleGoroutines(t, before)
+		settleGoroutines(t, before, 0)
 	})
 	t.Run("leaf death mid-service", func(t *testing.T) {
-		before := runtime.NumGoroutine()
+		before := moduleGoroutines(nil)
 		var svc *Service
-		svc, err := NewService(chaosFedAvg(t, treeChaosEnv(t)), Options{
+		svc, err := newService(chaosFedAvg(t, treeChaosEnv(t)), Options{
 			Mode:        ModeBus,
 			LeafTimeout: chaosTimeout,
 			Topology:    Topology{Shards: treeChaosShards},
@@ -814,7 +791,7 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 				}
 				return nil
 			},
-		})
+		}, testClock(ModeBus))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -822,7 +799,7 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 			t.Fatal("a run whose upper fabric died should fail")
 		}
 		svc.Close()
-		settleGoroutines(t, before)
+		settleGoroutines(t, before, 0)
 	})
 }
 
@@ -831,7 +808,7 @@ func TestTreeChaosGoroutineLeakFree(t *testing.T) {
 // returns, the last policy write must be joined: the newest file complete, no
 // temp file left, and once the service is closed no goroutine left over.
 func TestServiceQuitJoinsCheckpoint(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := moduleGoroutines(nil)
 	dir := t.TempDir()
 	algo := chaosFedAvg(t, chaosEnv(t))
 	algo.SetCheckpointPolicy(dir, 1)
@@ -858,7 +835,7 @@ func TestServiceQuitJoinsCheckpoint(t *testing.T) {
 		t.Errorf("the last barrier's checkpoint is not complete when Run returns: %v", err)
 	}
 	svc.Close()
-	settleGoroutines(t, before)
+	settleGoroutines(t, before, 0)
 }
 
 // TestTreeChaosOptionsValidation pins the tier option surface: tier knobs

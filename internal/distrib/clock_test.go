@@ -1,0 +1,234 @@
+package distrib
+
+import (
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"fedpkd/internal/faults"
+	"fedpkd/internal/fl"
+	"fedpkd/internal/obs"
+)
+
+// virtualClock is the faults.Clock bus-mode tests run on. Its time stands
+// still while any goroutine of the test binary can run. Once every goroutine
+// is parked in a channel operation, a select or a sync wait (a lock, a
+// condition variable, a WaitGroup), nothing but a timer can happen next, and
+// the clock jumps to its earliest timer and fires it. So a deadline fires exactly when the envelopes
+// it awaits can no longer arrive, and injected delays, backoffs and deadlines
+// fire in the order of their virtual due times — whatever the host's speed.
+// testing/synctest has the same rule, but go1.24 ships it only behind
+// GOEXPERIMENT=synctest.
+type virtualClock struct {
+	mu  sync.Mutex
+	now time.Duration
+	// timers are the armed timers, ascending by due time, then by arming
+	// order; driving is set while a drive goroutine runs.
+	timers  []*virtualTimer
+	driving bool
+}
+
+type virtualTimer struct {
+	at time.Duration
+	ch chan time.Time
+}
+
+// after is the clock's faults.Clock.
+func (v *virtualClock) after(d time.Duration) (<-chan time.Time, func()) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	vt := &virtualTimer{at: v.now + d, ch: make(chan time.Time, 1)}
+	i, _ := slices.BinarySearchFunc(v.timers, vt.at, func(x *virtualTimer, at time.Duration) int {
+		if x.at <= at {
+			return -1 // an equal due time fires after the timers armed before it
+		}
+		return 1
+	})
+	v.timers = slices.Insert(v.timers, i, vt)
+	if !v.driving {
+		v.driving = true
+		go v.drive()
+	}
+	return vt.ch, func() {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		if i := slices.Index(v.timers, vt); i >= 0 {
+			v.timers = slices.Delete(v.timers, i, i+1)
+		}
+	}
+}
+
+// drive fires the earliest timer each time the binary is quiescent, and exits
+// once no timer is armed.
+func (v *virtualClock) drive() {
+	const minPoll, maxPoll = 20 * time.Microsecond, time.Millisecond
+	poll := minPoll
+	for {
+		time.Sleep(poll)
+		v.mu.Lock()
+		if len(v.timers) == 0 {
+			v.driving = false
+			v.mu.Unlock()
+			return
+		}
+		v.mu.Unlock()
+		if !quiescent() {
+			poll = min(2*poll, maxPoll)
+			continue
+		}
+		poll = minPoll
+		v.mu.Lock()
+		if len(v.timers) > 0 {
+			vt := v.timers[0]
+			v.timers = v.timers[1:]
+			v.now = vt.at
+			vt.ch <- time.Unix(0, 0).Add(vt.at)
+		}
+		v.mu.Unlock()
+	}
+}
+
+// parked reports whether a goroutine in state waits for another goroutine to
+// act. A bare "semacquire" is not such a state: it is the runtime's own
+// semaphores, such as a goroutine starting a GC while a stack snapshot stops
+// the world.
+func parked(state string) bool {
+	switch state {
+	case "chan receive", "chan send", "select",
+		"chan receive (nil chan)", "chan send (nil chan)", "select (no cases)",
+		"sync.Cond.Wait", "sync.WaitGroup.Wait",
+		"sync.Mutex.Lock", "sync.RWMutex.Lock", "sync.RWMutex.RLock":
+		return true
+	}
+	return false
+}
+
+// quiescent reports whether every goroutine but the virtual clocks' drivers
+// is parked. A running, runnable, sleeping, syscall or IO-wait goroutine
+// means not yet.
+func quiescent() bool {
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, ".(*virtualClock).drive(") {
+			continue
+		}
+		_, state, _ := strings.Cut(g, " [")
+		state, _, _ = strings.Cut(state, "]")
+		state, _, _ = strings.Cut(state, ",")
+		if !parked(state) {
+			return false
+		}
+	}
+	return true
+}
+
+// goroutineStacks returns one stack trace per live goroutine, taken at one
+// stop of the world.
+func goroutineStacks() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// testClock is the clock a test service runs on: a fresh virtual clock on the
+// bus, and the OS clock over TCP, where a goroutine reading a socket is never
+// durably parked.
+func testClock(mode Mode) faults.Clock {
+	if mode == ModeTCP {
+		return faults.OSClock
+	}
+	return (&virtualClock{}).after
+}
+
+// runFaults runs algo for rounds on testClock(opts.Mode) and returns the
+// history with the service's injected-fault counters. Every round a bus run
+// records is held to the cohort law (checkCohortLaw).
+func runFaults(t *testing.T, algo fl.Algorithm, rounds int, opts Options) (*fl.History, faults.Snapshot, error) {
+	if opts.Recorder == nil {
+		opts.Recorder = obs.NewRecorder("chaos")
+	}
+	s, err := newService(algo, opts, testClock(opts.Mode))
+	if err != nil {
+		return nil, faults.Snapshot{}, err
+	}
+	defer s.Close()
+	hist, err := s.Run(rounds)
+	if opts.Mode != ModeTCP {
+		checkCohortLaw(t, s, opts.Recorder.Traces())
+	}
+	return hist, s.fstats.Snapshot(), err
+}
+
+// checkCohortLaw holds every round's Robustness record to the cohort law:
+// Expected = Cohort + |TimedOut| + |Crashed| + the clients lost with their
+// shard. The terms never overlap. A client the plan crashes counts as crashed
+// even when its shard is lost too; a lost shard's other clients are in
+// neither list, only behind the shard's ShardsLost entry; every other client
+// the round missed timed out. A tree run schedules its whole fleet here, so
+// the clients lost with a shard are its ids that the plan does not crash.
+func checkCohortLaw(t *testing.T, s *Service, traces []obs.RoundTrace) {
+	t.Helper()
+	for _, tr := range traces {
+		r := tr.Robustness
+		if r == nil {
+			continue
+		}
+		withShard := 0
+		for c := 0; c < s.n && len(r.ShardsLost) > 0; c++ {
+			if slices.Contains(r.ShardsLost, ShardOf(c, s.n, s.opts.Topology.Shards)) && !s.opts.Faults.CrashesAt(c, tr.Round) {
+				withShard++
+			}
+		}
+		if sum := r.Cohort + len(r.TimedOut) + len(r.Crashed) + withShard; sum != r.Expected {
+			t.Errorf("round %d: cohort %d + timed out %v + crashed %v + %d lost with shards %v = %d, want the expected %d",
+				tr.Round, r.Cohort, r.TimedOut, r.Crashed, withShard, r.ShardsLost, sum, r.Expected)
+		}
+	}
+}
+
+// TestVirtualClockFiresInDueOrder pins the clock's two rules: a timer fires
+// only when every goroutine is parked, and timers fire in due order, ties in
+// arming order, whatever order they were armed in.
+func TestVirtualClockFiresInDueOrder(t *testing.T) {
+	clk := &virtualClock{}
+	var order []int
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i, d := range []time.Duration{3 * time.Second, time.Millisecond, 2 * time.Second, time.Millisecond} {
+		expired, _ := clk.after(d)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-expired
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		}()
+	}
+	// A busy goroutine holds every timer back, however short, while this one
+	// is parked.
+	spun := make(chan int)
+	go func() {
+		for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		spun <- len(order)
+	}()
+	held := <-spun
+	wg.Wait()
+	if held != 0 || !slices.Equal(order, []int{1, 3, 2, 0}) {
+		t.Fatalf("fired %d timers while a goroutine ran, then in order %v; want 0, then [1 3 2 0]", held, order)
+	}
+	clk.mu.Lock()
+	defer clk.mu.Unlock()
+	if clk.now != 3*time.Second {
+		t.Fatalf("virtual time = %v after the last timer, want 3s", clk.now)
+	}
+}

@@ -30,6 +30,8 @@ type plane struct {
 	strict bool
 	// timeout bounds one collect; zero waits for every awaited child.
 	timeout time.Duration
+	// clock times the plane's deadlines and backoffs.
+	clock faults.Clock
 	// crashes is the fault plan's schedule for this plane's children. Children
 	// it crashes this round are not awaited at all — the deterministic
 	// equivalent of a failure detector, so a crash-heavy round does not burn
@@ -53,18 +55,27 @@ type plane struct {
 	stale, dup, corrupt, unknown, retries, timeouts atomic.Int64
 }
 
-// newPlanes derives both planes from the run's options.
-func newPlanes(o *Options) (clients, tier *plane) {
-	clients = &plane{name: "client", timeout: o.ClientTimeout,
+// newPlanes derives both planes from the run's options, timed on clk.
+func newPlanes(o *Options, clk faults.Clock) (clients, tier *plane) {
+	clients = &plane{name: "client", timeout: o.ClientTimeout, clock: clk,
 		strict:  o.ClientTimeout <= 0 && !o.Faults.Enabled(),
 		crashes: o.Faults.CrashesAt}
-	tier = &plane{name: "tier", timeout: o.LeafTimeout,
+	tier = &plane{name: "tier", timeout: o.LeafTimeout, clock: clk,
 		strict:  o.LeafTimeout <= 0 && !o.Faults.TierEnabled(),
 		crashes: o.Faults.LeafCrashesAt, writeOff: true, fatal: true}
 	if o.Faults != nil {
 		clients.seed, tier.seed = o.Faults.Seed, o.Faults.Seed
 	}
 	return clients, tier
+}
+
+// timer arms the plane's clock for d, or returns a nil channel, which never
+// fires, when the plane has no deadline.
+func (pl *plane) timer(d time.Duration) (expired <-chan time.Time, stop func()) {
+	if pl.timeout <= 0 {
+		return nil, func() {}
+	}
+	return pl.clock(d)
 }
 
 func (pl *plane) reset() {
@@ -102,7 +113,7 @@ func (pl *plane) send(label uint64, try func(attempt int) error) error {
 			rng = stats.Split(pl.seed, label)
 		}
 		pl.retries.Add(1)
-		time.Sleep(b.Delay(attempt, rng))
+		pl.clock.Sleep(b.Delay(attempt, rng))
 	}
 }
 
@@ -190,24 +201,15 @@ func (c *collector) accept(child int) {
 }
 
 // collect drains the inbox until every awaited child has contributed or been
-// written off, the deadline passes, or a rung of the ladder fails in strict
-// mode. roundErr is a protocol-level failure that still gets a round close;
-// err is a failure that aborts the run.
+// written off, the plane's deadline expires, or a rung of the ladder fails in
+// strict mode. roundErr is a protocol-level failure that still gets a round
+// close; err is a failure that aborts the run.
 func (c *collector) collect() (report *roundReport, roundErr, err error) {
 	pl := c.pl
-	var deadline time.Time
-	if pl.timeout > 0 {
-		deadline = time.Now().Add(pl.timeout)
-	}
+	expired, stop := pl.timer(pl.timeout)
+	defer stop()
 	for c.await > 0 && c.roundErr == nil && c.fatal == nil {
-		wait := time.Duration(0)
-		if !deadline.IsZero() {
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				break
-			}
-		}
-		e, rerr := c.rx.recv(wait)
+		e, rerr := c.rx.recv(expired)
 		if errors.Is(rerr, errRecvTimeout) {
 			break
 		}

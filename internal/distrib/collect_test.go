@@ -61,7 +61,7 @@ func ladderPlanes(strict bool) (clients, tier *plane) {
 	if !strict {
 		opts.ClientTimeout, opts.LeafTimeout = 2*time.Second, 2*time.Second
 	}
-	return newPlanes(opts)
+	return newPlanes(opts, testClock(ModeBus))
 }
 
 // checkLadderCounters asserts that a collect moved exactly the counter named
@@ -483,7 +483,7 @@ func TestCollectLiveness(t *testing.T) {
 			name = "tier"
 		}
 		pick := func(opts *Options) *plane {
-			clients, tr := newPlanes(opts)
+			clients, tr := newPlanes(opts, testClock(ModeBus))
 			if tier {
 				return tr
 			}

@@ -406,9 +406,13 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 // server's fan-out and a leaf's, which therefore bill identically. Framing is
 // billed for every member regardless of delivery: billing driven by Send
 // outcomes would make traffic totals depend on crash timing, breaking the
-// same-seed-same-history guarantee. The first send failure is returned when
-// the client plane is strict; a tolerant plane's deadline covers the gap.
-// Send borrows its envelope, so one envelope carries every member's copy.
+// same-seed-same-history guarantee. A member the fault plan crashes for the
+// round is billed but sent nothing: a crashed process receives nothing, and a
+// send would race the bus restart's drain, leaving the stale count a replay
+// records to scheduling. The first send failure is
+// returned when the client plane is strict; a tolerant plane's deadline
+// covers the gap. Send borrows its envelope, so one envelope carries every
+// member's copy.
 func (s *Service) fanFraming(kind transport.Kind, t int, cohort []int, msg func(i int) frame) error {
 	ledger := s.runner.Ledger()
 	coded := s.runner.Codec() != comm.CodecFloat64
@@ -417,9 +421,11 @@ func (s *Service) fanFraming(kind transport.Kind, t int, cohort []int, msg func(
 	for i, c := range cohort {
 		f := msg(i)
 		e.To, e.Payload = c, f.bytes
-		err := s.tr.send(e)
 		billFraming(ledger, f.knowledge, coded, e.WireSize(), f.raw)
-		if err != nil && s.clients.strict && first == nil {
+		if s.clients.crashes(c, t) {
+			continue
+		}
+		if err := s.tr.send(e); err != nil && s.clients.strict && first == nil {
 			first = err
 		}
 	}
@@ -636,13 +642,11 @@ func (p *clientPeer) round(t int) error {
 	hooks := p.runner.Hooks()
 	rc := p.runner.Context(t)
 
-	wait := 2 * pl.timeout
-
 	var roundErr error
 	var endEnv *transport.Envelope
 	uploaded := false
 	for endEnv == nil && !uploaded {
-		e, err := p.rx.recv(wait)
+		e, err := p.recv()
 		if errors.Is(err, errRecvTimeout) {
 			return nil // the round passed this client by
 		}
@@ -715,7 +719,7 @@ func (p *clientPeer) round(t int) error {
 	}
 
 	for endEnv == nil {
-		e, err := p.rx.recv(wait)
+		e, err := p.recv()
 		if errors.Is(err, errRecvTimeout) {
 			return roundErr
 		}
@@ -778,6 +782,15 @@ func (p *clientPeer) round(t int) error {
 	return derr
 }
 
+// recv returns the worker's next envelope. On a plane with a deadline it waits
+// at most twice the server's, armed afresh per call, so the server always
+// gives up first.
+func (p *clientPeer) recv() (*transport.Envelope, error) {
+	expired, stop := p.pl.timer(2 * p.pl.timeout)
+	defer stop()
+	return p.rx.recv(expired)
+}
+
 // sendUpload encodes and sends one RoundUpload, retrying transient failures
 // on the client plane's backoff schedule. The frame goes back to the
 // transport's free list after the last attempt: Send only borrows it.
@@ -804,25 +817,16 @@ type recvResult struct {
 // tolerant mode, never surfaced to callers of the package.
 var errRecvTimeout = errors.New("distrib: recv timeout")
 
-// recv returns the next arrival, waiting at most timeout (forever when
-// timeout <= 0). A closed inbox reports io.EOF.
-func (in inbox) recv(timeout time.Duration) (*transport.Envelope, error) {
-	if timeout <= 0 {
-		res, ok := <-in
-		if !ok {
-			return nil, io.EOF
-		}
-		return res.e, res.err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+// recv returns the next arrival, or errRecvTimeout once expired fires; a nil
+// expired waits forever. A closed inbox reports io.EOF.
+func (in inbox) recv(expired <-chan time.Time) (*transport.Envelope, error) {
 	select {
 	case res, ok := <-in:
 		if !ok {
 			return nil, io.EOF
 		}
 		return res.e, res.err
-	case <-timer.C:
+	case <-expired:
 		return nil, errRecvTimeout
 	}
 }

@@ -31,7 +31,7 @@ func TestReleasedFramesKeepRunsExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(plan *faults.Plan) (*fl.History, faults.Snapshot) {
 				opts := Options{Mode: tc.mode, Faults: plan, Topology: Topology{Shards: tc.shards}}
-				hist, fs, err := runFaults(chaosFedAvg(t, chaosEnv(t)), 2, opts)
+				hist, fs, err := runFaults(t, chaosFedAvg(t, chaosEnv(t)), 2, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

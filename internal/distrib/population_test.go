@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -114,5 +115,53 @@ func TestMuxWaitRegistered(t *testing.T) {
 			e.Release()
 		}
 		tp.cleanup()
+	}
+}
+
+// dyingHello is a client conn that dies as it sends its hello.
+type dyingHello struct{ transport.Conn }
+
+func (d dyingHello) Send(e *transport.Envelope) error {
+	if e.Kind == transport.KindHello {
+		return d.Conn.Close()
+	}
+	return d.Conn.Send(e)
+}
+
+// TestWireRegistration runs wire registration: the service starts with nobody
+// registered and waits, with no deadline, for every hello. Whole populations
+// register on both wires and the run proceeds. A conn that dies during
+// registration reaches the wait as its peer's loss and fails the run at
+// once, which is why the wait needs no deadline of its own.
+func TestWireRegistration(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		dies bool
+	}{
+		{"bus", ModeBus, false},
+		{"tcp", ModeTCP, false},
+		{"tcp conn dies", ModeTCP, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := NewService(chaosFedAvg(t, chaosEnv(t)), Options{Mode: tc.mode, WireRegistration: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			if tc.dies {
+				svc.peers[1].conn.SetInner(dyingHello{svc.peers[1].conn.Inner()})
+			}
+			_, err = svc.Run(1)
+			var gone *peerGoneError
+			switch {
+			case tc.dies && (!errors.As(err, &gone) || gone.id != 1):
+				t.Fatalf("Run = %v, want client 1's connection lost", err)
+			case !tc.dies && err != nil:
+				t.Fatal(err)
+			case !tc.dies && svc.Status().Registered != 3:
+				t.Fatalf("registered %d clients over the wire, want 3", svc.Status().Registered)
+			}
+		})
 	}
 }

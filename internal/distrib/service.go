@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fedpkd/internal/faults"
 	"fedpkd/internal/fl"
@@ -99,6 +98,11 @@ type ShardHealth struct {
 // workers for an engine-backed algorithm. The caller must Close the service;
 // Run may be called at most once.
 func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
+	return newService(algo, opts, faults.OSClock)
+}
+
+// newService is NewService with every wait of the run timed on clk.
+func newService(algo fl.Algorithm, opts Options, clk faults.Clock) (*Service, error) {
 	runner, err := engine.Of(algo)
 	if err != nil {
 		return nil, err
@@ -133,7 +137,7 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 		done:    make(chan error, n),
 		fstats:  &faults.Stats{},
 	}
-	s.clients, s.tier = newPlanes(&s.opts)
+	s.clients, s.tier = newPlanes(&s.opts, clk)
 	ledger := runner.Ledger()
 
 	// Reconnect handshakes are control traffic; they are only billable while
@@ -176,7 +180,7 @@ func NewService(algo fl.Algorithm, opts Options) (*Service, error) {
 	for c := 0; c < n; c++ {
 		p := &clientPeer{
 			id:     c,
-			conn:   faults.Wrap(s.tr.clients[c], opts.Faults, c, s.fstats),
+			conn:   faults.Wrap(s.tr.clients[c], opts.Faults, c, s.fstats, clk),
 			stats:  s.fstats,
 			redial: s.tr.redial,
 			runner: runner,
@@ -366,7 +370,9 @@ func (s *Service) sendRegistration(id int, kind transport.Kind) error {
 // registerPopulation performs wire registration: every initial-population
 // client sends a real hello, and the server blocks until all of them have
 // arrived (pre-round, so the handshakes are unbilled — the ledger has no
-// open row yet).
+// open row yet). It needs no deadline: a hello travels beneath the chaos
+// wrapper, so no fault plan loses one, and a connection that dies arrives as
+// its peer's loss and fails the run at once.
 func (s *Service) registerPopulation() error {
 	pop := s.opts.Population
 	if pop == nil {
@@ -381,16 +387,8 @@ func (s *Service) registerPopulation() error {
 		}
 	}
 	joined := make(map[int]bool, len(pop))
-	deadline := time.Now().Add(10 * time.Second)
 	for len(joined) < len(pop) {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return fmt.Errorf("distrib: only %d of %d clients registered within 10s", len(joined), len(pop))
-		}
-		e, err := s.inboxes[0].recv(wait)
-		if errors.Is(err, errRecvTimeout) {
-			continue
-		}
+		e, err := s.inboxes[0].recv(nil)
 		if err != nil {
 			return fmt.Errorf("distrib: await registrations: %w", err)
 		}

@@ -54,7 +54,7 @@ func (s *Service) setupTree() error {
 		children:  make([]shardChild, shards),
 	}
 	for i := range shards {
-		tree.leafUp[i] = faults.WrapTier(upper.clients[i], s.opts.Faults, i, s.fstats)
+		tree.leafUp[i] = faults.WrapTier(upper.clients[i], s.opts.Faults, i, s.fstats, s.tier.clock)
 		s.leafStart[i] = make(chan int, 1)
 		ids[i] = i
 		s.root.children[i] = shardChild{end: shardEnd(i, s.n, shards), health: ShardHealth{Shard: i, LastDigestRound: -1}}

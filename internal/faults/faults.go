@@ -29,6 +29,24 @@ import (
 // give the upload up for the round when attempts are exhausted.
 var ErrTransient = errors.New("faults: injected transient send failure")
 
+// Clock is the one source of time for every wait in this package and in
+// internal/distrib: it arms a timer whose channel delivers once d has passed,
+// and stop disarms it. Runs pass OSClock; internal/distrib's tests pass a
+// virtual clock that fires only when nothing else can happen first.
+type Clock func(d time.Duration) (expired <-chan time.Time, stop func())
+
+// OSClock is the operating system's clock.
+func OSClock(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTimer(d)
+	return t.C, func() { t.Stop() }
+}
+
+// Sleep blocks for d on the clock.
+func (clk Clock) Sleep(d time.Duration) {
+	expired, _ := clk(d)
+	<-expired
+}
+
 // DefaultMaxDelay bounds an injected delivery delay when Plan.MaxDelay is
 // zero. It is deliberately tiny relative to any sane straggler timeout so
 // delays perturb scheduling without changing round outcomes.
@@ -314,6 +332,8 @@ type Conn struct {
 	// path (the leaf owns its upward link; the root's server conn stays
 	// unwrapped).
 	plane plane
+	// clock times the injected delays.
+	clock Clock
 
 	mu    sync.Mutex
 	inner transport.Conn
@@ -333,13 +353,14 @@ type attemptKey struct {
 var _ transport.Conn = (*Conn)(nil)
 
 // Wrap decorates conn with the plan's send/receive faults for the given
-// peer id. A nil or disabled plan returns a pass-through decorator (still
-// valid, never injects). stats may be nil.
-func Wrap(conn transport.Conn, plan *Plan, peer int, stats *Stats) *Conn {
+// peer id, its delays timed on clk. A nil or disabled plan returns a
+// pass-through decorator (still valid, never injects). stats may be nil.
+func Wrap(conn transport.Conn, plan *Plan, peer int, stats *Stats, clk Clock) *Conn {
 	return &Conn{
 		plan:     plan,
 		peer:     peer,
 		stats:    stats,
+		clock:    clk,
 		inner:    conn,
 		attempts: make(map[attemptKey]int),
 		recvSeen: make(map[attemptKey]int),
@@ -350,8 +371,8 @@ func Wrap(conn transport.Conn, plan *Plan, peer int, stats *Stats) *Conn {
 // tier-link faults, keyed by shard id. Faults fire only on shard digests and
 // only on the send path; every other kind — and every receive — passes
 // through untouched, so assignments and round closes stay infrastructure.
-func WrapTier(conn transport.Conn, plan *Plan, shard int, stats *Stats) *Conn {
-	c := Wrap(conn, plan, shard, stats)
+func WrapTier(conn transport.Conn, plan *Plan, shard int, stats *Stats, clk Clock) *Conn {
+	c := Wrap(conn, plan, shard, stats, clk)
 	c.plane = tierPlane
 	return c
 }
@@ -423,7 +444,7 @@ func (c *Conn) Send(e *transport.Envelope) error {
 		return ErrTransient
 	}
 	if hit(delayFault) {
-		time.Sleep(c.delayFor(v.delayMag, e, attempt))
+		c.clock.Sleep(c.delayFor(v.delayMag, e, attempt))
 	}
 	if hit(dropFault) {
 		return nil // lost in transit: the sender believes it went out
@@ -463,7 +484,7 @@ func (c *Conn) Recv() (*transport.Envelope, error) {
 		}
 		if p.DelayProb > 0 && p.roll(saltRecvDelay, c.peer, e.Kind, e.Round, attempt) < p.DelayProb {
 			c.stats.count(clientPlane, delayFault)
-			time.Sleep(c.delayFor(saltDelayMag, e, attempt))
+			c.clock.Sleep(c.delayFor(saltDelayMag, e, attempt))
 		}
 		return e, nil
 	}

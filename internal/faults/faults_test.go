@@ -42,7 +42,7 @@ func env(kind transport.Kind, round int, payload []byte) *transport.Envelope {
 
 func TestZeroPlanIsPassThrough(t *testing.T) {
 	pipe := newPipe()
-	c := Wrap(pipe, nil, 0, nil)
+	c := Wrap(pipe, nil, 0, nil, OSClock)
 	if err := c.Send(env(transport.KindUpload, 0, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestZeroPlanIsPassThrough(t *testing.T) {
 func sendPattern(t *testing.T, plan *Plan, peer, n int) []bool {
 	t.Helper()
 	pipe := newPipe()
-	c := Wrap(pipe, plan, peer, &Stats{})
+	c := Wrap(pipe, plan, peer, &Stats{}, OSClock)
 	out := make([]bool, n)
 	for r := 0; r < n; r++ {
 		if err := c.Send(env(transport.KindUpload, r, []byte{9, 9})); err != nil && err != ErrTransient {
@@ -110,7 +110,7 @@ func TestDropIsDeterministicAndSeedSensitive(t *testing.T) {
 func TestDuplicationAndDedupKeys(t *testing.T) {
 	pipe := newPipe()
 	st := &Stats{}
-	c := Wrap(pipe, &Plan{Seed: 3, DupProb: 0.5}, 1, st)
+	c := Wrap(pipe, &Plan{Seed: 3, DupProb: 0.5}, 1, st, OSClock)
 	total := 0
 	for r := 0; r < 30; r++ {
 		if err := c.Send(env(transport.KindUpload, r, []byte{1})); err != nil {
@@ -138,7 +138,7 @@ func TestDuplicationAndDedupKeys(t *testing.T) {
 func TestCorruptionFlipsPayloadOnly(t *testing.T) {
 	pipe := newPipe()
 	st := &Stats{}
-	c := Wrap(pipe, &Plan{Seed: 5, CorruptProb: 0.9}, 4, st)
+	c := Wrap(pipe, &Plan{Seed: 5, CorruptProb: 0.9}, 4, st, OSClock)
 	orig := []byte{10, 20, 30, 40, 50, 60, 70, 80}
 	corrupted := 0
 	for r := 0; r < 20; r++ {
@@ -176,7 +176,7 @@ func TestCorruptionFlipsPayloadOnly(t *testing.T) {
 
 func TestTransientSendFailureRetriesFreshDraws(t *testing.T) {
 	pipe := newPipe()
-	c := Wrap(pipe, &Plan{Seed: 11, SendFailProb: 0.6}, 0, &Stats{})
+	c := Wrap(pipe, &Plan{Seed: 11, SendFailProb: 0.6}, 0, &Stats{}, OSClock)
 	// Retrying the same (kind, round) must advance the attempt counter, so
 	// a bounded number of retries eventually gets through.
 	e := env(transport.KindUpload, 3, []byte{1})
@@ -197,7 +197,7 @@ func TestTransientSendFailureRetriesFreshDraws(t *testing.T) {
 func TestRecvDropConsumesMessage(t *testing.T) {
 	pipe := newPipe()
 	st := &Stats{}
-	c := Wrap(pipe, &Plan{Seed: 2, DropProb: 0.5}, 3, st)
+	c := Wrap(pipe, &Plan{Seed: 2, DropProb: 0.5}, 3, st, OSClock)
 	// Feed distinct rounds directly into the inner conn (bypassing send
 	// faults) and count what survives the receive path.
 	const n = 30
@@ -247,7 +247,7 @@ func TestSetInnerKeepsStreams(t *testing.T) {
 	// Same sends, swapping the inner conn halfway: decisions must not shift
 	// because they key on message identity, not decorator state.
 	p1, p2 := newPipe(), newPipe()
-	c := Wrap(p1, plan, 1, nil)
+	c := Wrap(p1, plan, 1, nil, OSClock)
 	got := make([]bool, 20)
 	for r := 0; r < 20; r++ {
 		if r == 10 {
@@ -455,7 +455,7 @@ func TestTierDrawsIndependentOfClientPlane(t *testing.T) {
 
 	tierPattern := func(plan *Plan) []bool {
 		pipe := newPipe()
-		c := WrapTier(pipe, plan, 1, &Stats{})
+		c := WrapTier(pipe, plan, 1, &Stats{}, OSClock)
 		out := make([]bool, 40)
 		for r := 0; r < 40; r++ {
 			if err := c.Send(env(transport.KindShardDigest, r, []byte{9, 9})); err != nil && err != ErrTransient {
@@ -488,7 +488,7 @@ func TestWrapTierFaultsDigestSendsOnly(t *testing.T) {
 		DropProb: 0.9, CorruptProb: 0.9}
 	pipe := newPipe()
 	st := &Stats{}
-	c := WrapTier(pipe, plan, 0, st)
+	c := WrapTier(pipe, plan, 0, st, OSClock)
 	orig := []byte{10, 20, 30, 40}
 	for r := 0; r < 20; r++ {
 		for _, kind := range []transport.Kind{transport.KindUpload, transport.KindShardAssign, transport.KindShardEnd, transport.KindRoundStart} {
@@ -619,7 +619,7 @@ func TestSendFaultFingerprint(t *testing.T) {
 	}
 	for _, side := range []struct {
 		name string
-		wrap func(transport.Conn, *Plan, int, *Stats) *Conn
+		wrap func(transport.Conn, *Plan, int, *Stats, Clock) *Conn
 		kind transport.Kind
 		want uint64
 	}{
@@ -630,8 +630,8 @@ func TestSendFaultFingerprint(t *testing.T) {
 			h := fnv.New64a()
 			for peer := 0; peer < 10; peer++ {
 				inner, st := newPipe(), &Stats{}
-				c := side.wrap(inner, plan, peer, st)
-				mag := side.wrap(nil, &wide, peer, nil)
+				c := side.wrap(inner, plan, peer, st, OSClock)
+				mag := side.wrap(nil, &wide, peer, nil, OSClock)
 				for round := 0; round < 20; round++ {
 					for attempt := 0; attempt < 5; attempt++ {
 						e := &transport.Envelope{Kind: side.kind, From: peer, To: -1, Round: round, Payload: payload}

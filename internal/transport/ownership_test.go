@@ -40,7 +40,7 @@ func TestSendBorrowsPayload(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			client, server := tc.pair(t)
 			var st faults.Stats
-			dup := faults.Wrap(client, &faults.Plan{Seed: 1, DupProb: 1}, 0, &st)
+			dup := faults.Wrap(client, &faults.Plan{Seed: 1, DupProb: 1}, 0, &st, faults.OSClock)
 
 			e := &transport.Envelope{Kind: transport.KindUpload, From: 0, To: -1, Round: 4}
 			if err := e.Encode(msg); err != nil {

@@ -2,7 +2,6 @@ package fedpkd
 
 import (
 	"testing"
-	"time"
 
 	"fedpkd/internal/fl/engine"
 )
@@ -12,11 +11,12 @@ import (
 // row in its seven byte columns — client-plane upload, download and control,
 // their raw-equivalent prices under a compressing codec, and the aggregator
 // tier's backhaul. It runs the flat and tree topologies over bus and TCP,
-// with and without a compressing codec, and under chaos, where retries,
-// duplicates and corrupt envelopes bill bytes from many goroutines at once.
+// with and without a compressing codec. The chaos leg, where retries,
+// duplicates and corrupt envelopes bill bytes from many goroutines at once,
+// is internal/distrib's TestTraceBytesAreLedgerRowsUnderChaos, which runs its
+// deadlines on a virtual clock.
 func TestTraceBytesAreLedgerRows(t *testing.T) {
 	const rounds = 3
-	chaos := &FaultPlan{Seed: 3, DropProb: 0.1, DupProb: 0.1, CorruptProb: 0.1}
 	tree := Topology{Shards: 2}
 	legs := []struct {
 		name, algo, codec string
@@ -26,10 +26,6 @@ func TestTraceBytesAreLedgerRows(t *testing.T) {
 		{"tcp-flat-fedavg", "fedavg", "", DistributedOptions{Mode: ModeTCP}},
 		{"bus-tree-int8", "fedpkd", "int8", DistributedOptions{Mode: ModeBus, Topology: tree}},
 		{"tcp-tree-int8", "fedpkd", "int8", DistributedOptions{Mode: ModeTCP, Topology: tree}},
-		{"bus-tree-float32-chaos", "fedpkd", "float32", DistributedOptions{
-			Mode: ModeBus, Topology: tree, Faults: chaos,
-			ClientTimeout: 2 * time.Second, LeafTimeout: 2 * time.Second,
-		}},
 	}
 	env := goldenEnv(t)
 	for _, leg := range legs {
@@ -55,14 +51,11 @@ func TestTraceBytesAreLedgerRows(t *testing.T) {
 			if len(traces) != rounds || len(rows) != rounds {
 				t.Fatalf("%d traces and %d ledger rows, want %d of each", len(traces), len(rows), rounds)
 			}
-			var raw, tier, faults int64
+			var raw, tier int64
 			for i, tr := range traces {
 				row := rows[i]
 				raw += row.RawUpload + row.RawDownload
 				tier += row.TierUp + row.TierDown
-				if tr.Robustness != nil {
-					faults += tr.Robustness.FaultsInjected
-				}
 				got := [8]int64{int64(tr.Round), tr.UploadBytes, tr.DownloadBytes, tr.ControlBytes,
 					tr.UploadRawBytes, tr.DownloadRawBytes, tr.TierUpBytes, tr.TierDownBytes}
 				want := [8]int64{int64(row.Round), row.Upload, row.Download, row.Control,
@@ -72,8 +65,8 @@ func TestTraceBytesAreLedgerRows(t *testing.T) {
 				}
 			}
 			// Each leg must bill the columns it exists to cover.
-			if (raw > 0) != (leg.codec != "") || (tier > 0) != leg.opts.Topology.Enabled() || (faults > 0) != (leg.opts.Faults != nil) {
-				t.Errorf("leg billed raw %d, tier %d bytes and injected %d faults", raw, tier, faults)
+			if (raw > 0) != (leg.codec != "") || (tier > 0) != leg.opts.Topology.Enabled() {
+				t.Errorf("leg billed raw %d and tier %d bytes", raw, tier)
 			}
 		})
 	}
