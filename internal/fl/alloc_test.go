@@ -122,7 +122,7 @@ func TestTrainServerPKDSteadyStateMatrixAllocs(t *testing.T) {
 		return tensor.ReadKernelStats().MatrixAllocs - before
 	}
 
-	// The arena is a sync.Pool, cached per P. With the lane spinning on one
+	// The arena is a sync.Pool, cached per P. With the lane running on one
 	// P, the scheduler may still move this goroutine to the other, where
 	// the first Gets of each size miss once; so the comparison gets three
 	// tries. An allocation per step or per epoch would fail all three.

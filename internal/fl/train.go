@@ -105,12 +105,14 @@ func TrainServerDistill(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Ma
 }
 
 func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo []int, rng *stats.RNG, epochs, batchSize int, gamma, temp float64) (steps int) {
+	probs := teacherProbs(teacher, temp)
+	defer tensor.Release(probs)
 	var xb, tb, gradKL, gradCE *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
 		for _, idx := range dataset.Batches(rng, x.Rows, batchSize) {
 			xb = dataset.GatherRowsInto(xb, x, idx)
-			tb = dataset.GatherRowsInto(tb, teacher, idx)
+			tb = dataset.GatherRowsInto(tb, probs, idx)
 			labels := yb[:len(idx)]
 			for i, j := range idx {
 				labels[i] = pseudo[j]
@@ -133,12 +135,14 @@ func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo 
 func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix, pseudo []int, protos *proto.Set, rng *stats.RNG, epochs, batchSize int, delta, temp float64) (steps int) {
 	tr := serverTrainer(net, opt)
 	defer tr.Release()
+	probs := teacherProbs(teacher, temp)
+	defer tensor.Release(probs)
 	var xb, tb, gradKL, gradCE, target, gradFeat *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
 		for _, idx := range dataset.Batches(rng, x.Rows, batchSize) {
 			xb = dataset.GatherRowsInto(xb, x, idx)
-			tb = dataset.GatherRowsInto(tb, teacher, idx)
+			tb = dataset.GatherRowsInto(tb, probs, idx)
 			labels := yb[:len(idx)]
 			for i, j := range idx {
 				labels[i] = pseudo[j]
@@ -163,6 +167,18 @@ func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix
 		}
 	}
 	return steps
+}
+
+// teacherProbs returns softmax(teacher_i/temp) of every teacher row, the
+// distribution KLDistillInto reads, in a scratch matrix the caller
+// releases. The teacher logits are fixed for a whole training call, so their
+// distributions are computed once per call and gathered per batch.
+func teacherProbs(teacher *tensor.Matrix, temp float64) *tensor.Matrix {
+	probs := tensor.GetScratch(teacher.Rows, teacher.Cols)
+	for i := 0; i < teacher.Rows; i++ {
+		stats.SoftmaxTemp(teacher.Row(i), temp, probs.Row(i))
+	}
+	return probs
 }
 
 // serverTrainer returns a trainer with the lane attached if it is free.

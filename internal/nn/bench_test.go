@@ -243,6 +243,9 @@ func benchServerStep(b *testing.B, lane bool) {
 			defer tr.Release()
 		}
 		teacher := tensor.Randn(stats.NewRNG(2), benchBatch, classes, 1)
+		for i := 0; i < teacher.Rows; i++ { // the teacher's distributions, as fl computes them once per call
+			stats.SoftmaxTemp(teacher.Row(i), 1, teacher.Row(i))
+		}
 		gradKL, gradCE := tensor.New(benchBatch, classes), tensor.New(benchBatch, classes)
 		gradFeat := tensor.New(benchBatch, models.FeatureWidth)
 		step := func() {

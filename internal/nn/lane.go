@@ -32,11 +32,32 @@ import (
 // lane for one call (infer.go): it posts one task, the back half of its row
 // blocks on the network's twin, runs the front half, joins and releases.
 //
-// Handoff is a fixed single-producer ring with atomic head and tail; the
-// lane spins while held and parks when released.
+// Handoff is a fixed single-producer ring with atomic head and tail. The
+// lane spins between a step's gradient tasks, where the next post is
+// microseconds away, and parks on wake when released, or once an Adam pass is
+// done and laneParkSpin polls bring no task: the rest of that forward, the
+// step's longest gap, then costs no CPU. A train-mode forward wakes it as it
+// returns, so the wake's latency hides under the loss, and a post wakes it
+// should it still be asleep.
 
 // laneRingSize bounds the tasks in flight; a ResNet56 step posts 57.
 const laneRingSize = 256
+
+// laneParkSpin is how many idle polls the lane makes after an Adam pass
+// before it parks. None: a forward's want keeps the lane from parking, or
+// wakes it, before any post of the next step, so polls there only burn the
+// core. In a sweep of 0, 64, 256 and 1024 polls on train_inproc, 0 had the
+// best median CPU and round rate (DESIGN.md §2).
+const laneParkSpin = 0
+
+// The lane's sleep state. Only the lane sets laneAsleep; a waker that moves
+// the state off laneAsleep owes the lane one token on wake, so exactly one
+// token is ever in flight.
+const (
+	laneAwake  int32 = iota // polling
+	laneAsleep              // parked on wake, or about to be
+	laneWanted              // a train-mode forward has returned: a post is near
+)
 
 // laneTask is a Dense layer's weight and bias gradients from dout; or, when
 // job is set, rows [lo, hi) of an eval-mode walk run on net, a twin; or,
@@ -53,11 +74,12 @@ type laneTask struct {
 }
 
 type lane struct {
-	held atomic.Bool   // a trainer or an eval-mode walk holds the lane
-	wake chan struct{} // an acquire wakes the parked lane
-	head atomic.Uint64 // tasks posted; only the holder writes it
-	tail atomic.Uint64 // tasks done; only the lane writes it
-	ring [laneRingSize]laneTask
+	held  atomic.Bool   // a trainer or an eval-mode walk holds the lane
+	state atomic.Int32  // laneAwake, laneAsleep or laneWanted
+	wake  chan struct{} // the token that ends a park
+	head  atomic.Uint64 // tasks posted; only the holder writes it
+	tail  atomic.Uint64 // tasks done; only the lane writes it
+	ring  [laneRingSize]laneTask
 
 	// updated counts the params the lane has stepped since attach; gates
 	// compare it against base + their position.
@@ -88,20 +110,19 @@ func acquireLane() *lane {
 		laneStarted.Store(true)
 		go theLane.run()
 	})
-	select {
-	case theLane.wake <- struct{}{}:
-	default:
-	}
 	return &theLane
 }
 
 func (l *lane) run() {
 	var done uint64
+	afterAdam := false // the last task was an Adam pass: the next post is a forward away
 	for polls := 1; ; polls++ {
 		if done == l.head.Load() {
-			if !l.held.Load() {
-				<-l.wake
-			} else if polls%64 == 0 {
+			switch {
+			case !l.held.Load() || afterAdam && polls > laneParkSpin:
+				afterAdam = false
+				l.park(done)
+			case polls%64 == 0:
 				runtime.Gosched()
 			}
 			continue
@@ -113,11 +134,49 @@ func (l *lane) run() {
 		case t.job != nil:
 			t.job.run(t.net, t.lo, t.hi)
 		default:
+			// A forward's want comes after this pass; clear an older one.
+			l.state.Store(laneAwake)
 			l.adam(t.k)
 		}
+		afterAdam = t.d == nil && t.job == nil
 		*t = laneTask{}
 		done++
 		l.tail.Store(done)
+		polls = 0
+	}
+}
+
+// park sleeps until a waker's token, unless a forward has said a post is
+// near or a task has come since the lane last saw head equal done. Setting
+// laneAsleep before re-reading head pairs with post's store of head before it
+// reads the state: one of the two sees the other, so no post is missed.
+func (l *lane) park(done uint64) {
+	perturb()
+	if !l.state.CompareAndSwap(laneAwake, laneAsleep) {
+		l.state.Store(laneAwake) // laneWanted: keep polling
+		return
+	}
+	perturb()
+	if l.head.Load() != done && l.state.CompareAndSwap(laneAsleep, laneAwake) {
+		return
+	}
+	<-l.wake
+}
+
+// wakeIfAsleep ends a park after a post.
+func (l *lane) wakeIfAsleep() {
+	if l.state.Load() == laneAsleep && l.state.CompareAndSwap(laneAsleep, laneAwake) {
+		l.wake <- struct{}{}
+	}
+}
+
+// want tells the lane a post is near: a train-mode forward has returned, and
+// the backward that follows its loss posts. It wakes a parked lane, and keeps
+// a polling one from parking.
+func (l *lane) want() {
+	perturb()
+	if l.state.Swap(laneWanted) == laneAsleep {
+		l.wake <- struct{}{}
 	}
 }
 
@@ -147,14 +206,17 @@ func spinUntil(done func() bool) {
 }
 
 func (l *lane) post(t laneTask) {
+	perturb()
 	h := l.head.Load()
 	spinUntil(func() bool { return h-l.tail.Load() < laneRingSize })
 	l.ring[h%laneRingSize] = t
 	l.head.Store(h + 1)
+	l.wakeIfAsleep()
 }
 
 // join waits until the lane has run every task posted.
 func (l *lane) join() {
+	perturb()
 	spinUntil(func() bool { return l.tail.Load() == l.head.Load() })
 }
 
@@ -169,6 +231,7 @@ func (g *laneGate) wait() {
 	if g.l == nil {
 		return
 	}
+	perturb()
 	target := g.l.base + g.end
 	spinUntil(func() bool { return g.l.updated.Load() >= target })
 }
@@ -203,6 +266,7 @@ func bindGates(layer Layer, l *lane, next *int64) bool {
 }
 
 func bindNetwork(n *Network, l *lane) bool {
+	n.lane = l
 	var next int64
 	return bindGates(n.Body, l, &next) && bindGates(n.Head, l, &next)
 }
@@ -234,9 +298,11 @@ func NewTrainer(net *Network, opt Optimizer) *Trainer {
 // lane and reports whether it did. It does not when GOMAXPROCS < 2, another
 // trainer holds the lane, the optimizer is not Adam, or a layer with params
 // cannot gate its forward; the steps then run inline. Only a caller that
-// leaves a core idle should attach: the lane spins while attached. Pair it
-// with Release. Once attached, the network's eval-mode forwards may also
-// use the lane whenever it is free (infer.go).
+// leaves a core idle should attach: the lane polls through each backward
+// while attached, and parks only from the end of a step's Adam pass to the
+// next train-mode forward's return. Pair it with Release. Once attached, the
+// network's eval-mode forwards may also use the lane whenever it is free
+// (infer.go).
 func (t *Trainer) AttachLane() bool {
 	adam, ok := t.opt.(*Adam)
 	if !ok {

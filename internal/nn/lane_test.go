@@ -42,11 +42,15 @@ func laneNet() *Network {
 	return NewNetwork("lane", body, NewSequential(NewDense(rng, laneWidth, laneOut)))
 }
 
-// laneRun is one model in training: net, its Adam and its trainer.
+// laneRun is one model in training: net, its Adam and its trainer. With
+// parkEachStep set and the lane attached, train waits after every step until
+// the lane has parked, so every step's first post or forward meets a parked
+// lane.
 type laneRun struct {
-	net *Network
-	opt *Adam
-	tr  *Trainer
+	net          *Network
+	opt          *Adam
+	tr           *Trainer
+	parkEachStep bool
 }
 
 func newLaneRun() *laneRun {
@@ -81,8 +85,37 @@ func (r *laneRun) train() {
 			gradFeat = tensor.Ensure(gradFeat, feats.Rows, feats.Cols)
 			MSEInto(gradFeat, feats, tb)
 			r.tr.Step(gradLogits, gradFeat)
+			if r.parkEachStep && r.tr.lane != nil {
+				untilParked()
+			}
 		}
 	}
+}
+
+// untilParked yields until the lane reports parked. It reads no clock: a
+// lane that never parks hangs the test.
+func untilParked() {
+	for theLane.state.Load() != laneAsleep {
+		runtime.Gosched()
+	}
+}
+
+// ceGrad runs r's train-mode forward on a batch and returns the
+// cross-entropy gradient of its logits.
+func (r *laneRun) ceGrad(x *tensor.Matrix, labels []int) *tensor.Matrix {
+	logits := r.net.Forward(x, true)
+	grad := tensor.New(logits.Rows, logits.Cols)
+	SoftmaxCrossEntropyInto(grad, logits, labels)
+	return grad
+}
+
+// fixedBatch is one batch of the suite's shape.
+func fixedBatch() (*tensor.Matrix, []int) {
+	labels := make([]int, laneBatch)
+	for i := range labels {
+		labels[i] = i % laneOut
+	}
+	return tensor.Randn(stats.NewRNG(4), laneBatch, laneIn, 1), labels
 }
 
 func inlineReference(t *testing.T) *laneRun {
@@ -157,6 +190,86 @@ func TestLaneMatchesInline(t *testing.T) {
 	again.train()
 	again.tr.Release()
 	requireSameState(t, again, want)
+
+	// A lane that parks after every step's Adam pass, so that every
+	// forward's wake and every backward meets a parked lane, gives them too.
+	parked := newLaneRun()
+	parked.parkEachStep = true
+	if parked.tr.AttachLane() != attached {
+		t.Fatal("the lane did not attach a third time")
+	}
+	parked.train()
+	parked.tr.Release()
+	requireSameState(t, parked, want)
+}
+
+// TestLaneParksWhenIdle: once a step's Adam pass is done and no task
+// follows, the held lane parks.
+func TestLaneParksWhenIdle(t *testing.T) {
+	r := newLaneRun()
+	if !r.tr.AttachLane() {
+		t.Skip("the lane needs GOMAXPROCS >= 2")
+	}
+	defer r.tr.Release()
+	x, labels := fixedBatch()
+	r.tr.Step(r.ceGrad(x, labels), nil)
+	untilParked()
+}
+
+// TestLaneWakesOnPost: a step with no forward before it, whose backward's
+// first post meets the parked lane, wakes it, and the step's join returns;
+// the bits are the inline trainer's for the same two steps.
+func TestLaneWakesOnPost(t *testing.T) {
+	want, got := newLaneRun(), newLaneRun()
+	if !got.tr.AttachLane() {
+		t.Skip("the lane needs GOMAXPROCS >= 2")
+	}
+	x, labels := fixedBatch()
+	for _, r := range []*laneRun{want, got} {
+		grad := r.ceGrad(x, labels)
+		r.tr.Step(grad, nil)
+		if r == got {
+			untilParked() // the first step's Adam pass is done, too
+		}
+		r.tr.Step(grad, nil) // backpropagates the same forward's caches again
+	}
+	got.tr.Release()
+	requireSameState(t, got, want)
+
+	// Back-to-back wide walks: each acquires the lane just after the last
+	// released it and posts at once, as the lane decides to park.
+	x = tensor.Randn(stats.NewRNG(6), 2*inferBlock+1, laneIn, 1)
+	whole := got.net.Forward(x, false).Clone()
+	for i := 0; i < 1000; i++ {
+		if !sameBits(got.net.Logits(x).Data, whole.Data) {
+			t.Fatalf("walk %d: Logits differ from the whole-batch forward", i)
+		}
+	}
+}
+
+// TestLaneParkedReleaseReacquire: a trainer releases the lane while it is
+// parked, it stays parked, and the next trainer's attach and run give the
+// inline bits.
+func TestLaneParkedReleaseReacquire(t *testing.T) {
+	want := inlineReference(t)
+	first := newLaneRun()
+	if !first.tr.AttachLane() {
+		t.Skip("the lane needs GOMAXPROCS >= 2")
+	}
+	x, labels := fixedBatch()
+	first.tr.Step(first.ceGrad(x, labels), nil)
+	untilParked()
+	first.tr.Release()
+	if theLane.state.Load() != laneAsleep {
+		t.Fatal("a release woke the parked lane")
+	}
+	got := newLaneRun()
+	if !got.tr.AttachLane() {
+		t.Fatal("the lane did not attach again after a release while parked")
+	}
+	got.train()
+	got.tr.Release()
+	requireSameState(t, got, want)
 }
 
 // TestLaneContention races two trainers for the lane: both try to attach

@@ -43,15 +43,18 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Matrix, labels []int) float64 
 }
 
 // KLDistillInto returns the temperature-scaled distillation loss
-// T² · mean_i KL(softmax(teacher_i/T) ‖ softmax(student_i/T)) and writes
-// dL/d(studentLogits) into grad, which must already have the student logits'
-// shape. The T² factor keeps gradient magnitudes comparable across
+// T² · mean_i KL(t_i ‖ softmax(student_i/T)) and writes dL/d(studentLogits)
+// into grad, which must already have the student logits' shape. teacher
+// holds the teacher's distributions t_i = softmax(teacher_i/T)
+// (stats.SoftmaxTemp of each teacher logit row), row-aligned with the
+// student's logits: a loop over fixed teacher logits computes them once, not
+// once per batch. The T² factor keeps gradient magnitudes comparable across
 // temperatures (Hinton et al., 2015). The paper's Eqs. (11) and (15) use
 // T = 1.
-func KLDistillInto(grad, studentLogits, teacherLogits *tensor.Matrix, temp float64) float64 {
-	if studentLogits.Rows != teacherLogits.Rows || studentLogits.Cols != teacherLogits.Cols {
+func KLDistillInto(grad, studentLogits, teacher *tensor.Matrix, temp float64) float64 {
+	if studentLogits.Rows != teacher.Rows || studentLogits.Cols != teacher.Cols {
 		panic(fmt.Sprintf("nn: KLDistill shape mismatch %dx%d vs %dx%d",
-			studentLogits.Rows, studentLogits.Cols, teacherLogits.Rows, teacherLogits.Cols))
+			studentLogits.Rows, studentLogits.Cols, teacher.Rows, teacher.Cols))
 	}
 	if temp <= 0 {
 		panic(fmt.Sprintf("nn: KLDistill temperature must be positive, got %v", temp))
@@ -62,12 +65,10 @@ func KLDistillInto(grad, studentLogits, teacherLogits *tensor.Matrix, temp float
 	}
 	var loss float64
 	inv := 1 / float64(studentLogits.Rows)
-	cols := studentLogits.Cols
-	scratch := tensor.GetScratch(2, cols)
-	t := scratch.Data[:cols]
-	s := scratch.Data[cols:]
+	scratch := tensor.GetScratch(1, studentLogits.Cols)
+	s := scratch.Data
 	for i := 0; i < studentLogits.Rows; i++ {
-		stats.SoftmaxTemp(teacherLogits.Row(i), temp, t)
+		t := teacher.Row(i)
 		stats.SoftmaxTemp(studentLogits.Row(i), temp, s)
 		grow := grad.Row(i)
 		for j := range t {

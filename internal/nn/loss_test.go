@@ -4,12 +4,15 @@ import (
 	"math"
 	"testing"
 
+	"fedpkd/internal/dataset"
 	"fedpkd/internal/stats"
 	"fedpkd/internal/tensor"
 )
 
 // softmaxCrossEntropy, klDistill and mse run the Into losses on a fresh
-// gradient buffer of the input's shape and return the loss and the buffer.
+// gradient buffer of the input's shape and return the loss and the buffer;
+// klDistill takes the teacher's logits and hands KLDistillInto their
+// distributions.
 func softmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
 	grad := tensor.New(logits.Rows, logits.Cols)
 	return SoftmaxCrossEntropyInto(grad, logits, labels), grad
@@ -17,7 +20,76 @@ func softmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 
 func klDistill(student, teacher *tensor.Matrix, temp float64) (float64, *tensor.Matrix) {
 	grad := tensor.New(student.Rows, student.Cols)
-	return KLDistillInto(grad, student, teacher, temp), grad
+	return KLDistillInto(grad, student, softmaxTempRows(teacher, temp), temp), grad
+}
+
+// softmaxTempRows is stats.SoftmaxTemp of every row of logits, as
+// KLDistillInto's callers compute their teacher distributions. A temp the
+// loss rejects passes the logits through, so the loss's own check panics.
+func softmaxTempRows(logits *tensor.Matrix, temp float64) *tensor.Matrix {
+	if temp <= 0 {
+		return logits
+	}
+	probs := tensor.New(logits.Rows, logits.Cols)
+	for i := 0; i < logits.Rows; i++ {
+		stats.SoftmaxTemp(logits.Row(i), temp, probs.Row(i))
+	}
+	return probs
+}
+
+// klDistillPerBatch is KLDistillInto as it was before its callers computed
+// the teacher's distributions once per call: it takes teacher logits and
+// recomputes their softmax on every batch. It is the oracle for the
+// once-per-call form.
+func klDistillPerBatch(grad, studentLogits, teacherLogits *tensor.Matrix, temp float64) float64 {
+	var loss float64
+	inv := 1 / float64(studentLogits.Rows)
+	cols := studentLogits.Cols
+	t, s := make([]float64, cols), make([]float64, cols)
+	for i := 0; i < studentLogits.Rows; i++ {
+		stats.SoftmaxTemp(teacherLogits.Row(i), temp, t)
+		stats.SoftmaxTemp(studentLogits.Row(i), temp, s)
+		grow := grad.Row(i)
+		for j := range t {
+			if t[j] > 0 {
+				sj := s[j]
+				if sj < 1e-12 {
+					sj = 1e-12
+				}
+				loss += t[j] * math.Log(t[j]/sj)
+			}
+			grow[j] = temp * (s[j] - t[j]) * inv
+		}
+	}
+	return loss * temp * temp * inv
+}
+
+// TestKLDistillTeacherOnceMatchesPerBatch: the teacher's distributions
+// computed once for all rows and gathered per batch, as fl's loops do, give
+// the per-batch recompute's loss and gradient bit for bit, at temperatures 1
+// and 2.
+func TestKLDistillTeacherOnceMatchesPerBatch(t *testing.T) {
+	const rows, cols, batch = 70, 10, 32
+	rng := stats.NewRNG(12)
+	teacher := tensor.Randn(rng, rows, cols, 3)
+	for _, temp := range []float64{1, 2} {
+		probs := softmaxTempRows(teacher, temp)
+		var sb, tb, pb *tensor.Matrix
+		for _, idx := range dataset.Batches(rng, rows, batch) {
+			sb = dataset.GatherRowsInto(sb, tensor.Randn(rng, rows, cols, 3), idx)
+			tb = dataset.GatherRowsInto(tb, teacher, idx)
+			pb = dataset.GatherRowsInto(pb, probs, idx)
+			want, got := tensor.New(len(idx), cols), tensor.New(len(idx), cols)
+			wantLoss := klDistillPerBatch(want, sb, tb, temp)
+			gotLoss := KLDistillInto(got, sb, pb, temp)
+			if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+				t.Errorf("temp %v: loss %v, per-batch recompute %v", temp, gotLoss, wantLoss)
+			}
+			if !sameBits(got.Data, want.Data) {
+				t.Errorf("temp %v: gradient differs from the per-batch recompute", temp)
+			}
+		}
+	}
 }
 
 func mse(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {

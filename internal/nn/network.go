@@ -12,6 +12,7 @@ type Network struct {
 	Head *Sequential
 
 	dfeat *tensor.Matrix // persistent feature-gradient sum buffer
+	lane  *lane          // the lane, while a Trainer has it attached
 
 	// Eval-mode block walks (infer.go). view is the current block's row
 	// view of the input and job the walk in progress, both reused so a walk
@@ -29,9 +30,14 @@ func NewNetwork(name string, body, head *Sequential) *Network {
 }
 
 // Forward returns the logits for a batch. Use train=true only inside a
-// training step that will call Backward.
+// training step that will call Backward. A train-mode forward with the lane
+// attached wakes it as it returns: the backward's first post is a loss away.
 func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	return n.Head.Forward(n.Body.Forward(x, train), train)
+	logits := n.Head.Forward(n.Body.Forward(x, train), train)
+	if train && n.lane != nil {
+		n.lane.want()
+	}
+	return logits
 }
 
 // ForwardSplit runs a train-mode forward and returns both the feature batch
@@ -39,6 +45,9 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 func (n *Network) ForwardSplit(x *tensor.Matrix) (features, logits *tensor.Matrix) {
 	features = n.Body.Forward(x, true)
 	logits = n.Head.Forward(features, true)
+	if n.lane != nil {
+		n.lane.want()
+	}
 	return features, logits
 }
 

@@ -142,8 +142,12 @@ go test -run XXX -fuzz=FuzzKernelPaths -fuzztime=20s ./internal/tensor/
 # fuzzer picks block shapes and operand families for FuzzRowOps the same way.
 echo ">> go test -fuzz=FuzzRowOps -fuzztime=20s ./internal/tensor/ (row-op shapes the grid does not list)"
 go test -run XXX -fuzz=FuzzRowOps -fuzztime=20s ./internal/tensor/
-echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties + fused groups)"
+# The held lane parks after each step's Adam pass and is woken by a forward
+# or a post (internal/nn/lane.go); twenty runs of the park and wake tests
+# vary where a post or a release lands against the park.
+echo ">> GOMAXPROCS=2 go test -race ./internal/nn/ (gradients + bit-equality + properties + fused groups; park and wake, 20 runs)"
 GOMAXPROCS=2 go test -race -count=1 -run 'Property|BitEquality|Gradients|BatchNorm|Adam|Fused' ./internal/nn/
+GOMAXPROCS=2 go test -race -count=20 -run 'Park|Wake' ./internal/nn/
 
 # Every product runs on its caller, so the kernels' only concurrency is their
 # callers': fl.ForEachClient's clients and the nn lane issue products at once,
@@ -160,6 +164,15 @@ go test -race -count=1 -cpu 1,2,4 -run 'ParallelBitIdentical|ConcurrentCallers|S
 # inline, wide on the lane's twin, and inline again while the lane is held.
 echo ">> go test -race -cpu 1,2 -run 'Lane|Infer' ./internal/nn/ (lane == inline, blocks == whole batch)"
 go test -race -count=3 -cpu 1,2 -run 'Lane|Infer' ./internal/nn/
+
+# Built with -tags schedperturb, every handoff point of the lane — post, join,
+# the gate's wait, the park and its re-check, a forward's wake — yields the
+# processor at seeded points (internal/nn/perturb_on.go), so the runs reach
+# interleavings a free-running schedule rarely takes: a post or an acquire
+# landing between the lane's decision to park and its re-check of head. A
+# lost wakeup hangs the leg (its -timeout fails it); wrong bits fail it.
+echo ">> go test -tags schedperturb -race -cpu 2,4 -run 'Lane|Infer|Fused' ./internal/nn/ (perturbed lane schedules)"
+go test -tags schedperturb -race -count=3 -cpu 2,4 -timeout 5m -run 'Lane|Infer|Fused' ./internal/nn/
 
 # Compile-and-run every kernel and training-step benchmark once so
 # perf-path-only code (panel kernels at benchmark shapes, scratch arena reuse,
