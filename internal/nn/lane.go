@@ -32,13 +32,17 @@ import (
 // lane for one call (infer.go): it posts one task, the back half of its row
 // blocks on the network's twin, runs the front half, joins and releases.
 //
-// Handoff is a fixed single-producer ring with atomic head and tail. The
-// lane spins between a step's gradient tasks, where the next post is
-// microseconds away, and parks on wake when released, or once an Adam pass is
-// done and laneParkSpin polls bring no task: the rest of that forward, the
-// step's longest gap, then costs no CPU. A train-mode forward wakes it as it
-// returns, so the wake's latency hides under the loss, and a post wakes it
-// should it still be asleep.
+// Handoff is a fixed single-producer ring with atomic head, next and tail:
+// tasks posted, claimed and done. The lane spins between a step's gradient
+// tasks, where the next post is microseconds away, and parks on wake when
+// released, or once an Adam pass is done and laneParkSpin polls bring no
+// task: the rest of that forward, the step's longest gap, then costs no CPU.
+// A train-mode forward wakes it as it returns, so the wake's latency hides
+// under the loss, and a post wakes it should it still be asleep. A wake can
+// still come late: how soon a parked goroutine runs again is the scheduler's
+// and the host's. So join, and a gate, claim and run every task the lane has
+// not yet claimed: the holder never waits for a lane that is not running,
+// only for the tasks the lane has started.
 
 // laneRingSize bounds the tasks in flight; a ResNet56 step posts 57.
 const laneRingSize = 256
@@ -78,7 +82,8 @@ type lane struct {
 	state atomic.Int32  // laneAwake, laneAsleep or laneWanted
 	wake  chan struct{} // the token that ends a park
 	head  atomic.Uint64 // tasks posted; only the holder writes it
-	tail  atomic.Uint64 // tasks done; only the lane writes it
+	next  atomic.Uint64 // tasks claimed, by the lane or by the joining holder
+	tail  atomic.Uint64 // tasks done
 	ring  [laneRingSize]laneTask
 
 	// updated counts the params the lane has stepped since attach; gates
@@ -114,50 +119,66 @@ func acquireLane() *lane {
 }
 
 func (l *lane) run() {
-	var done uint64
 	afterAdam := false // the last task was an Adam pass: the next post is a forward away
 	for polls := 1; ; polls++ {
-		if done == l.head.Load() {
+		i, ok := l.claim()
+		if !ok {
 			switch {
 			case !l.held.Load() || afterAdam && polls > laneParkSpin:
 				afterAdam = false
-				l.park(done)
+				l.park()
 			case polls%64 == 0:
 				runtime.Gosched()
 			}
 			continue
 		}
-		t := &l.ring[done%laneRingSize]
-		switch {
-		case t.d != nil:
-			t.d.accumulateGrads(t.dout)
-		case t.job != nil:
-			t.job.run(t.net, t.lo, t.hi)
-		default:
+		if afterAdam = l.ring[i%laneRingSize].isAdam(); afterAdam {
 			// A forward's want comes after this pass; clear an older one.
 			l.state.Store(laneAwake)
-			l.adam(t.k)
 		}
-		afterAdam = t.d == nil && t.job == nil
-		*t = laneTask{}
-		done++
-		l.tail.Store(done)
+		l.runTask(i)
 		polls = 0
 	}
 }
 
+// claim takes the oldest task no one has claimed, if there is one. The lane
+// and the holder, joining or at a gate, are its only callers.
+func (l *lane) claim() (uint64, bool) {
+	i := l.next.Load()
+	return i, i != l.head.Load() && l.next.CompareAndSwap(i, i+1)
+}
+
+func (t *laneTask) isAdam() bool { return t.d == nil && t.job == nil }
+
+// runTask runs claimed task i and counts it done. Tasks finish out of claim
+// order only while the holder joins, so between joins tail is also the
+// oldest slot still in use.
+func (l *lane) runTask(i uint64) {
+	t := &l.ring[i%laneRingSize]
+	switch {
+	case t.d != nil:
+		t.d.accumulateGrads(t.dout)
+	case t.job != nil:
+		t.job.run(t.net, t.lo, t.hi)
+	default:
+		l.adam(t.k)
+	}
+	*t = laneTask{}
+	l.tail.Add(1)
+}
+
 // park sleeps until a waker's token, unless a forward has said a post is
-// near or a task has come since the lane last saw head equal done. Setting
+// near or a task has come since the lane last found none to claim. Setting
 // laneAsleep before re-reading head pairs with post's store of head before it
 // reads the state: one of the two sees the other, so no post is missed.
-func (l *lane) park(done uint64) {
+func (l *lane) park() {
 	perturb()
 	if !l.state.CompareAndSwap(laneAwake, laneAsleep) {
 		l.state.Store(laneAwake) // laneWanted: keep polling
 		return
 	}
 	perturb()
-	if l.head.Load() != done && l.state.CompareAndSwap(laneAsleep, laneAwake) {
+	if l.next.Load() != l.head.Load() && l.state.CompareAndSwap(laneAsleep, laneAwake) {
 		return
 	}
 	<-l.wake
@@ -214,10 +235,16 @@ func (l *lane) post(t laneTask) {
 	l.wakeIfAsleep()
 }
 
-// join waits until the lane has run every task posted.
+// join returns once every task posted is done. It runs every task the lane
+// has not claimed, then waits for those the lane is running.
 func (l *lane) join() {
 	perturb()
-	spinUntil(func() bool { return l.tail.Load() == l.head.Load() })
+	spinUntil(func() bool {
+		if i, ok := l.claim(); ok {
+			l.runTask(i)
+		}
+		return l.tail.Load() == l.head.Load()
+	})
 }
 
 // laneGate holds a param-holding layer's Forward until the lane has stepped
@@ -233,7 +260,13 @@ func (g *laneGate) wait() {
 	}
 	perturb()
 	target := g.l.base + g.end
-	spinUntil(func() bool { return g.l.updated.Load() >= target })
+	spinUntil(func() bool {
+		// The step's Adam pass, if the lane has not claimed it yet.
+		if i, ok := g.l.claim(); ok {
+			g.l.runTask(i)
+		}
+		return g.l.updated.Load() >= target
+	})
 }
 
 // bindGates points the gate of every param-holding layer in layer at l (nil

@@ -100,6 +100,15 @@ func untilParked() {
 	}
 }
 
+// untilLaneDone yields until the lane has run every task posted. Unlike
+// join it runs none itself, and it reads no clock: a lane that never wakes
+// hangs the test.
+func untilLaneDone() {
+	for theLane.tail.Load() != theLane.head.Load() {
+		runtime.Gosched()
+	}
+}
+
 // ceGrad runs r's train-mode forward on a batch and returns the
 // cross-entropy gradient of its logits.
 func (r *laneRun) ceGrad(x *tensor.Matrix, labels []int) *tensor.Matrix {
@@ -217,8 +226,10 @@ func TestLaneParksWhenIdle(t *testing.T) {
 }
 
 // TestLaneWakesOnPost: a step with no forward before it, whose backward's
-// first post meets the parked lane, wakes it, and the step's join returns;
-// the bits are the inline trainer's for the same two steps.
+// first post meets the parked lane, wakes it, and the lane itself runs the
+// step's Adam pass (join and the gates would run the tasks of a lane that
+// never woke, so the test waits on tail instead); the bits are the inline
+// trainer's for the same two steps.
 func TestLaneWakesOnPost(t *testing.T) {
 	want, got := newLaneRun(), newLaneRun()
 	if !got.tr.AttachLane() {
@@ -232,12 +243,26 @@ func TestLaneWakesOnPost(t *testing.T) {
 			untilParked() // the first step's Adam pass is done, too
 		}
 		r.tr.Step(grad, nil) // backpropagates the same forward's caches again
+		if r == got {
+			untilLaneDone()
+		}
 	}
 	got.tr.Release()
 	requireSameState(t, got, want)
 
-	// Back-to-back wide walks: each acquires the lane just after the last
-	// released it and posts at once, as the lane decides to park.
+	// Back-to-back posts, each just after the last holder released the
+	// lane, as the lane decides to park: the lane must wake for every one.
+	d := NewDense(stats.NewRNG(3), laneIn, laneWidth)
+	d.Forward(tensor.Randn(stats.NewRNG(4), 8, laneIn, 1), true)
+	dout := tensor.Randn(stats.NewRNG(5), 8, laneWidth, 1)
+	for i := 0; i < 1000; i++ {
+		l := acquireLane()
+		l.post(laneTask{d: d, dout: dout})
+		untilLaneDone()
+		l.release()
+	}
+
+	// Back-to-back wide walks, the same race through infer's post and join.
 	x = tensor.Randn(stats.NewRNG(6), 2*inferBlock+1, laneIn, 1)
 	whole := got.net.Forward(x, false).Clone()
 	for i := 0; i < 1000; i++ {
@@ -245,6 +270,65 @@ func TestLaneWakesOnPost(t *testing.T) {
 			t.Fatalf("walk %d: Logits differ from the whole-batch forward", i)
 		}
 	}
+}
+
+// TestLaneJoinRunsUnclaimed: join runs each task the lane has not claimed,
+// so a holder never waits on a lane that is not running. Here a task reaches
+// the ring with no wake, so the parked lane sees it only if it was still
+// re-reading head; join must run it, with the bits of the same gradient run
+// inline, or hang.
+func TestLaneJoinRunsUnclaimed(t *testing.T) {
+	l := acquireLane()
+	if l == nil {
+		t.Skip("the lane needs GOMAXPROCS >= 2")
+	}
+	l.release()
+	untilParked() // released: the lane parks, and nothing below wakes it
+	x := tensor.Randn(stats.NewRNG(4), 8, laneIn, 1)
+	dout := tensor.Randn(stats.NewRNG(5), 8, laneWidth, 1)
+	d, inline := NewDense(stats.NewRNG(3), laneIn, laneWidth), NewDense(stats.NewRNG(3), laneIn, laneWidth)
+	d.Forward(x, true)
+	inline.Forward(x, true)
+	inline.accumulateGrads(dout)
+	if l = acquireLane(); l == nil {
+		t.Fatal("the lane did not attach again after a release")
+	}
+	h := l.head.Load()
+	l.ring[h%laneRingSize] = laneTask{d: d, dout: dout}
+	l.head.Store(h + 1) // a post without its wake
+	l.join()
+	l.release()
+	for i, p := range d.Params() {
+		if !sameBits(p.Grad.Data, inline.Params()[i].Grad.Data) {
+			t.Fatalf("%s: join's gradient differs from the inline one", p.Name)
+		}
+	}
+}
+
+// TestLaneGateRunsUnclaimedAdam: a gate runs the step's Adam pass when the
+// lane has not claimed it, so a forward never waits on a lane that is not
+// running. Here the pass reaches the ring with no wake while the lane is
+// parked; the next forward's first gate must run it, with the inline bits.
+func TestLaneGateRunsUnclaimedAdam(t *testing.T) {
+	want, got := newLaneRun(), newLaneRun()
+	if !got.tr.AttachLane() {
+		t.Skip("the lane needs GOMAXPROCS >= 2")
+	}
+	x, labels := fixedBatch()
+	want.tr.Step(want.ceGrad(x, labels), nil)
+	want.opt.Step(want.tr.params) // a second update, of the zero gradients
+	want.net.Forward(x, true)
+
+	got.tr.Step(got.ceGrad(x, labels), nil)
+	untilParked() // the first step's Adam pass is done
+	l := got.tr.lane
+	l.base += int64(len(got.tr.params))
+	h := l.head.Load()
+	l.ring[h%laneRingSize] = laneTask{k: got.tr.adam.nextCoeffs()}
+	l.head.Store(h + 1) // update's post, without its wake
+	got.net.Forward(x, true)
+	got.tr.Release()
+	requireSameState(t, got, want)
 }
 
 // TestLaneParkedReleaseReacquire: a trainer releases the lane while it is
