@@ -39,3 +39,10 @@ func buildFleet(common CommonConfig, archs []string) ([]*nn.Network, []nn.Optimi
 	}
 	return nets, opts, nil
 }
+
+// flattenUpload flattens net's parameters into a vector from the round's
+// vector source: the upload of FedAvg, FedProx and FedDF.
+func flattenUpload(rc *engine.RoundContext, net *nn.Network) []float64 {
+	params := net.Params()
+	return nn.FlattenParamsInto(rc.Vector(nn.ParamCount(params)), params)
+}

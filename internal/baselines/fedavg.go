@@ -126,7 +126,7 @@ func (h *fedAvgHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine
 			h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	}
 	return &engine.Payload{
-		Params:     nn.FlattenParams(h.clients[c].Params()),
+		Params:     flattenUpload(rc, h.clients[c]),
 		NumSamples: env.ClientData[c].Len(),
 	}, nil
 }

@@ -117,7 +117,7 @@ func (h *fedDFHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.
 	rc.AddBatches(fl.TrainCE(h.clients[c], h.opts[c], env.ClientData[c], rc.LocalRNG(c),
 		h.cfg.LocalEpochs, h.cfg.Common.BatchSize))
 	return &engine.Payload{
-		Params:      nn.FlattenParams(h.clients[c].Params()),
+		Params:      flattenUpload(rc, h.clients[c]),
 		Logits:      h.clients[c].Logits(env.Splits.Public.X),
 		LogitsLocal: true,
 		NumSamples:  env.ClientData[c].Len(),

@@ -301,9 +301,31 @@ func DecodeSection(data []byte, rows, cols int, ref []float64) ([]float64, Secti
 	if err != nil {
 		return nil, 0, err
 	}
+	vals := make([]float64, rows*cols)
+	if err := unpackSection(vals, s, data, rows, cols, ref); err != nil {
+		return nil, 0, err
+	}
+	return vals, s, nil
+}
+
+// DecodeSectionInto is DecodeSection into vals, which must hold rows·cols
+// values and must not alias ref. On error vals is unspecified.
+func DecodeSectionInto(vals []float64, data []byte, rows, cols int, ref []float64) (Section, error) {
+	s, err := CheckSection(data, rows, cols)
+	if err != nil {
+		return 0, err
+	}
+	if len(vals) != rows*cols {
+		return 0, fmt.Errorf("comm: %d values to decode a %dx%d section into", len(vals), rows, cols)
+	}
+	return s, unpackSection(vals, s, data, rows, cols, ref)
+}
+
+// unpackSection writes the values of data, a section CheckSection accepted
+// as s, into vals.
+func unpackSection(vals []float64, s Section, data []byte, rows, cols int, ref []float64) error {
 	n := rows * cols
 	body := data[sectionHeaderBytes:]
-	vals := make([]float64, n)
 	switch s {
 	case SectionF32:
 		for i := range vals {
@@ -311,7 +333,7 @@ func DecodeSection(data []byte, rows, cols int, ref []float64) ([]float64, Secti
 		}
 	case SectionDeltaF32:
 		if len(ref) != n {
-			return nil, 0, fmt.Errorf("%w: %d refs for %d values", ErrSectionRef, len(ref), n)
+			return fmt.Errorf("%w: %d refs for %d values", ErrSectionRef, len(ref), n)
 		}
 		for i := range vals {
 			vals[i] = ref[i] + float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
@@ -327,7 +349,7 @@ func DecodeSection(data []byte, rows, cols int, ref []float64) ([]float64, Secti
 			}
 		}
 	}
-	return vals, s, nil
+	return nil
 }
 
 // ApplySection overwrites vals with their wire round-trip under s — exactly

@@ -3,6 +3,7 @@ package distrib
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -322,6 +323,37 @@ func TestChaosCorruptionRun(t *testing.T) {
 			if h.Len() != rounds {
 				t.Fatalf("history rounds = %d, want %d (corrupt payloads must not abort the run)", h.Len(), rounds)
 			}
+		})
+	}
+}
+
+// TestChaosCorruptCopiesLaw runs the one case where the corruption law's
+// two sides differ by more than Corrupts: a corrupted upload the plan also
+// duplicated is delivered, and dropped, twice. runFaults checks the law on
+// every bus chaos run; here the plan must produce such copies, flat and under
+// a 2-shard tree, so that the law's copy terms are exercised.
+func TestChaosCorruptCopiesLaw(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			opts := Options{Mode: ModeBus, ClientTimeout: chaosTimeout, Faults: &faults.Plan{Seed: 1, CorruptProb: 0.5, DupProb: 0.5}}
+			if shards > 0 {
+				opts.Topology, opts.LeafTimeout = Topology{Shards: shards}, chaosTimeout
+			}
+			opts.Recorder = obs.NewRecorder("chaos")
+			s, err := newService(chaosFedAvg(t, chaosEnv(t)), opts, testClock(ModeBus))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Run(3); err != nil {
+				t.Fatal(err)
+			}
+			fs := s.fstats.Snapshot()
+			copies, tierCopies := s.fstats.CorruptCopies()
+			if copies == 0 {
+				t.Fatalf("the plan duplicated no corrupted upload (%d corrupted, %d duplicated)", fs.Corrupts, fs.Dups)
+			}
+			checkCorruptLaw(t, opts.Recorder.Traces(), fs, copies, tierCopies)
 		})
 	}
 }

@@ -159,10 +159,45 @@ func runFaults(t *testing.T, algo fl.Algorithm, rounds int, opts Options) (*fl.H
 	}
 	defer s.Close()
 	hist, err := s.Run(rounds)
+	fs := s.fstats.Snapshot()
 	if opts.Mode != ModeTCP {
 		checkCohortLaw(t, s, opts.Recorder.Traces())
+		if err == nil {
+			copies, tierCopies := s.fstats.CorruptCopies()
+			checkCorruptLaw(t, opts.Recorder.Traces(), fs, copies, tierCopies)
+		}
 	}
-	return hist, s.fstats.Snapshot(), err
+	return hist, fs, err
+}
+
+// checkCorruptLaw holds a finished run to the corruption law. Every corrupt
+// envelope a collect reads in its own round is dropped as corrupt, and no
+// other envelope is. The plan delivers one corrupt envelope per corrupted
+// send, plus a second one when it also duplicated that send
+// (Stats.CorruptCopies: copies and tierCopies), so
+//
+//	Σ CorruptDropped = Corrupts + TierCorrupts + copies + tierCopies
+//
+// exactly when every corrupt delivery reaches a collect in its round. Two
+// kinds of delivery may not, and then the sum is only an upper bound: one an
+// injected delay holds past its round's deadline, and a digest's second
+// copy once the first wrote its shard off (the root stops awaiting a shard
+// it wrote off, so the copy lands in the next round as stale traffic).
+func checkCorruptLaw(t *testing.T, traces []obs.RoundTrace, fs faults.Snapshot, copies, tierCopies int64) {
+	t.Helper()
+	var dropped int64
+	for _, tr := range traces {
+		if r := tr.Robustness; r != nil {
+			dropped += int64(r.CorruptDropped)
+		}
+	}
+	delivered := fs.Corrupts + fs.TierCorrupts + copies + tierCopies
+	exact := fs.Delays == 0 && fs.TierDelays == 0 && tierCopies == 0
+	if dropped > delivered || exact && dropped != delivered {
+		t.Errorf("rounds dropped %d envelopes as corrupt; the plan delivered %d corrupt (%d uploads + %d copies, %d digests + %d copies), %s",
+			dropped, delivered, fs.Corrupts, copies, fs.TierCorrupts, tierCopies,
+			map[bool]string{true: "want all of them", false: "want at most that"}[exact])
+	}
 }
 
 // checkCohortLaw holds every round's Robustness record to the cohort law:

@@ -246,7 +246,9 @@ func (c *collector) collect() (report *roundReport, roundErr, err error) {
 // are validated — for one round (or flush, per noun) of the service. ref
 // returns the delta reference a client's upload decodes against: the round's
 // shared global, or the client's own retained one in a flush. sink receives
-// each surviving upload, in arrival order; a sink failure is an
+// each surviving upload, in arrival order, and with it the upload's params
+// vector, which the sink's holder returns (releaseParams); every rung that
+// drops a decoded upload returns its vector itself. A sink failure is an
 // algorithm-level error and aborts the round like a client-reported hook
 // failure. Registration traffic flows through the ladder too: hello/goodbye
 // envelopes arriving mid-round are queued into the registry (applied at the
@@ -279,6 +281,8 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 		derr := transport.Decode(e.Payload, &ru)
 		wire := e.WireSize()
 		e.Release() // Decode copied everything it keeps
+		// A rung that drops the upload returns its params vector with it.
+		defer func() { transport.ReleaseVector(ru.Payload.Params) }()
 		if derr != nil {
 			c.reject(&pl.corrupt, derr)
 			return
@@ -330,6 +334,9 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 			c.reject(&pl.corrupt, perr)
 			return
 		}
+		// p holds the raw vector, or the one a packed section unpacked into:
+		// the deferred release follows it from here.
+		ru.Payload.Params = p.Params
 		if codec == comm.CodecFloat64 {
 			ledger.AddUpload(wire)
 		} else {
@@ -340,6 +347,19 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 		}
 		if serr := sink(engine.Upload{Client: ru.Client, Payload: p}); serr != nil {
 			c.roundErr = serr
+			return
+		}
+		ru.Payload.Params = nil // the sink's holder returns it (releaseParams)
+	}
+}
+
+// releaseParams returns the params vectors uploads were decoded into to the
+// transport's list, once nothing reads them: the flat server's and the root's
+// after the round's Aggregate and close, a leaf's after its digest is encoded.
+func releaseParams(uploads []engine.Upload) {
+	for _, u := range uploads {
+		if u.Payload != nil {
+			transport.ReleaseVector(u.Payload.Params)
 		}
 	}
 }

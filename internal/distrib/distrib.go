@@ -373,6 +373,7 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 	})
 	report, roundErr, err := newCollector(s.clients, s.inboxes[0], t, cohort, rungs).collect()
 	if err != nil {
+		releaseParams(uploads)
 		return report, err
 	}
 	if roundErr == nil && s.opts.MinQuorum > 0 && len(uploads) < s.opts.MinQuorum {
@@ -390,6 +391,7 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 	}
 
 	end, roundErr, fatal := buildRoundEnd(t, s.runner.Codec(), bcast, roundErr)
+	releaseParams(uploads) // Aggregate is done and the broadcast encoded
 	if fatal != nil {
 		return report, fatal
 	}
@@ -566,6 +568,27 @@ type clientPeer struct {
 	rec    *obs.Recorder
 	opts   *Options
 	pl     *plane // the client plane
+	// vectors lends the round's hooks their upload vectors.
+	vectors vectorLease
+}
+
+// vectorLease hands out vectors from the transport's list and remembers
+// them, so that their borrower returns exactly the vectors it took.
+type vectorLease struct{ taken [][]float64 }
+
+func (l *vectorLease) take(n int) []float64 {
+	v := transport.Vector(n)
+	l.taken = append(l.taken, v)
+	return v
+}
+
+// release returns every vector taken since the last release.
+func (l *vectorLease) release() {
+	for i, v := range l.taken {
+		transport.ReleaseVector(v)
+		l.taken[i] = nil
+	}
+	l.taken = l.taken[:0]
 }
 
 // restart simulates a crash-restart. On TCP the connection is torn down and
@@ -640,7 +663,9 @@ func (p *clientPeer) round(t int) error {
 		return nil
 	}
 	hooks := p.runner.Hooks()
-	rc := p.runner.Context(t)
+	// The upload's vectors come from the transport's list, and go back with
+	// the decoded global's once the upload is sent.
+	rc := p.runner.Context(t).WithVectors(p.vectors.take)
 
 	var roundErr error
 	var endEnv *transport.Envelope
@@ -681,6 +706,7 @@ func (p *clientPeer) round(t int) error {
 			global, derr = startMsg.Global.ToPayload()
 		}
 		if derr != nil {
+			transport.ReleaseVector(startMsg.Global.Params)
 			if err := pl.reject(&pl.corrupt, derr); err != nil {
 				return err
 			}
@@ -707,7 +733,14 @@ func (p *clientPeer) round(t int) error {
 				ru.Payload = w
 			}
 		}
-		if serr := p.sendUpload(t, ru); serr != nil {
+		serr := p.sendUpload(t, ru)
+		// The upload is encoded: nothing reads the global's params (the delta
+		// reference included) or the upload's own vectors any more.
+		if global != nil {
+			transport.ReleaseVector(global.Params)
+		}
+		p.vectors.release()
+		if serr != nil {
 			if !pl.strict && errors.Is(serr, faults.ErrTransient) {
 				// The upload was lost to chaos after exhausting retries;
 				// the server's deadline covers the gap.

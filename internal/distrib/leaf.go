@@ -53,6 +53,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 		// The envelope arrived but was unusable; without a cohort the leaf can
 		// only digest the failure so the root aborts the round, then consume
 		// the close the root still fans.
+		releaseRefs(sa)
 		s.sendDigest(t, shard, &transport.ShardDigest{Round: t, Shard: shard, Err: assignErr.Error()})
 		_, _ = awaitShardEnd(shard, t, up)
 		return assignErr
@@ -83,6 +84,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 		rungs := s.uploadLadder(roundNoun(runner.Async() != nil), assignRef(sa), part.Insert)
 		report, roundErr, fatal = newCollector(s.clients, rx, t, cohort, rungs).collect()
 	}
+	releaseRefs(sa) // every upload is decoded
 	if report == nil {
 		report = &roundReport{missing: cohort}
 	}
@@ -95,6 +97,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 	d := buildDigest(t, shard, part, report, digestErr)
 	stop()
 	s.sendDigest(t, shard, d)
+	releaseParams(part.Uploads) // the digest is encoded
 
 	se, seErr := awaitShardEnd(shard, t, up)
 	var end frame
@@ -166,6 +169,15 @@ func assignRef(sa *transport.ShardAssign) func(client int) []float64 {
 			return ref
 		}
 		return sa.Ref
+	}
+}
+
+// releaseRefs returns the delta references sa decoded into, once the shard's
+// uploads no longer decode against them.
+func releaseRefs(sa *transport.ShardAssign) {
+	transport.ReleaseVector(sa.Ref)
+	for _, cs := range sa.Clients {
+		transport.ReleaseVector(cs.Ref)
 	}
 }
 

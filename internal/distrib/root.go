@@ -86,6 +86,13 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	}
 
 	digests := make([]*transport.ShardDigest, shards)
+	// The merged uploads hold the digests' params vectors: they go back once
+	// Aggregate is done and the close is sent.
+	defer func() {
+		for _, d := range digests {
+			releaseDigest(d)
+		}
+	}()
 	heard, _, err := r.collector(t, r.digestLadder(digests)).collect()
 	if err != nil {
 		return nil, err
@@ -182,6 +189,12 @@ func (r *root) digestLadder(digests []*transport.ShardDigest) ladder {
 		var d transport.ShardDigest
 		derr := transport.Decode(e.Payload, &d)
 		e.Release()
+		filed := false
+		defer func() {
+			if !filed {
+				releaseDigest(&d)
+			}
+		}()
 		if derr != nil {
 			c.rejectFrom(e.From, &pl.corrupt, derr)
 			return
@@ -199,8 +212,19 @@ func (r *root) digestLadder(digests []*transport.ShardDigest) ladder {
 			return
 		}
 		c.accept(d.Shard)
-		digests[d.Shard] = &d
+		digests[d.Shard], filed = &d, true
 		r.note(d.Shard, func(h *ShardHealth) { h.LastDigestRound = c.t })
+	}
+}
+
+// releaseDigest returns the params vectors d's uploads decoded into; a nil d
+// holds none.
+func releaseDigest(d *transport.ShardDigest) {
+	if d == nil {
+		return
+	}
+	for i := range d.Uploads {
+		transport.ReleaseVector(d.Uploads[i].Payload.Params)
 	}
 }
 

@@ -272,6 +272,9 @@ func (p *Plan) LeafCrashesAt(leaf, round int) bool { return p.crashesAt(tierPlan
 type Stats struct {
 	mu sync.Mutex
 	n  [numPlanes][numFaults]int64
+	// copies counts a corrupted send's second delivery, when the plan also
+	// duplicated it.
+	copies [numPlanes]int64
 }
 
 func (s *Stats) count(pl plane, f fault) {
@@ -280,6 +283,27 @@ func (s *Stats) count(pl plane, f fault) {
 	}
 	s.mu.Lock()
 	s.n[pl][f]++
+	s.mu.Unlock()
+}
+
+// CorruptCopies returns how many corrupted sends of each plane the plan also
+// duplicated: each delivered a second corrupt envelope. Snapshot's Dups and
+// TierDups already count them as duplicates.
+func (s *Stats) CorruptCopies() (clients, tier int64) {
+	if s == nil {
+		return 0, 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.copies[clientPlane], s.copies[tierPlane]
+}
+
+func (s *Stats) countCopy(pl plane) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.copies[pl]++
 	s.mu.Unlock()
 }
 
@@ -457,6 +481,9 @@ func (c *Conn) Send(e *transport.Envelope) error {
 		return err
 	}
 	if hit(dupFault) {
+		if out != e {
+			c.stats.countCopy(c.plane)
+		}
 		return inner.Send(out)
 	}
 	return nil

@@ -93,6 +93,12 @@ type Upload struct {
 // prototypes) is written only in Aggregate, which runs alone. The engine
 // provides the happens-before edges.
 //
+// Ownership contract: a hook reads a payload's Params only during the call
+// that hands it over. internal/distrib reuses the global's Params once the
+// client's upload is sent, the upload's (drawn from RoundContext.Vector)
+// likewise, and every upload's once Aggregate returns — so a hook that needs
+// parameters later copies them (FedAvg's next global is a new vector).
+//
 // Observability contract: the engine spans client_train around LocalUpdate,
 // client_public around Digest, and eval around Eval. Server-side hooks span
 // their own interior phases (aggregate, filter, server_train) via
@@ -149,6 +155,28 @@ type Hooks interface {
 type RoundContext struct {
 	r     *Runner
 	round int
+	// vectors backs Vector; nil means a new slice each call.
+	vectors func(n int) []float64
+}
+
+// WithVectors returns a copy of rc whose Vector draws from src instead of
+// allocating. internal/distrib passes a lease on the transport's vector list,
+// and returns the leased vectors once the upload built from them is sent.
+func (rc *RoundContext) WithVectors(src func(n int) []float64) *RoundContext {
+	out := *rc
+	out.vectors = src
+	return &out
+}
+
+// Vector returns a vector of length n for a hook to fill completely and
+// upload — a flattened model. Its contents are unspecified. The hook must not
+// keep it past the call: its driver may reuse it once the upload is on the
+// wire. The in-process engine allocates it.
+func (rc *RoundContext) Vector(n int) []float64 {
+	if rc.vectors != nil {
+		return rc.vectors(n)
+	}
+	return make([]float64, n)
 }
 
 // Round returns the round index t.

@@ -89,11 +89,20 @@ func ParamCount(params []*Param) int {
 // order. Used for FedAvg-style weight transfer and the FedProx proximal
 // term.
 func FlattenParams(params []*Param) []float64 {
-	flat := make([]float64, 0, ParamCount(params))
-	for _, p := range params {
-		flat = append(flat, p.Value.Data...)
+	return FlattenParamsInto(make([]float64, ParamCount(params)), params)
+}
+
+// FlattenParamsInto is FlattenParams into dst, which must hold exactly
+// ParamCount(params) values; it returns dst.
+func FlattenParamsInto(dst []float64, params []*Param) []float64 {
+	if len(dst) != ParamCount(params) {
+		panic(fmt.Sprintf("nn: FlattenParamsInto got %d values, want %d", len(dst), ParamCount(params)))
 	}
-	return flat
+	off := 0
+	for _, p := range params {
+		off += copy(dst[off:], p.Value.Data)
+	}
+	return dst
 }
 
 // SetFlatParams writes a flat vector (as produced by FlattenParams for a

@@ -199,8 +199,11 @@ func EncodedSize(v any) (int, error) {
 // message types, replacing whatever v held. It checks the version byte, the
 // tag against v's type and the CRC trailer before reading the body, checks
 // every count against the bytes remaining before allocating for it, and
-// allocates each vector and byte section once. On error *v is unspecified.
-// Decode checks framing only: a decoded message still has to pass Validate.
+// allocates each vector and byte section once. Params and Ref vectors come
+// from the transport's vector list (frames.go): their holder returns them
+// with ReleaseVector. Decode copies and aliases nothing of payload. On error
+// *v is unspecified, though the vectors it took are set in it. Decode checks
+// framing only: a decoded message still has to pass Validate.
 func Decode(payload []byte, v any) error {
 	var r reader
 	switch m := v.(type) {
@@ -358,9 +361,7 @@ func putFloats(b []byte, v []float64) []byte {
 	if w == 8 {
 		off := len(b)
 		b = b[:off+8*len(v)]
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(x))
-		}
+		putWords(b[off:], v)
 		return b
 	}
 	for _, x := range v {
@@ -369,6 +370,42 @@ func putFloats(b []byte, v []float64) []byte {
 		}
 	}
 	return b
+}
+
+// putWords writes v as 8-byte little-endian IEEE words into dst, which holds
+// exactly 8·len(v) bytes: four elements a step, so the bounds checks run
+// once per four words rather than once per word.
+func putWords(dst []byte, v []float64) {
+	i := 0
+	for ; len(dst) >= 32 && i+4 <= len(v); i += 4 {
+		x := v[i : i+4 : i+4]
+		binary.LittleEndian.PutUint64(dst[0:8], math.Float64bits(x[0]))
+		binary.LittleEndian.PutUint64(dst[8:16], math.Float64bits(x[1]))
+		binary.LittleEndian.PutUint64(dst[16:24], math.Float64bits(x[2]))
+		binary.LittleEndian.PutUint64(dst[24:32], math.Float64bits(x[3]))
+		dst = dst[32:]
+	}
+	for ; i < len(v) && len(dst) >= 8; i++ {
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(v[i]))
+		dst = dst[8:]
+	}
+}
+
+// getWords is putWords' inverse: it reads len(out) 8-byte words from src.
+func getWords(out []float64, src []byte) {
+	i := 0
+	for ; len(src) >= 32 && i+4 <= len(out); i += 4 {
+		o := out[i : i+4 : i+4]
+		o[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		o[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+		o[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+		o[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+		src = src[32:]
+	}
+	for ; i < len(out) && len(src) >= 8; i++ {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
+	}
 }
 
 func putInt32s(b []byte, v []int32) []byte {
@@ -528,7 +565,14 @@ func (r *reader) string() string {
 	return s
 }
 
-func (r *reader) floats() []float64 {
+// floats reads a float64 vector into a new slice; vector reads a Params or
+// Ref vector into one from the transport's vector list.
+func (r *reader) floats() []float64 { return r.floatsFrom(nil) }
+func (r *reader) vector() []float64 { return r.floatsFrom(&vectorList) }
+
+// floatsFrom reads a float64 vector into a slice from list, or a new one
+// when list is nil. A vector that fails the canonical-width check goes back.
+func (r *reader) floatsFrom(list *freeList[float64]) []float64 {
 	n := r.count(1)
 	if n == 0 {
 		return nil
@@ -542,13 +586,16 @@ func (r *reader) floats() []float64 {
 		r.fail(fmt.Errorf("%w: %d floats of %d bytes in %d remaining", ErrTruncated, n, w, len(r.b)-r.off))
 		return nil
 	}
-	out := make([]float64, n)
+	var out []float64
+	if list != nil {
+		out = list.get(n)
+	} else {
+		out = make([]float64, n)
+	}
 	src := r.b[r.off : r.off+w*n]
 	r.off += w * n
 	if w == 8 {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
+		getWords(out, src)
 	} else {
 		for i := range out {
 			var u uint64
@@ -558,8 +605,11 @@ func (r *reader) floats() []float64 {
 			out[i] = math.Float64frombits(u << (8 * (8 - w)))
 		}
 	}
-	if floatWidth(out) != w {
-		r.fail(fmt.Errorf("%w: %d-byte floats that fit %d", ErrMalformed, w, floatWidth(out)))
+	if fw := floatWidth(out); fw != w {
+		r.fail(fmt.Errorf("%w: %d-byte floats that fit %d", ErrMalformed, w, fw))
+		if list != nil {
+			list.put(out)
+		}
 		return nil
 	}
 	return out
@@ -635,7 +685,7 @@ func (w *WirePayload) get(r *reader) {
 	w.ProtoCounts = r.int32s()
 	w.ProtoDim = r.int()
 	w.ProtoValues = r.floats()
-	w.Params = r.floats()
+	w.Params = r.vector()
 	w.ParamsCounted = r.int()
 	w.NumSamples = r.int()
 	w.LogitsEnc = r.bytes()
@@ -725,7 +775,7 @@ func (cs *ClientStart) get(r *reader) {
 	cs.HasGlobal = r.flags(1) != 0
 	cs.StartRaw = r.int()
 	cs.Start = r.bytes()
-	cs.Ref = r.floats()
+	cs.Ref = r.vector()
 }
 
 func (sa *ShardAssign) size() int {
@@ -757,7 +807,7 @@ func (sa *ShardAssign) get(r *reader) {
 	sa.HasGlobal = r.flags(1) != 0
 	sa.StartRaw = r.int()
 	sa.Start = r.bytes()
-	sa.Ref = r.floats()
+	sa.Ref = r.vector()
 	if n := r.count(clientStartMin); n > 0 {
 		sa.Clients = make([]ClientStart, n)
 		for i := range sa.Clients {

@@ -225,6 +225,20 @@ func TestFloatVectorWidths(t *testing.T) {
 			width int
 		}{[]float64{0, math.Float64frombits(0x01 << (8 * (8 - w)))}, w})
 	}
+	// Full-width vectors of every length up to two four-word steps and a
+	// tail, odd bit patterns included: the 8-byte path moves four words a step.
+	odd := []float64{math.Float64frombits(0x7ff8_dead_beef_0001), math.Copysign(0, -1), 5e-324, -math.MaxFloat64}
+	for n := 1; n <= 9; n++ {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = odd[i%len(odd)] + float64(i)*0.1
+		}
+		vals[0] = 0.1
+		cases = append(cases, struct {
+			vals  []float64
+			width int
+		}{vals, 8})
+	}
 	for _, tc := range cases {
 		if got := floatWidth(tc.vals); got != tc.width {
 			t.Errorf("floatWidth(%v) = %d, want %d", tc.vals, got, tc.width)
@@ -434,7 +448,9 @@ func heapOf(v reflect.Value) (parts, bytes int) {
 
 // TestCodecAllocs gates the copy discipline: Encode allocates the output
 // buffer and nothing else; Decode allocates each vector, section and string
-// once and nothing else.
+// once and nothing else, except the Params and Ref vectors, which it takes
+// from the vector list — so a decode whose holder releases them (as every
+// receiver does) allocates none of them in steady state.
 func TestCodecAllocs(t *testing.T) {
 	params := make([]float64, 4096)
 	ru := RoundUpload{Round: 2, Client: 1, HasPayload: true, Payload: WirePayload{Params: params, NumSamples: 10}}
@@ -448,8 +464,12 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}
 	var out RoundUpload
-	if n := testing.AllocsPerRun(50, func() { _ = Decode(sink, &out) }); n != 1 {
-		t.Errorf("Decode(RoundUpload with params only) made %v allocations, want 1", n)
+	decodeRelease := func() {
+		_ = Decode(sink, &out)
+		ReleaseVector(out.Payload.Params)
+	}
+	if n := testing.AllocsPerRun(50, decodeRelease); n != 0 {
+		t.Errorf("Decode(RoundUpload with params only) then release made %v allocations, want 0", n)
 	}
 	for _, c := range wireCodecs {
 		for _, msg := range codecMessages(t, c) {
@@ -459,12 +479,65 @@ func TestCodecAllocs(t *testing.T) {
 			}
 			target := reflect.New(reflect.TypeOf(msg)).Interface()
 			parts, _ := heapOf(reflect.ValueOf(msg))
-			limit := float64(parts)
-			if n := testing.AllocsPerRun(20, func() { _ = Decode(enc, target) }); n > limit {
-				t.Errorf("%s: Decode(%T) made %v allocations for %v vectors and sections", c, msg, n, limit)
+			vectors := 0
+			listVectors(reflect.ValueOf(msg), func([]float64) { vectors++ })
+			limit := float64(parts - vectors)
+			decodeRelease := func() {
+				_ = Decode(enc, target)
+				releaseDecoded(target)
+			}
+			if n := testing.AllocsPerRun(20, decodeRelease); n > limit {
+				t.Errorf("%s: Decode(%T) then release made %v allocations for %v vectors and sections off the list", c, msg, n, limit)
 			}
 			if n := testing.AllocsPerRun(20, func() { sink, _ = Encode(target) }); n != 1 {
 				t.Errorf("%s: Encode(%T) made %v allocations, want 1", c, target, n)
+			}
+		}
+	}
+}
+
+// releaseDecoded returns every list vector of a decoded message, as its
+// receiver would (listVectors is the same walk, by reflection, but boxing a
+// slice allocates).
+func releaseDecoded(v any) {
+	switch m := v.(type) {
+	case *RoundStart:
+		ReleaseVector(m.Global.Params)
+	case *RoundUpload:
+		ReleaseVector(m.Payload.Params)
+	case *RoundEnd:
+		ReleaseVector(m.Broadcast.Params)
+	case *ShardAssign:
+		ReleaseVector(m.Ref)
+		for i := range m.Clients {
+			ReleaseVector(m.Clients[i].Ref)
+		}
+	case *ShardDigest:
+		for i := range m.Uploads {
+			ReleaseVector(m.Uploads[i].Payload.Params)
+		}
+	case *WirePayload:
+		ReleaseVector(m.Params)
+	}
+}
+
+// listVectors calls visit on every non-empty Params and Ref vector of a
+// message: the vectors Decode takes from the vector list.
+func listVectors(v reflect.Value, visit func([]float64)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if (f.Name == "Params" || f.Name == "Ref") && v.Field(i).Len() > 0 {
+				visit(v.Field(i).Interface().([]float64))
+				continue
+			}
+			listVectors(v.Field(i), visit)
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Struct {
+			for i := 0; i < v.Len(); i++ {
+				listVectors(v.Index(i), visit)
 			}
 		}
 	}

@@ -1,12 +1,18 @@
 package transport
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// Frame buffers. Every payload the transport hands out — an envelope Recv
-// read off a socket, the receiver's copy a bus Send makes, a message
-// Envelope.Encode writes — lives in a buffer from one process-wide free list,
-// and Envelope.Release gives it back. The ownership contract that makes the
-// reuse safe:
+// Owned buffers. The transport keeps two process-wide free lists of the same
+// type: frames, the bytes every envelope payload lives in, and vectors, the
+// float64 slices every Params section decodes into.
+//
+// Frames. Every payload the transport hands out — an envelope Recv read off
+// a socket, the receiver's copy a bus Send makes, a message Envelope.Encode
+// writes — lives in a buffer from the frame list, and Envelope.Release gives
+// it back. The ownership contract that makes the reuse safe:
 //
 //   - Conn.Send borrows e.Payload for the length of the call. Once Send
 //     returns, the sender may reuse, scribble on or Release the bytes; a
@@ -15,58 +21,99 @@ import "sync"
 //     every section out of the payload, so a consumer releases right after
 //     Decode, and releases an envelope it drops unread at once.
 //
-// A missed Release costs one allocation later and is never a correctness
-// bug: the garbage collector reclaims the buffer. A Release too early is: the
-// next Recv may read a stranger's frame into the bytes.
+// Vectors. Decode takes every Params and Ref vector from the vector list,
+// and ToPayloadRef decodes a packed params section into one; Vector lends
+// one to a caller that fills it itself. Whoever holds such a vector returns
+// it with ReleaseVector once nothing reads it any more.
 //
-// The list is a LIFO of at most frameListCap buffers. It is bounded because
-// the garbage collector counts every buffer it retains as live heap and paces
-// the next cycle from it: a longer list allocates less and holds more
-// resident set. DESIGN §4 has the cap sweep.
-const frameListCap = 8
+// A missed release costs one allocation later and is never a correctness
+// bug: the garbage collector reclaims the buffer. A release too early is:
+// the next Recv may read a stranger's frame into the bytes, the next decode
+// a stranger's parameters into the vector.
+//
+// Each list is a LIFO of at most its cap buffers. It is bounded because the
+// garbage collector counts every buffer it retains as live heap and paces the
+// next cycle from it: a longer list allocates less and holds more resident
+// set. DESIGN §4 has both cap sweeps.
+const (
+	frameListCap  = 8
+	vectorListCap = 32
+)
 
-var frameList struct {
+var (
+	frameList  = freeList[byte]{max: frameListCap, poison: 0xFF}
+	vectorList = freeList[float64]{max: vectorListCap, poison: math.Float64frombits(^uint64(0))}
+)
+
+// freeList is a bounded LIFO of reusable buffers.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free [][]byte // each with len 0; the most recently returned last
+	free [][]T // each with len 0; the most recently returned last
+	max  int
+	// poison is what a build with the poisonrelease tag overwrites every
+	// returned buffer with (all bits set: 0xFF bytes, NaN floats), so a read
+	// after an early release shows in the results.
+	poison T
 }
 
-// getFrame returns a buffer of length n: the most recently returned free
-// buffer with room for n bytes, or a new one. Its contents are unspecified.
-func getFrame(n int) []byte {
+// get returns a buffer of length n: the most recently returned free buffer
+// with room for n elements, or a new one. Its contents are unspecified.
+func (l *freeList[T]) get(n int) []T {
 	if n == 0 {
-		return []byte{}
+		return []T{}
 	}
-	frameList.mu.Lock()
-	free := frameList.free
+	l.mu.Lock()
+	free := l.free
 	for i := len(free) - 1; i >= 0; i-- {
 		if b := free[i]; cap(b) >= n {
-			frameList.free = append(free[:i], free[i+1:]...)
-			frameList.mu.Unlock()
+			l.free = append(free[:i], free[i+1:]...)
+			l.mu.Unlock()
 			return b[:n]
 		}
 	}
-	frameList.mu.Unlock()
-	return make([]byte, n)
+	l.mu.Unlock()
+	return make([]T, n)
 }
 
-// putFrame returns b to the list; a full list lets the collector have it. A
-// buffer already on the list is not added twice.
-func putFrame(b []byte) {
+// put returns b to the list. A full list lets the collector have its oldest
+// buffer, so that the list follows the sizes in use: a list full of small
+// buffers would otherwise turn every large one away. A buffer already on the
+// list is not added twice.
+func (l *freeList[T]) put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	frameList.mu.Lock()
-	defer frameList.mu.Unlock()
-	if len(frameList.free) == frameListCap {
-		return
+	if poisonReleased {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = l.poison
+		}
 	}
-	for _, f := range frameList.free {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, f := range l.free {
 		if &f[:1][0] == &b[:1][0] {
 			return
 		}
 	}
-	frameList.free = append(frameList.free, b[:0])
+	if len(l.free) == l.max {
+		n := copy(l.free, l.free[1:])
+		l.free[n] = nil
+		l.free = l.free[:n]
+	}
+	l.free = append(l.free, b[:0])
 }
+
+// Vector returns a vector of length n from the transport's vector list, for
+// a caller that overwrites every element (a parameter flatten). Its contents
+// are unspecified. Return it with ReleaseVector once nothing reads it.
+func Vector(n int) []float64 { return vectorList.get(n) }
+
+// ReleaseVector returns v — a vector from Vector, or a Params or Ref vector
+// Decode or ToPayloadRef produced — to the vector list. Release only a vector
+// no one reads any more: its next holder overwrites it. A nil or empty v,
+// or one already on the list, is a no-op.
+func ReleaseVector(v []float64) { vectorList.put(v) }
 
 // Release returns the buffer e's payload lives in to the transport's free
 // list and clears Payload. It is a no-op on an envelope that owns no buffer
@@ -76,7 +123,7 @@ func (e *Envelope) Release() {
 	if e == nil || e.buf == nil {
 		return
 	}
-	putFrame(e.buf)
+	frameList.put(e.buf)
 	e.buf, e.Payload = nil, nil
 }
 
@@ -85,7 +132,7 @@ func (e *Envelope) Release() {
 // buffer e owned before. The bytes are exactly Encode(v)'s. e owns the buffer
 // until Release; the caller releases it after its last Send.
 func (e *Envelope) Encode(v any) error {
-	b, err := encode(v, getFrame)
+	b, err := encode(v, frameList.get)
 	if err != nil {
 		return err
 	}
@@ -100,7 +147,7 @@ func (e *Envelope) copyFrom(src []byte) {
 	if src == nil {
 		return
 	}
-	e.buf = getFrame(len(src))
+	e.buf = frameList.get(len(src))
 	e.Payload = e.buf
 	copy(e.Payload, src)
 }

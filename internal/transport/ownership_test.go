@@ -75,10 +75,11 @@ func TestSendBorrowsPayload(t *testing.T) {
 // path, with no clock in it. A trip is one FedAvg-sized float64raw upload
 // (17 000 params, the size wire_tcp_flat's model sends) encoded into an
 // envelope, sent over loopback TCP, received, decoded and released on both
-// ends. Without the free list a trip allocates three payloads — the encoded
-// frame, the read buffer and the decoded vector; with it only the decoded
-// vector remains, so a trip must stay under 1.5 payloads. A Release missing
-// from either end shows up here as a whole extra payload per trip.
+// ends, the decoded params vector included. Without the free lists a trip
+// allocates three payloads — the encoded frame, the read buffer and the
+// decoded vector; with them a steady-state trip reuses all three, so it must
+// stay under 0.1 payloads. A Release or ReleaseVector missing from either end
+// shows up here as a whole extra payload per trip.
 func TestTCPUploadRoundTripAllocs(t *testing.T) {
 	client, server := loopbackPair(t)
 	params := make([]float64, 17_000)
@@ -93,6 +94,7 @@ func TestTCPUploadRoundTripAllocs(t *testing.T) {
 
 	sent := make(chan error, 1)
 	var got transport.RoundUpload
+	intact := true
 	trip := func() {
 		go func() {
 			e := &transport.Envelope{Kind: transport.KindUpload, From: 0, To: -1, Round: 1}
@@ -112,12 +114,15 @@ func TestTCPUploadRoundTripAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		v := got.Payload.Params
+		intact = intact && len(v) == len(params) && v[0] == params[0] && v[len(v)-1] == params[len(params)-1]
+		transport.ReleaseVector(v)
 		if err := <-sent; err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	for i := 0; i < 5; i++ { // warm-up: the list fills
+	for i := 0; i < 5; i++ { // warm-up: the lists fill
 		trip()
 	}
 	const trips = 50
@@ -129,12 +134,12 @@ func TestTCPUploadRoundTripAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perTrip := float64(after.TotalAlloc-before.TotalAlloc) / trips
 	t.Logf("%.3f payloads of %d bytes allocated per trip", perTrip/float64(size), size)
-	if perTrip >= 1.5*float64(size) {
-		t.Errorf("a round trip allocates %.0f bytes, %.2f payloads of %d bytes; want < 1.5 (only the decoded vector)",
+	if perTrip >= 0.1*float64(size) {
+		t.Errorf("a round trip allocates %.0f bytes, %.2f payloads of %d bytes; want < 0.1 (frames and the decoded vector reused)",
 			perTrip, perTrip/float64(size), size)
 	}
-	if len(got.Payload.Params) != len(params) || got.Payload.Params[len(params)-1] != params[len(params)-1] {
-		t.Fatalf("the last trip decoded %d params, want %d intact", len(got.Payload.Params), len(params))
+	if !intact {
+		t.Fatalf("a trip decoded params that differ from the %d sent", len(params))
 	}
 }
 

@@ -405,8 +405,12 @@ func (w *WirePayload) ToPayload() (*engine.Payload, error) {
 // global params as both ends decoded them). A delta section without a
 // matching reference fails with comm.ErrSectionRef — an error, never a
 // panic or a silently wrong vector. The returned payload takes over w's raw
-// float slices (and the one vector a packed section decodes to) instead of
-// copying them: w is spent once it has been converted.
+// float slices instead of copying them: w is spent once it has been
+// converted. A packed params section decodes into a vector from the
+// transport's vector list, as Decode does a raw one, so the returned Params
+// of a decoded w is a list vector either way, for its holder to return with
+// ReleaseVector. On error a packed section's vector is back on the list and
+// w's raw Params is still w's.
 func (w *WirePayload) ToPayloadRef(ref []float64) (*engine.Payload, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -449,8 +453,9 @@ func (w *WirePayload) ToPayloadRef(ref []float64) (*engine.Payload, error) {
 		p.Protos = s
 	}
 	if len(w.ParamsEnc) > 0 {
-		vals, _, err := comm.DecodeSection(w.ParamsEnc, 1, w.ParamsN, ref)
-		if err != nil {
+		vals := vectorList.get(w.ParamsN)
+		if _, err := comm.DecodeSectionInto(vals, w.ParamsEnc, 1, w.ParamsN, ref); err != nil {
+			vectorList.put(vals)
 			return nil, fmt.Errorf("transport: decode params: %w", err)
 		}
 		p.Params = vals

@@ -157,9 +157,9 @@ func readEnvelope(r io.Reader, hdr *[EnvelopeHeaderSize]byte) (*Envelope, error)
 	if n > maxPayload {
 		return nil, fmt.Errorf("%w: length prefix %d, limit %d", ErrPayloadTooLarge, n, maxPayload)
 	}
-	payload := getFrame(int(n))
+	payload := frameList.get(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
-		putFrame(payload)
+		frameList.put(payload)
 		return nil, fmt.Errorf("transport: read payload: %w", err)
 	}
 	return &Envelope{

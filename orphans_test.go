@@ -14,16 +14,17 @@ import (
 // ending in "*" covers every declaration of its package with that prefix.
 // Production code never belongs here; delete it instead.
 var orphanAllowlist = map[string]string{
-	"internal/tensor.ref*":          "naive GEMM oracles of the tensor equivalence, property and fuzz suites (reference.go)",
-	"internal/tensor.MatMul":        "allocating NN form the tensor matmul, property and pool tests compare against",
-	"internal/tensor.MatMulTN":      "allocating TN form of TestMatMulTNMatchesExplicitTranspose and the tensor properties",
-	"internal/tensor.MatMulNT":      "allocating NT form of TestMatMulNTMatchesExplicitTranspose and the tensor properties",
-	"internal/tensor.Transpose":     "explicit-transpose oracle of TestPackedNTIsTransposePlusNN and the transpose properties",
-	"internal/tensor.TransposeInto": "subject of TestEquivalenceTranspose, the kernel under Transpose",
-	"internal/tensor.FromRows":      "literal matrices of the tensor, nn, kd, proto, dataset and filter unit tests",
-	"internal/tensor.Matrix.Equal":  "tolerance comparison most packages' tests assert with",
-	"internal/nn.CaptureState":      "reference encoder of TestModelSectionMatchesCaptureState and the lane and state tests",
-	"internal/ckpt.Read":            "in-memory container reader of FuzzRead and the ckpt, nn and engine tests; runs read files (ReadFile)",
+	"internal/tensor.ref*":                "naive GEMM oracles of the tensor equivalence, property and fuzz suites (reference.go)",
+	"internal/tensor.MatMul":              "allocating NN form the tensor matmul, property and pool tests compare against",
+	"internal/tensor.MatMulTN":            "allocating TN form of TestMatMulTNMatchesExplicitTranspose and the tensor properties",
+	"internal/tensor.MatMulNT":            "allocating NT form of TestMatMulNTMatchesExplicitTranspose and the tensor properties",
+	"internal/tensor.Transpose":           "explicit-transpose oracle of TestPackedNTIsTransposePlusNN and the transpose properties",
+	"internal/tensor.TransposeInto":       "subject of TestEquivalenceTranspose, the kernel under Transpose",
+	"internal/tensor.FromRows":            "literal matrices of the tensor, nn, kd, proto, dataset and filter unit tests",
+	"internal/tensor.Matrix.Equal":        "tolerance comparison most packages' tests assert with",
+	"internal/nn.CaptureState":            "reference encoder of TestModelSectionMatchesCaptureState and the lane and state tests",
+	"internal/ckpt.Read":                  "in-memory container reader of FuzzRead and the ckpt, nn and engine tests; runs read files (ReadFile)",
+	"internal/faults.Stats.CorruptCopies": "the copy terms of the corruption law every bus chaos test checks (distrib's checkCorruptLaw)",
 }
 
 // stdInterfaceMethods are method names the standard library calls through

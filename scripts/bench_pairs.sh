@@ -13,8 +13,12 @@
 #
 # The seed defaults to the clock, i.e. one not used while writing the change;
 # it is printed so a run can be repeated. Everything the script writes stays
-# under .bench_build/pairs/ (the parent's files, both builds, one result line
-# per run). `make bench-pairs` wraps this; it is not part of scripts/check.sh.
+# under .bench_build/pairs/: the parent's files with their own build cache,
+# unpacked again only when <parent-ref>'s tree differs from the one unpacked
+# last (so later calls against the same parent skip its cold build), and one
+# result line per run under runs/<workload>-<seed>/, which later calls with
+# another workload or seed leave in place. `make bench-pairs` wraps this; it
+# is not part of scripts/check.sh.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 4 ]; then
@@ -29,11 +33,20 @@ seed=${4:-$(date +%s)}
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 work=$root/.bench_build/pairs
 parent=$work/parent
-runs=$work/runs
-rm -rf "$runs" "$parent"
-mkdir -p "$runs" "$parent"
+runs=$work/runs/$workload-$seed
+rm -rf "$runs"
+mkdir -p "$runs"
 
-git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
+# The stamp holds the tree hash of the last unpacked parent; the parent's
+# .bench_build (its Go cache and binary) survives as long as the tree does.
+tree=$(git -C "$root" rev-parse "$parent_ref^{tree}")
+stamp=$work/parent.tree
+if [ ! -f "$stamp" ] || [ "$(cat "$stamp")" != "$tree" ] || [ ! -d "$parent" ]; then
+    rm -rf "$parent" "$stamp"
+    mkdir -p "$parent"
+    git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
+    echo "$tree" >"$stamp"
+fi
 if [ ! -f "$parent/bench/run.sh" ]; then
     echo "$parent_ref has no bench/run.sh: the parent must carry the same benchmark" >&2
     exit 1

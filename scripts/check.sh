@@ -59,6 +59,18 @@ go test -race -count=5 -run 'Checkpoint|Resume|TraceBytes' ./internal/fl/engine 
 echo ">> go test -race -count=5 -run 'Borrow|Release|Alloc' (transport buffer handoffs: pump read-ahead, collect loop, fan-out, bus copy)"
 go test -race -count=5 -run 'Borrow|Release|Alloc' ./internal/transport ./internal/distrib
 
+# Params vectors are owned too (internal/transport/frames.go): a client
+# returns its decoded global and its upload's vectors once the upload is
+# sent, the flat server and the root their uploads' after Aggregate, a leaf
+# its uploads' after its digest is encoded. Built with -tags poisonrelease,
+# every released frame and vector is overwritten with set bits first, so a
+# buffer still read after its release hands its reader NaNs or a bad CRC
+# whether or not the list reuses it: the goldens, the tree ≡ flat suites and
+# FedAvg, FedProx and FedDF against their in-process twins (bus and TCP,
+# flat and 2-shard tree, float64raw and int8, async) then fail.
+echo ">> go test -tags poisonrelease -race -count=3 (released frames and vectors poisoned: goldens, tree, in-process twins)"
+go test -tags poisonrelease -race -count=3 -run 'Borrow|Release|Alloc|Golden|MatchesInProcess|TreeMatchesFlat|TreeCompact|Async' ./internal/transport ./internal/distrib .
+
 # Every connection's pump pushes into the inbox of the collector that consumes
 # it, so an inbox has several producers and is closed only after every one of
 # them has exited; a pump that sent on a closed inbox would panic, and one
