@@ -46,3 +46,21 @@ func flattenUpload(rc *engine.RoundContext, net *nn.Network) []float64 {
 	params := net.Params()
 	return nn.FlattenParamsInto(rc.Vector(nn.ParamCount(params)), params)
 }
+
+// weightedMean writes the sample-weighted mean of the uploads' params (Eq. 1)
+// into dst, which must hold one value per parameter, and returns it.
+func weightedMean(dst []float64, uploads []engine.Upload) []float64 {
+	clear(dst)
+	var totalSamples float64
+	for _, u := range uploads {
+		w := float64(u.Payload.NumSamples)
+		for i, v := range u.Payload.Params {
+			dst[i] += w * v
+		}
+		totalSamples += w
+	}
+	for i := range dst {
+		dst[i] /= totalSamples
+	}
+	return dst
+}

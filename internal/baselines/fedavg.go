@@ -70,6 +70,7 @@ func NewFedAvg(cfg FedAvgConfig) (*FedAvg, error) {
 		opts:    opts,
 		evalNet: evalNet,
 		global:  nn.FlattenParams(evalNet.Params()),
+		spare:   make([]float64, evalNet.ParamCount()),
 	}
 	runner, err := engine.NewRunner(h, cfg.Common)
 	if err != nil {
@@ -96,7 +97,11 @@ type fedAvgHooks struct {
 	opts    []nn.Optimizer
 	// evalNet holds the global weights for server-side evaluation.
 	evalNet *nn.Network
-	global  []float64
+	// global is the current global vector; GlobalState hands it out
+	// uncopied. spare is the one Aggregate averages into before the two
+	// swap, so each vector holds one global for two rounds (see
+	// Aggregate).
+	global, spare []float64
 }
 
 var _ engine.Hooks = (*fedAvgHooks)(nil)
@@ -133,21 +138,16 @@ func (h *fedAvgHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine
 
 // Aggregate implements engine.Hooks: the sample-weighted average (Eq. 1).
 // No broadcast — the averaged weights reach clients via GlobalState.
+//
+// The average goes into spare, and the global it replaces becomes the next
+// spare, so this round's global is overwritten only by the next round's
+// Aggregate. Everything that holds it uncopied lets go before then: the
+// round's plan and its encoded RoundStart, FedProx's proximal reference and
+// the delta references of the round's uploads all end with this round, and
+// async dispatches and checkpoints copy it.
 func (h *fedAvgHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (*engine.Payload, error) {
 	defer rc.Span(obs.PhaseAggregate)()
-	next := make([]float64, len(h.global))
-	var totalSamples float64
-	for _, u := range uploads {
-		w := float64(u.Payload.NumSamples)
-		for i, v := range u.Payload.Params {
-			next[i] += w * v
-		}
-		totalSamples += w
-	}
-	for i := range next {
-		next[i] /= totalSamples
-	}
-	h.global = next
+	h.global, h.spare = weightedMean(h.spare, uploads), h.global
 	return nil, nn.SetFlatParams(h.evalNet.Params(), h.global)
 }
 

@@ -75,6 +75,7 @@ func NewFedDF(cfg FedDFConfig) (*FedDF, error) {
 		opts:    opts,
 		server:  server,
 		global:  nn.FlattenParams(server.Params()),
+		spare:   make([]float64, server.ParamCount()),
 	}
 	runner, err := engine.NewRunner(h, cfg.Common)
 	if err != nil {
@@ -91,7 +92,8 @@ type fedDFHooks struct {
 	clients []*nn.Network
 	opts    []nn.Optimizer
 	server  *nn.Network
-	global  []float64
+	// global and spare swap in Aggregate as FedAvg's do (fedAvgHooks).
+	global, spare []float64
 }
 
 var _ engine.Hooks = (*fedDFHooks)(nil)
@@ -130,21 +132,11 @@ func (h *fedDFHooks) LocalUpdate(rc *engine.RoundContext, c int, global *engine.
 // weights, so stale Adam moments would be misleading.
 func (h *fedDFHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (*engine.Payload, error) {
 	stopAgg := rc.Span(obs.PhaseAggregate)
-	next := make([]float64, len(h.global))
-	var totalSamples float64
 	clientLogits := make([]*tensor.Matrix, len(uploads))
 	for i, u := range uploads {
-		w := float64(u.Payload.NumSamples)
-		for j, v := range u.Payload.Params {
-			next[j] += w * v
-		}
-		totalSamples += w
 		clientLogits[i] = u.Payload.Logits
 	}
-	for i := range next {
-		next[i] /= totalSamples
-	}
-	if err := nn.SetFlatParams(h.server.Params(), next); err != nil {
+	if err := nn.SetFlatParams(h.server.Params(), weightedMean(h.spare, uploads)); err != nil {
 		stopAgg()
 		return nil, err
 	}
@@ -158,7 +150,7 @@ func (h *fedDFHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload)
 		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.Common.BatchSize, 1, 1))
 	stopServer()
 
-	h.global = nn.FlattenParams(h.server.Params())
+	h.global, h.spare = nn.FlattenParamsInto(h.spare, h.server.Params()), h.global
 	return nil, nil
 }
 

@@ -145,14 +145,25 @@ func PartitionShards(rng *stats.RNG, d *Dataset, numClients int, cfg ShardConfig
 	return parts, nil
 }
 
+// LocalTest is one client's local test set as LocalTestSets draws it: each
+// distinct row of the global test set that the draw picked, once, in the
+// order of its first draw, and Counts[i] the number of times Rows' row i was
+// drawn. C_acc weights every row by its count, so it scores the drawn
+// multiset while evaluating each row once.
+type LocalTest struct {
+	Rows   *Dataset
+	Counts []int
+}
+
 // LocalTestSets builds one test set per client whose label distribution
 // matches that client's training distribution — the paper's personalized
 // C_acc metric evaluates client models on exactly such sets. Each local test
-// set has up to size samples, drawn per class from the global test pool
-// proportionally to the client's label histogram.
-func LocalTestSets(rng *stats.RNG, globalTest *Dataset, clientParts [][]int, train *Dataset, size int) []*Dataset {
+// set draws up to size samples with replacement, per class from the global
+// test pool proportionally to the client's label histogram; a row drawn
+// again adds to its count instead of being copied again.
+func LocalTestSets(rng *stats.RNG, globalTest *Dataset, clientParts [][]int, train *Dataset, size int) []*LocalTest {
 	testByClass := globalTest.ClassIndices()
-	out := make([]*Dataset, len(clientParts))
+	out := make([]*LocalTest, len(clientParts))
 	for c, part := range clientParts {
 		hist := make([]int, train.Classes)
 		total := 0
@@ -160,7 +171,8 @@ func LocalTestSets(rng *stats.RNG, globalTest *Dataset, clientParts [][]int, tra
 			hist[train.Labels[idx]]++
 			total++
 		}
-		var pick []int
+		var pick, counts []int
+		at := make(map[int]int) // global test row → its index in pick
 		if total > 0 {
 			for class, n := range hist {
 				if n == 0 || len(testByClass[class]) == 0 {
@@ -172,11 +184,18 @@ func LocalTestSets(rng *stats.RNG, globalTest *Dataset, clientParts [][]int, tra
 				}
 				pool := testByClass[class]
 				for i := 0; i < want; i++ {
-					pick = append(pick, pool[rng.IntN(len(pool))])
+					row := pool[rng.IntN(len(pool))]
+					if k, ok := at[row]; ok {
+						counts[k]++
+						continue
+					}
+					at[row] = len(pick)
+					pick = append(pick, row)
+					counts = append(counts, 1)
 				}
 			}
 		}
-		out[c] = globalTest.Subset(pick)
+		out[c] = &LocalTest{Rows: globalTest.Subset(pick), Counts: counts}
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,20 +162,115 @@ func TestLocalTestSetsMatchDistribution(t *testing.T) {
 		}
 	}
 	local := LocalTestSets(stats.NewRNG(6), test, [][]int{part0, part1}, train, 60)
-	if local[0].Len() == 0 {
+	if local[0].Rows.Len() == 0 {
 		t.Fatal("local test set 0 empty")
 	}
-	for _, y := range local[0].Labels {
+	for _, y := range local[0].Rows.Labels {
 		if y != 0 {
 			t.Fatalf("client 0 local test contains class %d", y)
 		}
 	}
-	h := local[1].Histogram()
+	h := local[1].Rows.Histogram()
 	if h[0] != 0 {
 		t.Errorf("client 1 local test contains class 0: %v", h)
 	}
 	if h[1] == 0 || h[2] == 0 {
 		t.Errorf("client 1 local test missing classes: %v", h)
+	}
+}
+
+// drawLocalTest is the draw LocalTestSets makes for one client, as it
+// materialized it before counting: every pick in draw order, repeats
+// included. It consumes rng exactly as LocalTestSets does.
+func drawLocalTest(rng *stats.RNG, testByClass [][]int, part []int, train *Dataset, size int) []int {
+	hist := make([]int, train.Classes)
+	for _, idx := range part {
+		hist[train.Labels[idx]]++
+	}
+	var pick []int
+	for class, n := range hist {
+		if n == 0 || len(testByClass[class]) == 0 {
+			continue
+		}
+		want := max(int(float64(size)*float64(n)/float64(len(part))+0.5), 1)
+		pool := testByClass[class]
+		for i := 0; i < want; i++ {
+			pick = append(pick, pool[rng.IntN(len(pool))])
+		}
+	}
+	return pick
+}
+
+// TestLocalTestSetsCountTheDraw is the counted local test set's law, over
+// generated seeds, sizes and partitions of every kind: each client's rows are
+// the distinct rows its draw picked, in first-draw order and pairwise
+// distinct, each count is how often the draw picked that row, and the counts
+// sum to the number of draws — the same picks from the same RNG stream as the
+// uncounted draw.
+func TestLocalTestSetsCountTheDraw(t *testing.T) {
+	repeats := 0
+	for seed := uint64(1); seed <= 24; seed++ {
+		rng := stats.NewRNG(seed)
+		classes := 2 + rng.IntN(9)
+		train := tinyDataset(100+rng.IntN(300), 3, classes)
+		test := tinyDataset(classes+rng.IntN(200), 3, classes)
+		clients := 1 + rng.IntN(8)
+		size := 1 + rng.IntN(150)
+		var parts [][]int
+		switch seed % 3 {
+		case 0:
+			parts = PartitionIID(rng, train, clients)
+		case 1:
+			parts = PartitionDirichlet(rng, train, clients, []float64{0.1, 0.5, 5}[rng.IntN(3)])
+		default:
+			var err error
+			parts, err = PartitionShards(rng, train, clients, ShardConfig{ShardSize: 5, ShardsPerClient: 2, ClassesPerClient: 1 + rng.IntN(classes)})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		drawSeed := rng.Uint64()
+		local := LocalTestSets(stats.NewRNG(drawSeed), test, parts, train, size)
+		ref, byClass := stats.NewRNG(drawSeed), test.ClassIndices()
+		for c, lt := range local {
+			pick := drawLocalTest(ref, byClass, parts[c], train, size)
+			var rows []int
+			times := map[int]int{}
+			for _, row := range pick {
+				if times[row] == 0 {
+					rows = append(rows, row)
+				}
+				times[row]++
+			}
+			if lt.Rows.Len() != len(rows) || len(lt.Counts) != len(rows) {
+				t.Fatalf("seed %d client %d: %d rows and %d counts, want %d distinct rows of %d draws",
+					seed, c, lt.Rows.Len(), len(lt.Counts), len(rows), len(pick))
+			}
+			sum := 0
+			seen := map[string]bool{}
+			for i, row := range rows {
+				got := lt.Rows.X.Row(i)
+				key := fmt.Sprint(got)
+				if seen[key] {
+					t.Fatalf("seed %d client %d: row %d repeats an earlier row", seed, c, i)
+				}
+				seen[key] = true
+				if !slices.Equal(got, test.X.Row(row)) || lt.Rows.Labels[i] != test.Labels[row] {
+					t.Fatalf("seed %d client %d: row %d is not test row %d, the draw's %d-th distinct pick", seed, c, i, row, i)
+				}
+				if lt.Counts[i] != times[row] {
+					t.Fatalf("seed %d client %d: row %d counted %d times, drawn %d", seed, c, i, lt.Counts[i], times[row])
+				}
+				sum += lt.Counts[i]
+			}
+			if sum != len(pick) {
+				t.Fatalf("seed %d client %d: counts sum to %d, the draw made %d picks", seed, c, sum, len(pick))
+			}
+			repeats += len(pick) - len(rows)
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("no generated draw picked a row twice; the law was not exercised")
 	}
 }
 

@@ -43,7 +43,9 @@ func chaosEnv(t *testing.T) *fl.Env {
 	return env
 }
 
-func chaosFedAvg(t *testing.T, env *fl.Env) *baselines.FedAvg {
+// chaosFedAvg builds FedAvg on env with its hooks wrapped in weighedHooks,
+// so a bus run through runFaults is also held to the weight law.
+func chaosFedAvg(t *testing.T, env *fl.Env) *engine.Runner {
 	t.Helper()
 	f, err := baselines.NewFedAvg(baselines.FedAvgConfig{
 		Common:      engine.Config{Env: env, Seed: 9},
@@ -52,7 +54,11 @@ func chaosFedAvg(t *testing.T, env *fl.Env) *baselines.FedAvg {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	r, err := engine.NewRunner(&weighedHooks{Hooks: f.Hooks()}, f.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func chaosFedPKD(t *testing.T, env *fl.Env) *core.FedPKD {

@@ -10,6 +10,7 @@ import (
 
 	"fedpkd/internal/faults"
 	"fedpkd/internal/fl"
+	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
 )
 
@@ -162,6 +163,9 @@ func runFaults(t *testing.T, algo fl.Algorithm, rounds int, opts Options) (*fl.H
 	fs := s.fstats.Snapshot()
 	if opts.Mode != ModeTCP {
 		checkCohortLaw(t, s, opts.Recorder.Traces())
+		if w, ok := s.runner.Hooks().(*weighedHooks); ok {
+			checkWeightLaw(t, s, w, opts.Recorder.Traces(), err == nil)
+		}
 		if err == nil {
 			copies, tierCopies := s.fstats.CorruptCopies()
 			checkCorruptLaw(t, opts.Recorder.Traces(), fs, copies, tierCopies)
@@ -223,6 +227,96 @@ func checkCohortLaw(t *testing.T, s *Service, traces []obs.RoundTrace) {
 		if sum := r.Cohort + len(r.TimedOut) + len(r.Crashed) + withShard; sum != r.Expected {
 			t.Errorf("round %d: cohort %d + timed out %v + crashed %v + %d lost with shards %v = %d, want the expected %d",
 				tr.Round, r.Cohort, r.TimedOut, r.Crashed, withShard, r.ShardsLost, sum, r.Expected)
+		}
+	}
+}
+
+// weighedHooks wraps an algorithm's hooks and records, per round, the
+// client and the weight (NumSamples) of every upload its Aggregate receives.
+type weighedHooks struct {
+	engine.Hooks
+	mu     sync.Mutex
+	rounds map[int][]weighed
+}
+
+// weighed is one upload as Aggregate received it.
+type weighed struct{ client, samples int }
+
+// Aggregate implements engine.Hooks: it records the uploads, then
+// aggregates them.
+func (w *weighedHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (*engine.Payload, error) {
+	w.mu.Lock()
+	if w.rounds == nil {
+		w.rounds = make(map[int][]weighed)
+	}
+	for _, u := range uploads {
+		w.rounds[rc.Round()] = append(w.rounds[rc.Round()], weighed{u.Client, u.Payload.NumSamples})
+	}
+	w.mu.Unlock()
+	return w.Hooks.Aggregate(rc, uploads)
+}
+
+// checkWeightLaw holds every round a bus run records to the weight law: the
+// uploads Aggregate receives are the surviving cohort, each once, each with
+// its own client's sample count as its weight. So their weights sum to the
+// surviving cohort's — the clients the plan scheduled, less those the round
+// lost (timed out, crashed, or lost with their shard: checkCohortLaw's
+// terms), whose number the Robustness record gives as Cohort. When the plan
+// scheduled the whole fleet the survivors are known by id, and the sum is
+// checked against theirs; an async flush's cohort is its own draw, so there
+// the law checks the count, the distinct ids and each weight. A round
+// with survivors and no error must have aggregated them (complete).
+func checkWeightLaw(t *testing.T, s *Service, w *weighedHooks, traces []obs.RoundTrace, complete bool) {
+	t.Helper()
+	env := s.runner.Config().Env
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, tr := range traces {
+		r := tr.Robustness
+		if r == nil {
+			continue
+		}
+		got, ok := w.rounds[tr.Round]
+		if !ok {
+			if complete && r.Cohort > 0 {
+				t.Errorf("round %d: %d clients survived, but Aggregate never ran", tr.Round, r.Cohort)
+			}
+			continue
+		}
+		lost := make(map[int]bool)
+		for _, c := range append(slices.Clone(r.TimedOut), r.Crashed...) {
+			lost[c] = true
+		}
+		for c := 0; c < s.n && len(r.ShardsLost) > 0; c++ {
+			if slices.Contains(r.ShardsLost, ShardOf(c, s.n, s.opts.Topology.Shards)) {
+				lost[c] = true
+			}
+		}
+		var sum, want int
+		seen := make(map[int]bool, len(got))
+		for _, u := range got {
+			if seen[u.client] || lost[u.client] {
+				t.Errorf("round %d: Aggregate received client %d's upload again or from a lost client (lost: %v)", tr.Round, u.client, lost)
+			}
+			seen[u.client] = true
+			if n := env.ClientData[u.client].Len(); u.samples != n {
+				t.Errorf("round %d: client %d's upload weighs %d, its sample count is %d", tr.Round, u.client, u.samples, n)
+			}
+			sum += u.samples
+		}
+		if len(got) != r.Cohort {
+			t.Errorf("round %d: Aggregate received %d uploads, the record's cohort is %d", tr.Round, len(got), r.Cohort)
+		}
+		if r.Expected != s.n {
+			continue
+		}
+		for c := 0; c < s.n; c++ {
+			if !lost[c] {
+				want += env.ClientData[c].Len()
+			}
+		}
+		if sum != want {
+			t.Errorf("round %d: Aggregate's weights sum to %d, the surviving cohort's to %d (lost: %v)", tr.Round, sum, want, lost)
 		}
 	}
 }

@@ -108,10 +108,14 @@ func TestRunMatchesInProcessParams(t *testing.T) {
 // params vectors. Each client round decodes the global and flattens its
 // upload, and the server decodes every upload: three model-sized vectors
 // per client, nine a round here. With the vector list every one of them is
-// reused once the run is warm, so a steady-state round — training, wire, and
-// the new global Aggregate builds — must allocate less than three vectors'
-// worth (1.5–1.8 measured; ten without the list). A missed ReleaseVector on
-// any of the three paths costs three vectors a round.
+// reused once the run is warm, and Aggregate averages into the spare global
+// it swaps with the current one, so a steady-state round — training, wire
+// and aggregation — must allocate less than one vector's worth (0.31–0.49
+// measured: the training loops' per-call workspaces, plus now and then a
+// list that a read-ahead left empty; ten without the list, 1.5–1.8 with a
+// new global per round). A missed ReleaseVector on any of the three paths
+// costs three vectors a round. Twelve rounds are measured, so one such miss
+// moves the mean by a twelfth of a vector.
 func TestFedAvgTCPRoundVectorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -134,7 +138,7 @@ func TestFedAvgTCPRoundVectorAllocs(t *testing.T) {
 	if _, err := s.Run(2); err != nil { // warm-up: the lists fill
 		t.Fatal(err)
 	}
-	const rounds = 4
+	const rounds = 12
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := s.Run(rounds); err != nil {
@@ -143,7 +147,7 @@ func TestFedAvgTCPRoundVectorAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	t.Logf("%.2f vectors of %d bytes allocated per round", perRound/float64(vector), vector)
-	if perRound >= 3*float64(vector) {
-		t.Errorf("a steady-state round allocates %.0f bytes, %.2f vectors of %d bytes; want < 3", perRound, perRound/float64(vector), vector)
+	if perRound >= float64(vector) {
+		t.Errorf("a steady-state round allocates %.0f bytes, %.2f vectors of %d bytes; want < 1", perRound, perRound/float64(vector), vector)
 	}
 }

@@ -66,7 +66,7 @@ type Env struct {
 	Cfg        EnvConfig
 	Splits     *dataset.Splits
 	ClientData []*dataset.Dataset
-	LocalTests []*dataset.Dataset
+	LocalTests []*dataset.LocalTest
 }
 
 // NewEnv generates the data and partitions it per the config.

@@ -198,19 +198,37 @@ func Accuracy(net *nn.Network, d *dataset.Dataset) float64 {
 	return stats.Accuracy(net.Predict(d.X), d.Labels)
 }
 
+// localAccuracy scores net on a local test set: the draws it predicts right
+// over all draws, each distinct row predicted once and counted as often as
+// it was drawn. The two integers are those the drawn multiset gives, so the
+// quotient has its bits.
+func localAccuracy(net *nn.Network, t *dataset.LocalTest) float64 {
+	if t.Rows.Len() == 0 {
+		return 0
+	}
+	correct, total := 0, 0
+	for i, p := range net.Predict(t.Rows.X) {
+		total += t.Counts[i]
+		if p == t.Rows.Labels[i] {
+			correct += t.Counts[i]
+		}
+	}
+	return float64(correct) / float64(total)
+}
+
 // MeanClientAccuracy evaluates each client model on its own local test set
 // and returns the mean — the paper's C_acc. The round's workers are parked
 // when it runs and every client owns its model, so clients are evaluated
 // through ForEachClient; the accuracies are summed in client order, which
 // keeps the mean the bits of a serial loop at any fan-out width. A panic in
 // one client's evaluation is raised again here.
-func MeanClientAccuracy(nets []*nn.Network, localTests []*dataset.Dataset) float64 {
+func MeanClientAccuracy(nets []*nn.Network, localTests []*dataset.LocalTest) float64 {
 	if len(nets) == 0 {
 		return 0
 	}
 	accs := make([]float64, len(nets))
 	if err := ForEachClient(len(nets), func(c int) error {
-		accs[c] = Accuracy(nets[c], localTests[c])
+		accs[c] = localAccuracy(nets[c], localTests[c])
 		return nil
 	}); err != nil {
 		panic(err)

@@ -216,6 +216,29 @@ func TestMeanClientAccuracy(t *testing.T) {
 	}
 }
 
+// counted wraps d as a local test set whose row i was drawn 1 + i%3 times.
+func counted(d *dataset.Dataset) *dataset.LocalTest {
+	counts := make([]int, d.Len())
+	for i := range counts {
+		counts[i] = 1 + i%3
+	}
+	return &dataset.LocalTest{Rows: d, Counts: counts}
+}
+
+// expanded is the local test set as it was materialized before its rows were
+// counted: every draw its own row. The copies are shuffled, so a row's
+// repeats land in different positions and 64-row blocks.
+func expanded(rng *stats.RNG, lt *dataset.LocalTest) *dataset.Dataset {
+	var idx []int
+	for i, n := range lt.Counts {
+		for range n {
+			idx = append(idx, i)
+		}
+	}
+	stats.Shuffle(rng, idx)
+	return lt.Rows.Subset(idx)
+}
+
 // TestMeanClientAccuracyMatchesSerialLoop: the fanned-out evaluation returns
 // the bits of the serial loop it replaced, whatever the fan-out width, and a
 // client whose evaluation panics takes the caller down with it.
@@ -223,15 +246,15 @@ func TestMeanClientAccuracyMatchesSerialLoop(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 2, 7} {
 		nets := make([]*nn.Network, n)
-		tests := make([]*dataset.Dataset, n)
+		tests := make([]*dataset.LocalTest, n)
 		for c := range nets {
 			rng := stats.NewRNG(uint64(100*n + c))
 			nets[c] = allocTestNet(rng)
-			tests[c] = allocTestData(rng, 9+5*c)
+			tests[c] = counted(allocTestData(rng, 9+5*c))
 		}
 		var want float64
 		for c, net := range nets {
-			want += Accuracy(net, tests[c])
+			want += Accuracy(net, expanded(stats.NewRNG(uint64(c)), tests[c]))
 		}
 		want /= float64(n)
 		for _, procs := range []int{1, 2, 4} {
@@ -244,13 +267,55 @@ func TestMeanClientAccuracyMatchesSerialLoop(t *testing.T) {
 
 	rng := stats.NewRNG(1)
 	nets := []*nn.Network{allocTestNet(rng), allocTestNet(rng)}
-	tests := []*dataset.Dataset{allocTestData(rng, 8), {X: tensor.New(3, 5), Labels: make([]int, 3), Classes: 4}} // wrong width
+	tests := []*dataset.LocalTest{counted(allocTestData(rng, 8)), counted(&dataset.Dataset{X: tensor.New(3, 5), Labels: make([]int, 3), Classes: 4})} // wrong width
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "client 1 panicked") {
 			t.Errorf("a panicking client evaluation should be re-raised naming the client, got %v", r)
 		}
 	}()
 	MeanClientAccuracy(nets, tests)
+}
+
+// TestMeanClientAccuracyCountedMatchesExpanded: scoring each client's counted
+// local test set gives, bit for bit, the mean the expanded sets gave — every
+// draw its own row, evaluated in a shuffled order — for every zoo
+// architecture, over generated seeds and every partition kind.
+func TestMeanClientAccuracyCountedMatchesExpanded(t *testing.T) {
+	archs := models.Names()
+	partitions := []PartitionConfig{
+		{Kind: PartitionIID},
+		{Kind: PartitionDirichlet, Alpha: 0.1},
+		{Kind: PartitionShards, Shards: dataset.ShardConfig{ShardSize: 10, ShardsPerClient: 6, ClassesPerClient: 2}},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, part := range partitions {
+			env, err := NewEnv(EnvConfig{
+				Spec:       dataset.SynthC10(seed),
+				NumClients: len(archs),
+				TrainSize:  600, TestSize: 300, PublicSize: 0,
+				LocalTestSize: 100,
+				Partition:     part,
+				Seed:          seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets := make([]*nn.Network, len(archs))
+			var want float64
+			for c, arch := range archs {
+				nets[c], err = models.BuildNamed(stats.NewRNG(seed+uint64(c)), arch, env.InputDim(), env.Classes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				TrainCE(nets[c], nn.NewAdam(0.01), env.ClientData[c], stats.NewRNG(seed), 1, 32)
+				want += Accuracy(nets[c], expanded(stats.NewRNG(seed), env.LocalTests[c]))
+			}
+			want /= float64(len(archs))
+			if got := MeanClientAccuracy(nets, env.LocalTests); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("seed %d, %s: counted C_acc %v, expanded %v", seed, part, got, want)
+			}
+		}
+	}
 }
 
 func TestAccuracyEmptyDataset(t *testing.T) {

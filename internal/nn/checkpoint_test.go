@@ -112,8 +112,8 @@ func TestCheckpointBadMagic(t *testing.T) {
 // checkpoint never saw: the missing entry is refused by name.
 func TestCheckpointParamCountMismatch(t *testing.T) {
 	data := saveModel(t, checkpointNet(11))
-	bigger := checkpointNet(11)
-	bigger.Head.Layers = append(bigger.Head.Layers, NewDense(stats.NewRNG(12), 3, 3))
+	net := checkpointNet(11)
+	bigger := NewNetwork(net.Name, net.Body, NewSequential(append(net.Head.Layers, NewDense(stats.NewRNG(12), 3, 3))...))
 	if err := loadModel(data, bigger); err == nil || !strings.Contains(err.Error(), "net.head.1") {
 		t.Errorf("param-count mismatch: err = %v, want the missing entry named", err)
 	}

@@ -67,6 +67,17 @@ func (d *Dense) product(x *tensor.Matrix, train bool) *tensor.Matrix {
 // layer's buffer. With a lane attached the gradients go to it, and the
 // caller's product overlaps them.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
+	d.backwardParams(dout)
+	d.dx = tensor.Ensure(d.dx, dout.Rows, d.In)
+	tensor.MatMulNTInto(d.dx, dout, d.w.Value)
+	return d.dx
+}
+
+// backwardParams is Backward without the input gradient: it accumulates dW
+// and db, or posts them to the lane. A network's stem stops here
+// (Sequential.backwardBody), because nothing reads the gradient of the
+// network's input.
+func (d *Dense) backwardParams(dout *tensor.Matrix) {
 	if d.x == nil {
 		panic("nn: Dense.Backward called without a train-mode Forward")
 	}
@@ -75,9 +86,6 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	} else {
 		d.accumulateGrads(dout)
 	}
-	d.dx = tensor.Ensure(d.dx, dout.Rows, d.In)
-	tensor.MatMulNTInto(d.dx, dout, d.w.Value)
-	return d.dx
 }
 
 // accumulateGrads adds xᵀ·dout to dW and dout's column sums to db.

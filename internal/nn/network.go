@@ -11,8 +11,9 @@ type Network struct {
 	Body *Sequential
 	Head *Sequential
 
-	dfeat *tensor.Matrix // persistent feature-gradient sum buffer
-	lane  *lane          // the lane, while a Trainer has it attached
+	params []*Param       // Body's then Head's, built once by NewNetwork
+	dfeat  *tensor.Matrix // persistent feature-gradient sum buffer
+	lane   *lane          // the lane, while a Trainer has it attached
 
 	// Eval-mode block walks (infer.go). view is the current block's row
 	// view of the input and job the walk in progress, both reused so a walk
@@ -24,9 +25,11 @@ type Network struct {
 	twin *Network
 }
 
-// NewNetwork returns a network with the given body and head.
+// NewNetwork returns a network with the given body and head. It lists their
+// params once, so the layer tree must not change after this call.
 func NewNetwork(name string, body, head *Sequential) *Network {
-	return &Network{Name: name, Body: body, Head: head}
+	params := append(body.Params(), head.Params()...)
+	return &Network{Name: name, Body: body, Head: head, params: params[:len(params):len(params)]}
 }
 
 // Forward returns the logits for a batch. Use train=true only inside a
@@ -51,9 +54,11 @@ func (n *Network) ForwardSplit(x *tensor.Matrix) (features, logits *tensor.Matri
 	return features, logits
 }
 
-// Backward backpropagates dL/dlogits through head and body. dfeatExtra, if
-// non-nil, is an additional gradient injected at the feature boundary (the
-// prototype-loss gradient); it must match the body output shape.
+// Backward backpropagates dL/dlogits through head and body into every
+// parameter gradient; the gradient of the input itself is never formed
+// (Sequential.backwardBody). dfeatExtra, if non-nil, is an additional
+// gradient injected at the feature boundary (the prototype-loss gradient); it
+// must match the body output shape.
 func (n *Network) Backward(dlogits, dfeatExtra *tensor.Matrix) {
 	dfeat := n.Head.Backward(dlogits)
 	if dfeatExtra != nil {
@@ -61,7 +66,7 @@ func (n *Network) Backward(dlogits, dfeatExtra *tensor.Matrix) {
 		tensor.AddInto(n.dfeat.Data, dfeat.Data, dfeatExtra.Data)
 		dfeat = n.dfeat
 	}
-	n.Body.Backward(dfeat)
+	n.Body.backwardBody(dfeat)
 }
 
 // Features returns the eval-mode feature representation of a batch, computed
@@ -96,10 +101,10 @@ func (n *Network) Predict(x *tensor.Matrix) []int {
 	return n.infer(inferJob{x: x, pred: make([]int, x.Rows)}).pred
 }
 
-// Params returns all trainable parameters, body first.
-func (n *Network) Params() []*Param {
-	return append(n.Body.Params(), n.Head.Params()...)
-}
+// Params returns all trainable parameters, body first: the one list
+// NewNetwork built, shared by every caller and read-only. Its capacity is its
+// length, so a caller's append copies it rather than writing past its end.
+func (n *Network) Params() []*Param { return n.params }
 
 // ParamCount returns the number of scalar parameters in the network.
 func (n *Network) ParamCount() int { return ParamCount(n.Params()) }

@@ -140,6 +140,30 @@ func TestFeatureDim(t *testing.T) {
 	}
 }
 
+// TestNetworkParamsBuiltOnce: Params returns the list NewNetwork built —
+// body then head, the same backing array every call, with no allocation —
+// and a caller appending to it gets a copy, never a write into the list.
+func TestNetworkParamsBuiltOnce(t *testing.T) {
+	net := buildTinyNet(stats.NewRNG(12), 5, 12, 3)
+	want := append(net.Body.Params(), net.Head.Params()...)
+	got := net.Params()
+	if len(got) != len(want) || &got[0] != &net.Params()[0] {
+		t.Fatalf("Params: %d params, want %d, one list for every call", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("param %d is %s, want %s", i, got[i].Name, want[i].Name)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { net.Params() }); allocs != 0 {
+		t.Errorf("Params allocates %v times a call, want 0", allocs)
+	}
+	extra := append(net.Params(), &Param{Name: "extra"})
+	if len(net.Params()) != len(want) || &extra[0] == &net.Params()[0] {
+		t.Error("appending to Params' result wrote into the network's list")
+	}
+}
+
 // TestDropoutTrainEvalBehaviour: ReLU zeroes about half of a standard-normal
 // batch, gives the same values in eval mode as in train mode, and keeps a
 // backward mask only after a train-mode forward.

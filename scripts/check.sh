@@ -99,6 +99,29 @@ GOARCH=386 go test -count=1 -run Fused ./internal/nn/
 echo ">> GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
+# Each workload once at full size with the per-layer probes on. The traced
+# path drives the algorithm's hooks by hand (bench/probes.go's twin) and reads
+# the payloads they returned after later hook calls, which bench/'s own
+# shrunk one-round test does not reach. A non-zero exit (an unrecovered panic
+# exits 2) or a last line without "correct":true fails the leg; ~7 s each.
+traced=$(mktemp)
+for w in train_inproc wire_tcp_flat tree_int8_tcp async_ckpt_bus; do
+    echo ">> bash bench/run.sh --workload $w --trace 1 --seconds 3 (the traced path at full size)"
+    status=0
+    bash bench/run.sh --workload "$w" --trace 1 --seconds 3 > "$traced" 2>&1 || status=$?
+    result=$(tail -n 1 "$traced")
+    case $status:$result in
+    0:*'"correct":true'*) ;;
+    *)
+        tail -n 20 "$traced" >&2
+        rm -f "$traced"
+        echo "FAIL: the traced $w run exited $status; its last line must report \"correct\":true" >&2
+        exit 1
+        ;;
+    esac
+done
+rm -f "$traced"
+
 # bench/ is a module of its own (the root ./... does not see it) and the only
 # consumer that pins the public surface the benchmark drives: distrib's
 # Options/NewService/Service.Run/Close, transport's codec entry points, and the
