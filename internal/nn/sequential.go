@@ -72,19 +72,17 @@ func (s *Sequential) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // backwardBody is Backward for a network's body, whose first layer's input
 // gradient would be the gradient of the network's input, which nothing reads:
 // a Dense there accumulates its parameter gradients and computes no input
-// gradient, and any other first layer runs its Backward.
+// gradient. A body led by any other layer runs Backward.
 func (s *Sequential) backwardBody(dout *tensor.Matrix) {
-	if len(s.Layers) == 0 {
+	stem, ok := layerAt(s.Layers, 0).(*Dense)
+	if !ok {
+		s.Backward(dout)
 		return
 	}
 	for i := len(s.Layers) - 1; i > 0; i-- {
 		dout = s.Layers[i].Backward(dout)
 	}
-	if d, ok := s.Layers[0].(*Dense); ok {
-		d.backwardParams(dout)
-		return
-	}
-	s.Layers[0].Backward(dout)
+	stem.backwardParams(dout)
 }
 
 // Params concatenates the parameters of all layers in order.
