@@ -311,8 +311,10 @@ func (h *pkdHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (
 	selected := h.selectPublicSubset(publicX, pseudo, aggregated, globalProtos)
 	stopFilter()
 
-	subsetX := dataset.GatherRows(publicX, selected)
-	subsetTeacher := dataset.GatherRows(aggregated, selected)
+	// The subset gathers are arena workspaces: the broadcast below holds
+	// the server's logits on them, not them.
+	subsetX := dataset.GatherRowsInto(tensor.GetScratch(len(selected), publicX.Cols), publicX, selected)
+	subsetTeacher := dataset.GatherRowsInto(tensor.GetScratch(len(selected), aggregated.Cols), aggregated, selected)
 	subsetPseudo := make([]int, len(selected))
 	for i, j := range selected {
 		subsetPseudo[i] = pseudo[j]
@@ -327,8 +329,11 @@ func (h *pkdHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (
 		rc.ServerRNG(), h.cfg.ServerEpochs, h.cfg.BatchSize, h.cfg.Delta, h.cfg.Temperature))
 	stopServer()
 
+	logits := h.server.Logits(subsetX)
+	tensor.Release(subsetX)
+	tensor.Release(subsetTeacher)
 	return &engine.Payload{
-		Logits:  h.server.Logits(subsetX),
+		Logits:  logits,
 		Indices: selected,
 		Protos:  globalProtos,
 	}, nil
@@ -339,10 +344,12 @@ func (h *pkdHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (
 // the next round's LocalUpdate via the hook state set in Aggregate.
 func (h *pkdHooks) Digest(rc *engine.RoundContext, c int, bcast *engine.Payload) error {
 	env := rc.Env()
-	subsetX := dataset.GatherRows(env.Splits.Public.X, bcast.Indices)
+	public := env.Splits.Public.X
+	subsetX := dataset.GatherRowsInto(tensor.GetScratch(len(bcast.Indices), public.Cols), public, bcast.Indices)
 	serverPseudo := kd.PseudoLabels(bcast.Logits)
 	rc.AddBatches(fl.TrainDistill(h.clients[c], h.clientOpts[c], subsetX, bcast.Logits, serverPseudo,
 		rc.DigestRNG(c), h.cfg.ClientPublicEpochs, h.cfg.BatchSize, h.cfg.Gamma, h.cfg.Temperature))
+	tensor.Release(subsetX)
 	return nil
 }
 

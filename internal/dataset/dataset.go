@@ -115,11 +115,6 @@ func GatherInto(dst *tensor.Matrix, dstLabels []int, d *Dataset, idx []int) (*te
 	return dst, labels
 }
 
-// GatherRows copies the given rows of a bare matrix into a batch matrix.
-func GatherRows(m *tensor.Matrix, idx []int) *tensor.Matrix {
-	return GatherRowsInto(nil, m, idx)
-}
-
 // GatherRowsInto copies the given rows of m into dst (reused when large
 // enough, may be nil) and returns the resized batch matrix.
 func GatherRowsInto(dst, m *tensor.Matrix, idx []int) *tensor.Matrix {

@@ -122,9 +122,9 @@ func TestGather(t *testing.T) {
 
 func TestGatherRows(t *testing.T) {
 	m := tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	got := GatherRows(m, []int{2, 0})
+	got := GatherRowsInto(nil, m, []int{2, 0})
 	want := tensor.FromRows([][]float64{{5, 6}, {1, 2}})
 	if !got.Equal(want, 0) {
-		t.Errorf("GatherRows = %v", got.Data)
+		t.Errorf("GatherRowsInto(nil, …) = %v", got.Data)
 	}
 }

@@ -1,6 +1,9 @@
 package distrib
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -8,10 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"fedpkd/internal/baselines"
+	"fedpkd/internal/comm"
 	"fedpkd/internal/faults"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
+	"fedpkd/internal/transport"
 )
 
 // virtualClock is the faults.Clock bus-mode tests run on. Its time stands
@@ -227,6 +233,106 @@ func checkCohortLaw(t *testing.T, s *Service, traces []obs.RoundTrace) {
 		if sum := r.Cohort + len(r.TimedOut) + len(r.Crashed) + withShard; sum != r.Expected {
 			t.Errorf("round %d: cohort %d + timed out %v + crashed %v + %d lost with shards %v = %d, want the expected %d",
 				tr.Round, r.Cohort, r.TimedOut, r.Crashed, withShard, r.ShardsLost, sum, r.Expected)
+		}
+	}
+}
+
+// checkPermutationLaw holds a logit-and-prototype algorithm to the arrival-
+// permutation law: delays reorder the uploads a collect receives — at the
+// flat server, at each leaf, and the digests at the root — and change
+// nothing else, so every round's Aggregate result, the run's history and its
+// ledger rows are byte-identical to the undelayed run's. build makes a fresh
+// algorithm, which runs under codec; each plan in seeds delays client sends,
+// and tier sends under a tree, with probability 1/2 on the virtual clock
+// (MaxDelay is far inside any deadline, so a delay never costs an upload). It
+// returns how many sends the plans delayed on each plane, so a caller can
+// tell that they reordered something.
+func checkPermutationLaw(t *testing.T, build func() fl.Algorithm, codec comm.Codec, rounds int, topo Topology, seeds []uint64) (delays, tierDelays int64) {
+	t.Helper()
+	run := func(plan *faults.Plan) (out [3][]byte, fs faults.Snapshot) {
+		t.Helper()
+		base, err := engine.Of(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := &resultHooks{Hooks: base.Hooks(), encoded: make(map[int][]byte)}
+		r, err := engine.NewRunner(results, base.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetCodec(codec); err != nil {
+			t.Fatal(err)
+		}
+		h, fs, err := runFaults(t, r, rounds, Options{Mode: ModeBus, Topology: topo, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[0], _ = json.Marshal(h)
+		out[1], _ = json.Marshal(r.Ledger().Rounds())
+		out[2], _ = json.Marshal(results.encoded)
+		return out, fs
+	}
+	want, _ := run(nil)
+	for _, seed := range seeds {
+		plan := &faults.Plan{Seed: seed, DelayProb: 0.5}
+		if topo.Enabled() {
+			plan.TierDelayProb = 0.5
+		}
+		got, fs := run(plan)
+		delays += fs.Delays
+		tierDelays += fs.TierDelays
+		for i, what := range []string{"history", "ledger rows", "Aggregate results"} {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("seed %d (%d delays, %d tier delays): the %s moved:\n%s\nundelayed:\n%s", seed, fs.Delays, fs.TierDelays, what, got[i], want[i])
+			}
+		}
+	}
+	return delays, tierDelays
+}
+
+// resultHooks wraps an algorithm's hooks and keeps each round's Aggregate
+// result, encoded float64raw: every bit of it.
+type resultHooks struct {
+	engine.Hooks
+	mu      sync.Mutex
+	encoded map[int][]byte
+}
+
+// Aggregate implements engine.Hooks: it aggregates, then keeps the result.
+func (h *resultHooks) Aggregate(rc *engine.RoundContext, uploads []engine.Upload) (*engine.Payload, error) {
+	bcast, err := h.Hooks.Aggregate(rc, uploads)
+	if err == nil {
+		b, _ := transport.Encode(transport.PayloadToWire(bcast))
+		h.mu.Lock()
+		h.encoded[rc.Round()] = b
+		h.mu.Unlock()
+	}
+	return bcast, err
+}
+
+// TestPermutationLaw runs the arrival-permutation law for FedPKD and FedMD,
+// flat and under a 2-shard tree, with the int8 codec, over three delay plans
+// each.
+func TestPermutationLaw(t *testing.T) {
+	env := treeChaosEnv(t)
+	algos := map[string]func() fl.Algorithm{
+		"FedPKD": func() fl.Algorithm { return chaosFedPKD(t, env) },
+		"FedMD": func() fl.Algorithm {
+			f, err := baselines.NewFedMD(baselines.FedMDConfig{Common: engine.Config{Env: env, Seed: 9}, LocalEpochs: 1, DistillEpochs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
+	}
+	for name, build := range algos {
+		for _, topo := range []Topology{{}, {Shards: 2}} {
+			t.Run(fmt.Sprintf("%s/shards%d", name, topo.Shards), func(t *testing.T) {
+				delays, tierDelays := checkPermutationLaw(t, build, comm.CodecInt8, 2, topo, []uint64{3, 11, 29})
+				if delays == 0 || topo.Enabled() && tierDelays == 0 {
+					t.Errorf("the plans delayed %d client and %d tier sends; want both planes reordered", delays, tierDelays)
+				}
+			})
 		}
 	}
 }

@@ -248,12 +248,16 @@ func (c *collector) collect() (report *roundReport, roundErr, err error) {
 // shared global, or the client's own retained one in a flush. sink receives
 // each surviving upload, in arrival order, and with it the upload's params
 // vector, which the sink's holder returns (releaseParams); every rung that
-// drops a decoded upload returns its vector itself. A sink failure is an
+// drops a decoded upload returns its vector itself. sink also receives the
+// wire form the upload decoded from, as the client sent it — a leaf forwards
+// it in its digest. Under float64raw that form shares the decoded upload's
+// slices, its Params vector included; under a compressing codec it holds the
+// packed sections, which the decoded upload does not share. A sink failure is an
 // algorithm-level error and aborts the round like a client-reported hook
 // failure. Registration traffic flows through the ladder too: hello/goodbye
 // envelopes arriving mid-round are queued into the registry (applied at the
 // next barrier) and billed as control bytes.
-func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink func(engine.Upload) error) ladder {
+func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink func(engine.Upload, transport.WirePayload) error) ladder {
 	n, reg, codec, ledger := s.n, s.reg, s.runner.Codec(), s.runner.Ledger()
 	return func(c *collector, e *transport.Envelope) {
 		pl := c.pl
@@ -329,7 +333,8 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 		if !ru.HasPayload {
 			return
 		}
-		p, perr := ru.Payload.ToPayloadRef(ref(ru.Client))
+		received := ru.Payload
+		p, perr := received.ToPayloadRef(ref(ru.Client))
 		if perr != nil {
 			c.reject(&pl.corrupt, perr)
 			return
@@ -340,12 +345,10 @@ func (s *Service) uploadLadder(noun string, ref func(client int) []float64, sink
 		if codec == comm.CodecFloat64 {
 			ledger.AddUpload(wire)
 		} else {
-			raw := rawWireSize(
-				transport.RoundUpload{Round: ru.Round, Client: ru.Client, HasPayload: true, Payload: transport.PayloadToWire(p)},
-				wire)
+			raw := rawWireSize(&transport.RoundUpload{Round: ru.Round, Client: ru.Client, HasPayload: true}, p, wire)
 			ledger.AddUploadRaw(wire, raw)
 		}
-		if serr := sink(engine.Upload{Client: ru.Client, Payload: p}); serr != nil {
+		if serr := sink(engine.Upload{Client: ru.Client, Payload: p}, received); serr != nil {
 			c.roundErr = serr
 			return
 		}

@@ -300,7 +300,7 @@ func TestCollectorLadder(t *testing.T) {
 					pl, _ := ladderPlanes(strict)
 					var sunk []engine.Upload
 					s := &Service{runner: runner, n: ladderUniverse, reg: reg}
-					rungs := s.uploadLadder("round", plan.ref, func(u engine.Upload) error { sunk = append(sunk, u); return nil })
+					rungs := s.uploadLadder("round", plan.ref, func(u engine.Upload, _ transport.WirePayload) error { sunk = append(sunk, u); return nil })
 					controlBefore := lastControl(ledger)
 					report, roundErr, err := newCollector(pl, rx.inbox, round, ladderCohort, rungs).collect()
 					if strict && row.wantFatal != "" {
@@ -397,6 +397,17 @@ func TestCollectorLadder(t *testing.T) {
 			}},
 		{name: "invalid", class: "corrupt", wantFatal: "heard -1 out of range", lost: []int{1}, settled: []int{1},
 			send: func(h *digestRun) { h.digest(1, transport.ShardDigest{Round: h.round, Shard: 1, Heard: -1}) }},
+		{name: "upload without its reference", class: "corrupt", wantFatal: "shard 1 digest: client 4: transport: decode params", lost: []int{1}, settled: []int{1},
+			// The root decodes forwarded uploads as it files them: a
+			// delta-coded params section it holds no reference for is the
+			// leaf's fault, not a round error.
+			send: func(h *digestRun) {
+				w, err := transport.PayloadToWireIn(&engine.Payload{Params: []float64{0.5, -1.25}}, comm.CodecInt8, []float64{1, 2})
+				if err != nil {
+					h.t.Fatal(err)
+				}
+				h.digest(1, transport.ShardDigest{Round: h.round, Shard: 1, Uploads: []transport.ShardUpload{{Client: 4, Payload: w}}})
+			}},
 		{name: "shard != leaf", class: "corrupt", wantFatal: "labeled shard 1 arrived from leaf 0", lost: []int{0}, settled: []int{0},
 			// The garbage is pinned on the link it arrived on, not the shard it
 			// names: shard 1's own digest is still accepted.
@@ -435,7 +446,9 @@ func TestCollectorLadder(t *testing.T) {
 				_, pl := ladderPlanes(strict)
 				r := &root{children: make([]shardChild, shards)}
 				digests := make([]*transport.ShardDigest, shards)
-				report, roundErr, err := newCollector(pl, h.rx, round, []int{0, 1, 2}, r.digestLadder(digests)).collect()
+				noRef := func(int) []float64 { return nil }
+				report, roundErr, err := newCollector(pl, h.rx, round, []int{0, 1, 2},
+					r.digestLadder(digests, make([]*engine.Partial, shards), noRef)).collect()
 				if strict {
 					// The tier's links are infrastructure: a violation aborts the
 					// run, it is never a round error.

@@ -367,7 +367,7 @@ func (s *Service) serverRound(plan *roundPlan) (*roundReport, error) {
 	}
 
 	uploads := make([]engine.Upload, 0, len(cohort))
-	rungs := s.uploadLadder(plan.noun(), plan.ref, func(u engine.Upload) error {
+	rungs := s.uploadLadder(plan.noun(), plan.ref, func(u engine.Upload, _ transport.WirePayload) error {
 		uploads = append(uploads, u)
 		return nil
 	})
@@ -481,8 +481,7 @@ func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (frame, e
 	}
 	ws.knowledge = msg.HasGlobal
 	if codec != comm.CodecFloat64 && msg.HasGlobal {
-		ws.raw = rawWireSize(
-			transport.RoundStart{Round: t, HasGlobal: true, Global: transport.PayloadToWire(global)},
+		ws.raw = rawWireSize(&transport.RoundStart{Round: t, HasGlobal: true}, global,
 			(&transport.Envelope{Payload: ws.bytes}).WireSize())
 	}
 	return ws, nil
@@ -519,8 +518,7 @@ func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr erro
 	}
 	end.knowledge = re.HasBroadcast
 	if codec != comm.CodecFloat64 && re.HasBroadcast {
-		end.raw = rawWireSize(
-			transport.RoundEnd{Round: t, HasBroadcast: true, Broadcast: transport.PayloadToWire(bcast)},
+		end.raw = rawWireSize(&transport.RoundEnd{Round: t, HasBroadcast: true}, bcast,
 			(&transport.Envelope{Payload: end.bytes}).WireSize())
 	}
 	return end, roundErr, nil
@@ -541,13 +539,14 @@ func billFraming(ledger *comm.Ledger, hasPayload, coded bool, wire, raw int) {
 	}
 }
 
-// rawWireSize returns the envelope wire size msg would occupy encoded as-is —
-// used to price the float64raw equivalent of a codec-compressed message into
-// the ledger's informational raw columns. The size is computed, not measured:
-// nothing is encoded. Best effort: a message the codec does not know falls
-// back to the given compressed size so raw totals never undercount the wire.
-func rawWireSize(msg any, fallback int) int {
-	n, err := transport.EncodedSize(msg)
+// rawWireSize returns the envelope wire size msg would occupy carrying p
+// float64raw — used to price the float64raw equivalent of a codec-compressed
+// message into the ledger's informational raw columns. The size is computed
+// from p's own slices (transport.RawSize): nothing is encoded and no raw form
+// is built. Best effort: a message the codec does not know falls back to the
+// given compressed size so raw totals never undercount the wire.
+func rawWireSize(msg any, p *engine.Payload, fallback int) int {
+	n, err := transport.RawSize(msg, p)
 	if err != nil {
 		return fallback
 	}

@@ -13,9 +13,10 @@ import (
 // slice (the exact bytes the root encoded, billed exactly as the flat server
 // bills), collects the shard's uploads from its own inbox — which the client
 // fabric's pumps feed directly — with the same validation ladder the flat
-// server runs, inserts them into an engine.Partial, digests the reduction
-// upward, and fans the root's round-close back down. The leaf retains no per-client state beyond the
-// partial, which holds the shard's surviving uploads.
+// server runs, inserts them into an engine.Partial, forwards the surviving
+// uploads upward in a digest exactly as their clients sent them, and fans the
+// root's round-close back down. The leaf retains no per-client state beyond
+// the round's partial and the received wire forms beside it.
 
 // leafWorker serves rounds for one shard until its start channel closes,
 // reporting one result per round on the tree's done channel — the leaf-tier
@@ -74,6 +75,10 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 	})
 
 	part := engine.NewExactPartial(shard)
+	// The wire form each surviving upload arrived in, which the digest
+	// forwards: the leaf decodes every upload to validate it, and sends on
+	// what the client sent.
+	received := make(map[int]transport.WirePayload, len(cohort))
 	var report *roundReport
 	var roundErr error
 	if fatal == nil {
@@ -81,7 +86,13 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 		// not depend on arrival order). On a strict-mode fan failure above
 		// this is skipped — clients that never saw RoundStart will not
 		// upload, and strict collection has no deadline to save us.
-		rungs := s.uploadLadder(roundNoun(runner.Async() != nil), assignRef(sa), part.Insert)
+		rungs := s.uploadLadder(roundNoun(runner.Async() != nil), assignRef(sa), func(u engine.Upload, w transport.WirePayload) error {
+			if err := part.Insert(u); err != nil {
+				return err
+			}
+			received[u.Client] = w
+			return nil
+		})
 		report, roundErr, fatal = newCollector(s.clients, rx, t, cohort, rungs).collect()
 	}
 	releaseRefs(sa) // every upload is decoded
@@ -94,10 +105,12 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx inbox) error {
 		digestErr = fatal
 	}
 	stop := s.rec.Span(obs.PhaseLeafReduce)
-	d := buildDigest(t, shard, part, report, digestErr)
+	d := buildDigest(t, shard, part, received, report, digestErr)
 	stop()
 	s.sendDigest(t, shard, d)
-	releaseParams(part.Uploads) // the digest is encoded
+	// The digest is encoded: a float64raw form's Params is its upload's
+	// vector, which goes back here with the rest.
+	releaseParams(part.Uploads)
 
 	se, seErr := awaitShardEnd(shard, t, up)
 	var end frame
@@ -182,10 +195,12 @@ func releaseRefs(sa *transport.ShardAssign) {
 }
 
 // buildDigest renders the shard's reduction and membership report as the
-// upward wire message. Digest payloads travel float64raw (lossless), so the
-// root reconstructs bit-identical engine payloads regardless of the
-// client-plane codec.
-func buildDigest(t, shard int, part *engine.Partial, report *roundReport, digestErr error) *transport.ShardDigest {
+// upward wire message: each surviving upload's received wire form, in the
+// partial's client order. Forwarded payloads keep their clients' codec —
+// packed sections and delta coding included — and the root decodes each
+// against the reference its client trained from, so it reconstructs exactly
+// the engine payloads the leaf decoded.
+func buildDigest(t, shard int, part *engine.Partial, received map[int]transport.WirePayload, report *roundReport, digestErr error) *transport.ShardDigest {
 	d := &transport.ShardDigest{Round: t, Shard: shard, Heard: report.cohort, Missing: report.missing}
 	if digestErr != nil {
 		d.Err = digestErr.Error()
@@ -193,7 +208,7 @@ func buildDigest(t, shard int, part *engine.Partial, report *roundReport, digest
 	}
 	d.Uploads = make([]transport.ShardUpload, len(part.Uploads))
 	for i, u := range part.Uploads {
-		d.Uploads[i] = transport.ShardUpload{Client: u.Client, Payload: transport.PayloadToWire(u.Payload)}
+		d.Uploads[i] = transport.ShardUpload{Client: u.Client, Payload: received[u.Client]}
 	}
 	return d
 }

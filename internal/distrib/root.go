@@ -14,7 +14,8 @@ import (
 // connections or uploads — it partitions the round's cohort into contiguous
 // shard slices (index ranges over the cohort, no copies), encodes the round
 // framing ONCE, hands each leaf its assignment, collects exactly one digest
-// per shard, merges the per-shard partials, and runs the algorithm's
+// per shard, decodes each digest's forwarded uploads into a per-shard partial
+// as it files the digest, merges the partials, and runs the algorithm's
 // Aggregate over the merged result.
 //
 // The type holds the root to two invariants. It knows its leaves only as
@@ -86,14 +87,15 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 	}
 
 	digests := make([]*transport.ShardDigest, shards)
-	// The merged uploads hold the digests' params vectors: they go back once
-	// Aggregate is done and the close is sent.
+	parts := make([]*engine.Partial, shards)
+	// The merged uploads hold the params vectors the digests' uploads decoded
+	// into: they go back once Aggregate is done and the close is sent.
 	defer func() {
 		for _, d := range digests {
 			releaseDigest(d)
 		}
 	}()
-	heard, _, err := r.collector(t, r.digestLadder(digests)).collect()
+	heard, _, err := r.collector(t, r.digestLadder(digests, parts, plan.ref)).collect()
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +104,7 @@ func (r *root) round(plan *roundPlan) (*roundReport, error) {
 		lost = append(lost, i)
 		r.note(i, func(h *ShardHealth) { h.Lost++ })
 	}
-	report, parts, count, roundErr := r.mergeDigests(digests, cohorts, lost)
+	report, count, roundErr := r.mergeDigests(digests, parts, cohorts, lost)
 
 	if roundErr == nil && r.opts.ShardQuorum > 0 && heard.cohort < r.opts.ShardQuorum {
 		roundErr = fmt.Errorf("%w: %s %d merged %d of %d shard digests, quorum %d",
@@ -175,11 +177,14 @@ func (r *root) sendDown(kind transport.Kind, shard, t int, msg any) error {
 	return nil
 }
 
-// digestLadder is the tier's ladder: it validates one shard digest and files
-// it under its shard. A corrupt or misrouted digest is attributable to the
-// leaf whose link it arrived on, so the tolerant tier writes that shard off;
-// a duplicate — or a digest for a shard already written off — is rejected.
-func (r *root) digestLadder(digests []*transport.ShardDigest) ladder {
+// digestLadder is the tier's ladder: it validates one shard digest, decodes
+// its forwarded uploads into the shard's partial — each against ref(client),
+// the delta reference that client trained from — and files both under the
+// shard. A corrupt or misrouted digest, or one whose uploads fail to decode,
+// is attributable to the leaf whose link it arrived on, so the tolerant tier
+// writes that shard off; a duplicate — or a digest for a shard already
+// written off — is rejected.
+func (r *root) digestLadder(digests []*transport.ShardDigest, parts []*engine.Partial, ref func(client int) []float64) ladder {
 	return func(c *collector, e *transport.Envelope) {
 		pl := c.pl
 		if e.Kind != transport.KindShardDigest || e.Round != c.t {
@@ -211,14 +216,44 @@ func (r *root) digestLadder(digests []*transport.ShardDigest) ladder {
 			c.reject(&pl.dup, fmt.Errorf("distrib: duplicate digest from shard %d in round %d", d.Shard, c.t))
 			return
 		}
+		part, perr := decodeDigest(&d, ref)
+		if perr != nil {
+			c.rejectFrom(e.From, &pl.corrupt, fmt.Errorf("distrib: shard %d digest: %w", d.Shard, perr))
+			return
+		}
 		c.accept(d.Shard)
-		digests[d.Shard], filed = &d, true
+		digests[d.Shard], parts[d.Shard], filed = &d, part, true
 		r.note(d.Shard, func(h *ShardHealth) { h.LastDigestRound = c.t })
 	}
 }
 
-// releaseDigest returns the params vectors d's uploads decoded into; a nil d
-// holds none.
+// decodeDigest decodes d's forwarded uploads into the shard's partial, each
+// against ref(client). Each upload's wire Params is pointed at the vector its
+// decoded payload holds — its raw vector, or the one a packed section
+// unpacked into — so releaseDigest returns every vector d's uploads hold,
+// decoded or not, whatever the codec. A digest that carries a shard error
+// carries no uploads to aggregate: its partial is nil.
+func decodeDigest(d *transport.ShardDigest, ref func(client int) []float64) (*engine.Partial, error) {
+	if d.Err != "" {
+		return nil, nil
+	}
+	part := engine.NewExactPartial(d.Shard)
+	for i := range d.Uploads {
+		su := &d.Uploads[i]
+		p, err := su.Payload.ToPayloadRef(ref(su.Client))
+		if err != nil {
+			return nil, fmt.Errorf("client %d: %w", su.Client, err)
+		}
+		su.Payload.Params = p.Params
+		if err := part.Insert(engine.Upload{Client: su.Client, Payload: p}); err != nil {
+			return nil, err
+		}
+	}
+	return part, nil
+}
+
+// releaseDigest returns the params vectors d's uploads hold (decodeDigest);
+// a nil d holds none.
 func releaseDigest(d *transport.ShardDigest) {
 	if d == nil {
 		return
@@ -246,18 +281,18 @@ func (r *root) health() []ShardHealth {
 	return out
 }
 
-// mergeDigests folds the shard digests into engine partials plus the
-// round's merged membership report (Σ heard, concatenated missing — already
-// ascending because shards are ascending contiguous ranges). A lost shard
-// contributes a nil partial (engine.MergeExact skips them)
-// and its whole cohort slice to missing, so a degraded tree round reports
-// exactly the clients the merge never saw. The first shard-order Err becomes
-// the round error with its text intact, so the round close a tree run fans
-// on failure carries the same message a flat run's would.
-func (r *root) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int, lostShards []int) (*roundReport, []*engine.Partial, int, error) {
+// mergeDigests folds the filed shard digests into the round's merged
+// membership report (Σ heard, concatenated missing — already ascending
+// because shards are ascending contiguous ranges) and counts the uploads the
+// decoded partials hold. A lost shard has a nil partial (engine.MergeExact
+// skips them) and contributes its whole cohort slice to missing, so a
+// degraded tree round reports exactly the clients the merge never saw. The
+// first shard-order Err becomes the round error with its text intact, so the
+// round close a tree run fans on failure carries the same message a flat
+// run's would.
+func (r *root) mergeDigests(digests []*transport.ShardDigest, parts []*engine.Partial, cohorts [][]int, lostShards []int) (*roundReport, int, error) {
 	stop := r.rec.Span(obs.PhaseRootMerge)
 	defer stop()
-	parts := make([]*engine.Partial, len(digests))
 	report := &roundReport{missing: make([]int, 0), lostShards: lostShards}
 	count := 0
 	var roundErr error
@@ -268,27 +303,12 @@ func (r *root) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int, l
 		}
 		report.cohort += d.Heard
 		report.missing = append(report.missing, d.Missing...)
-		if d.Err != "" {
-			if roundErr == nil {
-				roundErr = errors.New(d.Err)
-			}
-			continue
+		if d.Err != "" && roundErr == nil {
+			roundErr = errors.New(d.Err)
 		}
-		p := engine.NewExactPartial(i)
-		for _, su := range d.Uploads {
-			pay, perr := su.Payload.ToPayload()
-			if perr == nil {
-				perr = p.Insert(engine.Upload{Client: su.Client, Payload: pay})
-			}
-			if perr != nil {
-				if roundErr == nil {
-					roundErr = perr
-				}
-				break
-			}
+		if parts[i] != nil {
+			count += len(parts[i].Uploads)
 		}
-		parts[i] = p
-		count += len(p.Uploads)
 	}
-	return report, parts, count, roundErr
+	return report, count, roundErr
 }

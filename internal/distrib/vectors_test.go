@@ -110,10 +110,10 @@ func TestRunMatchesInProcessParams(t *testing.T) {
 // per client, nine a round here. With the vector list every one of them is
 // reused once the run is warm, and Aggregate averages into the spare global
 // it swaps with the current one, so a steady-state round — training, wire
-// and aggregation — must allocate less than one vector's worth (0.31–0.49
-// measured: the training loops' per-call workspaces, plus now and then a
-// list that a read-ahead left empty; ten without the list, 1.5–1.8 with a
-// new global per round). A missed ReleaseVector on any of the three paths
+// and aggregation — must allocate less than one vector's worth (0.08–0.17
+// measured: now and then a list that a read-ahead left empty, since the
+// training loops take their workspaces from the scratch arena; ten without
+// the list, 1.5–1.8 with a new global per round). A missed ReleaseVector on any of the three paths
 // costs three vectors a round. Twelve rounds are measured, so one such miss
 // moves the mean by a twelfth of a vector.
 func TestFedAvgTCPRoundVectorAllocs(t *testing.T) {

@@ -9,10 +9,14 @@ import (
 )
 
 // The training loops own small per-call workspaces (batch matrices, label
-// slices, gradient buffers) that are resized in place across minibatches,
-// so together with the layers' persistent buffers a steady-state epoch
-// performs zero matrix allocations. Each returns the number of minibatch
-// steps it took, which the round hooks add to the run's trace.
+// slices, gradient buffers) that are resized in place across minibatches.
+// The matrices come from the scratch arena (tensor.EnsureScratch) and go back
+// to it on return, so together with the layers' persistent buffers a
+// steady-state round performs zero matrix allocations, not one set per call.
+// A Step joins every task that reads the batch or its gradients before it
+// returns (nn's lane overlaps only Adam), so the workspaces go back before a
+// lane-attached trainer is released. Each loop returns the number of
+// minibatch steps it took, which the round hooks add to the run's trace.
 
 // TrainCE runs plain minibatch cross-entropy training (Eq. 4).
 func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.RNG, epochs, batchSize int) (steps int) {
@@ -22,14 +26,15 @@ func TrainCE(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng *stats.R
 	for e := 0; e < epochs; e++ {
 		for _, idx := range dataset.Batches(rng, d.Len(), batchSize) {
 			var labels []int
-			x, labels = dataset.GatherInto(x, yb, d, idx)
+			x, labels = dataset.GatherInto(tensor.EnsureScratch(x, len(idx), d.X.Cols), yb, d, idx)
 			logits := net.Forward(x, true)
-			grad = tensor.Ensure(grad, logits.Rows, logits.Cols)
+			grad = tensor.EnsureScratch(grad, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(grad, logits, labels)
 			tr.Step(grad, nil)
 			steps++
 		}
 	}
+	releaseAll(x, grad)
 	return steps
 }
 
@@ -71,18 +76,19 @@ func TrainCEWithProto(net *nn.Network, opt nn.Optimizer, d *dataset.Dataset, rng
 	for e := 0; e < epochs; e++ {
 		for _, idx := range dataset.Batches(rng, d.Len(), batchSize) {
 			var labels []int
-			x, labels = dataset.GatherInto(x, yb, d, idx)
+			x, labels = dataset.GatherInto(tensor.EnsureScratch(x, len(idx), d.X.Cols), yb, d, idx)
 			feats, logits := net.ForwardSplit(x)
-			gradLogits = tensor.Ensure(gradLogits, logits.Rows, logits.Cols)
+			gradLogits = tensor.EnsureScratch(gradLogits, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(gradLogits, logits, labels)
-			target = protos.TargetMatrixInto(target, labels, feats)
-			gradFeat = tensor.Ensure(gradFeat, feats.Rows, feats.Cols)
+			target = protos.TargetMatrixInto(tensor.EnsureScratch(target, len(labels), protos.Dim), labels, feats)
+			gradFeat = tensor.EnsureScratch(gradFeat, feats.Rows, feats.Cols)
 			nn.MSEInto(gradFeat, feats, target)
 			gradFeat.Scale(eps)
 			tr.Step(gradLogits, gradFeat)
 			steps++
 		}
 	}
+	releaseAll(x, gradLogits, target, gradFeat)
 	return steps
 }
 
@@ -111,21 +117,22 @@ func distill(net *nn.Network, tr *nn.Trainer, x, teacher *tensor.Matrix, pseudo 
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
 		for _, idx := range dataset.Batches(rng, x.Rows, batchSize) {
-			xb = dataset.GatherRowsInto(xb, x, idx)
-			tb = dataset.GatherRowsInto(tb, probs, idx)
+			xb = dataset.GatherRowsInto(tensor.EnsureScratch(xb, len(idx), x.Cols), x, idx)
+			tb = dataset.GatherRowsInto(tensor.EnsureScratch(tb, len(idx), probs.Cols), probs, idx)
 			labels := yb[:len(idx)]
 			for i, j := range idx {
 				labels[i] = pseudo[j]
 			}
 			logits := net.Forward(xb, true)
-			gradKL = tensor.Ensure(gradKL, logits.Rows, logits.Cols)
+			gradKL = tensor.EnsureScratch(gradKL, logits.Rows, logits.Cols)
 			nn.KLDistillInto(gradKL, logits, tb, temp)
-			gradCE = tensor.Ensure(gradCE, logits.Rows, logits.Cols)
+			gradCE = tensor.EnsureScratch(gradCE, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(gradCE, logits, labels)
 			tr.Step(gradKL.Scale(gamma).AddScaled(1-gamma, gradCE), nil)
 			steps++
 		}
 	}
+	releaseAll(xb, tb, gradKL, gradCE)
 	return steps
 }
 
@@ -141,23 +148,23 @@ func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix
 	yb := make([]int, batchSize)
 	for e := 0; e < epochs; e++ {
 		for _, idx := range dataset.Batches(rng, x.Rows, batchSize) {
-			xb = dataset.GatherRowsInto(xb, x, idx)
-			tb = dataset.GatherRowsInto(tb, probs, idx)
+			xb = dataset.GatherRowsInto(tensor.EnsureScratch(xb, len(idx), x.Cols), x, idx)
+			tb = dataset.GatherRowsInto(tensor.EnsureScratch(tb, len(idx), probs.Cols), probs, idx)
 			labels := yb[:len(idx)]
 			for i, j := range idx {
 				labels[i] = pseudo[j]
 			}
 			feats, logits := net.ForwardSplit(xb)
-			gradKL = tensor.Ensure(gradKL, logits.Rows, logits.Cols)
+			gradKL = tensor.EnsureScratch(gradKL, logits.Rows, logits.Cols)
 			nn.KLDistillInto(gradKL, logits, tb, temp)
-			gradCE = tensor.Ensure(gradCE, logits.Rows, logits.Cols)
+			gradCE = tensor.EnsureScratch(gradCE, logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(gradCE, logits, labels)
 			gradLogits := gradKL.Scale(delta).AddScaled(delta, gradCE)
 
 			var dfeat *tensor.Matrix
 			if protos != nil && protos.Len() > 0 && delta < 1 {
-				target = protos.TargetMatrixInto(target, labels, feats)
-				gradFeat = tensor.Ensure(gradFeat, feats.Rows, feats.Cols)
+				target = protos.TargetMatrixInto(tensor.EnsureScratch(target, len(labels), protos.Dim), labels, feats)
+				gradFeat = tensor.EnsureScratch(gradFeat, feats.Rows, feats.Cols)
 				nn.MSEInto(gradFeat, feats, target)
 				gradFeat.Scale(1 - delta)
 				dfeat = gradFeat
@@ -166,7 +173,16 @@ func TrainServerPKD(net *nn.Network, opt nn.Optimizer, x, teacher *tensor.Matrix
 			steps++
 		}
 	}
+	releaseAll(xb, tb, gradKL, gradCE, target, gradFeat)
 	return steps
+}
+
+// releaseAll returns a training loop's workspaces to the arena; a workspace
+// the loop never took is nil, which Release ignores.
+func releaseAll(ms ...*tensor.Matrix) {
+	for _, m := range ms {
+		tensor.Release(m)
+	}
 }
 
 // teacherProbs returns softmax(teacher_i/temp) of every teacher row, the

@@ -45,6 +45,19 @@ func GetScratch(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<class)}
 }
 
+// EnsureScratch is Ensure over the arena, for a workspace reused across a
+// loop: m resized to rows x cols when its backing array holds them, else m
+// returned to the arena (Release) and a scratch matrix in its place. Contents
+// are arbitrary either way, as GetScratch's. The caller Releases the last
+// matrix it got back.
+func EnsureScratch(m *Matrix, rows, cols int) *Matrix {
+	if m != nil && cap(m.Data) >= rows*cols {
+		return Ensure(m, rows, cols)
+	}
+	Release(m)
+	return GetScratch(rows, cols)
+}
+
 // Release returns a matrix to the arena. Only matrices whose backing array
 // is an exact power-of-two capacity (i.e. ones GetScratch handed out) are
 // pooled; anything else is dropped for the GC. Release(nil) is a no-op.

@@ -97,6 +97,28 @@ func TestScratchArenaRoundTrip(t *testing.T) {
 	Release(New(3, 3))
 }
 
+// TestEnsureScratch: a workspace its shape fits is resliced in place; one
+// too small goes back to the arena and a scratch matrix of a class that
+// holds the new shape replaces it; a nil workspace starts from the arena.
+func TestEnsureScratch(t *testing.T) {
+	m := EnsureScratch(nil, 4, 5)
+	if m.Rows != 4 || m.Cols != 5 || len(m.Data) != 20 || cap(m.Data) != 32 {
+		t.Fatalf("EnsureScratch(nil, 4, 5) = %dx%d len %d cap %d, want a 32-float scratch matrix", m.Rows, m.Cols, len(m.Data), cap(m.Data))
+	}
+	data := &m.Data[:1][0]
+	if r := EnsureScratch(m, 6, 5); r != m || &r.Data[0] != data || len(r.Data) != 30 {
+		t.Fatalf("EnsureScratch within capacity moved the workspace or mis-sized it (len %d)", len(r.Data))
+	}
+	grown := EnsureScratch(m, 9, 5)
+	if grown.Rows != 9 || grown.Cols != 5 || len(grown.Data) != 45 || cap(grown.Data) != 64 {
+		t.Fatalf("EnsureScratch past capacity = %dx%d len %d cap %d, want a 64-float scratch matrix", grown.Rows, grown.Cols, len(grown.Data), cap(grown.Data))
+	}
+	if m.Rows != 0 || len(m.Data) != 0 {
+		t.Errorf("the outgrown workspace was not returned to the arena (%dx%d len %d)", m.Rows, m.Cols, len(m.Data))
+	}
+	Release(grown)
+}
+
 // TestScratchArenaConcurrent hammers the arena from several goroutines under
 // the race detector.
 func TestScratchArenaConcurrent(t *testing.T) {

@@ -289,26 +289,42 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
-func intLen(x int) int   { return uvarintLen(zigzag(int64(x))) }
-func bytesLen(n int) int { return uvarintLen(uint64(n)) + n }
-func floatsLen(v []float64) int {
-	if len(v) == 0 {
+func intLen(x int) int          { return uvarintLen(zigzag(int64(x))) }
+func bytesLen(n int) int        { return uvarintLen(uint64(n)) + n }
+func floatsLen(v []float64) int { return floatsSize(len(v), orWords(0, v)) }
+
+// floatsSize is the encoded length of n floats whose IEEE words OR to acc
+// (orWords): a vector putFloats writes in pieces is priced without joining
+// them.
+func floatsSize(n int, acc uint64) int {
+	if n == 0 {
 		return 1
 	}
-	return uvarintLen(uint64(len(v))) + 1 + floatWidth(v)*len(v)
+	return uvarintLen(uint64(n)) + 1 + widthOf(acc)*n
 }
 
 // floatWidth returns how many high-order bytes of each IEEE word v's
 // elements need: 8 minus the low-order bytes that are zero in every element,
-// at least 1. The scan stops at the first element with a non-zero low byte,
-// so a vector of full-mantissa values costs one look.
-func floatWidth(v []float64) int {
-	var acc uint64
+// at least 1.
+func floatWidth(v []float64) int { return widthOf(orWords(0, v)) }
+
+// orWords ORs the IEEE words of v into acc. It stops at the first word that
+// leaves a non-zero low byte in acc, since the width is then 8 whatever
+// follows: a vector of full-mantissa values costs one look.
+func orWords(acc uint64, v []float64) uint64 {
 	for _, x := range v {
 		acc |= math.Float64bits(x)
 		if acc&0xff != 0 {
-			return 8
+			return acc
 		}
+	}
+	return acc
+}
+
+// widthOf is floatWidth for the OR of a vector's words.
+func widthOf(acc uint64) int {
+	if acc&0xff != 0 {
+		return 8
 	}
 	if acc == 0 {
 		return 1

@@ -54,7 +54,6 @@ func codecMessages(t testing.TB, c comm.Codec) []any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := PayloadToWire(testPayload()) // digests travel float64raw under every codec
 	return []any{
 		rs,
 		RoundUpload{Round: 3, Client: 9, Err: "local update: diverged", HasPayload: true, Payload: w},
@@ -69,7 +68,9 @@ func codecMessages(t testing.TB, c comm.Codec) []any {
 		},
 		ShardDigest{
 			Round: 3, Shard: 1,
-			Uploads: []ShardUpload{{Client: 4, Payload: raw}, {Client: 6, Payload: raw}},
+			// A digest forwards each upload as its client sent it: under c,
+			// with its params delta-coded against the client's reference.
+			Uploads: []ShardUpload{{Client: 4, Payload: w}, {Client: 6, Payload: w}},
 			Heard:   2, Missing: []int{5, 7}, Err: "shard quorum",
 		},
 		ShardEnd{Round: 3, Shard: 1, End: end, HasBroadcast: true, EndRaw: 2048},

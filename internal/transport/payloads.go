@@ -393,6 +393,76 @@ func PayloadToWire(p *engine.Payload) WirePayload {
 	return w
 }
 
+// RawSize returns EncodedSize(msg) with msg's knowledge payload — the Global
+// of a *RoundStart, the Payload of a *RoundUpload or the Broadcast of a
+// *RoundEnd — replaced by PayloadToWire(p), the float64raw form. It is
+// computed from p's own slices: no raw form is built, so no prototype or
+// index is copied.
+func RawSize(msg any, p *engine.Payload) (int, error) {
+	var w *WirePayload
+	switch m := msg.(type) {
+	case *RoundStart:
+		if m != nil {
+			w = &m.Global
+		}
+	case *RoundUpload:
+		if m != nil {
+			w = &m.Payload
+		}
+	case *RoundEnd:
+		if m != nil {
+			w = &m.Broadcast
+		}
+	}
+	if w == nil {
+		return 0, unknownMessage("raw size of", msg)
+	}
+	n, err := EncodedSize(msg)
+	if err != nil {
+		return 0, err
+	}
+	return n - w.size() + rawPayloadSize(p), nil
+}
+
+// rawPayloadSize is PayloadToWire(p).size(), field for field in
+// WirePayload.size's order, read off p.
+func rawPayloadSize(p *engine.Payload) int {
+	if p == nil {
+		return (&WirePayload{}).size()
+	}
+	n := 2 // flags, codec
+	if p.Logits != nil {
+		n += intLen(p.Logits.Rows) + intLen(p.Logits.Cols) + floatsLen(p.Logits.Data)
+	} else {
+		n += 2*intLen(0) + floatsLen(nil)
+	}
+	n += uvarintLen(uint64(len(p.Indices)))
+	for _, i := range p.Indices {
+		n += intLen(int(int32(i)))
+	}
+	if p.Protos != nil {
+		// One scan of the held classes prices their ids, their counts and
+		// their values' width.
+		held, ids, values := 0, 0, 0
+		var acc uint64
+		for class := 0; class < p.Protos.Classes; class++ {
+			vec, ok := p.Protos.Vectors[class]
+			if !ok {
+				continue
+			}
+			held++
+			ids += intLen(int(int32(class))) + intLen(int(int32(p.Protos.Counts[class])))
+			values += len(vec)
+			acc = orWords(acc, vec)
+		}
+		n += intLen(p.Protos.Classes) + 2*uvarintLen(uint64(held)) + ids + intLen(p.Protos.Dim) + floatsSize(values, acc)
+	} else {
+		n += intLen(0) + 2*int32sLen(nil) + intLen(0) + floatsLen(nil)
+	}
+	n += floatsLen(p.Params) + intLen(p.ParamsCounted) + intLen(p.NumSamples)
+	return n + 3*bytesLen(0) + intLen(0) // no packed sections, ParamsN 0
+}
+
 // ToPayload validates the wire payload and reconstructs the engine payload.
 // It decodes without a delta reference, so payloads whose params section is
 // delta-encoded (uploads under a compressing codec) need ToPayloadRef.

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"testing"
 
@@ -409,5 +410,76 @@ func TestKindString(t *testing.T) {
 	if KindRoundStart.String() != "round-start" || KindUpload.String() != "upload" ||
 		KindRoundEnd.String() != "round-end" || Kind(99).String() == "" {
 		t.Error("Kind.String broken")
+	}
+}
+
+// TestRawSizeIsTheBuiltFormsSize pins RawSize to what it prices: for every
+// message that carries knowledge, and generated payloads of every shape — no
+// payload, each block present or absent, local logits, prototype sets with
+// gaps, and values whose IEEE words need 1 to 8 bytes — it equals
+// EncodedSize of the message carrying PayloadToWire's float64raw form.
+func TestRawSizeIsTheBuiltFormsSize(t *testing.T) {
+	rng := stats.NewRNG(17)
+	// vals draws n values whose words need at most w bytes, so every
+	// putFloats width is reached.
+	vals := func(n, w int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			u := math.Float64bits(rng.NormFloat64()*math.Pow(10, float64(rng.IntN(9)-4))) >> (8 * (8 - w)) << (8 * (8 - w))
+			if rng.IntN(4) == 0 {
+				u = 0
+			}
+			out[i] = math.Float64frombits(u)
+		}
+		return out
+	}
+	payloads := []*engine.Payload{nil, {}, testPayload()}
+	for i := 0; i < 200; i++ {
+		p := &engine.Payload{ParamsCounted: rng.IntN(1 << 20), NumSamples: rng.IntN(300)}
+		if rng.IntN(3) > 0 {
+			rows, cols := rng.IntN(5), 1+rng.IntN(4)
+			p.Logits = tensor.FromSlice(rows, cols, vals(rows*cols, 1+rng.IntN(8)))
+			p.LogitsLocal = rng.IntN(3) == 0
+		}
+		for j := rng.IntN(6); j > 0; j-- {
+			p.Indices = append(p.Indices, rng.IntN(1<<22))
+		}
+		if rng.IntN(3) > 0 {
+			classes, dim := 1+rng.IntN(200), rng.IntN(5)
+			p.Protos = proto.NewSet(classes, dim)
+			w := 1 + rng.IntN(8)
+			for c := 0; c < classes; c++ {
+				if rng.IntN(3) == 0 {
+					p.Protos.Vectors[c] = vals(dim, w)
+					p.Protos.Counts[c] = rng.IntN(1 << 16)
+				}
+			}
+		}
+		if rng.IntN(2) == 0 {
+			p.Params = vals(rng.IntN(40), 1+rng.IntN(8))
+		}
+		payloads = append(payloads, p)
+	}
+	for i, p := range payloads {
+		raw := PayloadToWire(p)
+		has := p != nil
+		for _, m := range []struct{ zero, built any }{
+			{&RoundStart{Round: i, HasGlobal: has}, RoundStart{Round: i, HasGlobal: has, Global: raw}},
+			{&RoundUpload{Round: i, Client: 3 * i, HasPayload: has}, RoundUpload{Round: i, Client: 3 * i, HasPayload: has, Payload: raw}},
+			{&RoundEnd{Round: i, HasBroadcast: has}, RoundEnd{Round: i, HasBroadcast: has, Broadcast: raw}},
+		} {
+			want, err := EncodedSize(m.built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := RawSize(m.zero, p); err != nil || got != want {
+				t.Fatalf("payload %d: RawSize(%T) = %d, %v; EncodedSize of the built form = %d", i, m.zero, got, err, want)
+			}
+		}
+	}
+	for _, msg := range []any{RoundUpload{}, (*RoundEnd)(nil), &ShardDigest{}} {
+		if _, err := RawSize(msg, testPayload()); !errors.Is(err, ErrUnknownMessage) {
+			t.Errorf("RawSize(%T) error = %v, want ErrUnknownMessage", msg, err)
+		}
 	}
 }

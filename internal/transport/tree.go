@@ -8,12 +8,14 @@ import "fmt"
 // and fanned by the shard's leaf aggregator. The leaf↔root tier speaks the
 // three messages below: an assignment down, a digest up, a close down.
 //
-// Digest payloads always travel float64raw regardless of the client-plane
-// codec: the leaf has already decoded (and, under a compressing codec,
-// dequantized) each upload, and the backhaul links of a hierarchy are
-// datacenter links where the edge-compression story does not apply. The
-// float64raw encoding round-trips losslessly, so the root reconstructs the
-// exact payload values the leaf decoded.
+// A digest forwards each surviving upload's payload exactly as its client
+// sent it: the round's codec, its packed sections and its delta-coded params
+// included. The leaf decodes every upload only to validate it; the root
+// decodes the forwarded form again, against the delta reference that client
+// trained from, and dequantization is a pure function of the bytes and the
+// reference, so the root reconstructs the exact payload values the leaf
+// decoded while the tier carries no more knowledge bytes than the client
+// plane did.
 
 // ClientStart is one client's entry in a shard assignment. In a synchronous
 // round every entry shares the assignment's Start/Ref (one global fans to
@@ -76,7 +78,7 @@ func (sa *ShardAssign) Validate() error {
 }
 
 // ShardUpload is one surviving upload forwarded inside a digest: the client
-// id and its decoded payload re-encoded float64raw.
+// id and the wire payload the client sent, as it arrived.
 type ShardUpload struct {
 	Client  int
 	Payload WirePayload

@@ -62,14 +62,17 @@ go test -race -count=5 -run 'Borrow|Release|Alloc' ./internal/transport ./intern
 # Params vectors are owned too (internal/transport/frames.go): a client
 # returns its decoded global and its upload's vectors once the upload is
 # sent, the flat server and the root their uploads' after Aggregate, a leaf
-# its uploads' after its digest is encoded. Built with -tags poisonrelease,
-# every released frame and vector is overwritten with set bits first, so a
-# buffer still read after its release hands its reader NaNs or a bad CRC
-# whether or not the list reuses it: the goldens, the tree ≡ flat suites and
-# FedAvg, FedProx and FedDF against their in-process twins (bus and TCP,
-# flat and 2-shard tree, float64raw and int8, async) then fail.
-echo ">> go test -tags poisonrelease -race -count=3 (released frames and vectors poisoned: goldens, tree, in-process twins)"
-go test -tags poisonrelease -race -count=3 -run 'Borrow|Release|Alloc|Golden|MatchesInProcess|TreeMatchesFlat|TreeCompact|Async' ./internal/transport ./internal/distrib .
+# its uploads' after its digest is encoded — and under float64raw a digest
+# forwards each upload's received wire form, whose Params is that same
+# vector. Built with -tags poisonrelease, every released frame and vector is
+# overwritten with set bits first, so a buffer still read after its release
+# hands its reader NaNs or a bad CRC whether or not the list reuses it: the
+# goldens, the tree ≡ flat suites, FedAvg, FedProx and FedDF against their
+# in-process twins (bus and TCP, flat and 2-shard tree, float64raw and int8,
+# async), the forwarded-bytes and tier-bound checks, and the permutation law
+# then fail.
+echo ">> go test -tags poisonrelease -race -count=3 (released frames and vectors poisoned: goldens, tree, in-process twins, forwarded digests)"
+go test -tags poisonrelease -race -count=3 -run 'Borrow|Release|Alloc|Golden|MatchesInProcess|TreeMatchesFlat|TreeCompact|Async|Forward|TraceBytes|Permutation' ./internal/transport ./internal/distrib .
 
 # Every connection's pump pushes into the inbox of the collector that consumes
 # it, so an inbox has several producers and is closed only after every one of

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fedpkd/internal/fl/engine"
+	"fedpkd/internal/transport"
 )
 
 // TestTraceBytesAreLedgerRows pins the one-counter contract of byte
@@ -14,7 +15,10 @@ import (
 // with and without a compressing codec. The chaos leg, where retries,
 // duplicates and corrupt envelopes bill bytes from many goroutines at once,
 // is internal/distrib's TestTraceBytesAreLedgerRowsUnderChaos, which runs its
-// deadlines on a virtual clock.
+// deadlines on a virtual clock. In the int8 tree legs each round's tier
+// uplink must also be no more than its client uploads plus the digests' own
+// framing: a leaf forwards the uploads as their clients sent them, and a
+// leaf that re-encoded them float64raw would send several times the bytes.
 func TestTraceBytesAreLedgerRows(t *testing.T) {
 	const rounds = 3
 	tree := Topology{Shards: 2}
@@ -51,9 +55,27 @@ func TestTraceBytesAreLedgerRows(t *testing.T) {
 			if len(traces) != rounds || len(rows) != rounds {
 				t.Fatalf("%d traces and %d ledger rows, want %d of each", len(traces), len(rows), rounds)
 			}
+			// Every digest's bytes beside its uploads: the envelope header and
+			// the digest's own fields, with each shard heard in full (no
+			// client is missed here).
+			var framing int64
+			if leg.opts.Topology.Enabled() {
+				n := r.Config().Env.Cfg.NumClients
+				for shard := 0; shard < leg.opts.Topology.Shards; shard++ {
+					size, err := transport.EncodedSize(&transport.ShardDigest{Round: rounds, Shard: shard, Heard: n})
+					if err != nil {
+						t.Fatal(err)
+					}
+					framing += int64(transport.EnvelopeHeaderSize + size)
+				}
+			}
 			var raw, tier int64
 			for i, tr := range traces {
 				row := rows[i]
+				if leg.codec != "" && framing > 0 && row.TierUp > row.Upload+framing {
+					t.Errorf("round %d: the tier carried %d bytes up for %d bytes of client uploads and %d of digest framing; a leaf forwards what its clients sent",
+						row.Round, row.TierUp, row.Upload, framing)
+				}
 				raw += row.RawUpload + row.RawDownload
 				tier += row.TierUp + row.TierDown
 				got := [8]int64{int64(tr.Round), tr.UploadBytes, tr.DownloadBytes, tr.ControlBytes,
